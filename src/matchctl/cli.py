@@ -9,6 +9,7 @@ prefixes (grammar documented in the README).  Exit codes: 0 pass/success,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -362,7 +363,8 @@ def _closed_loop_and_observers(rc: RunConfig):
         shapingA = ShapingParams(tau=((mt.new_tau_closed_form(sys_, k),),),
                                  sigma=scalar_sigma_matrix(sys_, sig), rho=rho)
         Afield = ctl.incline_A_field(p, shapingA)
-        hcurve = ctl._HCurve(Afield, (rc.grid_lo - 0.1, rc.grid_hi + 0.1))
+        hcurve = ctl._HCurve(Afield, ctl.incline_safe_span(
+            p, k, (rc.grid_lo - 0.1, rc.grid_hi + 0.1)))
 
         def energy(times, Q, Qd):
             x, s = Q[:, 0], Q[:, 1]
@@ -474,21 +476,38 @@ def cmd_sweep(args) -> int:
     sigmas = rc.sweep_sigma or [rc.gains.sigma]
     rhos = rc.sweep_rho or [rc.gains.rho]
     combos = [(k, s, r) for k in ks for s in sigmas for r in rhos]
-    max_workers = int(os.environ.get("MATCHCTL_THREADS", "0")) or min(8, len(combos))
-    with ThreadPoolExecutor(max_workers=max_workers) as ex:
+    with ThreadPoolExecutor(max_workers=_sweep_threads(len(combos))) as ex:
         rows = list(ex.map(lambda c: _sweep_one(rc, *c), combos))
     out_dir = Path(rc.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dest = out_dir / "sweep.csv"
     cols = ["k", "sigma", "rho", "k_min", "gain_ok", "min_eig_gtilde", "drift",
-            "events", "pass"]
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
+            "events", "pass", "error"]
+    with open(dest, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(cols)
+        out.writerows([row.get(c, "") for c in cols] for row in rows)
     doc = {"command": "sweep", "rows": rows, "csv": str(dest)}
     _emit(args, doc, f"wrote {len(rows)} rows to {dest}")
-    return 0
+    errored = [row for row in rows if "error" in row]
+    for row in errored:
+        print(f"sweep row k={row['k']} sigma={row['sigma']} rho={row['rho']}: "
+              f"{row['error']}", file=_sys.stderr)
+    return 1 if errored else 0
+
+
+def _sweep_threads(n_combos: int) -> int:
+    """Pool size: MATCHCTL_THREADS when set and not empty, else min(8, combos)."""
+    raw = os.environ.get("MATCHCTL_THREADS", "").strip()
+    if not raw:
+        return min(8, n_combos)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0                       # reported below like any other value under 1
+    if n < 1:
+        raise ConfigError(f"MATCHCTL_THREADS must be an integer >= 1, got {raw!r}")
+    return n
 
 
 def _parser() -> argparse.ArgumentParser:

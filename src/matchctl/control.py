@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from . import fields as fl
 from .fields import SmoothField
-from .jets import jet_vars, value_of
+from .jets import Jet2, cos, jet_vars, sin, sqrt, value_of
 from .lagrangian import (ExplicitSode, ShapingParams, controlled_lagrangian_generic,
                          kinetic_matrix, scalar_sigma_matrix)
 from .matching import new_tau_closed_form
@@ -230,6 +230,18 @@ def make_shaped_energy(sys: MechanicalSystem, shaping: ShapingParams,
     return ShapedEnergy(kinetic=kinetic, potential=pot)
 
 
+def _cumulative_quad(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """Integral of f from 0 to each grid point, one adaptive quad per cell."""
+    vals = np.empty_like(xs)
+    i0 = int(np.argmin(np.abs(xs)))
+    vals[i0] = quad(f, 0.0, xs[i0], epsabs=1e-12, epsrel=1e-8)[0]
+    for i in range(i0 + 1, len(xs)):
+        vals[i] = vals[i - 1] + quad(f, xs[i - 1], xs[i], epsabs=1e-12, epsrel=1e-8)[0]
+    for i in range(i0 - 1, -1, -1):
+        vals[i] = vals[i + 1] - quad(f, xs[i], xs[i + 1], epsabs=1e-12, epsrel=1e-8)[0]
+    return vals
+
+
 class PotentialCurve:
     """One-dimensional potential cached on a grid with its exact slope."""
 
@@ -265,7 +277,6 @@ def cartpole_closed_loop(p: CartpoleParams, gains: GainSelection) -> ExplicitSod
     """Closed loop of the cart-pole under the position feedback with gain k."""
     al, be, ga, d = p.alpha, p.beta, p.gamma, p.d
     k = gains.k
-    from .jets import cos, sin, sqrt
 
     def gamma(q, qd):
         x, xd = q[0], qd[0]
@@ -322,15 +333,7 @@ def cartpole_shaped_potential(p: CartpoleParams, gains: GainSelection,
     def slope(x: float) -> float:
         return float(cartpole_shaped_potential_gradient(p, gains, x))
 
-    vals = np.empty_like(xs)
-    # accumulate segment integrals so each quad call spans one cell
-    i0 = int(np.argmin(np.abs(xs)))
-    vals[i0] = quad(slope, 0.0, xs[i0], epsabs=1e-12, epsrel=1e-8)[0]
-    for i in range(i0 + 1, len(xs)):
-        vals[i] = vals[i - 1] + quad(slope, xs[i - 1], xs[i], epsabs=1e-12, epsrel=1e-8)[0]
-    for i in range(i0 - 1, -1, -1):
-        vals[i] = vals[i + 1] - quad(slope, xs[i], xs[i + 1], epsabs=1e-12, epsrel=1e-8)[0]
-    return PotentialCurve(xs, vals, slope)
+    return PotentialCurve(xs, _cumulative_quad(slope, xs), slope)
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +348,19 @@ def incline_A_field(p: InclineParams, shaping: ShapingParams) -> SmoothField:
     """Characteristic slope A(x) of the extra-potential equation, as a field."""
     sigma = _incline_sigma_scalar(p, shaping)
     rho = shaping.rho
-    al, be, ga = p.alpha, p.beta, p.gamma
-    x = fl.coordinate(0, 1)
-    cpx = fl.cos_of(fl.constant(p.psi, 1) - x)
-    tau = shaping.tau[0][0]
-    num = be * (rho - 1.0) * cpx * (cpx * cpx * (be ** 2) - fl.constant(al * ga, 1)) \
-        + be * ga ** 2 * (rho + sigma) * tau * tau * cpx \
-        + ga * rho * tau * (2.0 * be ** 2 * cpx * cpx - fl.constant(al * ga, 1))
-    den = ga * rho * (fl.constant(al * ga, 1) - be ** 2 * cpx * cpx - be * ga * tau * cpx)
-    return num / den
+    al, be, ga, psi = p.alpha, p.beta, p.gamma, p.psi
+    tau = shaping.tau[0][0].fn
+
+    def A(u):
+        cpx = cos(psi - u[0])
+        t = tau(u)
+        num = be * (rho - 1.0) * cpx * (cpx * cpx * (be ** 2) - al * ga) \
+            + be * ga ** 2 * (rho + sigma) * t * t * cpx \
+            + ga * rho * t * (2.0 * be ** 2 * cpx * cpx - al * ga)
+        den = ga * rho * (al * ga - be ** 2 * cpx * cpx - be * ga * t * cpx)
+        return num / den
+
+    return SmoothField(1, A)
 
 
 def incline_A_coefficient(p: InclineParams, shaping: ShapingParams, x: float) -> float:
@@ -381,22 +388,9 @@ class _HCurve:
     """Integral of A from 0, cached on a grid; derivatives are exact."""
 
     def __init__(self, A: SmoothField, x_span: tuple[float, float], n_grid: int = 801):
-        lo, hi = x_span
-        xs = np.linspace(lo, hi, n_grid)
-
-        def a(x):
-            return A.value(np.array([x]))
-
-        vals = np.empty_like(xs)
-        i0 = int(np.argmin(np.abs(xs)))
-        vals[i0] = quad(a, 0.0, xs[i0], epsabs=1e-12, epsrel=1e-8)[0]
-        for i in range(i0 + 1, len(xs)):
-            vals[i] = vals[i - 1] + quad(a, xs[i - 1], xs[i], epsabs=1e-12, epsrel=1e-8)[0]
-        for i in range(i0 - 1, -1, -1):
-            vals[i] = vals[i + 1] - quad(a, xs[i], xs[i + 1], epsabs=1e-12, epsrel=1e-8)[0]
-        self.xs = xs
-        self.values = vals
-        self._spline = CubicSpline(xs, vals)
+        self.xs = np.linspace(x_span[0], x_span[1], n_grid)
+        self.values = _cumulative_quad(lambda x: A.fn([x]), self.xs)
+        self._spline = CubicSpline(self.xs, self.values)
         self.A = A
 
     def value(self, x: float) -> float:
@@ -409,7 +403,7 @@ class _HCurve:
 def incline_h(p: InclineParams, shaping: ShapingParams, x: float) -> float:
     """h(x) = integral of A from 0 to x by adaptive quadrature."""
     A = incline_A_field(p, shaping)
-    return float(quad(lambda r: A.value(np.array([r])), 0.0, float(x),
+    return float(quad(lambda r: A.fn([r]), 0.0, float(x),
                       epsabs=1e-10, epsrel=1e-10)[0])
 
 
@@ -456,7 +450,7 @@ def incline_veps_field(p: InclineParams, shaping: ShapingParams, gains: GainSele
         return np.array([[(s0 - s) * Apx + 2.0 * c, -Ax],
                          [-Ax, 1.0]])
 
-    return SmoothField(2, value, d1, d2)
+    return fl.primitive(2, value, d1, d2)
 
 
 def incline_shaping(p: InclineParams, gains: GainSelection,
@@ -496,15 +490,12 @@ def incline_closed_loop(p: InclineParams, gains: GainSelection,
                          rho=rho)
     A = incline_A_field(p, base)
     h = _HCurve(A, incline_safe_span(p, gains.k, x_span))
-    from .jets import Jet2, cos, sin, sqrt
 
     def field_h(x):
         # h value from the cache; first/second derivatives are exactly A, A'
         if isinstance(x, Jet2):
-            hx = h.value(x.f)
-            Av = A.value(np.array([x.f]))
-            Apv = A.d1(np.array([x.f]))[0]
-            return Jet2(hx, Av * x.g, Av * x.h + Apv * np.outer(x.g, x.g))
+            a = A.eval_jet(jet_vars([x.f]))
+            return Jet2(h.value(x.f), a.f * x.g, a.f * x.h + a.g[0] * np.outer(x.g, x.g))
         return h.value(float(x))
 
     def gamma(q, qd):
@@ -570,18 +561,11 @@ def incline_shaped_potential(p: InclineParams, gains: GainSelection,
         return float(np.linalg.solve(C.T, np.array([g11b, g12b]))[0])
 
     def slope(x: float) -> float:
-        return w1(x) * d * math.sin(x) + A.value(np.array([x])) * h.value(x)
+        return w1(x) * d * math.sin(x) + A.fn([x]) * h.value(x)
 
     lo, hi = incline_safe_span(p, gains.k, x_span)
     xs = np.linspace(lo, hi, n_grid)
-    vals = np.empty_like(xs)
-    i0 = int(np.argmin(np.abs(xs)))
-    vals[i0] = quad(slope, 0.0, xs[i0], epsabs=1e-12, epsrel=1e-8)[0]
-    for i in range(i0 + 1, len(xs)):
-        vals[i] = vals[i - 1] + quad(slope, xs[i - 1], xs[i], epsabs=1e-12, epsrel=1e-8)[0]
-    for i in range(i0 - 1, -1, -1):
-        vals[i] = vals[i + 1] - quad(slope, xs[i], xs[i + 1], epsabs=1e-12, epsrel=1e-8)[0]
-    Wspline = CubicSpline(xs, vals)
+    Wspline = CubicSpline(xs, _cumulative_quad(slope, xs))
 
     class InclinePotential:
         def value(self, q) -> float:

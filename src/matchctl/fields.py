@@ -1,26 +1,37 @@
-"""Smooth scalar fields with analytic first and second partial derivatives.
+"""Smooth scalar fields evaluated by one function over floats or jets.
 
 Metric components, potentials and the feedback-shaping one-form are all built
-from these.  Keeping value/d1/d2 analytic (composed by an exact chain rule)
-is what lets the residual suites hit 1e-8 tolerances; a finite-difference
-constructor exists as a fallback for fields supplied without derivatives.
+from these.  A field holds one function ``fn(coords)`` written with the
+elementary functions of `jets`, so it accepts float or `Jet2` coordinates
+alike: ``value`` is one float pass, and ``d1``/``d2`` read the gradient and
+Hessian of one pass over seeded jets, which is exact forward-mode
+differentiation.  The algebra composes these functions and folds constant
+fields when the expression is built.
+
+Fields known only through value/d1/d2 callables (sampled curves, wrapped
+functions, first partials) are primitives whose function applies the chain
+rule to those callables.  Central differences enter in two places only: the
+Hessian of a first partial (exact would need third-order jets) and
+`from_callable`, which has no derivatives to offer.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import Jet2, as_jet, fd_value_grad_hess
+from . import jets
+from .jets import Jet2, as_jet, fd_value_grad_hess, jet_vars
 
 __all__ = [
     "SmoothField",
     "constant",
     "coordinate",
     "linear",
+    "primitive",
     "from_callable",
     "sin_of",
     "cos_of",
@@ -30,129 +41,94 @@ __all__ = [
 
 
 class SmoothField:
-    """Scalar field u -> R of a fixed arity with callables for value, d1, d2."""
+    """Scalar field u -> R of a fixed arity, given by ``fn(coords)``.
 
-    __slots__ = ("arity", "value", "d1", "d2")
+    ``fn`` takes a sequence of ``arity`` coordinates, all floats or all jets
+    of one seed dimension, and returns a float or a jet.  ``const`` is the
+    value of a constant field, else None.
+    """
 
-    def __init__(self, arity: int,
-                 value: Callable[[np.ndarray], float],
-                 d1: Callable[[np.ndarray], np.ndarray],
-                 d2: Callable[[np.ndarray], np.ndarray]):
+    __slots__ = ("arity", "fn", "const")
+
+    def __init__(self, arity: int, fn: Callable, const: float | None = None):
         self.arity = arity
-        self.value = value
-        self.d1 = d1
-        self.d2 = d2
+        self.fn = fn
+        self.const = const
 
     def __call__(self, u) -> float:
-        return self.value(np.asarray(u, dtype=float))
+        return self.value(u)
 
-    # -- evaluation through jets (chain rule, exact given d1/d2) -------------
+    # -- evaluation -------------------------------------------------------------
+
+    def value(self, u) -> float:
+        return self.fn(u.tolist() if isinstance(u, np.ndarray) else [float(v) for v in u])
 
     def eval_jet(self, jets: Sequence[Jet2]) -> Jet2:
-        u = np.array([j.f for j in jets])
-        g1 = self.d1(u)
-        g2 = self.d2(u)
-        m = jets[0].m
-        grad = np.zeros(m)
-        hess = np.zeros((m, m))
-        for i in range(self.arity):
-            if g1[i] != 0.0:
-                grad += g1[i] * jets[i].g
-                hess += g1[i] * jets[i].h
-        for i in range(self.arity):
-            for j in range(self.arity):
-                if g2[i, j] != 0.0:
-                    hess += g2[i, j] * np.outer(jets[i].g, jets[j].g)
-        return Jet2(self.value(u), grad, hess)
+        out = self.fn(jets)
+        return out if isinstance(out, Jet2) else as_jet(out, jets[0].m)
+
+    def d1(self, u) -> np.ndarray:
+        if self.const is not None:
+            return np.zeros(self.arity)
+        return self.eval_jet(jet_vars(u)).g
+
+    def d2(self, u) -> np.ndarray:
+        if self.const is not None:
+            return np.zeros((self.arity, self.arity))
+        return self.eval_jet(jet_vars(u)).h
 
     # -- algebra --------------------------------------------------------------
 
-    def _binary(self, other, vf, d1f, d2f):
+    def _binary(self, other, op):
         if isinstance(other, Real):
             other = constant(float(other), self.arity)
         if not isinstance(other, SmoothField):
             return NotImplemented
         if other.arity != self.arity:
             raise ValueError("field arity mismatch")
-        a, b = self, other
-        return SmoothField(
-            self.arity,
-            lambda u: vf(a, b, u),
-            lambda u: d1f(a, b, u),
-            lambda u: d2f(a, b, u),
-        )
+        ca, cb = self.const, other.const
+        if ca is not None and cb is not None:
+            return constant(op(ca, cb), self.arity)
+        fa, fb = self.fn, other.fn
+        if cb is not None:
+            return SmoothField(self.arity, lambda u: op(fa(u), cb))
+        if ca is not None:
+            return SmoothField(self.arity, lambda u: op(ca, fb(u)))
+        return SmoothField(self.arity, lambda u: op(fa(u), fb(u)))
 
     def __add__(self, other):
-        return self._binary(other,
-                            lambda a, b, u: a.value(u) + b.value(u),
-                            lambda a, b, u: a.d1(u) + b.d1(u),
-                            lambda a, b, u: a.d2(u) + b.d2(u))
+        return self._binary(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other,
-                            lambda a, b, u: a.value(u) - b.value(u),
-                            lambda a, b, u: a.d1(u) - b.d1(u),
-                            lambda a, b, u: a.d2(u) - b.d2(u))
+        return self._binary(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return SmoothField(self.arity,
-                           lambda u: -self.value(u),
-                           lambda u: -self.d1(u),
-                           lambda u: -self.d2(u))
+        return _unary(self, operator.neg)
 
     def __mul__(self, other):
-        def d2(a, b, u):
-            cross = np.outer(a.d1(u), b.d1(u))
-            return a.value(u) * b.d2(u) + b.value(u) * a.d2(u) + cross + cross.T
-        return self._binary(other,
-                            lambda a, b, u: a.value(u) * b.value(u),
-                            lambda a, b, u: a.value(u) * b.d1(u) + b.value(u) * a.d1(u),
-                            d2)
+        return self._binary(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Real):
             return self * (1.0 / float(other))
-
-        def d1(a, b, u):
-            vb = b.value(u)
-            return (a.d1(u) - (a.value(u) / vb) * b.d1(u)) / vb
-
-        def d2(a, b, u):
-            vb = b.value(u)
-            q = a.value(u) / vb
-            gq = (a.d1(u) - q * b.d1(u)) / vb
-            cross = np.outer(gq, b.d1(u))
-            return (a.d2(u) - q * b.d2(u) - cross - cross.T) / vb
-
-        return self._binary(other, lambda a, b, u: a.value(u) / b.value(u), d1, d2)
-
-    def compose(self, f, df, d2f) -> "SmoothField":
-        """Apply a smooth scalar function f with supplied derivatives."""
-        a = self
-
-        def d2(u):
-            g = a.d1(u)
-            return df(a.value(u)) * a.d2(u) + d2f(a.value(u)) * np.outer(g, g)
-
-        return SmoothField(self.arity,
-                           lambda u: f(a.value(u)),
-                           lambda u: df(a.value(u)) * a.d1(u),
-                           d2)
+        return self._binary(other, operator.truediv)
 
     def partial(self, i: int) -> "SmoothField":
-        """The i-th first-partial as a field.
+        """The i-th first partial as a field.
 
         Value and gradient are exact (they read this field's d1/d2); the
         second derivative falls back to central differences of d2, which is
         acceptable because no residual consumes third derivatives.
         """
+        if self.const is not None:
+            return constant(0.0, self.arity)
         a = self
         h = float(np.cbrt(np.finfo(float).eps))
 
@@ -167,69 +143,103 @@ class SmoothField:
                 out[k, :] = (a.d2(up)[i] - a.d2(um)[i]) / (2 * step)
             return 0.5 * (out + out.T)
 
-        return SmoothField(self.arity,
-                           lambda u: a.d1(u)[i],
-                           lambda u: a.d2(u)[i],
-                           d2)
+        return primitive(self.arity, lambda u: a.d1(u)[i], lambda u: a.d2(u)[i], d2)
+
+
+class _Primitive(SmoothField):
+    """A field given by value, d1 and d2 callables of a coordinate array."""
+
+    __slots__ = ("_value", "_d1", "_d2")
+
+    def __init__(self, arity: int, value, d1, d2):
+        super().__init__(arity, self._chain)
+        self._value, self._d1, self._d2 = value, d1, d2
+
+    def value(self, u) -> float:
+        return self._value(np.asarray(u, dtype=float))
+
+    def d1(self, u) -> np.ndarray:
+        return self._d1(np.asarray(u, dtype=float))
+
+    def d2(self, u) -> np.ndarray:
+        return self._d2(np.asarray(u, dtype=float))
+
+    def _chain(self, coords):
+        """Floats give the value; jets compose d1/d2 by the chain rule."""
+        if not isinstance(coords[0], Jet2):
+            return self._value(np.asarray(coords, dtype=float))
+        m = coords[0].m
+        u = np.array([c.f for c in coords])
+        g1 = self._d1(u).tolist()
+        g2 = self._d2(u).tolist()
+        grad = np.zeros(m)
+        hess = np.zeros((m, m))
+        for gi, ci in zip(g1, coords):
+            if gi != 0.0:
+                grad += gi * ci.g
+                hess += gi * ci.h
+        for row, ci in zip(g2, coords):
+            for gij, cj in zip(row, coords):
+                if gij != 0.0:
+                    hess += gij * (ci.g[:, None] * cj.g)
+        return Jet2(self._value(u), grad, hess)
+
+
+def primitive(arity: int, value: Callable[[np.ndarray], float],
+              d1: Callable[[np.ndarray], np.ndarray],
+              d2: Callable[[np.ndarray], np.ndarray]) -> SmoothField:
+    """A field from value/d1/d2 callables; jets pass through the chain rule."""
+    return _Primitive(arity, value, d1, d2)
+
+
+def _unary(field: SmoothField, fun) -> SmoothField:
+    if field.const is not None:
+        return constant(fun(field.const), field.arity)
+    fa = field.fn
+    return SmoothField(field.arity, lambda u: fun(fa(u)))
 
 
 def constant(c: float, arity: int) -> SmoothField:
     c = float(c)
-    return SmoothField(arity,
-                       lambda u: c,
-                       lambda u: np.zeros(arity),
-                       lambda u: np.zeros((arity, arity)))
+    return SmoothField(arity, lambda u: c, const=c)
 
 
 def coordinate(i: int, arity: int) -> SmoothField:
-    g = np.zeros(arity)
-    g[i] = 1.0
-    return SmoothField(arity,
-                       lambda u: float(u[i]),
-                       lambda u: g.copy(),
-                       lambda u: np.zeros((arity, arity)))
+    return SmoothField(arity, operator.itemgetter(i))
 
 
 def linear(coeffs: Sequence[float], const: float, arity: int) -> SmoothField:
     c = np.asarray(coeffs, dtype=float)
     b = float(const)
-    return SmoothField(arity,
-                       lambda u: float(c @ u) + b,
-                       lambda u: c.copy(),
-                       lambda u: np.zeros((arity, arity)))
+    return primitive(arity, lambda u: float(c @ u) + b, lambda u: c.copy(),
+                     lambda u: np.zeros((arity, arity)))
 
 
 def from_callable(fn: Callable[[np.ndarray], float], arity: int) -> SmoothField:
     """Wrap a bare function; derivatives by central differences."""
 
-    def d1(u):
-        _, g, _ = fd_value_grad_hess(lambda v: np.array([fn(v)]), u)
-        return g[0]
+    def vgh(u):
+        return fd_value_grad_hess(lambda v: np.array([fn(v)]), u)
 
-    def d2(u):
-        _, _, h = fd_value_grad_hess(lambda v: np.array([fn(v)]), u)
-        return h[0]
-
-    return SmoothField(arity, lambda u: float(fn(np.asarray(u, dtype=float))), d1, d2)
+    return primitive(arity, lambda u: float(fn(u)),
+                     lambda u: vgh(u)[1][0], lambda u: vgh(u)[2][0])
 
 
 def sin_of(field: SmoothField) -> SmoothField:
-    return field.compose(math.sin, math.cos, lambda v: -math.sin(v))
+    return _unary(field, jets.sin)
 
 
 def cos_of(field: SmoothField) -> SmoothField:
-    return field.compose(math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v))
+    return _unary(field, jets.cos)
 
 
 def sqrt_of(field: SmoothField) -> SmoothField:
-    return field.compose(math.sqrt,
-                         lambda v: 0.5 / math.sqrt(v),
-                         lambda v: -0.25 / (v * math.sqrt(v)))
+    return _unary(field, jets.sqrt)
 
 
 def field_eval(field: SmoothField, coords):
     """Evaluate on mixed float/jet coordinates; plain float when no jets."""
-    if any(isinstance(c, Jet2) for c in coords):
-        m = next(c.m for c in coords if isinstance(c, Jet2))
-        return field.eval_jet([as_jet(c, m) for c in coords])
-    return field.value(np.asarray(coords, dtype=float))
+    for c in coords:
+        if isinstance(c, Jet2):
+            return field.eval_jet([as_jet(v, c.m) for v in coords])
+    return field.fn(coords)

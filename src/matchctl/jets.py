@@ -50,7 +50,7 @@ class Jet2:
     def __add__(self, other):
         if isinstance(other, Jet2):
             return Jet2(self.f + other.f, self.g + other.g, self.h + other.h)
-        if isinstance(other, Real):
+        if type(other) is float or isinstance(other, Real):
             return Jet2(self.f + other, self.g, self.h)
         return NotImplemented
 
@@ -59,24 +59,24 @@ class Jet2:
     def __sub__(self, other):
         if isinstance(other, Jet2):
             return Jet2(self.f - other.f, self.g - other.g, self.h - other.h)
-        if isinstance(other, Real):
+        if type(other) is float or isinstance(other, Real):
             return Jet2(self.f - other, self.g, self.h)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, Real):
+        if type(other) is float or isinstance(other, Real):
             return Jet2(other - self.f, -self.g, -self.h)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            cross = np.outer(self.g, other.g)
+            cross = self.g[:, None] * other.g
             return Jet2(
                 self.f * other.f,
                 self.f * other.g + other.f * self.g,
                 self.f * other.h + other.f * self.h + cross + cross.T,
             )
-        if isinstance(other, Real):
+        if type(other) is float or isinstance(other, Real):
             return Jet2(self.f * other, self.g * other, self.h * other)
         return NotImplemented
 
@@ -88,15 +88,15 @@ class Jet2:
                 raise ZeroDivisionError("jet division by zero value part")
             q = self.f / other.f
             gq = (self.g - q * other.g) / other.f
-            cross = np.outer(gq, other.g)
+            cross = gq[:, None] * other.g
             hq = (self.h - q * other.h - cross - cross.T) / other.f
             return Jet2(q, gq, hq)
-        if isinstance(other, Real):
+        if type(other) is float or isinstance(other, Real):
             return Jet2(self.f / other, self.g / other, self.h / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, Real):
+        if type(other) is float or isinstance(other, Real):
             return as_jet(other, self.m).__truediv__(self)
         return NotImplemented
 
@@ -115,7 +115,7 @@ class Jet2:
 
 def _chain(x: Jet2, u: float, du: float, d2u: float) -> Jet2:
     """Compose a scalar function with known derivatives at x.f through the jet."""
-    outer = np.outer(x.g, x.g)
+    outer = x.g[:, None] * x.g
     return Jet2(u, du * x.g, du * x.h + d2u * outer)
 
 

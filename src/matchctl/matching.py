@@ -16,6 +16,7 @@ from scipy.interpolate import CubicSpline
 
 from . import fields as fl
 from .fields import SmoothField
+from .jets import solve_generic, sqrt
 from .lagrangian import ShapingParams
 from .model import MechanicalSystem
 from .report import MatchingReport, ResidualEntry, ResidualReport
@@ -224,37 +225,19 @@ def check_on_grid(fn, sys: MechanicalSystem, shaping: ShapingParams,
 def matrix_inverse_fields(block, arity: int):
     """Entrywise SmoothFields of the inverse of a matrix of SmoothFields.
 
-    First and second derivatives use the exact inverse-derivative formulas.
+    A constant block folds to constant entries; otherwise each entry solves
+    the block by elimination over floats or jets, so derivatives are exact.
     """
     ng = len(block)
-
-    def gmat(u):
-        return np.array([[f.value(u) for f in row] for row in block])
-
-    def dmat(u):
-        return np.array([[f.d1(u) for f in row] for row in block])  # (ng, ng, arity)
-
-    def d2mat(u):
-        return np.array([[f.d2(u) for f in row] for row in block])  # (ng, ng, arity, arity)
+    if all(f.const is not None for row in block for f in row):
+        K = np.linalg.inv(np.array([[f.const for f in row] for row in block]))
+        return tuple(tuple(fl.constant(K[a, b], arity) for b in range(ng)) for a in range(ng))
+    fns = [[f.fn for f in row] for row in block]
 
     def make(a: int, b: int) -> SmoothField:
-        def value(u):
-            return float(np.linalg.inv(gmat(u))[a, b])
-
-        def d1(u):
-            K = np.linalg.inv(gmat(u))
-            return -np.einsum("ae,efk,fb->abk", K, dmat(u), K)[a, b]
-
-        def d2(u):
-            K = np.linalg.inv(gmat(u))
-            dG = dmat(u)
-            d2G = d2mat(u)
-            t1 = np.einsum("ae,efk,fg,ghl,hb->abkl", K, dG, K, dG, K)
-            t2 = np.einsum("ae,efl,fg,ghk,hb->abkl", K, dG, K, dG, K)
-            t3 = np.einsum("ae,efkl,fb->abkl", K, d2G, K)
-            return (t1 + t2 - t3)[a, b]
-
-        return SmoothField(arity, value, d1, d2)
+        e = [1.0 if i == b else 0.0 for i in range(ng)]
+        return SmoothField(arity, lambda u: solve_generic([[fn(u) for fn in row]
+                                                           for row in fns], e)[a])
 
     return tuple(tuple(make(a, b) for b in range(ng)) for a in range(ng))
 
@@ -281,8 +264,14 @@ def new_tau_closed_form(sys: MechanicalSystem, k: float) -> SmoothField:
     """tau(x) = k * sqrt(det of the full 2x2 metric); two-coordinate systems only."""
     if sys.dims.n_shape != 1 or sys.dims.n_group != 1:
         raise ValueError("closed form requires one shape and one group coordinate")
-    det = sys.g_ss[0][0] * sys.g_gg[0][0] - sys.g_sg[0][0] * sys.g_sg[0][0]
-    return float(k) * fl.sqrt_of(det)
+    gss, gsg, ggg = sys.g_ss[0][0].fn, sys.g_sg[0][0].fn, sys.g_gg[0][0].fn
+    k = float(k)
+
+    def tau(u):
+        s = gsg(u)
+        return k * sqrt(gss(u) * ggg(u) - s * s)
+
+    return SmoothField(1, tau)
 
 
 def _ode_pieces(sys: MechanicalSystem, x: np.ndarray):
@@ -338,16 +327,9 @@ class SampledTau:
     def as_fields(self) -> tuple:
         out = []
         for s in self._splines:
-            def value(u, s=s):
-                return float(s(u[0]))
-
-            def d1(u, s=s):
-                return np.array([float(s(u[0], 1))])
-
-            def d2(u, s=s):
-                return np.array([[float(s(u[0], 2))]])
-
-            out.append((SmoothField(1, value, d1, d2),))
+            out.append((fl.primitive(1, lambda u, s=s: float(s(u[0])),
+                                     lambda u, s=s: np.array([float(s(u[0], 1))]),
+                                     lambda u, s=s: np.array([[float(s(u[0], 2))]])),))
         return tuple(out)
 
 

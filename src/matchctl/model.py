@@ -13,7 +13,7 @@ import numpy as np
 
 from . import fields as fl
 from .fields import SmoothField
-from .jets import fd_value_grad_hess
+from .jets import cos, fd_value_grad_hess
 from .report import ResidualEntry, ResidualReport
 
 __all__ = [
@@ -211,28 +211,24 @@ def build_mechanical_system(dims: Dims, g_ss, g_sg, g_gg, V: SmoothField,
 
 def cartpole_system(p: CartpoleParams) -> MechanicalSystem:
     """Inverted pendulum on a cart: g_ss=[alpha], g_sg=[beta cos x], g_gg=[gamma]."""
-    dims = Dims(1, 1)
-    x = fl.coordinate(0, 1)
+    be, d = float(p.beta), float(p.d)
     g_ss = [[fl.constant(p.alpha, 1)]]
-    g_sg = [[p.beta * fl.cos_of(x)]]
+    g_sg = [[SmoothField(1, lambda u: be * cos(u[0]))]]
     g_gg = [[fl.constant(p.gamma, 1)]]
     # V(x, s) = -d cos x, independent of the cart position
-    xq = fl.coordinate(0, 2)
-    V = -p.d * fl.cos_of(xq)
-    return build_mechanical_system(dims, g_ss, g_sg, g_gg, V)
+    V = SmoothField(2, lambda u: -d * cos(u[0]))
+    return build_mechanical_system(Dims(1, 1), g_ss, g_sg, g_gg, V)
 
 
 def incline_system(p: InclineParams) -> MechanicalSystem:
     """Cart-pole on an incline: coupling rotated by psi, potential gains a slope term."""
-    dims = Dims(1, 1)
-    x = fl.coordinate(0, 1)
+    be, d, psi = float(p.beta), float(p.d), float(p.psi)
+    slope = float(p.gamma * p.grav * np.sin(p.psi))
     g_ss = [[fl.constant(p.alpha, 1)]]
-    g_sg = [[p.beta * fl.cos_of(x - fl.constant(p.psi, 1))]]
+    g_sg = [[SmoothField(1, lambda u: be * cos(u[0] - psi))]]
     g_gg = [[fl.constant(p.gamma, 1)]]
-    xq = fl.coordinate(0, 2)
-    sq = fl.coordinate(1, 2)
-    V = -p.d * fl.cos_of(xq) - (p.gamma * p.grav * np.sin(p.psi)) * sq
-    return build_mechanical_system(dims, g_ss, g_sg, g_gg, V,
+    V = SmoothField(2, lambda u: -d * cos(u[0]) - slope * u[1])
+    return build_mechanical_system(Dims(1, 1), g_ss, g_sg, g_gg, V,
                                    breaks_group_symmetry=(p.psi != 0.0))
 
 

@@ -1,7 +1,9 @@
 import json
 import os
+import warnings
 
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from matchctl.cli import ConfigError, RunConfig, main, parse_config
 
@@ -145,6 +147,55 @@ def test_sweep(tmp_path, capsys, monkeypatch):
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert rows[0].startswith("k,sigma,rho,k_min")
     assert len(rows) == 3
+
+
+def test_sweep_incline_gain_near_pole_of_A(tmp_path, capsys, monkeypatch):
+    # At this gain an unclipped h-curve span puts a quadrature node exactly on
+    # the pole of A(x); the observers must build the curve on the pole-free
+    # window instead.
+    monkeypatch.setenv("MATCHCTL_THREADS", "1")
+    text = INCLINE_FAST.format(out=tmp_path / "out") + "sweep.k = 4.298955178366427\n"
+    cfg = write_cfg(tmp_path, "inc.cfg", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        code = main(["sweep", "--config", cfg, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    (row,) = doc["rows"]
+    assert "error" not in row
+    assert row["events"] == 0
+
+
+def test_sweep_reports_errored_rows(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MATCHCTL_THREADS", "1")
+    # k = 2 is below the gain bound, so that row cannot build its observers
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 2.0, 35\n"
+    cfg = write_cfg(tmp_path, "cp.cfg", text)
+    assert main(["sweep", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["sweep row k=2.0 sigma=1.0 rho=1.0: "
+                   "k fails the bound even at the equilibrium"]
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert rows[0].endswith(",pass,error")
+    assert rows[1].endswith(",False,k fails the bound even at the equilibrium")
+    assert rows[2].endswith(",True,")
+
+
+@pytest.mark.parametrize("value", ["", "  "])
+def test_sweep_threads_empty_means_unset(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("MATCHCTL_THREADS", value)
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 35\n"
+    cfg = write_cfg(tmp_path, "cp.cfg", text)
+    assert main(["sweep", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
+def test_sweep_threads_invalid_is_config_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("MATCHCTL_THREADS", value)
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 35\n"
+    cfg = write_cfg(tmp_path, "cp.cfg", text)
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "MATCHCTL_THREADS" in capsys.readouterr().err
 
 
 def test_bad_usage_exit_codes(tmp_path, capsys):
