@@ -19,7 +19,7 @@ from .matching import (integrate_new_tau, matching_residuals, new_tau_closed_for
 from .model import (CartpoleParams, Dims, InclineParams, MechanicalSystem, State,
                     build_mechanical_system, cartpole_system, incline_system,
                     validate_system)
-from .report import MatchingReport, ResidualReport
+from .report import ResidualReport
 from .sim import Trajectory, energy_drift, integrate, write_csv
 
 __version__ = "0.1.0"

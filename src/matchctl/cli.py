@@ -329,75 +329,11 @@ def cmd_synthesize_tau(args) -> int:
 
 def _closed_loop_and_observers(rc: RunConfig):
     if rc.system == "cartpole":
-        p = rc.params
-        loop = ctl.cartpole_closed_loop(p, rc.gains)
-        shaping = ctl.cartpole_shaping(p, rc.gains)
-        sys_ = cartpole_system(p)
-        span = 1.02 * max(rc.guard, max(abs(rc.ic[0]), 0.5))
-        span = min(span, ctl.gain_bound_crossing(p, rc.gains.k) - 1e-6)
-        pot = ctl.cartpole_shaped_potential(p, rc.gains, (-span, span))
-
-        def energy(times, Q, Qd):
-            x, s = Q[:, 0], Q[:, 1]
-            xd, sd = Qd[:, 0], Qd[:, 1]
-            cx = np.cos(x)
-            D = p.alpha * p.gamma - p.beta ** 2 * cx ** 2
-            g11 = p.gamma * rc.gains.k ** 2 * (rc.gains.sigma + 1) * D \
-                + 2 * p.beta * rc.gains.k * cx * np.sqrt(D) + p.alpha
-            g12 = p.gamma * rc.gains.k * np.sqrt(D) + p.beta * cx
-            return 0.5 * (g11 * xd ** 2 + 2 * g12 * xd * sd + p.gamma * sd ** 2) \
-                + pot.value_array(x)
-
-        def control(times, Q, Qd):
-            return ctl.cartpole_control(p, rc.gains.k, Q[:, 0])
-
-        return loop, control, energy
+        return ctl.cartpole_observed_loop(rc.params, rc.gains,
+                                          1.02 * max(rc.guard, max(abs(rc.ic[0]), 0.5)))
     if rc.system == "incline":
-        p = rc.params
-        loop = ctl.incline_closed_loop(p, rc.gains)
-        pot = ctl.incline_shaped_potential(p, rc.gains,
-                                           x_span=(rc.grid_lo - 0.1, rc.grid_hi + 0.1))
-        k, sig, rho, s0 = rc.gains.k, rc.gains.sigma, rc.gains.rho, rc.gains.s0
-        al, be, ga, psi = p.alpha, p.beta, p.gamma, p.psi
-        sys_ = incline_system(p)
-        shapingA = ShapingParams(tau=((mt.new_tau_closed_form(sys_, k),),),
-                                 sigma=scalar_sigma_matrix(sys_, sig), rho=rho)
-        Afield = ctl.incline_A_field(p, shapingA)
-        hcurve = ctl._HCurve(Afield, ctl.incline_safe_span(
-            p, k, (rc.grid_lo - 0.1, rc.grid_hi + 0.1)))
-
-        def energy(times, Q, Qd):
-            x, s = Q[:, 0], Q[:, 1]
-            xd, sd = Qd[:, 0], Qd[:, 1]
-            cpx = np.cos(psi - x)
-            D = al * ga - be ** 2 * cpx ** 2
-            t = k * np.sqrt(D)
-            g11b = al + be ** 2 * (rho - 1) * cpx ** 2 / ga + 2 * be * rho * cpx * t \
-                + ga * (rho + sig) * t ** 2
-            g12b = rho * (be * cpx + ga * t)
-            return 0.5 * (g11b * xd ** 2 + 2 * g12b * xd * sd + rho * ga * sd ** 2) \
-                + pot.value_arrays(x, s)
-
-        def control(times, Q, Qd):
-            x, s = Q[:, 0], Q[:, 1]
-            xd = Qd[:, 0]
-            cpx = np.cos(psi - x)
-            D = al * ga - be ** 2 * cpx ** 2
-            rD = np.sqrt(D)
-            t = k * rD
-            tp = k * be ** 2 * cpx * np.sin(x - psi) / rD
-            hx = hcurve.value_array(x)
-            dVeps_ds = ga * p.grav * np.sin(psi) + s - hx - s0
-            # on-shell shape acceleration
-            B = be * cpx
-            r1 = -p.d * np.sin(x)
-            r2 = -(be * np.sin(psi - x) + ga * tp) * xd ** 2 - (s - hx - s0) / rho
-            det = al * ga - B ** 2 - B * ga * t
-            xdd = (ga * r1 - B * r2) / det
-            return (1 - rho) / rho * ga * p.grav * np.sin(psi) - dVeps_ds / rho \
-                - ga * t * xdd - ga * tp * xd ** 2
-
-        return loop, control, energy
+        return ctl.incline_observed_loop(rc.params, rc.gains,
+                                         (rc.grid_lo - 0.1, rc.grid_hi + 0.1))
     # builtin-test: generic machinery, no tailored observers
     sys_, shp = _build_system_and_shaping(rc)
     loop = controlled_implicit_sode(sys_, shp).to_explicit()
@@ -441,8 +377,7 @@ def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float) -> dict:
         shp = ctl.cartpole_shaping(p, gains)
     else:
         sys_ = incline_system(p)
-        shp = ShapingParams(tau=((mt.new_tau_closed_form(sys_, k),),),
-                            sigma=scalar_sigma_matrix(sys_, sigma), rho=rho)
+        shp = ctl.incline_base_shaping(p, gains)
     xs = np.linspace(rc.grid_lo, rc.grid_hi, max(9, rc.grid_n // 4))
     min_eig = np.inf
     for x in xs:

@@ -19,8 +19,9 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from . import fields as fl
+from . import jets
 from .fields import SmoothField
-from .jets import Jet2, cos, jet_vars, sin, sqrt, value_of
+from .jets import Jet2, cos, jet_vars, value_of
 from .lagrangian import (ExplicitSode, ShapingParams, controlled_lagrangian_generic,
                          kinetic_matrix, scalar_sigma_matrix)
 from .matching import new_tau_closed_form
@@ -39,6 +40,7 @@ __all__ = [
     "shaped_energy",
     "make_shaped_energy",
     "cartpole_closed_loop",
+    "cartpole_observed_loop",
     "cartpole_control",
     "cartpole_shaped_potential_gradient",
     "cartpole_shaped_potential",
@@ -48,10 +50,13 @@ __all__ = [
     "incline_h",
     "incline_Veps",
     "incline_veps_field",
+    "incline_base_shaping",
+    "incline_h_curve",
     "incline_shaping",
     "incline_hessian_check",
     "incline_closed_loop",
     "incline_shaped_potential",
+    "incline_observed_loop",
     "PotentialCurve",
 ]
 
@@ -211,11 +216,7 @@ def reconstruct_shaped_potential_gradient(sys: MechanicalSystem, shaping: Shapin
 def shaped_energy(sys: MechanicalSystem, shaping: ShapingParams,
                   potential: Callable, state: State) -> float:
     """E = (1/2) qdot' gtilde qdot + potential(q)."""
-    ns = sys.dims.n_shape
-    M = np.array([[value_of(v) for v in row]
-                  for row in kinetic_matrix(sys, shaping, list(state.q[:ns]))])
-    pot = potential(state.q) if callable(potential) else potential.value(state.q)
-    return float(0.5 * state.qdot @ M @ state.qdot + pot)
+    return make_shaped_energy(sys, shaping, potential).value(state)
 
 
 def make_shaped_energy(sys: MechanicalSystem, shaping: ShapingParams,
@@ -273,35 +274,40 @@ def cartpole_shaping(p: CartpoleParams, gains: GainSelection) -> ShapingParams:
     return ShapingParams(tau=((tau,),), sigma=scalar_sigma_matrix(sys, gains.sigma))
 
 
-def cartpole_closed_loop(p: CartpoleParams, gains: GainSelection) -> ExplicitSode:
-    """Closed loop of the cart-pole under the position feedback with gain k."""
-    al, be, ga, d = p.alpha, p.beta, p.gamma, p.d
-    k = gains.k
+def _closed_loop(build: Callable, dims) -> ExplicitSode:
+    """Closed loop from one acceleration body ``build(ns)``, whose sin, cos and
+    sqrt come from the namespace ``ns``: ``gamma`` is built over jets and the
+    RK4 fast path ``gamma2`` over math."""
+    accel = build(jets)
 
     def gamma(q, qd):
-        x, xd = q[0], qd[0]
+        return list(accel(q[0], q[1], qd[0], qd[1]))
+
+    return ExplicitSode(2, gamma, gamma2=build(math), dims=dims)
+
+
+def _cartpole_accel(p: CartpoleParams, k: float, ns) -> Callable:
+    """(x, theta, xdot, thetadot) -> (xddot, thetaddot) of the cart-pole closed
+    loop, over the sin, cos and sqrt of ``ns`` (math, jets or numpy)."""
+    al, be, ga, d = p.alpha, p.beta, p.gamma, p.d
+    sin, cos, sqrt = ns.sin, ns.cos, ns.sqrt
+
+    def accel(x, th, xd, thd):
         cx, sx = cos(x), sin(x)
         b2c2 = be * be * cx * cx
         D = al * ga - b2c2
         r = sqrt(D)
         den = be * ga * k * cx * r - D
-        F = sx * (d * ga * (b2c2 - al * ga) / (-1.0 * den) - be * be * xd * xd * cx) / D
-        G = sx * ((-1.0 * al) * d * ga * ga * k / (r * den) + be * d * cx / D
-                  + al * be * xd * xd / D)
-        return [F, G]
-
-    def gamma2(x, th, xd, thd):
-        cx, sx = math.cos(x), math.sin(x)
-        b2c2 = be * be * cx * cx
-        D = al * ga - b2c2
-        r = math.sqrt(D)
-        den = be * ga * k * cx * r - D
         F = sx * (d * ga * (b2c2 - al * ga) / (-den) - be * be * xd * xd * cx) / D
         G = sx * (-al * d * ga * ga * k / (r * den) + be * d * cx / D + al * be * xd * xd / D)
         return F, G
 
-    sys = cartpole_system(p)
-    return ExplicitSode(2, gamma, gamma2=gamma2, dims=sys.dims)
+    return accel
+
+
+def cartpole_closed_loop(p: CartpoleParams, gains: GainSelection) -> ExplicitSode:
+    """Closed loop of the cart-pole under the position feedback with gain k."""
+    return _closed_loop(lambda ns: _cartpole_accel(p, gains.k, ns), cartpole_system(p).dims)
 
 
 def cartpole_control(p: CartpoleParams, k: float, x) -> np.ndarray:
@@ -334,6 +340,30 @@ def cartpole_shaped_potential(p: CartpoleParams, gains: GainSelection,
         return float(cartpole_shaped_potential_gradient(p, gains, x))
 
     return PotentialCurve(xs, _cumulative_quad(slope, xs), slope)
+
+
+def cartpole_observed_loop(p: CartpoleParams, gains: GainSelection, x_max: float):
+    """Closed loop with its vectorized control and shaped-energy observers
+    (times, Q, Qd) -> column; the shaped potential spans |x| <= x_max, clipped
+    inside the gain bound."""
+    loop = cartpole_closed_loop(p, gains)
+    span = min(x_max, gain_bound_crossing(p, gains.k) - 1e-6)
+    pot = cartpole_shaped_potential(p, gains, (-span, span))
+    al, be, ga, k, sigma = p.alpha, p.beta, p.gamma, gains.k, gains.sigma
+
+    def control(times, Q, Qd):
+        return cartpole_control(p, k, Q[:, 0])
+
+    def energy(times, Q, Qd):
+        x = Q[:, 0]
+        xd, sd = Qd[:, 0], Qd[:, 1]
+        cx = np.cos(x)
+        D = al * ga - be ** 2 * cx ** 2
+        g11 = ga * k ** 2 * (sigma + 1) * D + 2 * be * k * cx * np.sqrt(D) + al
+        g12 = ga * k * np.sqrt(D) + be * cx
+        return 0.5 * (g11 * xd ** 2 + 2 * g12 * xd * sd + ga * sd ** 2) + pot.value_array(x)
+
+    return loop, control, energy
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +414,9 @@ def incline_safe_span(p: InclineParams, k: float,
     return lo, hi
 
 
+INCLINE_LOOP_SPAN = (-1.5, 1.5)    # shape span of the incline's h-curve, before clipping
+
+
 class _HCurve:
     """Integral of A from 0, cached on a grid; derivatives are exact."""
 
@@ -393,11 +426,29 @@ class _HCurve:
         self._spline = CubicSpline(self.xs, self.values)
         self.A = A
 
-    def value(self, x: float) -> float:
+    def __call__(self, x):
+        """h at a float, an array or a Jet2; h' and h'' of a jet are A and A'."""
+        if isinstance(x, Jet2):
+            a = self.A.eval_jet(jet_vars([x.f]))
+            return Jet2(float(self._spline(x.f)), a.f * x.g,
+                        a.f * x.h + a.g[0] * np.outer(x.g, x.g))
+        if isinstance(x, np.ndarray):
+            return self._spline(x)
         return float(self._spline(x))
 
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        return self._spline(x)
+
+def incline_base_shaping(p: InclineParams, gains: GainSelection) -> ShapingParams:
+    """New-tau shaping with scalar rho, before the extra potential is added."""
+    sys = incline_system(p)
+    return ShapingParams(tau=((new_tau_closed_form(sys, gains.k),),),
+                         sigma=scalar_sigma_matrix(sys, gains.sigma), rho=gains.rho)
+
+
+def incline_h_curve(p: InclineParams, shaping: ShapingParams, k: float,
+                    x_span: tuple[float, float]) -> _HCurve:
+    """h, the integral of the shaping's A(x), on x_span clipped to the pole-free
+    window of gain k."""
+    return _HCurve(incline_A_field(p, shaping), incline_safe_span(p, k, x_span))
 
 
 def incline_h(p: InclineParams, shaping: ShapingParams, x: float) -> float:
@@ -424,24 +475,24 @@ def incline_Veps(p: InclineParams, shaping: ShapingParams, gains: GainSelection,
 
 
 def incline_veps_field(p: InclineParams, shaping: ShapingParams, gains: GainSelection,
-                       x_span: tuple[float, float] = (-1.5, 1.5)) -> SmoothField:
+                       x_span: tuple[float, float] = INCLINE_LOOP_SPAN) -> SmoothField:
     """The extra potential as a SmoothField over (x, s); h cached on a grid,
     first/second partials exact through A and its derivative."""
-    A = incline_A_field(p, shaping)
-    h = _HCurve(A, incline_safe_span(p, gains.k, x_span))
+    h = incline_h_curve(p, shaping, gains.k, x_span)
+    A = h.A
     slope = p.gamma * p.grav * math.sin(p.psi)
     c, s0 = gains.c, gains.s0
 
     def value(u):
         x, s = float(u[0]), float(u[1])
-        hx = h.value(x)
+        hx = h(x)
         return slope * s + 0.5 * s ** 2 - s * hx + c * x ** 2 - s0 * s + s0 * hx
 
     def d1(u):
         x, s = float(u[0]), float(u[1])
         Ax = A.value(np.array([x]))
         return np.array([(s0 - s) * Ax + 2.0 * c * x,
-                         slope + s - h.value(x) - s0])
+                         slope + s - h(x) - s0])
 
     def d2(u):
         x, s = float(u[0]), float(u[1])
@@ -454,14 +505,11 @@ def incline_veps_field(p: InclineParams, shaping: ShapingParams, gains: GainSele
 
 
 def incline_shaping(p: InclineParams, gains: GainSelection,
-                    x_span: tuple[float, float] = (-1.5, 1.5)) -> ShapingParams:
+                    x_span: tuple[float, float] = INCLINE_LOOP_SPAN) -> ShapingParams:
     """New-tau shaping with scalar rho and the constructed extra potential."""
-    sys = incline_system(p)
-    tau = new_tau_closed_form(sys, gains.k)
-    base = ShapingParams(tau=((tau,),), sigma=scalar_sigma_matrix(sys, gains.sigma),
-                         rho=gains.rho)
+    base = incline_base_shaping(p, gains)
     veps = incline_veps_field(p, base, gains, x_span)
-    return ShapingParams(tau=((tau,),), sigma=base.sigma, rho=gains.rho,
+    return ShapingParams(tau=base.tau, sigma=base.sigma, rho=gains.rho,
                          epsilon_potential=veps)
 
 
@@ -478,59 +526,49 @@ def incline_hessian_check(p: InclineParams, shaping: ShapingParams,
     return H, pd, c_min
 
 
-def incline_closed_loop(p: InclineParams, gains: GainSelection,
-                        x_span: tuple[float, float] = (-1.5, 1.5)) -> ExplicitSode:
-    """Closed loop of the incline system under the new-tau control with scalar
-    rho and the constructed extra potential."""
+def _incline_loop(p: InclineParams, gains: GainSelection, h: _HCurve, ns):
+    """The incline closed loop over the sin, cos and sqrt of ``ns`` (math, jets
+    or numpy) and the h-curve ``h``.
+
+    Returns tau(x) -> (cos(psi - x), tau, d tau / dx) and
+    accel(x, s, xdot, sdot) -> (xddot, sddot).
+    """
     al, be, ga, d, psi = p.alpha, p.beta, p.gamma, p.d, p.psi
     k, rho, s0 = gains.k, gains.rho, gains.s0
-    sys = incline_system(p)
-    tau_field = new_tau_closed_form(sys, k)
-    base = ShapingParams(tau=((tau_field,),), sigma=scalar_sigma_matrix(sys, gains.sigma),
-                         rho=rho)
-    A = incline_A_field(p, base)
-    h = _HCurve(A, incline_safe_span(p, gains.k, x_span))
+    sin, cos, sqrt = ns.sin, ns.cos, ns.sqrt
 
-    def field_h(x):
-        # h value from the cache; first/second derivatives are exactly A, A'
-        if isinstance(x, Jet2):
-            a = A.eval_jet(jet_vars([x.f]))
-            return Jet2(h.value(x.f), a.f * x.g, a.f * x.h + a.g[0] * np.outer(x.g, x.g))
-        return h.value(float(x))
-
-    def gamma(q, qd):
-        x, s, xd = q[0], q[1], qd[0]
+    def tau(x):
         cpx = cos(psi - x)
-        D = al * ga - be * be * cpx * cpx
-        rD = sqrt(D)
-        t = k * rD
-        tp = k * be * be * cpx * sin(x - psi) / rD          # d tau / dx
+        rD = sqrt(al * ga - be * be * cpx * cpx)
+        return cpx, k * rD, k * be * be * cpx * sin(x - psi) / rD
+
+    def accel(x, s, xd, sd):
+        cpx, t, tp = tau(x)
         B = be * cpx
-        r1 = -1.0 * d * sin(x)
-        r2 = -1.0 * (be * sin(psi - x) + ga * tp) * xd * xd - (s - field_h(x) - s0) / rho
+        r1 = -d * sin(x)
+        r2 = -(be * sin(psi - x) + ga * tp) * xd * xd - (s - h(x) - s0) / rho
         det = al * ga - B * B - B * ga * t
-        a1 = (ga * r1 - B * r2) / det
-        a2 = ((-1.0) * (B + ga * t) * r1 + al * r2) / det
-        return [a1, a2]
+        return (ga * r1 - B * r2) / det, (-(B + ga * t) * r1 + al * r2) / det
 
-    def gamma2(x, s, xd, sd):
-        cpx = math.cos(psi - x)
-        D = al * ga - be * be * cpx * cpx
-        rD = math.sqrt(D)
-        t = k * rD
-        tp = k * be * be * cpx * math.sin(x - psi) / rD
-        B = be * cpx
-        r1 = -d * math.sin(x)
-        r2 = -(be * math.sin(psi - x) + ga * tp) * xd * xd - (s - h.value(x) - s0) / rho
-        det = al * ga - B * B - B * ga * t
-        a1 = (ga * r1 - B * r2) / det
-        a2 = (-(B + ga * t) * r1 + al * r2) / det
-        return a1, a2
-
-    return ExplicitSode(2, gamma, gamma2=gamma2, dims=sys.dims)
+    return tau, accel
 
 
-def incline_shaped_potential(p: InclineParams, gains: GainSelection,
+def _incline_kinetic(p: InclineParams, gains: GainSelection, cpx, t):
+    """Shaped kinetic coefficients (g11, g12) at cos(psi - x) = cpx and tau = t;
+    g22 is rho * gamma."""
+    al, be, ga, rho = p.alpha, p.beta, p.gamma, gains.rho
+    g11b = al + be ** 2 * (rho - 1.0) * cpx ** 2 / ga + 2.0 * be * rho * cpx * t \
+        + ga * (rho + gains.sigma) * t ** 2
+    return g11b, rho * (be * cpx + ga * t)
+
+
+def incline_closed_loop(p: InclineParams, gains: GainSelection, h: _HCurve) -> ExplicitSode:
+    """Closed loop of the incline system under the new-tau control with scalar
+    rho and the constructed extra potential, whose h-curve is ``h``."""
+    return _closed_loop(lambda ns: _incline_loop(p, gains, h, ns)[1], incline_system(p).dims)
+
+
+def incline_shaped_potential(p: InclineParams, gains: GainSelection, h: _HCurve,
                              x_span: tuple[float, float] = (-1.2, 1.2),
                              n_grid: int = 801):
     """Conserved shaped potential of the incline closed loop.
@@ -538,49 +576,75 @@ def incline_shaped_potential(p: InclineParams, gains: GainSelection,
     The group-coordinate dependence is analytic; the shape part is the
     quadrature of the reconstructed slope w1(x) d sin(x) + A(x) h(x), where
     w1 is the first contraction of the shaped kinetic matrix with the inverse
-    acceleration coefficients.
+    acceleration coefficients.  ``h`` must cover x_span clipped to the
+    pole-free window.
     """
-    sys = incline_system(p)
-    tau_field = new_tau_closed_form(sys, gains.k)
-    shap = ShapingParams(tau=((tau_field,),), sigma=scalar_sigma_matrix(sys, gains.sigma),
-                         rho=gains.rho)
-    A = incline_A_field(p, shap)
-    h = _HCurve(A, incline_safe_span(p, gains.k, (x_span[0] - 0.05, x_span[1] + 0.05)))
-    al, be, ga, d, psi = p.alpha, p.beta, p.gamma, p.d, p.psi
-    k, rho, s0 = gains.k, gains.rho, gains.s0
+    lo, hi = incline_safe_span(p, gains.k, x_span)
+    if not h.xs[0] <= lo < hi <= h.xs[-1]:
+        raise ValueError("the h-curve does not cover the potential span")
+    A = h.A
+    al, be, ga, d = p.alpha, p.beta, p.gamma, p.d
+    s0 = gains.s0
+    tau = _incline_loop(p, gains, h, math)[0]
 
     def w1(x: float) -> float:
-        cpx = math.cos(psi - x)
-        D = al * ga - be * be * cpx * cpx
-        t = k * math.sqrt(D)
-        g11b = al + be ** 2 * (rho - 1.0) * cpx ** 2 / ga + 2.0 * be * rho * cpx * t \
-            + ga * (rho + gains.sigma) * t ** 2
-        g12b = rho * (be * cpx + ga * t)
+        cpx, t, _ = tau(x)
         B = be * cpx
         C = np.array([[al, B], [B + ga * t, ga]])
-        return float(np.linalg.solve(C.T, np.array([g11b, g12b]))[0])
+        return float(np.linalg.solve(C.T, np.array(_incline_kinetic(p, gains, cpx, t)))[0])
 
     def slope(x: float) -> float:
-        return w1(x) * d * math.sin(x) + A.fn([x]) * h.value(x)
+        return w1(x) * d * math.sin(x) + A.fn([x]) * h(x)
 
-    lo, hi = incline_safe_span(p, gains.k, x_span)
     xs = np.linspace(lo, hi, n_grid)
     Wspline = CubicSpline(xs, _cumulative_quad(slope, xs))
 
     class InclinePotential:
         def value(self, q) -> float:
             x, s = float(q[0]), float(q[1])
-            return float(Wspline(x) - h.value(x) * (s - s0) + 0.5 * (s - s0) ** 2)
+            return float(Wspline(x) - h(x) * (s - s0) + 0.5 * (s - s0) ** 2)
 
         def value_arrays(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-            return Wspline(x) - h.value_array(x) * (s - s0) + 0.5 * (s - s0) ** 2
+            return Wspline(x) - h(x) * (s - s0) + 0.5 * (s - s0) ** 2
 
         def gradient(self, q) -> np.ndarray:
             x, s = float(q[0]), float(q[1])
             Ax = A.value(np.array([x]))
-            return np.array([slope(x) - Ax * (s - s0), (s - s0) - h.value(x)])
+            return np.array([slope(x) - Ax * (s - s0), (s - s0) - h(x)])
 
         def __call__(self, q) -> float:
             return self.value(q)
 
     return InclinePotential()
+
+
+def incline_observed_loop(p: InclineParams, gains: GainSelection,
+                          x_span: tuple[float, float]):
+    """Closed loop with its vectorized control and shaped-energy observers
+    (times, Q, Qd) -> column, all on one h-curve; x_span is the span of the
+    shaped potential."""
+    h = incline_h_curve(p, incline_base_shaping(p, gains), gains.k,
+                        (min(INCLINE_LOOP_SPAN[0], x_span[0] - 0.05),
+                         max(INCLINE_LOOP_SPAN[1], x_span[1] + 0.05)))
+    loop = incline_closed_loop(p, gains, h)
+    pot = incline_shaped_potential(p, gains, h, x_span)
+    tau, accel = _incline_loop(p, gains, h, np)
+    ga, rho, s0 = p.gamma, gains.rho, gains.s0
+    slope = ga * p.grav * np.sin(p.psi)
+
+    def control(times, Q, Qd):
+        x, s, xd = Q[:, 0], Q[:, 1], Qd[:, 0]
+        _, t, tp = tau(x)
+        xdd = accel(x, s, xd, Qd[:, 1])[0]
+        dVeps_ds = slope + s - h(x) - s0
+        return (1 - rho) / rho * slope - dVeps_ds / rho - ga * t * xdd - ga * tp * xd ** 2
+
+    def energy(times, Q, Qd):
+        x, s = Q[:, 0], Q[:, 1]
+        xd, sd = Qd[:, 0], Qd[:, 1]
+        cpx, t, _ = tau(x)
+        g11b, g12b = _incline_kinetic(p, gains, cpx, t)
+        return 0.5 * (g11b * xd ** 2 + 2 * g12b * xd * sd + rho * ga * sd ** 2) \
+            + pot.value_arrays(x, s)
+
+    return loop, control, energy

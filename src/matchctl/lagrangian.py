@@ -308,8 +308,7 @@ def kinetic_matrix(sys: MechanicalSystem, shaping: ShapingParams, x_coords):
     if special:
         varpi = None
     else:
-        x0 = np.array([value_of(c) for c in x_coords])
-        target = shaping.g_rho if shaping.g_rho is not None else None
+        target = shaping.g_rho
         ggg_inv = _inv_generic(ggg)
         # zeta^a_alpha = g^{ac} g_{alpha c}
         zeta = [[sum(ggg_inv[a][c] * gsg[al][c] for c in range(ng)) for al in range(ns)]

@@ -19,7 +19,7 @@ from .fields import SmoothField
 from .jets import solve_generic, sqrt
 from .lagrangian import ShapingParams
 from .model import MechanicalSystem
-from .report import MatchingReport, ResidualEntry, ResidualReport
+from .report import ResidualEntry, ResidualReport
 
 __all__ = [
     "MATCHING_TOL",
@@ -72,7 +72,7 @@ def _point_data(sys: MechanicalSystem, shaping: ShapingParams, x: np.ndarray):
 
 
 def matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
-                       x, tol: float = MATCHING_TOL) -> MatchingReport:
+                       x, tol: float = MATCHING_TOL) -> ResidualReport:
     """The three matching conditions at shape point x (constant sigma)."""
     x, gsg, ggg, dgg, dsg, tau, dtau = _point_data(sys, shaping, x)
     ns, ng = sys.dims.n_shape, sys.dims.n_group
@@ -113,7 +113,7 @@ def fit_scalar_sigma(shaping: ShapingParams, ggg: np.ndarray) -> tuple[float, fl
 
 def simplified_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
                                   x, tol: float = MATCHING_TOL,
-                                  theta: np.ndarray | None = None) -> MatchingReport:
+                                  theta: np.ndarray | None = None) -> ResidualReport:
     """The simplified conditions at shape point x; the potential condition is
     checked only for symmetry-breaking systems."""
     x, gsg, ggg, dgg, dsg, tau, dtau = _point_data(sys, shaping, x)
@@ -157,7 +157,7 @@ def simplified_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
 
 
 def generalized_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
-                                   x, tol: float = MATCHING_TOL) -> MatchingReport:
+                                   x, tol: float = MATCHING_TOL) -> ResidualReport:
     """The generalized conditions (modified vertical metric) at shape point x."""
     x, gsg, ggg, dgg, dsg, tau, dtau = _point_data(sys, shaping, x)
     ns, ng = sys.dims.n_shape, sys.dims.n_group
@@ -212,7 +212,7 @@ def generalized_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams
 
 
 def check_on_grid(fn, sys: MechanicalSystem, shaping: ShapingParams,
-                  xs: Sequence, **kwargs) -> MatchingReport:
+                  xs: Sequence, **kwargs) -> ResidualReport:
     """Worst-case merge of a pointwise checker over a grid of shape points."""
     reports = [fn(sys, shaping, np.atleast_1d(x), **kwargs) for x in xs]
     return ResidualReport.merge_max(reports[0].title + " (grid max)", reports)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ResidualEntry", "ResidualReport", "MatchingReport"]
+__all__ = ["ResidualEntry", "ResidualReport"]
 
 
 @dataclass
@@ -102,6 +102,3 @@ class ResidualReport:
                                      raw=worst.raw, note=proto.note,
                                      residual=proto.residual))
         return merged
-
-
-MatchingReport = ResidualReport

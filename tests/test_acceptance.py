@@ -16,7 +16,8 @@ from matchctl.control import (GainSelection, cartpole_closed_loop,
                               cartpole_shaped_potential, cartpole_shaping, gain_bound,
                               gain_bound_crossing, incline_A_coefficient,
                               incline_A_field, incline_Veps, incline_closed_loop,
-                              incline_hessian_check, incline_shaped_potential,
+                              incline_h_curve, incline_hessian_check,
+                              incline_shaped_potential,
                               incline_shaping, position_feedback_control,
                               shaped_multipliers)
 from matchctl.helmholtz import (exactness_residuals, explicit_helmholtz_residuals,
@@ -245,8 +246,9 @@ def test_criterion_7_incline_suite():
                                        (sm.D + gains.sigma * (p.gamma * tau) ** 2)))
 
     # closed-loop conservation over 10 s with the conserved shaped potential
-    loop = incline_closed_loop(p, gains)
-    pot = incline_shaped_potential(p, gains, x_span=(-1.0, 1.0))
+    loop = incline_closed_loop(p, gains, incline_h_curve(p, base_shp, gains.k, (-1.5, 1.5)))
+    pot = incline_shaped_potential(
+        p, gains, incline_h_curve(p, base_shp, gains.k, (-1.05, 1.05)), x_span=(-1.0, 1.0))
 
     def energy(times, Q, Qd):
         x, s = Q[:, 0], Q[:, 1]

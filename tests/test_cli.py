@@ -2,10 +2,14 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
+import matchctl.control as ctl
 from matchctl.cli import ConfigError, RunConfig, main, parse_config
+from matchctl.lagrangian import feedback_control, kinetic_matrix
+from matchctl.model import InclineParams, State, incline_system
 
 
 def write_cfg(tmp_path, name, text):
@@ -93,6 +97,49 @@ def test_simulate_json(tmp_path, capsys):
     assert doc["command"] == "simulate"
     assert doc["pass"] is True
     assert doc["drift"] <= 1e-6
+
+
+def test_simulate_incline_shares_one_h_curve(tmp_path, capsys, monkeypatch):
+    # the closed loop, the shaped potential and both observers read one
+    # h-curve, and the observer columns agree with the generic feedback and
+    # kinetic matrix
+    built, made = [], {}
+
+    class CountedCurve(ctl._HCurve):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    def recorded(name):
+        fn = getattr(ctl, name)
+
+        def wrapper(*args, **kwargs):
+            made[name] = fn(*args, **kwargs)
+            return made[name]
+        return wrapper
+
+    monkeypatch.setattr(ctl, "_HCurve", CountedCurve)
+    for name in ("incline_closed_loop", "incline_shaped_potential"):
+        monkeypatch.setattr(ctl, name, recorded(name))
+    cfg = write_cfg(tmp_path, "inc.cfg", INCLINE_FAST.format(out=tmp_path / "out"))
+    assert main(["simulate", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    monkeypatch.undo()
+
+    rows = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
+    p = InclineParams(psi=0.3)
+    gains = ctl.GainSelection(k=35.0, sigma=1.0, rho=2.0, c=6.0)
+    sys_, shp = incline_system(p), ctl.incline_shaping(p, gains)
+    loop, pot = made["incline_closed_loop"], made["incline_shaped_potential"]
+    rng = np.random.default_rng(3)
+    for t, x, s, xd, sd, u1, E in rows[rng.choice(len(rows), 50, replace=False)]:
+        state = State(q=np.array([x, s]), qdot=np.array([xd, sd]))
+        u = feedback_control(sys_, shp, state, loop.gamma_floats(state.q, state.qdot))[0]
+        assert abs(u1 - u) <= 1e-9 * max(1.0, abs(u))
+        M = np.array(kinetic_matrix(sys_, shp, [x]), dtype=float)
+        kinetic = 0.5 * state.qdot @ M @ state.qdot
+        assert abs(E - pot.value(state.q) - kinetic) <= 1e-12 * max(1.0, kinetic)
 
 
 def test_check_matching_exit_codes(tmp_path, capsys):

@@ -8,8 +8,9 @@ from matchctl.control import (GainSelection, MatchingFailure, cartpole_closed_lo
                               cartpole_control, cartpole_shaped_potential,
                               cartpole_shaped_potential_gradient, cartpole_shaping,
                               gain_bound, gain_bound_crossing, incline_A_coefficient,
-                              incline_A_field, incline_Veps, incline_closed_loop,
-                              incline_h, incline_hessian_check, incline_safe_span,
+                              incline_A_field, incline_Veps, incline_base_shaping,
+                              incline_closed_loop, incline_h, incline_h_curve,
+                              incline_hessian_check, incline_safe_span,
                               incline_shaped_potential, incline_shaping,
                               incline_veps_field, make_shaped_energy,
                               position_feedback_control,
@@ -353,7 +354,9 @@ def test_equilibrium_preserved(reference_params, incline_params, gains, incline_
     loop = cartpole_closed_loop(reference_params, gains)
     acc = loop.gamma_floats(np.array([0.0, 1.7]), np.array([0.0, 0.0]))
     assert np.abs(acc).max() == 0.0
-    loop_i = incline_closed_loop(incline_params, incline_gains)
+    h = incline_h_curve(incline_params, incline_base_shaping(incline_params, incline_gains),
+                        incline_gains.k, (-1.5, 1.5))
+    loop_i = incline_closed_loop(incline_params, incline_gains, h)
     acc_i = loop_i.gamma_floats(np.array([0.0, incline_gains.s0]), np.array([0.0, 0.0]))
     assert np.abs(acc_i).max() < 1e-12
 
@@ -363,8 +366,11 @@ def test_incline_conserved_potential_gradient(incline_params, incline_gains):
     p = incline_params
     sys_ = incline_system(p)
     shp = incline_shaping(p, incline_gains)
-    pot = incline_shaped_potential(p, incline_gains)
-    loop = incline_closed_loop(p, incline_gains)
+    base = incline_base_shaping(p, incline_gains)
+    pot = incline_shaped_potential(
+        p, incline_gains, incline_h_curve(p, base, incline_gains.k, (-1.25, 1.25)))
+    loop = incline_closed_loop(
+        p, incline_gains, incline_h_curve(p, base, incline_gains.k, (-1.5, 1.5)))
     for q in (np.array([0.25, 0.4]), np.array([-0.4, -0.2])):
         grad = reconstruct_shaped_potential_gradient(sys_, shp, loop, q)
         assert np.abs(grad - pot.gradient(q)).max() < 1e-8

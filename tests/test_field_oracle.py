@@ -1,15 +1,22 @@
-"""The jet path of the worked systems' fields against sympy derivatives.
+"""The jet path of the worked systems' fields and closed loops against sympy
+derivatives.
 
 Each field is written once as a flat function over floats or jets; sympy
 differentiates the same closed forms symbolically and evaluates them at 30
-digits, an oracle independent of both jets and finite differences.
+digits, an oracle independent of both jets and finite differences.  The
+closed-loop accelerations are checked against the Euler-Lagrange equations of
+the uncontrolled system under the feedback, solved symbolically.
 """
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
-from matchctl.control import incline_A_field
+import matchctl.control as ctl
+from matchctl.control import (INCLINE_LOOP_SPAN, GainSelection, cartpole_closed_loop,
+                              incline_A_field, incline_base_shaping, incline_closed_loop,
+                              incline_h_curve)
 from matchctl.jets import Jet2
 from matchctl.lagrangian import ShapingParams, scalar_sigma_matrix
 from matchctl.matching import new_tau_closed_form
@@ -104,3 +111,118 @@ def test_eval_jet_matches_chain_rule(field, expr):
         _assert_rel(out.f, field.value(u), 1e-13)
         _assert_rel(out.g, grad, 1e-13)
         _assert_rel(out.h, hess, 1e-13)
+
+
+# ---------------------------------------------------------------------------
+# closed-loop accelerations
+# ---------------------------------------------------------------------------
+
+XD, SD, XDD, SDD = sp.symbols("xd sd xdd sdd", real=True)
+H0 = sp.Symbol("h0", real=True)                   # the h-curve's value at x
+C, S0 = 6.0, 0.1
+
+
+def _symbolic_loop(p):
+    """Closed-loop accelerations derived independently of the code: the
+    Euler-Lagrange equations of the uncontrolled system, forced in the group
+    equation by the cart-pole's position feedback or, for the incline, by the
+    scalar-rho feedback with the extra potential, solved for the
+    accelerations."""
+    m, M, l, grav = (sp.Float(v, 30) for v in (p.m, p.M, p.l, p.grav))
+    al, be, ga, d = m * l ** 2, m * l, m + M, -m * grav * l
+    incline = isinstance(p, InclineParams)
+    psi = sp.Float(getattr(p, "psi", 0.0), 30)
+    g_sg = be * sp.cos(X - psi)
+    V = -d * sp.cos(X) - (ga * grav * sp.sin(psi) * S if incline else 0)
+    L = (al * XD ** 2 + 2 * g_sg * XD * SD + ga * SD ** 2) / 2 - V
+    q, qd, qdd = (X, S), (XD, SD), (XDD, SDD)
+
+    def el(i):
+        mom = sp.diff(L, qd[i])
+        return sum(sp.diff(mom, q[j]) * qd[j] + sp.diff(mom, qd[j]) * qdd[j]
+                   for j in range(2)) - sp.diff(L, q[i])
+
+    if incline:
+        h = sp.Function("h")(X)
+        tau = K * sp.sqrt(al * ga - g_sg ** 2)
+        dVeps_ds = ga * grav * sp.sin(psi) + S - h - S0
+        u = (RHO - 1) / RHO * sp.diff(V, S) - dVeps_ds / RHO \
+            - ga * sp.diff(tau, X) * XD ** 2 - ga * tau * XDD
+    else:
+        h = None
+        cx = sp.cos(X)
+        D = al * ga - be ** 2 * cx ** 2
+        u = -d * ga ** 2 * K * sp.sin(X) * sp.sqrt(D) \
+            / (be * ga * K * cx * sp.sqrt(D) - al * ga + be ** 2 * cx ** 2)
+    eqs = [el(0), el(1) - u]                  # affine in the accelerations
+    coeffs = sp.Matrix([[sp.diff(e, a) for a in qdd] for e in eqs])
+    rest = sp.Matrix([e.subs({XDD: 0, SDD: 0}) for e in eqs])
+    return list(coeffs.LUsolve(-rest)), h
+
+
+def _loop_cases():
+    for p in (CartpoleParams(), InclineParams(psi=0.3)):
+        yield pytest.param(p, id=type(p).__name__)
+
+
+def _closed_loop(p):
+    """The closed loop, the h-curve it uses (None for the cart-pole) and a
+    builder of its acceleration over a namespace."""
+    gains = GainSelection(k=K, sigma=SIGMA, rho=RHO, c=C, s0=S0)
+    if isinstance(p, InclineParams):
+        h = incline_h_curve(p, incline_base_shaping(p, gains), K, INCLINE_LOOP_SPAN)
+        return (incline_closed_loop(p, gains, h), h,
+                lambda ns: ctl._incline_loop(p, gains, h, ns)[1])
+    return (cartpole_closed_loop(p, gains), None,
+            lambda ns: ctl._cartpole_accel(p, K, ns))
+
+
+def _states(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(-1.0, 1.0, N_POINTS), rng.uniform(-2.0, 2.0, N_POINTS),
+                            rng.uniform(-3.0, 3.0, N_POINTS), rng.uniform(-3.0, 3.0, N_POINTS)])
+
+
+@pytest.mark.parametrize("p", _loop_cases())
+def test_closed_loop_gamma_matches_sympy(p):
+    exprs, h_sym = _symbolic_loop(p)
+    loop, h, _ = _closed_loop(p)
+    syms = (X, S, XD, SD)
+    A = _symbolic(p).get("A")
+
+    def numeric_h(e):
+        # after differentiating, h' becomes A and h'' becomes A' symbolically,
+        # and h the curve's value
+        if h_sym is None:
+            return e
+        return e.subs(sp.Derivative(h_sym, (X, 2)), sp.diff(A, X)) \
+            .subs(sp.Derivative(h_sym, X), A).subs(h_sym, H0)
+
+    compiled = []
+    for e in exprs:
+        grad = [sp.diff(e, v) for v in syms]
+        hess = [[numeric_h(sp.diff(g, v)) for v in syms] for g in grad]
+        compiled.append(sp.lambdify(syms + (H0,),
+                                    [numeric_h(e), [numeric_h(g) for g in grad], hess],
+                                    "mpmath"))
+    with mpmath.workdps(30):
+        for st in _states(seed=29):
+            h0 = h(st[0]) if h is not None else 0.0
+            jets = loop.gamma_jets(st[:2], st[2:])
+            for jet, fn in zip(jets, compiled):
+                val, grad, hess = fn(*(mpmath.mpf(float(v)) for v in (*st, h0)))
+                _assert_rel(jet.f, float(val), 1e-12)
+                _assert_rel(jet.g, [float(g) for g in grad], 1e-12)
+                _assert_rel(jet.h, [[float(v) for v in row] for row in hess], 1e-12)
+
+
+@pytest.mark.parametrize("p", _loop_cases())
+def test_closed_loop_math_jets_numpy_agree_bitwise(p):
+    loop, _, build = _closed_loop(p)
+    states = _states(seed=31)
+    batched = build(np)(*states.T)
+    for i, st in enumerate(states):
+        fast = loop.gamma2(*st)
+        jet_values = [j.f for j in loop.gamma_jets(st[:2], st[2:])]
+        for a in range(2):
+            assert fast[a] == jet_values[a] == batched[a][i]
