@@ -163,6 +163,15 @@ class RunConfig:
             rc.out_dir = overrides.out
         if rc.tol_residual <= 0 or rc.tol_matching <= 0 or rc.tol_drift <= 0:
             raise ConfigError("tolerances must be positive")
+        for key, value in (("grid.n", rc.grid_n), ("helmholtz.n_states", rc.n_states)):
+            if value < 1:
+                raise ConfigError(f"{key} must be at least 1, got {value}")
+        for key, value in (("sim.dt", rc.dt), ("sim.t_end", rc.t_end)):
+            if not value > 0:
+                raise ConfigError(f"{key} must be positive, got {value!r}")
+        if rc.tau_mode == "new-ode" and not rc.grid_lo < rc.grid_hi:
+            raise ConfigError(f"new-ode needs grid.lo < grid.hi, got grid.lo = "
+                              f"{rc.grid_lo!r}, grid.hi = {rc.grid_hi!r}")
         return rc
 
 
@@ -478,7 +487,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     except Exception as exc:  # residual machinery failure: report, not traceback
-        print(f"error: {exc}", file=_sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 1
 
 

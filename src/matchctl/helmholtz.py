@@ -265,7 +265,7 @@ def implicit_helmholtz_residuals(field: ImplicitSode,
     else:
         raise ValueError(f"unknown backend: {backend}")
 
-    Cm = field.c_matrix_floats(q, qd)
+    Cm = field.accel_matrix_floats(q)
     try:
         Cinv = np.linalg.inv(Cm)
     except np.linalg.LinAlgError as exc:

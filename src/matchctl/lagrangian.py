@@ -195,20 +195,25 @@ def lagrangian_value(sys: MechanicalSystem, state: State) -> float:
     return float(0.5 * state.qdot @ g @ state.qdot - sys.V_value(state.q))
 
 
+def _metric_data(sys: MechanicalSystem, q):
+    """Metric blocks, their first partials and dV at q (floats or jets)."""
+    x = list(q[: sys.dims.n_shape])
+    return (_entries(sys.g_ss, x), _entries(sys.g_sg, x), _entries(sys.g_gg, x),
+            _partial_entries(sys.g_ss_partials, x), _partial_entries(sys.g_sg_partials, x),
+            _partial_entries(sys.g_gg_partials, x), [field_eval(f, list(q)) for f in sys.V_partials])
+
+
 def el_covector(sys: MechanicalSystem, q, qd, qdd):
     """Euler-Lagrange expression of the given Lagrangian, one covector entry
     per coordinate (shape rows then group rows).  Generic over floats/jets."""
+    return _el_covector(sys, _metric_data(sys, q), qd, qdd)
+
+
+def _el_covector(sys: MechanicalSystem, data, qd, qdd):
     ns, ng = sys.dims.n_shape, sys.dims.n_group
-    x = list(q[:ns])
     xd, thd = list(qd[:ns]), list(qd[ns:])
     xdd, thdd = list(qdd[:ns]), list(qdd[ns:])
-    gss = _entries(sys.g_ss, x)
-    gsg = _entries(sys.g_sg, x)
-    ggg = _entries(sys.g_gg, x)
-    dss = _partial_entries(sys.g_ss_partials, x)
-    dsg = _partial_entries(sys.g_sg_partials, x)
-    dgg = _partial_entries(sys.g_gg_partials, x)
-    dV = [field_eval(f, list(q)) for f in sys.V_partials]
+    gss, gsg, ggg, dss, dsg, dgg, dV = data
 
     phi = []
     for al in range(ns):
@@ -264,12 +269,11 @@ def controlled_el_covector(sys: MechanicalSystem, shaping: ShapingParams, q, qd,
     x = list(q[:ns])
     xd = list(qd[:ns])
     xdd = list(qdd[:ns])
-    phi = el_covector(sys, q, qd, qdd)
-    ggg = _entries(sys.g_gg, x)
-    dgg = _partial_entries(sys.g_gg_partials, x)
+    data = _metric_data(sys, q)
+    phi = _el_covector(sys, data, qd, qdd)
+    _, _, ggg, _, _, dgg, dV = data
     tau = _entries(shaping.tau, x)
     dtau = _partial_entries(shaping.tau_partials, x)
-    dV = [field_eval(f, list(q)) for f in sys.V_partials]
     if shaping.eps_partials is not None:
         dVe = [field_eval(f, list(q)) for f in shaping.eps_partials]
     else:
@@ -432,11 +436,20 @@ def ctilde_and_block_inverse(sys: MechanicalSystem, shaping: ShapingParams,
 # ---------------------------------------------------------------------------
 
 class ImplicitSode:
-    """Second-order system Phi(q, qd, qdd) = 0, affine in the accelerations."""
+    """Second-order system Phi(q, qd, qdd) = 0, affine in the accelerations:
+    Phi(q, qd, qdd) = C(q) qdd + Phi(q, qd, 0).
 
-    def __init__(self, n: int, phi: Callable, dims: Dims | None = None):
+    ``phi(q, qd, qdd)`` returns the covector and ``accel_matrix(q)`` the
+    acceleration coefficients C = dPhi/dqdd as a nested n x n list; both are
+    generic over floats/jets.  The explicit field is then one covector pass,
+    qdd = -C^-1 Phi(q, qd, 0).
+    """
+
+    def __init__(self, n: int, phi: Callable, accel_matrix: Callable,
+                 dims: Dims | None = None):
         self.n = n
         self._phi = phi
+        self.accel_matrix = accel_matrix
         self.dims = dims
 
     def phi(self, q, qd, qdd):
@@ -445,23 +458,8 @@ class ImplicitSode:
     def phi_floats(self, q, qd, qdd) -> np.ndarray:
         return np.array([value_of(v) for v in self._phi(list(q), list(qd), list(qdd))])
 
-    def c_matrix(self, q, qd):
-        """dPhi/dqdd via exact affine differencing (n+1 evaluations)."""
-        zero = [0.0] * self.n
-        base = self._phi(q, qd, zero)
-        cols = []
-        for j in range(self.n):
-            e = [0.0] * self.n
-            e[j] = 1.0
-            col = self._phi(q, qd, e)
-            cols.append([col[i] - base[i] for i in range(self.n)])
-        return [[cols[j][i] for j in range(self.n)] for i in range(self.n)]
-
-    def c_matrix_floats(self, q, qd) -> np.ndarray:
-        return np.array([[value_of(v) for v in row] for row in self.c_matrix(list(q), list(qd))])
-
-    def phi0(self, q, qd):
-        return self._phi(q, qd, [0.0] * self.n)
+    def accel_matrix_floats(self, q) -> np.ndarray:
+        return np.array([[value_of(v) for v in row] for row in self.accel_matrix(list(q))])
 
     def phi_derivatives(self, q, qd, qdd):
         """(dPhi/dq, dPhi/dqd) at fixed accelerations, via jets."""
@@ -476,9 +474,8 @@ class ImplicitSode:
 
     def to_explicit(self) -> "ExplicitSode":
         def gamma(q, qd):
-            C = self.c_matrix(q, qd)
             rhs = [-v for v in self._phi(q, qd, [0.0] * self.n)]
-            return solve_generic(C, rhs)
+            return solve_generic(self.accel_matrix(q), rhs)
 
         return ExplicitSode(self.n, gamma, dims=self.dims)
 
@@ -517,24 +514,53 @@ class ExplicitSode:
         return ExplicitSode(n, gamma, dims=dims)
 
 
+def _metric_block(sys: MechanicalSystem, q):
+    """The full metric at q as a nested list (floats or jets)."""
+    ns, ng = sys.dims.n_shape, sys.dims.n_group
+    x = list(q[:ns])
+    gss, gsg, ggg = _entries(sys.g_ss, x), _entries(sys.g_sg, x), _entries(sys.g_gg, x)
+    return ([gss[al] + gsg[al] for al in range(ns)]
+            + [[gsg[al][a] for al in range(ns)] + ggg[a] for a in range(ng)])
+
+
+def _controlled_block(sys: MechanicalSystem, shaping: ShapingParams, q):
+    """[[g_ss, g_sg], [g_sg' + g_gg tau, g_gg]] at q (floats or jets)."""
+    ns, ng = sys.dims.n_shape, sys.dims.n_group
+    C = _metric_block(sys, q)
+    ggg = [row[ns:] for row in C[ns:]]
+    tau = _entries(shaping.tau, list(q[:ns]))
+    for a in range(ng):
+        for be in range(ns):
+            acc = C[ns + a][be]
+            for b in range(ng):
+                acc = acc + ggg[a][b] * tau[b][be]
+            C[ns + a][be] = acc
+    return C
+
+
 def uncontrolled_sode(sys: MechanicalSystem) -> ImplicitSode:
     def phi(q, qd, qdd):
         return el_covector(sys, q, qd, qdd)
 
-    return ImplicitSode(sys.dims.total, phi, dims=sys.dims)
+    return ImplicitSode(sys.dims.total, phi, lambda q: _metric_block(sys, q), dims=sys.dims)
 
 
 def controlled_implicit_sode(sys: MechanicalSystem, shaping: ShapingParams) -> ImplicitSode:
     def phi(q, qd, qdd):
         return controlled_el_covector(sys, shaping, q, qd, qdd)
 
-    return ImplicitSode(sys.dims.total, phi, dims=sys.dims)
+    return ImplicitSode(sys.dims.total, phi, lambda q: _controlled_block(sys, shaping, q),
+                        dims=sys.dims)
 
 
 def solve_accel(implicit: ImplicitSode, state: State) -> np.ndarray:
-    """Accelerations solving Phi(q, qd, qdd) = 0 for a system affine in qdd."""
-    C = implicit.c_matrix_floats(state.q, state.qdot)
-    rhs = -np.array([value_of(v) for v in implicit.phi0(list(state.q), list(state.qdot))])
+    """Accelerations solving Phi(q, qd, qdd) = 0 for a system affine in qdd.
+
+    The residual check evaluates Phi at the solution, so it also validates
+    the acceleration matrix against the covector.
+    """
+    C = implicit.accel_matrix_floats(state.q)
+    rhs = -implicit.phi_floats(state.q, state.qdot, [0.0] * implicit.n)
     try:
         acc = np.linalg.solve(C, rhs)
     except np.linalg.LinAlgError as exc:

@@ -8,6 +8,7 @@ stays below tolerance on a user grid (41 uniform points by default).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +42,14 @@ MATCHING_TOL = 1e-10
 
 
 class TauIntegrationError(RuntimeError):
-    """Solved-for coefficient became singular during integration."""
+    """The coefficient matrix of tau' became singular during integration.
+
+    With one shape coordinate the tau ODE reads M tau' = tau r0, where
+    S0 = 2(g11 - g1' g_gg^-1 g1), r0 = g11' - 2 g1' g_gg^-1 g1' and
+    M = (S0 - 2 g1'tau) I + 2 tau g1'.  By the matrix determinant lemma
+    det M = (S0 - 2 g1'tau)^(ng-1) S0; the slope is refused when that falls
+    below 1e-14 max(1, max|M|^ng) or the slope is not finite.
+    """
 
     def __init__(self, x: float):
         super().__init__(f"coefficient of tau' singular near x = {x:.6g}")
@@ -274,15 +282,36 @@ def new_tau_closed_form(sys: MechanicalSystem, k: float) -> SmoothField:
     return SmoothField(1, tau)
 
 
-def _ode_pieces(sys: MechanicalSystem, x: np.ndarray):
-    g11 = sys.gss(x)[0, 0]
-    dg11 = sys.g_ss[0][0].d1(x)[0]
-    ng = sys.dims.n_group
-    g1 = sys.gsg(x)[0]                       # g_{1 a}
-    dg1 = np.array([sys.g_sg[0][a].d1(x)[0] for a in range(ng)])
-    ggg = sys.ggg(x)
-    ginv = np.linalg.inv(ggg)
-    return g11, dg11, g1, dg1, ginv
+def _ode_pieces(sys: MechanicalSystem, xs: np.ndarray):
+    """The metric data of the tau ODE at each shape point of xs, as arrays with
+    one row per point: g11, g11', g_1a, g1' g_gg^-1 g1 and g1' g_gg^-1 g1'."""
+    f11, f1, fgg = sys.g_ss[0][0], sys.g_sg[0], sys.g_gg
+    ng, N = sys.dims.n_group, len(xs)
+    g11, dg11 = np.empty(N), np.empty(N)
+    g1, dg1 = np.empty((N, ng)), np.empty((N, ng))
+    ggg = np.empty((N, ng, ng))
+    for i, x in enumerate(np.asarray(xs, dtype=float).tolist()):
+        u = [x]
+        g11[i] = f11.value(u)
+        dg11[i] = f11.d1(u)[0]
+        for a in range(ng):
+            g1[i, a] = f1[a].value(u)
+            dg1[i, a] = f1[a].d1(u)[0]
+            for b in range(ng):
+                ggg[i, a, b] = fgg[a][b].value(u)
+    g1_ginv = g1[:, None, :] @ np.linalg.inv(ggg)
+    return (g11, dg11, g1, (g1_ginv @ g1[:, :, None])[:, 0, 0],
+            (g1_ginv @ dg1[:, :, None])[:, 0, 0])
+
+
+def _ode_residual(pieces, tau: np.ndarray, dtau: np.ndarray) -> np.ndarray:
+    """Residual of the tau ODE, one row per point of the pieces."""
+    g11, dg11, g1, gig1, gidg1 = pieces
+    g11, dg11, gig1, gidg1 = (p[:, None] for p in (g11, dg11, gig1, gidg1))
+    g1_dtau = (g1[:, None, :] @ dtau[:, :, None])[:, 0]
+    g1_tau = (g1[:, None, :] @ tau[:, :, None])[:, 0]
+    return (2.0 * tau * gidg1 + 2.0 * tau * g1_dtau - tau * dg11 + 2.0 * g11 * dtau
+            - 2.0 * gig1 * dtau - 2.0 * g1_tau * dtau)
 
 
 def new_tau_ode_residual(sys: MechanicalSystem, tau_fields, x) -> np.ndarray:
@@ -290,20 +319,9 @@ def new_tau_ode_residual(sys: MechanicalSystem, tau_fields, x) -> np.ndarray:
     if sys.dims.n_shape != 1:
         raise ValueError("the ODE form requires one shape coordinate")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    ng = sys.dims.n_group
-    g11, dg11, g1, dg1, ginv = _ode_pieces(sys, x)
-    tau = np.array([f.value(x) for f in tau_fields])
-    dtau = np.array([f.d1(x)[0] for f in tau_fields])
-    res = np.zeros(ng)
-    for a in range(ng):
-        term = 2.0 * tau[a] * float(g1 @ ginv @ dg1)
-        term += 2.0 * tau[a] * float(g1 @ dtau)
-        term -= tau[a] * dg11
-        term += 2.0 * g11 * dtau[a]
-        term -= 2.0 * float(g1 @ ginv @ g1) * dtau[a]
-        term -= 2.0 * float(g1 @ tau) * dtau[a]
-        res[a] = term
-    return res
+    tau = np.array([[f.value(x) for f in tau_fields]])
+    dtau = np.array([[f.d1(x)[0] for f in tau_fields]])
+    return _ode_residual(_ode_pieces(sys, x), tau, dtau)[0]
 
 
 @dataclass
@@ -333,20 +351,32 @@ class SampledTau:
         return tuple(out)
 
 
-def _tau_slope(sys: MechanicalSystem, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Solve the coupled linear system for tau' at one point."""
-    ng = tau.shape[0]
-    g11, dg11, g1, dg1, ginv = _ode_pieces(sys, x)
-    S = 2.0 * g11 - 2.0 * float(g1 @ ginv @ g1) - 2.0 * float(g1 @ tau)
-    M = 2.0 * np.outer(tau, g1) + S * np.eye(ng)
-    rhs = tau * (dg11 - 2.0 * float(g1 @ ginv @ dg1))
+def _slope(S0: float, r0: float, g1, tau: list, x: float) -> list:
+    """tau' = tau r0 / S0, the solution of M tau' = tau r0 (see
+    `TauIntegrationError`), refused when det M is below its floor."""
+    ng = len(tau)
+    S = S0 - 2.0 * sum(g * t for g, t in zip(g1, tau))
     try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise TauIntegrationError(float(x[0])) from exc
-    if not np.all(np.isfinite(sol)) or abs(np.linalg.det(M)) < 1e-14 * max(1.0, np.abs(M).max() ** ng):
-        raise TauIntegrationError(float(x[0]))
-    return sol
+        det = S ** (ng - 1) * S0
+        floor = 1e-14 * max(1.0, max(abs(2.0 * ti * gj + (S if i == j else 0.0))
+                                     for i, ti in enumerate(tau)
+                                     for j, gj in enumerate(g1)) ** ng)
+    except OverflowError as exc:
+        raise TauIntegrationError(x) from exc
+    if not abs(det) >= floor:
+        raise TauIntegrationError(x)
+    out = [t * r0 / S0 for t in tau]
+    if not all(math.isfinite(v) for v in out):
+        raise TauIntegrationError(x)
+    return out
+
+
+def _tau_slope(sys: MechanicalSystem, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """tau' at one shape point."""
+    g11, dg11, g1, gig1, gidg1 = _ode_pieces(sys, x)
+    return np.array(_slope(float(2.0 * g11[0] - 2.0 * gig1[0]),
+                           float(dg11[0] - 2.0 * gidg1[0]), g1[0].tolist(),
+                           np.asarray(tau, dtype=float).tolist(), float(x[0])))
 
 
 def integrate_new_tau(sys: MechanicalSystem, tau0, x_range: tuple[float, float],
@@ -355,8 +385,12 @@ def integrate_new_tau(sys: MechanicalSystem, tau0, x_range: tuple[float, float],
     """March the solved-for tau ODE across x_range with classical RK4.
 
     Integration starts at x0 (default: left end) from tau0 and proceeds in
-    both directions as needed.  The result is spline-sampled and self-checked
-    against the ODE residual.
+    both directions as needed.  The metric data of each march is evaluated
+    once per node x0 + i h/2 (`_ode_pieces`), and every slope is the closed
+    form tau' = tau r0 / S0: M tau = S0 tau, so tau scaled by r0 / S0 solves
+    M tau' = tau r0 (see `TauIntegrationError` for M, S0, r0 and the
+    determinant guard).  The result is spline-sampled and self-checked
+    against the ODE residual at every sample, reusing the node data.
     """
     if sys.dims.n_shape != 1:
         raise ValueError("the ODE form requires one shape coordinate")
@@ -365,38 +399,54 @@ def integrate_new_tau(sys: MechanicalSystem, tau0, x_range: tuple[float, float],
         raise ValueError("empty x_range")
     if x0 is None:
         x0 = lo
+    x0 = float(x0)
     tau0 = np.atleast_1d(np.asarray(tau0, dtype=float))
+    ng = sys.dims.n_group
+    if tau0.shape != (ng,):
+        raise ValueError(f"tau0 needs {ng} values, one per group coordinate")
 
-    def march(x_start: float, x_stop: float, t_start: np.ndarray):
-        n = max(1, int(np.ceil(abs(x_stop - x_start) / step)))
-        h = (x_stop - x_start) / n
-        xs = [x_start]
-        ts = [t_start.copy()]
-        x, t = x_start, t_start.copy()
-        for _ in range(n):
-            k1 = _tau_slope(sys, np.array([x]), t)
-            k2 = _tau_slope(sys, np.array([x + h / 2]), t + h / 2 * k1)
-            k3 = _tau_slope(sys, np.array([x + h / 2]), t + h / 2 * k2)
-            k4 = _tau_slope(sys, np.array([x + h]), t + h * k3)
-            t = t + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            x = x + h
-            xs.append(x)
-            ts.append(t.copy())
-        return np.array(xs), np.array(ts)
+    def march(x_stop: float):
+        """Columns over the samples x_k: x_k, tau there, then the node data."""
+        n = max(1, int(np.ceil(abs(x_stop - x0) / step)))
+        h = (x_stop - x0) / n
+        xs = np.cumsum(np.r_[x0, np.full(n, h)])       # the floats of x = x + h
+        nodes = np.empty(2 * n + 1)
+        nodes[0::2] = xs
+        nodes[1::2] = xs[:-1] + h / 2
+        pieces = _ode_pieces(sys, nodes)
+        g11, dg11, g1, gig1, gidg1 = pieces
+        # memoryviews read the node data as Python floats, one at a time
+        S0 = memoryview(2.0 * g11 - 2.0 * gig1)
+        r0 = memoryview(dg11 - 2.0 * gidg1)
+        g1v, at = memoryview(g1.ravel()), memoryview(nodes)
 
-    xs_up, ts_up = march(x0, hi, tau0) if hi > x0 else (np.array([x0]), tau0[None, :])
-    xs_dn, ts_dn = march(x0, lo, tau0) if lo < x0 else (np.array([x0]), tau0[None, :])
-    xs = np.concatenate([xs_dn[::-1], xs_up[1:]])
-    vals = np.concatenate([ts_dn[::-1], ts_up[1:]])
+        def slope(i, t):
+            return _slope(S0[i], r0[i], g1v[i * ng:(i + 1) * ng], t, at[i])
+
+        vals = np.empty((n + 1, ng))
+        vals[0] = t = tau0.tolist()
+        for k in range(n):
+            i = 2 * k
+            k1 = slope(i, t)
+            k2 = slope(i + 1, [a + h / 2 * b for a, b in zip(t, k1)])
+            k3 = slope(i + 1, [a + h / 2 * b for a, b in zip(t, k2)])
+            k4 = slope(i + 2, [a + h * b for a, b in zip(t, k3)])
+            vals[k + 1] = t = [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                               for a, b1, b2, b3, b4 in zip(t, k1, k2, k3, k4)]
+        return [xs, vals] + [p[0::2] for p in pieces]
+
+    up = march(hi) if hi > x0 else None
+    dn = march(lo) if lo < x0 else None
+    # a direction with nothing to march holds only x0, where the other starts
+    up = up or [c[:1] for c in dn]
+    dn = dn or [c[:1] for c in up]
+    xs, vals, *pieces = (np.concatenate([d[::-1], u[1:]]) for d, u in zip(dn, up))
 
     sampled = SampledTau(xs=xs, values=vals, max_ode_residual=0.0)
-    fields = [row[0] for row in sampled.as_fields()]
-    worst = 0.0
-    for x in xs:
-        r = new_tau_ode_residual(sys, fields, np.array([x]))
-        worst = max(worst, float(np.abs(r).max()))
+    res = _ode_residual(pieces, sampled.value(xs).T, sampled.derivative(xs).T)
+    worst = float(np.abs(res).max())
     sampled.max_ode_residual = worst
-    if worst > residual_tol:
+    if not worst <= residual_tol:
         raise RuntimeError(
             f"integrated tau violates its ODE residual check: {worst:.3e} > {residual_tol:.1e}")
     return sampled

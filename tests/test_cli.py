@@ -275,3 +275,32 @@ helmholtz.n_states = 3
     assert main(["check-matching", "--config", cfg]) == 0
     capsys.readouterr()
     assert main(["check-helmholtz", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("command, extra, argv, key", [
+    ("check-matching", "grid.n = 0\n", [], "grid.n"),
+    ("check-matching", "", ["--grid", "0"], "grid.n"),
+    ("check-matching", "tau.mode = new-ode\ngrid.lo = 0.5\ngrid.hi = 0.5\n", [], "grid.lo"),
+    ("simulate", "sim.dt = 0\n", [], "sim.dt"),
+    ("simulate", "sim.t_end = -1\n", [], "sim.t_end"),
+    ("check-helmholtz", "helmholtz.n_states = 0\n", [], "helmholtz.n_states"),
+], ids=["grid-n", "grid-override", "empty-ode-grid", "dt", "t-end", "n-states"])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, command, extra, argv, key):
+    # later keys win, so `extra` overrides the fast config
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + extra
+    cfg = write_cfg(tmp_path, "cp.cfg", text)
+    assert main([command, "--config", cfg] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+
+
+def test_unexpected_error_names_its_class(tmp_path, capsys, monkeypatch):
+    import matchctl.cli as cli
+
+    def broken(rc):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "_build_system_and_shaping", broken)
+    cfg = write_cfg(tmp_path, "cp.cfg", CARTPOLE_FAST.format(out=tmp_path / "out"))
+    assert main(["check-matching", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: IndexError: list index out of range\n"

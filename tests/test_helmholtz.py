@@ -109,7 +109,8 @@ def test_exactness_variational_covector(cartpole):
 
 
 def test_exactness_cross_term_fails():
-    field = ImplicitSode(2, lambda q, qd, qdd: [qdd[0] - qd[1], qdd[1]])
+    field = ImplicitSode(2, lambda q, qd, qdd: [qdd[0] - qd[1], qdd[1]],
+                         lambda q: [[1.0, 0.0], [0.0, 1.0]])
     st = State(q=[0.1, 0.2], qdot=[0.3, 0.1])
     rep = exactness_residuals(field, st, field.solve_accel(st))
     assert rep.entry("accel_symmetry").value < 1e-14
@@ -118,8 +119,10 @@ def test_exactness_cross_term_fails():
 
 
 def test_exactness_residual_homogeneity():
-    base = ImplicitSode(2, lambda q, qd, qdd: [qdd[0] - qd[1], qdd[1]])
-    doubled = ImplicitSode(2, lambda q, qd, qdd: [2.0 * (qdd[0] - qd[1]), 2.0 * qdd[1]])
+    base = ImplicitSode(2, lambda q, qd, qdd: [qdd[0] - qd[1], qdd[1]],
+                        lambda q: [[1.0, 0.0], [0.0, 1.0]])
+    doubled = ImplicitSode(2, lambda q, qd, qdd: [2.0 * (qdd[0] - qd[1]), 2.0 * qdd[1]],
+                           lambda q: [[2.0, 0.0], [0.0, 2.0]])
     st = State(q=[0.05, 0.1], qdot=[0.2, 0.1])
     acc = base.solve_accel(st)
     r1 = exactness_residuals(base, st, acc).entry("velocity_exactness").raw

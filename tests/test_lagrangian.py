@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import matchctl.fields as fl
-from conftest import free_particle, random_shaping, random_state, random_system
+from conftest import free_particle, random_shaping, random_state, random_system, sm_shaping
 from matchctl.control import GainSelection, cartpole_shaping, position_feedback_control
 from matchctl.jets import jet_vars
 from matchctl.lagrangian import (ShapingParams, SingularBlockError,
@@ -14,7 +14,8 @@ from matchctl.lagrangian import (ShapingParams, SingularBlockError,
                                  lagrangian_value, legendre_transform, scalar_sigma_matrix,
                                  solve_accel, uncontrolled_sode)
 from matchctl.matching import new_tau_closed_form
-from matchctl.model import Dims, InclineParams, State, cartpole_system, incline_system
+from matchctl.model import (CartpoleParams, Dims, InclineParams, State, cartpole_system,
+                            incline_system)
 
 
 def fd_el_oracle(sys, state, accel, h=1e-5):
@@ -361,3 +362,76 @@ def test_fw_identities_random(seed):
     r1, r2 = fw_identity_residuals(sys_, shp, st)
     assert r1 < 1e-10
     assert r2 < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# acceleration matrix
+# ---------------------------------------------------------------------------
+
+def _accel_cases():
+    from matchctl.control import incline_shaping
+    ref = CartpoleParams()
+    incl = InclineParams(psi=0.3)
+    cases = {
+        "cartpole": (cartpole_system(ref),
+                     cartpole_shaping(ref, GainSelection(k=35.0, sigma=1.0))),
+        "incline_rho2": (incline_system(incl),
+                         incline_shaping(incl, GainSelection(k=35.0, sigma=1.0, rho=2.0,
+                                                             c=6.0))),
+        "builtin_1x2": sm_shaping(1, Dims(1, 2)),
+        "builtin_2x2": sm_shaping(1, Dims(2, 2)),
+    }
+    return cases
+
+
+ACCEL_CASES = _accel_cases()
+
+
+def _rel(a, b) -> float:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.abs(a - b).max() / max(1.0, np.abs(b).max()))
+
+
+@pytest.mark.parametrize("name", sorted(ACCEL_CASES))
+def test_accel_matrix_matches_covector_and_block(name):
+    # three references: the affine difference of the covector, the block
+    # assembled by ctilde_and_block_inverse, and dPhi/dqdd read off jets
+    sys_, shp = ACCEL_CASES[name]
+    n = sys_.dims.total
+    for field, block in ((controlled_implicit_sode(sys_, shp),
+                          lambda q: ctilde_and_block_inverse(sys_, shp, q).C),
+                         (uncontrolled_sode(sys_), lambda q: sys_.metric(q[:sys_.dims.n_shape]))):
+        for seed in range(20):
+            st = random_state(300 + seed, sys_.dims, x_max=1.0, v_max=3.0)
+            C = field.accel_matrix_floats(st.q)
+            base = field.phi_floats(st.q, st.qdot, np.zeros(n))
+            affine = np.column_stack([field.phi_floats(st.q, st.qdot, np.eye(n)[j]) - base
+                                      for j in range(n)])
+            assert _rel(C, affine) < 1e-13
+            assert _rel(C, block(st.q)) < 1e-13
+            seeds = jet_vars(list(st.q) + list(st.qdot) + [0.1] * n)
+            phis = field.phi(seeds[:n], seeds[n:2 * n], seeds[2 * n:])
+            assert _rel(C, [p.g[2 * n:] for p in phis]) < 1e-13
+            Cj = field.accel_matrix(jet_vars(list(st.q)))
+            assert np.array_equal(C, [[getattr(v, "f", v) for v in row] for row in Cj])
+
+
+def test_generic_gamma_is_one_covector_pass(monkeypatch):
+    import matchctl.lagrangian as lg
+    sys_, shp = ACCEL_CASES["builtin_1x2"]
+    loop = controlled_implicit_sode(sys_, shp).to_explicit()
+    calls = []
+    real = lg.controlled_el_covector
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lg, "controlled_el_covector", counted)
+    q, qd = [0.3, -0.2, 0.5], [0.4, 1.0, -0.7]
+    acc = loop.gamma_floats(q, qd)
+    jets = loop.gamma_jets(q, qd)
+    assert len(calls) == 2
+    assert np.array_equal(acc, [j.f for j in jets])
+    field = controlled_implicit_sode(sys_, shp)
+    assert np.abs(field.phi_floats(q, qd, acc)).max() < 1e-14

@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matchctl.fields as fl
-from conftest import sm_shaping
+from conftest import random_system, sm_shaping
+from matchctl.fields import SmoothField
+from matchctl.jets import Jet2
 from matchctl.lagrangian import ShapingParams, scalar_sigma_matrix
 from matchctl.matching import (TauIntegrationError, default_grid,
                                generalized_matching_residuals, integrate_new_tau,
                                matching_residuals, matrix_inverse_fields,
                                new_tau_closed_form, new_tau_ode_residual,
                                simplified_matching_residuals, sm3_tau, check_on_grid)
-from matchctl.model import Dims, build_mechanical_system, cartpole_system, incline_system, synthetic_sm_system
+from matchctl.model import (CartpoleParams, Dims, build_mechanical_system, cartpole_system,
+                            incline_system, synthetic_sm_system)
 
 
 def uncoupled_system(group_constant=True):
@@ -267,3 +270,62 @@ def test_slope_solve_reports_singularity():
     # S = 2 - 1.62 - 1.8 tau^1 vanishes at tau^1 = 0.38/1.8
     with pytest.raises(TauIntegrationError):
         _tau_slope(sys_, np.array([0.0]), np.array([0.38 / 1.8, 0.3]))
+
+
+@pytest.mark.parametrize("ng", [1, 2, 3])
+def test_closed_form_slope_matches_dense_solve(ng):
+    from matchctl.matching import _tau_slope
+    sys_ = random_system(40 + ng, Dims(1, ng), const_group=False)
+    rng = np.random.default_rng(ng)
+    for _ in range(20):
+        x = np.array([rng.uniform(-1.2, 1.2)])
+        tau = rng.uniform(-0.3, 0.3, ng)
+        g11, dg11 = sys_.gss(x)[0, 0], sys_.g_ss[0][0].d1(x)[0]
+        g1 = sys_.gsg(x)[0]
+        dg1 = np.array([f.d1(x)[0] for f in sys_.g_sg[0]])
+        ginv = np.linalg.inv(sys_.ggg(x))
+        S = 2.0 * g11 - 2.0 * g1 @ ginv @ g1 - 2.0 * g1 @ tau
+        M = 2.0 * np.outer(tau, g1) + S * np.eye(ng)
+        expect = np.linalg.solve(M, tau * (dg11 - 2.0 * g1 @ ginv @ dg1))
+        got = _tau_slope(sys_, x, tau)
+        assert np.abs(got - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max())
+
+
+def counting_system():
+    """A one-group system whose g_ss counts its float and jet passes."""
+    x = fl.coordinate(0, 1)
+    base = 2.0 + 0.2 * fl.cos_of(x)
+    passes = {"value": 0, "jet": 0}
+
+    def g11(u):
+        passes["jet" if isinstance(u[0], Jet2) else "value"] += 1
+        return base.fn(u)
+
+    sys_ = build_mechanical_system(Dims(1, 1), [[SmoothField(1, g11)]],
+                                   [[0.3 * fl.sin_of(x)]], [[fl.constant(1.0, 1)]],
+                                   fl.constant(0.0, 2))
+    passes.update(value=0, jet=0)
+    return sys_, passes
+
+
+@pytest.mark.parametrize("x0, nodes", [(None, 2 * 200 + 1), (0.5, (2 * 50 + 1) + (2 * 150 + 1))])
+def test_integrate_evaluates_metric_once_per_node(x0, nodes):
+    # RK4 meets x_k, x_k + h/2 (twice) and x_k + h; each march evaluates
+    # the metric once at each of its nodes, and the self-check reuses them
+    sys_, passes = counting_system()
+    samp = integrate_new_tau(sys_, [0.2], (-1.0, 1.0), step=1e-2, x0=x0)
+    assert len(samp.xs) == 201
+    assert passes == {"value": nodes, "jet": nodes}
+
+
+@pytest.mark.parametrize("x0", [None, 0.25])
+def test_batched_self_check_equals_pointwise_residual(x0):
+    # the self-check evaluates all samples at once from the march's node data;
+    # the pointwise residual on the sampled fields is its reference
+    for sys_, tau0 in ((cartpole_system(CartpoleParams()), [0.3]),
+                       (random_system(7, Dims(1, 2), const_group=False), [0.2, -0.1])):
+        samp = integrate_new_tau(sys_, tau0, (-1.0, 1.0), step=1e-2, x0=x0)
+        fields = [row[0] for row in samp.as_fields()]
+        pointwise = max(float(np.abs(new_tau_ode_residual(sys_, fields, np.array([x]))).max())
+                        for x in samp.xs)
+        assert samp.max_ode_residual == pointwise
