@@ -27,7 +27,7 @@ from . import sim as simmod
 from .lagrangian import ShapingParams, controlled_implicit_sode, scalar_sigma_matrix
 from .model import (CartpoleParams, Dims, InclineParams, State, cartpole_system,
                     incline_system, synthetic_sm_system, validate_system)
-from .report import ResidualReport
+from .report import ResidualEntry, ResidualReport
 
 __all__ = ["main", "RunConfig", "ConfigError", "parse_config"]
 
@@ -175,6 +175,15 @@ class RunConfig:
         return rc
 
 
+def _require_gain_window(rc: RunConfig) -> None:
+    """The pole-free window of the shaped system around x = 0 exists only for
+    k above the gain bound at the equilibrium."""
+    kmin = ctl.gain_bound(rc.params, 0.0)
+    if not rc.gains.k > kmin:
+        raise ConfigError(f"gains.k = {rc.gains.k!r} must exceed the gain bound "
+                          f"{kmin!r} at the equilibrium")
+
+
 def _build_system_and_shaping(rc: RunConfig):
     """System, shaping and sigma scalar for the configured tau mode."""
     if rc.system == "cartpole":
@@ -199,6 +208,7 @@ def _build_system_and_shaping(rc: RunConfig):
         tau = tuple(sampled.as_fields())
     sigma_mat = scalar_sigma_matrix(sys_, rc.gains.sigma)
     if rc.system == "incline" and rc.gains.rho != 1.0:
+        _require_gain_window(rc)
         base = ShapingParams(tau=tau, sigma=sigma_mat, rho=rc.gains.rho)
         veps = ctl.incline_veps_field(rc.params, base, rc.gains)
         shp = ShapingParams(tau=tau, sigma=sigma_mat, rho=rc.gains.rho,
@@ -236,7 +246,6 @@ def cmd_check_matching(args) -> int:
             r = mt.new_tau_ode_residual(sys_, tau_fields, np.array([x]))
             worst = max(worst, float(np.abs(r).max()))
         ode_rep = ResidualReport("tau ODE residual (grid max)")
-        from .report import ResidualEntry
         tol = 1e-10 if rc.tau_mode == "new-closed-form" else 1e-6
         ode_rep.add(ResidualEntry.from_value("tau_ode", worst, tol))
         reports.append(ode_rep)
@@ -351,6 +360,8 @@ def _closed_loop_and_observers(rc: RunConfig):
 
 def cmd_simulate(args) -> int:
     rc = RunConfig.load(args.config, args)
+    if rc.system in ("cartpole", "incline"):
+        _require_gain_window(rc)
     loop, control, energy = _closed_loop_and_observers(rc)
     n = loop.n
     if len(rc.ic) != 2 * n:

@@ -18,10 +18,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from . import fields as fl
 from . import jets
 from .fields import SmoothField
-from .jets import Jet2, cos, jet_vars, value_of
+from .jets import Jet2, chain, cos, jet_vars, value_of
 from .lagrangian import (ExplicitSode, ShapingParams, controlled_lagrangian_generic,
                          kinetic_matrix, scalar_sigma_matrix)
 from .matching import new_tau_closed_form
@@ -430,8 +429,7 @@ class _HCurve:
         """h at a float, an array or a Jet2; h' and h'' of a jet are A and A'."""
         if isinstance(x, Jet2):
             a = self.A.eval_jet(jet_vars([x.f]))
-            return Jet2(float(self._spline(x.f)), a.f * x.g,
-                        a.f * x.h + a.g[0] * np.outer(x.g, x.g))
+            return chain(x, float(self._spline(x.f)), a.f, a.g[0])
         if isinstance(x, np.ndarray):
             return self._spline(x)
         return float(self._spline(x))
@@ -477,31 +475,17 @@ def incline_Veps(p: InclineParams, shaping: ShapingParams, gains: GainSelection,
 def incline_veps_field(p: InclineParams, shaping: ShapingParams, gains: GainSelection,
                        x_span: tuple[float, float] = INCLINE_LOOP_SPAN) -> SmoothField:
     """The extra potential as a SmoothField over (x, s); h cached on a grid,
-    first/second partials exact through A and its derivative."""
+    its jet derivatives exact through A and its derivative."""
     h = incline_h_curve(p, shaping, gains.k, x_span)
-    A = h.A
     slope = p.gamma * p.grav * math.sin(p.psi)
     c, s0 = gains.c, gains.s0
 
-    def value(u):
-        x, s = float(u[0]), float(u[1])
+    def veps(u):
+        x, s = u
         hx = h(x)
         return slope * s + 0.5 * s ** 2 - s * hx + c * x ** 2 - s0 * s + s0 * hx
 
-    def d1(u):
-        x, s = float(u[0]), float(u[1])
-        Ax = A.value(np.array([x]))
-        return np.array([(s0 - s) * Ax + 2.0 * c * x,
-                         slope + s - h(x) - s0])
-
-    def d2(u):
-        x, s = float(u[0]), float(u[1])
-        Ax = A.value(np.array([x]))
-        Apx = A.d1(np.array([x]))[0]
-        return np.array([[(s0 - s) * Apx + 2.0 * c, -Ax],
-                         [-Ax, 1.0]])
-
-    return fl.primitive(2, value, d1, d2)
+    return SmoothField(2, veps)
 
 
 def incline_shaping(p: InclineParams, gains: GainSelection,

@@ -2,17 +2,18 @@
 
 Metric components, potentials and the feedback-shaping one-form are all built
 from these.  A field holds one function ``fn(coords)`` written with the
-elementary functions of `jets`, so it accepts float or `Jet2` coordinates
-alike: ``value`` is one float pass, and ``d1``/``d2`` read the gradient and
-Hessian of one pass over seeded jets, which is exact forward-mode
-differentiation.  The algebra composes these functions and folds constant
-fields when the expression is built.
+elementary functions of `jets`, or with `jets.chain` for a curve known with
+its derivatives (a spline), so it accepts float or `Jet2` coordinates alike:
+``value`` is one float pass, and ``d1``/``d2`` read the gradient and Hessian
+of one pass over seeded jets, which is exact forward-mode differentiation.
+The algebra composes these functions and folds constant fields when the
+expression is built.
 
-Fields known only through value/d1/d2 callables (sampled curves, wrapped
-functions, first partials) are primitives whose function applies the chain
-rule to those callables.  Central differences enter in two places only: the
-Hessian of a first partial (exact would need third-order jets) and
-`from_callable`, which has no derivatives to offer.
+`gradient` gives a field's first partials at float or jet coordinates, as the
+Euler-Lagrange covector needs them.  At jets each partial carries a Hessian,
+a third derivative of the field; that is the one place central differences
+enter (of ``d2``, shared by all partials of the field), since `Jet2` stops at
+second order.
 """
 
 from __future__ import annotations
@@ -24,19 +25,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .jets import Jet2, as_jet, fd_value_grad_hess, jet_vars
+from .jets import Jet2, as_jet, jet_vars
 
 __all__ = [
     "SmoothField",
     "constant",
     "coordinate",
     "linear",
-    "primitive",
-    "from_callable",
     "sin_of",
     "cos_of",
     "sqrt_of",
     "field_eval",
+    "gradient",
 ]
 
 
@@ -120,77 +120,6 @@ class SmoothField:
             return self * (1.0 / float(other))
         return self._binary(other, operator.truediv)
 
-    def partial(self, i: int) -> "SmoothField":
-        """The i-th first partial as a field.
-
-        Value and gradient are exact (they read this field's d1/d2); the
-        second derivative falls back to central differences of d2, which is
-        acceptable because no residual consumes third derivatives.
-        """
-        if self.const is not None:
-            return constant(0.0, self.arity)
-        a = self
-        h = float(np.cbrt(np.finfo(float).eps))
-
-        def d2(u):
-            u = np.asarray(u, dtype=float)
-            out = np.zeros((a.arity, a.arity))
-            for k in range(a.arity):
-                step = h * max(1.0, abs(u[k]))
-                up, um = u.copy(), u.copy()
-                up[k] += step
-                um[k] -= step
-                out[k, :] = (a.d2(up)[i] - a.d2(um)[i]) / (2 * step)
-            return 0.5 * (out + out.T)
-
-        return primitive(self.arity, lambda u: a.d1(u)[i], lambda u: a.d2(u)[i], d2)
-
-
-class _Primitive(SmoothField):
-    """A field given by value, d1 and d2 callables of a coordinate array."""
-
-    __slots__ = ("_value", "_d1", "_d2")
-
-    def __init__(self, arity: int, value, d1, d2):
-        super().__init__(arity, self._chain)
-        self._value, self._d1, self._d2 = value, d1, d2
-
-    def value(self, u) -> float:
-        return self._value(np.asarray(u, dtype=float))
-
-    def d1(self, u) -> np.ndarray:
-        return self._d1(np.asarray(u, dtype=float))
-
-    def d2(self, u) -> np.ndarray:
-        return self._d2(np.asarray(u, dtype=float))
-
-    def _chain(self, coords):
-        """Floats give the value; jets compose d1/d2 by the chain rule."""
-        if not isinstance(coords[0], Jet2):
-            return self._value(np.asarray(coords, dtype=float))
-        m = coords[0].m
-        u = np.array([c.f for c in coords])
-        g1 = self._d1(u).tolist()
-        g2 = self._d2(u).tolist()
-        grad = np.zeros(m)
-        hess = np.zeros((m, m))
-        for gi, ci in zip(g1, coords):
-            if gi != 0.0:
-                grad += gi * ci.g
-                hess += gi * ci.h
-        for row, ci in zip(g2, coords):
-            for gij, cj in zip(row, coords):
-                if gij != 0.0:
-                    hess += gij * (ci.g[:, None] * cj.g)
-        return Jet2(self._value(u), grad, hess)
-
-
-def primitive(arity: int, value: Callable[[np.ndarray], float],
-              d1: Callable[[np.ndarray], np.ndarray],
-              d2: Callable[[np.ndarray], np.ndarray]) -> SmoothField:
-    """A field from value/d1/d2 callables; jets pass through the chain rule."""
-    return _Primitive(arity, value, d1, d2)
-
 
 def _unary(field: SmoothField, fun) -> SmoothField:
     if field.const is not None:
@@ -209,20 +138,10 @@ def coordinate(i: int, arity: int) -> SmoothField:
 
 
 def linear(coeffs: Sequence[float], const: float, arity: int) -> SmoothField:
-    c = np.asarray(coeffs, dtype=float)
+    """sum(c_i u_i) + b."""
+    c = [float(v) for v in coeffs]
     b = float(const)
-    return primitive(arity, lambda u: float(c @ u) + b, lambda u: c.copy(),
-                     lambda u: np.zeros((arity, arity)))
-
-
-def from_callable(fn: Callable[[np.ndarray], float], arity: int) -> SmoothField:
-    """Wrap a bare function; derivatives by central differences."""
-
-    def vgh(u):
-        return fd_value_grad_hess(lambda v: np.array([fn(v)]), u)
-
-    return primitive(arity, lambda u: float(fn(u)),
-                     lambda u: vgh(u)[1][0], lambda u: vgh(u)[2][0])
+    return SmoothField(arity, lambda u: sum(ci * ui for ci, ui in zip(c, u)) + b)
 
 
 def sin_of(field: SmoothField) -> SmoothField:
@@ -243,3 +162,54 @@ def field_eval(field: SmoothField, coords):
         if isinstance(c, Jet2):
             return field.eval_jet([as_jet(v, c.m) for v in coords])
     return field.fn(coords)
+
+
+_H3 = float(np.cbrt(np.finfo(float).eps))   # step of the third-derivative differences
+
+
+def gradient(field: SmoothField, coords) -> Sequence:
+    """First partials of ``field`` at float or jet coordinates.
+
+    Floats give the gradient of one jet pass.  Jets compose the gradient and
+    Hessian of one pass at the value parts with the coordinates' jets by the
+    chain rule; the Hessian of each partial takes central differences of
+    ``d2`` along every coordinate, symmetrised, computed once for all partials.
+    """
+    n = field.arity
+    seed = next((c for c in coords if isinstance(c, Jet2)), None)
+    if field.const is not None:
+        return [0.0] * n if seed is None else [as_jet(0.0, seed.m) for _ in range(n)]
+    if seed is None:
+        return field.d1(coords)
+    coords = [as_jet(v, seed.m) for v in coords]
+    u = np.array([c.f for c in coords])
+    top = field.eval_jet(jet_vars(u))
+    d3 = []
+    for k in range(n):
+        step = _H3 * max(1.0, abs(u[k]))
+        up, um = u.copy(), u.copy()
+        up[k] += step
+        um[k] -= step
+        d3.append((field.d2(up) - field.d2(um)) / (2 * step))
+    out = []
+    for i in range(n):
+        t = np.array([d3k[i] for d3k in d3])
+        out.append(_compose(top.g[i], top.h[i].tolist(), (0.5 * (t + t.T)).tolist(), coords))
+    return out
+
+
+def _compose(f, g1: list, g2: list, coords: list) -> Jet2:
+    """The jet of a function with value f, gradient g1 and Hessian g2 at the
+    coordinates' value parts, composed with the coordinate jets."""
+    m = coords[0].m
+    grad = np.zeros(m)
+    hess = np.zeros((m, m))
+    for gi, ci in zip(g1, coords):
+        if gi != 0.0:
+            grad += gi * ci.g
+            hess += gi * ci.h
+    for row, ci in zip(g2, coords):
+        for gij, cj in zip(row, coords):
+            if gij != 0.0:
+                hess += gij * (ci.g[:, None] * cj.g)
+    return Jet2(f, grad, hess)

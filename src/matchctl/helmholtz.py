@@ -82,12 +82,6 @@ def sode_tensors(field: ExplicitSode, state: State, backend: str = "jet") -> Sod
     return SodeTensors(state=state, gamma=gamma, nabla=nabla, jacobi=jacobi)
 
 
-def _norm_entry(name: str, residuals, term_scales, tol: float) -> ResidualEntry:
-    raw = float(np.max(np.abs(residuals))) if np.size(residuals) else 0.0
-    scale = max(1.0, float(np.max(term_scales))) if np.size(term_scales) else 1.0
-    return ResidualEntry.from_value(name, raw / scale, tol, raw=raw)
-
-
 def explicit_helmholtz_residuals(field: ExplicitSode,
                                  multiplier: Callable,
                                  state: State,
@@ -124,7 +118,7 @@ def explicit_helmholtz_residuals(field: ExplicitSode,
     tens = sode_tensors(field, state, backend=backend)
     report = ResidualReport("explicit multiplier conditions")
 
-    report.add(_norm_entry("symmetry", gval - gval.T, np.abs(gval), tol))
+    report.add(ResidualEntry.normalized("symmetry", gval - gval.T, np.abs(gval), tol))
 
     vel_res, vel_scale = [], [1.0]
     for i in range(n):
@@ -132,7 +126,7 @@ def explicit_helmholtz_residuals(field: ExplicitSode,
             for k in range(n):
                 vel_res.append(g_qd[i, j, k] - g_qd[i, k, j])
                 vel_scale += [abs(g_qd[i, j, k]), abs(g_qd[i, k, j])]
-    report.add(_norm_entry("velocity_symmetry", vel_res, vel_scale, tol))
+    report.add(ResidualEntry.normalized("velocity_symmetry", vel_res, vel_scale, tol))
 
     tr_res, tr_scale = [], [1.0]
     for i in range(n):
@@ -142,10 +136,10 @@ def explicit_helmholtz_residuals(field: ExplicitSode,
             t2 = float(tens.nabla[:, i] @ gval[:, j])
             tr_res.append(along - t1 - t2)
             tr_scale += [abs(along), abs(t1), abs(t2)]
-    report.add(_norm_entry("metric_transport", tr_res, tr_scale, tol))
+    report.add(ResidualEntry.normalized("metric_transport", tr_res, tr_scale, tol))
 
     gphi = gval @ tens.jacobi
-    report.add(_norm_entry("jacobi_symmetry", gphi - gphi.T, np.abs(gphi), tol))
+    report.add(ResidualEntry.normalized("jacobi_symmetry", gphi - gphi.T, np.abs(gphi), tol))
 
     det = float(np.linalg.det(gval))
     report.add(ResidualEntry(name="regularity", value=abs(det), tol=det_floor,
@@ -193,7 +187,7 @@ def exactness_residuals(field: ImplicitSode, state: State, accel: np.ndarray,
                      + hess[i, row, 2 * n:] @ jerk)
 
     report = ResidualReport("exactness conditions")
-    report.add(_norm_entry("accel_symmetry", C - C.T, np.abs(C), tol))
+    report.add(ResidualEntry.normalized("accel_symmetry", C - C.T, np.abs(C), tol))
 
     r2, s2 = [], [1.0]
     r3, s3 = [], [1.0]
@@ -207,8 +201,8 @@ def exactness_residuals(field: ImplicitSode, state: State, accel: np.ndarray,
             dd = ddt(i, 2, j) + ddt(j, 2, i)
             r3.append(c - dd)
             s3 += [abs(Pqd[i, j]), abs(Pqd[j, i]), abs(dd)]
-    report.add(_norm_entry("position_exactness", r2, s2, tol))
-    report.add(_norm_entry("velocity_exactness", r3, s3, tol))
+    report.add(ResidualEntry.normalized("position_exactness", r2, s2, tol))
+    report.add(ResidualEntry.normalized("velocity_exactness", r3, s3, tol))
     return report
 
 
@@ -318,7 +312,7 @@ def implicit_helmholtz_residuals(field: ImplicitSode,
         if not r:
             report.add(ResidualEntry.skip(name, "index class empty at these dims"))
         else:
-            report.add(_norm_entry(name, r, s, tol))
+            report.add(ResidualEntry.normalized(name, r, s, tol))
     return report
 
 

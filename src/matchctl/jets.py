@@ -21,6 +21,7 @@ __all__ = [
     "jet_vars",
     "as_jet",
     "value_of",
+    "chain",
     "sin",
     "cos",
     "sqrt",
@@ -107,14 +108,15 @@ class Jet2:
         if not isinstance(p, Real):
             return NotImplemented
         f = self.f
-        return _chain(self, f ** p, p * f ** (p - 1), p * (p - 1) * f ** (p - 2))
+        return chain(self, f ** p, p * f ** (p - 1), p * (p - 1) * f ** (p - 2))
 
     def __repr__(self):
         return f"Jet2({self.f!r}, grad={self.g!r})"
 
 
-def _chain(x: Jet2, u: float, du: float, d2u: float) -> Jet2:
-    """Compose a scalar function with known derivatives at x.f through the jet."""
+def chain(x: Jet2, u: float, du: float, d2u: float) -> Jet2:
+    """Compose a scalar function with value u and derivatives du, d2u at x.f
+    through the jet x."""
     outer = x.g[:, None] * x.g
     return Jet2(u, du * x.g, du * x.h + d2u * outer)
 
@@ -147,34 +149,34 @@ def value_of(x) -> float:
 def sin(x):
     if isinstance(x, Jet2):
         s, c = math.sin(x.f), math.cos(x.f)
-        return _chain(x, s, c, -s)
+        return chain(x, s, c, -s)
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Jet2):
         s, c = math.sin(x.f), math.cos(x.f)
-        return _chain(x, c, -s, -c)
+        return chain(x, c, -s, -c)
     return math.cos(x)
 
 
 def sqrt(x):
     if isinstance(x, Jet2):
         r = math.sqrt(x.f)
-        return _chain(x, r, 0.5 / r, -0.25 / (r * x.f))
+        return chain(x, r, 0.5 / r, -0.25 / (r * x.f))
     return math.sqrt(x)
 
 
 def exp(x):
     if isinstance(x, Jet2):
         e = math.exp(x.f)
-        return _chain(x, e, e, e)
+        return chain(x, e, e, e)
     return math.exp(x)
 
 
 def log(x):
     if isinstance(x, Jet2):
-        return _chain(x, math.log(x.f), 1.0 / x.f, -1.0 / x.f ** 2)
+        return chain(x, math.log(x.f), 1.0 / x.f, -1.0 / x.f ** 2)
     return math.log(x)
 
 

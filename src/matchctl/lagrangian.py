@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import SmoothField, field_eval
+from .fields import SmoothField, field_eval, gradient
 from .jets import Jet2, jet_vars, solve_generic, value_of
 from .model import Dims, MechanicalSystem, State
 
@@ -82,16 +82,6 @@ class ShapingParams:
             if self.rho != 1.0:
                 raise ValueError("give either scalar rho or an explicit g_rho, not both")
             object.__setattr__(self, "g_rho", g_rho)
-        ns = tau[0][0].arity
-        partials = tuple(tuple(tuple(f.partial(k) for k in range(ns)) for f in row)
-                         for row in tau)
-        object.__setattr__(self, "tau_partials", partials)
-        if self.epsilon_potential is not None:
-            eps = self.epsilon_potential
-            object.__setattr__(self, "eps_partials",
-                               tuple(eps.partial(i) for i in range(eps.arity)))
-        else:
-            object.__setattr__(self, "eps_partials", None)
 
     @property
     def n_group(self) -> int:
@@ -167,8 +157,8 @@ def _entries(block, coords):
     return [[field_eval(f, coords) for f in row] for row in block]
 
 
-def _partial_entries(partials, coords):
-    return [[[field_eval(f, coords) for f in fs] for fs in row] for row in partials]
+def _gradients(block, coords):
+    return [[gradient(f, coords) for f in row] for row in block]
 
 
 def _matvec(M, v):
@@ -199,8 +189,8 @@ def _metric_data(sys: MechanicalSystem, q):
     """Metric blocks, their first partials and dV at q (floats or jets)."""
     x = list(q[: sys.dims.n_shape])
     return (_entries(sys.g_ss, x), _entries(sys.g_sg, x), _entries(sys.g_gg, x),
-            _partial_entries(sys.g_ss_partials, x), _partial_entries(sys.g_sg_partials, x),
-            _partial_entries(sys.g_gg_partials, x), [field_eval(f, list(q)) for f in sys.V_partials])
+            _gradients(sys.g_ss, x), _gradients(sys.g_sg, x), _gradients(sys.g_gg, x),
+            gradient(sys.V, list(q)))
 
 
 def el_covector(sys: MechanicalSystem, q, qd, qdd):
@@ -273,9 +263,9 @@ def controlled_el_covector(sys: MechanicalSystem, shaping: ShapingParams, q, qd,
     phi = _el_covector(sys, data, qd, qdd)
     _, _, ggg, _, _, dgg, dV = data
     tau = _entries(shaping.tau, x)
-    dtau = _partial_entries(shaping.tau_partials, x)
-    if shaping.eps_partials is not None:
-        dVe = [field_eval(f, list(q)) for f in shaping.eps_partials]
+    dtau = _gradients(shaping.tau, x)
+    if shaping.epsilon_potential is not None:
+        dVe = gradient(shaping.epsilon_potential, list(q))
     else:
         dVe = [0.0] * (ns + ng)
 
@@ -508,10 +498,6 @@ class ExplicitSode:
         dq = np.array([j.g[: self.n] for j in jets])
         dqd = np.array([j.g[self.n:] for j in jets])
         return dq, dqd
-
-    @staticmethod
-    def from_callable(n: int, gamma: Callable, dims: Dims | None = None) -> "ExplicitSode":
-        return ExplicitSode(n, gamma, dims=dims)
 
 
 def _metric_block(sys: MechanicalSystem, q):

@@ -17,7 +17,7 @@ from scipy.interpolate import CubicSpline
 
 from . import fields as fl
 from .fields import SmoothField
-from .jets import solve_generic, sqrt
+from .jets import Jet2, chain, solve_generic, sqrt
 from .lagrangian import ShapingParams
 from .model import MechanicalSystem
 from .report import ResidualEntry, ResidualReport
@@ -60,12 +60,6 @@ def default_grid(lo: float = -1.3, hi: float = 1.3, n: int = 41) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _norm_entry(name: str, residuals, scales, tol: float) -> ResidualEntry:
-    raw = float(np.max(np.abs(residuals))) if np.size(residuals) else 0.0
-    scale = max(1.0, float(np.max(np.abs(scales)))) if np.size(scales) else 1.0
-    return ResidualEntry.from_value(name, raw / scale, tol, raw=raw)
-
-
 def _point_data(sys: MechanicalSystem, shaping: ShapingParams, x: np.ndarray):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     gsg = sys.gsg(x)
@@ -94,11 +88,11 @@ def matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
     report = ResidualReport("matching conditions")
 
     m1 = tau + np.einsum("ab,la->bl", sigma_inv, gsg)
-    report.add(_norm_entry("M1", m1, [np.abs(tau).max(), np.abs(gsg).max()], tol))
+    report.add(ResidualEntry.normalized("M1", m1, [np.abs(tau).max(), np.abs(gsg).max()], tol))
 
     # sigma constant, so only the metric-derivative terms survive
     m2 = np.einsum("bd,adl->bal", sigma_inv, dgg) - 2.0 * np.einsum("bd,adl->bal", ggg_inv, dgg)
-    report.add(_norm_entry("M2", m2, [np.abs(dgg).max()], tol))
+    report.add(ResidualEntry.normalized("M2", m2, [np.abs(dgg).max()], tol))
 
     m3 = np.zeros((ng, ns, ns))
     for b in range(ng):
@@ -107,7 +101,7 @@ def matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
                 m3[b, al, be] = dtau[b, al, be] - dtau[b, be, al] \
                     - sum(ggg_inv[d, b] * dgg[a, d, al] * tau[a, be]
                           for a in range(ng) for d in range(ng))
-    report.add(_norm_entry("M3", m3, [np.abs(dtau).max(), np.abs(dgg).max()], tol))
+    report.add(ResidualEntry.normalized("M3", m3, [np.abs(dtau).max(), np.abs(dgg).max()], tol))
     return report
 
 
@@ -130,24 +124,25 @@ def simplified_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
 
     s_hat, dev = fit_scalar_sigma(shaping, ggg)
     sm1_scale = max(np.abs(shaping.sigma).max(), np.abs(ggg).max())
-    sm1 = _norm_entry("SM1", [dev], [sm1_scale], tol)
+    sm1 = ResidualEntry.normalized("SM1", [dev], [sm1_scale], tol)
     report.add(sm1)
 
-    report.add(_norm_entry("SM2", dgg, [np.abs(ggg).max()], tol))
+    report.add(ResidualEntry.normalized("SM2", dgg, [np.abs(ggg).max()], tol))
 
     if not sm1.passed or s_hat == 0.0:
         report.add(ResidualEntry.skip("SM3", "sigma not a scalar multiple of g_gg"))
     else:
         ggg_inv = np.linalg.inv(ggg)
         sm3 = tau + (1.0 / s_hat) * np.einsum("ab,la->bl", ggg_inv, gsg)
-        report.add(_norm_entry("SM3", sm3, [np.abs(tau).max(), np.abs(gsg).max()], tol))
+        report.add(ResidualEntry.normalized("SM3", sm3, [np.abs(tau).max(), np.abs(gsg).max()],
+                                            tol))
 
     sm4 = np.zeros((ns, ng, ns))
     for al in range(ns):
         for a in range(ng):
             for de in range(ns):
                 sm4[al, a, de] = dsg[al, a][de] - dsg[de, a][al]
-    report.add(_norm_entry("SM4", sm4, [np.abs(dsg).max()], tol))
+    report.add(ResidualEntry.normalized("SM4", sm4, [np.abs(dsg).max()], tol))
 
     if not sys.breaks_group_symmetry:
         report.add(ResidualEntry.skip("SM5", "group symmetry unbroken"))
@@ -160,7 +155,7 @@ def simplified_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
         mixed = v2[:ns, ns:]          # V_{,alpha a}
         proj = mixed @ ggg_inv @ gsg.T    # V_{,alpha a} g^{ad} g_{beta d}
         sm5 = proj - proj.T
-        report.add(_norm_entry("SM5", sm5, [np.abs(proj).max()], tol))
+        report.add(ResidualEntry.normalized("SM5", sm5, [np.abs(proj).max()], tol))
     return report
 
 
@@ -185,7 +180,7 @@ def generalized_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams
         dvarpi = -dgg
     else:
         dvarpi = (shaping.rho - 1.0) * dgg
-    report.add(_norm_entry("GM3", dvarpi, [np.abs(varpi).max(), 1.0], tol))
+    report.add(ResidualEntry.normalized("GM3", dvarpi, [np.abs(varpi).max(), 1.0], tol))
 
     try:
         rho_inv = np.linalg.inv(g_rho)
@@ -214,8 +209,8 @@ def generalized_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams
                 term -= sum(rho_inv[d, b] * dgg[a, d, al] * tau[a, de]
                             for a in range(ng) for d in range(ng))
                 gm4[b, al, de] = term
-    report.add(_norm_entry("GM4", gm4, [np.abs(dtau).max(), np.abs(dgg).max(),
-                                        np.abs(zeta).max(), 1.0], tol))
+    report.add(ResidualEntry.normalized("GM4", gm4, [np.abs(dtau).max(), np.abs(dgg).max(),
+                                                     np.abs(zeta).max(), 1.0], tol))
     return report
 
 
@@ -343,12 +338,20 @@ class SampledTau:
         return np.array([s(x, 1) for s in self._splines])
 
     def as_fields(self) -> tuple:
-        out = []
-        for s in self._splines:
-            out.append((fl.primitive(1, lambda u, s=s: float(s(u[0])),
-                                     lambda u, s=s: np.array([float(s(u[0], 1))]),
-                                     lambda u, s=s: np.array([[float(s(u[0], 2))]])),))
-        return tuple(out)
+        return tuple((_spline_field(s),) for s in self._splines)
+
+
+def _spline_field(s: CubicSpline) -> SmoothField:
+    """The spline as a field of one coordinate; a jet goes through the chain
+    rule with the spline's own first two derivatives."""
+
+    def fn(u):
+        x = u[0]
+        if isinstance(x, Jet2):
+            return chain(x, float(s(x.f)), float(s(x.f, 1)), float(s(x.f, 2)))
+        return float(s(x))
+
+    return SmoothField(1, fn)
 
 
 def _slope(S0: float, r0: float, g1, tau: list, x: float) -> list:

@@ -110,8 +110,7 @@ class MechanicalSystem:
     """Block kinetic metric over shape coordinates plus a potential.
 
     Blocks are matrices of SmoothField over the shape coordinates; V is a
-    SmoothField over all coordinates.  Instances are immutable; first-partial
-    fields of every block entry are precomputed for jet evaluation.
+    SmoothField over all coordinates.  Instances are immutable.
     """
 
     def __init__(self, dims: Dims, g_ss, g_sg, g_gg, V: SmoothField,
@@ -122,14 +121,6 @@ class MechanicalSystem:
         self.g_gg = tuple(tuple(row) for row in g_gg)
         self.V = V
         self.breaks_group_symmetry = breaks_group_symmetry
-        self.V_partials = tuple(V.partial(i) for i in range(dims.total))
-        ns = dims.n_shape
-        self.g_ss_partials = tuple(tuple(tuple(f.partial(k) for k in range(ns)) for f in row)
-                                   for row in self.g_ss)
-        self.g_sg_partials = tuple(tuple(tuple(f.partial(k) for k in range(ns)) for f in row)
-                                   for row in self.g_sg)
-        self.g_gg_partials = tuple(tuple(tuple(f.partial(k) for k in range(ns)) for f in row)
-                                   for row in self.g_gg)
 
     # -- float evaluation ------------------------------------------------------
 
@@ -148,23 +139,6 @@ class MechanicalSystem:
         top = np.hstack([gss, gsg])
         bot = np.hstack([gsg.T, ggg])
         return np.vstack([top, bot])
-
-    def metric_d1(self, x: np.ndarray) -> np.ndarray:
-        """d(metric)/dx^k, shape (n, n, n_shape)."""
-        n, ns, ng = self.dims.total, self.dims.n_shape, self.dims.n_group
-        out = np.zeros((n, n, ns))
-        for i in range(ns):
-            for j in range(ns):
-                out[i, j, :] = self.g_ss[i][j].d1(x)
-        for i in range(ns):
-            for a in range(ng):
-                d = self.g_sg[i][a].d1(x)
-                out[i, ns + a, :] = d
-                out[ns + a, i, :] = d
-        for a in range(ng):
-            for b in range(ng):
-                out[ns + a, ns + b, :] = self.g_gg[a][b].d1(x)
-        return out
 
     def V_value(self, q: np.ndarray) -> float:
         return self.V.value(np.asarray(q, dtype=float))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["ResidualEntry", "ResidualReport"]
 
 
@@ -23,6 +25,13 @@ class ResidualEntry:
                    note: str = "") -> "ResidualEntry":
         return cls(name=name, value=float(value), tol=float(tol),
                    passed=bool(value <= tol), raw=raw, note=note)
+
+    @classmethod
+    def normalized(cls, name: str, residuals, scales, tol: float) -> "ResidualEntry":
+        """Largest |residual| over max(1, largest |scale|), keeping the raw value."""
+        raw = float(np.max(np.abs(residuals))) if np.size(residuals) else 0.0
+        scale = max(1.0, float(np.max(np.abs(scales)))) if np.size(scales) else 1.0
+        return cls.from_value(name, raw / scale, tol, raw=raw)
 
     @classmethod
     def skip(cls, name: str, note: str = "") -> "ResidualEntry":

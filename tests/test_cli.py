@@ -294,6 +294,24 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, command, extra, a
     assert err.startswith("config error: ") and key in err
 
 
+@pytest.mark.parametrize("command, base", [
+    ("simulate", CARTPOLE_FAST),
+    ("simulate", INCLINE_FAST),
+    ("check-matching", INCLINE_FAST),
+    ("check-helmholtz", INCLINE_FAST),
+    ("synthesize-tau", INCLINE_FAST),
+], ids=["cartpole-simulate", "incline-simulate", "incline-check-matching",
+        "incline-check-helmholtz", "incline-synthesize-tau"])
+def test_gain_at_or_below_bound_is_config_error(tmp_path, capsys, command, base):
+    kmin = ctl.gain_bound(InclineParams(psi=0.3), 0.0)
+    for k in (1.0, kmin):
+        text = base.format(out=tmp_path / "out") + f"gains.k = {k!r}\n"
+        cfg = write_cfg(tmp_path, "low.cfg", text)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "gains.k" in err and repr(kmin) in err
+
+
 def test_unexpected_error_names_its_class(tmp_path, capsys, monkeypatch):
     import matchctl.cli as cli
 

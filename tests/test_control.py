@@ -236,6 +236,24 @@ def test_incline_h_and_critical_point(incline_params, incline_gains):
     assert abs(dV[1] + grad[1]) < 1e-10
 
 
+def test_incline_veps_field_derivatives_match_closed_forms(incline_params):
+    # d/dx = (s0 - s) A + 2 c x, d/ds = slope + s - h - s0, with A' from A's jet
+    p = incline_params
+    gains = GainSelection(k=35.0, sigma=1.0, rho=2.0, c=6.0, s0=0.3)
+    base = incline_base_shaping(p, gains)
+    veps = incline_veps_field(p, base, gains)
+    h = incline_h_curve(p, base, gains.k, (-1.5, 1.5))
+    slope = p.gamma * p.grav * math.sin(p.psi)
+    for x, s in ((-0.7, 0.4), (0.0, -1.2), (0.5, 0.3), (0.9, 2.0)):
+        A = h.A.value(np.array([x]))
+        dA = h.A.d1(np.array([x]))[0]
+        d1 = [(gains.s0 - s) * A + 2.0 * gains.c * x, slope + s - h(x) - gains.s0]
+        d2 = [[(gains.s0 - s) * dA + 2.0 * gains.c, -A], [-A, 1.0]]
+        u = np.array([x, s])
+        assert np.abs(veps.d1(u) - d1).max() <= 1e-13 * np.abs(d1).max()
+        assert np.abs(veps.d2(u) - d2).max() <= 1e-13 * np.abs(d2).max()
+
+
 def test_incline_pde_residual(incline_params, incline_gains):
     # difference oracle on the extra potential, Richardson-refined in x
     p = incline_params

@@ -14,10 +14,11 @@ import pytest
 import sympy as sp
 
 import matchctl.control as ctl
+import matchctl.fields as fl
 from matchctl.control import (INCLINE_LOOP_SPAN, GainSelection, cartpole_closed_loop,
                               incline_A_field, incline_base_shaping, incline_closed_loop,
                               incline_h_curve)
-from matchctl.jets import Jet2
+from matchctl.jets import Jet2, jet_vars
 from matchctl.lagrangian import ShapingParams, scalar_sigma_matrix
 from matchctl.matching import new_tau_closed_form
 from matchctl.model import CartpoleParams, InclineParams, cartpole_system, incline_system
@@ -111,6 +112,21 @@ def test_eval_jet_matches_chain_rule(field, expr):
         _assert_rel(out.f, field.value(u), 1e-13)
         _assert_rel(out.g, grad, 1e-13)
         _assert_rel(out.h, hess, 1e-13)
+
+
+@pytest.mark.parametrize("field, expr", _cases())
+def test_gradient_on_jets_matches_sympy_third_derivatives(field, expr):
+    syms = (X, S)[: field.arity]
+    third = [[[sp.diff(expr, a, b, c) for c in syms] for b in syms] for a in syms]
+    for u in _points(field.arity, seed=29)[:5]:
+        at = dict(zip(syms, (sp.Float(float(c), 30) for c in u)))
+        parts = fl.gradient(field, jet_vars(u))
+        d1, d2 = field.d1(u), field.d2(u)
+        for i, part in enumerate(parts):
+            assert part.f == d1[i]
+            assert np.array_equal(part.g, d2[i])
+            _assert_rel(part.h, [[float(sp.N(e.subs(at), 30)) for e in row]
+                                 for row in third[i]], 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -45,13 +45,6 @@ def test_constant_coordinate_linear():
     assert np.allclose(lin.d1(u), [1.0, 2.0, 3.0])
 
 
-def test_from_callable_fallback():
-    f = fl.from_callable(lambda u: float(np.sin(u[0]) * u[1]), 2)
-    u = np.array([0.4, 1.2])
-    assert f.d1(u)[0] == pytest.approx(np.cos(0.4) * 1.2, rel=1e-6)
-    assert f.d2(u)[0, 1] == pytest.approx(np.cos(0.4), rel=1e-4)
-
-
 def test_eval_jet_chain_rule():
     f = build_sample()
     jets = jet_vars([0.3, -0.8])
@@ -75,12 +68,29 @@ def test_eval_jet_through_composition():
     assert out.h[0, 0] == pytest.approx(h_fd[0, 0, 0], abs=1e-4)
 
 
-def test_partial_field_exact_value_and_gradient():
+def test_gradient_on_floats_is_d1():
     f = build_sample()
-    p0 = f.partial(0)
     u = np.array([0.9, 0.1])
-    assert p0.value(u) == f.d1(u)[0]
-    assert np.array_equal(p0.d1(u), f.d2(u)[0])
+    assert np.array_equal(fl.gradient(f, list(u)), f.d1(u))
+    assert fl.gradient(fl.constant(2.0, 2), [0.9, 0.1]) == [0.0, 0.0]
+
+
+def test_gradient_on_jets_value_and_gradient_are_d1_d2():
+    f = build_sample()
+    u = np.array([0.9, 0.1])
+    parts = fl.gradient(f, jet_vars(u))
+    for i, p in enumerate(parts):
+        assert p.f == f.d1(u)[i]
+        assert np.array_equal(p.g, f.d2(u)[i])
+        assert np.array_equal(p.h, p.h.T)
+
+
+def test_gradient_on_mixed_coordinates_promotes_floats():
+    f = build_sample()
+    (x,) = jet_vars([0.5])
+    parts = fl.gradient(f, [x, 0.25])
+    d2 = f.d2(np.array([0.5, 0.25]))
+    assert [p.g[0] for p in parts] == [d2[0, 0], d2[1, 0]]
 
 
 def test_field_eval_mixed_inputs():

@@ -27,7 +27,7 @@ def test_tensors_free_particle():
 
 
 def test_tensors_harmonic_oscillator():
-    field = ExplicitSode.from_callable(1, lambda q, qd: [-1.0 * q[0]])
+    field = ExplicitSode(1, lambda q, qd: [-1.0 * q[0]])
     t = sode_tensors(field, State(q=[0.7], qdot=[0.3]))
     assert t.jacobi[0, 0] == pytest.approx(2.0, abs=1e-12)
     assert t.nabla[0, 0] == 0.0
@@ -53,7 +53,7 @@ def test_explicit_gradient_system_identity_multiplier():
         from matchctl.jets import cos, sin
         return [-1.0 * sin(q[0]) * cos(q[1]), -1.0 * cos(q[0]) * sin(q[1])]
 
-    field = ExplicitSode.from_callable(2, gamma)
+    field = ExplicitSode(2, gamma)
 
     def ident(q, qd):
         return [[1.0, 0.0], [0.0, 1.0]]

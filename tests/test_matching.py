@@ -240,6 +240,18 @@ def test_integrate_recovers_closed_form(cartpole):
     assert samp.max_ode_residual < 1e-6
 
 
+def test_sampled_tau_fields_are_the_spline(cartpole):
+    tau = new_tau_closed_form(cartpole, 35.0)
+    samp = integrate_new_tau(cartpole, [tau.value(np.array([-1.0]))], (-1.0, 1.0), step=1e-2)
+    (field,), = samp.as_fields()
+    (spline,) = samp._splines
+    for x in (-0.95, -0.3, 0.0, 0.41, 0.99):
+        u = np.array([x])
+        assert field.value(u) == float(spline(x))
+        assert field.d1(u)[0] == float(spline(x, 1))
+        assert field.d2(u)[0, 0] == float(spline(x, 2))
+
+
 def test_integrate_zero_initial(cartpole):
     samp = integrate_new_tau(cartpole, [0.0], (-1.0, 1.0), step=1e-2)
     assert np.abs(samp.values).max() == 0.0

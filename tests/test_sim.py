@@ -9,11 +9,11 @@ from matchctl.sim import Trajectory, energy_drift, integrate, write_csv
 
 
 def harmonic() -> ExplicitSode:
-    return ExplicitSode.from_callable(1, lambda q, qd: [-1.0 * q[0]])
+    return ExplicitSode(1, lambda q, qd: [-1.0 * q[0]])
 
 
 def free() -> ExplicitSode:
-    return ExplicitSode.from_callable(2, lambda q, qd: [0.0, 0.0], dims=Dims(1, 1))
+    return ExplicitSode(2, lambda q, qd: [0.0, 0.0], dims=Dims(1, 1))
 
 
 def test_free_particle_exact():
@@ -86,7 +86,7 @@ def test_guard_event_halts():
 
 
 def test_nonfinite_event_halts():
-    blow = ExplicitSode.from_callable(1, lambda q, qd: [q[0] * 1e8])
+    blow = ExplicitSode(1, lambda q, qd: [q[0] * 1e8])
     with np.errstate(over="ignore", invalid="ignore"):
         traj = integrate(blow, State(q=[1.0], qdot=[0.0]), dt=0.1, t_end=10.0)
     assert traj.events and traj.events[0][1] == "nonfinite"
