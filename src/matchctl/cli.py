@@ -175,13 +175,20 @@ class RunConfig:
         return rc
 
 
-def _require_gain_window(rc: RunConfig) -> None:
+def _require_gain_window(rc: RunConfig, span: tuple[float, float] | None = None) -> None:
     """The pole-free window of the shaped system around x = 0 exists only for
-    k above the gain bound at the equilibrium."""
+    k above the gain bound at the equilibrium.  For the incline it must also
+    keep part of ``span``, the shape span the command builds its curves on;
+    just above the bound it is narrower than its margins."""
     kmin = ctl.gain_bound(rc.params, 0.0)
     if not rc.gains.k > kmin:
         raise ConfigError(f"gains.k = {rc.gains.k!r} must exceed the gain bound "
                           f"{kmin!r} at the equilibrium")
+    if span is not None:
+        try:
+            ctl.incline_safe_span(rc.params, rc.gains.k, span)
+        except ValueError as exc:
+            raise ConfigError(f"gains.k = {rc.gains.k!r}: {exc}") from exc
 
 
 def _build_system_and_shaping(rc: RunConfig):
@@ -208,7 +215,7 @@ def _build_system_and_shaping(rc: RunConfig):
         tau = tuple(sampled.as_fields())
     sigma_mat = scalar_sigma_matrix(sys_, rc.gains.sigma)
     if rc.system == "incline" and rc.gains.rho != 1.0:
-        _require_gain_window(rc)
+        _require_gain_window(rc, ctl.INCLINE_LOOP_SPAN)
         base = ShapingParams(tau=tau, sigma=sigma_mat, rho=rc.gains.rho)
         veps = ctl.incline_veps_field(rc.params, base, rc.gains)
         shp = ShapingParams(tau=tau, sigma=sigma_mat, rho=rc.gains.rho,
@@ -345,13 +352,17 @@ def cmd_synthesize_tau(args) -> int:
     return 0 if ok else 1
 
 
+def _incline_potential_span(rc: RunConfig) -> tuple[float, float]:
+    """Shape span of the incline's shaped potential: the grid and a margin."""
+    return rc.grid_lo - 0.1, rc.grid_hi + 0.1
+
+
 def _closed_loop_and_observers(rc: RunConfig):
     if rc.system == "cartpole":
         return ctl.cartpole_observed_loop(rc.params, rc.gains,
                                           1.02 * max(rc.guard, max(abs(rc.ic[0]), 0.5)))
     if rc.system == "incline":
-        return ctl.incline_observed_loop(rc.params, rc.gains,
-                                         (rc.grid_lo - 0.1, rc.grid_hi + 0.1))
+        return ctl.incline_observed_loop(rc.params, rc.gains, _incline_potential_span(rc))
     # builtin-test: generic machinery, no tailored observers
     sys_, shp = _build_system_and_shaping(rc)
     loop = controlled_implicit_sode(sys_, shp).to_explicit()
@@ -360,8 +371,11 @@ def _closed_loop_and_observers(rc: RunConfig):
 
 def cmd_simulate(args) -> int:
     rc = RunConfig.load(args.config, args)
-    if rc.system in ("cartpole", "incline"):
+    if rc.system == "cartpole":
         _require_gain_window(rc)
+    elif rc.system == "incline":
+        # the h-curve's span covers the potential's, so the latter decides
+        _require_gain_window(rc, _incline_potential_span(rc))
     loop, control, energy = _closed_loop_and_observers(rc)
     n = loop.n
     if len(rc.ic) != 2 * n:

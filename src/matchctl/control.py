@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from . import jets
-from .fields import SmoothField
+from .fields import SmoothField, spline_reader
 from .jets import Jet2, chain, cos, jet_vars, value_of
 from .lagrangian import (ExplicitSode, ShapingParams, controlled_lagrangian_generic,
                          kinetic_matrix, scalar_sigma_matrix)
@@ -249,11 +249,11 @@ class PotentialCurve:
         self.xs = xs
         self.values = values
         self._spline = CubicSpline(xs, values)
+        self._at = spline_reader(self._spline)
         self.slope = slope
 
     def value(self, q) -> float:
-        q = np.atleast_1d(q)
-        return float(self._spline(q[0]))
+        return self._at(float(np.atleast_1d(q)[0]))
 
     def value_array(self, x: np.ndarray) -> np.ndarray:
         return self._spline(x)
@@ -290,15 +290,18 @@ def _cartpole_accel(p: CartpoleParams, k: float, ns) -> Callable:
     loop, over the sin, cos and sqrt of ``ns`` (math, jets or numpy)."""
     al, be, ga, d = p.alpha, p.beta, p.gamma, p.d
     sin, cos, sqrt = ns.sin, ns.cos, ns.sqrt
+    # constant left-associative prefixes, folded once: the same floats
+    b2, alga, bgk, dga = be * be, al * ga, be * ga * k, d * ga
+    G0, bd, albe = -al * d * ga * ga * k, be * d, al * be
 
     def accel(x, th, xd, thd):
         cx, sx = cos(x), sin(x)
-        b2c2 = be * be * cx * cx
-        D = al * ga - b2c2
+        b2c2 = b2 * cx * cx
+        D = alga - b2c2
         r = sqrt(D)
-        den = be * ga * k * cx * r - D
-        F = sx * (d * ga * (b2c2 - al * ga) / (-den) - be * be * xd * xd * cx) / D
-        G = sx * (-al * d * ga * ga * k / (r * den) + be * d * cx / D + al * be * xd * xd / D)
+        den = bgk * cx * r - D
+        F = sx * (dga * (b2c2 - alga) / (-den) - b2 * xd * xd * cx) / D
+        G = sx * (G0 / (r * den) + bd * cx / D + albe * xd * xd / D)
         return F, G
 
     return accel
@@ -329,15 +332,28 @@ def cartpole_shaped_potential_gradient(p: CartpoleParams, gains: GainSelection, 
     return -p.d * (p.gamma ** 2 * gains.k ** 2 * gains.sigma + 1.0) * np.sin(x) * D / den
 
 
+def _cartpole_slope(p: CartpoleParams, gains: GainSelection) -> Callable[[float], float]:
+    """`cartpole_shaped_potential_gradient` at one float over math, with its
+    constant left-associative prefixes folded once: the same floats."""
+    alga, b2 = p.alpha * p.gamma, p.beta ** 2
+    bgk = p.beta * p.gamma * gains.k
+    lead = -p.d * (p.gamma ** 2 * gains.k ** 2 * gains.sigma + 1.0)
+
+    def slope(x: float) -> float:
+        cx = math.cos(x)
+        D = alga - b2 * cx ** 2
+        den = bgk * cx * math.sqrt(D) - alga + b2 * cx ** 2
+        return lead * math.sin(x) * D / den
+
+    return slope
+
+
 def cartpole_shaped_potential(p: CartpoleParams, gains: GainSelection,
                               x_span: tuple[float, float], n_grid: int = 801) -> PotentialCurve:
     """Shaped potential by adaptive quadrature of its slope, normalized to 0 at x=0."""
     lo, hi = x_span
     xs = np.linspace(lo, hi, n_grid)
-
-    def slope(x: float) -> float:
-        return float(cartpole_shaped_potential_gradient(p, gains, x))
-
+    slope = _cartpole_slope(p, gains)
     return PotentialCurve(xs, _cumulative_quad(slope, xs), slope)
 
 
@@ -409,7 +425,9 @@ def incline_safe_span(p: InclineParams, k: float,
     lo = max(requested[0], p.psi - xc + margin)
     hi = min(requested[1], p.psi + xc - margin)
     if not lo < hi:
-        raise ValueError("requested span lies outside the pole-free window")
+        raise ValueError(f"the pole-free window ({p.psi - xc!r}, {p.psi + xc!r}) of A(x), "
+                         f"less its margin {margin!r}, leaves nothing of the requested "
+                         f"span ({requested[0]!r}, {requested[1]!r})")
     return lo, hi
 
 
@@ -423,16 +441,17 @@ class _HCurve:
         self.xs = np.linspace(x_span[0], x_span[1], n_grid)
         self.values = _cumulative_quad(lambda x: A.fn([x]), self.xs)
         self._spline = CubicSpline(self.xs, self.values)
+        self._at = spline_reader(self._spline)
         self.A = A
 
     def __call__(self, x):
         """h at a float, an array or a Jet2; h' and h'' of a jet are A and A'."""
         if isinstance(x, Jet2):
             a = self.A.eval_jet(jet_vars([x.f]))
-            return chain(x, float(self._spline(x.f)), a.f, a.g[0])
+            return chain(x, self._at(x.f), a.f, a.g[0])
         if isinstance(x, np.ndarray):
             return self._spline(x)
-        return float(self._spline(x))
+        return self._at(x)
 
 
 def incline_base_shaping(p: InclineParams, gains: GainSelection) -> ShapingParams:
@@ -572,21 +591,24 @@ def incline_shaped_potential(p: InclineParams, gains: GainSelection, h: _HCurve,
     tau = _incline_loop(p, gains, h, math)[0]
 
     def w1(x: float) -> float:
+        """First component of w solving [[al, e], [B, ga]] w = (g11, g12), by Cramer."""
         cpx, t, _ = tau(x)
         B = be * cpx
-        C = np.array([[al, B], [B + ga * t, ga]])
-        return float(np.linalg.solve(C.T, np.array(_incline_kinetic(p, gains, cpx, t)))[0])
+        e = B + ga * t
+        b1, b2 = _incline_kinetic(p, gains, cpx, t)
+        return (b1 * ga - e * b2) / (al * ga - B * e)
 
     def slope(x: float) -> float:
         return w1(x) * d * math.sin(x) + A.fn([x]) * h(x)
 
     xs = np.linspace(lo, hi, n_grid)
     Wspline = CubicSpline(xs, _cumulative_quad(slope, xs))
+    W = spline_reader(Wspline)
 
     class InclinePotential:
         def value(self, q) -> float:
             x, s = float(q[0]), float(q[1])
-            return float(Wspline(x) - h(x) * (s - s0) + 0.5 * (s - s0) ** 2)
+            return W(x) - h(x) * (s - s0) + 0.5 * (s - s0) ** 2
 
         def value_arrays(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
             return Wspline(x) - h(x) * (s - s0) + 0.5 * (s - s0) ** 2

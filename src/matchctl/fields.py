@@ -3,7 +3,8 @@
 Metric components, potentials and the feedback-shaping one-form are all built
 from these.  A field holds one function ``fn(coords)`` written with the
 elementary functions of `jets`, or with `jets.chain` for a curve known with
-its derivatives (a spline), so it accepts float or `Jet2` coordinates alike:
+its derivatives (a spline, read at one float by `spline_reader`), so it
+accepts float or `Jet2` coordinates alike:
 ``value`` is one float pass, and ``d1``/``d2`` read the gradient and Hessian
 of one pass over seeded jets, which is exact forward-mode differentiation.
 The algebra composes these functions and folds constant fields when the
@@ -19,6 +20,7 @@ second order.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from numbers import Real
 from typing import Callable, Sequence
 
@@ -37,6 +39,7 @@ __all__ = [
     "sqrt_of",
     "field_eval",
     "gradient",
+    "spline_reader",
 ]
 
 
@@ -213,3 +216,38 @@ def _compose(f, g1: list, g2: list, coords: list) -> Jet2:
             if gij != 0.0:
                 hess += gij * (ci.g[:, None] * cj.g)
     return Jet2(f, grad, hess)
+
+
+def spline_reader(spline) -> Callable[[float, int], float]:
+    """``at(v, nu)``: the ``nu``-th derivative (0, 1 or 2) of a cubic
+    ``scipy.interpolate.CubicSpline`` at one float, bit for bit what
+    ``spline(v, nu)`` returns.
+
+    The interval is scipy's: the last breakpoint at or below ``v``, clamped to
+    the first and last intervals so that both ends extrapolate.  The cubic is
+    summed in scipy's ``evaluate_poly1`` order, ``res = res + c[3-kp] * z *
+    prefactor`` from ``res = 0.0``, ``z = 1.0`` with ``z *= s`` after each
+    term, written out for the cubic (products by a prefactor of 1.0 are
+    exact, so they are left out).  A NaN gives NaN.  The breakpoints and
+    coefficients are read in place through memoryviews, which index to
+    floats and take no copy.  Read arrays with the spline itself.
+    """
+    xs = memoryview(spline.x)
+    c3, c2, c1, c0 = (memoryview(np.ascontiguousarray(row)) for row in spline.c)
+    last = len(xs) - 2
+
+    def at(v: float, nu: int = 0) -> float:
+        i = bisect_right(xs, v) - 1
+        if i < 0:
+            i = 0
+        elif i > last:
+            i = last
+        s = v - xs[i]
+        if nu == 0:
+            z = s * s
+            return 0.0 + c0[i] + c1[i] * s + c2[i] * z + c3[i] * (z * s)
+        if nu == 1:
+            return 0.0 + c1[i] + c2[i] * s * 2.0 + c3[i] * (s * s) * 3.0
+        return 0.0 + c2[i] * 2.0 + c3[i] * s * 6.0
+
+    return at

@@ -342,14 +342,17 @@ class SampledTau:
 
 
 def _spline_field(s: CubicSpline) -> SmoothField:
-    """The spline as a field of one coordinate; a jet goes through the chain
-    rule with the spline's own first two derivatives."""
+    """The spline as a field of one coordinate, read at floats by
+    `fields.spline_reader`; a jet goes through the chain rule with the
+    spline's own first two derivatives."""
+    at = fl.spline_reader(s)
 
     def fn(u):
         x = u[0]
         if isinstance(x, Jet2):
-            return chain(x, float(s(x.f)), float(s(x.f, 1)), float(s(x.f, 2)))
-        return float(s(x))
+            v = x.f
+            return chain(x, at(v), at(v, 1), at(v, 2))
+        return at(x)
 
     return SmoothField(1, fn)
 

@@ -312,6 +312,18 @@ def test_gain_at_or_below_bound_is_config_error(tmp_path, capsys, command, base)
         assert err.startswith("config error: ") and "gains.k" in err and repr(kmin) in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "check-matching", "check-helmholtz",
+                                     "synthesize-tau"])
+def test_gain_just_above_bound_is_config_error(tmp_path, capsys, command):
+    # above the bound, but the pole-free window is narrower than its margins
+    text = INCLINE_FAST.format(out=tmp_path / "out") + "gains.k = 3.0566\n"
+    cfg = write_cfg(tmp_path, "near.cfg", text)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: gains.k = 3.0566: the pole-free window (")
+    assert "requested span (" in err
+
+
 def test_unexpected_error_names_its_class(tmp_path, capsys, monkeypatch):
     import matchctl.cli as cli
 

@@ -182,6 +182,19 @@ def test_shaped_potential_curve(reference_params, gains):
         assert num == pytest.approx(pot.slope(x), rel=1e-7)
 
 
+@pytest.mark.parametrize("k, sigma", [(35.0, 1.0), (5.0, 0.5), (150.0, 2.3)])
+def test_shaped_potential_slope_is_the_gradient_bit_for_bit(reference_params, k, sigma):
+    # the curve integrates a math slope; it must be the vectorized gradient's floats
+    gains = GainSelection(k=k, sigma=sigma)
+    span = gain_bound_crossing(reference_params, k) - 1e-6
+    slope = cartpole_shaped_potential(reference_params, gains, (-span, span)).slope
+    xs = np.random.default_rng(17).uniform(-span, span, 2000).tolist() + [0.0, span]
+    ours = np.array([slope(x) for x in xs])
+    ref = np.array([float(cartpole_shaped_potential_gradient(reference_params, gains, x))
+                    for x in xs])
+    assert ours.tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # incline pieces
 # ---------------------------------------------------------------------------

@@ -116,3 +116,22 @@ def test_product_rule_pointwise(a, b):
     u = np.array([a, b])
     assert f.d1(u)[0] == pytest.approx(np.cos(a) * np.cos(b), abs=1e-12)
     assert f.d1(u)[1] == pytest.approx(-np.sin(a) * np.sin(b), abs=1e-12)
+
+
+def test_spline_reader_is_scipy_bit_for_bit():
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(11)
+    xs = np.linspace(-1.5, 1.5, 201)
+    spline = CubicSpline(xs, np.sin(3.0 * xs) + 1e-3 * rng.normal(size=xs.size))
+    at = fl.spline_reader(spline)
+    # every knot (both ends included), interior points, extrapolation on both
+    # sides and both zeros
+    points = (xs.tolist() + rng.uniform(-1.5, 1.5, 2000).tolist()
+              + rng.uniform(-3.0, -1.5, 200).tolist() + rng.uniform(1.5, 3.0, 200).tolist()
+              + [0.0, -0.0])
+    for nu in (0, 1, 2):
+        ours = np.array([at(v, nu) for v in points])
+        ref = np.array([float(spline(v, nu)) for v in points])
+        assert ours.tobytes() == ref.tobytes()
+        assert np.isnan(at(float("nan"), nu)) and np.isnan(spline(np.nan, nu))

@@ -5,7 +5,7 @@ import pytest
 
 from matchctl.lagrangian import ExplicitSode
 from matchctl.model import Dims, State
-from matchctl.sim import Trajectory, energy_drift, integrate, write_csv
+from matchctl.sim import CSV_BLOCK, Trajectory, energy_drift, integrate, write_csv
 
 
 def harmonic() -> ExplicitSode:
@@ -105,7 +105,26 @@ def test_fast_pair_path_matches_array_path():
     st = State(q=[0.4, 0.8], qdot=[0.1, -0.3])
     a = integrate(with_fast, st, dt=1e-2, t_end=1.0)
     b = integrate(without, st, dt=1e-2, t_end=1.0)
-    assert np.abs(a.states - b.states).max() < 1e-14
+    assert np.array_equal(a.states, b.states)
+
+
+def test_fast_pair_path_matches_array_path_on_guard_exit():
+    from matchctl.control import GainSelection, cartpole_closed_loop
+    from matchctl.model import CartpoleParams
+
+    loop = cartpole_closed_loop(CartpoleParams(), GainSelection(k=35.0))
+    without = ExplicitSode(2, loop.gamma, dims=loop.dims)
+    st = State(q=[0.3, 0.0], qdot=[0.0, 0.5])
+
+    def guard(q, qd):
+        return q[0] <= -0.25 and qd[1] != 0.0
+
+    a = integrate(loop, st, dt=1e-3, t_end=5.0, guard=guard)
+    b = integrate(without, st, dt=1e-3, t_end=5.0, guard=guard)
+    assert a.events == b.events and a.events[0][1] == "domain_exit"
+    assert len(a.times) < 5001
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.states, b.states)
 
 
 def test_observer_columns():
@@ -144,9 +163,10 @@ def test_csv_roundtrip(tmp_path):
     states = np.array([[0.1, 0.2, 0.3, 0.4],
                        [1 / 3, math.pi, -2e-7, 1e17],
                        [0.5, 0.6, 0.7, 0.8]])
+    controls = np.array([[1.0], [2.0], [1 / 7]])
+    energies = np.array([5.0, -0.25, 2 / 3])
     traj = Trajectory(dims=Dims(1, 1), times=times, states=states,
-                      controls=np.array([[1.0], [2.0], [1 / 7]]),
-                      energies=np.array([5.0, 5.0, 5.0]),
+                      controls=controls, energies=energies,
                       events=[(0.2, "domain_exit")])
     dest = tmp_path / "t.csv"
     assert write_csv(traj, dest) == 3
@@ -156,7 +176,28 @@ def test_csv_roundtrip(tmp_path):
     parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:4]])
     assert np.array_equal(parsed[:, 0], times)
     assert np.array_equal(parsed[:, 1:5], states)
-    assert parsed[1, 5] == 1 / 7 or parsed[2, 5] == 1 / 7
+    assert np.array_equal(parsed[:, 5], controls[:, 0])
+    assert np.array_equal(parsed[:, 6], energies)
+
+
+CSV_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e17, 1 / 3, -2e-7]
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+def test_csv_matches_per_value_format(tmp_path, rows):
+    # the block formatting writes exactly what a per-value f"{v:.17g}" join did
+    table = np.random.default_rng(rows).normal(size=(rows, 7))
+    specials = np.arange(0, table.size, 5)
+    table.flat[specials] = [CSV_SPECIALS[i % len(CSV_SPECIALS)] for i in range(specials.size)]
+    traj = Trajectory(dims=Dims(1, 1), times=table[:, 0].copy(), states=table[:, 1:5],
+                      controls=table[:, 5:6], energies=table[:, 6].copy(),
+                      events=[(0.5, "domain_exit")])
+    expected = "t,x1,theta1,xdot1,thetadot1,u1,E\n" \
+        + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in table) \
+        + "# event,0.5,domain_exit\n"
+    dest = tmp_path / "t.csv"
+    assert write_csv(traj, dest) == rows
+    assert dest.read_text() == expected
 
 
 def test_integrate_validates_args():
