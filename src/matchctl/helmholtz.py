@@ -6,8 +6,10 @@ implicit conditions on candidate Legendre components F_i.  Each residual is
 normalized by max(1, magnitude of the terms entering it) before comparison
 with the tolerance; raw magnitudes are kept in the report.
 
-Derivatives run through second-order jets by default; a central-difference
-backend provides the independent cross-check path.
+Every engine reads the value, gradient and Hessian of one list-valued function
+at one point (Gamma, the multiplier g, Phi or F) through `jets.value_grad_hess`:
+second-order jets by default, the central-difference oracle with
+``backend="fd"`` as the independent cross-check path.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import fd_value_grad_hess, jet_vars, value_of
+from .jets import value_grad_hess
 from .lagrangian import (ExplicitSode, ImplicitSode, ShapingParams, SingularBlockError,
                          kinetic_matrix, legendre_covector)
 from .model import Dims, MechanicalSystem, State
@@ -53,17 +55,8 @@ class SodeTensors:
 def _gamma_tensors(field: ExplicitSode, state: State, backend: str):
     """(gamma, dG/dq, dG/dqd, hessians) with hessians shaped (n, 2n, 2n)."""
     n = field.n
-    if backend == "jet":
-        jets = field.gamma_jets(state.q, state.qdot)
-        gamma = np.array([j.f for j in jets])
-        grads = np.array([j.g for j in jets])
-        hess = np.array([j.h for j in jets])
-    elif backend == "fd":
-        u0 = np.concatenate([state.q, state.qdot])
-        gamma, grads, hess = fd_value_grad_hess(
-            lambda u: field.gamma_floats(u[:n], u[n:]), u0)
-    else:
-        raise ValueError(f"unknown backend: {backend}")
+    gamma, grads, hess = value_grad_hess(lambda u: field.gamma(u[:n], u[n:]),
+                                         np.concatenate([state.q, state.qdot]), backend)
     return gamma, grads[:, :n], grads[:, n:], hess
 
 
@@ -95,25 +88,12 @@ def explicit_helmholtz_residuals(field: ExplicitSode,
     floor, not treated as a residual.
     """
     n = field.n
-    q, qd = state.q, state.qdot
-    if backend == "jet":
-        seeds = jet_vars(list(q) + list(qd))
-        gj = multiplier(seeds[:n], seeds[n:])
-        gval = np.array([[value_of(gj[i][j]) for j in range(n)] for i in range(n)])
-        g_q = np.array([[gj[i][j].g[:n] if hasattr(gj[i][j], "g") else np.zeros(n)
-                         for j in range(n)] for i in range(n)])
-        g_qd = np.array([[gj[i][j].g[n:] if hasattr(gj[i][j], "g") else np.zeros(n)
-                          for j in range(n)] for i in range(n)])
-    elif backend == "fd":
-        def flat(u):
-            m = multiplier(list(u[:n]), list(u[n:]))
-            return np.array([value_of(m[i][j]) for i in range(n) for j in range(n)])
-        vals, grads, _ = fd_value_grad_hess(flat, np.concatenate([q, qd]))
-        gval = vals.reshape(n, n)
-        g_q = grads[:, :n].reshape(n, n, n)
-        g_qd = grads[:, n:].reshape(n, n, n)
-    else:
-        raise ValueError(f"unknown backend: {backend}")
+    vals, grads, _ = value_grad_hess(
+        lambda u: [gij for row in multiplier(u[:n], u[n:]) for gij in row],
+        np.concatenate([state.q, state.qdot]), backend)
+    gval = vals.reshape(n, n)
+    g_q = grads[:, :n].reshape(n, n, n)
+    g_qd = grads[:, n:].reshape(n, n, n)
 
     tens = sode_tensors(field, state, backend=backend)
     report = ResidualReport("explicit multiplier conditions")
@@ -160,17 +140,8 @@ def exactness_residuals(field: ImplicitSode, state: State, accel: np.ndarray,
     q, qd = state.q, state.qdot
     qdd = np.asarray(accel, dtype=float)
 
-    if backend == "jet":
-        seeds = jet_vars(list(q) + list(qd) + list(qdd))
-        phis = field.phi(seeds[:n], seeds[n:2 * n], seeds[2 * n:])
-        grads = np.array([p.g for p in phis])
-        hess = np.array([p.h for p in phis])
-    elif backend == "fd":
-        def f(u):
-            return field.phi_floats(u[:n], u[n:2 * n], u[2 * n:])
-        _, grads, hess = fd_value_grad_hess(f, np.concatenate([q, qd, qdd]))
-    else:
-        raise ValueError(f"unknown backend: {backend}")
+    _, grads, hess = value_grad_hess(lambda u: field.phi(u[:n], u[n:2 * n], u[2 * n:]),
+                                     np.concatenate([q, qd, qdd]), backend)
 
     Pq = grads[:, :n]
     Pqd = grads[:, n:2 * n]
@@ -234,30 +205,14 @@ def implicit_helmholtz_residuals(field: ImplicitSode,
     else:
         qdd = np.asarray(accel, dtype=float)
 
-    if backend == "jet":
-        seeds = jet_vars(list(q) + list(qd))
-        Fj = F(seeds[:n], seeds[n:])
-        Fq = np.array([f.g[:n] for f in Fj])
-        Fqd = np.array([f.g[n:] for f in Fj])
-        F_qq = np.array([f.h[:n, :n] for f in Fj])
-        F_qdq = np.array([f.h[n:, :n] for f in Fj])     # [i, j(qd), k(q)]
-        F_qdqd = np.array([f.h[n:, n:] for f in Fj])
-        phis = field.phi(seeds[:n], seeds[n:], list(qdd))
-        Phiq = np.array([p.g[:n] for p in phis])
-        Phiqd = np.array([p.g[n:] for p in phis])
-    elif backend == "fd":
-        u0 = np.concatenate([q, qd])
-        _, gF, hF = fd_value_grad_hess(
-            lambda u: np.array([value_of(v) for v in F(list(u[:n]), list(u[n:]))]), u0)
-        Fq, Fqd = gF[:, :n], gF[:, n:]
-        F_qq = hF[:, :n, :n]
-        F_qdq = hF[:, n:, :n]
-        F_qdqd = hF[:, n:, n:]
-        _, gP, _ = fd_value_grad_hess(
-            lambda u: field.phi_floats(u[:n], u[n:], qdd), u0)
-        Phiq, Phiqd = gP[:, :n], gP[:, n:]
-    else:
-        raise ValueError(f"unknown backend: {backend}")
+    u0 = np.concatenate([q, qd])
+    _, gF, hF = value_grad_hess(lambda u: F(u[:n], u[n:]), u0, backend)
+    Fq, Fqd = gF[:, :n], gF[:, n:]
+    F_qq = hF[:, :n, :n]
+    F_qdq = hF[:, n:, :n]       # [i, j(qd), k(q)]
+    F_qdqd = hF[:, n:, n:]
+    _, gP, _ = value_grad_hess(lambda u: field.phi(u[:n], u[n:], list(qdd)), u0, backend)
+    Phiq, Phiqd = gP[:, :n], gP[:, n:]
 
     Cm = field.accel_matrix_floats(q)
     try:

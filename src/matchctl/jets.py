@@ -6,6 +6,11 @@ expression yields exact first and second partial derivatives of the result,
 which is what the residual engines need at 1e-8 tolerances where finite
 differences are too noisy.  Central finite differences are kept alongside as
 an independent cross-check oracle (`fd_value_grad_hess`).
+
+`value_grad_hess` is the one derivative read-out: every residual engine takes
+the values, gradients and Hessians of a list-valued function at one point
+from it, over jets (``backend="jet"``) or over the difference oracle
+(``backend="fd"``).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "log",
     "solve_generic",
     "fd_value_grad_hess",
+    "value_grad_hess",
 ]
 
 
@@ -255,3 +261,23 @@ def fd_value_grad_hess(fn: Callable[[np.ndarray], np.ndarray], u0: Sequence[floa
             hess[:, i, j] = val
             hess[:, j, i] = val
     return f0, grads, hess
+
+
+def value_grad_hess(fn: Callable[[list], Sequence], u0: Sequence[float],
+                    backend: str = "jet"):
+    """Values (p,), gradients (p, m) and Hessians (p, m, m) of ``fn`` at u0.
+
+    ``fn(coords)`` takes a list of m floats or m jets and returns a list of p
+    floats or jets.  ``"jet"`` reads one pass over seeded jets (a float output
+    is a constant, with zero derivatives); ``"fd"`` runs `fd_value_grad_hess`
+    over float passes.
+    """
+    if backend == "jet":
+        seeds = jet_vars(u0)
+        m = len(seeds)
+        outs = [as_jet(v, m) for v in fn(seeds)]
+        return (np.array([v.f for v in outs]), np.array([v.g for v in outs]),
+                np.array([v.h for v in outs]))
+    if backend == "fd":
+        return fd_value_grad_hess(lambda u: [value_of(v) for v in fn(u.tolist())], u0)
+    raise ValueError(f"unknown backend: {backend}")

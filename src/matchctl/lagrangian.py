@@ -451,14 +451,6 @@ class ImplicitSode:
     def accel_matrix_floats(self, q) -> np.ndarray:
         return np.array([[value_of(v) for v in row] for row in self.accel_matrix(list(q))])
 
-    def phi_derivatives(self, q, qd, qdd):
-        """(dPhi/dq, dPhi/dqd) at fixed accelerations, via jets."""
-        seeds = jet_vars(list(q) + list(qd))
-        phis = self._phi(seeds[: self.n], seeds[self.n:], list(qdd))
-        dq = np.array([p.g[: self.n] for p in phis])
-        dqd = np.array([p.g[self.n:] for p in phis])
-        return dq, dqd
-
     def solve_accel(self, state: State) -> np.ndarray:
         return solve_accel(self, state)
 
@@ -491,13 +483,6 @@ class ExplicitSode:
         """Gamma with exact first/second derivatives w.r.t. (q, qd)."""
         seeds = jet_vars(list(q) + list(qd))
         return self.gamma(seeds[: self.n], seeds[self.n:])
-
-    def gamma_derivatives(self, q, qd):
-        """(dGamma/dq, dGamma/dqd) as dense matrices."""
-        jets = self.gamma_jets(q, qd)
-        dq = np.array([j.g[: self.n] for j in jets])
-        dqd = np.array([j.g[self.n:] for j in jets])
-        return dq, dqd
 
 
 def _metric_block(sys: MechanicalSystem, q):

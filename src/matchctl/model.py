@@ -13,7 +13,7 @@ import numpy as np
 
 from . import fields as fl
 from .fields import SmoothField
-from .jets import cos, fd_value_grad_hess
+from .jets import cos, value_grad_hess
 from .report import ResidualEntry, ResidualReport
 
 __all__ = [
@@ -227,12 +227,11 @@ def validate_system(sys: MechanicalSystem, n_samples: int = 25,
     group_sym = 0.0
 
     def _deriv_mismatch(f: SmoothField, u: np.ndarray) -> float:
-        _, g_fd, h_fd = fd_value_grad_hess(lambda v: np.array([f.value(v)]), u)
-        g, h = f.d1(u), f.d2(u)
+        _, g, h = value_grad_hess(lambda c: [f.fn(c)], u)
+        _, g_fd, h_fd = value_grad_hess(lambda c: [f.fn(c)], u, backend="fd")
         scale_g = max(1.0, np.abs(g).max(), np.abs(g_fd).max())
         scale_h = max(1.0, np.abs(h).max(), np.abs(h_fd).max())
-        return max(np.abs(g - g_fd[0]).max() / scale_g,
-                   np.abs(h - h_fd[0]).max() / scale_h)
+        return max(np.abs(g - g_fd).max() / scale_g, np.abs(h - h_fd).max() / scale_h)
 
     for i in range(n_samples):
         x = xs[i]

@@ -228,6 +228,24 @@ def test_sweep_reports_errored_rows(tmp_path, capsys, monkeypatch):
     assert rows[2].endswith(",True,")
 
 
+@pytest.mark.parametrize("extra, key", [
+    ("sweep.sigma = 1.0, 0\n", "sweep.sigma"),
+    ("sweep.sigma = -1\n", "sweep.sigma"),
+    ("sweep.sigma = nan\n", "sweep.sigma"),
+    ("sweep.k = 35, inf\n", "sweep.k"),
+    ("sweep.k = nan\n", "sweep.k"),
+    ("sim.ic = 0.1, 0.0, 0.0\n", "sim.ic"),
+], ids=["sigma-zero", "sigma-negative", "sigma-nan", "k-inf", "k-nan", "ic-length"])
+def test_sweep_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, extra, key):
+    monkeypatch.setenv("MATCHCTL_THREADS", "1")
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 35\n" + extra
+    cfg = write_cfg(tmp_path, "cp.cfg", text)
+    assert main(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["", "  "])
 def test_sweep_threads_empty_means_unset(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("MATCHCTL_THREADS", value)
@@ -275,6 +293,22 @@ helmholtz.n_states = 3
     assert main(["check-matching", "--config", cfg]) == 0
     capsys.readouterr()
     assert main(["check-helmholtz", "--config", cfg]) == 0
+
+
+def test_builtin_test_check_matching_has_no_failing_entry(tmp_path, capsys):
+    # builtin-test shapes with the SM3 tau, so the new-tau ODE row does not apply
+    cfg = write_cfg(tmp_path, "bt.cfg", """
+system = builtin-test
+builtin.n_shape = 1
+builtin.n_group = 2
+grid.n = 7
+""")
+    assert main(["check-matching", "--config", cfg, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"]
+    entries = [e for rep in doc["reports"] for e in rep["entries"]]
+    assert all(e["pass"] or e["skipped"] for e in entries)
+    assert "tau_ode" not in {e["name"] for e in entries}
 
 
 @pytest.mark.parametrize("command, extra, argv, key", [

@@ -245,6 +245,15 @@ def test_backend_agreement(reference_params, cartpole):
         assert abs(ej.value - ef.value) <= 1e-5 * max(1.0, ej.value, ef.value)
 
 
+def test_unknown_backend_is_named(reference_params, cartpole):
+    shp = cartpole_shaping(reference_params, GainSelection(k=35.0, sigma=1.0))
+    field = controlled_implicit_sode(cartpole, shp)
+    F = legendre_fn(cartpole, shp)
+    st = State(q=[0.7, 0.3], qdot=[1.4, -2.0])
+    with pytest.raises(ValueError, match="unknown backend: sympy"):
+        implicit_helmholtz_residuals(field, F, st, cartpole.dims, backend="sympy")
+
+
 def test_implicit_off_shell_entry_point(cartpole, reference_params):
     shp = cartpole_shaping(reference_params, GainSelection(k=35.0, sigma=1.0))
     field = controlled_implicit_sode(cartpole, shp)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchctl.jets import (as_jet, cos, exp, fd_value_grad_hess, jet_vars, log,
-                           sin, solve_generic, sqrt, value_of)
+                           sin, solve_generic, sqrt, value_grad_hess, value_of)
 
 
 def compound(u):
@@ -22,6 +22,27 @@ def test_jet_matches_finite_differences():
     assert out.f == pytest.approx(vals[0], rel=1e-12)
     assert np.abs(out.g - grads[0]).max() < 1e-8
     assert np.abs(out.h - hess[0]).max() < 1e-5
+
+
+def test_value_grad_hess_backends_agree():
+    def fn(u):
+        return [compound(u), u[0] * u[2] - sin(u[1]), exp(u[1]) / (1.5 + cos(u[2]))]
+
+    u0 = np.array([0.4, -0.7, 1.1])
+    vals, grads, hess = value_grad_hess(fn, u0)
+    vals_fd, grads_fd, hess_fd = value_grad_hess(fn, u0, backend="fd")
+    assert vals.shape == (3,) and grads.shape == (3, 3) and hess.shape == (3, 3, 3)
+    assert np.array_equal(vals, vals_fd)
+    assert np.abs(grads - grads_fd).max() < 1e-8
+    assert np.abs(hess - hess_fd).max() < 1e-5
+
+
+def test_value_grad_hess_float_output_is_constant():
+    vals, grads, hess = value_grad_hess(lambda u: [u[0] * u[1], 2.5], [0.3, -1.2])
+    assert vals[1] == 2.5
+    assert np.array_equal(grads[1], [0.0, 0.0])
+    assert np.array_equal(hess[1], np.zeros((2, 2)))
+    assert np.array_equal(grads[0], [-1.2, 0.3])
 
 
 def test_seeding_and_constants():

@@ -212,21 +212,27 @@ def test_block_inverse_random_systems(seed):
 
 
 def test_derivative_access_matches_fd(cartpole, reference_params):
-    from matchctl.jets import fd_value_grad_hess
+    from matchctl.jets import value_grad_hess
     shp = cartpole_shaping(reference_params, GainSelection(k=35.0, sigma=1.0))
     field = controlled_implicit_sode(cartpole, shp)
     st = State(q=[0.4, 0.1], qdot=[0.8, -0.5])
-    qdd = np.array([0.3, -0.2])
-    dq, dqd = field.phi_derivatives(st.q, st.qdot, qdd)
+    qdd = [0.3, -0.2]
     u0 = np.concatenate([st.q, st.qdot])
-    _, g_fd, _ = fd_value_grad_hess(lambda u: field.phi_floats(u[:2], u[2:], qdd), u0)
-    assert np.abs(dq - g_fd[:, :2]).max() < 1e-7
-    assert np.abs(dqd - g_fd[:, 2:]).max() < 1e-7
+
+    def phi(u):
+        return field.phi(u[:2], u[2:], qdd)
+
+    _, g_jet, _ = value_grad_hess(phi, u0)
+    _, g_fd, _ = value_grad_hess(phi, u0, backend="fd")
+    assert np.abs(g_jet - g_fd).max() < 1e-7
     expl = field.to_explicit()
-    dGq, dGqd = expl.gamma_derivatives(st.q, st.qdot)
-    _, g_fd2, _ = fd_value_grad_hess(lambda u: expl.gamma_floats(u[:2], u[2:]), u0)
-    assert np.abs(dGq - g_fd2[:, :2]).max() < 1e-6
-    assert np.abs(dGqd - g_fd2[:, 2:]).max() < 1e-6
+
+    def gamma(u):
+        return expl.gamma(u[:2], u[2:])
+
+    _, g_jet2, _ = value_grad_hess(gamma, u0)
+    _, g_fd2, _ = value_grad_hess(gamma, u0, backend="fd")
+    assert np.abs(g_jet2 - g_fd2).max() < 1e-6
 
 
 def test_block_inverse_singular_group_block():
