@@ -178,8 +178,9 @@ class RunConfig:
 def _require_gain_window(rc: RunConfig, span: tuple[float, float] | None = None) -> None:
     """The pole-free window of the shaped system around x = 0 exists only for
     k above the gain bound at the equilibrium.  For the incline it must also
-    keep part of ``span``, the shape span the command builds its curves on;
-    just above the bound it is narrower than its margins."""
+    keep part of ``span``, the shape span the command builds its curves on
+    (just above the bound it is narrower than its margins), and hold x = 0,
+    where those curves are anchored."""
     kmin = ctl.gain_bound(rc.params, 0.0)
     if not rc.gains.k > kmin:
         raise ConfigError(f"gains.k = {rc.gains.k!r} must exceed the gain bound "

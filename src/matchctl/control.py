@@ -3,9 +3,13 @@ closed-loop fields for the two worked systems (cart-pole, cart-pole on an
 incline).
 
 The shaped potential used for energy bookkeeping is always the one consistent
-with the closed-loop dynamics: recovered by quadrature of the reconstructed
+with the closed-loop dynamics: recovered by integrating the reconstructed
 gradient for the cart-pole, and by the same reconstruction (analytic in the
-group coordinate) for the incline.
+group coordinate) for the incline.  Every cached curve (both potentials and
+the incline's h) comes from one cumulative integral, `_cumulative_integral`:
+an 8-point Gauss-Legendre rule per grid cell, bisected where the cell and its
+halves disagree, with the integrand evaluated on arrays of nodes.  scipy's
+adaptive ``quad`` is left to the pointwise oracle `incline_h`.
 """
 
 from __future__ import annotations
@@ -230,15 +234,94 @@ def make_shaped_energy(sys: MechanicalSystem, shaping: ShapingParams,
     return ShapedEnergy(kinetic=kinetic, potential=pot)
 
 
-def _cumulative_quad(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """Integral of f from 0 to each grid point, one adaptive quad per cell."""
-    vals = np.empty_like(xs)
+# 8-point Gauss-Legendre rule on [-1, 1], nodes and weights correctly rounded
+_GL_T = np.array([-0.9602898564975363, -0.7966664774136267, -0.525532409916329,
+                  -0.1834346424956498, 0.1834346424956498, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975363])
+_GL_W = np.array([0.10122853629037626, 0.22238103445337448, 0.31370664587788727,
+                  0.362683783378362, 0.362683783378362, 0.31370664587788727,
+                  0.22238103445337448, 0.10122853629037626])
+_EPSABS, _EPSREL = 1e-12, 1e-8
+_MAX_LEVELS = 50        # bisection levels of one cell
+_MAX_PIECES = 64        # pieces of one cell still unconverged at one level
+_CALL_PIECES = 256      # pieces per integrand call, which bounds its temporaries
+
+
+def _gauss(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
+           where: Callable[[int], str]) -> np.ndarray:
+    """The 8-point rule on every piece [a_j, b_j], calling f on the nodes of
+    up to 256 pieces at a time.  A non-finite integrand value is a ValueError
+    naming the cell of its piece, ``where(j)``."""
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    out = np.empty(len(a))
+    for j0 in range(0, len(a), _CALL_PIECES):
+        rj = r[j0:j0 + _CALL_PIECES]
+        x = c[j0:j0 + _CALL_PIECES, None] + rj[:, None] * _GL_T
+        with np.errstate(all="ignore"):
+            fx = np.broadcast_to(np.asarray(f(x.ravel()), dtype=float), x.size).reshape(x.shape)
+        finite = np.isfinite(fx)
+        if not finite.all():
+            j, i = np.argwhere(~finite)[0]
+            raise ValueError(f"cumulative integral: the integrand is {float(fx[j, i])!r} at "
+                             f"x = {float(x[j, i])!r}, in {where(j0 + j)}")
+        out[j0:j0 + _CALL_PIECES] = rj * (fx * _GL_W).sum(axis=1)
+    return out
+
+
+def _cell_integrals(f: Callable[[np.ndarray], np.ndarray], a0: np.ndarray,
+                    b0: np.ndarray) -> np.ndarray:
+    """Integral of f over each cell [a0_i, b0_i], f called on arrays of nodes.
+
+    A cell is accepted when its 8-point Gauss-Legendre estimate and the sum of
+    those of its two halves agree to max(1e-12, 1e-8 |halves|); a cell that
+    fails is bisected, and each refinement level is one more pass of f over
+    the nodes of the pieces still open.  A cell that has not converged after
+    50 levels, has a piece too narrow to bisect, or has more than 64 open
+    pieces at one level (an integrand too rough to resolve, as at a pole) is
+    a ValueError naming it.
+    """
+    a, b, cell = a0, b0, np.arange(len(a0))
+
+    def where(j: int) -> str:
+        """The cell of open piece j, or of its halves j and j + len(cell)."""
+        i = cell[j % len(cell)]
+        return f"the cell [{float(a0[i])!r}, {float(b0[i])!r}]"
+
+    whole = _gauss(f, a, b, where)
+    total = np.zeros(len(a0))
+    for level in range(1, _MAX_LEVELS + 1):
+        m = 0.5 * (a + b)
+        halves = _gauss(f, np.concatenate([a, m]), np.concatenate([m, b]), where)
+        left, right = halves[:len(a)], halves[len(a):]
+        fine = left + right
+        ok = np.abs(fine - whole) <= np.maximum(_EPSABS, _EPSREL * np.abs(fine))
+        np.add.at(total, cell[ok], fine[ok])
+        if ok.all():
+            return total
+        bad = ~ok
+        a, m, b, cell = a[bad], m[bad], b[bad], cell[bad]
+        stuck = ~(((a < m) & (m < b)) | ((b < m) & (m < a)))
+        stuck |= (np.bincount(cell) > _MAX_PIECES)[cell]
+        if level == _MAX_LEVELS or stuck.any():
+            raise ValueError(f"cumulative integral: no convergence in "
+                             f"{where(int(np.argmax(stuck)))} after {level} bisection levels")
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        whole = np.concatenate([left[bad], right[bad]])
+        cell = np.concatenate([cell, cell])
+
+
+def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """Integral of f from 0 to each grid point, by `_cell_integrals` over the
+    cell [0, x_i0] at the grid point x_i0 nearest 0 and the grid intervals,
+    summed outward from x_i0 in order."""
+    n = len(xs)
     i0 = int(np.argmin(np.abs(xs)))
-    vals[i0] = quad(f, 0.0, xs[i0], epsabs=1e-12, epsrel=1e-8)[0]
-    for i in range(i0 + 1, len(xs)):
-        vals[i] = vals[i - 1] + quad(f, xs[i - 1], xs[i], epsabs=1e-12, epsrel=1e-8)[0]
-    for i in range(i0 - 1, -1, -1):
-        vals[i] = vals[i + 1] - quad(f, xs[i], xs[i + 1], epsabs=1e-12, epsrel=1e-8)[0]
+    cells = _cell_integrals(f, np.concatenate([xs[:i0], [0.0], xs[i0:-1]]),
+                            np.concatenate([xs[1:i0 + 1], xs[i0:]]))
+    vals = np.empty(n)
+    vals[i0:] = np.cumsum(cells[i0:])
+    # below x_i0, vals[i] = vals[i + 1] - cells[i], accumulated downward
+    vals[:i0] = np.cumsum(np.concatenate([cells[i0:i0 + 1], -cells[:i0][::-1]]))[:0:-1]
     return vals
 
 
@@ -350,11 +433,11 @@ def _cartpole_slope(p: CartpoleParams, gains: GainSelection) -> Callable[[float]
 
 def cartpole_shaped_potential(p: CartpoleParams, gains: GainSelection,
                               x_span: tuple[float, float], n_grid: int = 801) -> PotentialCurve:
-    """Shaped potential by adaptive quadrature of its slope, normalized to 0 at x=0."""
+    """Shaped potential by cumulative integration of its slope, normalized to 0 at x=0."""
     lo, hi = x_span
     xs = np.linspace(lo, hi, n_grid)
-    slope = _cartpole_slope(p, gains)
-    return PotentialCurve(xs, _cumulative_quad(slope, xs), slope)
+    values = _cumulative_integral(lambda x: cartpole_shaped_potential_gradient(p, gains, x), xs)
+    return PotentialCurve(xs, values, _cartpole_slope(p, gains))
 
 
 def cartpole_observed_loop(p: CartpoleParams, gains: GainSelection, x_max: float):
@@ -389,23 +472,25 @@ def _incline_sigma_scalar(p: InclineParams, shaping: ShapingParams) -> float:
     return float(shaping.sigma[0, 0] / p.gamma)
 
 
-def incline_A_field(p: InclineParams, shaping: ShapingParams) -> SmoothField:
-    """Characteristic slope A(x) of the extra-potential equation, as a field."""
-    sigma = _incline_sigma_scalar(p, shaping)
-    rho = shaping.rho
-    al, be, ga, psi = p.alpha, p.beta, p.gamma, p.psi
-    tau = shaping.tau[0][0].fn
+def _incline_A(p: InclineParams, sigma: float, rho: float) -> Callable:
+    """A as a function of cos(psi - x) and tau(x), over floats, jets or arrays."""
+    al, be, ga = p.alpha, p.beta, p.gamma
 
-    def A(u):
-        cpx = cos(psi - u[0])
-        t = tau(u)
+    def A(cpx, t):
         num = be * (rho - 1.0) * cpx * (cpx * cpx * (be ** 2) - al * ga) \
             + be * ga ** 2 * (rho + sigma) * t * t * cpx \
             + ga * rho * t * (2.0 * be ** 2 * cpx * cpx - al * ga)
         den = ga * rho * (al * ga - be ** 2 * cpx * cpx - be * ga * t * cpx)
         return num / den
 
-    return SmoothField(1, A)
+    return A
+
+
+def incline_A_field(p: InclineParams, shaping: ShapingParams) -> SmoothField:
+    """Characteristic slope A(x) of the extra-potential equation, as a field."""
+    A = _incline_A(p, _incline_sigma_scalar(p, shaping), shaping.rho)
+    psi, tau = p.psi, shaping.tau[0][0].fn
+    return SmoothField(1, lambda u: A(cos(psi - u[0]), tau(u)))
 
 
 def incline_A_coefficient(p: InclineParams, shaping: ShapingParams, x: float) -> float:
@@ -419,15 +504,20 @@ def incline_safe_span(p: InclineParams, k: float,
     """Clip a shape-coordinate span to the pole-free window of A(x).
 
     A(x) diverges where the shape-block Schur complement vanishes, i.e. where
-    the gain bound in the rotated angle psi - x reaches k.
+    the gain bound in the rotated angle psi - x reaches k.  The curves built
+    on the span integrate from x = 0, so the window less its margin must
+    also hold that anchor.
     """
     xc = gain_bound_crossing(p, k)
     lo = max(requested[0], p.psi - xc + margin)
     hi = min(requested[1], p.psi + xc - margin)
+    window = (f"the pole-free window ({p.psi - xc!r}, {p.psi + xc!r}) of A(x), "
+              f"less its margin {margin!r},")
     if not lo < hi:
-        raise ValueError(f"the pole-free window ({p.psi - xc!r}, {p.psi + xc!r}) of A(x), "
-                         f"less its margin {margin!r}, leaves nothing of the requested "
+        raise ValueError(f"{window} leaves nothing of the requested "
                          f"span ({requested[0]!r}, {requested[1]!r})")
+    if not p.psi - xc + margin < 0.0 < p.psi + xc - margin:
+        raise ValueError(f"{window} does not hold the anchor x = 0 of the integrals on it")
     return lo, hi
 
 
@@ -439,7 +529,7 @@ class _HCurve:
 
     def __init__(self, A: SmoothField, x_span: tuple[float, float], n_grid: int = 801):
         self.xs = np.linspace(x_span[0], x_span[1], n_grid)
-        self.values = _cumulative_quad(lambda x: A.fn([x]), self.xs)
+        self.values = _cumulative_integral(lambda x: A.fn([x]), self.xs)
         self._spline = CubicSpline(self.xs, self.values)
         self._at = spline_reader(self._spline)
         self.A = A
@@ -565,6 +655,28 @@ def _incline_kinetic(p: InclineParams, gains: GainSelection, cpx, t):
     return g11b, rho * (be * cpx + ga * t)
 
 
+def _incline_slope(p: InclineParams, gains: GainSelection, h: _HCurve, ns) -> Callable:
+    """x -> w1(x) d sin(x) + A(x) h(x), the shape slope of the incline's
+    conserved potential, over the sin, cos and sqrt of ``ns`` (math or numpy).
+
+    w1 is the first component of w solving [[al, e], [B, ga]] w = (g11, g12),
+    by Cramer; it and A share one evaluation of tau per point.
+    """
+    al, be, ga, d = p.alpha, p.beta, p.gamma, p.d
+    tau = _incline_loop(p, gains, h, ns)[0]
+    A = _incline_A(p, gains.sigma, gains.rho)
+    sin = ns.sin
+
+    def slope(x):
+        cpx, t, _ = tau(x)
+        B = be * cpx
+        e = B + ga * t
+        b1, b2 = _incline_kinetic(p, gains, cpx, t)
+        return (b1 * ga - e * b2) / (al * ga - B * e) * d * sin(x) + A(cpx, t) * h(x)
+
+    return slope
+
+
 def incline_closed_loop(p: InclineParams, gains: GainSelection, h: _HCurve) -> ExplicitSode:
     """Closed loop of the incline system under the new-tau control with scalar
     rho and the constructed extra potential, whose h-curve is ``h``."""
@@ -577,32 +689,20 @@ def incline_shaped_potential(p: InclineParams, gains: GainSelection, h: _HCurve,
     """Conserved shaped potential of the incline closed loop.
 
     The group-coordinate dependence is analytic; the shape part is the
-    quadrature of the reconstructed slope w1(x) d sin(x) + A(x) h(x), where
-    w1 is the first contraction of the shaped kinetic matrix with the inverse
-    acceleration coefficients.  ``h`` must cover x_span clipped to the
+    cumulative integral of the reconstructed slope w1(x) d sin(x) + A(x) h(x),
+    where w1 is the first contraction of the shaped kinetic matrix with the
+    inverse acceleration coefficients.  ``h`` must cover x_span clipped to the
     pole-free window.
     """
     lo, hi = incline_safe_span(p, gains.k, x_span)
     if not h.xs[0] <= lo < hi <= h.xs[-1]:
         raise ValueError("the h-curve does not cover the potential span")
     A = h.A
-    al, be, ga, d = p.alpha, p.beta, p.gamma, p.d
     s0 = gains.s0
-    tau = _incline_loop(p, gains, h, math)[0]
-
-    def w1(x: float) -> float:
-        """First component of w solving [[al, e], [B, ga]] w = (g11, g12), by Cramer."""
-        cpx, t, _ = tau(x)
-        B = be * cpx
-        e = B + ga * t
-        b1, b2 = _incline_kinetic(p, gains, cpx, t)
-        return (b1 * ga - e * b2) / (al * ga - B * e)
-
-    def slope(x: float) -> float:
-        return w1(x) * d * math.sin(x) + A.fn([x]) * h(x)
+    slope = _incline_slope(p, gains, h, math)
 
     xs = np.linspace(lo, hi, n_grid)
-    Wspline = CubicSpline(xs, _cumulative_quad(slope, xs))
+    Wspline = CubicSpline(xs, _cumulative_integral(_incline_slope(p, gains, h, np), xs))
     W = spline_reader(Wspline)
 
     class InclinePotential:

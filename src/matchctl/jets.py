@@ -151,11 +151,15 @@ def value_of(x) -> float:
 
 
 # -- elementary functions usable on floats and jets --------------------------
+# sin, cos and sqrt also pass an ndarray to numpy, so a field built from them
+# runs on N points in one call.
 
 def sin(x):
     if isinstance(x, Jet2):
         s, c = math.sin(x.f), math.cos(x.f)
         return chain(x, s, c, -s)
+    if isinstance(x, np.ndarray):
+        return np.sin(x)
     return math.sin(x)
 
 
@@ -163,6 +167,8 @@ def cos(x):
     if isinstance(x, Jet2):
         s, c = math.sin(x.f), math.cos(x.f)
         return chain(x, c, -s, -c)
+    if isinstance(x, np.ndarray):
+        return np.cos(x)
     return math.cos(x)
 
 
@@ -170,6 +176,8 @@ def sqrt(x):
     if isinstance(x, Jet2):
         r = math.sqrt(x.f)
         return chain(x, r, 0.5 / r, -0.25 / (r * x.f))
+    if isinstance(x, np.ndarray):
+        return np.sqrt(x)
     return math.sqrt(x)
 
 

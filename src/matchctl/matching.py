@@ -344,7 +344,8 @@ class SampledTau:
 def _spline_field(s: CubicSpline) -> SmoothField:
     """The spline as a field of one coordinate, read at floats by
     `fields.spline_reader`; a jet goes through the chain rule with the
-    spline's own first two derivatives."""
+    spline's own first two derivatives, and an array is read by the spline
+    itself."""
     at = fl.spline_reader(s)
 
     def fn(u):
@@ -352,6 +353,8 @@ def _spline_field(s: CubicSpline) -> SmoothField:
         if isinstance(x, Jet2):
             v = x.f
             return chain(x, at(v), at(v, 1), at(v, 2))
+        if isinstance(x, np.ndarray):
+            return s(x)
         return at(x)
 
     return SmoothField(1, fn)

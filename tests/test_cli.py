@@ -358,6 +358,33 @@ def test_gain_just_above_bound_is_config_error(tmp_path, capsys, command):
     assert "requested span (" in err
 
 
+ANCHOR_MESSAGE = "does not hold the anchor x = 0 of the integrals on it"
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-matching", "check-helmholtz",
+                                     "synthesize-tau"])
+def test_gain_with_anchor_outside_window_is_config_error(tmp_path, capsys, command):
+    # at k = 3.2 the pole-free window of A(x) lies right of x = 0, where the
+    # h-curve and the shaped potential are anchored
+    text = INCLINE_FAST.format(out=tmp_path / "out") + "gains.k = 3.2\n"
+    cfg = write_cfg(tmp_path, "anchor.cfg", text)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: gains.k = 3.2: the pole-free window (")
+    assert err.rstrip().endswith(ANCHOR_MESSAGE)
+
+
+def test_sweep_gain_with_anchor_outside_window_is_errored_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MATCHCTL_THREADS", "1")
+    text = INCLINE_FAST.format(out=tmp_path / "out") + "sweep.k = 3.2, 35\n"
+    cfg = write_cfg(tmp_path, "anchor.cfg", text)
+    assert main(["sweep", "--config", cfg, "--json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[0]["error"].startswith("the pole-free window (")
+    assert rows[0]["error"].endswith(ANCHOR_MESSAGE)
+    assert "error" not in rows[1]
+
+
 def test_unexpected_error_names_its_class(tmp_path, capsys, monkeypatch):
     import matchctl.cli as cli
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import matchctl.fields as fl
-from matchctl.control import (GainSelection, MatchingFailure, cartpole_closed_loop,
+from matchctl.control import (INCLINE_LOOP_SPAN, GainSelection, MatchingFailure,
+                              _cell_integrals, _cumulative_integral, _gauss, _HCurve,
+                              _incline_slope, cartpole_closed_loop,
                               cartpole_control, cartpole_shaped_potential,
                               cartpole_shaped_potential_gradient, cartpole_shaping,
                               gain_bound, gain_bound_crossing, incline_A_coefficient,
@@ -19,7 +22,7 @@ from matchctl.control import (GainSelection, MatchingFailure, cartpole_closed_lo
 from matchctl.lagrangian import (ShapingParams, controlled_implicit_sode,
                                  scalar_sigma_matrix)
 from matchctl.matching import new_tau_closed_form, sm3_tau
-from matchctl.model import CartpoleParams, State, incline_system
+from matchctl.model import CartpoleParams, InclineParams, State, incline_system
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +359,96 @@ def test_incline_safe_span(incline_params):
     assert lo > -1.5 and hi == 1.5
     with pytest.raises(ValueError):
         incline_safe_span(incline_params, 35.0, (-3.0, -2.9))
+    # the window at k = 3.2 lies right of the anchor x = 0
+    with pytest.raises(ValueError, match="does not hold the anchor x = 0"):
+        incline_safe_span(incline_params, 3.2, (-1.5, 1.5))
+
+
+# ---------------------------------------------------------------------------
+# cumulative integral of the potential and h curves
+# ---------------------------------------------------------------------------
+
+def _quad_cells(f, xs, **kw):
+    kw = kw or {"epsabs": 1e-12, "epsrel": 1e-8}
+    return np.array([quad(f, a, b, **kw)[0] for a, b in zip(xs[:-1], xs[1:])])
+
+
+def _curve_integrands(reference_params, incline_params, k):
+    """(array integrand, float integrand, grid) of the cart-pole potential, the
+    incline h-curve and the incline potential at gain k."""
+    gains = GainSelection(k=k, sigma=1.0, rho=2.0, c=6.0)
+    span = gain_bound_crossing(reference_params, k) - 1e-6
+    cp = lambda x: cartpole_shaped_potential_gradient(reference_params, gains, x)  # noqa: E731
+    h = incline_h_curve(incline_params, incline_base_shaping(incline_params, gains), k,
+                        INCLINE_LOOP_SPAN)
+    lo, hi = incline_safe_span(incline_params, k, (-1.2, 1.2))
+    h_fn = lambda x: h.A.fn([x])  # noqa: E731
+    return [(cp, lambda x: float(cp(x)), np.linspace(-span, span, 801)),
+            (h_fn, h_fn, h.xs),
+            (_incline_slope(incline_params, gains, h, np),
+             _incline_slope(incline_params, gains, h, math), np.linspace(lo, hi, 801))]
+
+
+@pytest.mark.parametrize("k", [4.0, 20.0, 35.0, 150.0])
+def test_cell_integrals_match_quad(reference_params, incline_params, k):
+    # Interior cells agree with one adaptive quad each to 1e-13.  The ten
+    # cells at each end are left out: there the curves come within a few
+    # cells of a pole (of the cart-pole slope, or of A, where the spline of h
+    # has its largest third-derivative jumps), and both rules differ from the
+    # exact cell integral by more than 1e-13, inside their 1e-8 tolerance.
+    for f_arr, f_float, xs in _curve_integrands(reference_params, incline_params, k):
+        ours = _cell_integrals(f_arr, xs[:-1], xs[1:])
+        ref = _quad_cells(f_float, xs)
+        assert np.abs(ours - ref)[10:-10].max() <= 1e-13
+
+
+@pytest.mark.parametrize("k", [4.0, 20.0, 35.0, 150.0])
+def test_cartpole_end_cells_are_refined(reference_params, k):
+    # the span ends 1e-6 from the pole of the slope: one 8-point rule per end
+    # cell is far off, the refined cells are within the 1e-8 tolerance
+    f_arr, f_float, xs = _curve_integrands(reference_params, InclineParams(psi=0.3), k)[0]
+    ends = xs[[0, -2]], xs[[1, -1]]
+    ours = _cell_integrals(f_arr, *ends)
+    ref = np.array([quad(f_float, a, b, epsabs=0, epsrel=1e-13, limit=1000)[0]
+                    for a, b in zip(*ends)])
+    assert np.all(np.abs(ours - ref) <= 1e-8 * np.abs(ref))
+    assert np.all(np.abs(_gauss(f_arr, *ends, str) - ref) > 1.0)
+
+
+def test_incline_h_curve_is_accepted_at_the_first_level(incline_params):
+    # the anchor cell [0, x_i0] and 800 intervals: one pass over the 8 nodes of
+    # each cell, one over the 16 of its halves, in calls of at most 256 pieces
+    shaping = incline_base_shaping(incline_params, GainSelection(k=35.0, rho=2.0))
+    A = incline_A_field(incline_params, shaping)
+    calls = []
+
+    def counted(u):
+        calls.append(u[0].size)
+        return A.fn(u)
+
+    _HCurve(fl.SmoothField(1, counted), incline_safe_span(incline_params, 35.0,
+                                                         INCLINE_LOOP_SPAN))
+    assert calls == [256 * 8] * 3 + [33 * 8] + [256 * 8] * 6 + [66 * 8]
+
+
+def test_unclipped_h_curve_across_the_pole_raises(incline_params):
+    # at k = 4 the poles of A(x) lie inside (-1.1, 1.1)
+    shaping = incline_base_shaping(incline_params, GainSelection(k=4.0, rho=2.0))
+    with pytest.raises(ValueError, match=r"cumulative integral: no convergence in the cell \["):
+        _HCurve(incline_A_field(incline_params, shaping), (-1.1, 1.1))
+
+
+def test_non_finite_integrand_is_named_without_warning():
+    with pytest.raises(ValueError, match=r"the integrand is nan at x = -0\.\d+, in the cell "
+                                         r"\[-0\.5, -0\.25\]"):
+        _cumulative_integral(np.log, np.linspace(-0.5, 1.0, 7))
+
+
+def test_cumulative_integral_sums_outward_from_zero():
+    xs = np.linspace(-1.0, 2.0, 13)
+    vals = _cumulative_integral(lambda x: 3.0 * x * x, xs)
+    assert vals[4] == 0.0
+    assert np.abs(vals - xs ** 3).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -114,3 +114,10 @@ def test_trig_on_floats_passthrough():
     assert sin(0.3) == math.sin(0.3)
     assert cos(0.3) == math.cos(0.3)
     assert sqrt(2.0) == math.sqrt(2.0)
+
+
+def test_trig_on_arrays_is_numpy_bit_for_bit():
+    x = np.random.default_rng(3).uniform(-4.0, 4.0, 1000)
+    assert sin(x).tobytes() == np.sin(x).tobytes()
+    assert cos(x).tobytes() == np.cos(x).tobytes()
+    assert sqrt(np.abs(x)).tobytes() == np.sqrt(np.abs(x)).tobytes()

@@ -250,6 +250,9 @@ def test_sampled_tau_fields_are_the_spline(cartpole):
         assert field.value(u) == float(spline(x))
         assert field.d1(u)[0] == float(spline(x, 1))
         assert field.d2(u)[0, 0] == float(spline(x, 2))
+    # an array of points (a curve's integrand nodes) is read by the spline too
+    xs = np.linspace(-0.95, 0.99, 37)
+    assert field.fn([xs]).tobytes() == spline(xs).tobytes()
 
 
 def test_integrate_zero_initial(cartpole):
