@@ -6,10 +6,14 @@ The shaped potential used for energy bookkeeping is always the one consistent
 with the closed-loop dynamics: recovered by integrating the reconstructed
 gradient for the cart-pole, and by the same reconstruction (analytic in the
 group coordinate) for the incline.  Every cached curve (both potentials and
-the incline's h) comes from one cumulative integral, `_cumulative_integral`:
-an 8-point Gauss-Legendre rule per grid cell, bisected where the cell and its
-halves disagree, with the integrand evaluated on arrays of nodes.  scipy's
-adaptive ``quad`` is left to the pointwise oracle `incline_h`.
+the incline's h) is a `fields.Curve` on an 801-point grid whose values come
+from one cumulative integral, `_cumulative_integral`: an 8-point
+Gauss-Legendre rule per grid cell, bisected where the cell and its halves
+disagree, with the integrand evaluated on arrays of nodes.  scipy's adaptive
+``quad`` is left to the pointwise oracle `incline_h`.
+Each closed-loop formula is written once: the accelerations and both
+potential slopes as one body over the sin, cos and sqrt of ``math``, `jets`
+or numpy.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from . import jets
-from .fields import SmoothField, spline_reader
-from .jets import Jet2, chain, cos, jet_vars, value_of
+from .fields import Curve, SmoothField
+from .jets import cos, jet_vars, value_of
 from .lagrangian import (ExplicitSode, ShapingParams, controlled_lagrangian_generic,
                          kinetic_matrix, scalar_sigma_matrix)
 from .matching import new_tau_closed_form
@@ -191,26 +194,24 @@ def _potential_gradient_candidate(sys: MechanicalSystem, shaping: ShapingParams,
 
 
 def reconstruct_shaped_potential_gradient(sys: MechanicalSystem, shaping: ShapingParams,
-                                          closed_loop: ExplicitSode, q: np.ndarray,
-                                          velocities: np.ndarray | None = None,
-                                          seed: int = 0,
-                                          tol: float = 1e-10) -> np.ndarray:
+                                          closed_loop: ExplicitSode,
+                                          q: np.ndarray) -> np.ndarray:
     """Gradient of the potential that completes the shaped kinetic energy into
     a Lagrangian matching the closed loop.
 
-    The candidate must come out velocity-independent; any residual velocity
-    dependence above tolerance signals a matching failure.
+    The candidate must come out velocity-independent: its values at zero
+    velocity and at 5 seeded random velocities in [-1, 1]^n must agree to
+    1e-10 relative, or the matching has failed.
     """
     q = np.asarray(q, dtype=float)
     n = sys.dims.total
-    if velocities is None:
-        rng = np.random.default_rng(seed)
-        velocities = np.vstack([np.zeros(n), rng.uniform(-1.0, 1.0, size=(5, n))])
+    rng = np.random.default_rng(0)
+    velocities = np.vstack([np.zeros(n), rng.uniform(-1.0, 1.0, size=(5, n))])
     cands = np.array([_potential_gradient_candidate(sys, shaping, closed_loop, q, qd)
                       for qd in velocities])
     spread = np.abs(cands - cands[0]).max()
     scale = max(1.0, np.abs(cands).max())
-    if spread > tol * scale:
+    if spread > 1e-10 * scale:
         raise MatchingFailure(
             f"potential gradient keeps velocity dependence: spread {spread:.3e}")
     return cands[0]
@@ -242,6 +243,7 @@ _GL_W = np.array([0.10122853629037626, 0.22238103445337448, 0.31370664587788727,
                   0.362683783378362, 0.362683783378362, 0.31370664587788727,
                   0.22238103445337448, 0.10122853629037626])
 _EPSABS, _EPSREL = 1e-12, 1e-8
+_CURVE_POINTS = 801     # grid points of every cached curve
 _MAX_LEVELS = 50        # bisection levels of one cell
 _MAX_PIECES = 64        # pieces of one cell still unconverged at one level
 _CALL_PIECES = 256      # pieces per integrand call, which bounds its temporaries
@@ -325,24 +327,34 @@ def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) 
     return vals
 
 
-class PotentialCurve:
-    """One-dimensional potential cached on a grid with its exact slope."""
+def _energy_observer(parts: Callable) -> Callable:
+    """The shaped-energy observer (times, Q, Qd) -> 0.5 (g11 xd^2 + 2 g12 xd sd
+    + g22 sd^2) + V of a two-coordinate loop, where (g11, g12, g22, V) =
+    ``parts(x, s)`` on the columns of Q."""
+
+    def energy(times, Q, Qd):
+        g11, g12, g22, V = parts(Q[:, 0], Q[:, 1])
+        xd, sd = Qd[:, 0], Qd[:, 1]
+        return 0.5 * (g11 * xd ** 2 + 2 * g12 * xd * sd + g22 * sd ** 2) + V
+
+    return energy
+
+
+class PotentialCurve(Curve):
+    """One-dimensional potential cached on a grid with its exact slope.  A
+    call, like `value`, reads it at the first of the coordinates q."""
 
     def __init__(self, xs: np.ndarray, values: np.ndarray, slope: Callable[[float], float]):
-        self.xs = xs
-        self.values = values
-        self._spline = CubicSpline(xs, values)
-        self._at = spline_reader(self._spline)
+        super().__init__(xs, values)
         self.slope = slope
 
     def value(self, q) -> float:
-        return self._at(float(np.atleast_1d(q)[0]))
+        return self.at(float(np.atleast_1d(q)[0]))
 
     def value_array(self, x: np.ndarray) -> np.ndarray:
-        return self._spline(x)
+        return self.spline(x)
 
-    def __call__(self, q) -> float:
-        return self.value(q)
+    __call__ = value
 
 
 # ---------------------------------------------------------------------------
@@ -405,39 +417,35 @@ def cartpole_control(p: CartpoleParams, k: float, x) -> np.ndarray:
         / (p.beta * p.gamma * k * cx * r - p.alpha * p.gamma + p.beta ** 2 * cx ** 2)
 
 
-def cartpole_shaped_potential_gradient(p: CartpoleParams, gains: GainSelection, x) -> np.ndarray:
-    """Restoring slope of the shaped potential (vectorized in x)."""
-    x = np.asarray(x, dtype=float)
-    cx = np.cos(x)
-    D = p.alpha * p.gamma - p.beta ** 2 * cx ** 2
-    den = p.beta * p.gamma * gains.k * cx * np.sqrt(D) - p.alpha * p.gamma \
-        + p.beta ** 2 * cx ** 2
-    return -p.d * (p.gamma ** 2 * gains.k ** 2 * gains.sigma + 1.0) * np.sin(x) * D / den
-
-
-def _cartpole_slope(p: CartpoleParams, gains: GainSelection) -> Callable[[float], float]:
-    """`cartpole_shaped_potential_gradient` at one float over math, with its
-    constant left-associative prefixes folded once: the same floats."""
+def _cartpole_slope(p: CartpoleParams, gains: GainSelection, ns) -> Callable:
+    """x -> restoring slope of the cart-pole's shaped potential, over the sin,
+    cos and sqrt of ``ns`` (math or numpy); its constant left-associative
+    prefixes are folded once, which gives the same floats."""
     alga, b2 = p.alpha * p.gamma, p.beta ** 2
     bgk = p.beta * p.gamma * gains.k
     lead = -p.d * (p.gamma ** 2 * gains.k ** 2 * gains.sigma + 1.0)
+    sin, cos, sqrt = ns.sin, ns.cos, ns.sqrt
 
-    def slope(x: float) -> float:
-        cx = math.cos(x)
+    def slope(x):
+        cx = cos(x)
         D = alga - b2 * cx ** 2
-        den = bgk * cx * math.sqrt(D) - alga + b2 * cx ** 2
-        return lead * math.sin(x) * D / den
+        den = bgk * cx * sqrt(D) - alga + b2 * cx ** 2
+        return lead * sin(x) * D / den
 
     return slope
 
 
+def cartpole_shaped_potential_gradient(p: CartpoleParams, gains: GainSelection, x) -> np.ndarray:
+    """Restoring slope of the shaped potential (vectorized in x)."""
+    return _cartpole_slope(p, gains, np)(np.asarray(x, dtype=float))
+
+
 def cartpole_shaped_potential(p: CartpoleParams, gains: GainSelection,
-                              x_span: tuple[float, float], n_grid: int = 801) -> PotentialCurve:
+                              x_span: tuple[float, float]) -> PotentialCurve:
     """Shaped potential by cumulative integration of its slope, normalized to 0 at x=0."""
-    lo, hi = x_span
-    xs = np.linspace(lo, hi, n_grid)
-    values = _cumulative_integral(lambda x: cartpole_shaped_potential_gradient(p, gains, x), xs)
-    return PotentialCurve(xs, values, _cartpole_slope(p, gains))
+    xs = np.linspace(x_span[0], x_span[1], _CURVE_POINTS)
+    values = _cumulative_integral(_cartpole_slope(p, gains, np), xs)
+    return PotentialCurve(xs, values, _cartpole_slope(p, gains, math))
 
 
 def cartpole_observed_loop(p: CartpoleParams, gains: GainSelection, x_max: float):
@@ -452,16 +460,14 @@ def cartpole_observed_loop(p: CartpoleParams, gains: GainSelection, x_max: float
     def control(times, Q, Qd):
         return cartpole_control(p, k, Q[:, 0])
 
-    def energy(times, Q, Qd):
-        x = Q[:, 0]
-        xd, sd = Qd[:, 0], Qd[:, 1]
+    def parts(x, s):
         cx = np.cos(x)
         D = al * ga - be ** 2 * cx ** 2
         g11 = ga * k ** 2 * (sigma + 1) * D + 2 * be * k * cx * np.sqrt(D) + al
         g12 = ga * k * np.sqrt(D) + be * cx
-        return 0.5 * (g11 * xd ** 2 + 2 * g12 * xd * sd + ga * sd ** 2) + pot.value_array(x)
+        return g11, g12, ga, pot.value_array(x)
 
-    return loop, control, energy
+    return loop, control, _energy_observer(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +505,16 @@ def incline_A_coefficient(p: InclineParams, shaping: ShapingParams, x: float) ->
 
 
 def incline_safe_span(p: InclineParams, k: float,
-                      requested: tuple[float, float],
-                      margin: float = 5e-3) -> tuple[float, float]:
-    """Clip a shape-coordinate span to the pole-free window of A(x).
+                      requested: tuple[float, float]) -> tuple[float, float]:
+    """Clip a shape-coordinate span to the pole-free window of A(x), less a
+    margin of 5e-3 at each end.
 
     A(x) diverges where the shape-block Schur complement vanishes, i.e. where
     the gain bound in the rotated angle psi - x reaches k.  The curves built
     on the span integrate from x = 0, so the window less its margin must
     also hold that anchor.
     """
+    margin = 5e-3
     xc = gain_bound_crossing(p, k)
     lo = max(requested[0], p.psi - xc + margin)
     hi = min(requested[1], p.psi + xc - margin)
@@ -524,24 +531,18 @@ def incline_safe_span(p: InclineParams, k: float,
 INCLINE_LOOP_SPAN = (-1.5, 1.5)    # shape span of the incline's h-curve, before clipping
 
 
-class _HCurve:
-    """Integral of A from 0, cached on a grid; derivatives are exact."""
+class _HCurve(Curve):
+    """h, the integral of A from 0, cached on a grid; h' and h'' of a jet are
+    A and A' from one jet pass of A, so they are exact."""
 
-    def __init__(self, A: SmoothField, x_span: tuple[float, float], n_grid: int = 801):
-        self.xs = np.linspace(x_span[0], x_span[1], n_grid)
-        self.values = _cumulative_integral(lambda x: A.fn([x]), self.xs)
-        self._spline = CubicSpline(self.xs, self.values)
-        self._at = spline_reader(self._spline)
+    def __init__(self, A: SmoothField, x_span: tuple[float, float]):
+        def derivs(v: float) -> tuple[float, float]:
+            a = A.eval_jet(jet_vars([v]))
+            return a.f, a.g[0]
+
+        xs = np.linspace(x_span[0], x_span[1], _CURVE_POINTS)
+        super().__init__(xs, _cumulative_integral(lambda x: A.fn([x]), xs), derivs)
         self.A = A
-
-    def __call__(self, x):
-        """h at a float, an array or a Jet2; h' and h'' of a jet are A and A'."""
-        if isinstance(x, Jet2):
-            a = self.A.eval_jet(jet_vars([x.f]))
-            return chain(x, self._at(x.f), a.f, a.g[0])
-        if isinstance(x, np.ndarray):
-            return self._spline(x)
-        return self._at(x)
 
 
 def incline_base_shaping(p: InclineParams, gains: GainSelection) -> ShapingParams:
@@ -565,20 +566,29 @@ def incline_h(p: InclineParams, shaping: ShapingParams, x: float) -> float:
                       epsabs=1e-10, epsrel=1e-10)[0])
 
 
+def _incline_veps(p: InclineParams, gains: GainSelection) -> Callable:
+    """(x, s, hx) -> V_eps = gamma*grav*sin(psi)*s + s^2/2 - s hx + c x^2
+    - s0 s + s0 hx, the extra potential at h(x) = hx, over floats or jets."""
+    slope = p.gamma * p.grav * math.sin(p.psi)
+    c, s0 = gains.c, gains.s0
+
+    def veps(x, s, hx):
+        return slope * s + 0.5 * s ** 2 - s * hx + c * x ** 2 - s0 * s + s0 * hx
+
+    return veps
+
+
 def incline_Veps(p: InclineParams, shaping: ShapingParams, gains: GainSelection,
                  point: tuple[float, float]) -> tuple[float, np.ndarray, float]:
-    """Extra potential at (x, s): value, gradient and h(x).
-
-    V_eps = gamma*grav*sin(psi)*s + s^2/2 - s h(x) + c x^2 - s0 s + s0 h(x).
-    """
+    """Extra potential at (x, s): value, gradient and h(x), with h by adaptive
+    quadrature."""
     x, s = float(point[0]), float(point[1])
     hx = incline_h(p, shaping, x)
     A = incline_A_coefficient(p, shaping, x)
     slope = p.gamma * p.grav * math.sin(p.psi)
-    value = slope * s + 0.5 * s ** 2 - s * hx + gains.c * x ** 2 - gains.s0 * s + gains.s0 * hx
     grad = np.array([(gains.s0 - s) * A + 2.0 * gains.c * x,
                      slope + s - hx - gains.s0])
-    return value, grad, hx
+    return _incline_veps(p, gains)(x, s, hx), grad, hx
 
 
 def incline_veps_field(p: InclineParams, shaping: ShapingParams, gains: GainSelection,
@@ -586,15 +596,8 @@ def incline_veps_field(p: InclineParams, shaping: ShapingParams, gains: GainSele
     """The extra potential as a SmoothField over (x, s); h cached on a grid,
     its jet derivatives exact through A and its derivative."""
     h = incline_h_curve(p, shaping, gains.k, x_span)
-    slope = p.gamma * p.grav * math.sin(p.psi)
-    c, s0 = gains.c, gains.s0
-
-    def veps(u):
-        x, s = u
-        hx = h(x)
-        return slope * s + 0.5 * s ** 2 - s * hx + c * x ** 2 - s0 * s + s0 * hx
-
-    return SmoothField(2, veps)
+    veps = _incline_veps(p, gains)
+    return SmoothField(2, lambda u: veps(u[0], u[1], h(u[0])))
 
 
 def incline_shaping(p: InclineParams, gains: GainSelection,
@@ -684,8 +687,7 @@ def incline_closed_loop(p: InclineParams, gains: GainSelection, h: _HCurve) -> E
 
 
 def incline_shaped_potential(p: InclineParams, gains: GainSelection, h: _HCurve,
-                             x_span: tuple[float, float] = (-1.2, 1.2),
-                             n_grid: int = 801):
+                             x_span: tuple[float, float] = (-1.2, 1.2)):
     """Conserved shaped potential of the incline closed loop.
 
     The group-coordinate dependence is analytic; the shape part is the
@@ -697,29 +699,25 @@ def incline_shaped_potential(p: InclineParams, gains: GainSelection, h: _HCurve,
     lo, hi = incline_safe_span(p, gains.k, x_span)
     if not h.xs[0] <= lo < hi <= h.xs[-1]:
         raise ValueError("the h-curve does not cover the potential span")
-    A = h.A
     s0 = gains.s0
     slope = _incline_slope(p, gains, h, math)
-
-    xs = np.linspace(lo, hi, n_grid)
-    Wspline = CubicSpline(xs, _cumulative_integral(_incline_slope(p, gains, h, np), xs))
-    W = spline_reader(Wspline)
+    xs = np.linspace(lo, hi, _CURVE_POINTS)
+    W = Curve(xs, _cumulative_integral(_incline_slope(p, gains, h, np), xs))
 
     class InclinePotential:
-        def value(self, q) -> float:
-            x, s = float(q[0]), float(q[1])
+        def value_arrays(self, x, s):
+            """The potential at floats or at arrays x and s."""
             return W(x) - h(x) * (s - s0) + 0.5 * (s - s0) ** 2
 
-        def value_arrays(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-            return Wspline(x) - h(x) * (s - s0) + 0.5 * (s - s0) ** 2
+        def value(self, q) -> float:
+            return self.value_arrays(float(q[0]), float(q[1]))
+
+        __call__ = value
 
         def gradient(self, q) -> np.ndarray:
             x, s = float(q[0]), float(q[1])
-            Ax = A.value(np.array([x]))
+            Ax = h.A.value(np.array([x]))
             return np.array([slope(x) - Ax * (s - s0), (s - s0) - h(x)])
-
-        def __call__(self, q) -> float:
-            return self.value(q)
 
     return InclinePotential()
 
@@ -745,12 +743,8 @@ def incline_observed_loop(p: InclineParams, gains: GainSelection,
         dVeps_ds = slope + s - h(x) - s0
         return (1 - rho) / rho * slope - dVeps_ds / rho - ga * t * xdd - ga * tp * xd ** 2
 
-    def energy(times, Q, Qd):
-        x, s = Q[:, 0], Q[:, 1]
-        xd, sd = Qd[:, 0], Qd[:, 1]
+    def parts(x, s):
         cpx, t, _ = tau(x)
-        g11b, g12b = _incline_kinetic(p, gains, cpx, t)
-        return 0.5 * (g11b * xd ** 2 + 2 * g12b * xd * sd + rho * ga * sd ** 2) \
-            + pot.value_arrays(x, s)
+        return (*_incline_kinetic(p, gains, cpx, t), rho * ga, pot.value_arrays(x, s))
 
-    return loop, control, energy
+    return loop, control, _energy_observer(parts)

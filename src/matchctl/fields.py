@@ -2,9 +2,9 @@
 
 Metric components, potentials and the feedback-shaping one-form are all built
 from these.  A field holds one function ``fn(coords)`` written with the
-elementary functions of `jets`, or with `jets.chain` for a curve known with
-its derivatives (a spline, read at one float by `spline_reader`), so it
-accepts float or `Jet2` coordinates alike:
+elementary functions of `jets`, or with a `Curve` (a cubic spline read at one
+float by `spline_reader` and through `jets.chain` at a jet), so it accepts
+float or `Jet2` coordinates alike:
 ``value`` is one float pass, and ``d1``/``d2`` read the gradient and Hessian
 of one pass over seeded jets, which is exact forward-mode differentiation.
 The algebra composes these functions and folds constant fields when the
@@ -25,9 +25,10 @@ from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from . import jets
-from .jets import Jet2, as_jet, jet_vars
+from .jets import Jet2, as_jet, chain, jet_vars
 
 __all__ = [
     "SmoothField",
@@ -40,6 +41,7 @@ __all__ = [
     "field_eval",
     "gradient",
     "spline_reader",
+    "Curve",
 ]
 
 
@@ -251,3 +253,24 @@ def spline_reader(spline) -> Callable[[float, int], float]:
         return 0.0 + c2[i] * 2.0 + c3[i] * s * 6.0
 
     return at
+
+
+class Curve:
+    """A cubic spline through (xs, values), called at a float (read by
+    `spline_reader`, ``at``), an array (read by the ``CubicSpline``,
+    ``spline``) or a `Jet2` (through `jets.chain` with ``derivs(v) -> (d1,
+    d2)``, the spline's own first two derivatives unless given)."""
+
+    def __init__(self, xs: np.ndarray, values: np.ndarray,
+                 derivs: Callable[[float], tuple[float, float]] | None = None):
+        self.xs = xs
+        self.spline = CubicSpline(xs, values)
+        self.at = at = spline_reader(self.spline)
+        self._derivs = derivs or (lambda v: (at(v, 1), at(v, 2)))
+
+    def __call__(self, x):
+        if isinstance(x, Jet2):
+            return chain(x, self.at(x.f), *self._derivs(x.f))
+        if isinstance(x, np.ndarray):
+            return self.spline(x)
+        return self.at(x)

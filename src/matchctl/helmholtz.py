@@ -79,13 +79,12 @@ def explicit_helmholtz_residuals(field: ExplicitSode,
                                  multiplier: Callable,
                                  state: State,
                                  tol: float = DEFAULT_TOL,
-                                 det_floor: float = 1e-12,
                                  backend: str = "jet") -> ResidualReport:
     """Multiplier-form conditions for a candidate matrix g(q, qdot).
 
     ``multiplier(q_coords, qd_coords)`` must return an n x n nested list and
-    be generic over floats/jets.  Regularity (|det g|) is reported against a
-    floor, not treated as a residual.
+    be generic over floats/jets.  Regularity (|det g|) is reported against the
+    floor 1e-12, not treated as a residual.
     """
     n = field.n
     vals, grads, _ = value_grad_hess(
@@ -121,7 +120,7 @@ def explicit_helmholtz_residuals(field: ExplicitSode,
     gphi = gval @ tens.jacobi
     report.add(ResidualEntry.normalized("jacobi_symmetry", gphi - gphi.T, np.abs(gphi), tol))
 
-    det = float(np.linalg.det(gval))
+    det, det_floor = float(np.linalg.det(gval)), 1e-12
     report.add(ResidualEntry(name="regularity", value=abs(det), tol=det_floor,
                              passed=bool(abs(det) > det_floor), residual=False,
                              note="pass iff |det g| above floor"))

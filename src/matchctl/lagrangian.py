@@ -111,12 +111,6 @@ class ShapingParams:
         """d(tau^a_alpha)/dx^k as (n_group, n_shape, n_shape)."""
         return np.array([[f.d1(x) for f in row] for row in self.tau])
 
-    def varpi(self, sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
-        """Vertical metric modification g_rho - g at shape point x."""
-        ggg = sys.ggg(x)
-        target = self.g_rho if self.g_rho is not None else self.rho * ggg
-        return target - ggg
-
     def scalar_rho(self, sys: MechanicalSystem, x: np.ndarray,
                    tol: float = 1e-10) -> float | None:
         """Recover rho when the vertical metric is a scalar multiple of g_gg."""
@@ -129,13 +123,10 @@ class ShapingParams:
         return None
 
 
-def scalar_sigma_matrix(sys: MechanicalSystem, sigma: float,
-                        x_ref: np.ndarray | None = None) -> np.ndarray:
-    """sigma_ab = sigma * g_ab, evaluated at a reference point (g_gg constant
-    in every use of this helper)."""
-    if x_ref is None:
-        x_ref = np.zeros(sys.dims.n_shape)
-    return float(sigma) * sys.ggg(x_ref)
+def scalar_sigma_matrix(sys: MechanicalSystem, sigma: float) -> np.ndarray:
+    """sigma_ab = sigma * g_ab, evaluated at shape point 0 (g_gg constant in
+    every use of this helper)."""
+    return float(sigma) * sys.ggg(np.zeros(sys.dims.n_shape))
 
 
 @dataclass

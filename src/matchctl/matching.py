@@ -13,17 +13,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import fields as fl
-from .fields import SmoothField
-from .jets import Jet2, chain, solve_generic, sqrt
+from .fields import Curve, SmoothField
+from .jets import solve_generic, sqrt
 from .lagrangian import ShapingParams
 from .model import MechanicalSystem
 from .report import ResidualEntry, ResidualReport
 
 __all__ = [
     "MATCHING_TOL",
+    "TAU_RESIDUAL_TOL",
     "default_grid",
     "matching_residuals",
     "simplified_matching_residuals",
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 MATCHING_TOL = 1e-10
+TAU_RESIDUAL_TOL = 1e-6     # bound of an integrated tau's ODE residual self-check
 
 
 class TauIntegrationError(RuntimeError):
@@ -114,10 +115,9 @@ def fit_scalar_sigma(shaping: ShapingParams, ggg: np.ndarray) -> tuple[float, fl
 
 
 def simplified_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
-                                  x, tol: float = MATCHING_TOL,
-                                  theta: np.ndarray | None = None) -> ResidualReport:
+                                  x, tol: float = MATCHING_TOL) -> ResidualReport:
     """The simplified conditions at shape point x; the potential condition is
-    checked only for symmetry-breaking systems."""
+    checked only for symmetry-breaking systems, at group coordinates 0."""
     x, gsg, ggg, dgg, dsg, tau, dtau = _point_data(sys, shaping, x)
     ns, ng = sys.dims.n_shape, sys.dims.n_group
     report = ResidualReport("simplified matching conditions")
@@ -147,9 +147,7 @@ def simplified_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
     if not sys.breaks_group_symmetry:
         report.add(ResidualEntry.skip("SM5", "group symmetry unbroken"))
     else:
-        if theta is None:
-            theta = np.zeros(ng)
-        q = np.concatenate([x, theta])
+        q = np.concatenate([x, np.zeros(ng)])
         v2 = sys.V_d2(q)
         ggg_inv = np.linalg.inv(ggg)
         mixed = v2[:ns, ns:]          # V_{,alpha a}
@@ -321,43 +319,26 @@ def new_tau_ode_residual(sys: MechanicalSystem, tau_fields, x) -> np.ndarray:
 
 @dataclass
 class SampledTau:
-    """Numerical tau solution on a grid with cubic interpolation."""
+    """Numerical tau solution on a grid with cubic interpolation: one
+    `fields.Curve` per group coordinate."""
 
     xs: np.ndarray
     values: np.ndarray              # (N, n_group)
     max_ode_residual: float
 
     def __post_init__(self):
-        self._splines = [CubicSpline(self.xs, self.values[:, a])
-                         for a in range(self.values.shape[1])]
+        self._curves = [Curve(self.xs, self.values[:, a]) for a in range(self.values.shape[1])]
 
     def value(self, x: float) -> np.ndarray:
-        return np.array([s(x) for s in self._splines])
+        return np.array([c.spline(x) for c in self._curves])
 
     def derivative(self, x: float) -> np.ndarray:
-        return np.array([s(x, 1) for s in self._splines])
+        return np.array([c.spline(x, 1) for c in self._curves])
 
     def as_fields(self) -> tuple:
-        return tuple((_spline_field(s),) for s in self._splines)
-
-
-def _spline_field(s: CubicSpline) -> SmoothField:
-    """The spline as a field of one coordinate, read at floats by
-    `fields.spline_reader`; a jet goes through the chain rule with the
-    spline's own first two derivatives, and an array is read by the spline
-    itself."""
-    at = fl.spline_reader(s)
-
-    def fn(u):
-        x = u[0]
-        if isinstance(x, Jet2):
-            v = x.f
-            return chain(x, at(v), at(v, 1), at(v, 2))
-        if isinstance(x, np.ndarray):
-            return s(x)
-        return at(x)
-
-    return SmoothField(1, fn)
+        """Each curve as a field of one coordinate, read at a float, an array
+        or a jet by the curve."""
+        return tuple((SmoothField(1, lambda u, c=c: c(u[0])),) for c in self._curves)
 
 
 def _slope(S0: float, r0: float, g1, tau: list, x: float) -> list:
@@ -389,8 +370,7 @@ def _tau_slope(sys: MechanicalSystem, x: np.ndarray, tau: np.ndarray) -> np.ndar
 
 
 def integrate_new_tau(sys: MechanicalSystem, tau0, x_range: tuple[float, float],
-                      step: float = 1e-3, x0: float | None = None,
-                      residual_tol: float = 1e-6) -> SampledTau:
+                      step: float = 1e-3, x0: float | None = None) -> SampledTau:
     """March the solved-for tau ODE across x_range with classical RK4.
 
     Integration starts at x0 (default: left end) from tau0 and proceeds in
@@ -399,7 +379,8 @@ def integrate_new_tau(sys: MechanicalSystem, tau0, x_range: tuple[float, float],
     form tau' = tau r0 / S0: M tau = S0 tau, so tau scaled by r0 / S0 solves
     M tau' = tau r0 (see `TauIntegrationError` for M, S0, r0 and the
     determinant guard).  The result is spline-sampled and self-checked
-    against the ODE residual at every sample, reusing the node data.
+    against the ODE residual at every sample, reusing the node data, which
+    must stay within `TAU_RESIDUAL_TOL`.
     """
     if sys.dims.n_shape != 1:
         raise ValueError("the ODE form requires one shape coordinate")
@@ -455,7 +436,7 @@ def integrate_new_tau(sys: MechanicalSystem, tau0, x_range: tuple[float, float],
     res = _ode_residual(pieces, sampled.value(xs).T, sampled.derivative(xs).T)
     worst = float(np.abs(res).max())
     sampled.max_ode_residual = worst
-    if not worst <= residual_tol:
-        raise RuntimeError(
-            f"integrated tau violates its ODE residual check: {worst:.3e} > {residual_tol:.1e}")
+    if not worst <= TAU_RESIDUAL_TOL:
+        raise RuntimeError(f"integrated tau violates its ODE residual check: "
+                           f"{worst:.3e} > {TAU_RESIDUAL_TOL:.1e}")
     return sampled

@@ -208,9 +208,10 @@ def incline_system(p: InclineParams) -> MechanicalSystem:
 
 def validate_system(sys: MechanicalSystem, n_samples: int = 25,
                     x_range: tuple[float, float] = (-1.3, 1.3),
-                    theta_range: tuple[float, float] = (-1.0, 1.0),
                     seed: int = 0) -> ResidualReport:
-    """Sample-based sanity report: symmetry, positive-definiteness, derivative consistency.
+    """Sample-based sanity report: symmetry, positive-definiteness, derivative
+    consistency, at shape points drawn from x_range and group coordinates from
+    [-1, 1].
 
     Positive-definiteness failure is reported, not raised.
     """
@@ -219,7 +220,7 @@ def validate_system(sys: MechanicalSystem, n_samples: int = 25,
     ns, ng = sys.dims.n_shape, sys.dims.n_group
     rng = np.random.default_rng(seed)
     xs = rng.uniform(x_range[0], x_range[1], size=(n_samples, ns))
-    thetas = rng.uniform(theta_range[0], theta_range[1], size=(n_samples, ng))
+    thetas = rng.uniform(-1.0, 1.0, size=(n_samples, ng))
 
     sym = 0.0
     min_eig = np.inf

@@ -43,13 +43,12 @@ class Trajectory:
 def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
               control: Callable | None = None,
               energy: Callable | None = None,
-              guard: Callable | None = None,
-              guard_kind: str = "domain_exit") -> Trajectory:
+              guard: Callable | None = None) -> Trajectory:
     """March the field with fixed-step RK4 from state0 for t_end seconds.
 
-    ``guard(q, qdot) -> bool`` halts integration (event recorded) when true;
-    it receives the coordinates and velocities as sequences, float tuples on
-    the two-coordinate fast path and arrays otherwise.  Non-finite states
+    ``guard(q, qdot) -> bool`` halts integration with a "domain_exit" event
+    when true; it receives the coordinates and velocities as sequences, float
+    tuples on the two-coordinate fast path and arrays otherwise.  Non-finite states
     always halt with a "nonfinite" event.  ``control`` and ``energy`` are
     vectorized observers (times, Q, Qd) -> columns evaluated on the recorded
     samples.
@@ -61,9 +60,9 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
     events: list = []
 
     if n == 2 and field_.gamma2 is not None:
-        times, states = _rk4_pair(field_.gamma2, state0, dt, n_steps, guard, guard_kind, events)
+        times, states = _rk4_pair(field_.gamma2, state0, dt, n_steps, guard, events)
     else:
-        times, states = _rk4_array(field_, state0, dt, n_steps, guard, guard_kind, events)
+        times, states = _rk4_array(field_, state0, dt, n_steps, guard, events)
 
     traj = Trajectory(dims=field_.dims, times=times, states=states, events=events)
     Q, Qd = traj.q(), traj.qdot()
@@ -75,7 +74,7 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
     return traj
 
 
-def _rk4_pair(gamma2, state0: State, dt: float, n_steps: int, guard, guard_kind, events):
+def _rk4_pair(gamma2, state0: State, dt: float, n_steps: int, guard, events):
     """Scalar fast path for two-coordinate systems: states are recorded as
     floats and copied into one array at the end."""
     x, th = float(state0.q[0]), float(state0.q[1])
@@ -105,14 +104,14 @@ def _rk4_pair(gamma2, state0: State, dt: float, n_steps: int, guard, guard_kind,
             events.append((t_now, "nonfinite"))
             break
         if guard is not None and guard((x, th), (xd, thd)):
-            events.append((t_now, guard_kind))
+            events.append((t_now, "domain_exit"))
             break
     states = np.frombuffer(rec, dtype=float).reshape(-1, 4).copy()
     return np.arange(len(states)) * dt, states
 
 
 def _rk4_array(field_: ExplicitSode, state0: State, dt: float, n_steps: int,
-               guard, guard_kind, events):
+               guard, events):
     n = field_.n
     q = state0.q.astype(float).copy()
     qd = state0.qdot.astype(float).copy()
@@ -138,7 +137,7 @@ def _rk4_array(field_: ExplicitSode, state0: State, dt: float, n_steps: int,
             events.append((t_now, "nonfinite"))
             break
         if guard is not None and guard(q, qd):
-            events.append((t_now, guard_kind))
+            events.append((t_now, "domain_exit"))
             break
     times = np.arange(kept) * dt
     return times, out[:kept]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matchctl.fields as fl
-from matchctl.jets import fd_value_grad_hess, jet_vars
+from matchctl.jets import chain, fd_value_grad_hess, jet_vars
 
 
 def build_sample():
@@ -123,7 +123,8 @@ def test_spline_reader_is_scipy_bit_for_bit():
 
     rng = np.random.default_rng(11)
     xs = np.linspace(-1.5, 1.5, 201)
-    spline = CubicSpline(xs, np.sin(3.0 * xs) + 1e-3 * rng.normal(size=xs.size))
+    ys = np.sin(3.0 * xs) + 1e-3 * rng.normal(size=xs.size)
+    spline = CubicSpline(xs, ys)
     at = fl.spline_reader(spline)
     # every knot (both ends included), interior points, extrapolation on both
     # sides and both zeros
@@ -135,3 +136,16 @@ def test_spline_reader_is_scipy_bit_for_bit():
         ref = np.array([float(spline(v, nu)) for v in points])
         assert ours.tobytes() == ref.tobytes()
         assert np.isnan(at(float("nan"), nu)) and np.isnan(spline(np.nan, nu))
+    # a Curve on the same data reads floats and arrays bit for bit as scipy,
+    # and a jet through the chain rule with the spline's own derivatives
+    curve = fl.Curve(xs, ys)
+    ref = np.array([float(spline(v)) for v in points])
+    assert np.array([curve(v) for v in points]).tobytes() == ref.tobytes()
+    assert curve(np.array(points)).tobytes() == spline(np.array(points)).tobytes()
+    for v in rng.uniform(-3.0, 3.0, 50).tolist() + [0.0]:
+        u, w = jet_vars([v, 0.3])
+        x = 2.0 * u + 0.1 * w * w
+        got = curve(x)
+        want = chain(x, *(float(spline(x.f, nu)) for nu in (0, 1, 2)))
+        assert (got.f, got.g.tobytes(), got.h.tobytes()) \
+            == (want.f, want.g.tobytes(), want.h.tobytes())

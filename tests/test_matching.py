@@ -244,7 +244,7 @@ def test_sampled_tau_fields_are_the_spline(cartpole):
     tau = new_tau_closed_form(cartpole, 35.0)
     samp = integrate_new_tau(cartpole, [tau.value(np.array([-1.0]))], (-1.0, 1.0), step=1e-2)
     (field,), = samp.as_fields()
-    (spline,) = samp._splines
+    (spline,) = [c.spline for c in samp._curves]
     for x in (-0.95, -0.3, 0.0, 0.41, 0.99):
         u = np.array([x])
         assert field.value(u) == float(spline(x))

@@ -5,6 +5,7 @@ tests fail when a refactor renames one of them, before the benchmark does.
 """
 
 import importlib
+import math
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,15 @@ def test_call_counter_and_count_metrics(perfbench, tmp_path, capsys, monkeypatch
         "control.evals_per_quad", "control.integration_warnings"}
     assert metrics["cli.calls_per_op"] > 0 and metrics["sim.calls_per_op"] > 0
     assert metrics["control.curve_builds"] > 0
+
+
+def test_probes_run_at_their_call_shapes(perfbench, tmp_path, monkeypatch):
+    # one call per batch and one batch per probe: a smoke test of the direct
+    # calls (such as ``_HCurve(A, span)``) the probes make into matchctl
+    probes = importlib.import_module("probes")
+    monkeypatch.setattr(probes, "BATCH_S", 0)
+    monkeypatch.setattr(probes, "REPEATS", 1)
+    out = probes.run_probes(matchctl, 0, tmp_path)
+    assert len(out) == 11
+    for name, (med, low) in out.items():
+        assert math.isfinite(med) and math.isfinite(low) and 0 < low <= med, name
