@@ -407,29 +407,41 @@ def cartpole_closed_loop(p: CartpoleParams, gains: GainSelection) -> ExplicitSod
     return _closed_loop(lambda ns: _cartpole_accel(p, gains.k, ns), cartpole_system(p).dims)
 
 
+def _cartpole_terms(p: CartpoleParams, k: float, ns) -> Callable:
+    """x -> (D, sqrt(D), den) with D = alpha gamma - beta^2 cos^2 x and
+    den = beta gamma k cos x sqrt(D) - alpha gamma + beta^2 cos^2 x, the
+    denominator of both the feedback and the shaped potential's slope, over
+    the cos and sqrt of ``ns`` (math or numpy); its constant left-associative
+    prefixes are folded once, which gives the same floats."""
+    alga, b2 = p.alpha * p.gamma, p.beta ** 2
+    bgk = p.beta * p.gamma * k
+    cos, sqrt = ns.cos, ns.sqrt
+
+    def terms(x):
+        cx = cos(x)
+        D = alga - b2 * cx ** 2
+        r = sqrt(D)
+        return D, r, bgk * cx * r - alga + b2 * cx ** 2
+
+    return terms
+
+
 def cartpole_control(p: CartpoleParams, k: float, x) -> np.ndarray:
     """Closed-form position feedback for the cart-pole (vectorized in x)."""
     x = np.asarray(x, dtype=float)
-    cx = np.cos(x)
-    D = p.alpha * p.gamma - p.beta ** 2 * cx ** 2
-    r = np.sqrt(D)
-    return -p.d * p.gamma ** 2 * k * np.sin(x) * r \
-        / (p.beta * p.gamma * k * cx * r - p.alpha * p.gamma + p.beta ** 2 * cx ** 2)
+    _, r, den = _cartpole_terms(p, k, np)(x)
+    return -p.d * p.gamma ** 2 * k * np.sin(x) * r / den
 
 
 def _cartpole_slope(p: CartpoleParams, gains: GainSelection, ns) -> Callable:
     """x -> restoring slope of the cart-pole's shaped potential, over the sin,
-    cos and sqrt of ``ns`` (math or numpy); its constant left-associative
-    prefixes are folded once, which gives the same floats."""
-    alga, b2 = p.alpha * p.gamma, p.beta ** 2
-    bgk = p.beta * p.gamma * gains.k
+    cos and sqrt of ``ns`` (math or numpy)."""
+    terms = _cartpole_terms(p, gains.k, ns)
     lead = -p.d * (p.gamma ** 2 * gains.k ** 2 * gains.sigma + 1.0)
-    sin, cos, sqrt = ns.sin, ns.cos, ns.sqrt
+    sin = ns.sin
 
     def slope(x):
-        cx = cos(x)
-        D = alga - b2 * cx ** 2
-        den = bgk * cx * sqrt(D) - alga + b2 * cx ** 2
+        D, _, den = terms(x)
         return lead * sin(x) * D / den
 
     return slope
@@ -566,16 +578,25 @@ def incline_h(p: InclineParams, shaping: ShapingParams, x: float) -> float:
                       epsabs=1e-10, epsrel=1e-10)[0])
 
 
-def _incline_veps(p: InclineParams, gains: GainSelection) -> Callable:
+def _incline_grade(p: InclineParams) -> float:
+    """gamma grav sin(psi), the slope of the incline's gravity potential in s."""
+    return p.gamma * p.grav * math.sin(p.psi)
+
+
+def _incline_veps(p: InclineParams, gains: GainSelection) -> tuple[Callable, Callable]:
     """(x, s, hx) -> V_eps = gamma*grav*sin(psi)*s + s^2/2 - s hx + c x^2
-    - s0 s + s0 hx, the extra potential at h(x) = hx, over floats or jets."""
-    slope = p.gamma * p.grav * math.sin(p.psi)
+    - s0 s + s0 hx, the extra potential at h(x) = hx, and (s, hx) ->
+    dV_eps/ds = gamma*grav*sin(psi) + s - hx - s0, over floats, jets or arrays."""
+    slope = _incline_grade(p)
     c, s0 = gains.c, gains.s0
 
     def veps(x, s, hx):
         return slope * s + 0.5 * s ** 2 - s * hx + c * x ** 2 - s0 * s + s0 * hx
 
-    return veps
+    def veps_ds(s, hx):
+        return slope + s - hx - s0
+
+    return veps, veps_ds
 
 
 def incline_Veps(p: InclineParams, shaping: ShapingParams, gains: GainSelection,
@@ -585,10 +606,9 @@ def incline_Veps(p: InclineParams, shaping: ShapingParams, gains: GainSelection,
     x, s = float(point[0]), float(point[1])
     hx = incline_h(p, shaping, x)
     A = incline_A_coefficient(p, shaping, x)
-    slope = p.gamma * p.grav * math.sin(p.psi)
-    grad = np.array([(gains.s0 - s) * A + 2.0 * gains.c * x,
-                     slope + s - hx - gains.s0])
-    return _incline_veps(p, gains)(x, s, hx), grad, hx
+    veps, veps_ds = _incline_veps(p, gains)
+    grad = np.array([(gains.s0 - s) * A + 2.0 * gains.c * x, veps_ds(s, hx)])
+    return veps(x, s, hx), grad, hx
 
 
 def incline_veps_field(p: InclineParams, shaping: ShapingParams, gains: GainSelection,
@@ -596,7 +616,7 @@ def incline_veps_field(p: InclineParams, shaping: ShapingParams, gains: GainSele
     """The extra potential as a SmoothField over (x, s); h cached on a grid,
     its jet derivatives exact through A and its derivative."""
     h = incline_h_curve(p, shaping, gains.k, x_span)
-    veps = _incline_veps(p, gains)
+    veps = _incline_veps(p, gains)[0]
     return SmoothField(2, lambda u: veps(u[0], u[1], h(u[0])))
 
 
@@ -626,16 +646,18 @@ def _incline_loop(p: InclineParams, gains: GainSelection, h: _HCurve, ns):
     """The incline closed loop over the sin, cos and sqrt of ``ns`` (math, jets
     or numpy) and the h-curve ``h``.
 
-    Returns tau(x) -> (cos(psi - x), tau, d tau / dx) and
-    accel(x, s, xdot, sdot) -> (xddot, sddot).
+    Returns tau(x) -> (cos(psi - x), tau, d tau / dx), or (cos(psi - x), tau)
+    for tau(x, False), and accel(x, s, xdot, sdot) -> (xddot, sddot).
     """
     al, be, ga, d, psi = p.alpha, p.beta, p.gamma, p.d, p.psi
     k, rho, s0 = gains.k, gains.rho, gains.s0
     sin, cos, sqrt = ns.sin, ns.cos, ns.sqrt
 
-    def tau(x):
+    def tau(x, d1=True):
         cpx = cos(psi - x)
         rD = sqrt(al * ga - be * be * cpx * cpx)
+        if not d1:
+            return cpx, k * rD
         return cpx, k * rD, k * be * be * cpx * sin(x - psi) / rD
 
     def accel(x, s, xd, sd):
@@ -671,7 +693,7 @@ def _incline_slope(p: InclineParams, gains: GainSelection, h: _HCurve, ns) -> Ca
     sin = ns.sin
 
     def slope(x):
-        cpx, t, _ = tau(x)
+        cpx, t = tau(x, False)
         B = be * cpx
         e = B + ga * t
         b1, b2 = _incline_kinetic(p, gains, cpx, t)
@@ -733,18 +755,18 @@ def incline_observed_loop(p: InclineParams, gains: GainSelection,
     loop = incline_closed_loop(p, gains, h)
     pot = incline_shaped_potential(p, gains, h, x_span)
     tau, accel = _incline_loop(p, gains, h, np)
-    ga, rho, s0 = p.gamma, gains.rho, gains.s0
-    slope = ga * p.grav * np.sin(p.psi)
+    veps_ds = _incline_veps(p, gains)[1]
+    ga, rho, slope = p.gamma, gains.rho, _incline_grade(p)
 
     def control(times, Q, Qd):
         x, s, xd = Q[:, 0], Q[:, 1], Qd[:, 0]
         _, t, tp = tau(x)
         xdd = accel(x, s, xd, Qd[:, 1])[0]
-        dVeps_ds = slope + s - h(x) - s0
-        return (1 - rho) / rho * slope - dVeps_ds / rho - ga * t * xdd - ga * tp * xd ** 2
+        return (1 - rho) / rho * slope - veps_ds(s, h(x)) / rho - ga * t * xdd \
+            - ga * tp * xd ** 2
 
     def parts(x, s):
-        cpx, t, _ = tau(x)
+        cpx, t = tau(x, False)
         return (*_incline_kinetic(p, gains, cpx, t), rho * ga, pot.value_arrays(x, s))
 
     return loop, control, _energy_observer(parts)

@@ -258,19 +258,30 @@ def spline_reader(spline) -> Callable[[float, int], float]:
 class Curve:
     """A cubic spline through (xs, values), called at a float (read by
     `spline_reader`, ``at``), an array (read by the ``CubicSpline``,
-    ``spline``) or a `Jet2` (through `jets.chain` with ``derivs(v) -> (d1,
-    d2)``, the spline's own first two derivatives unless given)."""
+    ``spline``) or a `Jet2` at one point or at an array of points (through
+    `jets.chain` with ``derivs(v) -> (d1, d2)``, the spline's own first two
+    derivatives unless given)."""
 
     def __init__(self, xs: np.ndarray, values: np.ndarray,
                  derivs: Callable[[float], tuple[float, float]] | None = None):
         self.xs = xs
-        self.spline = CubicSpline(xs, values)
-        self.at = at = spline_reader(self.spline)
-        self._derivs = derivs or (lambda v: (at(v, 1), at(v, 2)))
+        self.spline = spline = CubicSpline(xs, values)
+        self.at = at = spline_reader(spline)
+
+        def spline_derivs(v):
+            if isinstance(v, np.ndarray):
+                return spline(v, 1), spline(v, 2)
+            return at(v, 1), at(v, 2)
+
+        # a closure, not a bound method, so that a curve holds no reference
+        # cycle and is freed as soon as it is dropped
+        self._derivs = derivs or spline_derivs
 
     def __call__(self, x):
         if isinstance(x, Jet2):
-            return chain(x, self.at(x.f), *self._derivs(x.f))
+            v = x.f
+            return chain(x, self.spline(v) if isinstance(v, np.ndarray) else self.at(v),
+                         *self._derivs(v))
         if isinstance(x, np.ndarray):
             return self.spline(x)
         return self.at(x)

@@ -7,6 +7,13 @@ which is what the residual engines need at 1e-8 tolerances where finite
 differences are too noisy.  Central finite differences are kept alongside as
 an independent cross-check oracle (`fd_value_grad_hess`).
 
+A jet may also carry N points at once (forward mode in vector form), with the
+point axis last: value ``f`` (N,), gradient ``g`` (m, N) and Hessian ``h``
+(m, m, N).  Every operation broadcasts over that axis unchanged, and the
+elementary functions below take an array value part elementwise, so a field
+runs on N points in one pass with, at each point, the floats of a scalar
+jet.  `jet_vars` seeds such jets from m arrays of points.
+
 `value_grad_hess` is the one derivative read-out: every residual engine takes
 the values, gradients and Hessians of a list-valued function at one point
 from it, over jets (``backend="jet"``) or over the difference oracle
@@ -39,7 +46,8 @@ __all__ = [
 
 
 class Jet2:
-    """Truncated second-order Taylor data: value, gradient (m,), Hessian (m, m)."""
+    """Truncated second-order Taylor data: value, gradient (m,), Hessian (m, m),
+    each with a trailing point axis (N,) for a jet over N points."""
 
     __slots__ = ("f", "g", "h")
 
@@ -81,7 +89,7 @@ class Jet2:
             return Jet2(
                 self.f * other.f,
                 self.f * other.g + other.f * self.g,
-                self.f * other.h + other.f * self.h + cross + cross.T,
+                self.f * other.h + other.f * self.h + cross + cross.swapaxes(0, 1),
             )
         if type(other) is float or isinstance(other, Real):
             return Jet2(self.f * other, self.g * other, self.h * other)
@@ -91,12 +99,13 @@ class Jet2:
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
-            if other.f == 0.0:
+            d = other.f
+            if (not d.all()) if isinstance(d, np.ndarray) else d == 0.0:
                 raise ZeroDivisionError("jet division by zero value part")
             q = self.f / other.f
             gq = (self.g - q * other.g) / other.f
             cross = gq[:, None] * other.g
-            hq = (self.h - q * other.h - cross - cross.T) / other.f
+            hq = (self.h - q * other.h - cross - cross.swapaxes(0, 1)) / other.f
             return Jet2(q, gq, hq)
         if type(other) is float or isinstance(other, Real):
             return Jet2(self.f / other, self.g / other, self.h / other)
@@ -104,7 +113,8 @@ class Jet2:
 
     def __rtruediv__(self, other):
         if type(other) is float or isinstance(other, Real):
-            return as_jet(other, self.m).__truediv__(self)
+            num = Jet2(float(other), np.zeros_like(self.g), np.zeros_like(self.h))
+            return num.__truediv__(self)
         return NotImplemented
 
     def __neg__(self):
@@ -114,7 +124,7 @@ class Jet2:
         if not isinstance(p, Real):
             return NotImplemented
         f = self.f
-        return chain(self, f ** p, p * f ** (p - 1), p * (p - 1) * f ** (p - 2))
+        return chain(self, _power(f, p), p * _power(f, p - 1), p * (p - 1) * _power(f, p - 2))
 
     def __repr__(self):
         return f"Jet2({self.f!r}, grad={self.g!r})"
@@ -127,8 +137,20 @@ def chain(x: Jet2, u: float, du: float, d2u: float) -> Jet2:
     return Jet2(u, du * x.g, du * x.h + d2u * outer)
 
 
-def jet_vars(values: Sequence[float]) -> list[Jet2]:
-    """Seed independent variables: identity gradients, zero Hessians."""
+def jet_vars(values: Sequence) -> list[Jet2]:
+    """Seed independent variables: identity gradients, zero Hessians.
+
+    ``values`` holds one float per variable, or one array of N points per
+    variable (an (m, N) array), which seeds jets over the N points."""
+    if isinstance(values[0], np.ndarray):
+        pts = np.asarray(values, dtype=float)
+        m, n = pts.shape
+        out = []
+        for i in range(m):
+            g = np.zeros((m, n))
+            g[i] = 1.0
+            out.append(Jet2(pts[i], g, np.zeros((m, m, n))))
+        return out
     values = [float(v) for v in values]
     m = len(values)
     out = []
@@ -151,12 +173,29 @@ def value_of(x) -> float:
 
 
 # -- elementary functions usable on floats and jets --------------------------
-# sin, cos and sqrt also pass an ndarray to numpy, so a field built from them
-# runs on N points in one call.
+# sin, cos and sqrt pass an ndarray (a field's value on N points, or an array
+# jet's value part) to numpy, whose results match libm's here.  exp, log and
+# powers map Python's float operation over the elements instead, because
+# numpy's exp, log, power and square differ from libm by an ulp at some
+# points, and an array jet must give the floats of a scalar one.
+
+def _elementwise(fn, v: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
+
+
+def _power(f, p):
+    if isinstance(f, np.ndarray):
+        return _elementwise(lambda v: v ** p, f)
+    return f ** p
+
 
 def sin(x):
     if isinstance(x, Jet2):
-        s, c = math.sin(x.f), math.cos(x.f)
+        f = x.f
+        if isinstance(f, np.ndarray):
+            s, c = np.sin(f), np.cos(f)
+        else:
+            s, c = math.sin(f), math.cos(f)
         return chain(x, s, c, -s)
     if isinstance(x, np.ndarray):
         return np.sin(x)
@@ -165,7 +204,11 @@ def sin(x):
 
 def cos(x):
     if isinstance(x, Jet2):
-        s, c = math.sin(x.f), math.cos(x.f)
+        f = x.f
+        if isinstance(f, np.ndarray):
+            s, c = np.sin(f), np.cos(f)
+        else:
+            s, c = math.sin(f), math.cos(f)
         return chain(x, c, -s, -c)
     if isinstance(x, np.ndarray):
         return np.cos(x)
@@ -174,8 +217,9 @@ def cos(x):
 
 def sqrt(x):
     if isinstance(x, Jet2):
-        r = math.sqrt(x.f)
-        return chain(x, r, 0.5 / r, -0.25 / (r * x.f))
+        f = x.f
+        r = np.sqrt(f) if isinstance(f, np.ndarray) else math.sqrt(f)
+        return chain(x, r, 0.5 / r, -0.25 / (r * f))
     if isinstance(x, np.ndarray):
         return np.sqrt(x)
     return math.sqrt(x)
@@ -183,14 +227,19 @@ def sqrt(x):
 
 def exp(x):
     if isinstance(x, Jet2):
-        e = math.exp(x.f)
+        e = exp(x.f)
         return chain(x, e, e, e)
+    if isinstance(x, np.ndarray):
+        return _elementwise(math.exp, x)
     return math.exp(x)
 
 
 def log(x):
     if isinstance(x, Jet2):
-        return chain(x, math.log(x.f), 1.0 / x.f, -1.0 / x.f ** 2)
+        f = x.f
+        return chain(x, log(f), 1.0 / f, -1.0 / _power(f, 2))
+    if isinstance(x, np.ndarray):
+        return _elementwise(math.log, x)
     return math.log(x)
 
 

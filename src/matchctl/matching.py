@@ -9,6 +9,7 @@ stays below tolerance on a user grid (41 uniform points by default).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import fields as fl
 from .fields import Curve, SmoothField
-from .jets import solve_generic, sqrt
+from .jets import jet_vars, solve_generic, sqrt
 from .lagrangian import ShapingParams
 from .model import MechanicalSystem
 from .report import ResidualEntry, ResidualReport
@@ -49,7 +50,11 @@ class TauIntegrationError(RuntimeError):
     S0 = 2(g11 - g1' g_gg^-1 g1), r0 = g11' - 2 g1' g_gg^-1 g1' and
     M = (S0 - 2 g1'tau) I + 2 tau g1'.  By the matrix determinant lemma
     det M = (S0 - 2 g1'tau)^(ng-1) S0; the slope is refused when that falls
-    below 1e-14 max(1, max|M|^ng) or the slope is not finite.
+    below 1e-14 max(1, max|M|^ng), when one of the two powers overflows, or
+    when the slope is not finite.  `integrate_new_tau` checks every RK4 stage
+    of a march after marching, in numpy blocks of stages, and raises at the x
+    of the first refused stage in march order, which is where a check before
+    each stage would have stopped; a node with S0 = 0 is always refused.
     """
 
     def __init__(self, x: float):
@@ -277,21 +282,23 @@ def new_tau_closed_form(sys: MechanicalSystem, k: float) -> SmoothField:
 
 def _ode_pieces(sys: MechanicalSystem, xs: np.ndarray):
     """The metric data of the tau ODE at each shape point of xs, as arrays with
-    one row per point: g11, g11', g_1a, g1' g_gg^-1 g1 and g1' g_gg^-1 g1'."""
-    f11, f1, fgg = sys.g_ss[0][0], sys.g_sg[0], sys.g_gg
-    ng, N = sys.dims.n_group, len(xs)
-    g11, dg11 = np.empty(N), np.empty(N)
-    g1, dg1 = np.empty((N, ng)), np.empty((N, ng))
-    ggg = np.empty((N, ng, ng))
-    for i, x in enumerate(np.asarray(xs, dtype=float).tolist()):
-        u = [x]
-        g11[i] = f11.value(u)
-        dg11[i] = f11.d1(u)[0]
-        for a in range(ng):
-            g1[i, a] = f1[a].value(u)
-            dg1[i, a] = f1[a].d1(u)[0]
-            for b in range(ng):
-                ggg[i, a, b] = fgg[a][b].value(u)
+    one row per point: g11, g11', g_1a, g1' g_gg^-1 g1 and g1' g_gg^-1 g1'.
+
+    Each metric field makes one array-jet pass over all of xs, which gives its
+    values (the floats of a float pass) and its derivative; a constant field
+    folds to `np.full`."""
+    xs = np.asarray(xs, dtype=float)
+    seed = jet_vars([xs])
+
+    def on_xs(field: SmoothField):
+        if field.const is not None:
+            return np.full(xs.shape, field.const), np.zeros(xs.shape)
+        out = field.eval_jet(seed)        # a float result is a constant jet
+        return np.broadcast_to(out.f, xs.shape), np.broadcast_to(out.g[0], xs.shape)
+
+    g11, dg11 = on_xs(sys.g_ss[0][0])
+    g1, dg1 = (np.stack(c, axis=1) for c in zip(*map(on_xs, sys.g_sg[0])))
+    ggg = np.stack([np.stack([on_xs(f)[0] for f in row], axis=1) for row in sys.g_gg], axis=1)
     g1_ginv = g1[:, None, :] @ np.linalg.inv(ggg)
     return (g11, dg11, g1, (g1_ginv @ g1[:, :, None])[:, 0, 0],
             (g1_ginv @ dg1[:, :, None])[:, 0, 0])
@@ -341,32 +348,65 @@ class SampledTau:
         return tuple((SmoothField(1, lambda u, c=c: c(u[0])),) for c in self._curves)
 
 
-def _slope(S0: float, r0: float, g1, tau: list, x: float) -> list:
-    """tau' = tau r0 / S0, the solution of M tau' = tau r0 (see
-    `TauIntegrationError`), refused when det M is below its floor."""
-    ng = len(tau)
-    S = S0 - 2.0 * sum(g * t for g, t in zip(g1, tau))
-    try:
-        det = S ** (ng - 1) * S0
-        floor = 1e-14 * max(1.0, max(abs(2.0 * ti * gj + (S if i == j else 0.0))
-                                     for i, ti in enumerate(tau)
-                                     for j, gj in enumerate(g1)) ** ng)
-    except OverflowError as exc:
-        raise TauIntegrationError(x) from exc
-    if not abs(det) >= floor:
-        raise TauIntegrationError(x)
-    out = [t * r0 / S0 for t in tau]
-    if not all(math.isfinite(v) for v in out):
-        raise TauIntegrationError(x)
+_GUARD_BLOCK = 2048                     # stages per numpy block of the march's guard
+_STAGE_NODE = np.array([0, 1, 1, 2])    # node of each RK4 stage, from the step's first
+
+
+def _float_pow(v: np.ndarray, e: int) -> np.ndarray:
+    """v ** e elementwise as Python floats take it, with an overflow as inf.
+
+    Python's power is libm's pow, which numpy's power and square do not
+    always match to the ulp; exponents 0 and 1 are exact in both."""
+    if e < 2:
+        return v ** e
+    out = np.empty_like(v)
+    for i, b in enumerate(v.tolist()):
+        try:
+            out[i] = b ** e
+        except OverflowError:
+            out[i] = math.inf
+    return out
+
+
+def _checked_slopes(S0: np.ndarray, r0: np.ndarray, g1: np.ndarray, tau: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """tau' = tau r0 / S0 at a run of RK4 stages, one row each in march order:
+    the solution of M tau' = tau r0 (see `TauIntegrationError`).
+
+    Raises `TauIntegrationError` at the x of the first stage whose det M is
+    below its floor, whose powers overflow, or whose slope is not finite.
+    Each stage is decided with the floats of a per-stage float check: powers
+    are Python's, and max|M| is Python's max, which keeps a NaN only when it
+    is the first entry."""
+    n, ng = tau.shape
+    diag = np.arange(ng)
+    with np.errstate(all="ignore"):
+        dot = 0.0
+        for a in range(ng):
+            dot = dot + g1[:, a] * tau[:, a]
+        S = S0 - 2.0 * dot
+        S_pow = _float_pow(S, ng - 1)
+        det = S_pow * S0
+        M = 2.0 * tau[:, :, None] * g1[:, None, :]
+        M[:, diag, diag] += S[:, None]
+        entries = np.abs(M).reshape(n, ng * ng)
+        top = np.fmax.reduce(entries, axis=1)
+        top[np.isnan(entries[:, 0])] = np.nan
+        top_pow = _float_pow(top, ng)
+        floor = 1e-14 * np.where(top_pow > 1.0, top_pow, 1.0)
+        out = tau * r0[:, None] / S0[:, None]
+        bad = ((np.isfinite(S) & np.isinf(S_pow)) | (np.isfinite(top) & np.isinf(top_pow))
+               | ~(np.abs(det) >= floor) | ~np.isfinite(out).all(axis=1))
+    if bad.any():
+        raise TauIntegrationError(float(x[bad.argmax()]))
     return out
 
 
 def _tau_slope(sys: MechanicalSystem, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """tau' at one shape point."""
     g11, dg11, g1, gig1, gidg1 = _ode_pieces(sys, x)
-    return np.array(_slope(float(2.0 * g11[0] - 2.0 * gig1[0]),
-                           float(dg11[0] - 2.0 * gidg1[0]), g1[0].tolist(),
-                           np.asarray(tau, dtype=float).tolist(), float(x[0])))
+    tau = np.asarray(tau, dtype=float)[None, :]
+    return _checked_slopes(2.0 * g11 - 2.0 * gig1, dg11 - 2.0 * gidg1, g1, tau, x)[0]
 
 
 def integrate_new_tau(sys: MechanicalSystem, tau0, x_range: tuple[float, float],
@@ -374,13 +414,17 @@ def integrate_new_tau(sys: MechanicalSystem, tau0, x_range: tuple[float, float],
     """March the solved-for tau ODE across x_range with classical RK4.
 
     Integration starts at x0 (default: left end) from tau0 and proceeds in
-    both directions as needed.  The metric data of each march is evaluated
-    once per node x0 + i h/2 (`_ode_pieces`), and every slope is the closed
-    form tau' = tau r0 / S0: M tau = S0 tau, so tau scaled by r0 / S0 solves
-    M tau' = tau r0 (see `TauIntegrationError` for M, S0, r0 and the
-    determinant guard).  The result is spline-sampled and self-checked
-    against the ODE residual at every sample, reusing the node data, which
-    must stay within `TAU_RESIDUAL_TOL`.
+    both directions as needed.  The metric data of each march comes from one
+    array-jet pass of each metric field over the nodes x0 + i h/2
+    (`_ode_pieces`), and every slope is the closed form tau' = tau r0 / S0:
+    M tau = S0 tau, so tau scaled by r0 / S0 solves M tau' = tau r0 (see
+    `TauIntegrationError` for M, S0, r0 and the determinant guard).  That
+    slope scales each component on its own, so each group coordinate marches
+    as a plain-float recurrence that records its four stage states per step;
+    the guard then checks the recorded stages (`_checked_slopes`).  The
+    result is spline-sampled and self-checked against the ODE residual at
+    every sample, reusing the node data, which must stay within
+    `TAU_RESIDUAL_TOL`.
     """
     if sys.dims.n_shape != 1:
         raise ValueError("the ODE form requires one shape coordinate")
@@ -405,24 +449,37 @@ def integrate_new_tau(sys: MechanicalSystem, tau0, x_range: tuple[float, float],
         nodes[1::2] = xs[:-1] + h / 2
         pieces = _ode_pieces(sys, nodes)
         g11, dg11, g1, gig1, gidg1 = pieces
-        # memoryviews read the node data as Python floats, one at a time
-        S0 = memoryview(2.0 * g11 - 2.0 * gig1)
-        r0 = memoryview(dg11 - 2.0 * gidg1)
-        g1v, at = memoryview(g1.ravel()), memoryview(nodes)
-
-        def slope(i, t):
-            return _slope(S0[i], r0[i], g1v[i * ng:(i + 1) * ng], t, at[i])
-
-        vals = np.empty((n + 1, ng))
-        vals[0] = t = tau0.tolist()
-        for k in range(n):
-            i = 2 * k
-            k1 = slope(i, t)
-            k2 = slope(i + 1, [a + h / 2 * b for a, b in zip(t, k1)])
-            k3 = slope(i + 1, [a + h / 2 * b for a, b in zip(t, k2)])
-            k4 = slope(i + 2, [a + h * b for a, b in zip(t, k3)])
-            vals[k + 1] = t = [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-                               for a, b1, b2, b3, b4 in zip(t, k1, k2, k3, k4)]
+        S0 = 2.0 * g11 - 2.0 * gig1
+        r0 = dg11 - 2.0 * gidg1
+        # a node with S0 = 0 fails the guard at its first stage, so the march
+        # stops after that stage's step, dividing by NaN there instead of 0
+        zero = np.flatnonzero(S0 == 0.0)
+        steps = max(1, (int(zero[0]) + 1) // 2) if zero.size else n
+        R, D = r0.tolist(), np.where(S0 == 0.0, np.nan, S0).tolist()
+        h2, h6 = h / 2, h / 6
+        cols, recs = [], []
+        for t in tau0.tolist():
+            # each component of tau' = tau r0 / S0 scales on its own
+            col, rec = array("d", [t]), array("d")
+            for i in range(0, 2 * steps, 2):
+                k1 = t * R[i] / D[i]
+                t2 = t + h2 * k1
+                k2 = t2 * R[i + 1] / D[i + 1]
+                t3 = t + h2 * k2
+                k3 = t3 * R[i + 1] / D[i + 1]
+                t4 = t + h * k3
+                k4 = t4 * R[i + 2] / D[i + 2]
+                rec.extend((t, t2, t3, t4))
+                t = t + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                col.append(t)
+            cols.append(col)
+            recs.append(rec)
+        stages = np.stack([np.frombuffer(rec) for rec in recs], axis=1)
+        for start in range(0, len(stages), _GUARD_BLOCK):
+            s = np.arange(start, min(start + _GUARD_BLOCK, len(stages)))
+            i = 2 * (s // 4) + _STAGE_NODE[s % 4]
+            _checked_slopes(S0[i], r0[i], g1[i], stages[s], nodes[i])
+        vals = np.stack([np.frombuffer(col) for col in cols], axis=1)
         return [xs, vals] + [p[0::2] for p in pieces]
 
     up = march(hi) if hi > x0 else None

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import os
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,3 +398,29 @@ def test_unexpected_error_names_its_class(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, "cp.cfg", CARTPOLE_FAST.format(out=tmp_path / "out"))
     assert main(["check-matching", "--config", cfg]) == 1
     assert capsys.readouterr().err == "error: IndexError: list index out of range\n"
+
+
+# sha256 of the new-ode outputs on the shipped configs, recorded with the
+# per-stage tau march and per-node metric passes of the previous release
+NEW_ODE_DIGESTS = {
+    "cartpole": ("40b9bc2bee01e7ed86c5c06839e0a8395a0360f4f3e7d9e79b88ec8f67a9732d",
+                 "e9abd65b5b903efa5fb464c20d6e29aaf1e6cd58de74182fd635e2734a1112d8"),
+    "incline": ("b6c190946d078342ffe01d103090e2ad1dd5dd00c8a32dfa2febb17c53c52e73",
+                "c481c47c37f045d66e6b527a2c27a4b520612c8b5625fb3b284acb0a53f0d64c"),
+}
+
+
+@pytest.mark.parametrize("name", list(NEW_ODE_DIGESTS))
+def test_new_ode_outputs_match_recorded_digests(tmp_path, capsys, name):
+    # tau_samples.csv of synthesize-tau and the check-matching --json stdout
+    text = (Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg").read_text()
+    text, count = re.subn(r"(?m)^tau\.mode = \S+", "tau.mode = new-ode", text)
+    assert count == 1
+    cfg = write_cfg(tmp_path, f"{name}.cfg", text)
+    out = tmp_path / "out"
+    assert main(["synthesize-tau", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["check-matching", "--config", cfg, "--json"]) == 0
+    stdout = capsys.readouterr().out
+    csv_digest = hashlib.sha256((out / "tau_samples.csv").read_bytes()).hexdigest()
+    assert (csv_digest, hashlib.sha256(stdout.encode()).hexdigest()) == NEW_ODE_DIGESTS[name]

@@ -121,3 +121,37 @@ def test_trig_on_arrays_is_numpy_bit_for_bit():
     assert sin(x).tobytes() == np.sin(x).tobytes()
     assert cos(x).tobytes() == np.cos(x).tobytes()
     assert sqrt(np.abs(x)).tobytes() == np.sqrt(np.abs(x)).tobytes()
+
+
+def every_function(u):
+    x, y, z = u[0], u[1], u[2]
+    return (sin(x * y) + cos(z) * sqrt(2.0 + x * x) - y / (2.0 + z * z) + exp(0.3 * x)
+            + log(3.0 + y) * z ** 3 + 1.5 / (2.0 + x * z) + (2.5 + z) ** 0.5)
+
+
+def test_array_jets_equal_scalar_jets_pointwise():
+    # point axis last: f (N,), g (m, N), h (m, m, N), each point the floats of
+    # a scalar jet, Hessian cross terms included
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 200))
+    seeds = jet_vars(pts)
+    assert seeds[1].f.shape == (200,) and seeds[1].g.shape == (3, 200)
+    assert np.array_equal(seeds[1].g[1], np.ones(200)) and not seeds[1].g[0].any()
+    out = every_function(seeds)
+    assert out.f.shape == (200,) and out.g.shape == (3, 200) and out.h.shape == (3, 3, 200)
+    for k in range(pts.shape[1]):
+        ref = every_function(jet_vars(pts[:, k]))
+        assert out.f[k] == ref.f
+        assert out.g[:, k].tobytes() == ref.g.tobytes()
+        assert out.h[:, :, k].tobytes() == ref.h.tobytes()
+
+
+def test_array_exp_log_are_libm_elementwise():
+    x = np.random.default_rng(4).uniform(0.1, 5.0, (40, 50))
+    assert exp(x).tobytes() == np.array([[math.exp(v) for v in row] for row in x]).tobytes()
+    assert log(x).tobytes() == np.array([[math.log(v) for v in row] for row in x]).tobytes()
+
+
+def test_array_jet_division_by_a_zero_value_part_raises():
+    (x,) = jet_vars(np.array([[0.5, 0.0, -1.0]]))
+    with pytest.raises(ZeroDivisionError):
+        1.0 / x

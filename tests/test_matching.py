@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,16 +8,17 @@ from hypothesis import strategies as st
 
 import matchctl.fields as fl
 from conftest import random_system, sm_shaping
-from matchctl.fields import SmoothField
-from matchctl.jets import Jet2
+from matchctl.fields import Curve, SmoothField
+from matchctl.jets import Jet2, cos, exp, log, sin, sqrt
 from matchctl.lagrangian import ShapingParams, scalar_sigma_matrix
 from matchctl.matching import (TauIntegrationError, default_grid,
                                generalized_matching_residuals, integrate_new_tau,
                                matching_residuals, matrix_inverse_fields,
                                new_tau_closed_form, new_tau_ode_residual,
-                               simplified_matching_residuals, sm3_tau, check_on_grid)
-from matchctl.model import (CartpoleParams, Dims, build_mechanical_system, cartpole_system,
-                            incline_system, synthetic_sm_system)
+                               simplified_matching_residuals, sm3_tau, check_on_grid,
+                               _ode_pieces)
+from matchctl.model import (CartpoleParams, Dims, InclineParams, build_mechanical_system,
+                            cartpole_system, incline_system, synthetic_sm_system)
 
 
 def uncoupled_system(group_constant=True):
@@ -307,30 +309,161 @@ def test_closed_form_slope_matches_dense_solve(ng):
 
 
 def counting_system():
-    """A one-group system whose g_ss counts its float and jet passes."""
+    """A one-group system whose g11 and g_11 record their passes: the points
+    of each array-jet pass, and a count of float and scalar-jet passes."""
     x = fl.coordinate(0, 1)
-    base = 2.0 + 0.2 * fl.cos_of(x)
-    passes = {"value": 0, "jet": 0}
+    passes = {"g11": [], "g1": [], "other": 0}
 
-    def g11(u):
-        passes["jet" if isinstance(u[0], Jet2) else "value"] += 1
-        return base.fn(u)
+    def counted(name, field):
+        def fn(u):
+            if isinstance(u[0], Jet2) and isinstance(u[0].f, np.ndarray):
+                passes[name].append(u[0].f.shape)
+            else:
+                passes["other"] += 1
+            return field.fn(u)
+        return SmoothField(1, fn)
 
-    sys_ = build_mechanical_system(Dims(1, 1), [[SmoothField(1, g11)]],
-                                   [[0.3 * fl.sin_of(x)]], [[fl.constant(1.0, 1)]],
-                                   fl.constant(0.0, 2))
-    passes.update(value=0, jet=0)
+    sys_ = build_mechanical_system(Dims(1, 1), [[counted("g11", 2.0 + 0.2 * fl.cos_of(x))]],
+                                   [[counted("g1", 0.3 * fl.sin_of(x))]],
+                                   [[fl.constant(1.0, 1)]], fl.constant(0.0, 2))
+    passes.update(g11=[], g1=[], other=0)
     return sys_, passes
 
 
 @pytest.mark.parametrize("x0, nodes", [(None, 2 * 200 + 1), (0.5, (2 * 50 + 1) + (2 * 150 + 1))])
 def test_integrate_evaluates_metric_once_per_node(x0, nodes):
-    # RK4 meets x_k, x_k + h/2 (twice) and x_k + h; each march evaluates
-    # the metric once at each of its nodes, and the self-check reuses them
+    # RK4 meets x_k, x_k + h/2 (twice) and x_k + h; each march evaluates each
+    # metric field in one array-jet pass over its nodes, which gives values
+    # and derivatives, and the self-check reuses them
     sys_, passes = counting_system()
     samp = integrate_new_tau(sys_, [0.2], (-1.0, 1.0), step=1e-2, x0=x0)
     assert len(samp.xs) == 201
-    assert passes == {"value": nodes, "jet": nodes}
+    marches = [(2 * 200 + 1,)] if x0 is None else [(2 * 50 + 1,), (2 * 150 + 1,)]
+    assert sum(n for (n,) in marches) == nodes
+    assert passes == {"g11": marches, "g1": marches, "other": 0}
+
+
+def every_function_system(ng: int):
+    """A system whose metric uses every elementary function of `jets`, powers,
+    both divisions, a spline `Curve` and an x-dependent group block."""
+    def field(fn):
+        return SmoothField(1, lambda u: fn(u[0]))
+
+    knots = np.linspace(-1.5, 1.5, 41)
+    curve = Curve(knots, np.sin(3.0 * knots))
+    g11 = field(lambda v: 2.0 + 0.1 * sin(v) * cos(2.0 * v) + 0.05 * exp(0.5 * v)
+                + 0.02 * log(2.0 + v) + 0.03 * sqrt(1.5 + v) + 0.01 * v ** 3
+                + 0.02 * curve(v))
+    g_sg = [[field(lambda v, a=a: (0.2 + 0.05 * a) * cos(v + a) / (1.7 + 0.1 * sin(v))
+                   + 0.01 * (v + 2.0) ** 0.5)
+             for a in range(ng)]]
+    g_gg = [[field(lambda v: 1.2 + 0.1 / (2.0 + sin(v))) if a == b else fl.constant(0.1, 1)
+             for b in range(ng)] for a in range(ng)]
+    return build_mechanical_system(Dims(1, ng), [[g11]], g_sg, g_gg, fl.constant(0.0, ng + 1))
+
+
+@pytest.mark.parametrize("ng", [1, 2])
+def test_array_ode_pieces_equal_per_node_passes(ng):
+    # one array-jet pass per field gives, at every node, the floats of a float
+    # pass (value) and of a scalar-jet pass (derivative)
+    sys_ = every_function_system(ng)
+    xs = np.linspace(-1.2, 1.2, 301)
+    f11, f1, fgg = sys_.g_ss[0][0], sys_.g_sg[0], sys_.g_gg
+    g11 = np.array([f11.value([x]) for x in xs])
+    dg11 = np.array([f11.d1([x])[0] for x in xs])
+    g1 = np.array([[f.value([x]) for f in f1] for x in xs])
+    dg1 = np.array([[f.d1([x])[0] for f in f1] for x in xs])
+    ggg = np.array([[[f.value([x]) for f in row] for row in fgg] for x in xs])
+    g1_ginv = g1[:, None, :] @ np.linalg.inv(ggg)
+    expect = (g11, dg11, g1, (g1_ginv @ g1[:, :, None])[:, 0, 0],
+              (g1_ginv @ dg1[:, :, None])[:, 0, 0])
+    got = _ode_pieces(sys_, xs)
+    for e, g in zip(expect, got):
+        assert g.shape == e.shape
+        assert g.tobytes() == e.tobytes()
+
+
+def growth_system():
+    """Two group coordinates with S0 = 2 g11 - 2 g1' g_gg^-1 g1 = 0.02 (in exact
+    arithmetic) and r0 = 0.3, so tau grows like exp(15 x) and the floor of
+    det M, which grows with max|M|^2, overtakes det M mid-march."""
+    zero = fl.constant(0.0, 1)
+    gamma = fl.constant(0.25, 1) / fl.linear([0.3], 0.99, 1)
+    return build_mechanical_system(Dims(1, 2), [[fl.linear([0.3], 1.0, 1)]],
+                                   [[fl.constant(0.5, 1), zero]],
+                                   [[gamma, zero], [zero, gamma]], fl.constant(0.0, 3))
+
+
+@pytest.mark.parametrize("tau0, step, x_fail", [
+    ([1.0, 0.5], 1e-2, 0.8900000000000013),
+    ([1.0, 0.5], 1e-3, 0.8885000000000015),
+    # S = 0.02 - tau^1 crosses zero near x = -0.8, between stages
+    ([0.001, 1.0], 1e-2, 0.430000000000001),
+    ([0.001, 1.0], 1e-3, 0.4280000000000012),
+])
+def test_march_guard_fails_at_the_recorded_stage(tau0, step, x_fail):
+    # x_fail is where the per-stage guard of the previous release raised
+    with pytest.raises(TauIntegrationError) as err:
+        integrate_new_tau(growth_system(), tau0, (-1.0, 1.0), step=step)
+    assert err.value.x == x_fail
+
+
+@pytest.mark.parametrize("ng", [1, 2])
+@pytest.mark.parametrize("x0", [0.0, None, 1.0])
+@pytest.mark.parametrize("c", [0.5, 0.625])
+def test_zero_S0_node_is_a_guard_failure(ng, x0, c):
+    # g11 = x - c and g_11 = 0: S0 vanishes at the node x = c, a step's end
+    # (0.5) or its midpoint (0.625); the march raises there, as the per-stage
+    # guard of the previous release did, and never divides by zero
+    x = fl.coordinate(0, 1)
+    g_sg = [[fl.constant(0.0, 1)] + [0.1 * fl.sin_of(x)] * (ng - 1)]
+    g11 = fl.linear([1.0], -c, 1) + (0.01 * fl.sin_of(x) * fl.sin_of(x) if ng > 1 else 0.0)
+    g_gg = [[fl.constant(float(a == b), 1) for b in range(ng)] for a in range(ng)]
+    sys_ = build_mechanical_system(Dims(1, ng), [[g11]], g_sg, g_gg, fl.constant(0.0, ng + 1))
+    with pytest.raises(TauIntegrationError) as err:
+        integrate_new_tau(sys_, [0.3, 0.2][:ng], (0.0, 1.0), step=0.25, x0=x0)
+    assert err.value.x == c
+
+
+def _samples_digest(samp) -> str:
+    h = hashlib.sha256()
+    for a in (samp.xs, samp.values, np.array([samp.max_ode_residual])):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of xs, values and max_ode_residual, recorded with the per-stage march
+# of the previous release (tau0 from the closed form at k = 35 for the worked
+# systems, linspace(0.2, -0.1, ng) for the random ones; range (-1.3, 1.3))
+SAMPLE_DIGESTS = {
+    ("cartpole", None): "50e5e4808f45bc275c025a753069650ba9387b6e105ae6e12c2cdf1c77c21671",
+    ("cartpole", 0.25): "08680a05d3120669bb1229ffb2f742a5ad7fcd31e35b7c6a54ff0902fcb4fadf",
+    ("incline", None): "a6642bb119b8827da19d1960984711e730fb1f79d50111cfe1474ca68e7c1b53",
+    ("incline", 0.25): "abf406d4229bebdfd1f2276ce6503a4274adce0c2e19da2d7285c75c9ecce6f2",
+    ("random1", None): "5ee8d9e3c9dacb9a51dab329907c35946c3abfc32875d118075b91c91c2490a9",
+    ("random1", 0.25): "e1d33278c3a04d2a3984d016c6c2f8c240ad60ec5e89fff9f3493ab3edd42264",
+    ("random2", None): "ed689e5e401688c35a366853cda324977ae65aa9765f4a8f1bc09ec5f4a2a90c",
+    ("random2", 0.25): "c83fd195b88c20acc0f64314d7e533c8bef212f90dc7a5eefffa3cef7ce1e83b",
+    ("random3", None): "2cc7c46adc00ea7f2f2adae9732ced8237f34bd41bc23c622f0e55e64d6dc53d",
+    ("random3", 0.25): "e04f592e49a4693dac38db30b1d644e937f1e902508a56a8ca110663665915fd",
+}
+
+
+@pytest.mark.parametrize("name, x0", list(SAMPLE_DIGESTS))
+def test_integrated_samples_match_recorded_digests(name, x0):
+    if name == "cartpole":
+        sys_ = cartpole_system(CartpoleParams())
+    elif name == "incline":
+        sys_ = incline_system(InclineParams(psi=0.3))
+    else:
+        ng = int(name[-1])
+        sys_ = random_system(40 + ng, Dims(1, ng), const_group=False)
+    if name in ("cartpole", "incline"):
+        tau0 = [new_tau_closed_form(sys_, 35.0).value(np.array([-1.3]))]
+    else:
+        tau0 = list(np.linspace(0.2, -0.1, sys_.dims.n_group))
+    samp = integrate_new_tau(sys_, tau0, (-1.3, 1.3), step=3e-3, x0=x0)
+    assert _samples_digest(samp) == SAMPLE_DIGESTS[name, x0]
 
 
 @pytest.mark.parametrize("x0", [None, 0.25])
