@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import control as ctl
+from . import fields as fl
 from . import helmholtz as hh
 from . import matching as mt
 from . import sim as simmod
@@ -228,6 +229,13 @@ def _build_system_and_shaping(rc: RunConfig):
     return sys_, shp
 
 
+def _shape_grid(rc: RunConfig, n_shape: int) -> np.ndarray:
+    """The configured grid as shape points (grid.n, n_shape), every coordinate
+    of a point at the same grid value."""
+    xs = np.linspace(rc.grid_lo, rc.grid_hi, rc.grid_n)
+    return np.repeat(xs[:, None], n_shape, axis=1)
+
+
 def _emit(args, doc: dict, text: str) -> None:
     if args.json:
         print(json.dumps(doc, indent=2, default=float))
@@ -238,8 +246,7 @@ def _emit(args, doc: dict, text: str) -> None:
 def cmd_check_matching(args) -> int:
     rc = RunConfig.load(args.config, args)
     sys_, shp = _build_system_and_shaping(rc)
-    xs = np.linspace(rc.grid_lo, rc.grid_hi, rc.grid_n)
-    grid = [np.full(sys_.dims.n_shape, x) for x in xs]
+    grid = _shape_grid(rc, sys_.dims.n_shape)
     reports = [
         mt.check_on_grid(mt.matching_residuals, sys_, shp, grid, tol=rc.tol_matching),
         mt.check_on_grid(mt.simplified_matching_residuals, sys_, shp, grid,
@@ -251,11 +258,9 @@ def cmd_check_matching(args) -> int:
     ]
     # builtin-test always shapes with the SM3 tau, so the new-tau ODE says nothing there
     if rc.system in ("cartpole", "incline") and rc.tau_mode in ("new-closed-form", "new-ode"):
-        tau_fields = [row[0] for row in shp.tau]
-        worst = 0.0
-        for x in xs:
-            r = mt.new_tau_ode_residual(sys_, tau_fields, np.array([x]))
-            worst = max(worst, float(np.abs(r).max()))
+        res = mt.new_tau_ode_residual(sys_, [row[0] for row in shp.tau], grid)
+        # the worst point, passing over a point whose residual is NaN
+        worst = float(np.fmax.reduce(np.abs(res).max(axis=1), initial=0.0))
         ode_rep = ResidualReport("tau ODE residual (grid max)")
         tol = 1e-10 if rc.tau_mode == "new-closed-form" else mt.TAU_RESIDUAL_TOL
         ode_rep.add(ResidualEntry.from_value("tau_ode", worst, tol))
@@ -319,12 +324,10 @@ def cmd_check_helmholtz(args) -> int:
 def cmd_synthesize_tau(args) -> int:
     rc = RunConfig.load(args.config, args)
     sys_, shp = _build_system_and_shaping(rc)
-    xs = np.linspace(rc.grid_lo, rc.grid_hi, rc.grid_n)
-    tau_rows = []
-    for x in xs:
-        xv = np.full(sys_.dims.n_shape, x)
-        tau_rows.append(np.concatenate([shp.tau_value(xv).ravel(),
-                                        shp.tau_d1(xv).ravel()]))
+    grid = _shape_grid(rc, sys_.dims.n_shape)
+    ((tau, dtau),) = fl.eval_blocks([shp.tau], grid)
+    rows = np.concatenate([grid[:, :1], tau.reshape(len(grid), -1),
+                           dtau.reshape(len(grid), -1)], axis=1)
     out_dir = Path(rc.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dest = out_dir / "tau_samples.csv"
@@ -334,8 +337,8 @@ def cmd_synthesize_tau(args) -> int:
            for k in range(ns)]
     with open(dest, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for x, row in zip(xs, tau_rows):
-            fh.write(",".join(f"{v:.17g}" for v in np.concatenate([[x], row])) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
     gains_doc = {"k": rc.gains.k, "sigma": rc.gains.sigma, "rho": rc.gains.rho,
                  "c": rc.gains.c, "s0": rc.gains.s0}

@@ -10,6 +10,9 @@ of one pass over seeded jets, which is exact forward-mode differentiation.
 The algebra composes these functions and folds constant fields when the
 expression is built.
 
+`eval_blocks` evaluates blocks of fields at N points at once, one array-jet
+pass per distinct field.
+
 `gradient` gives a field's first partials at float or jet coordinates, as the
 Euler-Lagrange covector needs them.  At jets each partial carries a Hessian,
 a third derivative of the field; that is the one place central differences
@@ -39,6 +42,7 @@ __all__ = [
     "cos_of",
     "sqrt_of",
     "field_eval",
+    "eval_blocks",
     "gradient",
     "spline_reader",
     "Curve",
@@ -167,6 +171,41 @@ def field_eval(field: SmoothField, coords):
         if isinstance(c, Jet2):
             return field.eval_jet([as_jet(v, c.m) for v in coords])
     return field.fn(coords)
+
+
+def eval_blocks(blocks, xs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Values (N, rows, cols) and gradients (N, rows, cols, arity) of each
+    block (a sequence of rows of fields) at the N points of xs (N, arity).
+
+    Each distinct field object makes one array-jet pass over all the points,
+    however many slots or blocks it fills.  At every point its values are the
+    floats of a float pass and its gradients those of a scalar-jet pass; a
+    constant field folds to `np.full` and zeros.
+    """
+    xs = np.asarray(xs, dtype=float)
+    n, arity = xs.shape
+    seed = jet_vars(xs.T)
+    seen = {}
+
+    def read(field: SmoothField):
+        out = seen.get(field)
+        if out is None:
+            if field.const is not None:
+                out = np.full(n, field.const), np.zeros((n, arity))
+            else:
+                jet = field.eval_jet(seed)      # a float result is a constant jet
+                out = (np.broadcast_to(jet.f, (n,)),
+                       np.broadcast_to(jet.g.reshape(arity, -1).T, (n, arity)))
+            seen[field] = out
+        return out
+
+    result = []
+    for block in blocks:
+        vals, grads = zip(*(read(f) for row in block for f in row))
+        shape = (n, len(block), len(block[0]))
+        result.append((np.stack(vals, axis=1).reshape(shape),
+                       np.stack(grads, axis=1).reshape(shape + (arity,))))
+    return result
 
 
 _H3 = float(np.cbrt(np.finfo(float).eps))   # step of the third-derivative differences

@@ -1,9 +1,14 @@
-"""Pointwise matching-condition checkers and synthesis of the shape-dependent
-feedback one-form, including the ODE route that generalizes the classical
-closed-form choice.
+"""Matching-condition checkers and synthesis of the shape-dependent feedback
+one-form, including the ODE route that generalizes the classical closed-form
+choice.
 
 Conditions are identities in the shape variables; "holds" means the residual
-stays below tolerance on a user grid (41 uniform points by default).
+stays below tolerance on a user grid (41 uniform points by default).  Each
+checker, and the tau-ODE residual, takes one shape point or a whole grid of
+them: the metric and tau data come from one array-jet pass of each field over
+all the points, and the small per-point algebra runs on stacks with the point
+axis first, giving every point the floats of a one-point call.  A grid report
+holds what `ResidualReport.merge_max` makes of the one-point reports.
 """
 
 from __future__ import annotations
@@ -66,107 +71,139 @@ def default_grid(lo: float = -1.3, hi: float = 1.3, n: int = 41) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _point_data(sys: MechanicalSystem, shaping: ShapingParams, x: np.ndarray):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    gsg = sys.gsg(x)
-    ggg = sys.ggg(x)
-    dgg = np.array([[sys.g_gg[a][b].d1(x) for b in range(sys.dims.n_group)]
-                    for a in range(sys.dims.n_group)])
-    dsg = np.array([[sys.g_sg[al][a].d1(x) for a in range(sys.dims.n_group)]
-                    for al in range(sys.dims.n_shape)])
-    tau = shaping.tau_value(x)
-    dtau = shaping.tau_d1(x)
+def _inverse(blocks: np.ndarray, name: str, xs: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of blocks, one per shape point of xs (N, ns).
+
+    A singular block raises a ValueError naming the block and the first point
+    where it is singular (where the LU factorization meets a zero pivot)."""
+    try:
+        return np.linalg.inv(blocks)
+    except np.linalg.LinAlgError as exc:
+        first = np.flatnonzero(np.linalg.det(blocks) == 0.0)[0]
+        where = ", ".join(f"{v:.6g}" for v in xs[first])
+        raise ValueError(f"{name} is singular at x = {where}") from exc
+
+
+def _point_data(sys: MechanicalSystem, shaping: ShapingParams, x):
+    """x as a grid (N, ns) of shape points, one point (ns,) as N = 1, and the
+    metric and tau data there with one row per point: g_sg (N, ns, ng), g_gg
+    (N, ng, ng), their x-derivatives (N, ng, ng, ns) and (N, ns, ng, ns), tau
+    (N, ng, ns) and its x-derivatives (N, ng, ns, ns), from one array-jet pass
+    of each distinct field (`fields.eval_blocks`)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    (gsg, dsg), (ggg, dgg), (tau, dtau) = fl.eval_blocks([sys.g_sg, sys.g_gg, shaping.tau], x)
     return x, gsg, ggg, dgg, dsg, tau, dtau
+
+
+def _normalize(residuals: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
+    """The raw and normalized values of `ResidualEntry.normalized` at each
+    point: residuals and every scale carry the point axis first."""
+    n = len(residuals)
+    raw = np.abs(residuals).reshape(n, -1).max(axis=1)
+    top = np.max([np.abs(s).reshape(n, -1).max(axis=1) for s in scales], axis=0)
+    return raw, raw / np.where(top > 1.0, top, 1.0)
+
+
+def _normalized(name: str, residuals: np.ndarray, scales, tol: float,
+                skipped: np.ndarray | None = None, note: str = "") -> ResidualEntry:
+    """`ResidualEntry.normalized` at each point, merged over the points as
+    `ResidualReport.merge_max` merges one-point entries."""
+    raw, value = _normalize(residuals, scales)
+    return ResidualEntry.max_over(name, value, tol, raw, skipped, note)
 
 
 def matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
                        x, tol: float = MATCHING_TOL) -> ResidualReport:
-    """The three matching conditions at shape point x (constant sigma)."""
+    """The three matching conditions (constant sigma) at shape point x (ns,),
+    or their worst case over a grid x (N, ns)."""
     x, gsg, ggg, dgg, dsg, tau, dtau = _point_data(sys, shaping, x)
-    ns, ng = sys.dims.n_shape, sys.dims.n_group
+    n, ns, ng = len(x), sys.dims.n_shape, sys.dims.n_group
     sigma = shaping.sigma
     try:
         sigma_inv = np.linalg.inv(sigma)
     except np.linalg.LinAlgError as exc:
         raise ValueError("sigma must be invertible for the matching conditions") from exc
-    ggg_inv = np.linalg.inv(ggg)
+    ggg_inv = _inverse(ggg, "g_gg", x)
 
     report = ResidualReport("matching conditions")
 
-    m1 = tau + np.einsum("ab,la->bl", sigma_inv, gsg)
-    report.add(ResidualEntry.normalized("M1", m1, [np.abs(tau).max(), np.abs(gsg).max()], tol))
+    m1 = tau + np.einsum("ab,nla->nbl", sigma_inv, gsg)
+    report.add(_normalized("M1", m1, [tau, gsg], tol))
 
     # sigma constant, so only the metric-derivative terms survive
-    m2 = np.einsum("bd,adl->bal", sigma_inv, dgg) - 2.0 * np.einsum("bd,adl->bal", ggg_inv, dgg)
-    report.add(ResidualEntry.normalized("M2", m2, [np.abs(dgg).max()], tol))
+    m2 = np.einsum("bd,nadl->nbal", sigma_inv, dgg) \
+        - 2.0 * np.einsum("nbd,nadl->nbal", ggg_inv, dgg)
+    report.add(_normalized("M2", m2, [dgg], tol))
 
-    m3 = np.zeros((ng, ns, ns))
+    m3 = np.zeros((n, ng, ns, ns))
     for b in range(ng):
         for al in range(ns):
             for be in range(ns):
-                m3[b, al, be] = dtau[b, al, be] - dtau[b, be, al] \
-                    - sum(ggg_inv[d, b] * dgg[a, d, al] * tau[a, be]
+                m3[:, b, al, be] = dtau[:, b, al, be] - dtau[:, b, be, al] \
+                    - sum(ggg_inv[:, d, b] * dgg[:, a, d, al] * tau[:, a, be]
                           for a in range(ng) for d in range(ng))
-    report.add(ResidualEntry.normalized("M3", m3, [np.abs(dtau).max(), np.abs(dgg).max()], tol))
+    report.add(_normalized("M3", m3, [dtau, dgg], tol))
     return report
 
 
-def fit_scalar_sigma(shaping: ShapingParams, ggg: np.ndarray) -> tuple[float, float]:
-    """Least-squares scalar s with sigma ~ s*g_gg and the max deviation."""
-    denom = float(np.sum(ggg * ggg))
-    s = float(np.sum(shaping.sigma * ggg) / denom)
-    dev = float(np.abs(shaping.sigma - s * ggg).max())
+def fit_scalar_sigma(shaping: ShapingParams, ggg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares scalar s with sigma ~ s*g_gg and the max deviation, one
+    of each per block of a stack ggg (N, ng, ng)."""
+    denom = np.sum(ggg * ggg, axis=(1, 2))
+    s = np.sum(shaping.sigma * ggg, axis=(1, 2)) / denom
+    dev = np.abs(shaping.sigma - s[:, None, None] * ggg).max(axis=(1, 2))
     return s, dev
 
 
 def simplified_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
                                   x, tol: float = MATCHING_TOL) -> ResidualReport:
-    """The simplified conditions at shape point x; the potential condition is
-    checked only for symmetry-breaking systems, at group coordinates 0."""
+    """The simplified conditions at shape point x (ns,), or their worst case
+    over a grid x (N, ns); the potential condition is checked only for
+    symmetry-breaking systems, at group coordinates 0."""
     x, gsg, ggg, dgg, dsg, tau, dtau = _point_data(sys, shaping, x)
-    ns, ng = sys.dims.n_shape, sys.dims.n_group
+    n, ns, ng = len(x), sys.dims.n_shape, sys.dims.n_group
     report = ResidualReport("simplified matching conditions")
 
     s_hat, dev = fit_scalar_sigma(shaping, ggg)
-    sm1_scale = max(np.abs(shaping.sigma).max(), np.abs(ggg).max())
-    sm1 = ResidualEntry.normalized("SM1", [dev], [sm1_scale], tol)
-    report.add(sm1)
+    sigma_top = np.abs(shaping.sigma).max()
+    ggg_top = np.abs(ggg).max(axis=(1, 2))
+    sm1_raw, sm1 = _normalize(dev[:, None], [np.where(ggg_top > sigma_top, ggg_top, sigma_top)])
+    report.add(ResidualEntry.max_over("SM1", sm1, tol, sm1_raw))
 
-    report.add(ResidualEntry.normalized("SM2", dgg, [np.abs(ggg).max()], tol))
+    report.add(_normalized("SM2", dgg, [ggg], tol))
 
-    if not sm1.passed or s_hat == 0.0:
-        report.add(ResidualEntry.skip("SM3", "sigma not a scalar multiple of g_gg"))
-    else:
-        ggg_inv = np.linalg.inv(ggg)
-        sm3 = tau + (1.0 / s_hat) * np.einsum("ab,la->bl", ggg_inv, gsg)
-        report.add(ResidualEntry.normalized("SM3", sm3, [np.abs(tau).max(), np.abs(gsg).max()],
-                                            tol))
+    # SM3 is skipped at a point where SM1 fails or s = 0; g_gg is inverted
+    # only where SM3 or SM5 reads it
+    skip = ~(sm1 <= tol) | (s_hat == 0.0)
+    needed = ~skip | sys.breaks_group_symmetry
+    ggg_inv = _inverse(np.where(needed[:, None, None], ggg, np.eye(ng)), "g_gg", x)
+    sm3 = tau + (1.0 / np.where(skip, 1.0, s_hat))[:, None, None] \
+        * np.einsum("nab,nla->nbl", ggg_inv, gsg)
+    report.add(_normalized("SM3", sm3, [tau, gsg], tol, skip,
+                           "sigma not a scalar multiple of g_gg"))
 
-    sm4 = np.zeros((ns, ng, ns))
-    for al in range(ns):
-        for a in range(ng):
-            for de in range(ns):
-                sm4[al, a, de] = dsg[al, a][de] - dsg[de, a][al]
-    report.add(ResidualEntry.normalized("SM4", sm4, [np.abs(dsg).max()], tol))
+    sm4 = dsg - dsg.swapaxes(1, 3)
+    report.add(_normalized("SM4", sm4, [dsg], tol))
 
     if not sys.breaks_group_symmetry:
         report.add(ResidualEntry.skip("SM5", "group symmetry unbroken"))
     else:
-        q = np.concatenate([x, np.zeros(ng)])
-        v2 = sys.V_d2(q)
-        ggg_inv = np.linalg.inv(ggg)
-        mixed = v2[:ns, ns:]          # V_{,alpha a}
-        proj = mixed @ ggg_inv @ gsg.T    # V_{,alpha a} g^{ad} g_{beta d}
-        sm5 = proj - proj.T
-        report.add(ResidualEntry.normalized("SM5", sm5, [np.abs(proj).max()], tol))
+        m = ns + ng
+        q = np.concatenate([x, np.zeros((n, ng))], axis=1)
+        v2 = np.broadcast_to(sys.V.eval_jet(jet_vars(q.T)).h.reshape(m, m, -1), (m, m, n))
+        mixed = np.ascontiguousarray(np.moveaxis(v2, -1, 0))[:, :ns, ns:]    # V_{,alpha a}
+        proj = mixed @ ggg_inv @ gsg.swapaxes(1, 2)         # V_{,alpha a} g^{ad} g_{beta d}
+        sm5 = proj - proj.swapaxes(1, 2)
+        report.add(_normalized("SM5", sm5, [proj], tol))
     return report
 
 
 def generalized_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
                                    x, tol: float = MATCHING_TOL) -> ResidualReport:
-    """The generalized conditions (modified vertical metric) at shape point x."""
+    """The generalized conditions (modified vertical metric) at shape point x
+    (ns,), or their worst case over a grid x (N, ns)."""
     x, gsg, ggg, dgg, dsg, tau, dtau = _point_data(sys, shaping, x)
-    ns, ng = sys.dims.n_shape, sys.dims.n_group
+    n, ns, ng = len(x), sys.dims.n_shape, sys.dims.n_group
     report = ResidualReport("generalized matching conditions")
 
     base = matching_residuals(sys, shaping, x, tol)
@@ -175,53 +212,55 @@ def generalized_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams
     report.add(ResidualEntry(name="GM1", value=e1.value, tol=tol, passed=e1.passed, raw=e1.raw))
     report.add(ResidualEntry(name="GM2", value=e2.value, tol=tol, passed=e2.passed, raw=e2.raw))
 
-    g_rho = shaping.g_rho if shaping.g_rho is not None else shaping.rho * ggg
-    varpi = g_rho - ggg
     # varpi_{ab,alpha}: constant explicit g_rho differentiates to -dgg;
     # scalar rho to (rho-1)*dgg
     if shaping.g_rho is not None:
+        g_rho = np.broadcast_to(shaping.g_rho, ggg.shape)
         dvarpi = -dgg
     else:
+        g_rho = shaping.rho * ggg
         dvarpi = (shaping.rho - 1.0) * dgg
-    report.add(ResidualEntry.normalized("GM3", dvarpi, [np.abs(varpi).max(), 1.0], tol))
+    varpi = g_rho - ggg
+    report.add(_normalized("GM3", dvarpi, [varpi], tol))
 
-    try:
-        rho_inv = np.linalg.inv(g_rho)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("g_rho must be invertible for the generalized conditions") from exc
-    ggg_inv = np.linalg.inv(ggg)
-    dginv = -np.einsum("ae,efl,fc->acl", ggg_inv, dgg, ggg_inv)
-    zeta = np.einsum("ac,lc->al", ggg_inv, gsg)          # zeta^a_alpha
-    dzeta = np.zeros((ng, ns, ns))
+    rho_inv = _inverse(g_rho, "g_rho", x)
+    ggg_inv = _inverse(ggg, "g_gg", x)
+    dginv = -np.einsum("nae,nefl,nfc->nacl", ggg_inv, dgg, ggg_inv)
+    zeta = np.einsum("nac,nlc->nal", ggg_inv, gsg)          # zeta^a_alpha
+    dzeta = np.zeros((n, ng, ns, ns))
     for a in range(ng):
         for al in range(ns):
             for de in range(ns):
-                dzeta[a, al, de] = sum(dginv[a, c, de] * gsg[al, c] for c in range(ng)) \
-                    + sum(ggg_inv[a, c] * dsg[al, c][de] for c in range(ng))
+                dzeta[:, a, al, de] = sum(dginv[:, a, c, de] * gsg[:, al, c] for c in range(ng)) \
+                    + sum(ggg_inv[:, a, c] * dsg[:, al, c, de] for c in range(ng))
 
-    gm4 = np.zeros((ng, ns, ns))
+    gm4 = np.zeros((n, ng, ns, ns))
     for b in range(ng):
         for al in range(ns):
             for de in range(ns):
-                term = dtau[b, al, de] - dtau[b, de, al]
-                term += sum(varpi[a, d] * rho_inv[b, d] * (dzeta[a, al, de] - dzeta[a, de, al])
+                term = dtau[:, b, al, de] - dtau[:, b, de, al]
+                term += sum(varpi[:, a, d] * rho_inv[:, b, d]
+                            * (dzeta[:, a, al, de] - dzeta[:, a, de, al])
                             for a in range(ng) for d in range(ng))
-                term -= sum(varpi[a, d] * rho_inv[d, c] * dgg[c, e, de] * rho_inv[e, b] * zeta[a, al]
+                term -= sum(varpi[:, a, d] * rho_inv[:, d, c] * dgg[:, c, e, de]
+                            * rho_inv[:, e, b] * zeta[:, a, al]
                             for a in range(ng) for d in range(ng)
                             for c in range(ng) for e in range(ng))
-                term -= sum(rho_inv[d, b] * dgg[a, d, al] * tau[a, de]
+                term -= sum(rho_inv[:, d, b] * dgg[:, a, d, al] * tau[:, a, de]
                             for a in range(ng) for d in range(ng))
-                gm4[b, al, de] = term
-    report.add(ResidualEntry.normalized("GM4", gm4, [np.abs(dtau).max(), np.abs(dgg).max(),
-                                                     np.abs(zeta).max(), 1.0], tol))
+                gm4[:, b, al, de] = term
+    report.add(_normalized("GM4", gm4, [dtau, dgg, zeta], tol))
     return report
 
 
 def check_on_grid(fn, sys: MechanicalSystem, shaping: ShapingParams,
                   xs: Sequence, **kwargs) -> ResidualReport:
-    """Worst-case merge of a pointwise checker over a grid of shape points."""
-    reports = [fn(sys, shaping, np.atleast_1d(x), **kwargs) for x in xs]
-    return ResidualReport.merge_max(reports[0].title + " (grid max)", reports)
+    """Worst case of a matching engine over a grid of shape points: one call
+    of ``fn`` on the points stacked as (N, ns), whose report holds what
+    `ResidualReport.merge_max` makes of the one-point reports."""
+    report = fn(sys, shaping, np.asarray(xs, dtype=float).reshape(len(xs), -1), **kwargs)
+    report.title += " (grid max)"
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +323,14 @@ def _ode_pieces(sys: MechanicalSystem, xs: np.ndarray):
     """The metric data of the tau ODE at each shape point of xs, as arrays with
     one row per point: g11, g11', g_1a, g1' g_gg^-1 g1 and g1' g_gg^-1 g1'.
 
-    Each metric field makes one array-jet pass over all of xs, which gives its
-    values (the floats of a float pass) and its derivative; a constant field
-    folds to `np.full`."""
-    xs = np.asarray(xs, dtype=float)
-    seed = jet_vars([xs])
-
-    def on_xs(field: SmoothField):
-        if field.const is not None:
-            return np.full(xs.shape, field.const), np.zeros(xs.shape)
-        out = field.eval_jet(seed)        # a float result is a constant jet
-        return np.broadcast_to(out.f, xs.shape), np.broadcast_to(out.g[0], xs.shape)
-
-    g11, dg11 = on_xs(sys.g_ss[0][0])
-    g1, dg1 = (np.stack(c, axis=1) for c in zip(*map(on_xs, sys.g_sg[0])))
-    ggg = np.stack([np.stack([on_xs(f)[0] for f in row], axis=1) for row in sys.g_gg], axis=1)
-    g1_ginv = g1[:, None, :] @ np.linalg.inv(ggg)
-    return (g11, dg11, g1, (g1_ginv @ g1[:, :, None])[:, 0, 0],
+    Each distinct metric field makes one array-jet pass over all of xs
+    (`fields.eval_blocks`), which gives its values (the floats of a float
+    pass) and its derivative."""
+    xs = np.asarray(xs, dtype=float)[:, None]
+    (gss, dgss), (gsg, dgsg), (ggg, _) = fl.eval_blocks([sys.g_ss, sys.g_sg, sys.g_gg], xs)
+    g1, dg1 = gsg[:, 0], dgsg[:, 0, :, 0]
+    g1_ginv = g1[:, None, :] @ _inverse(ggg, "g_gg", xs)
+    return (gss[:, 0, 0], dgss[:, 0, 0, 0], g1, (g1_ginv @ g1[:, :, None])[:, 0, 0],
             (g1_ginv @ dg1[:, :, None])[:, 0, 0])
 
 
@@ -315,13 +345,16 @@ def _ode_residual(pieces, tau: np.ndarray, dtau: np.ndarray) -> np.ndarray:
 
 
 def new_tau_ode_residual(sys: MechanicalSystem, tau_fields, x) -> np.ndarray:
-    """Residual of the coupled tau ODE system at x (one shape coordinate)."""
+    """Residual of the coupled tau ODE system (one shape coordinate), one
+    entry per group coordinate, at a shape point x (1,), or one row per point
+    of a grid x (N, 1): one `_ode_pieces` pass and one array-jet pass of each
+    tau field for the whole grid."""
     if sys.dims.n_shape != 1:
         raise ValueError("the ODE form requires one shape coordinate")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    tau = np.array([[f.value(x) for f in tau_fields]])
-    dtau = np.array([[f.d1(x)[0] for f in tau_fields]])
-    return _ode_residual(_ode_pieces(sys, x), tau, dtau)[0]
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    ((tau, dtau),) = fl.eval_blocks([[tau_fields]], xs)
+    res = _ode_residual(_ode_pieces(sys, xs[:, 0]), tau[:, 0], dtau[:, 0, :, 0])
+    return res if np.ndim(x) == 2 else res[0]
 
 
 @dataclass

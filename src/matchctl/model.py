@@ -146,9 +146,6 @@ class MechanicalSystem:
     def V_d1(self, q: np.ndarray) -> np.ndarray:
         return self.V.d1(np.asarray(q, dtype=float))
 
-    def V_d2(self, q: np.ndarray) -> np.ndarray:
-        return self.V.d2(np.asarray(q, dtype=float))
-
 
 def _check_block(name: str, block, rows: int, cols: int, arity: int, symmetric: bool,
                  probes: np.ndarray) -> None:

@@ -37,6 +37,27 @@ class ResidualEntry:
     def skip(cls, name: str, note: str = "") -> "ResidualEntry":
         return cls(name=name, value=0.0, tol=0.0, passed=True, skipped=True, note=note)
 
+    @classmethod
+    def max_over(cls, name: str, values: np.ndarray, tol: float, raws: np.ndarray,
+                 skipped: np.ndarray | None = None, note: str = "") -> "ResidualEntry":
+        """What `ResidualReport.merge_max` makes of one entry per point, given
+        as arrays with one element per point: the value and raw of the first
+        live point whose value is largest (a NaN counts only at the first live
+        point, as Python's ``max`` takes it), passed when every live point
+        passes, and a skip when every point is skipped.  ``note`` is a skipped
+        point's note, which the merged entry keeps when the first point is
+        skipped."""
+        live = np.ones(len(values), bool) if skipped is None else ~np.asarray(skipped)
+        if not live.any():
+            return cls.skip(name, note)
+        at = np.flatnonzero(live)
+        vals = values[at]
+        worst = at[0] if np.isnan(vals[0]) else at[np.argmax(np.where(np.isnan(vals), -np.inf,
+                                                                      vals))]
+        return cls(name=name, value=float(values[worst]), tol=float(tol),
+                   passed=bool(np.all(vals <= tol)), raw=float(raws[worst]),
+                   note="" if live[0] else note)
+
 
 @dataclass
 class ResidualReport:

@@ -410,17 +410,69 @@ NEW_ODE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(NEW_ODE_DIGESTS))
-def test_new_ode_outputs_match_recorded_digests(tmp_path, capsys, name):
-    # tau_samples.csv of synthesize-tau and the check-matching --json stdout
-    text = (Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg").read_text()
-    text, count = re.subn(r"(?m)^tau\.mode = \S+", "tau.mode = new-ode", text)
-    assert count == 1
-    cfg = write_cfg(tmp_path, f"{name}.cfg", text)
+def output_digests(tmp_path, capsys, text):
+    """sha256 of tau_samples.csv of synthesize-tau and of the check-matching
+    --json stdout for one config text."""
+    cfg = write_cfg(tmp_path, "run.cfg", text)
     out = tmp_path / "out"
     assert main(["synthesize-tau", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     assert main(["check-matching", "--config", cfg, "--json"]) == 0
     stdout = capsys.readouterr().out
     csv_digest = hashlib.sha256((out / "tau_samples.csv").read_bytes()).hexdigest()
-    assert (csv_digest, hashlib.sha256(stdout.encode()).hexdigest()) == NEW_ODE_DIGESTS[name]
+    return csv_digest, hashlib.sha256(stdout.encode()).hexdigest()
+
+
+def shipped_config(name):
+    return (Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg").read_text()
+
+
+@pytest.mark.parametrize("name", list(NEW_ODE_DIGESTS))
+def test_new_ode_outputs_match_recorded_digests(tmp_path, capsys, name):
+    text, count = re.subn(r"(?m)^tau\.mode = \S+", "tau.mode = new-ode", shipped_config(name))
+    assert count == 1
+    assert output_digests(tmp_path, capsys, text) == NEW_ODE_DIGESTS[name]
+
+
+BUILTIN_CFG = """
+system = builtin-test
+builtin.seed = 1
+builtin.n_shape = 1
+builtin.n_group = 2
+grid.n = 41
+"""
+
+# sha256 of the same two outputs on the shipped configs and a builtin-test
+# config, recorded with the per-point grid checks and tau samples of the
+# previous release
+SHIPPED_DIGESTS = {
+    "cartpole": ("fd313fd0569bca3a65e038e6f2ad04ba5e037b7db0b81564f7a332aac4c739c4",
+                 "a7def0b064736750411666dd022f06f51f2e39c9875a318c804e6fe4269147dc"),
+    "incline": ("dac3d19feb050280e109883b9e720e0de3b32d43e93ebff65759688dbc0ed1d8",
+                "030d6e316602053b6bd5ace2b0a72ce7ca057a293b9eb316e88bd8249e29f5dd"),
+    "builtin": ("856959c16f4f156efb77e166b4f7c96d1a5b49f1d47c01b82db40da55288efcc",
+                "8001e67dad2eeb2201703a053e770887c0c673ba478dc8e97327dc2f6ac7b66b"),
+}
+
+
+@pytest.mark.parametrize("name", list(SHIPPED_DIGESTS))
+def test_outputs_match_recorded_digests(tmp_path, capsys, name):
+    text = BUILTIN_CFG if name == "builtin" else shipped_config(name)
+    assert output_digests(tmp_path, capsys, text) == SHIPPED_DIGESTS[name]
+
+
+def test_singular_group_block_is_a_named_error(tmp_path, capsys, monkeypatch):
+    import matchctl.cli as cli
+    import matchctl.fields as fl
+    from matchctl.lagrangian import ShapingParams
+    from matchctl.model import Dims, build_mechanical_system
+
+    # g_gg = x vanishes at the grid point x = 0 (grid.n = 11 on [-1.3, 1.3])
+    sys_ = build_mechanical_system(Dims(1, 1), [[fl.constant(1.0, 1)]],
+                                   [[fl.constant(0.0, 1)]], [[fl.coordinate(0, 1)]],
+                                   fl.constant(0.0, 2))
+    shp = ShapingParams(tau=((fl.constant(0.0, 1),),), sigma=np.eye(1))
+    monkeypatch.setattr(cli, "_build_system_and_shaping", lambda rc: (sys_, shp))
+    cfg = write_cfg(tmp_path, "cp.cfg", CARTPOLE_FAST.format(out=tmp_path / "out"))
+    assert main(["check-matching", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: ValueError: g_gg is singular at x = 0\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matchctl.fields as fl
-from conftest import random_system, sm_shaping
+from conftest import random_shaping, random_system, sm_shaping
 from matchctl.fields import Curve, SmoothField
 from matchctl.jets import Jet2, cos, exp, log, sin, sqrt
 from matchctl.lagrangian import ShapingParams, scalar_sigma_matrix
@@ -17,6 +18,7 @@ from matchctl.matching import (TauIntegrationError, default_grid,
                                new_tau_closed_form, new_tau_ode_residual,
                                simplified_matching_residuals, sm3_tau, check_on_grid,
                                _ode_pieces)
+from matchctl.report import ResidualReport
 from matchctl.model import (CartpoleParams, Dims, InclineParams, build_mechanical_system,
                             cartpole_system, incline_system, synthetic_sm_system)
 
@@ -477,3 +479,189 @@ def test_batched_self_check_equals_pointwise_residual(x0):
         pointwise = max(float(np.abs(new_tau_ode_residual(sys_, fields, np.array([x]))).max())
                         for x in samp.xs)
         assert samp.max_ode_residual == pointwise
+
+
+# ---------------------------------------------------------------------------
+# grid engines
+# ---------------------------------------------------------------------------
+
+ENGINES = [matching_residuals, simplified_matching_residuals, generalized_matching_residuals]
+
+
+def partly_scalar_group_system():
+    """g_gg = diag(1 + x^2/2, 1): sigma = I is a scalar multiple of it only at
+    x = 0, so SM1 passes and SM3 is live there alone."""
+    x = fl.coordinate(0, 1)
+    zero = fl.constant(0.0, 1)
+    g_gg = [[1.0 + 0.5 * x * x, zero], [zero, fl.constant(1.0, 1)]]
+    g_sg = [[0.2 * fl.cos_of(x), 0.1 * fl.sin_of(x)]]
+    return build_mechanical_system(Dims(1, 2), [[fl.constant(2.0, 1)]], g_sg, g_gg,
+                                   fl.constant(0.0, 3))
+
+
+def grid_cases():
+    cart = cartpole_system(CartpoleParams())
+    incl = incline_system(InclineParams(psi=0.3))
+    tau_c = ((new_tau_closed_form(cart, 35.0),),)
+    grid = default_grid(-1.0, 1.0, 9)[:, None]
+    partly = partly_scalar_group_system()
+    partly_shp = ShapingParams(tau=((0.3 * fl.sin_of(fl.coordinate(0, 1)),),
+                                    (fl.constant(0.1, 1),)), sigma=np.eye(2))
+    cases = {
+        "cartpole": (cart, ShapingParams(tau=tau_c, sigma=scalar_sigma_matrix(cart, 1.0)), grid),
+        "incline": (incl, ShapingParams(tau=sm3_tau(incl, 1.0),
+                                        sigma=scalar_sigma_matrix(incl, 1.0), rho=2.0), grid),
+        "builtin": (*sm_shaping(1, Dims(1, 2)), grid),
+        # SM3 live at the middle point only, then at the first point only
+        "sm3-middle": (partly, partly_shp, grid),
+        "sm3-first": (partly, partly_shp, default_grid(0.0, 1.0, 5)[:, None]),
+        # a NaN shape coordinate makes every residual NaN at that point
+        "nan-first": (cart, ShapingParams(tau=tau_c, sigma=2.0 * np.eye(1)),
+                      np.array([[np.nan], [-0.5], [0.2], [0.7]])),
+        "nan-later": (cart, ShapingParams(tau=tau_c, sigma=2.0 * np.eye(1)),
+                      np.array([[-0.5], [np.nan], [0.2], [0.7]])),
+    }
+    for dims in (Dims(2, 2), Dims(1, 3)):
+        sys_ = random_system(11, dims, const_group=False)
+        shp = random_shaping(12, sys_)
+        rng = np.random.default_rng(13)
+        cases[f"random{dims.n_shape}{dims.n_group}"] = (
+            sys_, shp, rng.uniform(-1.0, 1.0, size=(9, dims.n_shape)))
+        cases[f"random{dims.n_shape}{dims.n_group}-rho"] = (
+            sys_, ShapingParams(tau=shp.tau, sigma=shp.sigma, rho=1.7),
+            grid.repeat(dims.n_shape, 1))
+    return cases
+
+
+GRID_CASES = grid_cases()
+
+
+def entry_key(e):
+    # repr keeps NaN equal to NaN and tells a numpy float from a Python one
+    return repr(dataclasses.astuple(e))
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("case", list(GRID_CASES))
+def test_grid_report_equals_merge_of_point_reports(case, engine):
+    sys_, shp, grid = GRID_CASES[case]
+    got = check_on_grid(engine, sys_, shp, grid)
+    points = [engine(sys_, shp, x) for x in grid]
+    expect = ResidualReport.merge_max(points[0].title + " (grid max)", points)
+    assert got.title == expect.title
+    assert [entry_key(e) for e in got.entries] == [entry_key(e) for e in expect.entries]
+
+
+# sha256 of the one-point reports of the three engines at every point of each
+# case, recorded with the per-point engines of the previous release
+POINT_REPORT_DIGESTS = {
+    "cartpole": "291bfbb8a9ab49d09498b67b8c18d01e79be3ae75a71bfcfbb3a5e296c83d9dc",
+    "incline": "491835da03acf71a2f7bec4364ff5439e204944d7eb77ced43f2e6ce91154ca1",
+    "builtin": "8e654a00476f4644feec65b33977cd5b0f7db74792d34e7b9b588ddf6b0ddc79",
+    "sm3-middle": "1b24303b8f208c3e9516299054e6fa02d89845f8f9e27964ec35af87e9daa1cd",
+    "sm3-first": "9777a6760a05703dc7212f4ec2a2e7f4104d79e2b5639c1ab9a4f86bb8bb7c0b",
+    "nan-first": "a01b663dd141af1b6cc78a32cec432201d78fc872cc6783e037cff807041a8eb",
+    "nan-later": "9ff1e00d7f38ebbd5f6d88d7e31072abed3eb4a90e986f98d581dd5ef534a7ed",
+    "random22": "fc6b1114c6144396a7fc7c9509d139e12f41051935e6f0084b659a436069339a",
+    "random22-rho": "2874a1cf8b3ca83f354e23b7f611d68b92649a607ec4487b8637cd433ba79d94",
+    "random13": "79dd6a15de3700b18e2da4d21a26a646a0a8778b47b9636ee89b2ab26df3d515",
+    "random13-rho": "eed9178a90d63cafaee9c454d1496bec9a8283d610f44b9be49d0961afb0c11b",
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_CASES))
+def test_point_reports_match_recorded_digests(case):
+    sys_, shp, grid = GRID_CASES[case]
+    h = hashlib.sha256()
+    for engine in ENGINES:
+        for x in grid:
+            rep = engine(sys_, shp, x)
+            h.update(rep.title.encode())
+            for e in rep.entries:
+                h.update(entry_key(e).encode())
+    assert h.hexdigest() == POINT_REPORT_DIGESTS[case]
+
+
+def test_grid_cases_reach_the_merge_rules():
+    # the cases above exercise a per-point SM3 skip and a NaN at the first
+    # and at a later point
+    def simp(case):
+        sys_, shp, grid = GRID_CASES[case]
+        return check_on_grid(simplified_matching_residuals, sys_, shp, grid)
+
+    for case, note in (("sm3-middle", "sigma not a scalar multiple of g_gg"), ("sm3-first", "")):
+        sm3 = simp(case).entry("SM3")
+        assert not sm3.skipped and sm3.note == note
+    # SM4 reads 0 at every finite point of the cart-pole
+    assert math.isnan(simp("nan-first").entry("SM4").value)
+    later = simp("nan-later").entry("SM4")
+    assert later.value == 0.0 and not later.passed
+    assert not simp("incline").entry("SM5").skipped
+
+
+@pytest.mark.parametrize("case", ["cartpole", "nan-later"])
+def test_grid_tau_ode_residual_equals_point_residuals(case):
+    sys_, shp, grid = GRID_CASES[case]
+    fields = [row[0] for row in shp.tau]
+    got = new_tau_ode_residual(sys_, fields, grid)
+    expect = np.array([new_tau_ode_residual(sys_, fields, x) for x in grid])
+    assert got.shape == (len(grid), 1)
+    assert got.tobytes() == expect.tobytes()
+
+
+def counted_fields(sys_):
+    """Wrap every distinct non-constant metric field of sys_ so that its
+    passes are counted, by field object."""
+    calls = {}
+    for block in (sys_.g_ss, sys_.g_sg, sys_.g_gg):
+        for f in (f for row in block for f in row):
+            if f.const is None and f not in calls:
+                calls[f] = 0
+
+                def fn(u, f=f, inner=f.fn):
+                    calls[f] += 1
+                    return inner(u)
+                f.fn = fn
+    return calls
+
+
+def test_each_metric_field_is_evaluated_once():
+    # the symmetric group block holds one field object in both off-diagonal slots
+    sys_ = random_system(5, Dims(1, 2), const_group=False)
+    assert sys_.g_gg[0][1] is sys_.g_gg[1][0]
+    calls = counted_fields(sys_)
+    _ode_pieces(sys_, np.linspace(-1.0, 1.0, 7))
+    assert list(calls.values()) == [1] * 6
+    calls.update(dict.fromkeys(calls, 0))
+    shp = random_shaping(6, sys_)
+    matching_residuals(sys_, shp, default_grid(-1.0, 1.0, 7)[:, None])
+    assert list(calls.values()) == [0] + [1] * 5      # g_ss is not read
+
+
+def singular_group_system():
+    """g_gg = diag(1, x), singular at x = 0 only; with sigma = I, SM1 fails
+    there (so SM3 is skipped) and passes at x = 1."""
+    zero = fl.constant(0.0, 1)
+    g_gg = [[fl.constant(1.0, 1), zero], [zero, fl.coordinate(0, 1)]]
+    return build_mechanical_system(Dims(1, 2), [[fl.constant(1.0, 1)]],
+                                   [[0.2 * fl.cos_of(fl.coordinate(0, 1)), zero]], g_gg,
+                                   fl.constant(0.0, 3))
+
+
+def test_singular_block_names_block_and_first_point():
+    sys_ = singular_group_system()
+    zero = fl.constant(0.0, 1)
+    shp = ShapingParams(tau=((zero,), (zero,)), sigma=np.eye(2))
+    grid = default_grid(-1.0, 1.0, 9)[:, None]
+    for engine in (matching_residuals, generalized_matching_residuals):
+        with pytest.raises(ValueError, match=r"^g_gg is singular at x = 0$"):
+            check_on_grid(engine, sys_, shp, grid)
+    with pytest.raises(ValueError, match=r"^g_gg is singular at x = 0$"):
+        new_tau_ode_residual(sys_, [zero, zero], grid)
+    # SM3, the only reader of g_gg^-1 here, is skipped at x = 0
+    rep = check_on_grid(simplified_matching_residuals, sys_, shp, grid)
+    assert not rep.entry("SM3").skipped
+    # an explicit singular g_rho is singular at every point
+    flat = ShapingParams(tau=shp.tau, sigma=shp.sigma, g_rho=np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"^g_rho is singular at x = -1$"):
+        check_on_grid(generalized_matching_residuals, partly_scalar_group_system(), flat, grid)
