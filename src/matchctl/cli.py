@@ -259,8 +259,8 @@ def cmd_check_matching(args) -> int:
     # builtin-test always shapes with the SM3 tau, so the new-tau ODE says nothing there
     if rc.system in ("cartpole", "incline") and rc.tau_mode in ("new-closed-form", "new-ode"):
         res = mt.new_tau_ode_residual(sys_, [row[0] for row in shp.tau], grid)
-        # the worst point, passing over a point whose residual is NaN
-        worst = float(np.fmax.reduce(np.abs(res).max(axis=1), initial=0.0))
+        # the worst point; a NaN anywhere reads NaN and fails
+        worst = float(np.abs(res).max())
         ode_rep = ResidualReport("tau ODE residual (grid max)")
         tol = 1e-10 if rc.tau_mode == "new-closed-form" else mt.TAU_RESIDUAL_TOL
         ode_rep.add(ResidualEntry.from_value("tau_ode", worst, tol))
@@ -301,17 +301,13 @@ def cmd_check_helmholtz(args) -> int:
     mult = hh.multiplier_from_shaping(sys_, shp)
     explicit = field.to_explicit()
     states = _random_states(rc, sys_.dims.total, sys_.dims.n_shape)
-    implicit_reports, explicit_reports = [], []
-    for st in states:
-        implicit_reports.append(hh.implicit_helmholtz_residuals(
-            field, F, st, sys_.dims, tol=rc.tol_residual))
-        explicit_reports.append(hh.explicit_helmholtz_residuals(
-            explicit, mult, st, tol=rc.tol_residual))
     reps = [
-        ResidualReport.merge_max(f"implicit conditions ({len(states)} states)",
-                                 implicit_reports),
-        ResidualReport.merge_max(f"explicit multiplier conditions ({len(states)} states)",
-                                 explicit_reports),
+        ResidualReport.merge_max(f"implicit conditions ({len(states)} states)", [
+            hh.implicit_helmholtz_residuals(field, F, st, sys_.dims, tol=rc.tol_residual)
+            for st in states]),
+        ResidualReport.merge_max(f"explicit multiplier conditions ({len(states)} states)", [
+            hh.explicit_helmholtz_residuals(explicit, mult, st, tol=rc.tol_residual)
+            for st in states]),
     ]
     ok = all(r.overall_pass for r in reps)
     doc = {"command": "check-helmholtz", "pass": ok,

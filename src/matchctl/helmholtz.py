@@ -2,9 +2,13 @@
 
 Three engines: the multiplier (explicit) conditions on a candidate matrix
 g_ij, the classical exactness conditions on an implicit covector, and the
-implicit conditions on candidate Legendre components F_i.  Each residual is
-normalized by max(1, magnitude of the terms entering it) before comparison
-with the tolerance; raw magnitudes are kept in the report.
+implicit conditions on candidate Legendre components F_i.  Each family is
+assembled as array algebra at one state: n x n (or n x n x n) arrays over all
+index pairs, with the implicit index classes as pair masks (one table,
+`_INDEX_CLASSES`).  Each entry goes through the one normalizer of every
+engine, `ResidualEntry.normalized`, with the state as its single point: the
+largest |residual| over max(1, magnitude of the terms entering it) is
+compared with the tolerance, and raw magnitudes are kept in the report.
 
 Every engine reads the value, gradient and Hessian of one list-valued function
 at one point (Gamma, the multiplier g, Phi or F) through `jets.value_grad_hess`:
@@ -15,6 +19,7 @@ second-order jets by default, the central-difference oracle with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -47,10 +52,6 @@ class SodeTensors:
     nabla: np.ndarray      # -(1/2) dGamma/dqdot  (n, n)
     jacobi: np.ndarray     # curvature-like endomorphism (n, n), rows k, cols j
 
-    def directional(self, f_q: np.ndarray, f_qd: np.ndarray) -> float:
-        """Derivative of a function along the field given its partials."""
-        return float(self.state.qdot @ f_q + self.gamma @ f_qd)
-
 
 def _gamma_tensors(field: ExplicitSode, state: State, backend: str):
     """(gamma, dG/dq, dG/dqd, hessians) with hessians shaped (n, 2n, 2n)."""
@@ -60,19 +61,20 @@ def _gamma_tensors(field: ExplicitSode, state: State, backend: str):
     return gamma, grads[:, :n], grads[:, n:], hess
 
 
+def _at_state(name: str, residuals: np.ndarray, scales, tol: float) -> ResidualEntry:
+    """`ResidualEntry.normalized` at one state, the single point of its
+    point axis."""
+    return ResidualEntry.normalized(name, residuals[None], [s[None] for s in scales], tol)
+
+
 def sode_tensors(field: ExplicitSode, state: State, backend: str = "jet") -> SodeTensors:
     """Gamma, the nabla matrix and the curvature endomorphism at one state."""
     n = field.n
     gamma, dGq, dGqd, hess = _gamma_tensors(field, state, backend)
-    nabla = -0.5 * dGqd
-    jacobi = np.zeros((n, n))
-    for k in range(n):
-        for j in range(n):
-            # directional derivative of dGamma^k/dqd^j along the field
-            along = float(state.qdot @ hess[k, :n, n + j] + gamma @ hess[k, n:, n + j])
-            jacobi[k, j] = along - 2.0 * dGq[k, j] \
-                - 0.5 * float(dGqd[:, j] @ dGqd[k, :])
-    return SodeTensors(state=state, gamma=gamma, nabla=nabla, jacobi=jacobi)
+    # derivative of dGamma^k/dqd^j along the field
+    along = np.dot(state.qdot, hess[:, :n, n:]) + np.dot(gamma, hess[:, n:, n:])
+    jacobi = along - 2.0 * dGq - 0.5 * (dGqd @ dGqd)
+    return SodeTensors(state=state, gamma=gamma, nabla=-0.5 * dGqd, jacobi=jacobi)
 
 
 def explicit_helmholtz_residuals(field: ExplicitSode,
@@ -97,28 +99,15 @@ def explicit_helmholtz_residuals(field: ExplicitSode,
     tens = sode_tensors(field, state, backend=backend)
     report = ResidualReport("explicit multiplier conditions")
 
-    report.add(ResidualEntry.normalized("symmetry", gval - gval.T, np.abs(gval), tol))
-
-    vel_res, vel_scale = [], [1.0]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                vel_res.append(g_qd[i, j, k] - g_qd[i, k, j])
-                vel_scale += [abs(g_qd[i, j, k]), abs(g_qd[i, k, j])]
-    report.add(ResidualEntry.normalized("velocity_symmetry", vel_res, vel_scale, tol))
-
-    tr_res, tr_scale = [], [1.0]
-    for i in range(n):
-        for j in range(n):
-            along = tens.directional(g_q[i, j], g_qd[i, j])
-            t1 = float(tens.nabla[:, j] @ gval[i, :])
-            t2 = float(tens.nabla[:, i] @ gval[:, j])
-            tr_res.append(along - t1 - t2)
-            tr_scale += [abs(along), abs(t1), abs(t2)]
-    report.add(ResidualEntry.normalized("metric_transport", tr_res, tr_scale, tol))
-
+    report.add(_at_state("symmetry", gval - gval.T, [gval], tol))
+    report.add(_at_state("velocity_symmetry", g_qd - g_qd.swapaxes(1, 2), [g_qd], tol))
+    # derivative of g_ij along the field against its two nabla terms
+    along = np.dot(g_q, state.qdot) + np.dot(g_qd, tens.gamma)
+    t1 = gval @ tens.nabla
+    t2 = tens.nabla.T @ gval
+    report.add(_at_state("metric_transport", along - t1 - t2, [along, t1, t2], tol))
     gphi = gval @ tens.jacobi
-    report.add(ResidualEntry.normalized("jacobi_symmetry", gphi - gphi.T, np.abs(gphi), tol))
+    report.add(_at_state("jacobi_symmetry", gphi - gphi.T, [gphi], tol))
 
     det, det_floor = float(np.linalg.det(gval)), 1e-12
     report.add(ResidualEntry(name="regularity", value=abs(det), tol=det_floor,
@@ -142,46 +131,50 @@ def exactness_residuals(field: ImplicitSode, state: State, accel: np.ndarray,
     _, grads, hess = value_grad_hess(lambda u: field.phi(u[:n], u[n:2 * n], u[2 * n:]),
                                      np.concatenate([q, qd, qdd]), backend)
 
-    Pq = grads[:, :n]
-    Pqd = grads[:, n:2 * n]
-    C = grads[:, 2 * n:]
-
-    explicit = field.to_explicit()
-    gexp, dGq, dGqd, _ = _gamma_tensors(explicit, state, backend)
+    Pq, Pqd, C = grads[:, :n], grads[:, n:2 * n], grads[:, 2 * n:]
+    _, dGq, dGqd, _ = _gamma_tensors(field.to_explicit(), state, backend)
     jerk = dGq @ qd + dGqd @ qdd
 
-    def ddt(i: int, slot: int, j: int) -> float:
-        """d/dt of dPhi_i/d(slot)_j along the jet; slot 1 = qd, 2 = qdd."""
-        row = slot * n + j
-        return float(hess[i, row, :n] @ qd + hess[i, row, n:2 * n] @ qdd
-                     + hess[i, row, 2 * n:] @ jerk)
+    # d/dt along the jet of dPhi_i/dqd_j (columns :n) and dPhi_i/dqdd_j (n:)
+    ddt = np.dot(hess[:, n:, :n], qd) + np.dot(hess[:, n:, n:2 * n], qdd) \
+        + np.dot(hess[:, n:, 2 * n:], jerk)
+    b = 0.5 * (ddt[:, :n] - ddt[:, :n].T)
+    dd = ddt[:, n:] + ddt[:, n:].T
 
-    report = ResidualReport("exactness conditions")
-    report.add(ResidualEntry.normalized("accel_symmetry", C - C.T, np.abs(C), tol))
-
-    r2, s2 = [], [1.0]
-    r3, s3 = [], [1.0]
-    for i in range(n):
-        for j in range(n):
-            a = Pq[i, j] - Pq[j, i]
-            b = 0.5 * (ddt(i, 1, j) - ddt(j, 1, i))
-            r2.append(a - b)
-            s2 += [abs(Pq[i, j]), abs(Pq[j, i]), abs(b)]
-            c = Pqd[i, j] + Pqd[j, i]
-            dd = ddt(i, 2, j) + ddt(j, 2, i)
-            r3.append(c - dd)
-            s3 += [abs(Pqd[i, j]), abs(Pqd[j, i]), abs(dd)]
-    report.add(ResidualEntry.normalized("position_exactness", r2, s2, tol))
-    report.add(ResidualEntry.normalized("velocity_exactness", r3, s3, tol))
-    return report
+    return ResidualReport("exactness conditions", [
+        _at_state("accel_symmetry", C - C.T, [C], tol),
+        _at_state("position_exactness", Pq - Pq.T - b, [Pq, b], tol),
+        _at_state("velocity_exactness", Pqd + Pqd.T - dd, [Pqd, dd], tol)])
 
 
-def _class_of(i: int, ns: int) -> str:
-    return "alpha" if i < ns else "a"
+# The index classes of the implicit families, as (family, label, row block,
+# column block, smallest j - i of a pair (i, j)): a block is the shape
+# (alpha) or the group (a) indices, shape first.  BB and AA are
+# antisymmetric, so they take each unordered pair once.
+_INDEX_CLASSES = (
+    ("BB", "ab", "a", "a", 0), ("BB", "a_beta", "alpha", "a", 0),
+    ("BB", "alpha_beta", "alpha", "alpha", 0),
+    ("AB", "ab", "a", "a", None), ("AB", "a_beta", "a", "alpha", None),
+    ("AB", "alpha_b", "alpha", "a", None), ("AB", "alpha_beta", "alpha", "alpha", None),
+    ("AA", "ab", "a", "a", 1), ("AA", "alpha_b", "alpha", "a", 1),
+    ("AA", "alpha_beta", "alpha", "alpha", 1),
+)
 
 
-_CLASS_LABEL = {("a", "a"): "ab", ("a", "alpha"): "a_beta",
-                ("alpha", "a"): "alpha_b", ("alpha", "alpha"): "alpha_beta"}
+@lru_cache(maxsize=None)
+def _class_masks(n: int, n_shape: int) -> tuple:
+    """(family, entry name, (n, n) mask of its pairs, or None when empty) for
+    each index class at these dims; the cached masks are read-only."""
+    block = {"alpha": np.arange(n) < n_shape}
+    block["a"] = ~block["alpha"]
+    out = []
+    for fam, lbl, rows, cols, gap in _INDEX_CLASSES:
+        pairs = np.outer(block[rows], block[cols])
+        if gap is not None:
+            pairs = np.triu(pairs, gap)
+        pairs.flags.writeable = False
+        out.append((fam, f"{fam}_{lbl}", pairs if pairs.any() else None))
+    return tuple(out)
 
 
 def implicit_helmholtz_residuals(field: ImplicitSode,
@@ -197,76 +190,42 @@ def implicit_helmholtz_residuals(field: ImplicitSode,
     equation family by index class (group/shape block of each index).
     """
     n = field.n
-    ns = dims.n_shape
     q, qd = state.q, state.qdot
-    if accel is None:
-        qdd = field.solve_accel(state)
-    else:
-        qdd = np.asarray(accel, dtype=float)
+    qdd = field.solve_accel(state) if accel is None else np.asarray(accel, dtype=float)
 
     u0 = np.concatenate([q, qd])
     _, gF, hF = value_grad_hess(lambda u: F(u[:n], u[n:]), u0, backend)
     Fq, Fqd = gF[:, :n], gF[:, n:]
-    F_qq = hF[:, :n, :n]
+    F_qq, F_qdqd = hF[:, :n, :n], hF[:, n:, n:]
     F_qdq = hF[:, n:, :n]       # [i, j(qd), k(q)]
-    F_qdqd = hF[:, n:, n:]
     _, gP, _ = value_grad_hess(lambda u: field.phi(u[:n], u[n:], list(qdd)), u0, backend)
     Phiq, Phiqd = gP[:, :n], gP[:, n:]
 
-    Cm = field.accel_matrix_floats(q)
     try:
-        Cinv = np.linalg.inv(Cm)
+        Cinv = np.linalg.inv(field.accel_matrix_floats(q))
     except np.linalg.LinAlgError as exc:
         raise SingularBlockError("C") from exc
+    FqdC = Fqd @ Cinv
 
-    res = {("BB", lbl): ([], [1.0]) for lbl in ("ab", "a_beta", "alpha_beta")}
-    res.update({("AB", lbl): ([], [1.0]) for lbl in
-                ("ab", "a_beta", "alpha_b", "alpha_beta")})
-    res.update({("AA", lbl): ([], [1.0]) for lbl in ("ab", "alpha_b", "alpha_beta")})
+    # each family as (residual, largest |term| entering it) over all ordered
+    # pairs (i, j)
+    def top(terms):
+        return reduce(np.maximum, map(np.abs, terms))
 
-    def aa_half(i: int, j: int) -> tuple[float, list[float]]:
-        t1 = float(F_qq[i, j] @ qd)
-        t2 = float(F_qdq[i, :, j] @ qdd)
-        t3 = float(Fqd[i] @ Cinv @ Phiq[:, j])
-        return t1 + t2 - t3, [abs(t1), abs(t2), abs(t3)]
-
-    bb_label = {"aa": "ab", "aalpha": "a_beta", "alphaa": "a_beta",
-                "alphaalpha": "alpha_beta"}
-    aa_label = {"aa": "ab", "alphaa": "alpha_b", "aalpha": "alpha_b",
-                "alphaalpha": "alpha_beta"}
-    for i in range(n):
-        for j in range(n):
-            ci, cj = _class_of(i, ns), _class_of(j, ns)
-            # BB (antisymmetric): record each unordered pair once
-            if i <= j:
-                r, s = res[("BB", bb_label[ci + cj])]
-                r.append(Fqd[i, j] - Fqd[j, i])
-                s += [abs(Fqd[i, j]), abs(Fqd[j, i])]
-            # AB (not symmetric): all ordered pairs
-            t1 = float(F_qdq[i, j] @ qd)
-            t2 = float(Fq[i, j])
-            t3 = float(F_qdqd[i, j] @ qdd)
-            t4 = float(Fq[j, i])
-            t5 = float(Fqd[i] @ Cinv @ Phiqd[:, j])
-            lbl = _CLASS_LABEL[(ci, cj)]
-            r, s = res[("AB", lbl)]
-            r.append(t1 + t2 + t3 - t4 - t5)
-            s += [abs(t1), abs(t2), abs(t3), abs(t4), abs(t5)]
-            # AA (antisymmetric): unordered pairs
-            if i < j:
-                hi, si = aa_half(i, j)
-                hj, sj = aa_half(j, i)
-                r, s = res[("AA", aa_label[ci + cj])]
-                r.append(hi - hj)
-                s += si + sj
+    t = [np.dot(F_qdq, qd), Fq, np.dot(F_qdqd, qdd), Fq.T, FqdC @ Phiqd]
+    h = [np.dot(F_qq, qd), np.dot(qdd, F_qdq), FqdC @ Phiq]
+    half = h[0] + h[1] - h[2]
+    families = {"BB": (Fqd - Fqd.T, top([Fqd, Fqd.T])),
+                "AB": (t[0] + t[1] + t[2] - t[3] - t[4], top(t)),
+                "AA": (half - half.T, top(h + [hk.T for hk in h]))}
 
     report = ResidualReport("implicit conditions")
-    for (fam, lbl), (r, s) in res.items():
-        name = f"{fam}_{lbl}"
-        if not r:
+    for fam, name, pairs in _class_masks(n, dims.n_shape):
+        if pairs is None:
             report.add(ResidualEntry.skip(name, "index class empty at these dims"))
         else:
-            report.add(ResidualEntry.normalized(name, r, s, tol))
+            res, scale = families[fam]
+            report.add(_at_state(name, res[pairs], [scale[pairs]], tol))
     return report
 
 

@@ -7,8 +7,9 @@ stays below tolerance on a user grid (41 uniform points by default).  Each
 checker, and the tau-ODE residual, takes one shape point or a whole grid of
 them: the metric and tau data come from one array-jet pass of each field over
 all the points, and the small per-point algebra runs on stacks with the point
-axis first, giving every point the floats of a one-point call.  A grid report
-holds what `ResidualReport.merge_max` makes of the one-point reports.
+axis first, giving every point the floats of a one-point call.  Every entry
+goes through `ResidualEntry.normalized`, so a grid report holds what
+`ResidualReport.merge_max` makes of the one-point reports.
 """
 
 from __future__ import annotations
@@ -95,21 +96,21 @@ def _point_data(sys: MechanicalSystem, shaping: ShapingParams, x):
     return x, gsg, ggg, dgg, dsg, tau, dtau
 
 
-def _normalize(residuals: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
-    """The raw and normalized values of `ResidualEntry.normalized` at each
-    point: residuals and every scale carry the point axis first."""
-    n = len(residuals)
-    raw = np.abs(residuals).reshape(n, -1).max(axis=1)
-    top = np.max([np.abs(s).reshape(n, -1).max(axis=1) for s in scales], axis=0)
-    return raw, raw / np.where(top > 1.0, top, 1.0)
-
-
-def _normalized(name: str, residuals: np.ndarray, scales, tol: float,
-                skipped: np.ndarray | None = None, note: str = "") -> ResidualEntry:
-    """`ResidualEntry.normalized` at each point, merged over the points as
-    `ResidualReport.merge_max` merges one-point entries."""
-    raw, value = _normalize(residuals, scales)
-    return ResidualEntry.max_over(name, value, tol, raw, skipped, note)
+def _m1_m2(shaping: ShapingParams, x: np.ndarray, gsg: np.ndarray, ggg: np.ndarray,
+           dgg: np.ndarray, tau: np.ndarray, tol: float, names: tuple[str, str]):
+    """The first two matching conditions (constant sigma) on the point data of
+    `_point_data`, reported under ``names``, and g_gg^-1 at each point."""
+    try:
+        sigma_inv = np.linalg.inv(shaping.sigma)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("sigma must be invertible for the matching conditions") from exc
+    ggg_inv = _inverse(ggg, "g_gg", x)
+    m1 = tau + np.einsum("ab,nla->nbl", sigma_inv, gsg)
+    # sigma constant, so only the metric-derivative terms survive
+    m2 = np.einsum("bd,nadl->nbal", sigma_inv, dgg) \
+        - 2.0 * np.einsum("nbd,nadl->nbal", ggg_inv, dgg)
+    return [ResidualEntry.normalized(names[0], m1, [tau, gsg], tol),
+            ResidualEntry.normalized(names[1], m2, [dgg], tol)], ggg_inv
 
 
 def matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
@@ -118,22 +119,8 @@ def matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
     or their worst case over a grid x (N, ns)."""
     x, gsg, ggg, dgg, dsg, tau, dtau = _point_data(sys, shaping, x)
     n, ns, ng = len(x), sys.dims.n_shape, sys.dims.n_group
-    sigma = shaping.sigma
-    try:
-        sigma_inv = np.linalg.inv(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("sigma must be invertible for the matching conditions") from exc
-    ggg_inv = _inverse(ggg, "g_gg", x)
-
-    report = ResidualReport("matching conditions")
-
-    m1 = tau + np.einsum("ab,nla->nbl", sigma_inv, gsg)
-    report.add(_normalized("M1", m1, [tau, gsg], tol))
-
-    # sigma constant, so only the metric-derivative terms survive
-    m2 = np.einsum("bd,nadl->nbal", sigma_inv, dgg) \
-        - 2.0 * np.einsum("nbd,nadl->nbal", ggg_inv, dgg)
-    report.add(_normalized("M2", m2, [dgg], tol))
+    entries, ggg_inv = _m1_m2(shaping, x, gsg, ggg, dgg, tau, tol, ("M1", "M2"))
+    report = ResidualReport("matching conditions", entries)
 
     m3 = np.zeros((n, ng, ns, ns))
     for b in range(ng):
@@ -142,7 +129,7 @@ def matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
                 m3[:, b, al, be] = dtau[:, b, al, be] - dtau[:, b, be, al] \
                     - sum(ggg_inv[:, d, b] * dgg[:, a, d, al] * tau[:, a, be]
                           for a in range(ng) for d in range(ng))
-    report.add(_normalized("M3", m3, [dtau, dgg], tol))
+    report.add(ResidualEntry.normalized("M3", m3, [dtau, dgg], tol))
     return report
 
 
@@ -167,10 +154,12 @@ def simplified_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
     s_hat, dev = fit_scalar_sigma(shaping, ggg)
     sigma_top = np.abs(shaping.sigma).max()
     ggg_top = np.abs(ggg).max(axis=(1, 2))
-    sm1_raw, sm1 = _normalize(dev[:, None], [np.where(ggg_top > sigma_top, ggg_top, sigma_top)])
-    report.add(ResidualEntry.max_over("SM1", sm1, tol, sm1_raw))
+    # SM1 is normalized in place: SM3 reads its verdict at each point
+    top = np.where(ggg_top > sigma_top, ggg_top, sigma_top)
+    sm1 = dev / np.where(top > 1.0, top, 1.0)
+    report.add(ResidualEntry.max_over("SM1", sm1, tol, dev))
 
-    report.add(_normalized("SM2", dgg, [ggg], tol))
+    report.add(ResidualEntry.normalized("SM2", dgg, [ggg], tol))
 
     # SM3 is skipped at a point where SM1 fails or s = 0; g_gg is inverted
     # only where SM3 or SM5 reads it
@@ -179,11 +168,11 @@ def simplified_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
     ggg_inv = _inverse(np.where(needed[:, None, None], ggg, np.eye(ng)), "g_gg", x)
     sm3 = tau + (1.0 / np.where(skip, 1.0, s_hat))[:, None, None] \
         * np.einsum("nab,nla->nbl", ggg_inv, gsg)
-    report.add(_normalized("SM3", sm3, [tau, gsg], tol, skip,
-                           "sigma not a scalar multiple of g_gg"))
+    report.add(ResidualEntry.normalized("SM3", sm3, [tau, gsg], tol, skip,
+                                        "sigma not a scalar multiple of g_gg"))
 
     sm4 = dsg - dsg.swapaxes(1, 3)
-    report.add(_normalized("SM4", sm4, [dsg], tol))
+    report.add(ResidualEntry.normalized("SM4", sm4, [dsg], tol))
 
     if not sys.breaks_group_symmetry:
         report.add(ResidualEntry.skip("SM5", "group symmetry unbroken"))
@@ -194,7 +183,7 @@ def simplified_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams,
         mixed = np.ascontiguousarray(np.moveaxis(v2, -1, 0))[:, :ns, ns:]    # V_{,alpha a}
         proj = mixed @ ggg_inv @ gsg.swapaxes(1, 2)         # V_{,alpha a} g^{ad} g_{beta d}
         sm5 = proj - proj.swapaxes(1, 2)
-        report.add(_normalized("SM5", sm5, [proj], tol))
+        report.add(ResidualEntry.normalized("SM5", sm5, [proj], tol))
     return report
 
 
@@ -204,13 +193,8 @@ def generalized_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams
     (ns,), or their worst case over a grid x (N, ns)."""
     x, gsg, ggg, dgg, dsg, tau, dtau = _point_data(sys, shaping, x)
     n, ns, ng = len(x), sys.dims.n_shape, sys.dims.n_group
-    report = ResidualReport("generalized matching conditions")
-
-    base = matching_residuals(sys, shaping, x, tol)
-    e1 = base.entry("M1")
-    e2 = base.entry("M2")
-    report.add(ResidualEntry(name="GM1", value=e1.value, tol=tol, passed=e1.passed, raw=e1.raw))
-    report.add(ResidualEntry(name="GM2", value=e2.value, tol=tol, passed=e2.passed, raw=e2.raw))
+    entries, ggg_inv = _m1_m2(shaping, x, gsg, ggg, dgg, tau, tol, ("GM1", "GM2"))
+    report = ResidualReport("generalized matching conditions", entries)
 
     # varpi_{ab,alpha}: constant explicit g_rho differentiates to -dgg;
     # scalar rho to (rho-1)*dgg
@@ -221,10 +205,9 @@ def generalized_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams
         g_rho = shaping.rho * ggg
         dvarpi = (shaping.rho - 1.0) * dgg
     varpi = g_rho - ggg
-    report.add(_normalized("GM3", dvarpi, [varpi], tol))
+    report.add(ResidualEntry.normalized("GM3", dvarpi, [varpi], tol))
 
     rho_inv = _inverse(g_rho, "g_rho", x)
-    ggg_inv = _inverse(ggg, "g_gg", x)
     dginv = -np.einsum("nae,nefl,nfc->nacl", ggg_inv, dgg, ggg_inv)
     zeta = np.einsum("nac,nlc->nal", ggg_inv, gsg)          # zeta^a_alpha
     dzeta = np.zeros((n, ng, ns, ns))
@@ -249,7 +232,7 @@ def generalized_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams
                 term -= sum(rho_inv[:, d, b] * dgg[:, a, d, al] * tau[:, a, de]
                             for a in range(ng) for d in range(ng))
                 gm4[:, b, al, de] = term
-    report.add(_normalized("GM4", gm4, [dtau, dgg, zeta], tol))
+    report.add(ResidualEntry.normalized("GM4", gm4, [dtau, dgg, zeta], tol))
     return report
 
 

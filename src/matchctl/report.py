@@ -1,8 +1,15 @@
-"""Named residual reports shared by the validation, Helmholtz and matching suites."""
+"""Named residual reports shared by the validation, Helmholtz and matching suites.
+
+Every engine normalizes through the one `ResidualEntry.normalized`: the
+largest |residual| over max(1, largest |term| entering it), computed on
+arrays whose first axis runs over the points (a single state or shape point
+is one point), and merged over the points by `ResidualEntry.max_over` as
+`ResidualReport.merge_max` merges one-point reports."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -27,11 +34,16 @@ class ResidualEntry:
                    passed=bool(value <= tol), raw=raw, note=note)
 
     @classmethod
-    def normalized(cls, name: str, residuals, scales, tol: float) -> "ResidualEntry":
-        """Largest |residual| over max(1, largest |scale|), keeping the raw value."""
-        raw = float(np.max(np.abs(residuals))) if np.size(residuals) else 0.0
-        scale = max(1.0, float(np.max(np.abs(scales)))) if np.size(scales) else 1.0
-        return cls.from_value(name, raw / scale, tol, raw=raw)
+    def normalized(cls, name: str, residuals: np.ndarray, scales, tol: float,
+                   skipped: np.ndarray | None = None, note: str = "") -> "ResidualEntry":
+        """Largest |residual| over max(1, largest |scale|) at each point, merged
+        over the points by `max_over`: ``residuals`` and every array of
+        ``scales`` carry the point axis first (one point for a single state).
+        The raw value is the largest |residual| of the reported point."""
+        n = len(residuals)
+        raw = np.abs(residuals).reshape(n, -1).max(axis=1)
+        top = reduce(np.maximum, (np.abs(s).reshape(n, -1).max(axis=1) for s in scales))
+        return cls.max_over(name, raw / np.where(top > 1.0, top, 1.0), tol, raw, skipped, note)
 
     @classmethod
     def skip(cls, name: str, note: str = "") -> "ResidualEntry":
@@ -47,16 +59,17 @@ class ResidualEntry:
         passes, and a skip when every point is skipped.  ``note`` is a skipped
         point's note, which the merged entry keeps when the first point is
         skipped."""
-        live = np.ones(len(values), bool) if skipped is None else ~np.asarray(skipped)
-        if not live.any():
-            return cls.skip(name, note)
-        at = np.flatnonzero(live)
-        vals = values[at]
-        worst = at[0] if np.isnan(vals[0]) else at[np.argmax(np.where(np.isnan(vals), -np.inf,
-                                                                      vals))]
+        live = None if skipped is None else ~np.asarray(skipped)
+        if live is not None:
+            if not live.any():
+                return cls.skip(name, note)
+            at = np.flatnonzero(live)
+            values, raws = values[at], raws[at]
+        worst = 0 if np.isnan(values[0]) else np.argmax(np.where(np.isnan(values), -np.inf,
+                                                                 values))
         return cls(name=name, value=float(values[worst]), tol=float(tol),
-                   passed=bool(np.all(vals <= tol)), raw=float(raws[worst]),
-                   note="" if live[0] else note)
+                   passed=bool(np.all(values <= tol)), raw=float(raws[worst]),
+                   note="" if live is None or live[0] else note)
 
 
 @dataclass
@@ -115,7 +128,9 @@ class ResidualReport:
 
     @staticmethod
     def merge_max(title: str, reports: list["ResidualReport"]) -> "ResidualReport":
-        """Combine pointwise reports by taking the worst value per entry name."""
+        """Combine pointwise reports by taking the worst value per entry name:
+        the largest of a residual, the smallest of a floored quantity (one
+        that passes above its floor, such as |det g|)."""
         merged = ResidualReport(title)
         if not reports:
             return merged
@@ -126,7 +141,7 @@ class ResidualReport:
                 merged.add(ResidualEntry.skip(name, proto.note))
                 continue
             live = [e for e in same if not e.skipped]
-            worst = max(live, key=lambda e: e.value)
+            worst = (max if proto.residual else min)(live, key=lambda e: e.value)
             merged.add(ResidualEntry(name=name, value=worst.value, tol=worst.tol,
                                      passed=all(e.passed for e in live),
                                      raw=worst.raw, note=proto.note,

@@ -314,6 +314,24 @@ grid.n = 7
     assert "tau_ode" not in {e["name"] for e in entries}
 
 
+def test_tau_ode_row_fails_on_a_nan_residual(tmp_path, capsys, monkeypatch):
+    import matchctl.matching as mt
+    real = mt.new_tau_ode_residual
+
+    def one_nan(sys_, fields, x):
+        res = real(sys_, fields, x).copy()
+        res[3] = np.nan
+        return res
+
+    monkeypatch.setattr(mt, "new_tau_ode_residual", one_nan)
+    cfg = write_cfg(tmp_path, "cp.cfg", CARTPOLE_FAST.format(out=tmp_path / "out"))
+    assert main(["check-matching", "--config", cfg, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    (row,) = [e for rep in doc["reports"] for e in rep["entries"] if e["name"] == "tau_ode"]
+    assert np.isnan(row["value"]) and row["pass"] is False
+    assert not doc["pass"]
+
+
 @pytest.mark.parametrize("command, extra, argv, key", [
     ("check-matching", "grid.n = 0\n", [], "grid.n"),
     ("check-matching", "", ["--grid", "0"], "grid.n"),

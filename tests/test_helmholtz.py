@@ -1,16 +1,22 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 import matchctl.fields as fl
 from conftest import free_particle, random_shaping, random_state, random_system, sm_shaping
-from matchctl.control import GainSelection, cartpole_closed_loop, cartpole_shaping
+from matchctl.control import (GainSelection, cartpole_closed_loop, cartpole_shaping,
+                              incline_shaping)
 from matchctl.helmholtz import (exactness_residuals, explicit_helmholtz_residuals,
                                 implicit_helmholtz_residuals, legendre_fn,
                                 multiplier_from_shaping, sode_tensors)
 from matchctl.lagrangian import (ExplicitSode, ImplicitSode, ShapingParams,
                                  controlled_implicit_sode, scalar_sigma_matrix,
                                  solve_accel, uncontrolled_sode)
-from matchctl.model import Dims, State
+from matchctl.matching import sm3_tau
+from matchctl.model import (CartpoleParams, Dims, InclineParams, State, cartpole_system,
+                            incline_system, synthetic_sm_system)
 
 IDENT_CLASSES = ("BB_ab", "BB_a_beta", "BB_alpha_beta", "AB_ab", "AB_a_beta", "AA_ab")
 
@@ -262,3 +268,88 @@ def test_implicit_off_shell_entry_point(cartpole, reference_params):
     rep = implicit_helmholtz_residuals(field, F, st, cartpole.dims,
                                        accel=np.array([0.1, 0.2]))
     assert rep.entry("BB_alpha_beta").value < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# recorded per-state reports
+# ---------------------------------------------------------------------------
+
+def helmholtz_case(name: str):
+    """(system, shaping, states) of a recorded case: the shipped cart-pole,
+    the incline with rho = 2 and its extra potential, and builtin systems."""
+    if name == "cartpole":
+        p = CartpoleParams(m=0.14, M=0.44, l=0.215, grav=9.81)
+        sys_, shp = cartpole_system(p), cartpole_shaping(p, GainSelection(k=35.0, sigma=1.0))
+    elif name == "incline":
+        p = InclineParams(m=0.14, M=0.44, l=0.215, grav=9.81, psi=0.3)
+        gains = GainSelection(k=35.0, sigma=1.0, rho=2.0, c=6.0, s0=0.0)
+        sys_, shp = incline_system(p), incline_shaping(p, gains)
+    else:
+        dims = Dims(int(name[-2]), int(name[-1]))
+        sys_, sigma = synthetic_sm_system(1, dims)
+        shp = ShapingParams(tau=sm3_tau(sys_, sigma), sigma=scalar_sigma_matrix(sys_, sigma))
+    states = [random_state(seed, sys_.dims, v_max=5.0) for seed in range(3)]
+    return sys_, shp, states
+
+
+def helmholtz_reports(name: str):
+    """The implicit, explicit and exactness reports at each state of a case."""
+    sys_, shp, states = helmholtz_case(name)
+    field = controlled_implicit_sode(sys_, shp)
+    F, mult, explicit = legendre_fn(sys_, shp), multiplier_from_shaping(sys_, shp), \
+        field.to_explicit()
+    for st in states:
+        yield implicit_helmholtz_residuals(field, F, st, sys_.dims)
+        yield explicit_helmholtz_residuals(explicit, mult, st)
+        yield exactness_residuals(field, st, field.solve_accel(st))
+
+
+def entry_key(e):
+    # repr keeps NaN equal to NaN and tells a numpy float from a Python one
+    return repr(dataclasses.astuple(e))
+
+
+# sha256 of the reports of the three engines at every state of each case,
+# recorded with the engines that assembled each residual pair by pair
+HELMHOLTZ_REPORT_DIGESTS = {
+    "cartpole": "48608a425d351f2e45b4ec8d21d41df48d65622bbc5478cc2e433bf6d9054d42",
+    "incline": "e5238aefcb30e0af0fcb1fac4951978b6e1d02420c71264ae4129ce10be8dbf4",
+    "builtin12": "bb6d749f17a9880e30e8232c87210f22c31a679bcf1617eb89c469faa4c5ccf3",
+    "builtin21": "51aed344b8961e51144c7dde566926e5663d874918faf7bb2ba394c29cc3e1ed",
+}
+
+
+@pytest.mark.parametrize("case", list(HELMHOLTZ_REPORT_DIGESTS))
+def test_helmholtz_reports_match_recorded_digests(case):
+    h = hashlib.sha256()
+    for rep in helmholtz_reports(case):
+        h.update(rep.title.encode())
+        for e in rep.entries:
+            h.update(entry_key(e).encode())
+    assert h.hexdigest() == HELMHOLTZ_REPORT_DIGESTS[case]
+
+
+# at four coordinates the summation order of the array assembly moves some
+# values by ulps, so only the entry names, skips and verdicts are recorded
+REPORT_NAMES = {
+    "implicit conditions": ["BB_ab", "BB_a_beta", "BB_alpha_beta", "AB_ab", "AB_a_beta",
+                            "AB_alpha_b", "AB_alpha_beta", "AA_ab", "AA_alpha_b",
+                            "AA_alpha_beta"],
+    "explicit multiplier conditions": ["symmetry", "velocity_symmetry", "metric_transport",
+                                       "jacobi_symmetry", "regularity"],
+    "exactness conditions": ["accel_symmetry", "position_exactness", "velocity_exactness"],
+}
+HELMHOLTZ_REPORT_VERDICTS = {       # (skipped, failed) at every state
+    "builtin22": (set(), {"accel_symmetry", "velocity_exactness"}),
+    "builtin31": ({"AA_ab"}, {"accel_symmetry", "velocity_exactness"}),
+}
+
+
+@pytest.mark.parametrize("case", list(HELMHOLTZ_REPORT_VERDICTS))
+def test_helmholtz_report_verdicts_match_recorded(case):
+    skipped, failed = HELMHOLTZ_REPORT_VERDICTS[case]
+    for rep in helmholtz_reports(case):
+        names = REPORT_NAMES[rep.title]
+        assert [e.name for e in rep.entries] == names
+        assert {e.name for e in rep.entries if e.skipped} == skipped & set(names)
+        assert {e.name for e in rep.entries if not e.passed} == failed & set(names)

@@ -638,6 +638,21 @@ def test_each_metric_field_is_evaluated_once():
     assert list(calls.values()) == [0] + [1] * 5      # g_ss is not read
 
 
+def test_generalized_engine_reads_its_point_data_once(monkeypatch):
+    import matchctl.matching as mt
+    calls = []
+    real = mt._point_data
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mt, "_point_data", counted)
+    sys_, shp, grid = GRID_CASES["random22-rho"]
+    check_on_grid(generalized_matching_residuals, sys_, shp, grid)
+    assert len(calls) == 1
+
+
 def singular_group_system():
     """g_gg = diag(1, x), singular at x = 0 only; with sigma = I, SM1 fails
     there (so SM3 is skipped) and passes at x = 1."""
