@@ -15,7 +15,7 @@ import math
 import os
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +132,7 @@ class RunConfig:
                 s0=_get(cfg, "gains.s0", float, 0.0),
             )
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"gains.{exc}") from exc
         rc = RunConfig(
             system=system, params=params, tau_mode=tau_mode, gains=gains,
             dt=_get(cfg, "sim.dt", float, 1e-4),
@@ -448,12 +448,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep supports the cartpole and incline systems")
     # bad values fail the whole sweep before any row runs; a k below the gain
     # bound is a valid request and stays an errored row
-    for s in rc.sweep_sigma:
-        if not s > 0:
-            raise ConfigError(f"sweep.sigma values must be positive, got {s!r}")
-    for k in rc.sweep_k:
-        if not math.isfinite(k):
-            raise ConfigError(f"sweep.k values must be finite, got {k!r}")
+    for name in ("k", "sigma", "rho"):
+        for value in getattr(rc, f"sweep_{name}"):
+            try:
+                replace(rc.gains, **{name: value})
+            except ValueError as exc:
+                raise ConfigError(f"sweep.{exc}") from exc
     _initial_state(rc, 2)
     ks = rc.sweep_k or [rc.gains.k]
     sigmas = rc.sweep_sigma or [rc.gains.sigma]

@@ -27,9 +27,9 @@ from scipy.integrate import quad
 
 from . import jets
 from .fields import Curve, SmoothField
-from .jets import cos, jet_vars, value_of
+from .jets import cos, jet_vars
 from .lagrangian import (ExplicitSode, ShapingParams, controlled_lagrangian_generic,
-                         kinetic_matrix, scalar_sigma_matrix)
+                         kinetic_energy, kinetic_matrix, scalar_sigma_matrix)
 from .matching import new_tau_closed_form
 from .model import CartpoleParams, InclineParams, MechanicalSystem, State, cartpole_system, incline_system
 
@@ -73,7 +73,8 @@ class MatchingFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class GainSelection:
-    """Free parameters of the stabilizing designs."""
+    """Free parameters of the stabilizing designs.  An invalid one is a
+    ValueError whose message starts with its field name."""
 
     k: float
     sigma: float = 1.0
@@ -82,10 +83,12 @@ class GainSelection:
     s0: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.k):
-            raise ValueError("k must be finite")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not math.isfinite(self.k):
+            raise ValueError(f"k must be finite, got {self.k!r}")
+        if not self.sigma > 0.0:
+            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if not (math.isfinite(self.rho) and self.rho != 0.0):
+            raise ValueError(f"rho must be finite and nonzero, got {self.rho!r}")
 
 
 @dataclass
@@ -180,12 +183,7 @@ def _potential_gradient_candidate(sys: MechanicalSystem, shaping: ShapingParams,
     """dV/dq = dK/dq - d2K/(dqd dq) qd - gtilde Gamma, K the shaped kinetic energy."""
     n = sys.dims.total
     seeds = jet_vars(list(q) + list(qd))
-    ns = sys.dims.n_shape
-    M = kinetic_matrix(sys, shaping, seeds[:ns])
-    K = 0.0
-    for i in range(n):
-        for j in range(n):
-            K = K + 0.5 * seeds[n + i] * M[i][j] * seeds[n + j]
+    K = kinetic_energy(kinetic_matrix(sys, shaping, seeds[:sys.dims.n_shape]), seeds[n:])
     dK_dq = K.g[:n]
     mixed = K.h[n:, :n]                    # d2K / dqd^i dq^k
     gtilde = K.h[n:, n:]
@@ -226,10 +224,8 @@ def shaped_energy(sys: MechanicalSystem, shaping: ShapingParams,
 def make_shaped_energy(sys: MechanicalSystem, shaping: ShapingParams,
                        potential: Callable) -> ShapedEnergy:
     def kinetic(state: State) -> float:
-        ns = sys.dims.n_shape
-        M = np.array([[value_of(v) for v in row]
-                      for row in kinetic_matrix(sys, shaping, list(state.q[:ns]))])
-        return float(0.5 * state.qdot @ M @ state.qdot)
+        M = kinetic_matrix(sys, shaping, list(state.q[:sys.dims.n_shape]))
+        return float(kinetic_energy(M, state.qdot))
 
     pot = potential if callable(potential) else potential.value
     return ShapedEnergy(kinetic=kinetic, potential=pot)

@@ -4,7 +4,9 @@ Metric components, potentials and the feedback-shaping one-form are all built
 from these.  A field holds one function ``fn(coords)`` written with the
 elementary functions of `jets`, or with a `Curve` (a cubic spline read at one
 float by `spline_reader` and through `jets.chain` at a jet), so it accepts
-float or `Jet2` coordinates alike:
+float or `Jet2` coordinates alike, and also a mix of the two, since jet
+arithmetic takes float operands: callers that evaluate at such coordinates
+call ``fn`` directly, and a constant field stays a float there.
 ``value`` is one float pass, and ``d1``/``d2`` read the gradient and Hessian
 of one pass over seeded jets, which is exact forward-mode differentiation.
 The algebra composes these functions and folds constant fields when the
@@ -14,10 +16,10 @@ expression is built.
 pass per distinct field.
 
 `gradient` gives a field's first partials at float or jet coordinates, as the
-Euler-Lagrange covector needs them.  At jets each partial carries a Hessian,
-a third derivative of the field; that is the one place central differences
-enter (of ``d2``, shared by all partials of the field), since `Jet2` stops at
-second order.
+Euler-Lagrange covector needs them (float zeros for a constant field).  At
+jets each partial carries a Hessian, a third derivative of the field; that is
+the one place central differences enter (of ``d2``, shared by all partials of
+the field), since `Jet2` stops at second order.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "sin_of",
     "cos_of",
     "sqrt_of",
-    "field_eval",
     "eval_blocks",
     "gradient",
     "spline_reader",
@@ -165,14 +166,6 @@ def sqrt_of(field: SmoothField) -> SmoothField:
     return _unary(field, jets.sqrt)
 
 
-def field_eval(field: SmoothField, coords):
-    """Evaluate on mixed float/jet coordinates; plain float when no jets."""
-    for c in coords:
-        if isinstance(c, Jet2):
-            return field.eval_jet([as_jet(v, c.m) for v in coords])
-    return field.fn(coords)
-
-
 def eval_blocks(blocks, xs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Values (N, rows, cols) and gradients (N, rows, cols, arity) of each
     block (a sequence of rows of fields) at the N points of xs (N, arity).
@@ -214,15 +207,16 @@ _H3 = float(np.cbrt(np.finfo(float).eps))   # step of the third-derivative diffe
 def gradient(field: SmoothField, coords) -> Sequence:
     """First partials of ``field`` at float or jet coordinates.
 
-    Floats give the gradient of one jet pass.  Jets compose the gradient and
-    Hessian of one pass at the value parts with the coordinates' jets by the
-    chain rule; the Hessian of each partial takes central differences of
-    ``d2`` along every coordinate, symmetrised, computed once for all partials.
+    A constant field gives float zeros.  Floats give the gradient of one jet
+    pass.  Jets compose the gradient and Hessian of one pass at the value
+    parts with the coordinates' jets by the chain rule; the Hessian of each
+    partial takes central differences of ``d2`` along every coordinate,
+    symmetrised, computed once for all partials.
     """
     n = field.arity
-    seed = next((c for c in coords if isinstance(c, Jet2)), None)
     if field.const is not None:
-        return [0.0] * n if seed is None else [as_jet(0.0, seed.m) for _ in range(n)]
+        return [0.0] * n
+    seed = next((c for c in coords if isinstance(c, Jet2)), None)
     if seed is None:
         return field.d1(coords)
     coords = [as_jet(v, seed.m) for v in coords]

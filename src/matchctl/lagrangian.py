@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import SmoothField, field_eval, gradient
+from .fields import SmoothField, gradient
 from .jets import Jet2, jet_vars, solve_generic, value_of
-from .model import Dims, MechanicalSystem, State
+from .model import Dims, MechanicalSystem, State, block_entries
 
 __all__ = [
     "ShapingParams",
@@ -30,6 +30,7 @@ __all__ = [
     "el_covector",
     "controlled_el_covector",
     "controlled_lagrangian_value",
+    "kinetic_energy",
     "kinetic_matrix",
     "legendre_transform",
     "ctilde_and_block_inverse",
@@ -105,11 +106,7 @@ class ShapingParams:
         return ShapingParams(tau=tau, sigma=sigma)
 
     def tau_value(self, x: np.ndarray) -> np.ndarray:
-        return np.array([[f.value(x) for f in row] for row in self.tau])
-
-    def tau_d1(self, x: np.ndarray) -> np.ndarray:
-        """d(tau^a_alpha)/dx^k as (n_group, n_shape, n_shape)."""
-        return np.array([[f.d1(x) for f in row] for row in self.tau])
+        return np.array(block_entries(self.tau, x))
 
     def scalar_rho(self, sys: MechanicalSystem, x: np.ndarray,
                    tol: float = 1e-10) -> float | None:
@@ -144,16 +141,8 @@ class BlockInverse:
 # generic evaluation helpers (floats or jets)
 # ---------------------------------------------------------------------------
 
-def _entries(block, coords):
-    return [[field_eval(f, coords) for f in row] for row in block]
-
-
 def _gradients(block, coords):
     return [[gradient(f, coords) for f in row] for row in block]
-
-
-def _matvec(M, v):
-    return [sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(M))]
 
 
 def _inv_generic(M):
@@ -171,15 +160,13 @@ def _inv_generic(M):
 
 def lagrangian_value(sys: MechanicalSystem, state: State) -> float:
     """L = (1/2) qdot' g(q) qdot - V(q)."""
-    x = state.q[: sys.dims.n_shape]
-    g = sys.metric(x)
-    return float(0.5 * state.qdot @ g @ state.qdot - sys.V_value(state.q))
+    return float(kinetic_energy(sys.metric_block(state.q), state.qdot, -sys.V_value(state.q)))
 
 
 def _metric_data(sys: MechanicalSystem, q):
     """Metric blocks, their first partials and dV at q (floats or jets)."""
     x = list(q[: sys.dims.n_shape])
-    return (_entries(sys.g_ss, x), _entries(sys.g_sg, x), _entries(sys.g_gg, x),
+    return (block_entries(sys.g_ss, x), block_entries(sys.g_sg, x), block_entries(sys.g_gg, x),
             _gradients(sys.g_ss, x), _gradients(sys.g_sg, x), _gradients(sys.g_gg, x),
             gradient(sys.V, list(q)))
 
@@ -241,19 +228,17 @@ def controlled_el_covector(sys: MechanicalSystem, shaping: ShapingParams, q, qd,
     """Covector of the controlled system: shape rows unchanged, group rows get
     the shaping terms (and scalar-rho/extra-potential terms when present)."""
     ns, ng = sys.dims.n_shape, sys.dims.n_group
-    rho = shaping.rho
-    if shaping.g_rho is not None and shaping.scalar_rho(sys, np.zeros(ns)) is None:
+    rho = shaping.scalar_rho(sys, np.zeros(ns))
+    if rho is None:
         raise NotImplementedError(
             "controlled field requires the vertical metric to be a scalar multiple of g_gg")
-    if shaping.g_rho is not None:
-        rho = shaping.scalar_rho(sys, np.zeros(ns))
     x = list(q[:ns])
     xd = list(qd[:ns])
     xdd = list(qdd[:ns])
     data = _metric_data(sys, q)
     phi = _el_covector(sys, data, qd, qdd)
     _, _, ggg, _, _, dgg, dV = data
-    tau = _entries(shaping.tau, x)
+    tau = block_entries(shaping.tau, x)
     dtau = _gradients(shaping.tau, x)
     if shaping.epsilon_potential is not None:
         dVe = gradient(shaping.epsilon_potential, list(q))
@@ -283,10 +268,10 @@ def kinetic_matrix(sys: MechanicalSystem, shaping: ShapingParams, x_coords):
     Generic over floats/jets.  Returns a nested list (n x n).
     """
     ns, ng = sys.dims.n_shape, sys.dims.n_group
-    gss = _entries(sys.g_ss, x_coords)
-    gsg = _entries(sys.g_sg, x_coords)
-    ggg = _entries(sys.g_gg, x_coords)
-    tau = _entries(shaping.tau, x_coords)
+    gss = block_entries(sys.g_ss, x_coords)
+    gsg = block_entries(sys.g_sg, x_coords)
+    ggg = block_entries(sys.g_gg, x_coords)
+    tau = block_entries(shaping.tau, x_coords)
     sigma = shaping.sigma
 
     special = shaping.is_special_matching
@@ -347,10 +332,16 @@ def controlled_lagrangian_value(sys: MechanicalSystem, shaping: ShapingParams,
 def controlled_lagrangian_generic(sys: MechanicalSystem, shaping: ShapingParams, q, qd):
     ns = sys.dims.n_shape
     M = kinetic_matrix(sys, shaping, list(q[:ns]))
-    n = sys.dims.total
-    acc = field_eval(sys.V, list(q)) * (-1.0)
+    acc = sys.V.fn(list(q)) * (-1.0)
     if shaping.epsilon_potential is not None:
-        acc = acc - field_eval(shaping.epsilon_potential, list(q))
+        acc = acc - shaping.epsilon_potential.fn(list(q))
+    return kinetic_energy(M, qd, acc)
+
+
+def kinetic_energy(M, qd, acc=0.0):
+    """acc + (1/2) qd' M qd for a nested-list M, summed term by term from acc
+    in row-major order (floats or jets)."""
+    n = len(qd)
     for i in range(n):
         for j in range(n):
             acc = acc + 0.5 * qd[i] * M[i][j] * qd[j]
@@ -359,9 +350,8 @@ def controlled_lagrangian_generic(sys: MechanicalSystem, shaping: ShapingParams,
 
 def legendre_covector(sys: MechanicalSystem, shaping: ShapingParams, q, qd):
     """Fiber derivative of the controlled Lagrangian; generic over floats/jets."""
-    ns = sys.dims.n_shape
-    M = kinetic_matrix(sys, shaping, list(q[:ns]))
-    return _matvec(M, list(qd))
+    M = kinetic_matrix(sys, shaping, list(q[:sys.dims.n_shape]))
+    return [sum(row[j] * qd[j] for j in range(len(qd))) for row in M]
 
 
 def legendre_transform(sys: MechanicalSystem, shaping: ShapingParams,
@@ -429,15 +419,12 @@ class ImplicitSode:
     def __init__(self, n: int, phi: Callable, accel_matrix: Callable,
                  dims: Dims | None = None):
         self.n = n
-        self._phi = phi
+        self.phi = phi
         self.accel_matrix = accel_matrix
         self.dims = dims
 
-    def phi(self, q, qd, qdd):
-        return self._phi(q, qd, qdd)
-
     def phi_floats(self, q, qd, qdd) -> np.ndarray:
-        return np.array([value_of(v) for v in self._phi(list(q), list(qd), list(qdd))])
+        return np.array([value_of(v) for v in self.phi(list(q), list(qd), list(qdd))])
 
     def accel_matrix_floats(self, q) -> np.ndarray:
         return np.array([[value_of(v) for v in row] for row in self.accel_matrix(list(q))])
@@ -447,7 +434,7 @@ class ImplicitSode:
 
     def to_explicit(self) -> "ExplicitSode":
         def gamma(q, qd):
-            rhs = [-v for v in self._phi(q, qd, [0.0] * self.n)]
+            rhs = [-v for v in self.phi(q, qd, [0.0] * self.n)]
             return solve_generic(self.accel_matrix(q), rhs)
 
         return ExplicitSode(self.n, gamma, dims=self.dims)
@@ -476,21 +463,12 @@ class ExplicitSode:
         return self.gamma(seeds[: self.n], seeds[self.n:])
 
 
-def _metric_block(sys: MechanicalSystem, q):
-    """The full metric at q as a nested list (floats or jets)."""
-    ns, ng = sys.dims.n_shape, sys.dims.n_group
-    x = list(q[:ns])
-    gss, gsg, ggg = _entries(sys.g_ss, x), _entries(sys.g_sg, x), _entries(sys.g_gg, x)
-    return ([gss[al] + gsg[al] for al in range(ns)]
-            + [[gsg[al][a] for al in range(ns)] + ggg[a] for a in range(ng)])
-
-
 def _controlled_block(sys: MechanicalSystem, shaping: ShapingParams, q):
     """[[g_ss, g_sg], [g_sg' + g_gg tau, g_gg]] at q (floats or jets)."""
     ns, ng = sys.dims.n_shape, sys.dims.n_group
-    C = _metric_block(sys, q)
+    C = sys.metric_block(q)
     ggg = [row[ns:] for row in C[ns:]]
-    tau = _entries(shaping.tau, list(q[:ns]))
+    tau = block_entries(shaping.tau, list(q[:ns]))
     for a in range(ng):
         for be in range(ns):
             acc = C[ns + a][be]
@@ -501,18 +479,14 @@ def _controlled_block(sys: MechanicalSystem, shaping: ShapingParams, q):
 
 
 def uncontrolled_sode(sys: MechanicalSystem) -> ImplicitSode:
-    def phi(q, qd, qdd):
-        return el_covector(sys, q, qd, qdd)
-
-    return ImplicitSode(sys.dims.total, phi, lambda q: _metric_block(sys, q), dims=sys.dims)
+    return ImplicitSode(sys.dims.total, lambda q, qd, qdd: el_covector(sys, q, qd, qdd),
+                        sys.metric_block, dims=sys.dims)
 
 
 def controlled_implicit_sode(sys: MechanicalSystem, shaping: ShapingParams) -> ImplicitSode:
-    def phi(q, qd, qdd):
-        return controlled_el_covector(sys, shaping, q, qd, qdd)
-
-    return ImplicitSode(sys.dims.total, phi, lambda q: _controlled_block(sys, shaping, q),
-                        dims=sys.dims)
+    return ImplicitSode(sys.dims.total,
+                        lambda q, qd, qdd: controlled_el_covector(sys, shaping, q, qd, qdd),
+                        lambda q: _controlled_block(sys, shaping, q), dims=sys.dims)
 
 
 def solve_accel(implicit: ImplicitSode, state: State) -> np.ndarray:
@@ -536,38 +510,18 @@ def solve_accel(implicit: ImplicitSode, state: State) -> np.ndarray:
 
 def feedback_control(sys: MechanicalSystem, shaping: ShapingParams, state: State,
                      accel: np.ndarray) -> np.ndarray:
-    """Feedback closing the group equations of the controlled system.
+    """Feedback closing the group equations of the controlled system: the
+    group rows of the mechanical system's Euler-Lagrange covector minus those
+    of the controlled system, at the state and the accelerations.
 
-    With the vertical metric unchanged this is the pure shaping expression;
-    with scalar rho (and optional extra potential) the potential-difference
-    terms enter.
+    A vertical metric that is not a scalar multiple of g_gg raises
+    NotImplementedError, as `controlled_el_covector` does.
     """
-    ns, ng = sys.dims.n_shape, sys.dims.n_group
-    x = state.q[:ns]
-    xd = state.qdot[:ns]
-    xdd = np.asarray(accel, dtype=float)[:ns]
-    rho = shaping.scalar_rho(sys, x)
-    if rho is None:
-        raise NotImplementedError("feedback control requires a scalar vertical scaling")
-    ggg = sys.ggg(x)
-    dgg = np.array([[f.d1(x) for f in [sys.g_gg[a][b] for b in range(ng)]] for a in range(ng)])
-    tau = shaping.tau_value(x)
-    dtau = shaping.tau_d1(x)
-    dV = sys.V_d1(state.q)[ns:]
-    if shaping.epsilon_potential is not None:
-        dVe = shaping.epsilon_potential.d1(state.q)[ns:]
-    else:
-        dVe = np.zeros(ng)
-
-    u = (rho - 1.0) / rho * dV - dVe / rho
-    for a in range(ng):
-        for b in range(ng):
-            for be in range(ns):
-                for g_ in range(ns):
-                    u[a] -= (dgg[a][b][g_] * tau[b][be]
-                             + ggg[a][b] * dtau[b][be][g_]) * xd[be] * xd[g_]
-                u[a] -= ggg[a][b] * tau[b][be] * xdd[be]
-    return u
+    ns = sys.dims.n_shape
+    q, qd, qdd = list(state.q), list(state.qdot), list(np.asarray(accel, dtype=float))
+    phi = el_covector(sys, q, qd, qdd)
+    phi_c = controlled_el_covector(sys, shaping, q, qd, qdd)
+    return np.array([a - b for a, b in zip(phi[ns:], phi_c[ns:])])
 
 
 def fw_identity_residuals(sys: MechanicalSystem, shaping: ShapingParams,

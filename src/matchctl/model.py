@@ -22,6 +22,7 @@ __all__ = [
     "CartpoleParams",
     "InclineParams",
     "MechanicalSystem",
+    "block_entries",
     "build_mechanical_system",
     "cartpole_system",
     "incline_system",
@@ -106,6 +107,14 @@ class InclineParams(CartpoleParams):
             raise ValueError("|psi| must be below pi/2")
 
 
+def block_entries(block, coords) -> list[list]:
+    """The fields of a block (a sequence of rows) at an array of float
+    coordinates or a sequence that may mix floats and jets, as a nested list;
+    a float result stays a float."""
+    u = coords.tolist() if isinstance(coords, np.ndarray) else coords
+    return [[f.fn(u) for f in row] for row in block]
+
+
 class MechanicalSystem:
     """Block kinetic metric over shape coordinates plus a potential.
 
@@ -122,23 +131,29 @@ class MechanicalSystem:
         self.V = V
         self.breaks_group_symmetry = breaks_group_symmetry
 
+    def metric_block(self, q) -> list[list]:
+        """The full block metric [[g_ss, g_sg], [g_sg', g_gg]] at the shape
+        part of q (floats or jets), as a nested list."""
+        ns = self.dims.n_shape
+        x = q[:ns]
+        gss, gsg, ggg = (block_entries(b, x) for b in (self.g_ss, self.g_sg, self.g_gg))
+        return ([gss[al] + gsg[al] for al in range(ns)]
+                + [[row[a] for row in gsg] + ggg[a] for a in range(self.dims.n_group)])
+
     # -- float evaluation ------------------------------------------------------
 
     def gss(self, x: np.ndarray) -> np.ndarray:
-        return np.array([[f.value(x) for f in row] for row in self.g_ss])
+        return np.array(block_entries(self.g_ss, x))
 
     def gsg(self, x: np.ndarray) -> np.ndarray:
-        return np.array([[f.value(x) for f in row] for row in self.g_sg])
+        return np.array(block_entries(self.g_sg, x))
 
     def ggg(self, x: np.ndarray) -> np.ndarray:
-        return np.array([[f.value(x) for f in row] for row in self.g_gg])
+        return np.array(block_entries(self.g_gg, x))
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         """Full block metric at shape coordinates x."""
-        gss, gsg, ggg = self.gss(x), self.gsg(x), self.ggg(x)
-        top = np.hstack([gss, gsg])
-        bot = np.hstack([gsg.T, ggg])
-        return np.vstack([top, bot])
+        return np.array(self.metric_block(x))
 
     def V_value(self, q: np.ndarray) -> float:
         return self.V.value(np.asarray(q, dtype=float))

@@ -1,14 +1,11 @@
-import hashlib
 import json
-import os
-import re
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
+import golden_record as golden
 import matchctl.control as ctl
 from matchctl.cli import ConfigError, RunConfig, main, parse_config
 from matchctl.lagrangian import feedback_control, kinetic_matrix
@@ -238,7 +235,11 @@ def test_sweep_reports_errored_rows(tmp_path, capsys, monkeypatch):
     ("sweep.k = 35, inf\n", "sweep.k"),
     ("sweep.k = nan\n", "sweep.k"),
     ("sim.ic = 0.1, 0.0, 0.0\n", "sim.ic"),
-], ids=["sigma-zero", "sigma-negative", "sigma-nan", "k-inf", "k-nan", "ic-length"])
+    ("sweep.rho = 0.0, 2.0\n", "sweep.rho"),
+    ("sweep.rho = nan\n", "sweep.rho"),
+    ("sweep.rho = 2.0, -inf\n", "sweep.rho"),
+], ids=["sigma-zero", "sigma-negative", "sigma-nan", "k-inf", "k-nan", "ic-length",
+        "rho-zero", "rho-nan", "rho-inf"])
 def test_sweep_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, extra, key):
     monkeypatch.setenv("MATCHCTL_THREADS", "1")
     text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 35\n" + extra
@@ -247,6 +248,27 @@ def test_sweep_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, extra
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("rho", ["0.0", "-0.0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "check-matching", "check-helmholtz",
+                                     "synthesize-tau", "sweep"])
+def test_invalid_rho_is_config_error(tmp_path, capsys, command, rho):
+    text = INCLINE_FAST.format(out=tmp_path / "out") + f"gains.rho = {rho}\n"
+    cfg = write_cfg(tmp_path, "rho.cfg", text)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: gains.rho must be finite and nonzero, got ")
+
+
+def test_sweep_negative_rho_is_reported_not_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MATCHCTL_THREADS", "1")
+    text = INCLINE_FAST.format(out=tmp_path / "out") + "sweep.rho = -1.0, 2.0\n"
+    cfg = write_cfg(tmp_path, "rho.cfg", text)
+    assert main(["sweep", "--config", cfg, "--json"]) == 0
+    neg, pos = json.loads(capsys.readouterr().out)["rows"]
+    assert "error" not in neg and neg["min_eig_gtilde"] < 0 and neg["pass"] is False
+    assert pos["min_eig_gtilde"] > 0 and pos["pass"] is True
 
 
 @pytest.mark.parametrize("value", ["", "  "])
@@ -418,65 +440,148 @@ def test_unexpected_error_names_its_class(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: IndexError: list index out of range\n"
 
 
-# sha256 of the new-ode outputs on the shipped configs, recorded with the
-# per-stage tau march and per-node metric passes of the previous release
-NEW_ODE_DIGESTS = {
-    "cartpole": ("40b9bc2bee01e7ed86c5c06839e0a8395a0360f4f3e7d9e79b88ec8f67a9732d",
-                 "e9abd65b5b903efa5fb464c20d6e29aaf1e6cd58de74182fd635e2734a1112d8"),
-    "incline": ("b6c190946d078342ffe01d103090e2ad1dd5dd00c8a32dfa2febb17c53c52e73",
-                "c481c47c37f045d66e6b527a2c27a4b520612c8b5625fb3b284acb0a53f0d64c"),
+# sha256 of every command's outputs on the shipped configs, their new-ode
+# variants and a builtin-test config, with the overrides each case runs at;
+# printed by tests/golden_record.py
+GOLDEN_DIGESTS = {
+    "cartpole/check-matching": {
+        "overrides": {}, "exit": 0,
+        "stdout": "a7def0b064736750411666dd022f06f51f2e39c9875a318c804e6fe4269147dc",
+    },
+    "cartpole/check-helmholtz": {
+        "overrides": {"helmholtz.n_states": "4"}, "exit": 0,
+        "stdout": "ceba43c6c5220b28e5a7e39a8275c94b083311f29591fd6350c413aab3af58a6",
+    },
+    "cartpole/synthesize-tau": {
+        "overrides": {}, "exit": 0,
+        "stdout": "69a068a42959ca38b0e3dc919fec17aca453555a9814e33318dd6b0ef3c5b769",
+        "tau_samples.csv": "fd313fd0569bca3a65e038e6f2ad04ba5e037b7db0b81564f7a332aac4c739c4",
+    },
+    "cartpole/simulate": {
+        "overrides": {"sim.t_end": "1.0"}, "exit": 0,
+        "stdout": "c8049f76786b3d9f8bdd2c0d23394a4c7c2d96aec297a6ca41b82fcb6a0a16e3",
+        "trajectory.csv": "8d04b1f888b1b378e0dd97677a6751d821a870a9c60f75d94e2e6b2f6902c541",
+    },
+    "cartpole/sweep": {
+        "overrides": {}, "exit": 0,
+        "stdout": "9450339d1cdc4c6517f7c9791ec31a5cac63c53ea3c2991cf24cc32d0ec980ee",
+        "sweep.csv": "ae64eecac2f8afe4432d38fd0e87ece0f69e346f0c480638160f3d19afd4c506",
+    },
+    "incline/check-matching": {
+        "overrides": {}, "exit": 0,
+        "stdout": "030d6e316602053b6bd5ace2b0a72ce7ca057a293b9eb316e88bd8249e29f5dd",
+    },
+    "incline/check-helmholtz": {
+        "overrides": {"helmholtz.n_states": "4"}, "exit": 0,
+        "stdout": "14ad8798676e982b81827323fcba86072daf16779e6b7da74b5be00c0c881713",
+    },
+    "incline/synthesize-tau": {
+        "overrides": {}, "exit": 0,
+        "stdout": "20c6b2203e9a63167696136333bba9ffa1a531517d3802da3185030903331a51",
+        "tau_samples.csv": "dac3d19feb050280e109883b9e720e0de3b32d43e93ebff65759688dbc0ed1d8",
+    },
+    "incline/simulate": {
+        "overrides": {"sim.t_end": "1.0"}, "exit": 0,
+        "stdout": "116faf28543600766803ea561fa62b09b69cacf30a63ddb075a3bef24e96dabf",
+        "trajectory.csv": "ba3889293eb95a4ad2c9fb0dde5181e43545fee80ad361aa6b0c2e960c7b4472",
+    },
+    "incline/sweep": {
+        "overrides": {}, "exit": 0,
+        "stdout": "f982993b5c8f593757a032facbe3b8bc949745e83d90b9beb79d7e964ebe03db",
+        "sweep.csv": "052dac3708768d11841f8ba7d0a94ae009cb78690494da9d76e953b63ac994ca",
+    },
+    "cartpole-new-ode/check-matching": {
+        "overrides": {}, "exit": 0,
+        "stdout": "e9abd65b5b903efa5fb464c20d6e29aaf1e6cd58de74182fd635e2734a1112d8",
+    },
+    "cartpole-new-ode/check-helmholtz": {
+        "overrides": {"helmholtz.n_states": "4"}, "exit": 0,
+        "stdout": "d597e3c04507c6de3ae65495be45bace879b9c2305a848e263ae52e1c91ff4c2",
+    },
+    "cartpole-new-ode/synthesize-tau": {
+        "overrides": {}, "exit": 0,
+        "stdout": "69a068a42959ca38b0e3dc919fec17aca453555a9814e33318dd6b0ef3c5b769",
+        "tau_samples.csv": "40b9bc2bee01e7ed86c5c06839e0a8395a0360f4f3e7d9e79b88ec8f67a9732d",
+    },
+    "cartpole-new-ode/simulate": {
+        "overrides": {"sim.t_end": "1.0"}, "exit": 0,
+        "stdout": "c8049f76786b3d9f8bdd2c0d23394a4c7c2d96aec297a6ca41b82fcb6a0a16e3",
+        "trajectory.csv": "8d04b1f888b1b378e0dd97677a6751d821a870a9c60f75d94e2e6b2f6902c541",
+    },
+    "cartpole-new-ode/sweep": {
+        "overrides": {}, "exit": 0,
+        "stdout": "9450339d1cdc4c6517f7c9791ec31a5cac63c53ea3c2991cf24cc32d0ec980ee",
+        "sweep.csv": "ae64eecac2f8afe4432d38fd0e87ece0f69e346f0c480638160f3d19afd4c506",
+    },
+    "incline-new-ode/check-matching": {
+        "overrides": {}, "exit": 0,
+        "stdout": "c481c47c37f045d66e6b527a2c27a4b520612c8b5625fb3b284acb0a53f0d64c",
+    },
+    "incline-new-ode/check-helmholtz": {
+        "overrides": {"helmholtz.n_states": "4"}, "exit": 0,
+        "stdout": "3df04a6b7694f62fdfced309ffa90b5f1b13ec12ba4d2fea61a282b69a40864f",
+    },
+    "incline-new-ode/synthesize-tau": {
+        "overrides": {}, "exit": 0,
+        "stdout": "20c6b2203e9a63167696136333bba9ffa1a531517d3802da3185030903331a51",
+        "tau_samples.csv": "b6c190946d078342ffe01d103090e2ad1dd5dd00c8a32dfa2febb17c53c52e73",
+    },
+    "incline-new-ode/simulate": {
+        "overrides": {"sim.t_end": "1.0"}, "exit": 0,
+        "stdout": "116faf28543600766803ea561fa62b09b69cacf30a63ddb075a3bef24e96dabf",
+        "trajectory.csv": "ba3889293eb95a4ad2c9fb0dde5181e43545fee80ad361aa6b0c2e960c7b4472",
+    },
+    "incline-new-ode/sweep": {
+        "overrides": {}, "exit": 0,
+        "stdout": "f982993b5c8f593757a032facbe3b8bc949745e83d90b9beb79d7e964ebe03db",
+        "sweep.csv": "052dac3708768d11841f8ba7d0a94ae009cb78690494da9d76e953b63ac994ca",
+    },
+    "builtin/check-matching": {
+        "overrides": {}, "exit": 0,
+        "stdout": "8001e67dad2eeb2201703a053e770887c0c673ba478dc8e97327dc2f6ac7b66b",
+    },
+    "builtin/check-helmholtz": {
+        "overrides": {"helmholtz.n_states": "4"}, "exit": 0,
+        "stdout": "23010c41c00f1c42a46172783d002ecfa5a0719800ed496f19e0db3404452828",
+    },
+    "builtin/synthesize-tau": {
+        "overrides": {}, "exit": 0,
+        "stdout": "341819d312c530e644354e23c0754b312643863c2731db0cae481b1ab724a5b3",
+        "tau_samples.csv": "856959c16f4f156efb77e166b4f7c96d1a5b49f1d47c01b82db40da55288efcc",
+    },
+    "builtin/simulate": {
+        "overrides": {}, "exit": 0,
+        "stdout": "125a322ce531084333ba610fc93d7b1efad5b345753bee8a367349e907bc69e9",
+        "trajectory.csv": "a415ca326848f73e29b05d6ee0b0ca1830801b9cd71f91456f7a539a2bf5fc01",
+    },
+    "builtin/sweep": {
+        "overrides": {}, "exit": 2,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "d28a4902d43448346b29bb614224858cff9fb6b0542ff27a789d2a2a467180a3",
+    },
 }
 
 
-def output_digests(tmp_path, capsys, text):
-    """sha256 of tau_samples.csv of synthesize-tau and of the check-matching
-    --json stdout for one config text."""
-    cfg = write_cfg(tmp_path, "run.cfg", text)
-    out = tmp_path / "out"
-    assert main(["synthesize-tau", "--config", cfg, "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["check-matching", "--config", cfg, "--json"]) == 0
-    stdout = capsys.readouterr().out
-    csv_digest = hashlib.sha256((out / "tau_samples.csv").read_bytes()).hexdigest()
-    return csv_digest, hashlib.sha256(stdout.encode()).hexdigest()
+@pytest.mark.parametrize("config", golden.CONFIGS)
+def test_outputs_match_recorded_digests(tmp_path, config):
+    """Exit code and sha256 of stdout, stderr and the written file of all five
+    commands on one config, against the table recorded before the last change
+    that was meant to keep every output.
 
-
-def shipped_config(name):
-    return (Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg").read_text()
-
-
-@pytest.mark.parametrize("name", list(NEW_ODE_DIGESTS))
-def test_new_ode_outputs_match_recorded_digests(tmp_path, capsys, name):
-    text, count = re.subn(r"(?m)^tau\.mode = \S+", "tau.mode = new-ode", shipped_config(name))
-    assert count == 1
-    assert output_digests(tmp_path, capsys, text) == NEW_ODE_DIGESTS[name]
-
-
-BUILTIN_CFG = """
-system = builtin-test
-builtin.seed = 1
-builtin.n_shape = 1
-builtin.n_group = 2
-grid.n = 41
-"""
-
-# sha256 of the same two outputs on the shipped configs and a builtin-test
-# config, recorded with the per-point grid checks and tau samples of the
-# previous release
-SHIPPED_DIGESTS = {
-    "cartpole": ("fd313fd0569bca3a65e038e6f2ad04ba5e037b7db0b81564f7a332aac4c739c4",
-                 "a7def0b064736750411666dd022f06f51f2e39c9875a318c804e6fe4269147dc"),
-    "incline": ("dac3d19feb050280e109883b9e720e0de3b32d43e93ebff65759688dbc0ed1d8",
-                "030d6e316602053b6bd5ace2b0a72ce7ca057a293b9eb316e88bd8249e29f5dd"),
-    "builtin": ("856959c16f4f156efb77e166b4f7c96d1a5b49f1d47c01b82db40da55288efcc",
-                "8001e67dad2eeb2201703a053e770887c0c673ba478dc8e97327dc2f6ac7b66b"),
-}
-
-
-@pytest.mark.parametrize("name", list(SHIPPED_DIGESTS))
-def test_outputs_match_recorded_digests(tmp_path, capsys, name):
-    text = BUILTIN_CFG if name == "builtin" else shipped_config(name)
-    assert output_digests(tmp_path, capsys, text) == SHIPPED_DIGESTS[name]
+    Every float in these outputs goes through the host's libm (``math`` and
+    numpy's sin, cos, exp, log and pow), so the digests depend on it: they were
+    recorded with glibc 2.36 on x86-64 and hold only where libm gives the same
+    floats; elsewhere re-record the table with golden_record.py.
+    """
+    got, want = {}, {}
+    for command in golden.COMMANDS:
+        case = GOLDEN_DIGESTS[f"{config}/{command}"]
+        workdir = tmp_path / command
+        workdir.mkdir()
+        code, digests = golden.run_case(config, command, case["overrides"], workdir)
+        got[command] = {"exit": code, **digests}
+        want[command] = {k: v for k, v in case.items() if k != "overrides"}
+    assert got == want
 
 
 def test_singular_group_block_is_a_named_error(tmp_path, capsys, monkeypatch):

@@ -283,6 +283,19 @@ def test_feedback_incline_degenerates(reference_params):
                        feedback_control(cp, shp_c, st, accel), rtol=0, atol=1e-14)
 
 
+def test_non_scalar_vertical_metric_is_not_implemented():
+    # g_rho = diag(1, 2) is no scalar multiple of g_gg = I, so neither the
+    # controlled covector nor the feedback read from it is defined
+    sys_ = free_particle(1, 2)
+    zero = fl.constant(0.0, 1)
+    shp = ShapingParams(tau=((zero,), (zero,)), sigma=np.eye(2), g_rho=np.diag([1.0, 2.0]))
+    st = State(q=[0.1, 0.2, 0.3], qdot=[0.4, -0.5, 0.6])
+    with pytest.raises(NotImplementedError):
+        feedback_control(sys_, shp, st, np.zeros(3))
+    with pytest.raises(NotImplementedError):
+        controlled_implicit_sode(sys_, shp).phi(list(st.q), list(st.qdot), [0.0] * 3)
+
+
 def test_controlled_sode_zero_tau_matches_uncontrolled(cartpole):
     shp = ShapingParams.zero(cartpole.dims)
     ctrl = controlled_implicit_sode(cartpole, shp)
