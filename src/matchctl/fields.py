@@ -16,10 +16,12 @@ expression is built.
 pass per distinct field.
 
 `gradient` gives a field's first partials at float or jet coordinates, as the
-Euler-Lagrange covector needs them (float zeros for a constant field).  At
-jets each partial carries a Hessian, a third derivative of the field; that is
-the one place central differences enter (of ``d2``, shared by all partials of
-the field), since `Jet2` stops at second order.
+Euler-Lagrange covector needs them (float zeros for a constant field), at one
+point or at N points: on array jets it makes one pass over all N.  At jets
+each partial carries a Hessian, a third derivative of the field; that is the
+one place central differences enter (of ``d2``, shared by all partials of the
+field, with a step per point along the point axis), since `Jet2` stops at
+second order.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class SmoothField:
 
     def eval_jet(self, jets: Sequence[Jet2]) -> Jet2:
         out = self.fn(jets)
-        return out if isinstance(out, Jet2) else as_jet(out, jets[0].m)
+        return out if isinstance(out, Jet2) else as_jet(out, jets[0])
 
     def d1(self, u) -> np.ndarray:
         if self.const is not None:
@@ -205,13 +207,16 @@ _H3 = float(np.cbrt(np.finfo(float).eps))   # step of the third-derivative diffe
 
 
 def gradient(field: SmoothField, coords) -> Sequence:
-    """First partials of ``field`` at float or jet coordinates.
+    """First partials of ``field`` at float or jet coordinates, at one point or
+    at N points (one array of N floats, or jets over N points, per
+    coordinate).
 
     A constant field gives float zeros.  Floats give the gradient of one jet
     pass.  Jets compose the gradient and Hessian of one pass at the value
     parts with the coordinates' jets by the chain rule; the Hessian of each
     partial takes central differences of ``d2`` along every coordinate,
-    symmetrised, computed once for all partials.
+    symmetrised, computed once for all partials.  Over N points each point
+    takes its own step, so that it gets the floats of a one-point call.
     """
     n = field.arity
     if field.const is not None:
@@ -219,12 +224,13 @@ def gradient(field: SmoothField, coords) -> Sequence:
     seed = next((c for c in coords if isinstance(c, Jet2)), None)
     if seed is None:
         return field.d1(coords)
-    coords = [as_jet(v, seed.m) for v in coords]
-    u = np.array([c.f for c in coords])
+    coords = [as_jet(c, seed) for c in coords]
+    lead = np.shape(seed.f)
+    u = np.array([np.broadcast_to(c.f, lead) for c in coords] if lead else [c.f for c in coords])
     top = field.eval_jet(jet_vars(u))
     d3 = []
     for k in range(n):
-        step = _H3 * max(1.0, abs(u[k]))
+        step = _H3 * np.maximum(1.0, np.abs(u[k]))
         up, um = u.copy(), u.copy()
         up[k] += step
         um[k] -= step
@@ -232,23 +238,27 @@ def gradient(field: SmoothField, coords) -> Sequence:
     out = []
     for i in range(n):
         t = np.array([d3k[i] for d3k in d3])
-        out.append(_compose(top.g[i], top.h[i].tolist(), (0.5 * (t + t.T)).tolist(), coords))
+        g1, g2 = top.h[i], 0.5 * (t + t.swapaxes(0, 1))
+        if not lead:
+            g1, g2 = g1.tolist(), g2.tolist()
+        out.append(_compose(top.g[i], g1, g2, coords))
     return out
 
 
-def _compose(f, g1: list, g2: list, coords: list) -> Jet2:
+def _compose(f, g1, g2, coords: list) -> Jet2:
     """The jet of a function with value f, gradient g1 and Hessian g2 at the
-    coordinates' value parts, composed with the coordinate jets."""
-    m = coords[0].m
-    grad = np.zeros(m)
-    hess = np.zeros((m, m))
+    coordinates' value parts, composed with the coordinate jets.  A float zero
+    term is skipped; over N points every term is added, which gives each point
+    the floats of a one-point call, since each sum starts from +0.0."""
+    grad = np.zeros_like(coords[0].g)
+    hess = np.zeros_like(coords[0].h)
     for gi, ci in zip(g1, coords):
-        if gi != 0.0:
+        if not (isinstance(gi, float) and gi == 0.0):
             grad += gi * ci.g
             hess += gi * ci.h
     for row, ci in zip(g2, coords):
         for gij, cj in zip(row, coords):
-            if gij != 0.0:
+            if not (isinstance(gij, float) and gij == 0.0):
                 hess += gij * (ci.g[:, None] * cj.g)
     return Jet2(f, grad, hess)
 

@@ -2,18 +2,25 @@
 
 Three engines: the multiplier (explicit) conditions on a candidate matrix
 g_ij, the classical exactness conditions on an implicit covector, and the
-implicit conditions on candidate Legendre components F_i.  Each family is
-assembled as array algebra at one state: n x n (or n x n x n) arrays over all
-index pairs, with the implicit index classes as pair masks (one table,
-`_INDEX_CLASSES`).  Each entry goes through the one normalizer of every
-engine, `ResidualEntry.normalized`, with the state as its single point: the
-largest |residual| over max(1, magnitude of the terms entering it) is
-compared with the tolerance, and raw magnitudes are kept in the report.
+implicit conditions on candidate Legendre components F_i.  Each engine takes
+a `State` of one state (n,) or of N states (N, n) and assembles its families
+as array algebra at N states: n x n (or n x n x n) arrays over all index
+pairs, with the point axis first, and the implicit index classes as pair masks
+(one table, `_INDEX_CLASSES`).  One state is the N = 1 case.  Each entry goes
+through the one normalizer of every engine, `ResidualEntry.normalized`: at
+each state the largest |residual| over max(1, magnitude of the terms entering
+it), merged over the states as `ResidualReport.merge_max` merges one-state
+reports, and compared with the tolerance; raw magnitudes are kept in the
+report.
 
-Every engine reads the value, gradient and Hessian of one list-valued function
-at one point (Gamma, the multiplier g, Phi or F) through `jets.value_grad_hess`:
-second-order jets by default, the central-difference oracle with
-``backend="fd"`` as the independent cross-check path.
+Every engine reads the values, gradients and Hessians of one list-valued
+function (Gamma, the multiplier g, Phi or F) at all its states in one pass
+through `jets.value_grad_hess`: second-order jets by default (array jets over
+N states), the central-difference oracle with ``backend="fd"`` as the
+independent cross-check path.  The contractions keep, at every state, the
+floats of the one-state algebra: ``np.dot`` of an array with a vector becomes
+``np.vecdot`` over the same axis, a matrix-vector product a matmul with a
+column, and the stacks are C-contiguous with the point axis first.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 
 from .jets import value_grad_hess
 from .lagrangian import (ExplicitSode, ImplicitSode, ShapingParams, SingularBlockError,
-                         kinetic_matrix, legendre_covector)
+                         kinetic_matrix, legendre_covector, point_coords, singular_point)
 from .model import Dims, MechanicalSystem, State
 from .report import ResidualEntry, ResidualReport
 
@@ -45,36 +52,77 @@ DEFAULT_TOL = 1e-8
 
 @dataclass
 class SodeTensors:
-    """Geometry of an explicit second-order field at one state."""
+    """Geometry of an explicit second-order field at one state, or at N states
+    with the point axis first."""
 
     state: State
-    gamma: np.ndarray      # accelerations (n,)
-    nabla: np.ndarray      # -(1/2) dGamma/dqdot  (n, n)
+    gamma: np.ndarray      # accelerations (n,), or (N, n)
+    nabla: np.ndarray      # -(1/2) dGamma/dqdot  (n, n), or (N, n, n)
     jacobi: np.ndarray     # curvature-like endomorphism (n, n), rows k, cols j
 
 
+def _points(a: np.ndarray) -> np.ndarray:
+    """One state's (n,) row, or N states' (N, n) rows, as (N, n)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _read(fn: Callable, U: np.ndarray, backend: str):
+    """`value_grad_hess` of ``fn`` at the states of U, (m,) or (N, m): values,
+    gradients and Hessians with the point axis first, C-contiguous."""
+    outs = value_grad_hess(fn, U.T, backend)
+    if U.ndim == 1:
+        return tuple(o[None] for o in outs)
+    return tuple(np.ascontiguousarray(np.moveaxis(o, -1, 0)) for o in outs)
+
+
+def _dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.dot(a[p], v[p])`` at each point p: the sum over a's last axis."""
+    return np.vecdot(a, v.reshape(v.shape[:1] + (1,) * (a.ndim - 2) + v.shape[1:]))
+
+
+def _vdot(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``np.dot(v[p], a[p])`` at each point p: the sum over a's second-to-last
+    axis."""
+    return _dot(a.swapaxes(-1, -2), v)
+
+
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``M[p] @ v[p]`` at each point p."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _flip(a: np.ndarray) -> np.ndarray:
+    """The transpose of the last two axes at each point."""
+    return a.swapaxes(-1, -2)
+
+
 def _gamma_tensors(field: ExplicitSode, state: State, backend: str):
-    """(gamma, dG/dq, dG/dqd, hessians) with hessians shaped (n, 2n, 2n)."""
+    """(gamma, dG/dq, dG/dqd, hessians) at each state, hessians shaped
+    (N, n, 2n, 2n)."""
     n = field.n
-    gamma, grads, hess = value_grad_hess(lambda u: field.gamma(u[:n], u[n:]),
-                                         np.concatenate([state.q, state.qdot]), backend)
-    return gamma, grads[:, :n], grads[:, n:], hess
+    gamma, grads, hess = _read(lambda u: field.gamma(u[:n], u[n:]),
+                               np.concatenate([state.q, state.qdot], axis=-1), backend)
+    return gamma, grads[..., :n], grads[..., n:], hess
 
 
-def _at_state(name: str, residuals: np.ndarray, scales, tol: float) -> ResidualEntry:
-    """`ResidualEntry.normalized` at one state, the single point of its
-    point axis."""
-    return ResidualEntry.normalized(name, residuals[None], [s[None] for s in scales], tol)
-
-
-def sode_tensors(field: ExplicitSode, state: State, backend: str = "jet") -> SodeTensors:
-    """Gamma, the nabla matrix and the curvature endomorphism at one state."""
+def _sode_arrays(field: ExplicitSode, state: State, backend: str):
+    """Gamma, nabla and the curvature endomorphism at each state, the point
+    axis first."""
     n = field.n
     gamma, dGq, dGqd, hess = _gamma_tensors(field, state, backend)
     # derivative of dGamma^k/dqd^j along the field
-    along = np.dot(state.qdot, hess[:, :n, n:]) + np.dot(gamma, hess[:, n:, n:])
+    along = _vdot(_points(state.qdot), hess[:, :, :n, n:]) + _vdot(gamma, hess[:, :, n:, n:])
     jacobi = along - 2.0 * dGq - 0.5 * (dGqd @ dGqd)
-    return SodeTensors(state=state, gamma=gamma, nabla=-0.5 * dGqd, jacobi=jacobi)
+    return gamma, -0.5 * dGqd, jacobi
+
+
+def sode_tensors(field: ExplicitSode, state: State, backend: str = "jet") -> SodeTensors:
+    """Gamma, the nabla matrix and the curvature endomorphism at one state, or
+    at N states with the point axis first."""
+    arrays = _sode_arrays(field, state, backend)
+    if state.q.ndim == 1:
+        arrays = [a[0] for a in arrays]
+    return SodeTensors(state, *arrays)
 
 
 def explicit_helmholtz_residuals(field: ExplicitSode,
@@ -85,66 +133,64 @@ def explicit_helmholtz_residuals(field: ExplicitSode,
     """Multiplier-form conditions for a candidate matrix g(q, qdot).
 
     ``multiplier(q_coords, qd_coords)`` must return an n x n nested list and
-    be generic over floats/jets.  Regularity (|det g|) is reported against the
-    floor 1e-12, not treated as a residual.
+    be generic over floats/jets.  Regularity (the smallest |det g| over the
+    states) is reported against the floor 1e-12, not treated as a residual.
     """
     n = field.n
-    vals, grads, _ = value_grad_hess(
-        lambda u: [gij for row in multiplier(u[:n], u[n:]) for gij in row],
-        np.concatenate([state.q, state.qdot]), backend)
-    gval = vals.reshape(n, n)
-    g_q = grads[:, :n].reshape(n, n, n)
-    g_qd = grads[:, n:].reshape(n, n, n)
+    vals, grads, _ = _read(lambda u: [gij for row in multiplier(u[:n], u[n:]) for gij in row],
+                           np.concatenate([state.q, state.qdot], axis=-1), backend)
+    N = len(vals)
+    gval = vals.reshape(N, n, n)
+    g_q = grads[..., :n].reshape(N, n, n, n)
+    g_qd = grads[..., n:].reshape(N, n, n, n)
 
-    tens = sode_tensors(field, state, backend=backend)
+    gamma, nabla, jacobi = _sode_arrays(field, state, backend)
     report = ResidualReport("explicit multiplier conditions")
 
-    report.add(_at_state("symmetry", gval - gval.T, [gval], tol))
-    report.add(_at_state("velocity_symmetry", g_qd - g_qd.swapaxes(1, 2), [g_qd], tol))
+    report.add(ResidualEntry.normalized("symmetry", gval - _flip(gval), [gval], tol))
+    report.add(ResidualEntry.normalized("velocity_symmetry", g_qd - _flip(g_qd), [g_qd], tol))
     # derivative of g_ij along the field against its two nabla terms
-    along = np.dot(g_q, state.qdot) + np.dot(g_qd, tens.gamma)
-    t1 = gval @ tens.nabla
-    t2 = tens.nabla.T @ gval
-    report.add(_at_state("metric_transport", along - t1 - t2, [along, t1, t2], tol))
-    gphi = gval @ tens.jacobi
-    report.add(_at_state("jacobi_symmetry", gphi - gphi.T, [gphi], tol))
-
-    det, det_floor = float(np.linalg.det(gval)), 1e-12
-    report.add(ResidualEntry(name="regularity", value=abs(det), tol=det_floor,
-                             passed=bool(abs(det) > det_floor), residual=False,
-                             note="pass iff |det g| above floor"))
+    along = _dot(g_q, _points(state.qdot)) + _dot(g_qd, gamma)
+    t1 = gval @ nabla
+    t2 = _flip(nabla) @ gval
+    report.add(ResidualEntry.normalized("metric_transport", along - t1 - t2, [along, t1, t2],
+                                        tol))
+    gphi = gval @ jacobi
+    report.add(ResidualEntry.normalized("jacobi_symmetry", gphi - _flip(gphi), [gphi], tol))
+    report.add(ResidualEntry.floored("regularity", np.abs(np.linalg.det(gval)), 1e-12,
+                                     note="pass iff |det g| above floor"))
     return report
 
 
 def exactness_residuals(field: ImplicitSode, state: State, accel: np.ndarray,
                         tol: float = DEFAULT_TOL,
                         backend: str = "jet") -> ResidualReport:
-    """Classical exactness conditions on Phi(q, qd, qdd).
+    """Classical exactness conditions on Phi(q, qd, qdd), with ``accel`` the
+    accelerations of each state.
 
     The total time derivative is expanded along the jet (q, qd, qdd supplied,
     jerk obtained by differentiating the acceleration solve along the flow).
     """
     n = field.n
-    q, qd = state.q, state.qdot
     qdd = np.asarray(accel, dtype=float)
+    _, grads, hess = _read(lambda u: field.phi(u[:n], u[n:2 * n], u[2 * n:]),
+                           np.concatenate([state.q, state.qdot, qdd], axis=-1), backend)
+    qd, qdd = _points(state.qdot), _points(qdd)
 
-    _, grads, hess = value_grad_hess(lambda u: field.phi(u[:n], u[n:2 * n], u[2 * n:]),
-                                     np.concatenate([q, qd, qdd]), backend)
-
-    Pq, Pqd, C = grads[:, :n], grads[:, n:2 * n], grads[:, 2 * n:]
+    Pq, Pqd, C = grads[..., :n], grads[..., n:2 * n], grads[..., 2 * n:]
     _, dGq, dGqd, _ = _gamma_tensors(field.to_explicit(), state, backend)
-    jerk = dGq @ qd + dGqd @ qdd
+    jerk = _matvec(dGq, qd) + _matvec(dGqd, qdd)
 
     # d/dt along the jet of dPhi_i/dqd_j (columns :n) and dPhi_i/dqdd_j (n:)
-    ddt = np.dot(hess[:, n:, :n], qd) + np.dot(hess[:, n:, n:2 * n], qdd) \
-        + np.dot(hess[:, n:, 2 * n:], jerk)
-    b = 0.5 * (ddt[:, :n] - ddt[:, :n].T)
-    dd = ddt[:, n:] + ddt[:, n:].T
+    rows = hess[:, :, n:]
+    ddt = _dot(rows[..., :n], qd) + _dot(rows[..., n:2 * n], qdd) + _dot(rows[..., 2 * n:], jerk)
+    b = 0.5 * (ddt[..., :n] - _flip(ddt[..., :n]))
+    dd = ddt[..., n:] + _flip(ddt[..., n:])
 
     return ResidualReport("exactness conditions", [
-        _at_state("accel_symmetry", C - C.T, [C], tol),
-        _at_state("position_exactness", Pq - Pq.T - b, [Pq, b], tol),
-        _at_state("velocity_exactness", Pqd + Pqd.T - dd, [Pqd, dd], tol)])
+        ResidualEntry.normalized("accel_symmetry", C - _flip(C), [C], tol),
+        ResidualEntry.normalized("position_exactness", Pq - _flip(Pq) - b, [Pq, b], tol),
+        ResidualEntry.normalized("velocity_exactness", Pqd + _flip(Pqd) - dd, [Pqd, dd], tol)])
 
 
 # The index classes of the implicit families, as (family, label, row block,
@@ -190,34 +236,35 @@ def implicit_helmholtz_residuals(field: ImplicitSode,
     equation family by index class (group/shape block of each index).
     """
     n = field.n
-    q, qd = state.q, state.qdot
     qdd = field.solve_accel(state) if accel is None else np.asarray(accel, dtype=float)
+    U = np.concatenate([state.q, state.qdot], axis=-1)
+    _, gF, hF = _read(lambda u: F(u[:n], u[n:]), U, backend)
+    Fq, Fqd = gF[..., :n], gF[..., n:]
+    F_qq, F_qdqd = hF[:, :, :n, :n], hF[:, :, n:, n:]
+    F_qdq = hF[:, :, n:, :n]       # [p, i, j(qd), k(q)]
+    qdd_coords = point_coords(qdd)
+    _, gP, _ = _read(lambda u: field.phi(u[:n], u[n:], qdd_coords), U, backend)
+    Phiq, Phiqd = gP[..., :n], gP[..., n:]
+    qd, qdd = _points(state.qdot), _points(qdd)
 
-    u0 = np.concatenate([q, qd])
-    _, gF, hF = value_grad_hess(lambda u: F(u[:n], u[n:]), u0, backend)
-    Fq, Fqd = gF[:, :n], gF[:, n:]
-    F_qq, F_qdqd = hF[:, :n, :n], hF[:, n:, n:]
-    F_qdq = hF[:, n:, :n]       # [i, j(qd), k(q)]
-    _, gP, _ = value_grad_hess(lambda u: field.phi(u[:n], u[n:], list(qdd)), u0, backend)
-    Phiq, Phiqd = gP[:, :n], gP[:, n:]
-
+    C = field.accel_matrix_floats(state.q)
     try:
-        Cinv = np.linalg.inv(field.accel_matrix_floats(q))
+        Cinv = np.linalg.inv(C)
     except np.linalg.LinAlgError as exc:
-        raise SingularBlockError("C") from exc
+        raise SingularBlockError("C", singular_point(C)) from exc
     FqdC = Fqd @ Cinv
 
     # each family as (residual, largest |term| entering it) over all ordered
-    # pairs (i, j)
+    # pairs (i, j) at each state
     def top(terms):
         return reduce(np.maximum, map(np.abs, terms))
 
-    t = [np.dot(F_qdq, qd), Fq, np.dot(F_qdqd, qdd), Fq.T, FqdC @ Phiqd]
-    h = [np.dot(F_qq, qd), np.dot(qdd, F_qdq), FqdC @ Phiq]
+    t = [_dot(F_qdq, qd), Fq, _dot(F_qdqd, qdd), _flip(Fq), FqdC @ Phiqd]
+    h = [_dot(F_qq, qd), _vdot(qdd, F_qdq), FqdC @ Phiq]
     half = h[0] + h[1] - h[2]
-    families = {"BB": (Fqd - Fqd.T, top([Fqd, Fqd.T])),
+    families = {"BB": (Fqd - _flip(Fqd), top([Fqd, _flip(Fqd)])),
                 "AB": (t[0] + t[1] + t[2] - t[3] - t[4], top(t)),
-                "AA": (half - half.T, top(h + [hk.T for hk in h]))}
+                "AA": (half - _flip(half), top(h + [_flip(hk) for hk in h]))}
 
     report = ResidualReport("implicit conditions")
     for fam, name, pairs in _class_masks(n, dims.n_shape):
@@ -225,7 +272,7 @@ def implicit_helmholtz_residuals(field: ImplicitSode,
             report.add(ResidualEntry.skip(name, "index class empty at these dims"))
         else:
             res, scale = families[fam]
-            report.add(_at_state(name, res[pairs], [scale[pairs]], tol))
+            report.add(ResidualEntry.normalized(name, res[:, pairs], [scale[:, pairs]], tol))
     return report
 
 

@@ -9,15 +9,17 @@ an independent cross-check oracle (`fd_value_grad_hess`).
 
 A jet may also carry N points at once (forward mode in vector form), with the
 point axis last: value ``f`` (N,), gradient ``g`` (m, N) and Hessian ``h``
-(m, m, N).  Every operation broadcasts over that axis unchanged, and the
-elementary functions below take an array value part elementwise, so a field
-runs on N points in one pass with, at each point, the floats of a scalar
-jet.  `jet_vars` seeds such jets from m arrays of points.
+(m, m, N).  Every operation broadcasts over that axis unchanged, an array of
+N floats is a constant operand like a float, and the elementary functions
+below take an array value part elementwise, so a field runs on N points in
+one pass with, at each point, the floats of a scalar jet.  `jet_vars` seeds
+such jets from m arrays of points, and `solve_generic` pivots each point on
+its own.
 
 `value_grad_hess` is the one derivative read-out: every residual engine takes
-the values, gradients and Hessians of a list-valued function at one point
-from it, over jets (``backend="jet"``) or over the difference oracle
-(``backend="fd"``).
+the values, gradients and Hessians of a list-valued function at one point or
+at N points from it, over jets (``backend="jet"``) or over the difference
+oracle (``backend="fd"``).
 """
 
 from __future__ import annotations
@@ -45,11 +47,15 @@ __all__ = [
 ]
 
 
+_CONST = (Real, np.ndarray)     # constant operands: a float, or one float per point
+
+
 class Jet2:
     """Truncated second-order Taylor data: value, gradient (m,), Hessian (m, m),
     each with a trailing point axis (N,) for a jet over N points."""
 
     __slots__ = ("f", "g", "h")
+    __array_ufunc__ = None      # an array operand on the left defers to the jet
 
     def __init__(self, f: float, g: np.ndarray, h: np.ndarray):
         self.f = f
@@ -65,7 +71,7 @@ class Jet2:
     def __add__(self, other):
         if isinstance(other, Jet2):
             return Jet2(self.f + other.f, self.g + other.g, self.h + other.h)
-        if type(other) is float or isinstance(other, Real):
+        if type(other) is float or isinstance(other, _CONST):
             return Jet2(self.f + other, self.g, self.h)
         return NotImplemented
 
@@ -74,12 +80,12 @@ class Jet2:
     def __sub__(self, other):
         if isinstance(other, Jet2):
             return Jet2(self.f - other.f, self.g - other.g, self.h - other.h)
-        if type(other) is float or isinstance(other, Real):
+        if type(other) is float or isinstance(other, _CONST):
             return Jet2(self.f - other, self.g, self.h)
         return NotImplemented
 
     def __rsub__(self, other):
-        if type(other) is float or isinstance(other, Real):
+        if type(other) is float or isinstance(other, _CONST):
             return Jet2(other - self.f, -self.g, -self.h)
         return NotImplemented
 
@@ -91,7 +97,7 @@ class Jet2:
                 self.f * other.g + other.f * self.g,
                 self.f * other.h + other.f * self.h + cross + cross.swapaxes(0, 1),
             )
-        if type(other) is float or isinstance(other, Real):
+        if type(other) is float or isinstance(other, _CONST):
             return Jet2(self.f * other, self.g * other, self.h * other)
         return NotImplemented
 
@@ -107,14 +113,13 @@ class Jet2:
             cross = gq[:, None] * other.g
             hq = (self.h - q * other.h - cross - cross.swapaxes(0, 1)) / other.f
             return Jet2(q, gq, hq)
-        if type(other) is float or isinstance(other, Real):
+        if type(other) is float or isinstance(other, _CONST):
             return Jet2(self.f / other, self.g / other, self.h / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if type(other) is float or isinstance(other, Real):
-            num = Jet2(float(other), np.zeros_like(self.g), np.zeros_like(self.h))
-            return num.__truediv__(self)
+        if type(other) is float or isinstance(other, _CONST):
+            return as_jet(other, self).__truediv__(self)
         return NotImplemented
 
     def __neg__(self):
@@ -161,15 +166,25 @@ def jet_vars(values: Sequence) -> list[Jet2]:
     return out
 
 
-def as_jet(x, m: int) -> Jet2:
-    """Promote a constant to a jet with the given seed dimension."""
+def as_jet(x, like) -> Jet2:
+    """Promote a constant to a jet of zero derivatives: ``like`` is the seed
+    dimension m, or a jet whose derivative shapes (at one point or N) it
+    takes."""
     if isinstance(x, Jet2):
         return x
-    return Jet2(float(x), np.zeros(m), np.zeros((m, m)))
+    x = x if isinstance(x, np.ndarray) else float(x)
+    if isinstance(like, Jet2):
+        return Jet2(x, np.zeros_like(like.g), np.zeros_like(like.h))
+    return Jet2(x, np.zeros(like), np.zeros((like, like)))
 
 
-def value_of(x) -> float:
-    return x.f if isinstance(x, Jet2) else float(x)
+def value_of(x):
+    """The value part of a jet, an array of point values as it is, else a float."""
+    if type(x) is float:
+        return x
+    if isinstance(x, Jet2):
+        return x.f
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 # -- elementary functions usable on floats and jets --------------------------
@@ -245,22 +260,64 @@ def log(x):
 
 # -- small dense linear solve over generic scalars ---------------------------
 
+def _pick(at: np.ndarray, a, b):
+    """``a`` at the points where ``at`` holds, else ``b`` (floats or jets)."""
+    if not (isinstance(a, Jet2) or isinstance(b, Jet2)):
+        return np.where(at, a, b)
+    like = a if isinstance(a, Jet2) else b
+    a, b = as_jet(a, like), as_jet(b, like)
+    return Jet2(np.where(at, a.f, b.f), np.where(at, a.g, b.g), np.where(at, a.h, b.h))
+
+
+def _pivot_points(M, rhs, col: int, mags: list) -> None:
+    """Partial pivoting of column ``col`` over N points, given the |value
+    parts| of its rows from ``col`` down: at each point the first row of
+    largest magnitude, as Python's ``max`` takes it, is swapped into place."""
+    n = len(rhs)
+    mags = np.broadcast_arrays(*mags)
+    best, top = np.zeros(mags[0].shape, dtype=int), mags[0]
+    for k in range(1, n - col):
+        up = mags[k] > top
+        best[up] = k
+        top = np.where(up, mags[k], top)
+    if not top.all():
+        raise ZeroDivisionError(f"singular matrix in solve_generic at point "
+                                f"{np.flatnonzero(top == 0.0)[0]}")
+    for k in range(1, n - col):
+        at = best == k
+        if at.all():
+            M[col], M[col + k] = M[col + k], M[col]
+            rhs[col], rhs[col + k] = rhs[col + k], rhs[col]
+        elif at.any():
+            for c in range(col, n):
+                M[col][c], M[col + k][c] = (_pick(at, M[col + k][c], M[col][c]),
+                                            _pick(at, M[col][c], M[col + k][c]))
+            rhs[col], rhs[col + k] = (_pick(at, rhs[col + k], rhs[col]),
+                                      _pick(at, rhs[col], rhs[col + k]))
+
+
 def solve_generic(A, b):
     """Solve A u = b by Gaussian elimination with partial pivoting.
 
-    Entries may be floats or jets (pivoting compares value parts).  Intended
-    for the small systems (n <= 3) that appear here.
+    Entries may be floats or jets, at one point or at N points (pivoting
+    compares value parts, point by point; a zero pivot at a point raises a
+    ZeroDivisionError naming it).  Intended for the small systems (n <= 3)
+    that appear here.
     """
     n = len(b)
     M = [list(row) for row in A]
     rhs = list(b)
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(value_of(M[r][col])))
-        if abs(value_of(M[piv][col])) == 0.0:
-            raise ZeroDivisionError("singular matrix in solve_generic")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        mags = [abs(value_of(M[r][col])) for r in range(col, n)]
+        if np.ndarray in map(type, mags):
+            _pivot_points(M, rhs, col, mags)
+        else:
+            k = max(range(n - col), key=mags.__getitem__)
+            if mags[k] == 0.0:
+                raise ZeroDivisionError("singular matrix in solve_generic")
+            if k:
+                M[col], M[col + k] = M[col + k], M[col]
+                rhs[col], rhs[col + k] = rhs[col + k], rhs[col]
         for r in range(col + 1, n):
             factor = M[r][col] / M[col][col]
             for c in range(col + 1, n):
@@ -281,31 +338,41 @@ _H1 = float(np.cbrt(np.finfo(float).eps))      # ~6.0e-6, first derivatives
 _H2 = float(np.finfo(float).eps ** 0.25)       # ~1.2e-4, second derivatives
 
 
-def fd_value_grad_hess(fn: Callable[[np.ndarray], np.ndarray], u0: Sequence[float]):
+def fd_value_grad_hess(fn: Callable[[np.ndarray], np.ndarray], u0):
     """Central-difference value/gradient/Hessian of a vector function.
 
     Independent of the jet path; used as the cross-check derivative oracle.
-    Returns (values (p,), grads (p, m), hessians (p, m, m)).
+    ``u0`` is one point (m,) or N points (m, N), and ``fn`` takes such an
+    array.  Returns (values (p,), grads (p, m), hessians (p, m, m)), each with
+    a trailing point axis for N points.  Every point takes its own steps, so
+    it gets the floats of a one-point call wherever ``fn`` on arrays gives
+    those of ``fn`` at each point: the elementary functions here do, while
+    ``**`` on a float array is numpy's power, which can differ from libm's by
+    an ulp.
     """
     u0 = np.asarray(u0, dtype=float)
-    m = u0.shape[0]
-    f0 = np.atleast_1d(np.asarray(fn(u0), dtype=float))
+    m, lead = u0.shape[0], u0.shape[1:]
+
+    def ev(u):
+        return np.array([np.broadcast_to(v, lead) for v in fn(u)], dtype=float)
+
+    f0 = ev(u0)
     p = f0.shape[0]
-    grads = np.zeros((p, m))
-    hess = np.zeros((p, m, m))
-    steps1 = np.array([_H1 * max(1.0, abs(v)) for v in u0])
-    steps2 = np.array([_H2 * max(1.0, abs(v)) for v in u0])
+    grads = np.zeros((p, m) + lead)
+    hess = np.zeros((p, m, m) + lead)
+    steps1 = _H1 * np.maximum(1.0, np.abs(u0))
+    steps2 = _H2 * np.maximum(1.0, np.abs(u0))
     for i in range(m):
         up, um = u0.copy(), u0.copy()
         up[i] += steps1[i]
         um[i] -= steps1[i]
-        grads[:, i] = (np.asarray(fn(up)) - np.asarray(fn(um))) / (2 * steps1[i])
+        grads[:, i] = (ev(up) - ev(um)) / (2 * steps1[i])
     for i in range(m):
         hi = steps2[i]
         up, um = u0.copy(), u0.copy()
         up[i] += hi
         um[i] -= hi
-        hess[:, i, i] = (np.asarray(fn(up)) - 2 * f0 + np.asarray(fn(um))) / hi ** 2
+        hess[:, i, i] = (ev(up) - 2 * f0 + ev(um)) / _power(hi, 2)
         for j in range(i + 1, m):
             hj = steps2[j]
             upp, upm, ump, umm = u0.copy(), u0.copy(), u0.copy(), u0.copy()
@@ -313,28 +380,29 @@ def fd_value_grad_hess(fn: Callable[[np.ndarray], np.ndarray], u0: Sequence[floa
             upm[i] += hi; upm[j] -= hj
             ump[i] -= hi; ump[j] += hj
             umm[i] -= hi; umm[j] -= hj
-            val = (np.asarray(fn(upp)) - np.asarray(fn(upm))
-                   - np.asarray(fn(ump)) + np.asarray(fn(umm))) / (4 * hi * hj)
+            val = (ev(upp) - ev(upm) - ev(ump) + ev(umm)) / (4 * hi * hj)
             hess[:, i, j] = val
             hess[:, j, i] = val
     return f0, grads, hess
 
 
-def value_grad_hess(fn: Callable[[list], Sequence], u0: Sequence[float],
-                    backend: str = "jet"):
+def value_grad_hess(fn: Callable[[list], Sequence], u0, backend: str = "jet"):
     """Values (p,), gradients (p, m) and Hessians (p, m, m) of ``fn`` at u0.
 
-    ``fn(coords)`` takes a list of m floats or m jets and returns a list of p
-    floats or jets.  ``"jet"`` reads one pass over seeded jets (a float output
-    is a constant, with zero derivatives); ``"fd"`` runs `fd_value_grad_hess`
-    over float passes.
+    ``u0`` is one point (m,), or N points (m, N), which add a trailing point
+    axis to every read-out.  ``fn(coords)`` takes a list of m floats or jets
+    (one array of N floats, or jets over N points, per coordinate) and returns
+    a list of p of the same.  ``"jet"`` reads one pass over seeded jets (a
+    float output is a constant, with zero derivatives); ``"fd"`` runs
+    `fd_value_grad_hess` over float passes.
     """
     if backend == "jet":
         seeds = jet_vars(u0)
-        m = len(seeds)
-        outs = [as_jet(v, m) for v in fn(seeds)]
-        return (np.array([v.f for v in outs]), np.array([v.g for v in outs]),
-                np.array([v.h for v in outs]))
+        lead = np.shape(u0)[1:]
+        outs = [as_jet(v, seeds[0]) for v in fn(seeds)]
+        return (np.array([np.broadcast_to(v.f, lead) for v in outs]),
+                np.array([v.g for v in outs]), np.array([v.h for v in outs]))
     if backend == "fd":
-        return fd_value_grad_hess(lambda u: [value_of(v) for v in fn(u.tolist())], u0)
+        return fd_value_grad_hess(
+            lambda u: [value_of(v) for v in fn(list(u) if u.ndim > 1 else u.tolist())], u0)
     raise ValueError(f"unknown backend: {backend}")

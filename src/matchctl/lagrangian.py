@@ -2,9 +2,11 @@
 the controlled second-order field with its feedback control.
 
 All covector/Lagrangian evaluators accept floats or jets in the coordinate
-slots, so the Helmholtz residual engines can differentiate them exactly.
-Every second-order system here is affine in the accelerations, which the
-block-inverse and the acceleration solver exploit.
+slots, at one point or at N points (one array of N floats, or jets over N
+points, per coordinate), so the Helmholtz residual engines can differentiate
+them exactly at all their states in one pass.  Every second-order system here
+is affine in the accelerations, which the block-inverse and the acceleration
+solver exploit; the solver takes N states as one stacked solve.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = [
     "ImplicitSode",
     "ExplicitSode",
     "SingularBlockError",
+    "singular_point",
+    "point_coords",
     "scalar_sigma_matrix",
     "lagrangian_value",
     "el_residual",
@@ -43,11 +47,37 @@ __all__ = [
 
 
 class SingularBlockError(RuntimeError):
-    """A block that must be inverted is singular; carries the block name."""
+    """A block that must be inverted is singular; carries the block name and,
+    in a stack of blocks, the index of the first singular one."""
 
-    def __init__(self, block: str):
-        super().__init__(f"singular block: {block}")
+    def __init__(self, block: str, point: int | None = None):
+        where = "" if point is None else f" at point {point} of the batch"
+        super().__init__(f"singular block: {block}{where}")
         self.block = block
+        self.point = point
+
+
+def singular_point(blocks: np.ndarray) -> int | None:
+    """The first block of a stack (N, n, n) whose LU factorization meets a
+    zero pivot; None for one block (n, n)."""
+    if blocks.ndim < 3:
+        return None
+    return int(np.flatnonzero(np.linalg.det(blocks) == 0.0)[0])
+
+
+def point_coords(a) -> list:
+    """The coordinates of one point (n,) as floats, or of N points (N, n) as
+    one array of N floats per coordinate."""
+    a = np.asarray(a, dtype=float)
+    return list(a) if a.ndim == 1 else list(a.T)
+
+
+def _stack(values, lead: tuple) -> np.ndarray:
+    """Float or N-point values as one array lead + (len(values),): the point
+    axis first, C-contiguous."""
+    if not lead:
+        return np.array([value_of(v) for v in values])
+    return np.stack([np.broadcast_to(value_of(v), lead) for v in values], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -107,17 +137,6 @@ class ShapingParams:
 
     def tau_value(self, x: np.ndarray) -> np.ndarray:
         return np.array(block_entries(self.tau, x))
-
-    def scalar_rho(self, sys: MechanicalSystem, x: np.ndarray,
-                   tol: float = 1e-10) -> float | None:
-        """Recover rho when the vertical metric is a scalar multiple of g_gg."""
-        if self.g_rho is None:
-            return self.rho
-        ggg = sys.ggg(x)
-        ratio = self.g_rho[0, 0] / ggg[0, 0]
-        if np.abs(self.g_rho - ratio * ggg).max() <= tol * max(1.0, np.abs(self.g_rho).max()):
-            return float(ratio)
-        return None
 
 
 def scalar_sigma_matrix(sys: MechanicalSystem, sigma: float) -> np.ndarray:
@@ -224,20 +243,41 @@ def el_residual(sys: MechanicalSystem, state: State, accel: np.ndarray) -> np.nd
                      el_covector(sys, list(state.q), list(state.qdot), list(accel))])
 
 
+def _vertical_rho(sys: MechanicalSystem, shaping: ShapingParams, x, ggg) -> float:
+    """The scalar rho with g_rho = rho g_gg.  For an explicit g_rho it is read
+    at the shape point 0, and checked there and at the value parts of the
+    shape points x (floats or jets, one point or N), where ``ggg`` holds g_gg:
+    a vertical metric that is no scalar multiple of g_gg raises
+    NotImplementedError, naming the first such x."""
+    g_rho = shaping.g_rho
+    if g_rho is None:
+        return shaping.rho
+    what = "controlled field requires the vertical metric to be a scalar multiple of g_gg"
+    at_zero = sys.ggg(np.zeros(sys.dims.n_shape))
+    rho = float(g_rho[0, 0] / at_zero[0, 0])
+    lead = np.shape(value_of(x[0]))
+    g = _stack([v for row in ggg for v in row], lead).reshape((-1,) + g_rho.shape)
+    off = np.abs(g_rho - rho * np.concatenate([at_zero[None], g])).max(axis=(1, 2)) \
+        > 1e-10 * max(1.0, np.abs(g_rho).max())
+    if off[0]:
+        raise NotImplementedError(what)
+    if off.any():
+        xs = _stack(x, lead).reshape(-1, len(x))[np.flatnonzero(off)[0] - 1]
+        raise NotImplementedError(f"{what}; it is not at x = {xs.tolist()}")
+    return rho
+
+
 def controlled_el_covector(sys: MechanicalSystem, shaping: ShapingParams, q, qd, qdd):
     """Covector of the controlled system: shape rows unchanged, group rows get
     the shaping terms (and scalar-rho/extra-potential terms when present)."""
     ns, ng = sys.dims.n_shape, sys.dims.n_group
-    rho = shaping.scalar_rho(sys, np.zeros(ns))
-    if rho is None:
-        raise NotImplementedError(
-            "controlled field requires the vertical metric to be a scalar multiple of g_gg")
     x = list(q[:ns])
     xd = list(qd[:ns])
     xdd = list(qdd[:ns])
     data = _metric_data(sys, q)
-    phi = _el_covector(sys, data, qd, qdd)
     _, _, ggg, _, _, dgg, dV = data
+    rho = _vertical_rho(sys, shaping, x, ggg)
+    phi = _el_covector(sys, data, qd, qdd)
     tau = block_entries(shaping.tau, x)
     dtau = _gradients(shaping.tau, x)
     if shaping.epsilon_potential is not None:
@@ -412,8 +452,10 @@ class ImplicitSode:
 
     ``phi(q, qd, qdd)`` returns the covector and ``accel_matrix(q)`` the
     acceleration coefficients C = dPhi/dqdd as a nested n x n list; both are
-    generic over floats/jets.  The explicit field is then one covector pass,
-    qdd = -C^-1 Phi(q, qd, 0).
+    generic over floats/jets, at one point or at N points.  The explicit field
+    is then one covector pass, qdd = -C^-1 Phi(q, qd, 0).  The ``_floats``
+    read-outs take one state (n,) or N states (N, n) and put the point axis
+    first.
     """
 
     def __init__(self, n: int, phi: Callable, accel_matrix: Callable,
@@ -424,10 +466,15 @@ class ImplicitSode:
         self.dims = dims
 
     def phi_floats(self, q, qd, qdd) -> np.ndarray:
-        return np.array([value_of(v) for v in self.phi(list(q), list(qd), list(qdd))])
+        q = np.asarray(q, dtype=float)
+        return _stack(self.phi(point_coords(q), point_coords(qd), point_coords(qdd)),
+                      q.shape[:-1])
 
     def accel_matrix_floats(self, q) -> np.ndarray:
-        return np.array([[value_of(v) for v in row] for row in self.accel_matrix(list(q))])
+        q = np.asarray(q, dtype=float)
+        lead = q.shape[:-1]
+        return _stack([v for row in self.accel_matrix(point_coords(q)) for v in row],
+                      lead).reshape(lead + (self.n, self.n))
 
     def solve_accel(self, state: State) -> np.ndarray:
         return solve_accel(self, state)
@@ -490,20 +537,21 @@ def controlled_implicit_sode(sys: MechanicalSystem, shaping: ShapingParams) -> I
 
 
 def solve_accel(implicit: ImplicitSode, state: State) -> np.ndarray:
-    """Accelerations solving Phi(q, qd, qdd) = 0 for a system affine in qdd.
+    """Accelerations solving Phi(q, qd, qdd) = 0 for a system affine in qdd,
+    at one state (n,) or at N states (N, n) as one stacked solve.
 
     The residual check evaluates Phi at the solution, so it also validates
     the acceleration matrix against the covector.
     """
     C = implicit.accel_matrix_floats(state.q)
-    rhs = -implicit.phi_floats(state.q, state.qdot, [0.0] * implicit.n)
+    rhs = -implicit.phi_floats(state.q, state.qdot, np.zeros_like(state.qdot))
     try:
-        acc = np.linalg.solve(C, rhs)
+        acc = np.linalg.solve(C, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise SingularBlockError("C") from exc
+        raise SingularBlockError("C", singular_point(C)) from exc
     res = implicit.phi_floats(state.q, state.qdot, acc)
-    scale = max(1.0, np.abs(C).max() * np.abs(acc).max())
-    if np.abs(res).max() > 1e-10 * scale:
+    scale = np.fmax(1.0, np.abs(C).max(axis=(-2, -1)) * np.abs(acc).max(axis=-1))
+    if np.any(np.abs(res).max(axis=-1) > 1e-10 * scale):
         raise AssertionError("acceleration solve residual unexpectedly large")
     return acc
 

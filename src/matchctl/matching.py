@@ -24,7 +24,7 @@ import numpy as np
 from . import fields as fl
 from .fields import Curve, SmoothField
 from .jets import jet_vars, solve_generic, sqrt
-from .lagrangian import ShapingParams
+from .lagrangian import ShapingParams, singular_point
 from .model import MechanicalSystem
 from .report import ResidualEntry, ResidualReport
 
@@ -80,7 +80,7 @@ def _inverse(blocks: np.ndarray, name: str, xs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:
-        first = np.flatnonzero(np.linalg.det(blocks) == 0.0)[0]
+        first = singular_point(blocks)
         where = ", ".join(f"{v:.6g}" for v in xs[first])
         raise ValueError(f"{name} is singular at x = {where}") from exc
 

@@ -46,6 +46,19 @@ class ResidualEntry:
         return cls.max_over(name, raw / np.where(top > 1.0, top, 1.0), tol, raw, skipped, note)
 
     @classmethod
+    def floored(cls, name: str, values: np.ndarray, floor: float,
+                note: str = "") -> "ResidualEntry":
+        """What `ResidualReport.merge_max` makes of a floored quantity (one that
+        passes above ``floor``, such as |det g|) given at each point: the value
+        of the first point whose value is smallest (a NaN counts only at the
+        first point, as Python's ``min`` takes it), passed when every point is
+        above the floor."""
+        worst = 0 if np.isnan(values[0]) else np.argmin(np.where(np.isnan(values), np.inf,
+                                                                 values))
+        return cls(name=name, value=float(values[worst]), tol=float(floor),
+                   passed=bool(np.all(values > floor)), residual=False, note=note)
+
+    @classmethod
     def skip(cls, name: str, note: str = "") -> "ResidualEntry":
         return cls(name=name, value=0.0, tol=0.0, passed=True, skipped=True, note=note)
 

@@ -9,7 +9,8 @@ import golden_record as golden
 import matchctl.control as ctl
 from matchctl.cli import ConfigError, RunConfig, main, parse_config
 from matchctl.lagrangian import feedback_control, kinetic_matrix
-from matchctl.model import InclineParams, State, incline_system
+from matchctl.model import (CartpoleParams, InclineParams, State, cartpole_system,
+                            incline_system)
 
 
 def write_cfg(tmp_path, name, text):
@@ -161,6 +162,28 @@ def test_check_helmholtz_quick(tmp_path, capsys):
     assert doc["pass"] is True
     names = {e["name"] for r in doc["reports"] for e in r["entries"]}
     assert {"BB_ab", "AB_alpha_beta", "AA_alpha_b"} <= names
+
+
+def test_check_helmholtz_one_state(tmp_path, capsys):
+    # N = 1: the batch of one state reports what the engines report at it
+    import matchctl.helmholtz as hh
+    from matchctl.lagrangian import controlled_implicit_sode
+
+    cfg = write_cfg(tmp_path, "cp.cfg", CARTPOLE_FAST.format(out=tmp_path / "out")
+                    + "helmholtz.n_states = 1\n")
+    assert main(["check-helmholtz", "--config", cfg, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rng = np.random.default_rng(0)
+    x, th, qd = rng.uniform(-1.3, 1.3, 1), rng.uniform(-2.0, 2.0, 1), rng.uniform(-5.0, 5.0, 2)
+    st = State(q=np.concatenate([x, th]), qdot=qd)
+    p = CartpoleParams()
+    sys_, shp = cartpole_system(p), ctl.cartpole_shaping(p, ctl.GainSelection(k=35.0, sigma=1.0))
+    field = controlled_implicit_sode(sys_, shp)
+    one = [hh.implicit_helmholtz_residuals(field, hh.legendre_fn(sys_, shp), st, sys_.dims),
+           hh.explicit_helmholtz_residuals(field.to_explicit(),
+                                           hh.multiplier_from_shaping(sys_, shp), st)]
+    assert [r["title"] for r in doc["reports"]] == [f"{r.title} (1 states)" for r in one]
+    assert [r["entries"] for r in doc["reports"]] == [r.to_dict()["entries"] for r in one]
 
 
 def test_check_helmholtz_incline(tmp_path, capsys):

@@ -12,11 +12,12 @@ from matchctl.helmholtz import (exactness_residuals, explicit_helmholtz_residual
                                 implicit_helmholtz_residuals, legendre_fn,
                                 multiplier_from_shaping, sode_tensors)
 from matchctl.lagrangian import (ExplicitSode, ImplicitSode, ShapingParams,
-                                 controlled_implicit_sode, scalar_sigma_matrix,
-                                 solve_accel, uncontrolled_sode)
+                                 SingularBlockError, controlled_implicit_sode,
+                                 scalar_sigma_matrix, solve_accel, uncontrolled_sode)
 from matchctl.matching import sm3_tau
 from matchctl.model import (CartpoleParams, Dims, InclineParams, State, cartpole_system,
                             incline_system, synthetic_sm_system)
+from matchctl.report import ResidualReport
 
 IDENT_CLASSES = ("BB_ab", "BB_a_beta", "BB_alpha_beta", "AB_ab", "AB_a_beta", "AA_ab")
 
@@ -353,3 +354,65 @@ def test_helmholtz_report_verdicts_match_recorded(case):
         assert [e.name for e in rep.entries] == names
         assert {e.name for e in rep.entries if e.skipped} == skipped & set(names)
         assert {e.name for e in rep.entries if not e.passed} == failed & set(names)
+
+
+# ---------------------------------------------------------------------------
+# N states in one pass
+# ---------------------------------------------------------------------------
+
+def batch_and_merged_reports(name: str, n_states: int = 6):
+    """(batched report, merge of the one-state reports) of each engine at the
+    states of a case and a few more, with the batch's accelerations and
+    tensors against the one-state ones."""
+    sys_, shp, states = helmholtz_case(name)
+    states += [random_state(seed, sys_.dims, v_max=5.0) for seed in range(50, 50 + n_states - 3)]
+    batch = State(q=np.array([st.q for st in states]), qdot=np.array([st.qdot for st in states]))
+    field = controlled_implicit_sode(sys_, shp)
+    F, mult, explicit = legendre_fn(sys_, shp), multiplier_from_shaping(sys_, shp), \
+        field.to_explicit()
+    acc = solve_accel(field, batch)
+    one_acc = [solve_accel(field, st) for st in states]
+    assert acc.shape == (len(states), sys_.dims.total) and acc.flags.c_contiguous
+    assert acc.tobytes() == np.array(one_acc).tobytes()
+    tens = sode_tensors(explicit, batch)
+    for k, st in enumerate(states):
+        one = sode_tensors(explicit, st)
+        for a, b in ((tens.gamma, one.gamma), (tens.nabla, one.nabla),
+                     (tens.jacobi, one.jacobi)):
+            assert a[k].tobytes() == b.tobytes()
+    engines = (lambda st, a: implicit_helmholtz_residuals(field, F, st, sys_.dims),
+               lambda st, a: explicit_helmholtz_residuals(explicit, mult, st),
+               lambda st, a: exactness_residuals(field, st, a))
+    for engine in engines:
+        batched = engine(batch, acc)
+        yield batched, ResidualReport.merge_max(batched.title, [
+            engine(st, a) for st, a in zip(states, one_acc)])
+
+
+@pytest.mark.parametrize("case", list(HELMHOLTZ_REPORT_DIGESTS) + list(HELMHOLTZ_REPORT_VERDICTS))
+def test_batch_report_equals_merge_of_state_reports(case):
+    # bit for bit where the one-state reports are recorded bit for bit (up to
+    # three coordinates), verdict for verdict where they are recorded so
+    for batched, merged in batch_and_merged_reports(case):
+        assert batched.title == merged.title
+        if case in HELMHOLTZ_REPORT_DIGESTS:
+            assert [entry_key(e) for e in batched.entries] == \
+                [entry_key(e) for e in merged.entries]
+        else:
+            assert [(e.name, e.skipped, e.passed) for e in batched.entries] == \
+                [(e.name, e.skipped, e.passed) for e in merged.entries]
+
+
+def test_singular_accel_matrix_names_its_state():
+    # C = diag(q0, 1) is singular at the third state only
+    field = ImplicitSode(2, lambda q, qd, qdd: [q[0] * qdd[0] + qd[1], qdd[1] - q[1]],
+                         lambda q: [[q[0], 0.0], [0.0, 1.0]])
+    q = np.array([[0.5, 0.1], [-0.3, 0.2], [0.0, 0.3], [0.7, 0.0]])
+    batch = State(q=q, qdot=np.full((4, 2), 0.4))
+    F = lambda q, qd: [qd[0], qd[1]]
+    for call in (lambda: solve_accel(field, batch),
+                 lambda: implicit_helmholtz_residuals(field, F, batch, Dims(1, 1),
+                                                      accel=np.zeros((4, 2)))):
+        with pytest.raises(SingularBlockError, match="at point 2 of the batch") as info:
+            call()
+        assert info.value.block == "C" and info.value.point == 2

@@ -155,3 +155,55 @@ def test_array_jet_division_by_a_zero_value_part_raises():
     (x,) = jet_vars(np.array([[0.5, 0.0, -1.0]]))
     with pytest.raises(ZeroDivisionError):
         1.0 / x
+
+
+def pivot_system(u):
+    """A 3 x 3 system over jets and floats whose first pivot row depends on
+    the point: row 0 for |x| large, row 1 for |x y| large, else row 2."""
+    x, y = u[0], u[1]
+    A = [[x, 1.0, y], [y * x, 2.0, 0.5], [1.0, x - y, 3.0]]
+    return A, [1.0, x, y * y]
+
+
+def test_solve_generic_pivots_each_point_on_its_own():
+    pts = np.array([[3.0, 0.2, 0.1, -4.0, 0.5], [0.1, 9.0, 0.3, 2.0, -0.5]])
+    A, b = pivot_system(jet_vars(pts))
+    out = solve_generic(A, b)
+    for k in range(pts.shape[1]):
+        ref = solve_generic(*pivot_system(jet_vars(pts[:, k])))
+        for o, r in zip(out, ref):
+            assert o.f[k] == r.f
+            assert o.g[:, k].tobytes() == r.g.tobytes()
+            assert o.h[:, :, k].tobytes() == r.h.tobytes()
+    # float entries at N points: the same pivots over arrays of floats
+    floats = solve_generic(*pivot_system(list(pts)))
+    for k in range(pts.shape[1]):
+        ref = solve_generic(*pivot_system(list(pts[:, k])))
+        assert [v[k] for v in floats] == ref
+
+
+def test_solve_generic_names_its_singular_point():
+    (x,) = jet_vars(np.array([[0.5, 2.0, 1.0, 1.0]]))
+    with pytest.raises(ZeroDivisionError, match="at point 2$"):
+        solve_generic([[x - 1.0, 0.0], [0.0, x]], [1.0, 1.0])
+
+
+def power_free_function(u):
+    # numpy's power on a float array can differ from a float's by an ulp, so
+    # a float pass over arrays is pointwise only without ``**`` on floats
+    x, y, z = u[0], u[1], u[2]
+    return (sin(x * y) + cos(z) * sqrt(2.0 + x * x) - y / (2.0 + z * z) + exp(0.3 * x)
+            + log(3.0 + y) * z * z * z + 1.5 / (2.0 + x * z) + sqrt(2.5 + z))
+
+
+@pytest.mark.parametrize("backend, function", [("jet", every_function),
+                                               ("fd", power_free_function)])
+def test_value_grad_hess_over_points_is_pointwise(backend, function):
+    pts = np.random.default_rng(6).uniform(-1.0, 1.0, (3, 20))
+    fn = lambda u: [function(u), u[0] * u[2], 2.5]
+    vals, grads, hess = value_grad_hess(fn, pts, backend)
+    assert vals.shape == (3, 20) and grads.shape == (3, 3, 20) and hess.shape == (3, 3, 3, 20)
+    for k in range(pts.shape[1]):
+        ref = value_grad_hess(fn, pts[:, k], backend)
+        for a, r in zip((vals, grads, hess), ref):
+            assert a[..., k].tobytes() == r.tobytes()
