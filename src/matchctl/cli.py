@@ -114,25 +114,24 @@ class RunConfig:
                 grav=_get(cfg, "params.grav", float, 9.81),
             )
             if system == "incline":
-                params = InclineParams(psi=_get(cfg, "params.psi", float), **base)
+                params = _checked("params", InclineParams,
+                                  psi=_get(cfg, "params.psi", float), **base)
             else:
-                params = CartpoleParams(**base)
+                params = _checked("params", CartpoleParams, **base)
         tau_mode = _get(cfg, "tau.mode", str, "new-closed-form")
         if tau_mode not in ("sm3", "new-closed-form", "new-ode"):
             raise ConfigError(f"unknown tau mode: {tau_mode}")
         sigma = _get(cfg, "gains.sigma", float, 1.0)
         if tau_mode == "sm3" and sigma == 0.0:
             raise ConfigError("sm3 tau requires nonzero sigma")
-        try:
-            gains = ctl.GainSelection(
-                k=_get(cfg, "gains.k", float, 35.0),
-                sigma=sigma,
-                rho=_get(cfg, "gains.rho", float, 1.0),
-                c=_get(cfg, "gains.c", float, 0.0),
-                s0=_get(cfg, "gains.s0", float, 0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"gains.{exc}") from exc
+        gains = _checked(
+            "gains", ctl.GainSelection,
+            k=_get(cfg, "gains.k", float, 35.0),
+            sigma=sigma,
+            rho=_get(cfg, "gains.rho", float, 1.0),
+            c=_get(cfg, "gains.c", float, 0.0),
+            s0=_get(cfg, "gains.s0", float, 0.0),
+        )
         rc = RunConfig(
             system=system, params=params, tau_mode=tau_mode, gains=gains,
             dt=_get(cfg, "sim.dt", float, 1e-4),
@@ -164,18 +163,35 @@ class RunConfig:
             rc.seed = overrides.seed
         if overrides.out is not None:
             rc.out_dir = overrides.out
-        if rc.tol_residual <= 0 or rc.tol_matching <= 0 or rc.tol_drift <= 0:
-            raise ConfigError("tolerances must be positive")
-        for key, value in (("grid.n", rc.grid_n), ("helmholtz.n_states", rc.n_states)):
+        for key, value in (("grid.n", rc.grid_n), ("helmholtz.n_states", rc.n_states),
+                           ("builtin.n_shape", rc.builtin_shape),
+                           ("builtin.n_group", rc.builtin_group)):
             if value < 1:
                 raise ConfigError(f"{key} must be at least 1, got {value}")
-        for key, value in (("sim.dt", rc.dt), ("sim.t_end", rc.t_end)):
+        for key, value in (("tol.residual", rc.tol_residual), ("tol.matching", rc.tol_matching),
+                           ("tol.drift", rc.tol_drift), ("sim.dt", rc.dt),
+                           ("sim.t_end", rc.t_end)):
             if not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value!r}")
-        if rc.tau_mode == "new-ode" and not rc.grid_lo < rc.grid_hi:
-            raise ConfigError(f"new-ode needs grid.lo < grid.hi, got grid.lo = "
-                              f"{rc.grid_lo!r}, grid.hi = {rc.grid_hi!r}")
+        if math.isnan(rc.guard):
+            raise ConfigError("sim.guard must not be NaN")
+        if not 0 <= rc.v_max < math.inf:
+            raise ConfigError(f"helmholtz.v_max must be finite and non-negative, "
+                              f"got {rc.v_max!r}")
+        lo, hi = rc.grid_lo, rc.grid_hi
+        if not (-math.inf < lo <= hi < math.inf and (lo < hi or rc.tau_mode != "new-ode")):
+            raise ConfigError(f"grid.lo and grid.hi must be finite with grid.lo <= grid.hi "
+                              f"(< for new-ode), got grid.lo = {lo!r}, grid.hi = {hi!r}")
         return rc
+
+
+def _checked(section: str, make, *args, **values):
+    """``make(*args, **values)``; its ValueError, which starts with the field
+    name, is a ConfigError under the config section."""
+    try:
+        return make(*args, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _require_gain_window(rc: RunConfig, span: tuple[float, float] | None = None) -> None:
@@ -448,10 +464,7 @@ def cmd_sweep(args) -> int:
     # bound is a valid request and stays an errored row
     for name in ("k", "sigma", "rho"):
         for value in getattr(rc, f"sweep_{name}"):
-            try:
-                replace(rc.gains, **{name: value})
-            except ValueError as exc:
-                raise ConfigError(f"sweep.{exc}") from exc
+            _checked("sweep", replace, rc.gains, **{name: value})
     _initial_state(rc, 2)
     ks = rc.sweep_k or [rc.gains.k]
     sigmas = rc.sweep_sigma or [rc.gains.sigma]

@@ -89,6 +89,9 @@ class GainSelection:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if not (math.isfinite(self.rho) and self.rho != 0.0):
             raise ValueError(f"rho must be finite and nonzero, got {self.rho!r}")
+        for name in ("c", "s0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass

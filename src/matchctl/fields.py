@@ -18,10 +18,9 @@ pass per distinct field.
 `gradient` gives a field's first partials at float or jet coordinates, as the
 Euler-Lagrange covector needs them (float zeros for a constant field), at one
 point or at N points: on array jets it makes one pass over all N.  At jets
-each partial carries a Hessian, a third derivative of the field; that is the
-one place central differences enter (of ``d2``, shared by all partials of the
-field, with a step per point along the point axis), since `Jet2` stops at
-second order.
+each partial's Hessian is NaN wherever a third derivative of the field would
+enter, since `Jet2` stops at second order; no Helmholtz family reads those
+entries.
 """
 
 from __future__ import annotations
@@ -203,9 +202,6 @@ def eval_blocks(blocks, xs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return result
 
 
-_H3 = float(np.cbrt(np.finfo(float).eps))   # step of the third-derivative differences
-
-
 def gradient(field: SmoothField, coords) -> Sequence:
     """First partials of ``field`` at float or jet coordinates, at one point or
     at N points (one array of N floats, or jets over N points, per
@@ -213,10 +209,11 @@ def gradient(field: SmoothField, coords) -> Sequence:
 
     A constant field gives float zeros.  Floats give the gradient of one jet
     pass.  Jets compose the gradient and Hessian of one pass at the value
-    parts with the coordinates' jets by the chain rule; the Hessian of each
-    partial takes central differences of ``d2`` along every coordinate,
-    symmetrised, computed once for all partials.  Over N points each point
-    takes its own step, so that it gets the floats of a one-point call.
+    parts with the coordinates' jets by the chain rule.  The Hessian of a
+    partial would also need the field's third derivatives, which `Jet2` does
+    not carry and no Helmholtz family reads: every entry (a, b) they would
+    enter, where some coordinate jet moves along seed a and some along seed b
+    (at that point, over N points), is NaN.
     """
     n = field.arity
     if field.const is not None:
@@ -228,39 +225,14 @@ def gradient(field: SmoothField, coords) -> Sequence:
     lead = np.shape(seed.f)
     u = np.array([np.broadcast_to(c.f, lead) for c in coords] if lead else [c.f for c in coords])
     top = field.eval_jet(jet_vars(u))
-    d3 = []
-    for k in range(n):
-        step = _H3 * np.maximum(1.0, np.abs(u[k]))
-        up, um = u.copy(), u.copy()
-        up[k] += step
-        um[k] -= step
-        d3.append((field.d2(up) - field.d2(um)) / (2 * step))
+    moved = np.any([c.g != 0.0 for c in coords], axis=0)
+    third = moved[:, None] & moved
     out = []
-    for i in range(n):
-        t = np.array([d3k[i] for d3k in d3])
-        g1, g2 = top.h[i], 0.5 * (t + t.swapaxes(0, 1))
-        if not lead:
-            g1, g2 = g1.tolist(), g2.tolist()
-        out.append(_compose(top.g[i], g1, g2, coords))
+    for f, row in zip(top.g, top.h):
+        hess = sum(hij * c.h for hij, c in zip(row, coords))
+        hess[third] = np.nan
+        out.append(Jet2(f, sum(hij * c.g for hij, c in zip(row, coords)), hess))
     return out
-
-
-def _compose(f, g1, g2, coords: list) -> Jet2:
-    """The jet of a function with value f, gradient g1 and Hessian g2 at the
-    coordinates' value parts, composed with the coordinate jets.  A float zero
-    term is skipped; over N points every term is added, which gives each point
-    the floats of a one-point call, since each sum starts from +0.0."""
-    grad = np.zeros_like(coords[0].g)
-    hess = np.zeros_like(coords[0].h)
-    for gi, ci in zip(g1, coords):
-        if not (isinstance(gi, float) and gi == 0.0):
-            grad += gi * ci.g
-            hess += gi * ci.h
-    for row, ci in zip(g2, coords):
-        for gij, cj in zip(row, coords):
-            if not (isinstance(gij, float) and gij == 0.0):
-                hess += gij * (ci.g[:, None] * cj.g)
-    return Jet2(f, grad, hess)
 
 
 def spline_reader(spline) -> Callable[[float, int], float]:

@@ -455,7 +455,8 @@ class ImplicitSode:
     generic over floats/jets, at one point or at N points.  The explicit field
     is then one covector pass, qdd = -C^-1 Phi(q, qd, 0).  The ``_floats``
     read-outs take one state (n,) or N states (N, n) and put the point axis
-    first.
+    first.  For the covectors here the q-q Hessian block of Phi at jets is NaN:
+    it needs the fields' third derivatives, which no Helmholtz family reads.
     """
 
     def __init__(self, n: int, phi: Callable, accel_matrix: Callable,
@@ -505,7 +506,9 @@ class ExplicitSode:
         return np.array([value_of(v) for v in self.gamma(list(q), list(qd))])
 
     def gamma_jets(self, q, qd) -> list[Jet2]:
-        """Gamma with exact first/second derivatives w.r.t. (q, qd)."""
+        """Gamma with exact first/second derivatives w.r.t. (q, qd); by
+        `ImplicitSode.to_explicit` of the covectors here, the q-q Hessian
+        block is NaN, as Phi's."""
         seeds = jet_vars(list(q) + list(qd))
         return self.gamma(seeds[: self.n], seeds[self.n:])
 

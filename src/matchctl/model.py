@@ -78,8 +78,10 @@ class CartpoleParams:
     grav: float = 9.81
 
     def __post_init__(self):
-        if min(self.m, self.M, self.l, self.grav) <= 0:
-            raise ValueError("all cart-pole parameters must be positive")
+        for name in ("m", "M", "l", "grav"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def alpha(self) -> float:
@@ -106,8 +108,8 @@ class InclineParams(CartpoleParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if abs(self.psi) >= np.pi / 2:
-            raise ValueError("|psi| must be below pi/2")
+        if not abs(self.psi) < np.pi / 2:
+            raise ValueError(f"psi must be below pi/2 in magnitude, got {self.psi!r}")
 
 
 def block_entries(block, coords) -> list[list]:

@@ -384,7 +384,30 @@ def test_tau_ode_row_fails_on_a_nan_residual(tmp_path, capsys, monkeypatch):
     ("simulate", "sim.dt = 0\n", [], "sim.dt"),
     ("simulate", "sim.t_end = -1\n", [], "sim.t_end"),
     ("check-helmholtz", "helmholtz.n_states = 0\n", [], "helmholtz.n_states"),
-], ids=["grid-n", "grid-override", "empty-ode-grid", "dt", "t-end", "n-states"])
+    ("simulate", "tol.drift = nan\n", [], "tol.drift"),
+    ("simulate", "sim.guard = nan\n", [], "sim.guard"),
+    ("check-helmholtz", "helmholtz.v_max = -1\n", [], "helmholtz.v_max"),
+    ("check-helmholtz", "helmholtz.v_max = nan\n", [], "helmholtz.v_max"),
+    ("check-matching", "grid.lo = 1.3\ngrid.hi = -1.3\n", [], "grid.lo"),
+    ("check-helmholtz", "grid.lo = 1.3\ngrid.hi = -1.3\n", [], "grid.lo"),
+    ("check-matching", "grid.lo = nan\n", [], "grid.lo"),
+    ("check-helmholtz", "grid.lo = nan\n", [], "grid.lo"),
+    ("check-matching", "params.l = 0\n", [], "params.l"),
+    ("check-matching", "params.grav = nan\n", [], "params.grav"),
+    ("check-helmholtz", "params.grav = nan\n", [], "params.grav"),
+    ("check-matching", "system = incline\nparams.psi = 2.0\n", [], "params.psi"),
+    ("check-matching", "system = incline\nparams.psi = nan\n", [], "params.psi"),
+    ("check-matching", "system = builtin-test\nbuiltin.n_shape = 0\n", [],
+     "builtin.n_shape"),
+    ("synthesize-tau", "gains.c = nan\n", [], "gains.c"),
+    ("simulate", "gains.s0 = inf\n", [], "gains.s0"),
+    ("synthesize-tau", "gains.k = abc\n", [], "config error: bad value for gains.k"),
+], ids=["grid-n", "grid-override", "empty-ode-grid", "dt", "t-end", "n-states",
+        "nan-drift-tol", "nan-guard", "negative-v-max", "nan-v-max",
+        "reversed-grid-matching", "reversed-grid-helmholtz", "nan-grid-matching",
+        "nan-grid-helmholtz", "zero-length", "nan-grav-matching", "nan-grav-helmholtz",
+        "steep-psi", "nan-psi", "no-shape-coordinate", "nan-c", "infinite-s0",
+        "unparsed-gain"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, extra, argv, key):
     # later keys win, so `extra` overrides the fast config
     text = CARTPOLE_FAST.format(out=tmp_path / "out") + extra

@@ -18,7 +18,7 @@ import matchctl.fields as fl
 from matchctl.control import (INCLINE_LOOP_SPAN, GainSelection, cartpole_closed_loop,
                               incline_A_field, incline_base_shaping, incline_closed_loop,
                               incline_h_curve)
-from matchctl.jets import Jet2, jet_vars
+from matchctl.jets import Jet2
 from matchctl.lagrangian import ShapingParams, scalar_sigma_matrix
 from matchctl.matching import new_tau_closed_form
 from matchctl.model import CartpoleParams, InclineParams, cartpole_system, incline_system
@@ -116,17 +116,34 @@ def test_eval_jet_matches_chain_rule(field, expr):
 
 @pytest.mark.parametrize("field, expr", _cases())
 def test_gradient_on_jets_matches_sympy_third_derivatives(field, expr):
+    # the coordinate jets also carry a seed e that their gradients do not
+    # touch, with a nonzero Hessian along it: each partial's Hessian is exact
+    # in e and NaN on the coordinate block, where the field's third
+    # derivatives would enter
     syms = (X, S)[: field.arity]
-    third = [[[sp.diff(expr, a, b, c) for c in syms] for b in syms] for a in syms]
-    for u in _points(field.arity, seed=29)[:5]:
+    n = e = field.arity
+    grad = [sp.diff(expr, v) for v in syms]
+    hess = [[sp.diff(g, v) for v in syms] for g in grad]
+    rng = np.random.default_rng(29)
+    for u in _points(n, seed=29)[:5]:
         at = dict(zip(syms, (sp.Float(float(c), 30) for c in u)))
-        parts = fl.gradient(field, jet_vars(u))
-        d1, d2 = field.d1(u), field.d2(u)
+        coords = []
+        for k, c in enumerate(u):
+            h = np.zeros((n + 1, n + 1))
+            h[e] = h[:, e] = rng.normal(size=n + 1)
+            coords.append(Jet2(float(c), np.eye(n + 1)[k], h))
+        parts = fl.gradient(field, coords)
+        d2 = field.d2(u)
         for i, part in enumerate(parts):
-            assert part.f == d1[i]
-            assert np.array_equal(part.g, d2[i])
-            _assert_rel(part.h, [[float(sp.N(e.subs(at), 30)) for e in row]
-                                 for row in third[i]], 1e-6)
+            _assert_rel(part.f, float(sp.N(grad[i].subs(at), 30)), 1e-12)
+            _assert_rel(part.g[:n], [float(sp.N(hk.subs(at), 30)) for hk in hess[i]], 1e-12)
+            assert np.array_equal(part.g, np.append(d2[i], 0.0))
+            along_e = [float(sp.N(sum(hess[i][k] * sp.Float(coords[k].h[a, e], 30)
+                                      for k in range(n)).subs(at), 30))
+                       for a in range(n + 1)]
+            _assert_rel(part.h[:, e], along_e, 1e-12)
+            assert np.array_equal(part.h[e], part.h[:, e])
+            assert np.isnan(part.h[:n, :n]).all()
 
 
 # ---------------------------------------------------------------------------

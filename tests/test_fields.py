@@ -82,7 +82,7 @@ def test_gradient_on_jets_value_and_gradient_are_d1_d2():
     for i, p in enumerate(parts):
         assert p.f == f.d1(u)[i]
         assert np.array_equal(p.g, f.d2(u)[i])
-        assert np.array_equal(p.h, p.h.T)
+        assert np.array_equal(p.h, p.h.T, equal_nan=True)
 
 
 def test_gradient_on_mixed_coordinates_promotes_floats():

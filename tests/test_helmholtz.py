@@ -11,6 +11,7 @@ from matchctl.control import (GainSelection, cartpole_closed_loop, cartpole_shap
 from matchctl.helmholtz import (exactness_residuals, explicit_helmholtz_residuals,
                                 implicit_helmholtz_residuals, legendre_fn,
                                 multiplier_from_shaping, sode_tensors)
+from matchctl.jets import value_grad_hess
 from matchctl.lagrangian import (ExplicitSode, ImplicitSode, ShapingParams,
                                  SingularBlockError, controlled_implicit_sode,
                                  scalar_sigma_matrix, solve_accel, uncontrolled_sode)
@@ -401,6 +402,24 @@ def test_batch_report_equals_merge_of_state_reports(case):
         else:
             assert [(e.name, e.skipped, e.passed) for e in batched.entries] == \
                 [(e.name, e.skipped, e.passed) for e in merged.entries]
+
+
+@pytest.mark.parametrize("case", ["cartpole", "incline", "builtin12"])
+def test_engines_read_no_third_derivative(case):
+    # `fields.gradient` leaves the field's third derivatives NaN: they enter
+    # only the q-q Hessian blocks of Phi and Gamma, and the engines read the
+    # qd and qdd rows of Phi over (q, qd, qdd) and the qd rows of Gamma
+    sys_, shp, states = helmholtz_case(case)
+    n = sys_.dims.total
+    batch = State(q=np.array([st.q for st in states]), qdot=np.array([st.qdot for st in states]))
+    field = controlled_implicit_sode(sys_, shp)
+    explicit = field.to_explicit()
+    U = np.concatenate([batch.q, batch.qdot, solve_accel(field, batch)], axis=-1).T
+    _, _, hP = value_grad_hess(lambda u: field.phi(u[:n], u[n:2 * n], u[2 * n:]), U)
+    _, _, hG = value_grad_hess(lambda u: explicit.gamma(u[:n], u[n:]), U[:2 * n])
+    for hess in (hP, hG):
+        assert np.isfinite(hess[:, n:]).all() and np.isfinite(hess[:, :, n:]).all()
+        assert np.isnan(hess[:, :n, :n]).all()
 
 
 def test_singular_accel_matrix_names_its_state():

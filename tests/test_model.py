@@ -26,6 +26,15 @@ def test_cartpole_param_arithmetic(reference_params):
         CartpoleParams(m=-1.0)
 
 
+@pytest.mark.parametrize("params, field", [
+    (CartpoleParams, name) for name in ("m", "M", "l", "grav")
+] + [(InclineParams, name) for name in ("m", "M", "l", "grav", "psi")])
+def test_non_finite_params_raise(params, field):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            params(**{field: value})
+
+
 def test_cartpole_metric_at_zero(reference_params, cartpole):
     p = reference_params
     g = cartpole.metric(np.array([0.0]))
