@@ -169,10 +169,15 @@ class RunConfig:
             if value < 1:
                 raise ConfigError(f"{key} must be at least 1, got {value}")
         for key, value in (("tol.residual", rc.tol_residual), ("tol.matching", rc.tol_matching),
-                           ("tol.drift", rc.tol_drift), ("sim.dt", rc.dt),
-                           ("sim.t_end", rc.t_end)):
+                           ("tol.drift", rc.tol_drift)):
             if not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value!r}")
+        for key, value in (("sim.dt", rc.dt), ("sim.t_end", rc.t_end)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
+        for key, value in (("seed", rc.seed), ("builtin.seed", rc.builtin_seed)):
+            if value < 0:
+                raise ConfigError(f"{key} must be non-negative, got {value}")
         if math.isnan(rc.guard):
             raise ConfigError("sim.guard must not be NaN")
         if not 0 <= rc.v_max < math.inf:

@@ -3,10 +3,11 @@
 Metric components, potentials and the feedback-shaping one-form are all built
 from these.  A field holds one function ``fn(coords)`` written with the
 elementary functions of `jets`, or with a `Curve` (a cubic spline read at one
-float by `spline_reader` and through `jets.chain` at a jet), so it accepts
-float or `Jet2` coordinates alike, and also a mix of the two, since jet
-arithmetic takes float operands: callers that evaluate at such coordinates
-call ``fn`` directly, and a constant field stays a float there.
+float by `spline_reader`, at an array by `Curve.read` and through
+`jets.chain` at a jet), so it accepts float or `Jet2` coordinates alike, and
+also a mix of the two, since jet arithmetic takes float operands: callers
+that evaluate at such coordinates call ``fn`` directly, and a constant field
+stays a float there.
 ``value`` is one float pass, and ``d1``/``d2`` read the gradient and Hessian
 of one pass over seeded jets, which is exact forward-mode differentiation.
 The algebra composes these functions and folds constant fields when the
@@ -21,6 +22,9 @@ point or at N points: on array jets it makes one pass over all N.  At jets
 each partial's Hessian is NaN wherever a third derivative of the field would
 enter, since `Jet2` stops at second order; no Helmholtz family reads those
 entries.
+
+`Curve` builds its spline coefficients itself, bit for bit those of scipy's
+``CubicSpline``, so that nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import jets
 from .jets import Jet2, as_jet, chain, jet_vars
@@ -235,10 +238,86 @@ def gradient(field: SmoothField, coords) -> Sequence:
     return out
 
 
+def _gtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solve the tridiagonal system with sub-, main and super-diagonals
+    ``dl``, ``d``, ``du`` for the right-hand side ``b``, all lists of floats
+    that it overwrites; ``b`` comes back as the solution.  This is reference
+    LAPACK ``dgtsv`` for one right-hand side (the routine behind scipy's
+    ``solve_banded((1, 1), ...)``): the same partial-pivoting test and the
+    same operations in the same order, so the same floats."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0     # LAPACK leaves dl[n-2] as it is; no step reads it
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, N-1), highest power first, of the not-a-knot cubic
+    spline through (x, y): bit for bit ``CubicSpline(x, y).c``.
+
+    The knot slopes solve scipy's system with scipy's expressions (numpy
+    float64 scalars, ``** 2`` included): its tridiagonal not-a-knot system
+    through `_gtsv`, the clamped-slope system for two knots, and its 3x3
+    parabola system for three.  The coefficients are scipy's Hermite
+    formula."""
+    n = len(x)
+    dx = np.diff(x)
+    if not (n >= 2 and np.isfinite(x).all() and np.isfinite(y).all() and (dx > 0).all()):
+        raise ValueError("a spline needs at least 2 finite, strictly increasing knots "
+                         "and finite values")
+    slope = np.diff(y) / dx
+    if n == 2:
+        s = _gtsv([0.0], [1.0, 1.0], [0.0], [slope[0], slope[0]])
+    elif n == 3:
+        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        s = np.linalg.solve(a, [2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]),
+                                2 * slope[1]])
+    else:
+        d = np.empty(n)
+        d[1:-1] = 2 * (dx[:-1] + dx[1:])
+        d[0], d[-1] = dx[1], dx[-2]
+        b = np.empty(n)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        e0, e1 = x[2] - x[0], x[-1] - x[-3]
+        b[0] = ((dx[0] + 2 * e0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / e0
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * e1 + dx[-1]) * dx[-2] * slope[-1]) / e1
+        s = _gtsv(dx[1:].tolist() + [float(e1)], d.tolist(), [float(e0)] + dx[:-1].tolist(),
+                  b.tolist())
+    s = np.asarray(s)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 def spline_reader(spline) -> Callable[[float, int], float]:
-    """``at(v, nu)``: the ``nu``-th derivative (0, 1 or 2) of a cubic
-    ``scipy.interpolate.CubicSpline`` at one float, bit for bit what
-    ``spline(v, nu)`` returns.
+    """``at(v, nu)``: the ``nu``-th derivative (0, 1 or 2) at one float of a
+    cubic spline with breakpoints ``spline.x`` and coefficients ``spline.c``
+    (a `Curve` or a ``scipy.interpolate.CubicSpline``), bit for bit what
+    ``CubicSpline.__call__(v, nu)`` returns.
 
     The interval is scipy's: the last breakpoint at or below ``v``, clamped to
     the first and last intervals so that both ends extrapolate.  The cubic is
@@ -247,7 +326,7 @@ def spline_reader(spline) -> Callable[[float, int], float]:
     term, written out for the cubic (products by a prefactor of 1.0 are
     exact, so they are left out).  A NaN gives NaN.  The breakpoints and
     coefficients are read in place through memoryviews, which index to
-    floats and take no copy.  Read arrays with the spline itself.
+    floats and take no copy.  `Curve.read` is the same sum over arrays.
     """
     xs = memoryview(spline.x)
     c3, c2, c1, c0 = (memoryview(np.ascontiguousarray(row)) for row in spline.c)
@@ -270,33 +349,62 @@ def spline_reader(spline) -> Callable[[float, int], float]:
     return at
 
 
+def _read_arrays(x: np.ndarray, c: np.ndarray, v, nus: Sequence[int]) -> list[np.ndarray]:
+    """The ``nu``-th derivatives, for each nu in ``nus``, of the spline (x, c)
+    at an array of points, from one interval search: the floats of
+    `spline_reader`, and so of ``CubicSpline.__call__``, at every point.  A
+    NaN reads NaN; +-inf read what scipy's C loop gives, silently."""
+    v = np.asarray(v, dtype=float)
+    i = np.searchsorted(x[1:-1], v, side="right")     # clamped to [0, N-2]
+    s = v - x[i]
+    c3, c2, c1, c0 = c[:, i]
+    out = []
+    with np.errstate(invalid="ignore"):
+        for nu in nus:
+            if nu == 0:
+                z = s * s
+                out.append(0.0 + c0 + c1 * s + c2 * z + c3 * (z * s))
+            elif nu == 1:
+                out.append(0.0 + c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0)
+            else:
+                out.append(0.0 + c2 * 2.0 + c3 * s * 6.0)
+    return out
+
+
 class Curve:
-    """A cubic spline through (xs, values), called at a float (read by
-    `spline_reader`, ``at``), an array (read by the ``CubicSpline``,
-    ``spline``) or a `Jet2` at one point or at an array of points (through
-    `jets.chain` with ``derivs(v) -> (d1, d2)``, the spline's own first two
-    derivatives unless given)."""
+    """The not-a-knot cubic spline through (xs, values), with breakpoints
+    ``x`` and coefficients ``c`` as ``scipy.interpolate.CubicSpline`` has
+    them, bit for bit.  It is called at a float (read by `spline_reader`,
+    ``at``), an array (by `read`) or a `Jet2` at one point or at an array of
+    points (through `jets.chain` with ``derivs(v) -> (d1, d2)``, the spline's
+    own first two derivatives unless given)."""
 
     def __init__(self, xs: np.ndarray, values: np.ndarray,
                  derivs: Callable[[float], tuple[float, float]] | None = None):
-        self.xs = xs
-        self.spline = spline = CubicSpline(xs, values)
-        self.at = at = spline_reader(spline)
+        self.x = x = np.asarray(xs, dtype=float)
+        self.c = c = _spline_coefficients(x, np.asarray(values, dtype=float))
+        self.at = at = spline_reader(self)
 
-        def spline_derivs(v):
-            if isinstance(v, np.ndarray):
-                return spline(v, 1), spline(v, 2)
-            return at(v, 1), at(v, 2)
-
-        # a closure, not a bound method, so that a curve holds no reference
+        # closures, not bound methods, so that a curve holds no reference
         # cycle and is freed as soon as it is dropped
-        self._derivs = derivs or spline_derivs
+        if derivs is None:
+            def jet_parts(v):
+                if isinstance(v, np.ndarray):
+                    return _read_arrays(x, c, v, (0, 1, 2))
+                return at(v), at(v, 1), at(v, 2)
+        else:
+            def jet_parts(v):
+                value = _read_arrays(x, c, v, (0,))[0] if isinstance(v, np.ndarray) else at(v)
+                return (value, *derivs(v))
+        self._jet_parts = jet_parts
+
+    def read(self, v, nu: int = 0) -> np.ndarray:
+        """The ``nu``-th derivative (0, 1 or 2) at an array of points."""
+        return _read_arrays(self.x, self.c, v, (nu,))[0]
 
     def __call__(self, x):
         if isinstance(x, Jet2):
-            v = x.f
-            return chain(x, self.spline(v) if isinstance(v, np.ndarray) else self.at(v),
-                         *self._derivs(v))
+            return chain(x, *self._jet_parts(x.f))
         if isinstance(x, np.ndarray):
-            return self.spline(x)
+            return self.read(x)
         return self.at(x)

@@ -353,10 +353,10 @@ class SampledTau:
         self._curves = [Curve(self.xs, self.values[:, a]) for a in range(self.values.shape[1])]
 
     def value(self, x: float) -> np.ndarray:
-        return np.array([c.spline(x) for c in self._curves])
+        return np.array([c.read(x) for c in self._curves])
 
     def derivative(self, x: float) -> np.ndarray:
-        return np.array([c.spline(x, 1) for c in self._curves])
+        return np.array([c.read(x, 1) for c in self._curves])
 
     def as_fields(self) -> tuple:
         """Each curve as a field of one coordinate, read at a float, an array

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -402,12 +405,18 @@ def test_tau_ode_row_fails_on_a_nan_residual(tmp_path, capsys, monkeypatch):
     ("synthesize-tau", "gains.c = nan\n", [], "gains.c"),
     ("simulate", "gains.s0 = inf\n", [], "gains.s0"),
     ("synthesize-tau", "gains.k = abc\n", [], "config error: bad value for gains.k"),
+    ("simulate", "sim.dt = inf\n", [], "sim.dt"),
+    ("simulate", "sim.t_end = inf\n", [], "sim.t_end"),
+    ("check-helmholtz", "seed = -1\n", [], "seed"),
+    ("check-helmholtz", "", ["--seed", "-1"], "seed"),
+    ("check-helmholtz", "system = builtin-test\nbuiltin.seed = -1\n", [], "builtin.seed"),
 ], ids=["grid-n", "grid-override", "empty-ode-grid", "dt", "t-end", "n-states",
         "nan-drift-tol", "nan-guard", "negative-v-max", "nan-v-max",
         "reversed-grid-matching", "reversed-grid-helmholtz", "nan-grid-matching",
         "nan-grid-helmholtz", "zero-length", "nan-grav-matching", "nan-grav-helmholtz",
         "steep-psi", "nan-psi", "no-shape-coordinate", "nan-c", "infinite-s0",
-        "unparsed-gain"])
+        "unparsed-gain", "infinite-dt", "infinite-t-end", "negative-seed",
+        "negative-seed-override", "negative-builtin-seed"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, extra, argv, key):
     # later keys win, so `extra` overrides the fast config
     text = CARTPOLE_FAST.format(out=tmp_path / "out") + extra
@@ -645,3 +654,34 @@ def test_singular_group_block_is_a_named_error(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, "cp.cfg", CARTPOLE_FAST.format(out=tmp_path / "out"))
     assert main(["check-matching", "--config", cfg]) == 1
     assert capsys.readouterr().err == "error: ValueError: g_gg is singular at x = 0\n"
+
+
+IMPORT_HYGIENE = """
+import json, sys
+import matchctl.cli
+codes = [matchctl.cli.main([command, "--config", cfg]) for cfg in sys.argv[1:]
+         for command in ("check-matching", "check-helmholtz", "synthesize-tau",
+                         "simulate", "sweep")]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # a fresh interpreter, so that the test suite's own scipy imports do not count
+    import matchctl
+
+    short = "sweep.k = 30, 35\nsweep.sigma = 1.0\nsim.t_end = 0.2\n"
+    cfgs = [write_cfg(tmp_path, name, base.format(out=tmp_path / "out") + extra + short)
+            for name, base, extra in (("cp.cfg", CARTPOLE_FAST, ""),
+                                      ("inc.cfg", INCLINE_FAST, ""),
+                                      ("ode.cfg", CARTPOLE_FAST, "tau.mode = new-ode\n"))]
+    src = os.path.dirname(os.path.dirname(matchctl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE, *cfgs], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout.splitlines()[-1])
+    assert doc["codes"] == [0] * 15
+    assert doc["scipy"] == []

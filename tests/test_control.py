@@ -384,7 +384,7 @@ def _curve_integrands(reference_params, incline_params, k):
     lo, hi = incline_safe_span(incline_params, k, (-1.2, 1.2))
     h_fn = lambda x: h.A.fn([x])  # noqa: E731
     return [(cp, lambda x: float(cp(x)), np.linspace(-span, span, 801)),
-            (h_fn, h_fn, h.xs),
+            (h_fn, h_fn, h.x),
             (_incline_slope(incline_params, gains, h, np),
              _incline_slope(incline_params, gains, h, math), np.linspace(lo, hi, 801))]
 

@@ -150,3 +150,63 @@ def test_spline_reader_is_scipy_bit_for_bit():
         want = chain(x, *(float(spline(x.f, nu)) for nu in (0, 1, 2)))
         assert (got.f, got.g.tobytes(), got.h.tobytes()) \
             == (want.f, want.g.tobytes(), want.h.tobytes())
+
+
+def _knots(rng, n, uniform):
+    if uniform:
+        return np.linspace(rng.uniform(-3.0, 0.0), rng.uniform(0.1, 3.0), n)
+    return rng.uniform(-5.0, 5.0) + np.cumsum(rng.uniform(1e-3, 1.0, n))
+
+
+def _values(rng, n):
+    ys = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    ys[rng.random(n) < 0.1] = -0.0
+    return ys
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])
+def test_curve_coefficients_are_scipy_bit_for_bit(uniform):
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(29 + uniform)
+    # two knots (the clamped-slope system), three (the parabola system) and
+    # the not-a-knot tridiagonal system up to the curves' 801 knots
+    sizes = [2] * 300 + [3] * 300 + rng.integers(4, 802, 60).tolist() + [4, 801]
+    for n in sizes:
+        xs = _knots(rng, n, uniform)
+        ys = _values(rng, n)
+        curve = fl.Curve(xs, ys)
+        spline = CubicSpline(xs, ys)
+        assert curve.x.tobytes() == spline.x.tobytes()
+        assert curve.c.tobytes() == spline.c.tobytes(), n
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])
+def test_curve_array_reads_are_scipy_bit_for_bit(uniform):
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(31 + uniform)
+    for n in (2, 3, 4, 5, 57, 801):
+        xs = _knots(rng, n, uniform)
+        ys = _values(rng, n)
+        curve = fl.Curve(xs, ys)
+        spline = CubicSpline(xs, ys)
+        # every knot, interior points, extrapolation on both sides, both
+        # zeros, both infinities (silent, as in scipy) and NaN
+        v = np.concatenate([xs, rng.uniform(xs[0], xs[-1], 300),
+                            rng.uniform(xs[0] - 2.0, xs[0], 50),
+                            rng.uniform(xs[-1], xs[-1] + 2.0, 50),
+                            [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        for nu in (0, 1, 2):
+            assert curve.read(v, nu).tobytes() == spline(v, nu).tobytes()
+            assert np.isnan(curve.read(np.array([-np.nan]), nu)).all()
+        assert curve(v).tobytes() == spline(v).tobytes()
+        # a jet over an array of points reads value, slope and curvature from
+        # one interval search
+        v = v[:-3]
+        u, w = jet_vars([v, np.full(v.shape, 0.3)])
+        x = 2.0 * u + 0.1 * w * w
+        got = curve(x)
+        want = chain(x, *(spline(x.f, nu) for nu in (0, 1, 2)))
+        assert (got.f.tobytes(), got.g.tobytes(), got.h.tobytes()) \
+            == (want.f.tobytes(), want.g.tobytes(), want.h.tobytes())

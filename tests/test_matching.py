@@ -245,18 +245,22 @@ def test_integrate_recovers_closed_form(cartpole):
 
 
 def test_sampled_tau_fields_are_the_spline(cartpole):
+    from scipy.interpolate import CubicSpline
+
     tau = new_tau_closed_form(cartpole, 35.0)
     samp = integrate_new_tau(cartpole, [tau.value(np.array([-1.0]))], (-1.0, 1.0), step=1e-2)
     (field,), = samp.as_fields()
-    (spline,) = [c.spline for c in samp._curves]
+    spline = CubicSpline(samp.xs, samp.values[:, 0])
     for x in (-0.95, -0.3, 0.0, 0.41, 0.99):
         u = np.array([x])
         assert field.value(u) == float(spline(x))
         assert field.d1(u)[0] == float(spline(x, 1))
         assert field.d2(u)[0, 0] == float(spline(x, 2))
-    # an array of points (a curve's integrand nodes) is read by the spline too
+    # an array of points (a curve's integrand nodes) reads the spline's floats too
     xs = np.linspace(-0.95, 0.99, 37)
     assert field.fn([xs]).tobytes() == spline(xs).tobytes()
+    assert samp.value(xs).tobytes() == spline(xs)[None].tobytes()
+    assert samp.derivative(xs).tobytes() == spline(xs, 1)[None].tobytes()
 
 
 def test_integrate_zero_initial(cartpole):
