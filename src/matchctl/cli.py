@@ -55,19 +55,62 @@ def parse_config(path) -> dict[str, str]:
     return out
 
 
-def _get(cfg: dict, key: str, cast, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config key: {key}")
-        return default
-    try:
-        return cast(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {cfg[key]!r}") from exc
-
-
 def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+_AT_LEAST_1 = (lambda v: v >= 1, "{key} must be at least 1, got {value}")
+_POSITIVE = (lambda v: v > 0, "{key} must be positive, got {value!r}")
+_POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "{key} must be positive and finite, got {value!r}")
+_NON_NEGATIVE = (lambda v: v >= 0, "{key} must be non-negative, got {value}")
+
+# Every config key: key -> (cast, default, check), as the README's key table
+# lists them.  A default is config text, cast like a value from the file; a key
+# without one is required where it is read.  A check is (predicate, message);
+# the params and gains keys are checked by the constructors they feed.
+_KEYS = {
+    "system": (str, None, (lambda v: v in ("cartpole", "incline", "builtin-test"),
+                           "unknown system: {value}")),
+    "params.m": (float, "0.14", None),
+    "params.M": (float, "0.44", None),
+    "params.l": (float, "0.215", None),
+    "params.grav": (float, "9.81", None),
+    "params.psi": (float, None, None),
+    "tau.mode": (str, "new-closed-form", (lambda v: v in ("sm3", "new-closed-form", "new-ode"),
+                                          "unknown tau mode: {value}")),
+    "gains.k": (float, "35", None),
+    "gains.sigma": (float, "1", None),
+    "gains.rho": (float, "1", None),
+    "gains.c": (float, "0", None),
+    "gains.s0": (float, "0", None),
+    "sim.dt": (float, "1e-4", _POSITIVE_FINITE),
+    "sim.t_end": (float, "10", _POSITIVE_FINITE),
+    "sim.ic": (_floats, "0, 0, 0, 0", None),
+    "sim.guard": (float, "1.5707963267948966", (lambda v: not math.isnan(v),
+                                                "{key} must not be NaN")),
+    "grid.n": (int, "41", _AT_LEAST_1),
+    "grid.lo": (float, "-1.3", None),
+    "grid.hi": (float, "1.3", None),
+    "tol.residual": (float, "1e-8", _POSITIVE),
+    "tol.matching": (float, "1e-10", _POSITIVE),
+    "tol.drift": (float, "1e-6", _POSITIVE),
+    "seed": (int, "0", _NON_NEGATIVE),
+    "helmholtz.n_states": (int, "100", _AT_LEAST_1),
+    "helmholtz.v_max": (float, "5", (lambda v: 0 <= v < math.inf,
+                                     "{key} must be finite and non-negative, got {value!r}")),
+    "out.dir": (str, ".", None),
+    "builtin.seed": (int, "1", _NON_NEGATIVE),
+    "builtin.n_shape": (int, "1", _AT_LEAST_1),
+    "builtin.n_group": (int, "2", _AT_LEAST_1),
+    "sweep.k": (_floats, "", None),
+    "sweep.sigma": (_floats, "", None),
+    "sweep.rho": (_floats, "", None),
+}
+
+
+class _Resolved(dict):
+    def __missing__(self, key):         # neither a value nor a default
+        raise ConfigError(f"missing config key: {key}")
 
 
 @dataclass
@@ -102,92 +145,49 @@ class RunConfig:
     @staticmethod
     def load(path, overrides: argparse.Namespace) -> "RunConfig":
         cfg = parse_config(path)
-        system = _get(cfg, "system", str)
-        if system not in ("cartpole", "incline", "builtin-test"):
-            raise ConfigError(f"unknown system: {system}")
-        params = None
+        for key in cfg:
+            if key not in _KEYS:
+                from difflib import get_close_matches      # only on this error path
+                near = get_close_matches(key, _KEYS, n=1)
+                hint = f" (did you mean {near[0]}?)" if near else ""
+                raise ConfigError(f"unknown config key: {key}{hint}")
+        for key, value in (("tol.residual", overrides.tol), ("grid.n", overrides.grid),
+                           ("seed", overrides.seed), ("out.dir", overrides.out)):
+            if value is not None:
+                cfg[key] = str(value)           # str of a float or an int casts back exactly
+        v = _Resolved()
+        for key, (cast, default, check) in _KEYS.items():
+            text = cfg.get(key, default)
+            if text is None:
+                continue
+            try:
+                v[key] = cast(text)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {text!r}") from exc
+            if check is not None and not check[0](v[key]):
+                raise ConfigError(check[1].format(key=key, value=v[key]))
+        system, params = v["system"], None
         if system in ("cartpole", "incline"):
-            base = dict(
-                m=_get(cfg, "params.m", float, 0.14),
-                M=_get(cfg, "params.M", float, 0.44),
-                l=_get(cfg, "params.l", float, 0.215),
-                grav=_get(cfg, "params.grav", float, 9.81),
-            )
-            if system == "incline":
-                params = _checked("params", InclineParams,
-                                  psi=_get(cfg, "params.psi", float), **base)
-            else:
-                params = _checked("params", CartpoleParams, **base)
-        tau_mode = _get(cfg, "tau.mode", str, "new-closed-form")
-        if tau_mode not in ("sm3", "new-closed-form", "new-ode"):
-            raise ConfigError(f"unknown tau mode: {tau_mode}")
-        sigma = _get(cfg, "gains.sigma", float, 1.0)
-        if tau_mode == "sm3" and sigma == 0.0:
+            psi = {"psi": v["params.psi"]} if system == "incline" else {}
+            params = _checked("params", InclineParams if psi else CartpoleParams, **psi,
+                              **{name: v[f"params.{name}"] for name in ("m", "M", "l", "grav")})
+        if v["tau.mode"] == "sm3" and v["gains.sigma"] == 0.0:
             raise ConfigError("sm3 tau requires nonzero sigma")
-        gains = _checked(
-            "gains", ctl.GainSelection,
-            k=_get(cfg, "gains.k", float, 35.0),
-            sigma=sigma,
-            rho=_get(cfg, "gains.rho", float, 1.0),
-            c=_get(cfg, "gains.c", float, 0.0),
-            s0=_get(cfg, "gains.s0", float, 0.0),
-        )
-        rc = RunConfig(
-            system=system, params=params, tau_mode=tau_mode, gains=gains,
-            dt=_get(cfg, "sim.dt", float, 1e-4),
-            t_end=_get(cfg, "sim.t_end", float, 10.0),
-            ic=_get(cfg, "sim.ic", _floats, [0.0, 0.0, 0.0, 0.0]),
-            guard=_get(cfg, "sim.guard", float, math.pi / 2),
-            grid_n=_get(cfg, "grid.n", int, 41),
-            grid_lo=_get(cfg, "grid.lo", float, -1.3),
-            grid_hi=_get(cfg, "grid.hi", float, 1.3),
-            tol_residual=_get(cfg, "tol.residual", float, 1e-8),
-            tol_matching=_get(cfg, "tol.matching", float, 1e-10),
-            tol_drift=_get(cfg, "tol.drift", float, 1e-6),
-            seed=_get(cfg, "seed", int, 0),
-            n_states=_get(cfg, "helmholtz.n_states", int, 100),
-            v_max=_get(cfg, "helmholtz.v_max", float, 5.0),
-            out_dir=_get(cfg, "out.dir", str, "."),
-            builtin_seed=_get(cfg, "builtin.seed", int, 1),
-            builtin_shape=_get(cfg, "builtin.n_shape", int, 1),
-            builtin_group=_get(cfg, "builtin.n_group", int, 2),
-            sweep_k=_get(cfg, "sweep.k", _floats, []),
-            sweep_sigma=_get(cfg, "sweep.sigma", _floats, []),
-            sweep_rho=_get(cfg, "sweep.rho", _floats, []),
-        )
-        if overrides.tol is not None:
-            rc.tol_residual = overrides.tol
-        if overrides.grid is not None:
-            rc.grid_n = overrides.grid
-        if overrides.seed is not None:
-            rc.seed = overrides.seed
-        if overrides.out is not None:
-            rc.out_dir = overrides.out
-        for key, value in (("grid.n", rc.grid_n), ("helmholtz.n_states", rc.n_states),
-                           ("builtin.n_shape", rc.builtin_shape),
-                           ("builtin.n_group", rc.builtin_group)):
-            if value < 1:
-                raise ConfigError(f"{key} must be at least 1, got {value}")
-        for key, value in (("tol.residual", rc.tol_residual), ("tol.matching", rc.tol_matching),
-                           ("tol.drift", rc.tol_drift)):
-            if not value > 0:
-                raise ConfigError(f"{key} must be positive, got {value!r}")
-        for key, value in (("sim.dt", rc.dt), ("sim.t_end", rc.t_end)):
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
-        for key, value in (("seed", rc.seed), ("builtin.seed", rc.builtin_seed)):
-            if value < 0:
-                raise ConfigError(f"{key} must be non-negative, got {value}")
-        if math.isnan(rc.guard):
-            raise ConfigError("sim.guard must not be NaN")
-        if not 0 <= rc.v_max < math.inf:
-            raise ConfigError(f"helmholtz.v_max must be finite and non-negative, "
-                              f"got {rc.v_max!r}")
-        lo, hi = rc.grid_lo, rc.grid_hi
-        if not (-math.inf < lo <= hi < math.inf and (lo < hi or rc.tau_mode != "new-ode")):
+        gains = _checked("gains", ctl.GainSelection,
+                         **{name: v[f"gains.{name}"] for name in ("k", "sigma", "rho", "c", "s0")})
+        lo, hi = v["grid.lo"], v["grid.hi"]
+        if not (-math.inf < lo <= hi < math.inf and (lo < hi or v["tau.mode"] != "new-ode")):
             raise ConfigError(f"grid.lo and grid.hi must be finite with grid.lo <= grid.hi "
                               f"(< for new-ode), got grid.lo = {lo!r}, grid.hi = {hi!r}")
-        return rc
+        return RunConfig(
+            system=system, params=params, tau_mode=v["tau.mode"], gains=gains,
+            dt=v["sim.dt"], t_end=v["sim.t_end"], ic=v["sim.ic"], guard=v["sim.guard"],
+            grid_n=v["grid.n"], grid_lo=lo, grid_hi=hi, tol_residual=v["tol.residual"],
+            tol_matching=v["tol.matching"], tol_drift=v["tol.drift"], seed=v["seed"],
+            n_states=v["helmholtz.n_states"], v_max=v["helmholtz.v_max"],
+            out_dir=v["out.dir"], builtin_seed=v["builtin.seed"],
+            builtin_shape=v["builtin.n_shape"], builtin_group=v["builtin.n_group"],
+            sweep_k=v["sweep.k"], sweep_sigma=v["sweep.sigma"], sweep_rho=v["sweep.rho"])
 
 
 def _checked(section: str, make, *args, **values):
@@ -446,8 +446,7 @@ def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float) -> dict:
         sm = ctl.shaped_multipliers(sys_, shp, np.array([x, 0.0]))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(sm.gtilde).min()))
     row["min_eig_gtilde"] = min_eig
-    sweep_rc = RunConfig(**{**rc.__dict__, "gains": gains,
-                            "t_end": min(rc.t_end, 2.0), "dt": max(rc.dt, 1e-3)})
+    sweep_rc = replace(rc, gains=gains, t_end=min(rc.t_end, 2.0), dt=max(rc.dt, 1e-3))
     try:
         traj = _simulate(sweep_rc)
         row["drift"] = simmod.energy_drift(traj) if traj.energies is not None else float("nan")

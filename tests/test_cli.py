@@ -1,14 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
 import golden_record as golden
+import matchctl.cli as cli
 import matchctl.control as ctl
 from matchctl.cli import ConfigError, RunConfig, main, parse_config
 from matchctl.lagrangian import feedback_control, kinetic_matrix
@@ -80,6 +83,26 @@ def test_runconfig_validation(tmp_path):
     path2 = write_cfg(tmp_path, "d.cfg", "system = cartpole\ntau.mode = sm3\ngains.sigma = 0\n")
     with pytest.raises(ConfigError, match="sigma"):
         RunConfig.load(path2, ns)
+
+
+def test_readme_key_table_is_the_config_table():
+    # the README's config reference lists exactly the keys and defaults of
+    # the table RunConfig.load reads
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config grammar", 1)[1].split("\n### ", 1)[0]
+    cells = {"empty": "", "none (required)": None, "none (required for the incline)": None}
+    rows = [(key, default.strip("`") if default.startswith("`") else cells[default])
+            for key, default in re.findall(r"^\| `([\w.]+)` \| ([^|]+?) \|", section, re.M)]
+    assert rows == [(key, default) for key, (_, default, _) in cli._KEYS.items()]
+
+
+def test_last_duplicate_key_wins_and_unread_keys_are_accepted(tmp_path):
+    ns = type("NS", (), {"tol": None, "grid": None, "seed": None, "out": None})
+    path = write_cfg(tmp_path, "dup.cfg", "system = cartpole\ngains.k = 5\ngains.k = 40\n"
+                     "params.psi = 0.3\nbuiltin.n_shape = 2\n")
+    rc = RunConfig.load(path, ns)
+    assert rc.gains.k == 40.0 and type(rc.params) is CartpoleParams
+    assert (rc.dt, rc.ic, rc.out_dir, rc.grid_lo, rc.sweep_k) == (1e-4, [0.0] * 4, ".", -1.3, [])
 
 
 def test_simulate_cartpole(tmp_path, capsys):
@@ -410,13 +433,17 @@ def test_tau_ode_row_fails_on_a_nan_residual(tmp_path, capsys, monkeypatch):
     ("check-helmholtz", "seed = -1\n", [], "seed"),
     ("check-helmholtz", "", ["--seed", "-1"], "seed"),
     ("check-helmholtz", "system = builtin-test\nbuiltin.seed = -1\n", [], "builtin.seed"),
+    ("check-matching", "gains.kk = 5\n", [],
+     "config error: unknown config key: gains.kk (did you mean gains.k?)"),
+    ("simulate", "sim.tend = 0.1\n", [], "config error: unknown config key: sim.tend"),
 ], ids=["grid-n", "grid-override", "empty-ode-grid", "dt", "t-end", "n-states",
         "nan-drift-tol", "nan-guard", "negative-v-max", "nan-v-max",
         "reversed-grid-matching", "reversed-grid-helmholtz", "nan-grid-matching",
         "nan-grid-helmholtz", "zero-length", "nan-grav-matching", "nan-grav-helmholtz",
         "steep-psi", "nan-psi", "no-shape-coordinate", "nan-c", "infinite-s0",
         "unparsed-gain", "infinite-dt", "infinite-t-end", "negative-seed",
-        "negative-seed-override", "negative-builtin-seed"])
+        "negative-seed-override", "negative-builtin-seed", "misspelt-gain",
+        "misspelt-sim-key"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, extra, argv, key):
     # later keys win, so `extra` overrides the fast config
     text = CARTPOLE_FAST.format(out=tmp_path / "out") + extra
@@ -484,8 +511,6 @@ def test_sweep_gain_with_anchor_outside_window_is_errored_row(tmp_path, capsys, 
 
 
 def test_unexpected_error_names_its_class(tmp_path, capsys, monkeypatch):
-    import matchctl.cli as cli
-
     def broken(rc):
         raise IndexError("list index out of range")
 
@@ -640,7 +665,6 @@ def test_outputs_match_recorded_digests(tmp_path, config):
 
 
 def test_singular_group_block_is_a_named_error(tmp_path, capsys, monkeypatch):
-    import matchctl.cli as cli
     import matchctl.fields as fl
     from matchctl.lagrangian import ShapingParams
     from matchctl.model import Dims, build_mechanical_system

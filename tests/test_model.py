@@ -149,3 +149,28 @@ def test_synthetic_sm_system_valid(dims):
     assert sigma > 0
     rep = validate_system(sys_, n_samples=10, x_range=(-1.0, 1.0))
     assert rep.overall_pass
+
+
+def test_array_float_pass_is_one_point_calls_bit_for_bit():
+    # a float pass over N points calls a field's `fn` on float arrays, where
+    # `**` is numpy's power, not libm's (they differ at about 0.07% of
+    # inputs); no shipped field applies it to a coordinate, so the array pass
+    # gives every point the floats of its one-point call
+    from matchctl.matching import new_tau_closed_form
+
+    rng = np.random.default_rng(7)
+    fields = {}
+    for sys_ in (cartpole_system(CartpoleParams()), incline_system(InclineParams(psi=0.3)),
+                 synthetic_sm_system(1, Dims(1, 2))[0]):
+        blocks = (sys_.g_ss, sys_.g_sg, sys_.g_gg)
+        found = [f for block in blocks for row in block for f in row] + [sys_.V]
+        if sys_.dims.n_group == 1:
+            found.append(new_tau_closed_form(sys_, 35.0))
+        fields.update((id(f), f) for f in found if f.const is None)
+    assert len(fields) == 10
+    for f in fields.values():
+        pts = rng.uniform(-1.3, 1.3, size=(f.arity, 500))
+        batch = np.asarray(f.fn(list(pts)), dtype=float)
+        one = np.array([f.value(pts[:, i]) for i in range(500)])
+        differ = np.flatnonzero(batch.view(np.int64) != one.view(np.int64))
+        assert differ.size == 0, f"{differ.size} points differ, first at {pts[:, differ[0]]}"

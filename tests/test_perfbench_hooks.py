@@ -2,8 +2,11 @@
 names it looks up by string: the layer functions it wraps in spans, the
 sweep's thread pool, and the curve builders and quadrature it counts.  These
 tests fail when a refactor renames one of them, before the benchmark does.
+The last one loads every config the benchmark writes, so a stricter config
+loader fails here first too.
 """
 
+import argparse
 import importlib
 import math
 from pathlib import Path
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import matchctl
-from matchctl.cli import main
+from matchctl.cli import RunConfig, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -75,3 +78,15 @@ def test_probes_run_at_their_call_shapes(perfbench, tmp_path, monkeypatch):
     assert len(out) == 11
     for name, (med, low) in out.items():
         assert math.isfinite(med) and math.isfinite(low) and 0 < low <= med, name
+
+
+@pytest.mark.parametrize("workload", ["verify", "trajectory", "design"])
+def test_workload_configs_load(perfbench, tmp_path, workload):
+    # every key the benchmark writes is one the config loader knows
+    workloads = importlib.import_module("workloads")
+    ns = argparse.Namespace(tol=None, grid=None, seed=None, out=None)
+    for seed in range(10):
+        texts, _ = workloads.generate(workload, seed)
+        workloads.write_configs(texts, tmp_path / str(seed))
+        for name in texts:
+            RunConfig.load(tmp_path / str(seed) / name, ns)
