@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,7 +24,8 @@ from . import fields as fl
 from . import helmholtz as hh
 from . import matching as mt
 from . import sim as simmod
-from .lagrangian import ShapingParams, controlled_implicit_sode, scalar_sigma_matrix
+from .lagrangian import (ShapingParams, controlled_implicit_sode, kinetic_matrix,
+                         scalar_sigma_matrix)
 from .model import (CartpoleParams, Dims, InclineParams, State, cartpole_system,
                     incline_system, synthetic_sm_system, validate_system)
 from .report import ResidualEntry, ResidualReport
@@ -441,10 +441,10 @@ def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float) -> dict:
         sys_ = incline_system(p)
         shp = ctl.incline_base_shaping(p, gains)
     xs = np.linspace(rc.grid_lo, rc.grid_hi, max(9, rc.grid_n // 4))
-    min_eig = np.inf
-    for x in xs:
-        sm = ctl.shaped_multipliers(sys_, shp, np.array([x, 0.0]))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(sm.gtilde).min()))
+    gtilde = np.array([[np.broadcast_to(v, xs.shape) for v in r]
+                       for r in kinetic_matrix(sys_, shp, [xs])])
+    # a NaN anywhere reads NaN and fails the row
+    min_eig = float(np.linalg.eigvalsh(np.moveaxis(gtilde, -1, 0)).min())
     row["min_eig_gtilde"] = min_eig
     sweep_rc = replace(rc, gains=gains, t_end=min(rc.t_end, 2.0), dt=max(rc.dt, 1e-3))
     try:
@@ -474,7 +474,8 @@ def cmd_sweep(args) -> int:
     sigmas = rc.sweep_sigma or [rc.gains.sigma]
     rhos = rc.sweep_rho or [rc.gains.rho]
     combos = [(k, s, r) for k in ks for s in sigmas for r in rhos]
-    with ThreadPoolExecutor(max_workers=_sweep_threads(len(combos))) as ex:
+    # one worker, so rows run in order; perfbench wraps cli.ThreadPoolExecutor by name
+    with ThreadPoolExecutor(max_workers=1) as ex:
         rows = list(ex.map(lambda c: _sweep_one(rc, *c), combos))
     out_dir = Path(rc.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -492,20 +493,6 @@ def cmd_sweep(args) -> int:
         print(f"sweep row k={row['k']} sigma={row['sigma']} rho={row['rho']}: "
               f"{row['error']}", file=_sys.stderr)
     return 1 if errored else 0
-
-
-def _sweep_threads(n_combos: int) -> int:
-    """Pool size: MATCHCTL_THREADS when set and not empty, else min(8, combos)."""
-    raw = os.environ.get("MATCHCTL_THREADS", "").strip()
-    if not raw:
-        return min(8, n_combos)
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0                       # reported below like any other value under 1
-    if n < 1:
-        raise ConfigError(f"MATCHCTL_THREADS must be an integer >= 1, got {raw!r}")
-    return n
 
 
 def _parser() -> argparse.ArgumentParser:

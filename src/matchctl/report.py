@@ -63,25 +63,26 @@ class ResidualEntry:
         return cls(name=name, value=0.0, tol=0.0, passed=True, skipped=True, note=note)
 
     @classmethod
-    def max_over(cls, name: str, values: np.ndarray, tol: float, raws: np.ndarray,
+    def max_over(cls, name: str, values: np.ndarray, tol: float, raws: np.ndarray | None = None,
                  skipped: np.ndarray | None = None, note: str = "") -> "ResidualEntry":
         """What `ResidualReport.merge_max` makes of one entry per point, given
         as arrays with one element per point: the value and raw of the first
         live point whose value is largest (a NaN counts only at the first live
         point, as Python's ``max`` takes it), passed when every live point
-        passes, and a skip when every point is skipped.  ``note`` is a skipped
-        point's note, which the merged entry keeps when the first point is
-        skipped."""
+        passes, and a skip when every point is skipped.  Without ``raws`` the
+        raw is None.  ``note`` is a skipped point's note, which the merged
+        entry keeps when the first point is skipped."""
         live = None if skipped is None else ~np.asarray(skipped)
         if live is not None:
             if not live.any():
                 return cls.skip(name, note)
             at = np.flatnonzero(live)
-            values, raws = values[at], raws[at]
+            values, raws = values[at], None if raws is None else raws[at]
         worst = 0 if np.isnan(values[0]) else np.argmax(np.where(np.isnan(values), -np.inf,
                                                                  values))
         return cls(name=name, value=float(values[worst]), tol=float(tol),
-                   passed=bool(np.all(values <= tol)), raw=float(raws[worst]),
+                   passed=bool(np.all(values <= tol)),
+                   raw=None if raws is None else float(raws[worst]),
                    note="" if live is None or live[0] else note)
 
 

@@ -96,6 +96,15 @@ def test_readme_key_table_is_the_config_table():
     assert rows == [(key, default) for key, (_, default, _) in cli._KEYS.items()]
 
 
+def test_no_module_reads_the_environment():
+    # every setting is a config key in cli._KEYS, so none comes from the environment
+    src = Path(cli.__file__).resolve().parent
+    readers = [f"{path.name}:{ln}" for path in sorted(src.glob("*.py"))
+               for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+               if re.search(r"\benviron\b|\bgetenv\b", line)]
+    assert readers == []
+
+
 def test_last_duplicate_key_wins_and_unread_keys_are_accepted(tmp_path):
     ns = type("NS", (), {"tol": None, "grid": None, "seed": None, "out": None})
     path = write_cfg(tmp_path, "dup.cfg", "system = cartpole\ngains.k = 5\ngains.k = 40\n"
@@ -235,8 +244,7 @@ def test_synthesize_tau_below_bound(tmp_path, capsys):
     assert main(["synthesize-tau", "--config", cfg]) == 1
 
 
-def test_sweep(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MATCHCTL_THREADS", "2")
+def test_sweep(tmp_path, capsys):
     text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 5, 35\nsweep.sigma = 1.0\n"
     cfg = write_cfg(tmp_path, "cp.cfg", text)
     assert main(["sweep", "--config", cfg]) == 0
@@ -245,11 +253,10 @@ def test_sweep(tmp_path, capsys, monkeypatch):
     assert len(rows) == 3
 
 
-def test_sweep_incline_gain_near_pole_of_A(tmp_path, capsys, monkeypatch):
+def test_sweep_incline_gain_near_pole_of_A(tmp_path, capsys):
     # At this gain an unclipped h-curve span puts a quadrature node exactly on
     # the pole of A(x); the observers must build the curve on the pole-free
     # window instead.
-    monkeypatch.setenv("MATCHCTL_THREADS", "1")
     text = INCLINE_FAST.format(out=tmp_path / "out") + "sweep.k = 4.298955178366427\n"
     cfg = write_cfg(tmp_path, "inc.cfg", text)
     with warnings.catch_warnings():
@@ -262,8 +269,7 @@ def test_sweep_incline_gain_near_pole_of_A(tmp_path, capsys, monkeypatch):
     assert row["events"] == 0
 
 
-def test_sweep_reports_errored_rows(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MATCHCTL_THREADS", "1")
+def test_sweep_reports_errored_rows(tmp_path, capsys):
     # k = 2 is below the gain bound, so that row cannot build its observers
     text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 2.0, 35\n"
     cfg = write_cfg(tmp_path, "cp.cfg", text)
@@ -289,8 +295,7 @@ def test_sweep_reports_errored_rows(tmp_path, capsys, monkeypatch):
     ("sweep.rho = 2.0, -inf\n", "sweep.rho"),
 ], ids=["sigma-zero", "sigma-negative", "sigma-nan", "k-inf", "k-nan", "ic-length",
         "rho-zero", "rho-nan", "rho-inf"])
-def test_sweep_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, extra, key):
-    monkeypatch.setenv("MATCHCTL_THREADS", "1")
+def test_sweep_bad_values_are_config_errors(tmp_path, capsys, extra, key):
     text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 35\n" + extra
     cfg = write_cfg(tmp_path, "cp.cfg", text)
     assert main(["sweep", "--config", cfg]) == 2
@@ -310,8 +315,7 @@ def test_invalid_rho_is_config_error(tmp_path, capsys, command, rho):
     assert err.startswith("config error: gains.rho must be finite and nonzero, got ")
 
 
-def test_sweep_negative_rho_is_reported_not_rejected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MATCHCTL_THREADS", "1")
+def test_sweep_negative_rho_is_reported_not_rejected(tmp_path, capsys):
     text = INCLINE_FAST.format(out=tmp_path / "out") + "sweep.rho = -1.0, 2.0\n"
     cfg = write_cfg(tmp_path, "rho.cfg", text)
     assert main(["sweep", "--config", cfg, "--json"]) == 0
@@ -320,21 +324,28 @@ def test_sweep_negative_rho_is_reported_not_rejected(tmp_path, capsys, monkeypat
     assert pos["min_eig_gtilde"] > 0 and pos["pass"] is True
 
 
-@pytest.mark.parametrize("value", ["", "  "])
-def test_sweep_threads_empty_means_unset(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("MATCHCTL_THREADS", value)
-    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 35\n"
-    cfg = write_cfg(tmp_path, "cp.cfg", text)
-    assert main(["sweep", "--config", cfg]) == 0
-
-
-@pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
-def test_sweep_threads_invalid_is_config_error(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("MATCHCTL_THREADS", value)
-    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 35\n"
-    cfg = write_cfg(tmp_path, "cp.cfg", text)
-    assert main(["sweep", "--config", cfg]) == 2
-    assert "MATCHCTL_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("fast, sweep", [
+    (CARTPOLE_FAST, "sweep.k = 5, 35\nsweep.rho = -0.7, 1, 2\n"),
+    (INCLINE_FAST, "sweep.k = 20, 35\nsweep.sigma = 0.3, 1\nsweep.rho = -0.7, 2\n"),
+], ids=["cartpole", "incline"])
+def test_sweep_min_eig_is_the_shaped_multipliers_minimum(tmp_path, capsys, fast, sweep):
+    text = fast.format(out=tmp_path / "out") + "sim.t_end = 0.05\n" + sweep
+    cfg = write_cfg(tmp_path, "eig.cfg", text)
+    main(["sweep", "--config", cfg, "--json"])        # the exit code is not under test
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    rc = RunConfig.load(cfg, cli._parser().parse_args(["sweep", "--config", cfg]))
+    p = rc.params
+    sys_ = cartpole_system(p) if rc.system == "cartpole" else incline_system(p)
+    shaping = ctl.cartpole_shaping if rc.system == "cartpole" else ctl.incline_base_shaping
+    xs = np.linspace(rc.grid_lo, rc.grid_hi, max(9, rc.grid_n // 4))
+    assert any(row["rho"] < 0 for row in rows)
+    for row in rows:
+        gains = ctl.GainSelection(k=row["k"], sigma=row["sigma"], rho=row["rho"],
+                                  c=rc.gains.c, s0=rc.gains.s0)
+        shp = shaping(p, gains)
+        eigs = [np.linalg.eigvalsh(ctl.shaped_multipliers(sys_, shp, np.array([x, 0.0])).gtilde)
+                for x in xs]
+        assert row["min_eig_gtilde"] == min(float(e.min()) for e in eigs)
 
 
 def test_bad_usage_exit_codes(tmp_path, capsys):
@@ -499,8 +510,7 @@ def test_gain_with_anchor_outside_window_is_config_error(tmp_path, capsys, comma
     assert err.rstrip().endswith(ANCHOR_MESSAGE)
 
 
-def test_sweep_gain_with_anchor_outside_window_is_errored_row(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MATCHCTL_THREADS", "1")
+def test_sweep_gain_with_anchor_outside_window_is_errored_row(tmp_path, capsys):
     text = INCLINE_FAST.format(out=tmp_path / "out") + "sweep.k = 3.2, 35\n"
     cfg = write_cfg(tmp_path, "anchor.cfg", text)
     assert main(["sweep", "--config", cfg, "--json"]) == 1

@@ -131,6 +131,20 @@ def test_validate_flags_negative_metric():
     assert not entry.passed and entry.value < 0
 
 
+def test_validate_flags_nan_metric():
+    # g_sg = x * NaN: a NaN fails every entry that reads the metric
+    x = fl.coordinate(0, 1)
+    sys_ = build_mechanical_system(
+        Dims(1, 1), [[fl.constant(1.0, 1)]], [[float("nan") * x]],
+        [[fl.constant(1.0, 1)]], fl.constant(0.0, 2))
+    rep = validate_system(sys_, n_samples=5)
+    assert not rep.overall_pass
+    failed = {e.name for e in rep.entries if not e.passed}
+    assert failed == {"block_symmetry", "metric_min_eigenvalue", "derivative_consistency"}
+    assert rep.entry("group_symmetry").passed
+    assert all(e.raw is None for e in rep.entries)
+
+
 def test_validate_cartpole(cartpole):
     rep = validate_system(cartpole, n_samples=25, x_range=(-1.3, 1.3))
     assert rep.overall_pass

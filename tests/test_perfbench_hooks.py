@@ -1,9 +1,9 @@
 """The per-layer benchmark (``perfbench/run.py --trace 1``) patches matchctl at
 names it looks up by string: the layer functions it wraps in spans, the
-sweep's thread pool, and the curve builders and quadrature it counts.  These
-tests fail when a refactor renames one of them, before the benchmark does.
-The last one loads every config the benchmark writes, so a stricter config
-loader fails here first too.
+sweep's one-worker executor, and the curve builders and quadrature it
+counts.  These tests fail when a refactor renames one of them, before the
+benchmark does.  The last one loads every config the benchmark writes, so a
+stricter config loader fails here first too.
 """
 
 import argparse
@@ -36,9 +36,8 @@ def perfbench(monkeypatch):
     return importlib.import_module("tracing"), importlib.import_module("run")
 
 
-def test_spans_install_and_restore(perfbench, tmp_path, capsys, monkeypatch):
+def test_spans_install_and_restore(perfbench, tmp_path, capsys):
     tracing, _ = perfbench
-    monkeypatch.setenv("MATCHCTL_THREADS", "2")
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG.format(out=tmp_path / "out"))
     tracer = tracing.Tracer()
@@ -52,9 +51,8 @@ def test_spans_install_and_restore(perfbench, tmp_path, capsys, monkeypatch):
             "control.closed_loop", "sim.integrate"} <= names
 
 
-def test_call_counter_and_count_metrics(perfbench, tmp_path, capsys, monkeypatch):
+def test_call_counter_and_count_metrics(perfbench, tmp_path, capsys):
     tracing, run = perfbench
-    monkeypatch.setenv("MATCHCTL_THREADS", "1")
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG.format(out=tmp_path / "out"))
     counter = tracing.CallCounter(matchctl)
