@@ -230,8 +230,7 @@ def make_shaped_energy(sys: MechanicalSystem, shaping: ShapingParams,
         M = kinetic_matrix(sys, shaping, list(state.q[:sys.dims.n_shape]))
         return float(kinetic_energy(M, state.qdot))
 
-    pot = potential if callable(potential) else potential.value
-    return ShapedEnergy(kinetic=kinetic, potential=pot)
+    return ShapedEnergy(kinetic=kinetic, potential=potential)
 
 
 # 8-point Gauss-Legendre rule on [-1, 1], nodes and weights correctly rounded
@@ -245,28 +244,23 @@ _EPSABS, _EPSREL = 1e-12, 1e-8
 _CURVE_POINTS = 801     # grid points of every cached curve
 _MAX_LEVELS = 50        # bisection levels of one cell
 _MAX_PIECES = 64        # pieces of one cell still unconverged at one level
-_CALL_PIECES = 256      # pieces per integrand call, which bounds its temporaries
 
 
 def _gauss(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
            where: Callable[[int], str]) -> np.ndarray:
-    """The 8-point rule on every piece [a_j, b_j], calling f on the nodes of
-    up to 256 pieces at a time.  A non-finite integrand value is a ValueError
-    naming the cell of its piece, ``where(j)``."""
+    """The 8-point rule on every piece [a_j, b_j], calling f once on the nodes
+    of all the pieces.  A non-finite integrand value is a ValueError naming
+    the cell of its piece, ``where(j)``."""
     c, r = 0.5 * (a + b), 0.5 * (b - a)
-    out = np.empty(len(a))
-    for j0 in range(0, len(a), _CALL_PIECES):
-        rj = r[j0:j0 + _CALL_PIECES]
-        x = c[j0:j0 + _CALL_PIECES, None] + rj[:, None] * _GL_T
-        with np.errstate(all="ignore"):
-            fx = np.broadcast_to(np.asarray(f(x.ravel()), dtype=float), x.size).reshape(x.shape)
-        finite = np.isfinite(fx)
-        if not finite.all():
-            j, i = np.argwhere(~finite)[0]
-            raise ValueError(f"cumulative integral: the integrand is {float(fx[j, i])!r} at "
-                             f"x = {float(x[j, i])!r}, in {where(j0 + j)}")
-        out[j0:j0 + _CALL_PIECES] = rj * (fx * _GL_W).sum(axis=1)
-    return out
+    x = c[:, None] + r[:, None] * _GL_T
+    with np.errstate(all="ignore"):
+        fx = np.broadcast_to(np.asarray(f(x.ravel()), dtype=float), x.size).reshape(x.shape)
+    finite = np.isfinite(fx)
+    if not finite.all():
+        j, i = np.argwhere(~finite)[0]
+        raise ValueError(f"cumulative integral: the integrand is {float(fx[j, i])!r} at "
+                         f"x = {float(x[j, i])!r}, in {where(j)}")
+    return r * (fx * _GL_W).sum(axis=1)
 
 
 def _cell_integrals(f: Callable[[np.ndarray], np.ndarray], a0: np.ndarray,
@@ -349,9 +343,6 @@ class PotentialCurve(Curve):
 
     def value(self, q) -> float:
         return self.at(float(np.atleast_1d(q)[0]))
-
-    def value_array(self, x: np.ndarray) -> np.ndarray:
-        return self.read(x)
 
     __call__ = value
 
@@ -476,7 +467,7 @@ def cartpole_observed_loop(p: CartpoleParams, gains: GainSelection, x_max: float
         D = al * ga - be ** 2 * cx ** 2
         g11 = ga * k ** 2 * (sigma + 1) * D + 2 * be * k * cx * np.sqrt(D) + al
         g12 = ga * k * np.sqrt(D) + be * cx
-        return g11, g12, ga, pot.value_array(x)
+        return g11, g12, ga, pot.read(x)
 
     return loop, control, _energy_observer(parts)
 

@@ -11,6 +11,7 @@ solver exploit; the solver takes N states as one stacked solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,18 +84,17 @@ def _stack(values, lead: tuple) -> np.ndarray:
 @dataclass(frozen=True)
 class ShapingParams:
     """Feedback-shaping freedom: tau one-form, sigma bilinear form, vertical
-    metric scale rho (or an explicit constant vertical metric), and an
-    optional extra potential.
+    metric scale rho (the modified vertical metric is g_rho = rho g_gg), and
+    an optional extra potential.
 
-    ``tau[a][alpha]`` are SmoothFields over the shape coordinates.  The
-    special matching choice (vertical metric unchanged) is rho=1 with no
-    explicit matrix.
+    ``tau[a][alpha]`` are SmoothFields over the shape coordinates; rho must be
+    finite and nonzero.  The special matching choice (vertical metric
+    unchanged) is rho=1.
     """
 
     tau: tuple
     sigma: np.ndarray
     rho: float = 1.0
-    g_rho: np.ndarray | None = None
     epsilon_potential: SmoothField | None = None
 
     def __post_init__(self):
@@ -106,13 +106,8 @@ class ShapingParams:
         if np.abs(sigma - sigma.T).max() > 1e-12 * max(1.0, np.abs(sigma).max()):
             raise ValueError("sigma must be symmetric")
         object.__setattr__(self, "sigma", sigma)
-        if self.g_rho is not None:
-            g_rho = np.asarray(self.g_rho, dtype=float)
-            if np.abs(g_rho - g_rho.T).max() > 1e-12 * max(1.0, np.abs(g_rho).max()):
-                raise ValueError("g_rho must be symmetric")
-            if self.rho != 1.0:
-                raise ValueError("give either scalar rho or an explicit g_rho, not both")
-            object.__setattr__(self, "g_rho", g_rho)
+        if not (math.isfinite(self.rho) and self.rho != 0.0):
+            raise ValueError(f"rho must be finite and nonzero, got {self.rho!r}")
 
     @property
     def n_group(self) -> int:
@@ -124,7 +119,7 @@ class ShapingParams:
 
     @property
     def is_special_matching(self) -> bool:
-        return self.g_rho is None and self.rho == 1.0
+        return self.rho == 1.0
 
     @staticmethod
     def zero(dims: Dims, sigma: np.ndarray | None = None) -> "ShapingParams":
@@ -243,40 +238,16 @@ def el_residual(sys: MechanicalSystem, state: State, accel: np.ndarray) -> np.nd
                      el_covector(sys, list(state.q), list(state.qdot), list(accel))])
 
 
-def _vertical_rho(sys: MechanicalSystem, shaping: ShapingParams, x, ggg) -> float:
-    """The scalar rho with g_rho = rho g_gg.  For an explicit g_rho it is read
-    at the shape point 0, and checked there and at the value parts of the
-    shape points x (floats or jets, one point or N), where ``ggg`` holds g_gg:
-    a vertical metric that is no scalar multiple of g_gg raises
-    NotImplementedError, naming the first such x."""
-    g_rho = shaping.g_rho
-    if g_rho is None:
-        return shaping.rho
-    what = "controlled field requires the vertical metric to be a scalar multiple of g_gg"
-    at_zero = sys.ggg(np.zeros(sys.dims.n_shape))
-    rho = float(g_rho[0, 0] / at_zero[0, 0])
-    lead = np.shape(value_of(x[0]))
-    g = _stack([v for row in ggg for v in row], lead).reshape((-1,) + g_rho.shape)
-    off = np.abs(g_rho - rho * np.concatenate([at_zero[None], g])).max(axis=(1, 2)) \
-        > 1e-10 * max(1.0, np.abs(g_rho).max())
-    if off[0]:
-        raise NotImplementedError(what)
-    if off.any():
-        xs = _stack(x, lead).reshape(-1, len(x))[np.flatnonzero(off)[0] - 1]
-        raise NotImplementedError(f"{what}; it is not at x = {xs.tolist()}")
-    return rho
-
-
 def controlled_el_covector(sys: MechanicalSystem, shaping: ShapingParams, q, qd, qdd):
     """Covector of the controlled system: shape rows unchanged, group rows get
-    the shaping terms (and scalar-rho/extra-potential terms when present)."""
+    the shaping terms (and the rho and extra-potential terms when present)."""
     ns, ng = sys.dims.n_shape, sys.dims.n_group
     x = list(q[:ns])
     xd = list(qd[:ns])
     xdd = list(qdd[:ns])
     data = _metric_data(sys, q)
     _, _, ggg, _, _, dgg, dV = data
-    rho = _vertical_rho(sys, shaping, x, ggg)
+    rho = shaping.rho
     phi = _el_covector(sys, data, qd, qdd)
     tau = block_entries(shaping.tau, x)
     dtau = _gradients(shaping.tau, x)
@@ -318,15 +289,11 @@ def kinetic_matrix(sys: MechanicalSystem, shaping: ShapingParams, x_coords):
     if special:
         varpi = None
     else:
-        target = shaping.g_rho
         ggg_inv = _inv_generic(ggg)
         # zeta^a_alpha = g^{ac} g_{alpha c}
         zeta = [[sum(ggg_inv[a][c] * gsg[al][c] for c in range(ng)) for al in range(ns)]
                 for a in range(ng)]
-        if target is not None:
-            varpi = [[target[a][b] - ggg[a][b] for b in range(ng)] for a in range(ng)]
-        else:
-            varpi = [[(shaping.rho - 1.0) * ggg[a][b] for b in range(ng)] for a in range(ng)]
+        varpi = [[(shaping.rho - 1.0) * ggg[a][b] for b in range(ng)] for a in range(ng)]
 
     n = ns + ng
     M = [[0.0] * n for _ in range(n)]
@@ -564,9 +531,6 @@ def feedback_control(sys: MechanicalSystem, shaping: ShapingParams, state: State
     """Feedback closing the group equations of the controlled system: the
     group rows of the mechanical system's Euler-Lagrange covector minus those
     of the controlled system, at the state and the accelerations.
-
-    A vertical metric that is not a scalar multiple of g_gg raises
-    NotImplementedError, as `controlled_el_covector` does.
     """
     ns = sys.dims.n_shape
     q, qd, qdd = list(state.q), list(state.qdot), list(np.asarray(accel, dtype=float))

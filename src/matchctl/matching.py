@@ -196,14 +196,9 @@ def generalized_matching_residuals(sys: MechanicalSystem, shaping: ShapingParams
     entries, ggg_inv = _m1_m2(shaping, x, gsg, ggg, dgg, tau, tol, ("GM1", "GM2"))
     report = ResidualReport("generalized matching conditions", entries)
 
-    # varpi_{ab,alpha}: constant explicit g_rho differentiates to -dgg;
-    # scalar rho to (rho-1)*dgg
-    if shaping.g_rho is not None:
-        g_rho = np.broadcast_to(shaping.g_rho, ggg.shape)
-        dvarpi = -dgg
-    else:
-        g_rho = shaping.rho * ggg
-        dvarpi = (shaping.rho - 1.0) * dgg
+    # g_rho = rho g_gg, so varpi_{ab,alpha} = (rho-1) g_{ab,alpha}
+    g_rho = shaping.rho * ggg
+    dvarpi = (shaping.rho - 1.0) * dgg
     varpi = g_rho - ggg
     report.add(ResidualEntry.normalized("GM3", dvarpi, [varpi], tol))
 

@@ -55,7 +55,7 @@ def test_criterion_1_cartpole_reproduction():
             + 2 * REF.beta * GAINS.k * cx * np.sqrt(D) + REF.alpha
         g12 = REF.gamma * GAINS.k * np.sqrt(D) + REF.beta * cx
         return 0.5 * (g11 * xd ** 2 + 2 * g12 * xd * sd + REF.gamma * sd ** 2) \
-            + pot.value_array(x)
+            + pot.read(x)
 
     state0 = State(q=[math.pi / 2 - 0.2, 0.0], qdot=[0.1, -3.0])
     traj = integrate(loop, state0, dt=1e-4, t_end=10.0, energy=energy,

@@ -14,8 +14,8 @@ from matchctl.lagrangian import (ShapingParams, SingularBlockError,
                                  lagrangian_value, legendre_transform, scalar_sigma_matrix,
                                  solve_accel, uncontrolled_sode)
 from matchctl.matching import new_tau_closed_form
-from matchctl.model import (CartpoleParams, Dims, InclineParams, State,
-                            build_mechanical_system, cartpole_system, incline_system)
+from matchctl.model import (CartpoleParams, Dims, InclineParams, State, cartpole_system,
+                            incline_system)
 
 
 def fd_el_oracle(sys, state, accel, h=1e-5):
@@ -283,41 +283,14 @@ def test_feedback_incline_degenerates(reference_params):
                        feedback_control(cp, shp_c, st, accel), rtol=0, atol=1e-14)
 
 
-def test_non_scalar_vertical_metric_is_not_implemented():
-    # g_rho = diag(1, 2) is no scalar multiple of g_gg = I, so neither the
-    # controlled covector nor the feedback read from it is defined
-    sys_ = free_particle(1, 2)
-    zero = fl.constant(0.0, 1)
-    shp = ShapingParams(tau=((zero,), (zero,)), sigma=np.eye(2), g_rho=np.diag([1.0, 2.0]))
-    st = State(q=[0.1, 0.2, 0.3], qdot=[0.4, -0.5, 0.6])
-    with pytest.raises(NotImplementedError):
-        feedback_control(sys_, shp, st, np.zeros(3))
-    with pytest.raises(NotImplementedError):
-        controlled_implicit_sode(sys_, shp).phi(list(st.q), list(st.qdot), [0.0] * 3)
-
-
-def test_vertical_metric_proportional_only_at_zero_is_not_implemented():
-    # g_rho = 2 equals rho g_gg(x) = 2 (1 + x^2) at x = 0 only: rho is read
-    # there, and every other shape point evaluated must raise
-    sys_ = build_mechanical_system(
-        Dims(1, 1), [[fl.constant(1.0, 1)]], [[fl.constant(0.0, 1)]],
-        [[1.0 + fl.coordinate(0, 1) * fl.coordinate(0, 1)]], fl.constant(0.0, 2))
-    shp = ShapingParams(tau=((fl.constant(0.0, 1),),), sigma=np.eye(1), g_rho=np.array([[2.0]]))
-    phi = controlled_implicit_sode(sys_, shp).phi
-    st = State(q=[0.5, 0.2], qdot=[0.4, -0.5])
-    with pytest.raises(NotImplementedError, match=r"it is not at x = \[0\.5\]"):
-        feedback_control(sys_, shp, st, np.zeros(2))
-    with pytest.raises(NotImplementedError, match=r"it is not at x = \[0\.5\]"):
-        phi(list(st.q), list(st.qdot), [0.0] * 2)
-    with pytest.raises(NotImplementedError, match=r"it is not at x = \[0\.5\]"):
-        phi(jet_vars(list(st.q) + list(st.qdot))[:2], list(st.qdot), [0.0] * 2)
-    # N points: the first point that fails is named
-    q = [np.array([0.0, -0.25, 0.5]), np.zeros(3)]
-    with pytest.raises(NotImplementedError, match=r"it is not at x = \[-0\.25\]"):
-        phi(q, q, q)
-    # at x = 0 the covector is defined
-    at_zero = State(q=[0.0, 0.2], qdot=[0.4, -0.5])
-    assert np.isfinite(feedback_control(sys_, shp, at_zero, np.zeros(2))).all()
+@pytest.mark.parametrize("rho", [0.0, math.nan, math.inf, -math.inf],
+                         ids=["zero", "nan", "inf", "-inf"])
+def test_shaping_rejects_rho_outside_its_domain(reference_params, rho):
+    # the controlled covector divides by rho, so g_rho = rho g_gg must be a
+    # finite, nonsingular metric
+    shp = cartpole_shaping(reference_params, GainSelection(k=35.0))
+    with pytest.raises(ValueError, match=r"^rho must be finite and nonzero, got "):
+        ShapingParams(tau=shp.tau, sigma=shp.sigma, rho=rho)
 
 
 def test_controlled_sode_zero_tau_matches_uncontrolled(cartpole):

@@ -109,10 +109,9 @@ def test_sigma_not_scalar_skips_sm3():
 
 def test_generalized_reduces_when_vertical_unchanged():
     sys_, shp = sm_shaping(4, Dims(1, 2))
-    explicit = ShapingParams(tau=shp.tau, sigma=shp.sigma,
-                             g_rho=sys_.ggg(np.zeros(1)))
+    assert shp.rho == 1.0
     for x in (-0.8, 0.1, 0.9):
-        rep = generalized_matching_residuals(sys_, explicit, np.array([x]))
+        rep = generalized_matching_residuals(sys_, shp, np.array([x]))
         assert rep.overall_pass
         assert rep.max_value() < 1e-12
 
@@ -127,8 +126,7 @@ def test_generalized_scalar_rho_constant_varpi(incline_params):
 
 def test_generalized_nonconstant_varpi():
     sys_ = uncoupled_system(group_constant=False)
-    shp = ShapingParams(tau=((fl.constant(0.0, 1),),), sigma=np.array([[1.0]]),
-                        g_rho=np.array([[2.0]]))
+    shp = ShapingParams(tau=((fl.constant(0.0, 1),),), sigma=np.array([[1.0]]), rho=2.0)
     rep = generalized_matching_residuals(sys_, shp, np.array([0.4]))
     assert rep.value("GM3") > 0.0
 
@@ -680,7 +678,3 @@ def test_singular_block_names_block_and_first_point():
     # SM3, the only reader of g_gg^-1 here, is skipped at x = 0
     rep = check_on_grid(simplified_matching_residuals, sys_, shp, grid)
     assert not rep.entry("SM3").skipped
-    # an explicit singular g_rho is singular at every point
-    flat = ShapingParams(tau=shp.tau, sigma=shp.sigma, g_rho=np.diag([1.0, 0.0]))
-    with pytest.raises(ValueError, match=r"^g_rho is singular at x = -1$"):
-        check_on_grid(generalized_matching_residuals, partly_scalar_group_system(), flat, grid)
