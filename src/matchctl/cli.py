@@ -85,7 +85,8 @@ _KEYS = {
     "gains.s0": (float, "0", None),
     "sim.dt": (float, "1e-4", _POSITIVE_FINITE),
     "sim.t_end": (float, "10", _POSITIVE_FINITE),
-    "sim.ic": (_floats, "0, 0, 0, 0", None),
+    "sim.ic": (_floats, "0, 0, 0, 0", (lambda v: all(map(math.isfinite, v)),
+                                       "{key} must be finite, got {value!r}")),
     "sim.guard": (float, "1.5707963267948966", (lambda v: not math.isnan(v),
                                                 "{key} must not be NaN")),
     "grid.n": (int, "41", _AT_LEAST_1),

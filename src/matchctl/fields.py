@@ -9,12 +9,16 @@ also a mix of the two, since jet arithmetic takes float operands: callers
 that evaluate at such coordinates call ``fn`` directly, and a constant field
 stays a float there.
 ``value`` is one float pass, and ``d1``/``d2`` read the gradient and Hessian
-of one pass over seeded jets, which is exact forward-mode differentiation.
-The algebra composes these functions and folds constant fields when the
-expression is built.
+of one pass over seeded jets (`SmoothField.point_jet`), which is exact
+forward-mode differentiation; at one point of a field of arity 1 those jets
+carry float parts, which skip numpy's per-operation cost on one-element
+arrays.  The algebra composes these functions and folds constant fields when
+the expression is built.
 
 `eval_blocks` evaluates blocks of fields at N points at once, one array-jet
-pass per distinct field.
+pass per distinct field.  `read_at` reads blocks of fields at one float
+point, one ``point_jet`` pass per distinct field giving both its value (the
+float pass bit for bit) and its first partials.
 
 `gradient` gives a field's first partials at float or jet coordinates, as the
 Euler-Lagrange covector needs them (float zeros for a constant field), at one
@@ -48,6 +52,7 @@ __all__ = [
     "cos_of",
     "sqrt_of",
     "eval_blocks",
+    "read_at",
     "gradient",
     "spline_reader",
     "Curve",
@@ -81,15 +86,29 @@ class SmoothField:
         out = self.fn(jets)
         return out if isinstance(out, Jet2) else as_jet(out, jets[0])
 
+    def point_jet(self, u) -> Jet2:
+        """One pass over jets seeded at u: float parts over one seed at one
+        point, else `jets.jet_vars` parts."""
+        if self.arity == 1 and not isinstance(u[0], np.ndarray):
+            return self.eval_jet([Jet2(float(u[0]), 1.0, 0.0)])
+        return self.eval_jet(jet_vars(u))
+
     def d1(self, u) -> np.ndarray:
+        """The gradient (arity,) at one point, or (arity, N) at N points, from
+        one `point_jet` pass; zeros (arity,) for a constant field."""
         if self.const is not None:
             return np.zeros(self.arity)
-        return self.eval_jet(jet_vars(u)).g
+        g = self.point_jet(u).g
+        return g if isinstance(g, np.ndarray) else np.array([g])
 
     def d2(self, u) -> np.ndarray:
+        """The Hessian (arity, arity) at one point, or (arity, arity, N) at N
+        points, from one `point_jet` pass; zeros (arity, arity) for a constant
+        field."""
         if self.const is not None:
             return np.zeros((self.arity, self.arity))
-        return self.eval_jet(jet_vars(u)).h
+        h = self.point_jet(u).h
+        return h if isinstance(h, np.ndarray) else np.array([[h]])
 
     # -- algebra --------------------------------------------------------------
 
@@ -155,7 +174,7 @@ def linear(coeffs: Sequence[float], const: float, arity: int) -> SmoothField:
     """sum(c_i u_i) + b."""
     c = [float(v) for v in coeffs]
     b = float(const)
-    return SmoothField(arity, lambda u: sum(ci * ui for ci, ui in zip(c, u)) + b)
+    return SmoothField(arity, lambda u: sum(map(operator.mul, c, u)) + b)
 
 
 def sin_of(field: SmoothField) -> SmoothField:
@@ -203,6 +222,30 @@ def eval_blocks(blocks, xs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         result.append((np.stack(vals, axis=1).reshape(shape),
                        np.stack(grads, axis=1).reshape(shape + (arity,))))
     return result
+
+
+def read_at(blocks, coords) -> dict | None:
+    """``{field: (value, partials)}`` for each distinct field of ``blocks``
+    (sequences of rows of fields) at one float point ``coords``, the partials
+    a list of floats; None at jets or at N points.
+
+    Each non-constant field makes one `SmoothField.point_jet` pass, whose value
+    part is the float pass bit for bit and whose gradient is that of `gradient`
+    at floats; a constant field reads its value and float zeros."""
+    if any(isinstance(c, (Jet2, np.ndarray)) for c in coords):
+        return None
+    out = {}
+    for block in blocks:
+        for row in block:
+            for f in row:
+                if f in out:
+                    continue
+                if f.const is not None:
+                    out[f] = f.const, [0.0] * f.arity
+                else:
+                    jet = f.point_jet(coords)
+                    out[f] = jet.f, jet.g.tolist() if isinstance(jet.g, np.ndarray) else [jet.g]
+    return out
 
 
 def gradient(field: SmoothField, coords) -> Sequence:

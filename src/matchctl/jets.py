@@ -16,6 +16,13 @@ one pass with, at each point, the floats of a scalar jet.  `jet_vars` seeds
 such jets from m arrays of points, and `solve_generic` pivots each point on
 its own.
 
+A jet over one seed variable at one point may hold its gradient and Hessian
+as floats instead of (1,) and (1, 1) arrays: the same floats, without numpy's
+per-operation cost on one-element arrays.  Only the outer products of `Jet2`
+multiplication, division and `chain` need to tell the two apart; every other
+operation takes either.  `jet_vars` seeds array parts; the float read-outs of
+`fields` (``SmoothField.d1``/``d2`` at one point of arity 1) seed float parts.
+
 `value_grad_hess` is the one derivative read-out: every residual engine takes
 the values, gradients and Hessians of a list-valued function at one point or
 at N points from it, over jets (``backend="jet"``) or over the difference
@@ -50,9 +57,20 @@ __all__ = [
 _CONST = (Real, np.ndarray)     # constant operands: a float, or one float per point
 
 
+def _outer(a, b):
+    """The outer product of two gradients: a (m, m[, N]) array, or a float for
+    float parts."""
+    return a[:, None] * b if isinstance(a, np.ndarray) else a * b
+
+
+def _transpose(c):
+    return c.swapaxes(0, 1) if isinstance(c, np.ndarray) else c
+
+
 class Jet2:
     """Truncated second-order Taylor data: value, gradient (m,), Hessian (m, m),
-    each with a trailing point axis (N,) for a jet over N points."""
+    each with a trailing point axis (N,) for a jet over N points; or, over one
+    seed at one point, a float gradient and Hessian."""
 
     __slots__ = ("f", "g", "h")
     __array_ufunc__ = None      # an array operand on the left defers to the jet
@@ -64,7 +82,7 @@ class Jet2:
 
     @property
     def m(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[0] if isinstance(self.g, np.ndarray) else 1
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -91,11 +109,11 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            cross = self.g[:, None] * other.g
+            cross = _outer(self.g, other.g)
             return Jet2(
                 self.f * other.f,
                 self.f * other.g + other.f * self.g,
-                self.f * other.h + other.f * self.h + cross + cross.swapaxes(0, 1),
+                self.f * other.h + other.f * self.h + cross + _transpose(cross),
             )
         if type(other) is float or isinstance(other, _CONST):
             return Jet2(self.f * other, self.g * other, self.h * other)
@@ -110,8 +128,8 @@ class Jet2:
                 raise ZeroDivisionError("jet division by zero value part")
             q = self.f / other.f
             gq = (self.g - q * other.g) / other.f
-            cross = gq[:, None] * other.g
-            hq = (self.h - q * other.h - cross - cross.swapaxes(0, 1)) / other.f
+            cross = _outer(gq, other.g)
+            hq = (self.h - q * other.h - cross - _transpose(cross)) / other.f
             return Jet2(q, gq, hq)
         if type(other) is float or isinstance(other, _CONST):
             return Jet2(self.f / other, self.g / other, self.h / other)
@@ -138,8 +156,7 @@ class Jet2:
 def chain(x: Jet2, u: float, du: float, d2u: float) -> Jet2:
     """Compose a scalar function with value u and derivatives du, d2u at x.f
     through the jet x."""
-    outer = x.g[:, None] * x.g
-    return Jet2(u, du * x.g, du * x.h + d2u * outer)
+    return Jet2(u, du * x.g, du * x.h + d2u * _outer(x.g, x.g))
 
 
 def jet_vars(values: Sequence) -> list[Jet2]:
@@ -168,12 +185,14 @@ def jet_vars(values: Sequence) -> list[Jet2]:
 
 def as_jet(x, like) -> Jet2:
     """Promote a constant to a jet of zero derivatives: ``like`` is the seed
-    dimension m, or a jet whose derivative shapes (at one point or N) it
-    takes."""
+    dimension m, or a jet whose derivative shapes (at one point or N, or
+    float parts) it takes."""
     if isinstance(x, Jet2):
         return x
     x = x if isinstance(x, np.ndarray) else float(x)
     if isinstance(like, Jet2):
+        if not isinstance(like.g, np.ndarray):
+            return Jet2(x, 0.0, 0.0)
         return Jet2(x, np.zeros_like(like.g), np.zeros_like(like.h))
     return Jet2(x, np.zeros(like), np.zeros((like, like)))
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import SmoothField, gradient
+from .fields import SmoothField, gradient, read_at
 from .jets import Jet2, jet_vars, solve_generic, value_of
 from .model import Dims, MechanicalSystem, State, block_entries
 
@@ -87,9 +87,9 @@ class ShapingParams:
     metric scale rho (the modified vertical metric is g_rho = rho g_gg), and
     an optional extra potential.
 
-    ``tau[a][alpha]`` are SmoothFields over the shape coordinates; rho must be
-    finite and nonzero.  The special matching choice (vertical metric
-    unchanged) is rho=1.
+    ``tau[a][alpha]`` are SmoothFields over the shape coordinates; sigma must
+    be finite and symmetric, rho finite and nonzero.  The special matching
+    choice (vertical metric unchanged) is rho=1.
     """
 
     tau: tuple
@@ -103,6 +103,8 @@ class ShapingParams:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("sigma must be a square matrix")
+        if not np.isfinite(sigma).all():
+            raise ValueError(f"sigma must be finite, got {sigma.tolist()!r}")
         if np.abs(sigma - sigma.T).max() > 1e-12 * max(1.0, np.abs(sigma).max()):
             raise ValueError("sigma must be symmetric")
         object.__setattr__(self, "sigma", sigma)
@@ -155,7 +157,9 @@ class BlockInverse:
 # generic evaluation helpers (floats or jets)
 # ---------------------------------------------------------------------------
 
-def _gradients(block, coords):
+def _gradients(block, coords, reads=None):
+    if reads is not None:
+        return [[reads[f][1] for f in row] for row in block]
     return [[gradient(f, coords) for f in row] for row in block]
 
 
@@ -177,12 +181,13 @@ def lagrangian_value(sys: MechanicalSystem, state: State) -> float:
     return float(kinetic_energy(sys.metric_block(state.q), state.qdot, -sys.V_value(state.q)))
 
 
-def _metric_data(sys: MechanicalSystem, q):
-    """Metric blocks, their first partials and dV at q (floats or jets)."""
+def _metric_data(sys: MechanicalSystem, q, reads=None):
+    """Metric blocks, their first partials and dV at q (floats or jets); the
+    blocks from ``reads``, a `fields.read_at` at the shape point, if given."""
     x = list(q[: sys.dims.n_shape])
-    return (block_entries(sys.g_ss, x), block_entries(sys.g_sg, x), block_entries(sys.g_gg, x),
-            _gradients(sys.g_ss, x), _gradients(sys.g_sg, x), _gradients(sys.g_gg, x),
-            gradient(sys.V, list(q)))
+    blocks = (sys.g_ss, sys.g_sg, sys.g_gg)
+    return (*(block_entries(b, x, reads) for b in blocks),
+            *(_gradients(b, x, reads) for b in blocks), gradient(sys.V, list(q)))
 
 
 def el_covector(sys: MechanicalSystem, q, qd, qdd):
@@ -238,19 +243,22 @@ def el_residual(sys: MechanicalSystem, state: State, accel: np.ndarray) -> np.nd
                      el_covector(sys, list(state.q), list(state.qdot), list(accel))])
 
 
-def controlled_el_covector(sys: MechanicalSystem, shaping: ShapingParams, q, qd, qdd):
+def controlled_el_covector(sys: MechanicalSystem, shaping: ShapingParams, q, qd, qdd,
+                           reads=None):
     """Covector of the controlled system: shape rows unchanged, group rows get
-    the shaping terms (and the rho and extra-potential terms when present)."""
+    the shaping terms (and the rho and extra-potential terms when present).
+    ``reads``, a `fields.read_at` of the metric and tau blocks at the shape
+    point, gives their values and partials there."""
     ns, ng = sys.dims.n_shape, sys.dims.n_group
     x = list(q[:ns])
     xd = list(qd[:ns])
     xdd = list(qdd[:ns])
-    data = _metric_data(sys, q)
+    data = _metric_data(sys, q, reads)
     _, _, ggg, _, _, dgg, dV = data
     rho = shaping.rho
     phi = _el_covector(sys, data, qd, qdd)
-    tau = block_entries(shaping.tau, x)
-    dtau = _gradients(shaping.tau, x)
+    tau = block_entries(shaping.tau, x, reads)
+    dtau = _gradients(shaping.tau, x, reads)
     if shaping.epsilon_potential is not None:
         dVe = gradient(shaping.epsilon_potential, list(q))
     else:
@@ -424,14 +432,19 @@ class ImplicitSode:
     read-outs take one state (n,) or N states (N, n) and put the point axis
     first.  For the covectors here the q-q Hessian block of Phi at jets is NaN:
     it needs the fields' third derivatives, which no Helmholtz family reads.
+
+    ``shared(q)``, if given, reads what ``phi`` and ``accel_matrix`` would each
+    evaluate at q (None where it reads nothing); the explicit field reads it
+    once per call and hands it to both as a last argument.
     """
 
     def __init__(self, n: int, phi: Callable, accel_matrix: Callable,
-                 dims: Dims | None = None):
+                 dims: Dims | None = None, shared: Callable | None = None):
         self.n = n
         self.phi = phi
         self.accel_matrix = accel_matrix
         self.dims = dims
+        self.shared = shared
 
     def phi_floats(self, q, qd, qdd) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -449,8 +462,9 @@ class ImplicitSode:
 
     def to_explicit(self) -> "ExplicitSode":
         def gamma(q, qd):
-            rhs = [-v for v in self.phi(q, qd, [0.0] * self.n)]
-            return solve_generic(self.accel_matrix(q), rhs)
+            data = () if self.shared is None else (self.shared(q),)
+            rhs = [-v for v in self.phi(q, qd, [0.0] * self.n, *data)]
+            return solve_generic(self.accel_matrix(q, *data), rhs)
 
         return ExplicitSode(self.n, gamma, dims=self.dims)
 
@@ -470,7 +484,10 @@ class ExplicitSode:
         self.dims = dims
 
     def gamma_floats(self, q, qd) -> np.ndarray:
-        return np.array([value_of(v) for v in self.gamma(list(q), list(qd))])
+        """Gamma at one state, from Python floats: ``gamma`` then reads float
+        coordinates (numpy scalars would make every operation a numpy one)."""
+        return np.array([value_of(v) for v in self.gamma(np.asarray(q, dtype=float).tolist(),
+                                                          np.asarray(qd, dtype=float).tolist())])
 
     def gamma_jets(self, q, qd) -> list[Jet2]:
         """Gamma with exact first/second derivatives w.r.t. (q, qd); by
@@ -480,12 +497,13 @@ class ExplicitSode:
         return self.gamma(seeds[: self.n], seeds[self.n:])
 
 
-def _controlled_block(sys: MechanicalSystem, shaping: ShapingParams, q):
-    """[[g_ss, g_sg], [g_sg' + g_gg tau, g_gg]] at q (floats or jets)."""
+def _controlled_block(sys: MechanicalSystem, shaping: ShapingParams, q, reads=None):
+    """[[g_ss, g_sg], [g_sg' + g_gg tau, g_gg]] at q (floats or jets), or
+    from the values in ``reads``, a `fields.read_at` at the shape point."""
     ns, ng = sys.dims.n_shape, sys.dims.n_group
-    C = sys.metric_block(q)
+    C = sys.metric_block(q, reads)
     ggg = [row[ns:] for row in C[ns:]]
-    tau = block_entries(shaping.tau, list(q[:ns]))
+    tau = block_entries(shaping.tau, list(q[:ns]), reads)
     for a in range(ng):
         for be in range(ns):
             acc = C[ns + a][be]
@@ -501,9 +519,16 @@ def uncontrolled_sode(sys: MechanicalSystem) -> ImplicitSode:
 
 
 def controlled_implicit_sode(sys: MechanicalSystem, shaping: ShapingParams) -> ImplicitSode:
-    return ImplicitSode(sys.dims.total,
-                        lambda q, qd, qdd: controlled_el_covector(sys, shaping, q, qd, qdd),
-                        lambda q: _controlled_block(sys, shaping, q), dims=sys.dims)
+    """The controlled field; at one float state its explicit field reads each
+    metric and tau field once, one jet pass giving the value and partials
+    that the covector and the acceleration matrix both take."""
+    ns = sys.dims.n_shape
+    blocks = (sys.g_ss, sys.g_sg, sys.g_gg, shaping.tau)
+    return ImplicitSode(
+        sys.dims.total,
+        lambda q, qd, qdd, reads=None: controlled_el_covector(sys, shaping, q, qd, qdd, reads),
+        lambda q, reads=None: _controlled_block(sys, shaping, q, reads), dims=sys.dims,
+        shared=lambda q: read_at(blocks, q[:ns]))
 
 
 def solve_accel(implicit: ImplicitSode, state: State) -> np.ndarray:

@@ -441,6 +441,8 @@ def test_tau_ode_row_fails_on_a_nan_residual(tmp_path, capsys, monkeypatch):
     ("synthesize-tau", "gains.k = abc\n", [], "config error: bad value for gains.k"),
     ("simulate", "sim.dt = inf\n", [], "sim.dt"),
     ("simulate", "sim.t_end = inf\n", [], "sim.t_end"),
+    ("simulate", "sim.ic = nan, 0, 0, 0\n", [], "sim.ic"),
+    ("simulate", "sim.ic = 0, 0, inf, 0\n", [], "sim.ic"),
     ("check-helmholtz", "seed = -1\n", [], "seed"),
     ("check-helmholtz", "", ["--seed", "-1"], "seed"),
     ("check-helmholtz", "system = builtin-test\nbuiltin.seed = -1\n", [], "builtin.seed"),
@@ -452,7 +454,8 @@ def test_tau_ode_row_fails_on_a_nan_residual(tmp_path, capsys, monkeypatch):
         "reversed-grid-matching", "reversed-grid-helmholtz", "nan-grid-matching",
         "nan-grid-helmholtz", "zero-length", "nan-grav-matching", "nan-grav-helmholtz",
         "steep-psi", "nan-psi", "no-shape-coordinate", "nan-c", "infinite-s0",
-        "unparsed-gain", "infinite-dt", "infinite-t-end", "negative-seed",
+        "unparsed-gain", "infinite-dt", "infinite-t-end", "nan-ic", "infinite-ic",
+        "negative-seed",
         "negative-seed-override", "negative-builtin-seed", "misspelt-gain",
         "misspelt-sim-key"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, extra, argv, key):

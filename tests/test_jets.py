@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchctl.jets import (as_jet, cos, exp, fd_value_grad_hess, jet_vars, log,
+from matchctl.fields import Curve
+from matchctl.jets import (Jet2, as_jet, cos, exp, fd_value_grad_hess, jet_vars, log,
                            sin, solve_generic, sqrt, value_grad_hess, value_of)
 
 
@@ -129,20 +130,38 @@ def every_function(u):
             + log(3.0 + y) * z ** 3 + 1.5 / (2.0 + x * z) + (2.5 + z) ** 0.5)
 
 
+KNOTS = np.linspace(-2.0, 2.0, 9)
+CURVE = Curve(KNOTS, np.sin(3.0 * KNOTS))
+
+
+def one_seed_function(x):
+    return (sin(x * x) * cos(x) / (2.0 + x * x) + sqrt(2.0 + x) * exp(0.3 * x)
+            + log(3.0 + x) * (2.5 + x) ** 0.5 + 1.5 / (2.0 + x) + CURVE(x) * x ** 3)
+
+
 def test_array_jets_equal_scalar_jets_pointwise():
     # point axis last: f (N,), g (m, N), h (m, m, N), each point the floats of
-    # a scalar jet, Hessian cross terms included
+    # a scalar jet, Hessian cross terms included; and over one seed, each point
+    # also the floats of a jet whose gradient and Hessian are float parts
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 200))
     seeds = jet_vars(pts)
     assert seeds[1].f.shape == (200,) and seeds[1].g.shape == (3, 200)
     assert np.array_equal(seeds[1].g[1], np.ones(200)) and not seeds[1].g[0].any()
     out = every_function(seeds)
     assert out.f.shape == (200,) and out.g.shape == (3, 200) and out.h.shape == (3, 3, 200)
+    one = one_seed_function(jet_vars(pts[:1])[0])
+    assert one.g.shape == (1, 200) and one.h.shape == (1, 1, 200)
     for k in range(pts.shape[1]):
         ref = every_function(jet_vars(pts[:, k]))
         assert out.f[k] == ref.f
         assert out.g[:, k].tobytes() == ref.g.tobytes()
         assert out.h[:, :, k].tobytes() == ref.h.tobytes()
+        ref = one_seed_function(jet_vars(pts[:1, k])[0])
+        flt = one_seed_function(Jet2(float(pts[0, k]), 1.0, 0.0))
+        assert type(flt.g) is float and type(flt.h) is float and flt.m == 1
+        assert flt.f == ref.f == one.f[k]
+        assert np.array([flt.g]).tobytes() == ref.g.tobytes() == one.g[:, k].tobytes()
+        assert np.array([[flt.h]]).tobytes() == ref.h.tobytes() == one.h[:, :, k].tobytes()
 
 
 def test_array_exp_log_are_libm_elementwise():

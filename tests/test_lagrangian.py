@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -293,6 +294,14 @@ def test_shaping_rejects_rho_outside_its_domain(reference_params, rho):
         ShapingParams(tau=shp.tau, sigma=shp.sigma, rho=rho)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_shaping_rejects_sigma_that_is_not_finite(reference_params, sigma):
+    # a NaN passes the symmetry test and an infinity only warns there
+    shp = cartpole_shaping(reference_params, GainSelection(k=35.0))
+    with pytest.raises(ValueError, match=r"^sigma must be finite, got "):
+        ShapingParams(tau=shp.tau, sigma=[[sigma]])
+
+
 def test_controlled_sode_zero_tau_matches_uncontrolled(cartpole):
     shp = ShapingParams.zero(cartpole.dims)
     ctrl = controlled_implicit_sode(cartpole, shp)
@@ -432,6 +441,28 @@ def test_accel_matrix_matches_covector_and_block(name):
             assert np.array_equal(C, [[getattr(v, "f", v) for v in row] for row in Cj])
 
 
+# SHA-256 of gamma_floats(...).tobytes() over 50 seeded states, recorded
+# before the explicit field shared one jet pass per field between the
+# covector and the acceleration matrix
+GAMMA_FLOATS_DIGESTS = {
+    "builtin_1x2": "3c2b8fadfe257b8a1992cce6463094cdda933686bc16e8655ca1ebf4365b9913",
+    "builtin_2x2": "abcb0cc35f71d6c663c49f6f6c3bbd5881977b00e2474869d2049f263a3a9333",
+    "cartpole": "20bfa8c461df3998fbbe44cc59d090a4aca354550c480d7fd5f3d7ebcfdebd12",
+    "incline_rho2": "ab8427d77a271c2dd86112e1ad4fabafe7ce802fd38df62b09d0557cc30f1b54",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCEL_CASES))
+def test_gamma_floats_is_bit_for_bit_pinned(name):
+    sys_, shp = ACCEL_CASES[name]
+    loop = controlled_implicit_sode(sys_, shp).to_explicit()
+    digest = hashlib.sha256()
+    for seed in range(50):
+        st = random_state(700 + seed, sys_.dims, x_max=1.0, v_max=3.0)
+        digest.update(loop.gamma_floats(st.q, st.qdot).tobytes())
+    assert digest.hexdigest() == GAMMA_FLOATS_DIGESTS[name]
+
+
 def test_generic_gamma_is_one_covector_pass(monkeypatch):
     import matchctl.lagrangian as lg
     sys_, shp = ACCEL_CASES["builtin_1x2"]
@@ -451,3 +482,24 @@ def test_generic_gamma_is_one_covector_pass(monkeypatch):
     assert np.array_equal(acc, [j.f for j in jets])
     field = controlled_implicit_sode(sys_, shp)
     assert np.abs(field.phi_floats(q, qd, acc)).max() < 1e-14
+
+
+@pytest.mark.parametrize("name", ["builtin_1x2", "builtin_2x2"])
+def test_generic_gamma_reads_each_field_once(monkeypatch, name):
+    # at a float state the covector and the acceleration matrix share one jet
+    # pass per distinct metric and tau field (tau's own closures call the
+    # metric fields they were built from, which this does not count)
+    sys_, shp = ACCEL_CASES[name]
+    loop = controlled_implicit_sode(sys_, shp).to_explicit()
+    fields = {f for block in (sys_.g_ss, sys_.g_sg, sys_.g_gg, shp.tau)
+              for row in block for f in row if f.const is None}
+    calls = []
+
+    def counted(f, fn):
+        return lambda u: calls.append(f) or fn(u)
+
+    for f in fields:
+        monkeypatch.setattr(f, "fn", counted(f, f.fn))
+    st = random_state(9, sys_.dims)
+    loop.gamma_floats(st.q, st.qdot)
+    assert len(fields) >= 4 and sorted(map(id, calls)) == sorted(map(id, fields))
