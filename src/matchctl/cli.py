@@ -3,7 +3,8 @@
 Subcommands: check-matching, check-helmholtz, synthesize-tau, simulate, sweep.
 Configuration is a flat key = value file with # comments and dotted section
 prefixes (grammar documented in the README).  Exit codes: 0 pass/success,
-1 residual or simulation failure, 2 usage/configuration error.
+1 residual or simulation failure, 2 usage/configuration error, 141 (128 +
+SIGPIPE) stdout closed by its reader, with no error line.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -352,9 +354,7 @@ def cmd_synthesize_tau(args) -> int:
         + [f"dtau{a + 1}_{al + 1}_{k + 1}" for a in range(ng) for al in range(ns)
            for k in range(ns)]
     with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        simmod.write_rows(fh, header, rows.T)
 
     gains_doc = {"k": rc.gains.k, "sigma": rc.gains.sigma, "rho": rc.gains.rho,
                  "c": rc.gains.c, "s0": rc.gains.s0}
@@ -524,7 +524,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        _sys.stdout.flush()     # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:     # the reader left (`| head`); devnull quiets the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

@@ -584,12 +584,14 @@ def _incline_grade(p: InclineParams) -> float:
 def _incline_veps(p: InclineParams, gains: GainSelection) -> tuple[Callable, Callable]:
     """(x, s, hx) -> V_eps = gamma*grav*sin(psi)*s + s^2/2 - s hx + c x^2
     - s0 s + s0 hx, the extra potential at h(x) = hx, and (s, hx) ->
-    dV_eps/ds = gamma*grav*sin(psi) + s - hx - s0, over floats, jets or arrays."""
+    dV_eps/ds = gamma*grav*sin(psi) + s - hx - s0, over floats, jets or arrays
+    (squares by `jets._power`, so an array pass gives one-point floats)."""
     slope = _incline_grade(p)
     c, s0 = gains.c, gains.s0
 
     def veps(x, s, hx):
-        return slope * s + 0.5 * s ** 2 - s * hx + c * x ** 2 - s0 * s + s0 * hx
+        return (slope * s + 0.5 * jets._power(s, 2) - s * hx + c * jets._power(x, 2)
+                - s0 * s + s0 * hx)
 
     def veps_ds(s, hx):
         return slope + s - hx - s0

@@ -15,10 +15,11 @@ carry float parts, which skip numpy's per-operation cost on one-element
 arrays.  The algebra composes these functions and folds constant fields when
 the expression is built.
 
-`eval_blocks` evaluates blocks of fields at N points at once, one array-jet
-pass per distinct field.  `read_at` reads blocks of fields at one float
-point, one ``point_jet`` pass per distinct field giving both its value (the
-float pass bit for bit) and its first partials.
+`read_at` is the one reader of the values and first partials of blocks of
+fields.  It reads each distinct field once: one ``point_jet`` pass at a float
+point, one pass over jets seeded once per call at N points (both give the
+floats of a float pass), and ``fn`` with `gradient` at jets.  `eval_blocks`
+copies one `read_at` at N points into arrays.
 
 `gradient` gives a field's first partials at float or jet coordinates, as the
 Euler-Lagrange covector needs them (float zeros for a constant field), at one
@@ -191,49 +192,35 @@ def sqrt_of(field: SmoothField) -> SmoothField:
 
 def eval_blocks(blocks, xs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Values (N, rows, cols) and gradients (N, rows, cols, arity) of each
-    block (a sequence of rows of fields) at the N points of xs (N, arity).
-
-    Each distinct field object makes one array-jet pass over all the points,
-    however many slots or blocks it fills.  At every point its values are the
-    floats of a float pass and its gradients those of a scalar-jet pass; a
-    constant field folds to `np.full` and zeros.
-    """
+    block (a sequence of rows of fields) at the N points of xs (N, arity),
+    copied from one `read_at` over all the blocks."""
     xs = np.asarray(xs, dtype=float)
     n, arity = xs.shape
-    seed = jet_vars(xs.T)
-    seen = {}
-
-    def read(field: SmoothField):
-        out = seen.get(field)
-        if out is None:
-            if field.const is not None:
-                out = np.full(n, field.const), np.zeros((n, arity))
-            else:
-                jet = field.eval_jet(seed)      # a float result is a constant jet
-                out = (np.broadcast_to(jet.f, (n,)),
-                       np.broadcast_to(jet.g.reshape(arity, -1).T, (n, arity)))
-            seen[field] = out
-        return out
-
+    reads = read_at(blocks, list(xs.T))
     result = []
     for block in blocks:
-        vals, grads = zip(*(read(f) for row in block for f in row))
-        shape = (n, len(block), len(block[0]))
-        result.append((np.stack(vals, axis=1).reshape(shape),
-                       np.stack(grads, axis=1).reshape(shape + (arity,))))
+        vals = np.empty((n, len(block), len(block[0])))
+        grads = np.empty(vals.shape + (arity,))
+        for i, row in enumerate(block):
+            for j, f in enumerate(row):
+                vals[:, i, j], grads[:, i, j] = reads[f][0], np.transpose(reads[f][1])
+        result.append((vals, grads))
     return result
 
 
-def read_at(blocks, coords) -> dict | None:
+def read_at(blocks, coords) -> dict:
     """``{field: (value, partials)}`` for each distinct field of ``blocks``
-    (sequences of rows of fields) at one float point ``coords``, the partials
-    a list of floats; None at jets or at N points.
+    (sequences of rows of fields) at ``coords``: one point of floats, N points
+    (one array of N floats per coordinate) or jets, which may mix with floats.
 
-    Each non-constant field makes one `SmoothField.point_jet` pass, whose value
-    part is the float pass bit for bit and whose gradient is that of `gradient`
-    at floats; a constant field reads its value and float zeros."""
-    if any(isinstance(c, (Jet2, np.ndarray)) for c in coords):
-        return None
+    At floats each field makes one `SmoothField.point_jet` pass, its partials
+    a list of floats; at N points one pass over jets seeded once per call, its
+    partials an (arity, N) array.  Either way its values are the floats of a
+    float pass at each point.  At jets the value is the field's ``fn`` and the
+    partials its `gradient`.  A constant field reads its value and float
+    zeros."""
+    at_jets = any(isinstance(c, Jet2) for c in coords)
+    seed = jet_vars(coords) if not at_jets and isinstance(coords[0], np.ndarray) else None
     out = {}
     for block in blocks:
         for row in block:
@@ -242,6 +229,11 @@ def read_at(blocks, coords) -> dict | None:
                     continue
                 if f.const is not None:
                     out[f] = f.const, [0.0] * f.arity
+                elif at_jets:
+                    out[f] = f.fn(coords), gradient(f, coords)
+                elif seed is not None:
+                    jet = f.eval_jet(seed)      # a float result is a constant jet
+                    out[f] = jet.f, jet.g
                 else:
                     jet = f.point_jet(coords)
                     out[f] = jet.f, jet.g.tolist() if isinstance(jet.g, np.ndarray) else [jet.g]

@@ -6,7 +6,10 @@ slots, at one point or at N points (one array of N floats, or jets over N
 points, per coordinate), so the Helmholtz residual engines can differentiate
 them exactly at all their states in one pass.  Every second-order system here
 is affine in the accelerations, which the block-inverse and the acceleration
-solver exploit; the solver takes N states as one stacked solve.
+solver exploit; the solver takes N states as one stacked solve.  The
+covectors and the controlled acceleration matrix read the metric and tau
+fields through `fields.read_at`, one read per call at any coordinates; the
+explicit controlled field hands one read to both.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .fields import SmoothField, gradient, read_at
 from .jets import Jet2, jet_vars, solve_generic, value_of
-from .model import Dims, MechanicalSystem, State, block_entries
+from .model import Dims, MechanicalSystem, State, block_entries, metric_of
 
 __all__ = [
     "ShapingParams",
@@ -157,10 +160,9 @@ class BlockInverse:
 # generic evaluation helpers (floats or jets)
 # ---------------------------------------------------------------------------
 
-def _gradients(block, coords, reads=None):
-    if reads is not None:
-        return [[reads[f][1] for f in row] for row in block]
-    return [[gradient(f, coords) for f in row] for row in block]
+def _block_reads(sys: MechanicalSystem, q, *blocks) -> dict:
+    """`fields.read_at` of the metric blocks and ``blocks`` at q's shape part."""
+    return read_at((sys.g_ss, sys.g_sg, sys.g_gg, *blocks), list(q[: sys.dims.n_shape]))
 
 
 def _inv_generic(M):
@@ -181,19 +183,17 @@ def lagrangian_value(sys: MechanicalSystem, state: State) -> float:
     return float(kinetic_energy(sys.metric_block(state.q), state.qdot, -sys.V_value(state.q)))
 
 
-def _metric_data(sys: MechanicalSystem, q, reads=None):
-    """Metric blocks, their first partials and dV at q (floats or jets); the
-    blocks from ``reads``, a `fields.read_at` at the shape point, if given."""
-    x = list(q[: sys.dims.n_shape])
-    blocks = (sys.g_ss, sys.g_sg, sys.g_gg)
-    return (*(block_entries(b, x, reads) for b in blocks),
-            *(_gradients(b, x, reads) for b in blocks), gradient(sys.V, list(q)))
+def _metric_data(sys: MechanicalSystem, q, reads: dict):
+    """The metric blocks and their first partials in ``reads``, and dV at q."""
+    return (*([[reads[f][part] for f in row] for row in b]
+              for part in (0, 1) for b in (sys.g_ss, sys.g_sg, sys.g_gg)),
+            gradient(sys.V, list(q)))
 
 
 def el_covector(sys: MechanicalSystem, q, qd, qdd):
     """Euler-Lagrange expression of the given Lagrangian, one covector entry
     per coordinate (shape rows then group rows).  Generic over floats/jets."""
-    return _el_covector(sys, _metric_data(sys, q), qd, qdd)
+    return _el_covector(sys, _metric_data(sys, q, _block_reads(sys, q)), qd, qdd)
 
 
 def _el_covector(sys: MechanicalSystem, data, qd, qdd):
@@ -247,22 +247,19 @@ def controlled_el_covector(sys: MechanicalSystem, shaping: ShapingParams, q, qd,
                            reads=None):
     """Covector of the controlled system: shape rows unchanged, group rows get
     the shaping terms (and the rho and extra-potential terms when present).
-    ``reads``, a `fields.read_at` of the metric and tau blocks at the shape
-    point, gives their values and partials there."""
+    The metric and tau fields are read from ``reads`` (a `_block_reads` of
+    them at q) or by a read of their own."""
     ns, ng = sys.dims.n_shape, sys.dims.n_group
-    x = list(q[:ns])
-    xd = list(qd[:ns])
-    xdd = list(qdd[:ns])
+    xd, xdd = list(qd[:ns]), list(qdd[:ns])
+    if reads is None:
+        reads = _block_reads(sys, q, shaping.tau)
     data = _metric_data(sys, q, reads)
     _, _, ggg, _, _, dgg, dV = data
     rho = shaping.rho
     phi = _el_covector(sys, data, qd, qdd)
-    tau = block_entries(shaping.tau, x, reads)
-    dtau = _gradients(shaping.tau, x, reads)
-    if shaping.epsilon_potential is not None:
-        dVe = gradient(shaping.epsilon_potential, list(q))
-    else:
-        dVe = [0.0] * (ns + ng)
+    tau, dtau = ([[reads[f][part] for f in row] for row in shaping.tau] for part in (0, 1))
+    eps = shaping.epsilon_potential
+    dVe = [0.0] * (ns + ng) if eps is None else gradient(eps, list(q))
 
     out = list(phi[:ns])
     for a_ in range(ng):
@@ -287,10 +284,8 @@ def kinetic_matrix(sys: MechanicalSystem, shaping: ShapingParams, x_coords):
     Generic over floats/jets.  Returns a nested list (n x n).
     """
     ns, ng = sys.dims.n_shape, sys.dims.n_group
-    gss = block_entries(sys.g_ss, x_coords)
-    gsg = block_entries(sys.g_sg, x_coords)
-    ggg = block_entries(sys.g_gg, x_coords)
-    tau = block_entries(shaping.tau, x_coords)
+    gss, gsg, ggg, tau = (block_entries(b, x_coords)
+                          for b in (sys.g_ss, sys.g_sg, sys.g_gg, shaping.tau))
     sigma = shaping.sigma
 
     special = shaping.is_special_matching
@@ -434,8 +429,8 @@ class ImplicitSode:
     it needs the fields' third derivatives, which no Helmholtz family reads.
 
     ``shared(q)``, if given, reads what ``phi`` and ``accel_matrix`` would each
-    evaluate at q (None where it reads nothing); the explicit field reads it
-    once per call and hands it to both as a last argument.
+    read at q; the explicit field reads it once per call and hands it to both
+    as a last argument.
     """
 
     def __init__(self, n: int, phi: Callable, accel_matrix: Callable,
@@ -498,12 +493,14 @@ class ExplicitSode:
 
 
 def _controlled_block(sys: MechanicalSystem, shaping: ShapingParams, q, reads=None):
-    """[[g_ss, g_sg], [g_sg' + g_gg tau, g_gg]] at q (floats or jets), or
-    from the values in ``reads``, a `fields.read_at` at the shape point."""
+    """[[g_ss, g_sg], [g_sg' + g_gg tau, g_gg]] at q (floats or jets), from
+    ``reads`` (a `_block_reads` of the metric and tau) or a read of its own."""
     ns, ng = sys.dims.n_shape, sys.dims.n_group
-    C = sys.metric_block(q, reads)
-    ggg = [row[ns:] for row in C[ns:]]
-    tau = block_entries(shaping.tau, list(q[:ns]), reads)
+    if reads is None:
+        reads = _block_reads(sys, q, shaping.tau)
+    gss, gsg, ggg, tau = ([[reads[f][0] for f in row] for row in b]
+                          for b in (sys.g_ss, sys.g_sg, sys.g_gg, shaping.tau))
+    C = metric_of(gss, gsg, ggg)
     for a in range(ng):
         for be in range(ns):
             acc = C[ns + a][be]
@@ -519,16 +516,14 @@ def uncontrolled_sode(sys: MechanicalSystem) -> ImplicitSode:
 
 
 def controlled_implicit_sode(sys: MechanicalSystem, shaping: ShapingParams) -> ImplicitSode:
-    """The controlled field; at one float state its explicit field reads each
-    metric and tau field once, one jet pass giving the value and partials
-    that the covector and the acceleration matrix both take."""
-    ns = sys.dims.n_shape
-    blocks = (sys.g_ss, sys.g_sg, sys.g_gg, shaping.tau)
+    """The controlled field; its explicit field reads each metric and tau field
+    once per call (`fields.read_at`), and the covector and the acceleration
+    matrix both take that read."""
     return ImplicitSode(
         sys.dims.total,
         lambda q, qd, qdd, reads=None: controlled_el_covector(sys, shaping, q, qd, qdd, reads),
         lambda q, reads=None: _controlled_block(sys, shaping, q, reads), dims=sys.dims,
-        shared=lambda q: read_at(blocks, q[:ns]))
+        shared=lambda q: _block_reads(sys, q, shaping.tau))
 
 
 def solve_accel(implicit: ImplicitSode, state: State) -> np.ndarray:

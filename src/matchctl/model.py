@@ -23,6 +23,7 @@ __all__ = [
     "InclineParams",
     "MechanicalSystem",
     "block_entries",
+    "metric_of",
     "build_mechanical_system",
     "cartpole_system",
     "incline_system",
@@ -112,15 +113,19 @@ class InclineParams(CartpoleParams):
             raise ValueError(f"psi must be below pi/2 in magnitude, got {self.psi!r}")
 
 
-def block_entries(block, coords, reads: dict | None = None) -> list[list]:
+def block_entries(block, coords) -> list[list]:
     """The fields of a block (a sequence of rows) at an array of float
     coordinates or a sequence that may mix floats and jets, as a nested list;
-    a float result stays a float.  ``reads``, a `fields.read_at` at coords,
-    gives the values already read there."""
-    if reads is not None:
-        return [[reads[f][0] for f in row] for row in block]
+    a float result stays a float."""
     u = coords.tolist() if isinstance(coords, np.ndarray) else coords
     return [[f.fn(u) for f in row] for row in block]
+
+
+def metric_of(gss, gsg, ggg) -> list[list]:
+    """The full block metric [[g_ss, g_sg], [g_sg', g_gg]] from the entries
+    of its blocks, as a nested list."""
+    return ([a + b for a, b in zip(gss, gsg)]
+            + [[row[a] for row in gsg] + c for a, c in enumerate(ggg)])
 
 
 class MechanicalSystem:
@@ -139,15 +144,11 @@ class MechanicalSystem:
         self.V = V
         self.breaks_group_symmetry = breaks_group_symmetry
 
-    def metric_block(self, q, reads: dict | None = None) -> list[list]:
-        """The full block metric [[g_ss, g_sg], [g_sg', g_gg]] at the shape
-        part of q (floats or jets, or the values in ``reads``, a
-        `fields.read_at` there), as a nested list."""
-        ns = self.dims.n_shape
-        x = q[:ns]
-        gss, gsg, ggg = (block_entries(b, x, reads) for b in (self.g_ss, self.g_sg, self.g_gg))
-        return ([gss[al] + gsg[al] for al in range(ns)]
-                + [[row[a] for row in gsg] + ggg[a] for a in range(self.dims.n_group)])
+    def metric_block(self, q) -> list[list]:
+        """The full block metric at the shape part of q (floats or jets), as a
+        nested list."""
+        x = q[:self.dims.n_shape]
+        return metric_of(*(block_entries(b, x) for b in (self.g_ss, self.g_sg, self.g_gg)))
 
     # -- float evaluation ------------------------------------------------------
 

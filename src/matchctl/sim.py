@@ -17,7 +17,7 @@ import numpy as np
 from .lagrangian import ExplicitSode
 from .model import Dims, State
 
-__all__ = ["Trajectory", "integrate", "energy_drift", "write_csv"]
+__all__ = ["Trajectory", "integrate", "energy_drift", "write_rows", "write_csv"]
 
 
 @dataclass
@@ -182,24 +182,27 @@ def _columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
     return names, cols
 
 
-CSV_BLOCK = 512     # rows formatted per string operation in write_csv
+CSV_BLOCK = 512     # rows formatted per string operation in write_rows
+
+
+def write_rows(fh, names, cols) -> int:
+    """Write a header of ``names`` and the rows of the float columns ``cols``
+    to ``fh`` with 17 significant digits, ``CSV_BLOCK`` rows per ``%`` over
+    their floats (``"%.17g" % v`` is ``f"{v:.17g}"``); returns the row count."""
+    rows = len(cols[0])
+    row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+    fh.write(",".join(names) + "\n")
+    for r in range(0, rows, CSV_BLOCK):
+        block = np.column_stack([col[r:r + CSV_BLOCK] for col in cols])
+        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    return rows
 
 
 def write_csv(traj: Trajectory, destination) -> int:
-    """Write the trajectory with 17 significant digits; returns the row count.
-
-    Rows are formatted ``CSV_BLOCK`` at a time by one ``%`` over the block's
-    floats; ``"%.17g" % v`` is ``f"{v:.17g}"``.  Events are appended as
-    trailing comment lines `# event,<t>,<kind>`.
-    """
-    names, cols = _columns(traj)
-    rows = len(traj.times)
-    row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+    """Write the trajectory by `write_rows`; returns the row count.  Events
+    are appended as trailing comment lines `# event,<t>,<kind>`."""
     with open(destination, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for r in range(0, rows, CSV_BLOCK):
-            block = np.column_stack([col[r:r + CSV_BLOCK] for col in cols])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        rows = write_rows(fh, *_columns(traj))
         for (t, kind) in traj.events:
             fh.write(f"# event,{t:.17g},{kind}\n")
     return rows

@@ -513,6 +513,24 @@ def test_gain_with_anchor_outside_window_is_config_error(tmp_path, capsys, comma
     assert err.rstrip().endswith(ANCHOR_MESSAGE)
 
 
+@pytest.mark.parametrize("command", ["simulate", "check-matching", "check-helmholtz",
+                                     "synthesize-tau"])
+def test_incline_with_negative_psi(tmp_path, capsys, command):
+    # psi < 0 mirrors the pole-free window of A(x): its upper end is clipped
+    text = INCLINE_FAST.format(out=tmp_path / "out") + "params.psi = -0.3\n"
+    cfg = write_cfg(tmp_path, "left.cfg", text)
+    assert main([command, "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("extra", ["grid.hi = 1.45\n", "params.psi = -0.3\ngrid.lo = -1.45\n"])
+def test_simulate_h_curve_margin_covers_the_potential_span(tmp_path, capsys, extra):
+    # the shaped potential spans the grid and 0.1 more, out to 1.55 here, past
+    # INCLINE_LOOP_SPAN: the h-curve's margin of 0.05 past that span sets
+    # where the curve ends
+    cfg = write_cfg(tmp_path, "wide.cfg", INCLINE_FAST.format(out=tmp_path / "out") + extra)
+    assert main(["simulate", "--config", cfg]) == 0
+
+
 def test_sweep_gain_with_anchor_outside_window_is_errored_row(tmp_path, capsys):
     text = INCLINE_FAST.format(out=tmp_path / "out") + "sweep.k = 3.2, 35\n"
     cfg = write_cfg(tmp_path, "anchor.cfg", text)
@@ -722,3 +740,20 @@ def test_commands_import_no_scipy(tmp_path):
     doc = json.loads(done.stdout.splitlines()[-1])
     assert doc["codes"] == [0] * 15
     assert doc["scipy"] == []
+
+
+def test_closed_stdout_exits_141_without_an_error_line(tmp_path):
+    # the reader of stdout is gone before the command writes, as after
+    # `| head -c 100`: no error line, no message from the flush at exit
+    import matchctl
+
+    cfg = write_cfg(tmp_path, "cp.cfg", CARTPOLE_FAST.format(out=tmp_path / "out"))
+    src = os.path.dirname(os.path.dirname(matchctl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen([sys.executable, "-m", "matchctl.cli", "check-helmholtz",
+                             "--config", cfg, "--json"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=300), err) == (141, b"")

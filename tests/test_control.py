@@ -362,6 +362,18 @@ def test_incline_safe_span(incline_params):
     # the window at k = 3.2 lies right of the anchor x = 0
     with pytest.raises(ValueError, match="does not hold the anchor x = 0"):
         incline_safe_span(incline_params, 3.2, (-1.5, 1.5))
+    # psi < 0 mirrors the window: at k = 35 it clips the upper end and holds
+    # x = 0, and at k = 3.2 it lies left of x = 0
+    left = InclineParams(psi=-0.3)
+    lo, hi = incline_safe_span(left, 35.0, (-1.5, 1.5))
+    assert lo == -1.5 and 0.0 < hi < 1.5
+    assert hi == pytest.approx(-incline_safe_span(incline_params, 35.0, (-1.5, 1.5))[0])
+    with pytest.raises(ValueError, match="does not hold the anchor x = 0"):
+        incline_safe_span(left, 3.2, (-1.5, 1.5))
+    # a window that reaches past x = 0 by less than its margin, at either end
+    for p in (incline_params, left):
+        with pytest.raises(ValueError, match="does not hold the anchor x = 0"):
+            incline_safe_span(p, gain_bound(p, 0.3 + 2.5e-3), (-1.5, 1.5))
 
 
 # ---------------------------------------------------------------------------

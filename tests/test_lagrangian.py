@@ -503,3 +503,30 @@ def test_generic_gamma_reads_each_field_once(monkeypatch, name):
     st = random_state(9, sys_.dims)
     loop.gamma_floats(st.q, st.qdot)
     assert len(fields) >= 4 and sorted(map(id, calls)) == sorted(map(id, fields))
+
+
+def test_n_state_read_outs_are_one_state_calls_bit_for_bit():
+    # g_sg and tau apply `**` to the shape coordinate, where numpy's power
+    # and libm's differ by an ulp at some inputs; the N-state read-outs read
+    # the fields over jets, as the one-state calls do, so every state gets
+    # the floats of its one-state call
+    from matchctl.fields import SmoothField
+    from matchctl.jets import cos
+    from matchctl.model import build_mechanical_system
+
+    sys_ = build_mechanical_system(
+        Dims(1, 1), [[fl.constant(2.0, 1)]], [[SmoothField(1, lambda u: 0.3 * u[0] ** 3)]],
+        [[fl.constant(1.0, 1)]], SmoothField(2, lambda u: cos(u[0])))
+    shp = ShapingParams(tau=((SmoothField(1, lambda u: 0.5 + 0.2 * u[0] ** 3),),),
+                        sigma=np.eye(1))
+    field = controlled_implicit_sode(sys_, shp)
+    rng = np.random.default_rng(5)
+    q, qd, qdd = (rng.uniform(-1.0, 1.0, size=(1000, 2)) for _ in range(3))
+    reads = {"phi_floats": lambda i: field.phi_floats(q[i], qd[i], qdd[i]),
+             "accel_matrix_floats": lambda i: field.accel_matrix_floats(q[i]),
+             "solve_accel": lambda i: field.solve_accel(State(q=q[i], qdot=qd[i]))}
+    differ = {}
+    for name, read in reads.items():
+        batch, one = read(slice(None)), np.array([read(i) for i in range(len(q))])
+        differ[name] = int((batch != one).reshape(len(q), -1).any(axis=1).sum())
+    assert differ == dict.fromkeys(reads, 0)

@@ -168,8 +168,12 @@ def test_synthetic_sm_system_valid(dims):
 def test_array_float_pass_is_one_point_calls_bit_for_bit():
     # a float pass over N points calls a field's `fn` on float arrays, where
     # `**` is numpy's power, not libm's (they differ at about 0.07% of
-    # inputs); no shipped field applies it to a coordinate, so the array pass
-    # gives every point the floats of its one-point call
+    # inputs); a shipped field that squares a coordinate does it by
+    # `jets._power`, which maps libm's over the elements, so the array pass
+    # gives every point the floats of its one-point call.  The incline's
+    # extra potential squares both coordinates; 5,000 points of it differ at
+    # several points under numpy's power.
+    from matchctl.control import GainSelection, incline_shaping
     from matchctl.matching import new_tau_closed_form
 
     rng = np.random.default_rng(7)
@@ -182,9 +186,12 @@ def test_array_float_pass_is_one_point_calls_bit_for_bit():
             found.append(new_tau_closed_form(sys_, 35.0))
         fields.update((id(f), f) for f in found if f.const is None)
     assert len(fields) == 10
-    for f in fields.values():
-        pts = rng.uniform(-1.3, 1.3, size=(f.arity, 500))
+    inputs = [(f, rng.uniform(-1.3, 1.3, size=(f.arity, 500))) for f in fields.values()]
+    veps = incline_shaping(InclineParams(psi=0.3),
+                           GainSelection(k=35.0, rho=2.0, c=6.0, s0=0.1)).epsilon_potential
+    inputs.append((veps, rng.uniform([[-1.0], [-3.0]], [[1.0], [3.0]], size=(2, 5000))))
+    for f, pts in inputs:
         batch = np.asarray(f.fn(list(pts)), dtype=float)
-        one = np.array([f.value(pts[:, i]) for i in range(500)])
+        one = np.array([f.value(pts[:, i]) for i in range(pts.shape[1])])
         differ = np.flatnonzero(batch.view(np.int64) != one.view(np.int64))
         assert differ.size == 0, f"{differ.size} points differ, first at {pts[:, differ[0]]}"
