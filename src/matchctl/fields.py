@@ -9,24 +9,25 @@ also a mix of the two, since jet arithmetic takes float operands: callers
 that evaluate at such coordinates call ``fn`` directly, and a constant field
 stays a float there.
 ``value`` is one float pass, and ``d1``/``d2`` read the gradient and Hessian
-of one pass over seeded jets (`SmoothField.point_jet`), which is exact
+of one pass over jets seeded by `_seeds`, which is exact
 forward-mode differentiation; at one point of a field of arity 1 those jets
 carry float parts, which skip numpy's per-operation cost on one-element
 arrays.  The algebra composes these functions and folds constant fields when
-the expression is built.
+the expression is built, and gives each field its ``support``.
 
 `read_at` is the one reader of the values and first partials of blocks of
-fields.  It reads each distinct field once: one ``point_jet`` pass at a float
-point, one pass over jets seeded once per call at N points (both give the
-floats of a float pass), and ``fn`` with `gradient` at jets.  `eval_blocks`
+fields.  At floats, one point or N, it makes one pass over jets seeded once
+per call, with a memo that lives and dies with the call, so that each field
+and each node that fields share (the g_sg fields under the SM3 tau entries)
+is evaluated once; at jets it reads ``fn`` and `gradient`.  `eval_blocks`
 copies one `read_at` at N points into arrays.
 
 `gradient` gives a field's first partials at float or jet coordinates, as the
 Euler-Lagrange covector needs them (float zeros for a constant field), at one
-point or at N points: on array jets it makes one pass over all N.  At jets
-each partial's Hessian is NaN wherever a third derivative of the field would
-enter, since `Jet2` stops at second order; no Helmholtz family reads those
-entries.
+point or at N points: on array jets it makes one pass over all N, and at one
+float point it seeds only the field's support.  At jets each partial's
+Hessian is NaN wherever a third derivative of the field would enter, since
+`Jet2` stops at second order; no Helmholtz family reads those entries.
 
 `Curve` builds its spline coefficients itself, bit for bit those of scipy's
 ``CubicSpline``, so that nothing here imports scipy.
@@ -65,15 +66,18 @@ class SmoothField:
 
     ``fn`` takes a sequence of ``arity`` coordinates, all floats or all jets
     of one seed dimension, and returns a float or a jet.  ``const`` is the
-    value of a constant field, else None.
+    value of a constant field, else None.  ``support`` is the sorted tuple of
+    the coordinates ``fn`` reads, all of them unless given.
     """
 
-    __slots__ = ("arity", "fn", "const")
+    __slots__ = ("arity", "fn", "const", "support")
 
-    def __init__(self, arity: int, fn: Callable, const: float | None = None):
+    def __init__(self, arity: int, fn: Callable, const: float | None = None,
+                 support: Sequence[int] | None = None):
         self.arity = arity
         self.fn = fn
         self.const = const
+        self.support = tuple(range(arity)) if support is None else tuple(support)
 
     def __call__(self, u) -> float:
         return self.value(u)
@@ -84,31 +88,24 @@ class SmoothField:
         return self.fn(u.tolist() if isinstance(u, np.ndarray) else [float(v) for v in u])
 
     def eval_jet(self, jets: Sequence[Jet2]) -> Jet2:
-        out = self.fn(jets)
-        return out if isinstance(out, Jet2) else as_jet(out, jets[0])
-
-    def point_jet(self, u) -> Jet2:
-        """One pass over jets seeded at u: float parts over one seed at one
-        point, else `jets.jet_vars` parts."""
-        if self.arity == 1 and not isinstance(u[0], np.ndarray):
-            return self.eval_jet([Jet2(float(u[0]), 1.0, 0.0)])
-        return self.eval_jet(jet_vars(u))
+        return as_jet(self.fn(jets), jets[0])
 
     def d1(self, u) -> np.ndarray:
         """The gradient (arity,) at one point, or (arity, N) at N points, from
-        one `point_jet` pass; zeros (arity,) for a constant field."""
+        one pass over jets seeded by `_seeds`; zeros (arity,) for a constant
+        field."""
         if self.const is not None:
             return np.zeros(self.arity)
-        g = self.point_jet(u).g
+        g = self.eval_jet(_seeds(u)).g
         return g if isinstance(g, np.ndarray) else np.array([g])
 
     def d2(self, u) -> np.ndarray:
         """The Hessian (arity, arity) at one point, or (arity, arity, N) at N
-        points, from one `point_jet` pass; zeros (arity, arity) for a constant
-        field."""
+        points, from one pass over jets seeded by `_seeds`; zeros (arity,
+        arity) for a constant field."""
         if self.const is not None:
             return np.zeros((self.arity, self.arity))
-        h = self.point_jet(u).h
+        h = self.eval_jet(_seeds(u)).h
         return h if isinstance(h, np.ndarray) else np.array([[h]])
 
     # -- algebra --------------------------------------------------------------
@@ -123,12 +120,12 @@ class SmoothField:
         ca, cb = self.const, other.const
         if ca is not None and cb is not None:
             return constant(op(ca, cb), self.arity)
-        fa, fb = self.fn, other.fn
         if cb is not None:
-            return SmoothField(self.arity, lambda u: op(fa(u), cb))
+            return SmoothField(self.arity, lambda u: op(_at(self, u), cb), support=self.support)
         if ca is not None:
-            return SmoothField(self.arity, lambda u: op(ca, fb(u)))
-        return SmoothField(self.arity, lambda u: op(fa(u), fb(u)))
+            return SmoothField(self.arity, lambda u: op(ca, _at(other, u)), support=other.support)
+        return SmoothField(self.arity, lambda u: op(_at(self, u), _at(other, u)),
+                           support=sorted({*self.support, *other.support}))
 
     def __add__(self, other):
         return self._binary(other, operator.add)
@@ -158,24 +155,47 @@ class SmoothField:
 def _unary(field: SmoothField, fun) -> SmoothField:
     if field.const is not None:
         return constant(fun(field.const), field.arity)
-    fa = field.fn
-    return SmoothField(field.arity, lambda u: fun(fa(u)))
+    return SmoothField(field.arity, lambda u: fun(_at(field, u)), support=field.support)
+
+
+def _seeds(values) -> list:
+    """Jets seeded at values: float parts for one float, else `jets.jet_vars`."""
+    if len(values) == 1 and not isinstance(values[0], np.ndarray):
+        return [Jet2(float(values[0]), 1.0, 0.0)]
+    return jet_vars(values)
+
+
+class _Pass(list):
+    """The seeded coordinates of one `read_at` pass, with its ``memo``."""
+
+    __slots__ = ("memo",)
+
+
+def _at(field: SmoothField, u):
+    """An operand of a composed field at u, from the memo of a `read_at` pass."""
+    if type(u) is not _Pass:
+        return field.fn(u)
+    value = u.memo.get(field)
+    if value is None:
+        value = u.memo[field] = field.fn(u)
+    return value
 
 
 def constant(c: float, arity: int) -> SmoothField:
     c = float(c)
-    return SmoothField(arity, lambda u: c, const=c)
+    return SmoothField(arity, lambda u: c, const=c, support=())
 
 
 def coordinate(i: int, arity: int) -> SmoothField:
-    return SmoothField(arity, operator.itemgetter(i))
+    return SmoothField(arity, operator.itemgetter(i), support=(i,))
 
 
 def linear(coeffs: Sequence[float], const: float, arity: int) -> SmoothField:
-    """sum(c_i u_i) + b."""
+    """sum(c_i u_i) + b, which reads the coordinates of nonzero c_i."""
     c = [float(v) for v in coeffs]
     b = float(const)
-    return SmoothField(arity, lambda u: sum(map(operator.mul, c, u)) + b)
+    return SmoothField(arity, lambda u: sum(map(operator.mul, c, u)) + b,
+                       support=[i for i, v in enumerate(c) if v != 0.0])
 
 
 def sin_of(field: SmoothField) -> SmoothField:
@@ -213,30 +233,27 @@ def read_at(blocks, coords) -> dict:
     (sequences of rows of fields) at ``coords``: one point of floats, N points
     (one array of N floats per coordinate) or jets, which may mix with floats.
 
-    At floats each field makes one `SmoothField.point_jet` pass, its partials
-    a list of floats; at N points one pass over jets seeded once per call, its
-    partials an (arity, N) array.  Either way its values are the floats of a
-    float pass at each point.  At jets the value is the field's ``fn`` and the
-    partials its `gradient`.  A constant field reads its value and float
-    zeros."""
-    at_jets = any(isinstance(c, Jet2) for c in coords)
-    seed = jet_vars(coords) if not at_jets and isinstance(coords[0], np.ndarray) else None
+    At floats, one pass over jets seeded once per call calls each field's
+    ``fn`` once, and its memo (`_at`) evaluates each node that fields share
+    once.  The partials are a list of floats at one point and an (arity, N)
+    array at N points; the values are the floats of a float pass.  At jets
+    the value is the field's ``fn`` and the partials its `gradient`.  A
+    constant field reads its value and float zeros."""
+    fields = dict.fromkeys(f for block in blocks for row in block for f in row)
+    if any(isinstance(c, Jet2) for c in coords):
+        return {f: (f.const, [0.0] * f.arity) if f.const is not None
+                else (f.fn(coords), gradient(f, coords)) for f in fields}
+    one = not isinstance(coords[0], np.ndarray)
+    u = _Pass(_seeds(coords))
+    u.memo = {}
     out = {}
-    for block in blocks:
-        for row in block:
-            for f in row:
-                if f in out:
-                    continue
-                if f.const is not None:
-                    out[f] = f.const, [0.0] * f.arity
-                elif at_jets:
-                    out[f] = f.fn(coords), gradient(f, coords)
-                elif seed is not None:
-                    jet = f.eval_jet(seed)      # a float result is a constant jet
-                    out[f] = jet.f, jet.g
-                else:
-                    jet = f.point_jet(coords)
-                    out[f] = jet.f, jet.g.tolist() if isinstance(jet.g, np.ndarray) else [jet.g]
+    for f in fields:
+        if f.const is not None:
+            out[f] = f.const, [0.0] * f.arity
+            continue
+        jet = as_jet(_at(f, u), u[0])       # a float result is a constant jet
+        g = jet.g
+        out[f] = jet.f, (g.tolist() if isinstance(g, np.ndarray) else [g]) if one else g
     return out
 
 
@@ -246,19 +263,26 @@ def gradient(field: SmoothField, coords) -> Sequence:
     coordinate).
 
     A constant field gives float zeros.  Floats give the gradient of one jet
-    pass.  Jets compose the gradient and Hessian of one pass at the value
-    parts with the coordinates' jets by the chain rule.  The Hessian of a
-    partial would also need the field's third derivatives, which `Jet2` does
-    not carry and no Helmholtz family reads: every entry (a, b) they would
-    enter, where some coordinate jet moves along seed a and some along seed b
-    (at that point, over N points), is NaN.
+    pass; at one point it seeds only the field's support (by `_seeds`), and
+    the other partials are 0.0.  Jets compose the gradient and Hessian of one
+    pass at the value parts with the coordinates' jets by the chain rule.  The
+    Hessian of a partial would also need the field's third derivatives, which
+    `Jet2` does not carry and no Helmholtz family reads: every entry (a, b)
+    they would enter, where some coordinate jet moves along seed a and some
+    along seed b (at that point, over N points), is NaN.
     """
-    n = field.arity
-    if field.const is not None:
+    n, sup = field.arity, field.support
+    if field.const is not None or not sup:
         return [0.0] * n
     seed = next((c for c in coords if isinstance(c, Jet2)), None)
     if seed is None:
-        return field.d1(coords)
+        if len(sup) == n or isinstance(coords[0], np.ndarray):
+            return field.d1(coords)
+        seeds = dict(zip(sup, _seeds([float(coords[i]) for i in sup])))
+        top = field.fn([seeds.get(i, float(c)) for i, c in enumerate(coords)])
+        g = as_jet(top, seeds[sup[0]]).g
+        parts = dict(zip(sup, g.tolist() if isinstance(g, np.ndarray) else [g]))
+        return [parts.get(i, 0.0) for i in range(n)]
     coords = [as_jet(c, seed) for c in coords]
     lead = np.shape(seed.f)
     u = np.array([np.broadcast_to(c.f, lead) for c in coords] if lead else [c.f for c in coords])

@@ -21,7 +21,7 @@ as floats instead of (1,) and (1, 1) arrays: the same floats, without numpy's
 per-operation cost on one-element arrays.  Only the outer products of `Jet2`
 multiplication, division and `chain` need to tell the two apart; every other
 operation takes either.  `jet_vars` seeds array parts; the float read-outs of
-`fields` (``SmoothField.d1``/``d2`` at one point of arity 1) seed float parts.
+`fields` seed float parts where they seed one coordinate at one point.
 
 `value_grad_hess` is the one derivative read-out: every residual engine takes
 the values, gradients and Hessians of a list-valued function at one point or

@@ -146,9 +146,13 @@ class MechanicalSystem:
 
     def metric_block(self, q) -> list[list]:
         """The full block metric at the shape part of q (floats or jets), as a
-        nested list."""
-        x = q[:self.dims.n_shape]
-        return metric_of(*(block_entries(b, x) for b in (self.g_ss, self.g_sg, self.g_gg)))
+        nested list; at N float states it is read through `fields.read_at`, so
+        that each state gets the floats of its one-state call."""
+        x, blocks = q[:self.dims.n_shape], (self.g_ss, self.g_sg, self.g_gg)
+        if isinstance(x[0], np.ndarray):
+            reads = fl.read_at(blocks, list(x))
+            return metric_of(*([[reads[f][0] for f in row] for row in b] for b in blocks))
+        return metric_of(*(block_entries(b, x) for b in blocks))
 
     # -- float evaluation ------------------------------------------------------
 

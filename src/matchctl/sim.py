@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .jets import value_of
 from .lagrangian import ExplicitSode
 from .model import Dims, State
 
@@ -47,11 +48,11 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
     """March the field with fixed-step RK4 from state0 for t_end seconds.
 
     ``guard(q, qdot) -> bool`` halts integration with a "domain_exit" event
-    when true; it receives the coordinates and velocities as sequences, float
-    tuples on the two-coordinate fast path and arrays otherwise.  Non-finite states
-    always halt with a "nonfinite" event.  ``control`` and ``energy`` are
-    vectorized observers (times, Q, Qd) -> columns evaluated on the recorded
-    samples.
+    when true; it receives the coordinates and velocities as sequences of
+    floats, tuples on the two-coordinate fast path and lists otherwise.
+    Non-finite states always halt with a "nonfinite" event.  ``control`` and
+    ``energy`` are vectorized observers (times, Q, Qd) -> columns evaluated on
+    the recorded samples.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -112,35 +113,36 @@ def _rk4_pair(gamma2, state0: State, dt: float, n_steps: int, guard, events):
 
 def _rk4_array(field_: ExplicitSode, state0: State, dt: float, n_steps: int,
                guard, events):
-    n = field_.n
-    q = state0.q.astype(float).copy()
-    qd = state0.qdot.astype(float).copy()
-    out = np.empty((n_steps + 1, 2 * n))
-    out[0, :n] = q
-    out[0, n:] = qd
-    kept = 1
+    """Generic path: ``gamma`` on lists of Python floats, combined coordinate
+    by coordinate as numpy's vector arithmetic combines them, so in its floats."""
+    def accel(q, qd):
+        return [value_of(v) for v in field_.gamma(q, qd)]
+
+    def axpy(x, h, y):
+        return [a + h * b for a, b in zip(x, y)]
+
+    q, qd = state0.q.tolist(), state0.qdot.tolist()
+    rec = array("d", q + qd)
     for i in range(n_steps):
-        a1 = field_.gamma_floats(q, qd)
-        q2, qd2 = q + 0.5 * dt * qd, qd + 0.5 * dt * a1
-        a2 = field_.gamma_floats(q2, qd2)
-        q3, qd3 = q + 0.5 * dt * qd2, qd + 0.5 * dt * a2
-        a3 = field_.gamma_floats(q3, qd3)
-        q4, qd4 = q + dt * qd3, qd + dt * a3
-        a4 = field_.gamma_floats(q4, qd4)
-        q = q + dt / 6.0 * (qd + 2 * qd2 + 2 * qd3 + qd4)
-        qd = qd + dt / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4)
-        out[kept, :n] = q
-        out[kept, n:] = qd
-        kept += 1
+        a1 = accel(q, qd)
+        q2, qd2 = axpy(q, 0.5 * dt, qd), axpy(qd, 0.5 * dt, a1)
+        a2 = accel(q2, qd2)
+        q3, qd3 = axpy(q, 0.5 * dt, qd2), axpy(qd, 0.5 * dt, a2)
+        a3 = accel(q3, qd3)
+        q4, qd4 = axpy(q, dt, qd3), axpy(qd, dt, a3)
+        a4 = accel(q4, qd4)
+        q = axpy(q, dt / 6.0, [a + 2 * b + 2 * c + d for a, b, c, d in zip(qd, qd2, qd3, qd4)])
+        qd = axpy(qd, dt / 6.0, [a + 2 * b + 2 * c + d for a, b, c, d in zip(a1, a2, a3, a4)])
+        rec.extend(q + qd)
         t_now = (i + 1) * dt
-        if not np.all(np.isfinite(q)) or not np.all(np.isfinite(qd)):
+        if not all(map(math.isfinite, q + qd)):
             events.append((t_now, "nonfinite"))
             break
         if guard is not None and guard(q, qd):
             events.append((t_now, "domain_exit"))
             break
-    times = np.arange(kept) * dt
-    return times, out[:kept]
+    states = np.frombuffer(rec, dtype=float).reshape(-1, 2 * field_.n).copy()
+    return np.arange(len(states)) * dt, states
 
 
 def energy_drift(traj: Trajectory) -> float:

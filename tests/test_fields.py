@@ -75,6 +75,30 @@ def test_gradient_on_floats_is_d1():
     assert fl.gradient(fl.constant(2.0, 2), [0.9, 0.1]) == [0.0, 0.0]
 
 
+def test_support_sets_follow_the_algebra():
+    x, y, z = (fl.coordinate(i, 3) for i in range(3))
+    assert z.support == (2,)
+    assert fl.constant(1.5, 3).support == ()
+    assert fl.linear([0.5, 0.0, -2.0], 1.0, 3).support == (0, 2)
+    assert fl.cos_of(y).support == (-y).support == (y / 2.0).support == (2.0 - y).support == (1,)
+    assert (z * x).support == (x + z).support == (z - 3.0 * x).support == (0, 2)
+    assert (x + fl.constant(1.0, 3)).support == (0,)
+    assert fl.SmoothField(3, lambda u: u[0]).support == (0, 1, 2)
+
+
+@pytest.mark.parametrize("ns", [1, 2])
+def test_support_seeded_gradient_of_builtin_potential_is_d1(ns):
+    # the builtin V reads only the shape coordinates: its gradient at a float
+    # point seeds those alone (one float-part seed for one), and its group
+    # partials are exact zeros
+    from matchctl.model import Dims, synthetic_sm_system
+    V = synthetic_sm_system(1, Dims(ns, 2))[0].V
+    assert V.support == tuple(range(ns))
+    for q in np.random.default_rng(11).uniform(-2.0, 2.0, size=(200, ns + 2)):
+        g, d1 = fl.gradient(V, q.tolist()), V.d1(q)
+        assert g[:ns] == d1[:ns].tolist() and g[ns:] == [0.0, 0.0]
+
+
 def test_gradient_on_jets_value_and_gradient_are_d1_d2():
     f = build_sample()
     u = np.array([0.9, 0.1])

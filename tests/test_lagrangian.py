@@ -405,6 +405,8 @@ def _accel_cases():
                                                              c=6.0))),
         "builtin_1x2": sm_shaping(1, Dims(1, 2)),
         "builtin_2x2": sm_shaping(1, Dims(2, 2)),
+        "builtin_1x3": sm_shaping(1, Dims(1, 3)),
+        "builtin_2x1": sm_shaping(1, Dims(2, 1)),
     }
     return cases
 
@@ -443,9 +445,12 @@ def test_accel_matrix_matches_covector_and_block(name):
 
 # SHA-256 of gamma_floats(...).tobytes() over 50 seeded states, recorded
 # before the explicit field shared one jet pass per field between the
-# covector and the acceleration matrix
+# covector and the acceleration matrix (builtin_1x3 and builtin_2x1: recorded
+# before a field read evaluated each shared subexpression once)
 GAMMA_FLOATS_DIGESTS = {
     "builtin_1x2": "3c2b8fadfe257b8a1992cce6463094cdda933686bc16e8655ca1ebf4365b9913",
+    "builtin_1x3": "47040cd6da36522efd2dd61d6b3852ab7c9d24cf674fe1f33fa614a72d041573",
+    "builtin_2x1": "8f8530db6cd5029304d81008baac0d6f0cbcdab82e363e8f76441c7124bb7c95",
     "builtin_2x2": "abcb0cc35f71d6c663c49f6f6c3bbd5881977b00e2474869d2049f263a3a9333",
     "cartpole": "20bfa8c461df3998fbbe44cc59d090a4aca354550c480d7fd5f3d7ebcfdebd12",
     "incline_rho2": "ab8427d77a271c2dd86112e1ad4fabafe7ce802fd38df62b09d0557cc30f1b54",
@@ -505,11 +510,36 @@ def test_generic_gamma_reads_each_field_once(monkeypatch, name):
     assert len(fields) >= 4 and sorted(map(id, calls)) == sorted(map(id, fields))
 
 
-def test_n_state_read_outs_are_one_state_calls_bit_for_bit():
+def test_generic_gamma_evaluates_each_shared_node_once(monkeypatch):
+    # sm3_tau composes each tau entry over the g_sg fields, and one read_at
+    # pass reads those from its memo: each linear leaf of the builtin (1,2)
+    # system (under g_ss, both g_sg and V) runs once per gamma call, not 8
+    # times in all
+    calls = []
+    real = fl.linear
+
+    def counted(*args):
+        leaf = real(*args)
+        fn = leaf.fn
+        leaf.fn = lambda u: calls.append(leaf) or fn(u)
+        return leaf
+
+    monkeypatch.setattr(fl, "linear", counted)
+    sys_, shp = sm_shaping(1, Dims(1, 2))
+    loop = controlled_implicit_sode(sys_, shp).to_explicit()
+    calls.clear()
+    loop.gamma_floats([0.3, -0.2, 0.5], [0.4, 1.0, -0.7])
+    assert len(calls) == len(set(map(id, calls))) == 4
+    # the memo dies with its read_at call: a second point reads its own values
+    blocks = (sys_.g_ss, sys_.g_sg, sys_.g_gg, shp.tau)
+    for x in (0.3, -0.8):
+        for f, (value, partials) in fl.read_at(blocks, [x]).items():
+            assert value == f.value([x]) and partials == f.d1([x]).tolist()
+
+
+def _cubic_coupling_system():
     # g_sg and tau apply `**` to the shape coordinate, where numpy's power
-    # and libm's differ by an ulp at some inputs; the N-state read-outs read
-    # the fields over jets, as the one-state calls do, so every state gets
-    # the floats of its one-state call
+    # and libm's differ by an ulp at some inputs
     from matchctl.fields import SmoothField
     from matchctl.jets import cos
     from matchctl.model import build_mechanical_system
@@ -519,7 +549,12 @@ def test_n_state_read_outs_are_one_state_calls_bit_for_bit():
         [[fl.constant(1.0, 1)]], SmoothField(2, lambda u: cos(u[0])))
     shp = ShapingParams(tau=((SmoothField(1, lambda u: 0.5 + 0.2 * u[0] ** 3),),),
                         sigma=np.eye(1))
-    field = controlled_implicit_sode(sys_, shp)
+    return sys_, shp
+
+
+def _states_off_their_one_state_calls(field) -> dict:
+    """For each N-state read-out of ``field``, how many of 1,000 states read
+    other floats than their one-state calls."""
     rng = np.random.default_rng(5)
     q, qd, qdd = (rng.uniform(-1.0, 1.0, size=(1000, 2)) for _ in range(3))
     reads = {"phi_floats": lambda i: field.phi_floats(q[i], qd[i], qdd[i]),
@@ -529,4 +564,19 @@ def test_n_state_read_outs_are_one_state_calls_bit_for_bit():
     for name, read in reads.items():
         batch, one = read(slice(None)), np.array([read(i) for i in range(len(q))])
         differ[name] = int((batch != one).reshape(len(q), -1).any(axis=1).sum())
-    assert differ == dict.fromkeys(reads, 0)
+    return differ
+
+
+def test_n_state_read_outs_are_one_state_calls_bit_for_bit():
+    # the N-state read-outs read the fields over jets, as the one-state calls
+    # do, so every state gets the floats of its one-state call
+    differ = _states_off_their_one_state_calls(controlled_implicit_sode(*_cubic_coupling_system()))
+    assert differ == dict.fromkeys(differ, 0)
+
+
+def test_uncontrolled_n_state_read_outs_are_one_state_calls_bit_for_bit():
+    # the uncontrolled acceleration matrix is the metric, read at N states
+    # through `fields.read_at` as the controlled field reads it
+    sys_, _ = _cubic_coupling_system()
+    differ = _states_off_their_one_state_calls(uncontrolled_sode(sys_))
+    assert differ == dict.fromkeys(differ, 0)
