@@ -1,6 +1,7 @@
 """Command-line front door.
 
-Subcommands: check-matching, check-helmholtz, synthesize-tau, simulate, sweep.
+Commands: check-matching, check-helmholtz, synthesize-tau, simulate, sweep,
+which share one set of flags.
 Configuration is a flat key = value file with # comments and dotted section
 prefixes (grammar documented in the README).  Exit codes: 0 pass/success,
 1 residual or simulation failure, 2 usage/configuration error, 141 (128 +
@@ -496,25 +497,23 @@ def cmd_sweep(args) -> int:
     return 1 if errored else 0
 
 
+_COMMANDS = {"check-matching": cmd_check_matching, "check-helmholtz": cmd_check_helmholtz,
+             "synthesize-tau": cmd_synthesize_tau, "simulate": cmd_simulate, "sweep": cmd_sweep}
+
+
 def _parser() -> argparse.ArgumentParser:
+    """One parser: the command, then the flags every command shares."""
     ap = argparse.ArgumentParser(
         prog="matchctl",
         description="Matching-condition checks, feedback-shaping synthesis and "
                     "closed-loop simulation for underactuated mechanical systems.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn in (("check-matching", cmd_check_matching),
-                     ("check-helmholtz", cmd_check_helmholtz),
-                     ("synthesize-tau", cmd_synthesize_tau),
-                     ("simulate", cmd_simulate),
-                     ("sweep", cmd_sweep)):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True)
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--grid", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.set_defaults(fn=fn)
+    ap.add_argument("command", choices=_COMMANDS)
+    ap.add_argument("--config", required=True)
+    ap.add_argument("--json", action="store_true")
+    ap.add_argument("--out", default=None)
+    ap.add_argument("--tol", type=float, default=None)
+    ap.add_argument("--grid", type=int, default=None)
+    ap.add_argument("--seed", type=int, default=None)
     return ap
 
 
@@ -524,7 +523,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        code = args.fn(args)
+        code = _COMMANDS[args.command](args)
         _sys.stdout.flush()     # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:     # the reader left (`| head`); devnull quiets the exit flush

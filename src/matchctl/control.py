@@ -158,9 +158,11 @@ def gain_bound_crossing(p: CartpoleParams, k: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if gain_bound(p, mid) < k:
-            lo = mid
+            lo, moved = mid, mid != lo
         else:
-            hi = mid
+            hi, moved = mid, mid != hi
+        if not moved:       # a fixed point: every later step repeats this one
+            break
     return lo
 
 
@@ -646,26 +648,34 @@ def _incline_loop(p: InclineParams, gains: GainSelection, h: _HCurve, ns):
     """The incline closed loop over the sin, cos and sqrt of ``ns`` (math, jets
     or numpy) and the h-curve ``h``.
 
-    Returns tau(x) -> (cos(psi - x), tau, d tau / dx), or (cos(psi - x), tau)
-    for tau(x, False), and accel(x, s, xdot, sdot) -> (xddot, sddot).
+    Returns tau(x) -> (cos(psi - x), tau, d tau / dx, sin(psi - x)), or
+    (cos(psi - x), tau) for tau(x, False), and accel(x, s, xdot, sdot) ->
+    (xddot, sddot).  d tau / dx = -k beta^2 cos(psi - x) sin(psi - x) / sqrt(D)
+    gives the floats of the form in sin(x - psi), since sin is odd bit for bit.
+    The math build reads h by ``h.at``, skipping ``Curve.__call__``'s type tests.
     """
-    al, be, ga, d, psi = p.alpha, p.beta, p.gamma, p.d, p.psi
+    al, be, ga, psi = p.alpha, p.beta, p.gamma, p.psi
     k, rho, s0 = gains.k, gains.rho, gains.s0
     sin, cos, sqrt = ns.sin, ns.cos, ns.sqrt
+    hx = h.at if ns is math else h
+    # constant left-associative prefixes and signs, folded once: the same floats
+    alga, b2, mkb2, md = al * ga, be * be, -(k * be * be), -p.d
 
     def tau(x, d1=True):
-        cpx = cos(psi - x)
-        rD = sqrt(al * ga - be * be * cpx * cpx)
+        u = psi - x
+        cpx = cos(u)
+        rD = sqrt(alga - b2 * cpx * cpx)
         if not d1:
             return cpx, k * rD
-        return cpx, k * rD, k * be * be * cpx * sin(x - psi) / rD
+        spx = sin(u)
+        return cpx, k * rD, mkb2 * cpx * spx / rD, spx
 
     def accel(x, s, xd, sd):
-        cpx, t, tp = tau(x)
+        cpx, t, tp, spx = tau(x)
         B = be * cpx
-        r1 = -d * sin(x)
-        r2 = -(be * sin(psi - x) + ga * tp) * xd * xd - (s - h(x) - s0) / rho
-        det = al * ga - B * B - B * ga * t
+        r1 = md * sin(x)
+        r2 = -(be * spx + ga * tp) * xd * xd - (s - hx(x) - s0) / rho
+        det = alga - B * B - B * ga * t
         return (ga * r1 - B * r2) / det, (-(B + ga * t) * r1 + al * r2) / det
 
     return tau, accel
@@ -760,7 +770,7 @@ def incline_observed_loop(p: InclineParams, gains: GainSelection,
 
     def control(times, Q, Qd):
         x, s, xd = Q[:, 0], Q[:, 1], Qd[:, 0]
-        _, t, tp = tau(x)
+        _, t, tp, _ = tau(x)
         xdd = accel(x, s, xd, Qd[:, 1])[0]
         return (1 - rho) / rho * slope - veps_ds(s, h(x)) / rho - ga * t * xdd \
             - ga * tp * xd ** 2

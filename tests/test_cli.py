@@ -355,6 +355,13 @@ def test_bad_usage_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--config", cfg]) == 2
 
 
+def test_help_lists_every_command(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for name in ("check-matching", "check-helmholtz", "synthesize-tau", "simulate", "sweep"):
+        assert name in out
+
+
 def test_overrides(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cp.cfg", CARTPOLE_FAST.format(out=tmp_path / "defaultout"))
     out = tmp_path / "other"

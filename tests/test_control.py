@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import matchctl.control as ctl
 import matchctl.fields as fl
 from matchctl.control import (INCLINE_LOOP_SPAN, GainSelection, MatchingFailure,
                               _cell_integrals, _cumulative_integral, _gauss, _HCurve,
@@ -23,6 +24,7 @@ from matchctl.lagrangian import (ShapingParams, controlled_implicit_sode,
                                  scalar_sigma_matrix)
 from matchctl.matching import new_tau_closed_form, sm3_tau
 from matchctl.model import CartpoleParams, InclineParams, State, incline_system
+from matchctl.sim import integrate
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +83,39 @@ def test_gain_bound_blows_up_without_coupling():
 def test_gain_bound_crossing(reference_params):
     xc = gain_bound_crossing(reference_params, 35.0)
     assert gain_bound(reference_params, xc - 1e-4) < 35.0 < gain_bound(reference_params, xc + 1e-4)
+
+
+def _crossing_in_200_steps(p, k):
+    """The reference bisection: 200 steps whatever the bracket."""
+    lo, hi = 0.0, math.pi / 2 - 1e-9
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if gain_bound(p, mid) < k:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("p", [CartpoleParams(), InclineParams(psi=0.3)],
+                         ids=["cartpole", "incline"])
+def test_gain_bound_crossing_stops_at_the_200_step_float(p, monkeypatch):
+    hi0 = math.pi / 2 - 1e-9
+    k_end = gain_bound(p, hi0)      # above it, lo climbs all the way to hi0
+    ks = np.geomspace(gain_bound(p, 0.0) * (1 + 1e-15), 1e12, 40).tolist() \
+        + [math.nextafter(k_end, 0.0), k_end, math.nextafter(k_end, math.inf)]
+    calls = []
+    monkeypatch.setattr(ctl, "gain_bound", lambda *a: calls.append(a) or gain_bound(*a))
+    for k in ks:
+        calls.clear()
+        x = gain_bound_crossing(p, k)
+        assert x == _crossing_in_200_steps(p, k)
+        # the bracket halves until it is one ulp of the crossing wide; add the
+        # check at 0, the step that meets the fixed point and one that moves lo
+        # onto the bracket end
+        assert len(calls) <= math.ceil(math.log2(hi0 / math.ulp(x))) + 3
+        if x >= 2.0 ** -9:
+            assert len(calls) <= 64
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +530,18 @@ def test_equilibrium_preserved(reference_params, incline_params, gains, incline_
     loop_i = incline_closed_loop(incline_params, incline_gains, h)
     acc_i = loop_i.gamma_floats(np.array([0.0, incline_gains.s0]), np.array([0.0, 0.0]))
     assert np.abs(acc_i).max() < 1e-12
+
+
+def test_incline_rk4_reads_h_only_through_at(incline_params, incline_gains, monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("the float RK4 path called Curve.__call__")
+
+    monkeypatch.setattr(fl.Curve, "__call__", refuse)
+    h = incline_h_curve(incline_params, incline_base_shaping(incline_params, incline_gains),
+                        incline_gains.k, INCLINE_LOOP_SPAN)
+    loop = incline_closed_loop(incline_params, incline_gains, h)
+    traj = integrate(loop, State(q=np.array([0.2, 0.1]), qdot=np.zeros(2)), 1e-3, 0.2)
+    assert len(traj.times) == 201 and not traj.events
 
 
 def test_incline_conserved_potential_gradient(incline_params, incline_gains):
