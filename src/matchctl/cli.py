@@ -396,14 +396,23 @@ def _initial_state(rc: RunConfig, n: int) -> State:
     return State(q=np.array(rc.ic[:n]), qdot=np.array(rc.ic[n:]))
 
 
-def _simulate(rc: RunConfig) -> simmod.Trajectory:
+def _simulate(rc: RunConfig, marches: dict | None = None) -> simmod.Trajectory:
     """The configured closed loop with its observers, integrated from sim.ic
-    for sim.t_end and halted where |x| reaches sim.guard (when positive)."""
+    for sim.t_end and halted where |x| reaches sim.guard (when positive).
+
+    ``marches`` maps `ctl.closed_loop_key` to the bare trajectories of configs
+    that differ from ``rc`` in their gains alone: a loop found there is only
+    observed, and one integrated here is added to it."""
     loop, control, energy = _closed_loop_and_observers(rc)
     state0 = _initial_state(rc, loop.n)
     guard = (lambda q, qd: abs(q[0]) >= rc.guard) if rc.guard > 0 else None
-    return simmod.integrate(loop, state0, rc.dt, rc.t_end,
-                            control=control, energy=energy, guard=guard)
+    if marches is None:
+        return simmod.integrate(loop, state0, rc.dt, rc.t_end,
+                                control=control, energy=energy, guard=guard)
+    key = ctl.closed_loop_key(rc.params, rc.gains)
+    if key not in marches:
+        marches[key] = simmod.integrate(loop, state0, rc.dt, rc.t_end, guard=guard)
+    return simmod.observe(marches[key], control, energy)
 
 
 def cmd_simulate(args) -> int:
@@ -430,7 +439,9 @@ def cmd_simulate(args) -> int:
     return 0 if ok else 1
 
 
-def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float) -> dict:
+def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float,
+               marches: dict | None = None) -> dict:
+    """One sweep row; ``marches`` is the sweep's memo of `_simulate`."""
     gains = ctl.GainSelection(k=k, sigma=sigma, rho=rho, c=rc.gains.c, s0=rc.gains.s0)
     p = rc.params
     kmin = ctl.gain_bound(p, 0.0)
@@ -450,7 +461,7 @@ def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float) -> dict:
     row["min_eig_gtilde"] = min_eig
     sweep_rc = replace(rc, gains=gains, t_end=min(rc.t_end, 2.0), dt=max(rc.dt, 1e-3))
     try:
-        traj = _simulate(sweep_rc)
+        traj = _simulate(sweep_rc, marches)
         row["drift"] = simmod.energy_drift(traj) if traj.energies is not None else float("nan")
         row["events"] = len(traj.events)
     except (ValueError, ZeroDivisionError, RuntimeError) as exc:
@@ -476,9 +487,11 @@ def cmd_sweep(args) -> int:
     sigmas = rc.sweep_sigma or [rc.gains.sigma]
     rhos = rc.sweep_rho or [rc.gains.rho]
     combos = [(k, s, r) for k in ks for s in sigmas for r in rhos]
-    # one worker, so rows run in order; perfbench wraps cli.ThreadPoolExecutor by name
+    # one worker, so rows run in order; perfbench wraps cli.ThreadPoolExecutor by name.
+    # Rows that share a closed loop share its march, which this sweep alone keeps.
+    marches: dict = {}
     with ThreadPoolExecutor(max_workers=1) as ex:
-        rows = list(ex.map(lambda c: _sweep_one(rc, *c), combos))
+        rows = list(ex.map(lambda c: _sweep_one(rc, *c, marches), combos))
     out_dir = Path(rc.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dest = out_dir / "sweep.csv"

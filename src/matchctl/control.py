@@ -63,6 +63,7 @@ __all__ = [
     "incline_closed_loop",
     "incline_shaped_potential",
     "incline_observed_loop",
+    "closed_loop_key",
     "PotentialCurve",
 ]
 
@@ -652,7 +653,11 @@ def _incline_loop(p: InclineParams, gains: GainSelection, h: _HCurve, ns):
     (cos(psi - x), tau) for tau(x, False), and accel(x, s, xdot, sdot) ->
     (xddot, sddot).  d tau / dx = -k beta^2 cos(psi - x) sin(psi - x) / sqrt(D)
     gives the floats of the form in sin(x - psi), since sin is odd bit for bit.
-    The math build reads h by ``h.at``, skipping ``Curve.__call__``'s type tests.
+    The loop reads the gains k, rho and s0 and the h-curve, built from sigma
+    and rho too, which `closed_loop_key` lists.  The math build reads h by
+    ``h.at``, skipping ``Curve.__call__``'s type tests: one bisection of the
+    curve's interior breakpoints and one row of its coefficients, from the
+    lists of `fields.spline_reader`.
     """
     al, be, ga, psi = p.alpha, p.beta, p.gamma, p.psi
     k, rho, s0 = gains.k, gains.rho, gains.s0
@@ -780,3 +785,15 @@ def incline_observed_loop(p: InclineParams, gains: GainSelection,
         return (*_incline_kinetic(p, gains, cpx, t), rho * ga, pot.value_arrays(x, s))
 
     return loop, control, _energy_observer(parts)
+
+
+def closed_loop_key(p: CartpoleParams, gains: GainSelection) -> tuple:
+    """The gains that the closed loop of `cartpole_observed_loop`, or of
+    `incline_observed_loop` when ``p`` is an `InclineParams`, reads: two gain
+    selections with one key give one loop at the same parameters, and so one
+    trajectory from one initial state.  The cart-pole loop reads k alone.
+    The incline loop reads k, rho and s0, and its h-curve reads sigma and rho
+    (and k) through A."""
+    if isinstance(p, InclineParams):
+        return gains.k, gains.sigma, gains.rho, gains.s0
+    return (gains.k,)

@@ -250,17 +250,18 @@ def matrix_inverse_fields(block, arity: int):
 
     A constant block folds to constant entries; otherwise each entry solves
     the block by elimination over floats or jets, so derivatives are exact.
+    The block's entries are operands read through `fields._at`, so that one
+    `fields.read_at` pass evaluates each distinct one once.
     """
     ng = len(block)
     if all(f.const is not None for row in block for f in row):
         K = np.linalg.inv(np.array([[f.const for f in row] for row in block]))
         return tuple(tuple(fl.constant(K[a, b], arity) for b in range(ng)) for a in range(ng))
-    fns = [[f.fn for f in row] for row in block]
 
     def make(a: int, b: int) -> SmoothField:
         e = [1.0 if i == b else 0.0 for i in range(ng)]
-        return SmoothField(arity, lambda u: solve_generic([[fn(u) for fn in row]
-                                                           for row in fns], e)[a])
+        return SmoothField(arity, lambda u: solve_generic([[fl._at(f, u) for f in row]
+                                                           for row in block], e)[a])
 
     return tuple(tuple(make(a, b) for b in range(ng)) for a in range(ng))
 

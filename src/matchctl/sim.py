@@ -18,7 +18,7 @@ from .jets import value_of
 from .lagrangian import ExplicitSode
 from .model import Dims, State
 
-__all__ = ["Trajectory", "integrate", "energy_drift", "write_rows", "write_csv"]
+__all__ = ["Trajectory", "integrate", "observe", "energy_drift", "write_rows", "write_csv"]
 
 
 @dataclass
@@ -45,14 +45,14 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
               control: Callable | None = None,
               energy: Callable | None = None,
               guard: Callable | None = None) -> Trajectory:
-    """March the field with fixed-step RK4 from state0 for t_end seconds.
+    """March the field with fixed-step RK4 from state0 for t_end seconds, then
+    `observe` the march.
 
     ``guard(q, qdot) -> bool`` halts integration with a "domain_exit" event
     when true; it receives the coordinates and velocities as sequences of
     floats, tuples on the two-coordinate fast path and lists otherwise.
-    Non-finite states always halt with a "nonfinite" event.  ``control`` and
-    ``energy`` are vectorized observers (times, Q, Qd) -> columns evaluated on
-    the recorded samples.
+    Non-finite states always halt with a "nonfinite" event.  Without
+    observers the trajectory is the bare march: times, states and events.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -64,15 +64,25 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
         times, states = _rk4_pair(field_.gamma2, state0, dt, n_steps, guard, events)
     else:
         times, states = _rk4_array(field_, state0, dt, n_steps, guard, events)
+    return observe(Trajectory(dims=field_.dims, times=times, states=states, events=events),
+                   control, energy)
 
-    traj = Trajectory(dims=field_.dims, times=times, states=states, events=events)
-    Q, Qd = traj.q(), traj.qdot()
+
+def observe(traj: Trajectory, control: Callable | None = None,
+            energy: Callable | None = None) -> Trajectory:
+    """A trajectory on the times, states and events of ``traj`` with the
+    columns of ``control`` and ``energy``, vectorized observers (times, Q, Qd)
+    -> columns evaluated on the recorded samples.  ``traj`` is not changed, so
+    one march can be observed by several pairs of observers."""
+    out = Trajectory(dims=traj.dims, times=traj.times, states=traj.states,
+                     events=list(traj.events))
+    times, Q, Qd = out.times, out.q(), out.qdot()
     if control is not None:
         cols = np.asarray(control(times, Q, Qd), dtype=float)
-        traj.controls = cols.reshape(len(times), -1)
+        out.controls = cols.reshape(len(times), -1)
     if energy is not None:
-        traj.energies = np.asarray(energy(times, Q, Qd), dtype=float).reshape(-1)
-    return traj
+        out.energies = np.asarray(energy(times, Q, Qd), dtype=float).reshape(-1)
+    return out
 
 
 def _rk4_pair(gamma2, state0: State, dt: float, n_steps: int, guard, events):

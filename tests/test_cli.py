@@ -283,6 +283,62 @@ def test_sweep_reports_errored_rows(tmp_path, capsys):
     assert rows[2].endswith(",True,")
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def count_marches(monkeypatch) -> list:
+    """Patch the integrator that the sweep's rows call; returns the list that
+    each call appends to."""
+    calls = []
+    integrate = cli.simmod.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli.simmod, "integrate", counted)
+    return calls
+
+
+def test_shipped_cartpole_sweep_integrates_each_gain_once(tmp_path, capsys, monkeypatch):
+    # the cart-pole loop reads k alone: 3 gains x 2 sigmas are 6 rows and 3
+    # marches, and a second sweep keeps nothing from the first
+    marches = count_marches(monkeypatch)
+    argv = ["sweep", "--config", str(CONFIGS / "cartpole.cfg"), "--out", str(tmp_path)]
+    for run in (1, 2):
+        assert main(argv) == 0
+        assert len(marches) == 3 * run
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 7
+
+
+@pytest.mark.parametrize("fast, sweep, code, marches, memoless", [
+    (CARTPOLE_FAST, "sweep.k = 2.0, 5, 35\nsweep.sigma = 0.5, 1.0\n", 1, 2, 4),
+    (INCLINE_FAST, "sweep.k = 20, 35\nsweep.sigma = 0.3, 1\n", 0, 4, 4),
+], ids=["cartpole", "incline"])
+def test_sweep_rows_are_those_of_rows_run_alone(tmp_path, capsys, monkeypatch, fast, sweep,
+                                                code, marches, memoless):
+    # sweep.csv, --json and stderr as when every row integrates its own loop;
+    # k = 2.0 is below the gain bound, an errored row at both sigmas
+    cfg = write_cfg(tmp_path, "s.cfg", fast.format(out=tmp_path / "out")
+                    + "sim.t_end = 0.5\n" + sweep)
+    calls = count_marches(monkeypatch)
+
+    def run():
+        got = main(["sweep", "--config", cfg, "--json"])
+        out, err = capsys.readouterr()
+        return got, out, err, (tmp_path / "out" / "sweep.csv").read_bytes()
+
+    shared = run()
+    assert len(calls) == marches
+    sweep_one = cli._sweep_one
+    monkeypatch.setattr(cli, "_sweep_one", lambda rc, k, s, r, marches: sweep_one(rc, k, s, r))
+    alone = run()
+    assert len(calls) == marches + memoless
+    assert shared == alone and shared[0] == code
+    assert shared[2].splitlines() == [f"sweep row k=2.0 sigma={s} rho=1.0: k fails the bound "
+                                      "even at the equilibrium" for s in (0.5, 1.0) if code]
+
+
 @pytest.mark.parametrize("extra, key", [
     ("sweep.sigma = 1.0, 0\n", "sweep.sigma"),
     ("sweep.sigma = -1\n", "sweep.sigma"),

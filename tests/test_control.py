@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -557,3 +558,46 @@ def test_incline_conserved_potential_gradient(incline_params, incline_gains):
     for q in (np.array([0.25, 0.4]), np.array([-0.4, -0.2])):
         grad = reconstruct_shaped_potential_gradient(sys_, shp, loop, q)
         assert np.abs(grad - pot.gradient(q)).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the closed-loop key that a sweep shares marches by
+# ---------------------------------------------------------------------------
+
+def test_cartpole_loop_reads_k_alone(reference_params):
+    # sigma and rho reach the shaped energy and gtilde, not the closed loop
+    p = reference_params
+    rng = np.random.default_rng(24)
+    states = rng.uniform([-1.3, -2.0, -3.0, -3.0], [1.3, 2.0, 3.0, 3.0], size=(200, 4)).tolist()
+    state0 = State(q=np.array([0.4, 0.0]), qdot=np.array([0.1, -0.5]))
+    keys, accels, trajs = set(), set(), set()
+    for sigma in (0.3, 1.0, 3.0):
+        for rho in (-0.7, 1.0, 2.0):
+            gains = GainSelection(k=35.0, sigma=sigma, rho=rho)
+            loop = cartpole_closed_loop(p, gains)
+            keys.add(ctl.closed_loop_key(p, gains))
+            accels.add(np.array([loop.gamma2(*s) for s in states]).tobytes())
+            traj = integrate(loop, state0, 1e-3, 2.0)
+            assert len(traj.times) == 2001 and not traj.events
+            trajs.add(traj.states.tobytes())
+    assert keys == {(35.0,)}
+    assert len(accels) == 1 and len(trajs) == 1
+
+
+def test_incline_loop_key_holds_every_gain_its_loop_reads(incline_params, incline_gains):
+    # changing any gain in the key changes the trajectory; c is outside it
+    p, base = incline_params, incline_gains
+    state0 = State(q=np.array([0.2, 0.1]), qdot=np.zeros(2))
+
+    def run(gains):
+        loop = ctl.incline_observed_loop(p, gains, (-1.1, 1.1))[0]
+        traj = integrate(loop, state0, 1e-3, 2.0)
+        assert len(traj.times) == 2001 and not traj.events
+        return ctl.closed_loop_key(p, gains), traj.states.tobytes()
+
+    key0, states0 = run(base)
+    assert key0 == (base.k, base.sigma, base.rho, base.s0)
+    for change in ({"k": 36.0}, {"sigma": 1.5}, {"rho": 2.5}, {"s0": 0.05}):
+        key, states = run(replace(base, **change))
+        assert key != key0 and states != states0, change
+    assert run(replace(base, c=base.c + 1.0)) == (key0, states0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,23 @@ def test_spline_reader_is_scipy_bit_for_bit():
         want = chain(x, *(float(spline(x.f, nu)) for nu in (0, 1, 2)))
         assert (got.f, got.g.tobytes(), got.h.tobytes()) \
             == (want.f, want.g.tobytes(), want.h.tobytes())
+    # the list rows, on uniform and non-uniform knots, of a scipy spline and of
+    # a Curve: bit for bit at NaN, +-inf, the exact knots and points in both
+    # extrapolated end intervals, NaNs included
+    for uniform in (True, False):
+        knots = _knots(rng, 37, uniform)
+        vals = _values(rng, 37)
+        span = knots[-1] - knots[0]
+        probes = ([math.nan, math.inf, -math.inf] + knots.tolist()
+                  + rng.uniform(knots[0], knots[-1], 300).tolist()
+                  + (knots[0] - span * rng.random(50)).tolist()
+                  + (knots[-1] + span * rng.random(50)).tolist())
+        spline = CubicSpline(knots, vals)
+        for reader in (fl.spline_reader(spline), fl.Curve(knots, vals).at):
+            for nu in (0, 1, 2):
+                ours = np.array([reader(v, nu) for v in probes])
+                ref = np.array([float(spline(v, nu)) for v in probes])
+                assert ours.tobytes() == ref.tobytes(), (uniform, nu)
 
 
 def _knots(rng, n, uniform):

@@ -173,6 +173,25 @@ def test_matrix_inverse_fields_derivatives():
     assert np.abs(got - direct).max() < 1e-13
 
 
+@pytest.mark.parametrize("coords", [[0.3], [np.linspace(-1.0, 1.0, 7)]], ids=["one", "N"])
+def test_inverse_reads_each_group_field_once_per_pass(coords):
+    # one read_at pass over g_gg and the SM3 tau, whose inverse entries all
+    # read the same 3 distinct g_gg fields: one call each
+    sys_ = random_system(3, Dims(1, 2), const_group=False)
+    distinct = list(dict.fromkeys(f for row in sys_.g_gg for f in row))
+    assert len(distinct) == 3 and all(f.const is None for f in distinct)
+    calls = []
+    for i, f in enumerate(distinct):
+        f.fn = (lambda i, fn: lambda u: calls.append(i) or fn(u))(i, f.fn)
+    tau = sm3_tau(sys_, 0.7)
+    reads = fl.read_at([sys_.g_gg, tau], coords)
+    assert sorted(calls) == [0, 1, 2]
+    # each entry's value is its own float pass
+    for f in (tau[0][0], tau[1][0]):
+        want = [f.fn([v]) for v in np.atleast_1d(coords[0]).tolist()]
+        assert np.atleast_1d(reads[f][0]).tolist() == want
+
+
 def test_new_tau_closed_form_values(reference_params, cartpole, incline_params):
     p = reference_params
     tau = new_tau_closed_form(cartpole, 35.0)

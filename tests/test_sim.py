@@ -5,7 +5,7 @@ import pytest
 
 from matchctl.lagrangian import ExplicitSode
 from matchctl.model import Dims, State
-from matchctl.sim import CSV_BLOCK, Trajectory, energy_drift, integrate, write_csv
+from matchctl.sim import CSV_BLOCK, Trajectory, energy_drift, integrate, observe, write_csv
 
 
 def harmonic() -> ExplicitSode:
@@ -139,6 +139,28 @@ def test_observer_columns():
     assert traj.energies.shape == traj.times.shape
     assert traj.controls.shape == (len(traj.times), 1)
     assert energy_drift(traj) < 1e-12
+
+
+def test_one_march_observed_twice_is_integrate_twice():
+    # observing a bare march gives integrate's columns bit for bit and leaves
+    # the march as it was, so another pair of observers can read it
+    def energy(scale):
+        return lambda times, Q, Qd: scale * (Qd[:, 0] ** 2 + Q[:, 0] ** 2)
+
+    def control(times, Q, Qd):
+        return Q[:, 0] * Qd[:, 0]
+
+    st = State(q=[1.0], qdot=[0.0])
+    bare = integrate(harmonic(), st, dt=1e-3, t_end=1.0, guard=lambda q, qd: q[0] < 0.8)
+    assert bare.controls is None and bare.energies is None and bare.events
+    for scale in (0.5, 3.0):
+        want = integrate(harmonic(), st, dt=1e-3, t_end=1.0, control=control,
+                         energy=energy(scale), guard=lambda q, qd: q[0] < 0.8)
+        got = observe(bare, control, energy(scale))
+        assert got.events == want.events and got.events is not bare.events
+        for name in ("times", "states", "controls", "energies"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert bare.controls is None and bare.energies is None
 
 
 def test_energy_drift_trivial_and_empty():
