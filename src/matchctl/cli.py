@@ -396,21 +396,21 @@ def _initial_state(rc: RunConfig, n: int) -> State:
     return State(q=np.array(rc.ic[:n]), qdot=np.array(rc.ic[n:]))
 
 
-def _simulate(rc: RunConfig, marches: dict | None = None) -> simmod.Trajectory:
+def _simulate(rc: RunConfig, marches: dict) -> simmod.Trajectory:
     """The configured closed loop with its observers, integrated from sim.ic
     for sim.t_end and halted where |x| reaches sim.guard (when positive).
 
-    ``marches`` maps `ctl.closed_loop_key` to the bare trajectories of configs
-    that differ from ``rc`` in their gains alone: a loop found there is only
-    observed, and one integrated here is added to it."""
+    ``marches`` holds the bare trajectory of the last loop integrated, under
+    its `ctl.closed_loop_key`, for configs that differ from ``rc`` in their
+    gains alone: a loop found there is only observed, and one integrated here
+    replaces it (``{}`` integrates afresh).  A sweep runs the rows of one loop
+    one after another, so one march is all it needs to keep."""
     loop, control, energy = _closed_loop_and_observers(rc)
-    state0 = _initial_state(rc, loop.n)
-    guard = (lambda q, qd: abs(q[0]) >= rc.guard) if rc.guard > 0 else None
-    if marches is None:
-        return simmod.integrate(loop, state0, rc.dt, rc.t_end,
-                                control=control, energy=energy, guard=guard)
     key = ctl.closed_loop_key(rc.params, rc.gains)
     if key not in marches:
+        state0 = _initial_state(rc, loop.n)
+        guard = (lambda q, qd: abs(q[0]) >= rc.guard) if rc.guard > 0 else None
+        marches.clear()
         marches[key] = simmod.integrate(loop, state0, rc.dt, rc.t_end, guard=guard)
     return simmod.observe(marches[key], control, energy)
 
@@ -422,7 +422,7 @@ def cmd_simulate(args) -> int:
     elif rc.system == "incline":
         # the h-curve's span covers the potential's, so the latter decides
         _require_gain_window(rc, _incline_potential_span(rc))
-    traj = _simulate(rc)
+    traj = _simulate(rc, {})
     out_dir = Path(rc.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dest = out_dir / "trajectory.csv"
@@ -439,8 +439,7 @@ def cmd_simulate(args) -> int:
     return 0 if ok else 1
 
 
-def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float,
-               marches: dict | None = None) -> dict:
+def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float, marches: dict) -> dict:
     """One sweep row; ``marches`` is the sweep's memo of `_simulate`."""
     gains = ctl.GainSelection(k=k, sigma=sigma, rho=rho, c=rc.gains.c, s0=rc.gains.s0)
     p = rc.params
@@ -488,7 +487,8 @@ def cmd_sweep(args) -> int:
     rhos = rc.sweep_rho or [rc.gains.rho]
     combos = [(k, s, r) for k in ks for s in sigmas for r in rhos]
     # one worker, so rows run in order; perfbench wraps cli.ThreadPoolExecutor by name.
-    # Rows that share a closed loop share its march, which this sweep alone keeps.
+    # k varies slowest, so rows that share a closed loop run one after another
+    # and share its march, which this sweep alone keeps.
     marches: dict = {}
     with ThreadPoolExecutor(max_workers=1) as ex:
         rows = list(ex.map(lambda c: _sweep_one(rc, *c, marches), combos))

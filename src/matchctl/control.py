@@ -736,27 +736,34 @@ def incline_shaped_potential(p: InclineParams, gains: GainSelection, h: _HCurve,
     lo, hi = incline_safe_span(p, gains.k, x_span)
     if not h.x[0] <= lo < hi <= h.x[-1]:
         raise ValueError("the h-curve does not cover the potential span")
-    s0 = gains.s0
-    slope = _incline_slope(p, gains, h, math)
     xs = np.linspace(lo, hi, _CURVE_POINTS)
     W = Curve(xs, _cumulative_integral(_incline_slope(p, gains, h, np), xs))
+    return _InclinePotential(W, h, _incline_slope(p, gains, h, math), gains.s0)
 
-    class InclinePotential:
-        def value_arrays(self, x, s):
-            """The potential at floats or at arrays x and s."""
-            return W(x) - h(x) * (s - s0) + 0.5 * (s - s0) ** 2
 
-        def value(self, q) -> float:
-            return self.value_arrays(float(q[0]), float(q[1]))
+class _InclinePotential:
+    """W(x) - h(x) (s - s0) + (s - s0)^2 / 2 with its gradient, whose shape
+    part is ``slope``.  A module-level class, not one made per call, so that
+    the potential holds no reference cycle and its curves are freed as soon
+    as it is dropped."""
 
-        __call__ = value
+    def __init__(self, W: Curve, h: _HCurve, slope: Callable[[float], float], s0: float):
+        self.W, self.h, self.slope, self.s0 = W, h, slope, s0
 
-        def gradient(self, q) -> np.ndarray:
-            x, s = float(q[0]), float(q[1])
-            Ax = h.A.value(np.array([x]))
-            return np.array([slope(x) - Ax * (s - s0), (s - s0) - h(x)])
+    def value_arrays(self, x, s):
+        """The potential at floats or at arrays x and s."""
+        s0 = self.s0
+        return self.W(x) - self.h(x) * (s - s0) + 0.5 * (s - s0) ** 2
 
-    return InclinePotential()
+    def value(self, q) -> float:
+        return self.value_arrays(float(q[0]), float(q[1]))
+
+    __call__ = value
+
+    def gradient(self, q) -> np.ndarray:
+        x, s, s0, h = float(q[0]), float(q[1]), self.s0, self.h
+        Ax = h.A.value(np.array([x]))
+        return np.array([self.slope(x) - Ax * (s - s0), (s - s0) - h(x)])
 
 
 def incline_observed_loop(p: InclineParams, gains: GainSelection,

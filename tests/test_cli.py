@@ -331,7 +331,7 @@ def test_sweep_rows_are_those_of_rows_run_alone(tmp_path, capsys, monkeypatch, f
     shared = run()
     assert len(calls) == marches
     sweep_one = cli._sweep_one
-    monkeypatch.setattr(cli, "_sweep_one", lambda rc, k, s, r, marches: sweep_one(rc, k, s, r))
+    monkeypatch.setattr(cli, "_sweep_one", lambda rc, k, s, r, marches: sweep_one(rc, k, s, r, {}))
     alone = run()
     assert len(calls) == marches + memoless
     assert shared == alone and shared[0] == code

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -558,6 +560,34 @@ def test_incline_conserved_potential_gradient(incline_params, incline_gains):
     for q in (np.array([0.25, 0.4]), np.array([-0.4, -0.2])):
         grad = reconstruct_shaped_potential_gradient(sys_, shp, loop, q)
         assert np.abs(grad - pot.gradient(q)).max() < 1e-8
+
+
+def test_incline_observed_loop_is_freed_without_the_cycle_collector(incline_params,
+                                                                    incline_gains, monkeypatch):
+    # no reference cycle holds the h-curve or the potential's curve, so a sweep
+    # row's curves and their float-read rows go as soon as the row drops them
+    curves = []
+
+    def recorded(make):
+        def make_and_record(*args):
+            curves.append(make(*args))
+            return curves[-1]
+        return make_and_record
+
+    monkeypatch.setattr(ctl, "incline_h_curve", recorded(ctl.incline_h_curve))
+    monkeypatch.setattr(ctl, "Curve", recorded(ctl.Curve))
+    gc.disable()
+    try:
+        loop, control, energy = ctl.incline_observed_loop(incline_params, incline_gains,
+                                                          (-1.1, 1.1))
+        traj = integrate(loop, State(q=np.array([0.2, 0.1]), qdot=np.zeros(2)), 1e-3, 0.2,
+                         control=control, energy=energy)
+        assert len(traj.times) == 201 and np.isfinite(traj.energies).all()
+        refs = [weakref.ref(c) for c in curves]
+        del loop, control, energy, traj, curves[:]
+        assert len(refs) == 2 and all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
