@@ -405,14 +405,16 @@ def _simulate(rc: RunConfig, marches: dict) -> simmod.Trajectory:
     gains alone: a loop found there is only observed, and one integrated here
     replaces it (``{}`` integrates afresh).  A sweep runs the rows of one loop
     one after another, so one march is all it needs to keep."""
-    loop, control, energy = _closed_loop_and_observers(rc)
     key = ctl.closed_loop_key(rc.params, rc.gains)
-    if key not in marches:
+    march = marches.get(key)
+    marches.clear()             # before the curves of this loop are built
+    loop, control, energy = _closed_loop_and_observers(rc)
+    if march is None:
         state0 = _initial_state(rc, loop.n)
         guard = (lambda q, qd: abs(q[0]) >= rc.guard) if rc.guard > 0 else None
-        marches.clear()
-        marches[key] = simmod.integrate(loop, state0, rc.dt, rc.t_end, guard=guard)
-    return simmod.observe(marches[key], control, energy)
+        march = simmod.integrate(loop, state0, rc.dt, rc.t_end, guard=guard)
+    marches[key] = march
+    return simmod.observe(march, control, energy)
 
 
 def cmd_simulate(args) -> int:
