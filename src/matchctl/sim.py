@@ -1,8 +1,13 @@
 """Fixed-step trajectory integration, energy-drift measurement and CSV output.
 
 Classical fourth-order Runge-Kutta at fixed step: reproducibility of golden
-trajectories matters more than adaptive speed at this scale.  Observer
-columns (controls, shaped energy) are evaluated at every recorded step.
+trajectories matters more than adaptive speed at this scale.  A march records
+its states as floats in one ``array('d')`` and hands them back as a view of
+it.  Observer columns (controls, shaped energy) are evaluated at every
+recorded step, ``OBSERVE_BLOCK`` rows at a time, into columns allocated once,
+so a trajectory keeps about 8 bytes per float of each row (times, states,
+controls, energy) and the transient memory of observing it does not grow with
+its length.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from .lagrangian import ExplicitSode
 from .model import Dims, State
 
 __all__ = ["Trajectory", "integrate", "observe", "energy_drift", "write_rows", "write_csv"]
+
+OBSERVE_BLOCK = 4096    # rows per observer call in `observe`, a power of two
 
 
 @dataclass
@@ -53,6 +60,8 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
     floats, tuples on the two-coordinate fast path and lists otherwise.
     Non-finite states always halt with a "nonfinite" event.  Without
     observers the trajectory is the bare march: times, states and events.
+    The states are a writable view of the march's float record, not a copy of
+    it, so a march holds its 2n floats per row once.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -73,21 +82,37 @@ def observe(traj: Trajectory, control: Callable | None = None,
     """A trajectory on the times, states and events of ``traj`` with the
     columns of ``control`` and ``energy``, vectorized observers (times, Q, Qd)
     -> columns evaluated on the recorded samples.  ``traj`` is not changed, so
-    one march can be observed by several pairs of observers."""
+    one march can be observed by several pairs of observers.
+
+    An observer's row i must depend on row i of its inputs alone: each is
+    called on blocks of ``OBSERVE_BLOCK`` rows, and its output is written into
+    a column allocated once.  The block is a power of two, so every block
+    starts on the lane alignment of the whole-array call and the last one
+    ends on its tail, and numpy's vectorized kernels give the floats of one
+    whole-array call.  Controls are (N, n_u), energies (N,), both float."""
     out = Trajectory(dims=traj.dims, times=traj.times, states=traj.states,
                      events=list(traj.events))
     times, Q, Qd = out.times, out.q(), out.qdot()
-    if control is not None:
-        cols = np.asarray(control(times, Q, Qd), dtype=float)
-        out.controls = cols.reshape(len(times), -1)
-    if energy is not None:
-        out.energies = np.asarray(energy(times, Q, Qd), dtype=float).reshape(-1)
+    rows = len(times)
+    for r in range(0, max(rows, 1), OBSERVE_BLOCK):    # one call on no rows gives n_u
+        block = slice(r, r + OBSERVE_BLOCK)
+        args = times[block], Q[block], Qd[block]
+        size = len(args[0])
+        if control is not None:
+            cols = np.asarray(control(*args), dtype=float)
+            if out.controls is None:
+                out.controls = np.empty((rows, math.prod(cols.shape[1:])))
+            out.controls[block] = cols.reshape(size, out.controls.shape[1])
+        if energy is not None:
+            if out.energies is None:
+                out.energies = np.empty(rows)
+            out.energies[block] = np.asarray(energy(*args), dtype=float).reshape(size)
     return out
 
 
 def _rk4_pair(gamma2, state0: State, dt: float, n_steps: int, guard, events):
     """Scalar fast path for two-coordinate systems: states are recorded as
-    floats and copied into one array at the end."""
+    floats in one array of doubles, which the states view."""
     x, th = float(state0.q[0]), float(state0.q[1])
     xd, thd = float(state0.qdot[0]), float(state0.qdot[1])
     half = 0.5 * dt
@@ -117,8 +142,7 @@ def _rk4_pair(gamma2, state0: State, dt: float, n_steps: int, guard, events):
         if guard is not None and guard((x, th), (xd, thd)):
             events.append((t_now, "domain_exit"))
             break
-    states = np.frombuffer(rec, dtype=float).reshape(-1, 4).copy()
-    return np.arange(len(states)) * dt, states
+    return _march(rec, 4, dt)
 
 
 def _rk4_array(field_: ExplicitSode, state0: State, dt: float, n_steps: int,
@@ -151,16 +175,29 @@ def _rk4_array(field_: ExplicitSode, state0: State, dt: float, n_steps: int,
         if guard is not None and guard(q, qd):
             events.append((t_now, "domain_exit"))
             break
-    states = np.frombuffer(rec, dtype=float).reshape(-1, 2 * field_.n).copy()
-    return np.arange(len(states)) * dt, states
+    return _march(rec, 2 * field_.n, dt)
+
+
+def _march(rec: array, width: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Times and states of a march's record: the states are a view of ``rec``,
+    which it keeps alive, and the times are i * dt, built in place."""
+    states = np.frombuffer(rec, dtype=float).reshape(-1, width)
+    times = np.arange(len(states), dtype=float)
+    times *= dt
+    return times, states
 
 
 def energy_drift(traj: Trajectory) -> float:
-    """max_t |E(t) - E(0)| / max(1, |E(0)|)."""
-    if traj.energies is None or traj.energies.size == 0:
+    """max_t |E(t) - E(0)| / max(1, |E(0)|), from the extremes of E: rounding
+    is monotone, so max |fl(E_i - e0)| is the larger of fl(max E - e0) and
+    fl(e0 - min E), and no full-length temporary is made.  Any NaN, or an
+    infinite E(0), gives NaN."""
+    E = traj.energies
+    if E is None or E.size == 0:
         raise ValueError("trajectory has no recorded energies")
-    e0 = traj.energies[0]
-    return float(np.abs(traj.energies - e0).max() / max(1.0, abs(e0)))
+    e0 = E[0]
+    # abs: -0.0 - 0.0 is -0.0, where |E_i - e0| is 0.0
+    return float(abs(np.maximum(E.max() - e0, e0 - E.min())) / max(1.0, abs(e0)))
 
 
 def _columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:

@@ -1,11 +1,15 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from matchctl import control as ctl
 from matchctl.lagrangian import ExplicitSode
 from matchctl.model import Dims, State
-from matchctl.sim import CSV_BLOCK, Trajectory, energy_drift, integrate, observe, write_csv
+from matchctl.sim import (CSV_BLOCK, OBSERVE_BLOCK, Trajectory, energy_drift, integrate,
+                          observe, write_csv)
 
 
 def harmonic() -> ExplicitSode:
@@ -170,6 +174,96 @@ def test_energy_drift_trivial_and_empty():
     with pytest.raises(ValueError):
         energy_drift(Trajectory(dims=None, times=np.array([0.0]),
                                 states=np.zeros((1, 2))))
+
+
+def _drift_of_full_length_differences(E):
+    """The drift as max |E - E(0)| over a full-length array of differences."""
+    e0 = E[0]
+    return float(np.abs(E - e0).max() / max(1.0, abs(e0)))
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, -0.0])
+@pytest.mark.parametrize("base", ["normal", "signed_zeros", "large"])
+def test_energy_drift_is_the_full_length_formula_bit_for_bit(base, special, where):
+    rng = np.random.default_rng(len(base))
+    for n in (1, 2, 101):
+        if base == "signed_zeros":
+            E = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        else:
+            E = rng.normal(size=n) * (1e300 if base == "large" else 3.0) + 1.5
+        E[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = special
+        traj = Trajectory(dims=None, times=np.zeros(n), states=np.zeros((n, 2)), energies=E)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _drift_of_full_length_differences(E)
+            got = energy_drift(traj)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@pytest.fixture(scope="module")
+def observed_loops(reference_params, incline_params):
+    incline_gains = ctl.GainSelection(k=35.0, sigma=1.0, rho=2.0, c=6.0)
+    return {"cartpole": ctl.cartpole_observed_loop(reference_params,
+                                                   ctl.GainSelection(k=35.0), 0.8),
+            "incline": ctl.incline_observed_loop(incline_params, incline_gains, (-1.1, 1.1))}
+
+
+@pytest.mark.parametrize("rows", [0, 1, OBSERVE_BLOCK - 1, OBSERVE_BLOCK, OBSERVE_BLOCK + 1,
+                                  2 * OBSERVE_BLOCK + 3])
+@pytest.mark.parametrize("system", ["cartpole", "incline"])
+def test_observe_in_blocks_is_one_whole_array_call(observed_loops, system, rows):
+    # each observer's row i reads row i alone, so its columns taken block by
+    # block are the bytes of one call on all rows, in the same shapes
+    loop, control, energy = observed_loops[system]
+    rng = np.random.default_rng(rows)
+    states = np.column_stack([rng.uniform(-0.7, 0.7, rows), rng.uniform(-1.0, 1.0, rows),
+                              rng.normal(size=rows), rng.normal(size=rows)])
+    traj = Trajectory(dims=loop.dims, times=np.arange(rows) * 1e-3, states=states)
+    got = observe(traj, control, energy)
+    args = traj.times, traj.q(), traj.qdot()
+    want_u = np.asarray(control(*args), dtype=float).reshape(rows, 1)
+    want_e = np.asarray(energy(*args), dtype=float).reshape(-1)
+    assert got.controls.shape == (rows, 1) and got.energies.shape == (rows,)
+    assert got.controls.dtype == got.energies.dtype == np.float64
+    assert got.controls.tobytes() == want_u.tobytes()
+    assert got.energies.tobytes() == want_e.tobytes()
+    assert np.isfinite(got.energies).all()
+
+
+def test_march_and_observe_memory_does_not_grow_with_its_length(observed_loops):
+    # a 50,000-step cart-pole march keeps one record of its states, and
+    # observing it takes a transient of a few blocks above its output columns.
+    # Tracing every float of the march would take seconds, so the guard starts
+    # tracing after the last step: what integrate allocates from there on is
+    # all it holds beyond the record, whose bytes are the states'.
+    loop, control, energy = observed_loops["cartpole"]
+    steps, dt = 50_000, 1e-4
+    calls = [0]
+
+    def guard(q, qd):
+        calls[0] += 1
+        if calls[0] == steps:
+            tracemalloc.start()
+        return False
+
+    try:
+        march = integrate(loop, State(q=[0.3, 0.0], qdot=[0.1, -3.0]), dt, steps * dt,
+                          guard=guard)
+        march_peak = tracemalloc.get_traced_memory()[1]
+        assert tracemalloc.is_tracing() and len(march.times) == steps + 1
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        traj = observe(march, control, energy)
+        drift = energy_drift(traj)
+        observe_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    held = march.states.nbytes + march.times.nbytes
+    assert march.states.nbytes + march_peak <= 1.25 * held
+    assert march.states.flags.writeable and not march.states.flags.owndata
+    columns = traj.controls.nbytes + traj.energies.nbytes
+    assert observe_peak - columns < 256 * OBSERVE_BLOCK
+    assert drift < 1e-6
 
 
 def test_csv_empty(tmp_path):
