@@ -465,7 +465,7 @@ def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float, marches: dict)
         traj = _simulate(sweep_rc, marches)
         row["drift"] = simmod.energy_drift(traj) if traj.energies is not None else float("nan")
         row["events"] = len(traj.events)
-    except (ValueError, ZeroDivisionError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         row["drift"] = float("nan")
         row["events"] = -1
         row["error"] = str(exc)

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .jets import Jet2, as_jet, chain, jet_vars
+from .jets import Jet2, as_jet, chain, jet_vars, value_of
 
 __all__ = [
     "SmoothField",
@@ -159,9 +159,10 @@ def _unary(field: SmoothField, fun) -> SmoothField:
 
 
 def _seeds(values) -> list:
-    """Jets seeded at values: float parts for one float, else `jets.jet_vars`."""
+    """Jets seeded at values: float parts for one float or tape `jets.Var`,
+    else `jets.jet_vars`."""
     if len(values) == 1 and not isinstance(values[0], np.ndarray):
-        return [Jet2(float(values[0]), 1.0, 0.0)]
+        return [Jet2(value_of(values[0]), 1.0, 0.0)]
     return jet_vars(values)
 
 
@@ -278,8 +279,8 @@ def gradient(field: SmoothField, coords) -> Sequence:
     if seed is None:
         if len(sup) == n or isinstance(coords[0], np.ndarray):
             return field.d1(coords)
-        seeds = dict(zip(sup, _seeds([float(coords[i]) for i in sup])))
-        top = field.fn([seeds.get(i, float(c)) for i, c in enumerate(coords)])
+        seeds = dict(zip(sup, _seeds([value_of(coords[i]) for i in sup])))
+        top = field.fn([seeds.get(i, value_of(c)) for i, c in enumerate(coords)])
         g = as_jet(top, seeds[sup[0]]).g
         parts = dict(zip(sup, g.tolist() if isinstance(g, np.ndarray) else [g]))
         return [parts.get(i, 0.0) for i in range(n)]

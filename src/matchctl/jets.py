@@ -27,6 +27,13 @@ operation takes either.  `jet_vars` seeds array parts; the float read-outs of
 the values, gradients and Hessians of a list-valued function at one point or
 at N points from it, over jets (``backend="jet"``) or over the difference
 oracle (``backend="fd"``).
+
+`record` tapes a float function once (Griewank and Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 6): it runs it over tape variables (`Var`), which
+record each operation that the jet rules and the function apply to them, and
+compiles the record to one straight-line Python function over local floats.
+A `Var` refuses every step whose outcome would depend on its value, with
+`Untapeable`, so a record that completes holds at every input.
 """
 
 from __future__ import annotations
@@ -51,10 +58,106 @@ __all__ = [
     "solve_generic",
     "fd_value_grad_hess",
     "value_grad_hess",
+    "Var",
+    "Untapeable",
+    "record",
 ]
 
 
-_CONST = (Real, np.ndarray)     # constant operands: a float, or one float per point
+# -- the float tape -----------------------------------------------------------
+
+class Untapeable(TypeError):
+    """A tape `Var` met a step whose outcome depends on its value (a float or
+    numpy conversion, a truth test or a comparison)."""
+
+
+def _refuse(self, *args, **kwargs):
+    raise Untapeable("a taped float cannot be converted, tested or compared")
+
+
+def _op(fmt: str):
+    """A `Var` operator writing ``fmt`` over the operands' names."""
+    def op(self, other):
+        b = self.tape.operand(other)
+        return NotImplemented if b is None else self.tape.emit(fmt.format(self.name, b))
+    return op
+
+
+class Var:
+    """A float on a tape: each arithmetic operation or elementary function of
+    `jets` applied to it appends one line to its tape."""
+
+    __slots__ = ("tape", "name")
+    __array_ufunc__ = None      # a numpy scalar on the left defers to the Var
+
+    def __init__(self, tape: "_Tape", name: str):
+        self.tape = tape
+        self.name = name
+
+    __add__, __radd__ = _op("{} + {}"), _op("{1} + {0}")
+    __sub__, __rsub__ = _op("{} - {}"), _op("{1} - {0}")
+    __mul__, __rmul__ = _op("{} * {}"), _op("{1} * {0}")
+    __truediv__, __rtruediv__ = _op("{} / {}"), _op("{1} / {0}")
+    __pow__, __rpow__ = _op("{} ** {}"), _op("{1} ** {0}")
+    __float__ = __int__ = __index__ = __bool__ = __array__ = _refuse
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __hash__ = object.__hash__
+
+    def __neg__(self):
+        return self.tape.emit(f"-{self.name}")
+
+    def call(self, fn) -> "Var":
+        """``fn`` (a function of `math`) at this Var, on the tape."""
+        return self.tape.emit(f"{fn.__name__}({self.name})")
+
+
+class _Tape:
+    """Lines ``t<i> = <expression>`` over names and float constants; a
+    non-finite constant is a name bound when the tape is compiled."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.bound = {f.__name__: f for f in (math.sin, math.cos, math.sqrt, math.exp, math.log)}
+
+    def emit(self, expr: str) -> Var:
+        var = Var(self, f"t{len(self.lines)}")
+        self.lines.append(f"{var.name} = {expr}")
+        return var
+
+    def operand(self, x) -> str | None:
+        if type(x) is Var:
+            return x.name
+        if isinstance(x, np.ndarray):
+            _refuse(x)
+        if not isinstance(x, Real):
+            return None
+        x = float(x)
+        if math.isfinite(x):
+            return f"({x!r})"
+        name = f"k{len(self.bound)}"
+        self.bound[name] = x
+        return name
+
+
+def record(fn: Callable[[list], Sequence], n_in: int) -> Callable:
+    """``fn`` (n_in floats -> a sequence of floats) recorded once over tape
+    variables and compiled to one function of n_in floats that returns the
+    tuple of its outputs, with the floats of ``fn``, operation by operation
+    (a numpy scalar constant is taken as a Python float, whose ``**`` is
+    libm's).  Raises `Untapeable` where ``fn``'s steps would depend on its
+    inputs' values."""
+    tape = _Tape()
+    args = [f"x{i}" for i in range(n_in)]
+    outs = [tape.operand(v) for v in fn([Var(tape, a) for a in args])]
+    if None in outs:
+        raise Untapeable("a taped function returned a value that is not a float")
+    body = "".join(f"    {line}\n" for line in tape.lines)
+    src = f"def taped({', '.join(args)}):\n{body}    return ({', '.join(outs)},)\n"
+    exec(compile(src, "<tape>", "exec"), tape.bound)
+    return tape.bound["taped"]
+
+
+_CONST = (Real, np.ndarray, Var)    # constant operands: a float, one per point, or taped
 
 
 def _outer(a, b):
@@ -198,12 +301,13 @@ def as_jet(x, like) -> Jet2:
 
 
 def value_of(x):
-    """The value part of a jet, an array of point values as it is, else a float."""
+    """The value part of a jet, an array of point values or a `Var` as it is,
+    else a float."""
     if type(x) is float:
         return x
     if isinstance(x, Jet2):
         return x.f
-    return x if isinstance(x, np.ndarray) else float(x)
+    return x if isinstance(x, (np.ndarray, Var)) else float(x)
 
 
 # -- elementary functions usable on floats and jets --------------------------
@@ -223,40 +327,40 @@ def _power(f, p):
     return f ** p
 
 
+def _sin_cos(f):
+    if isinstance(f, np.ndarray):
+        return np.sin(f), np.cos(f)
+    if type(f) is Var:
+        return f.call(math.sin), f.call(math.cos)
+    return math.sin(f), math.cos(f)
+
+
 def sin(x):
     if isinstance(x, Jet2):
-        f = x.f
-        if isinstance(f, np.ndarray):
-            s, c = np.sin(f), np.cos(f)
-        else:
-            s, c = math.sin(f), math.cos(f)
+        s, c = _sin_cos(x.f)
         return chain(x, s, c, -s)
     if isinstance(x, np.ndarray):
         return np.sin(x)
-    return math.sin(x)
+    return x.call(math.sin) if type(x) is Var else math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Jet2):
-        f = x.f
-        if isinstance(f, np.ndarray):
-            s, c = np.sin(f), np.cos(f)
-        else:
-            s, c = math.sin(f), math.cos(f)
+        s, c = _sin_cos(x.f)
         return chain(x, c, -s, -c)
     if isinstance(x, np.ndarray):
         return np.cos(x)
-    return math.cos(x)
+    return x.call(math.cos) if type(x) is Var else math.cos(x)
 
 
 def sqrt(x):
     if isinstance(x, Jet2):
         f = x.f
-        r = np.sqrt(f) if isinstance(f, np.ndarray) else math.sqrt(f)
+        r = sqrt(f)
         return chain(x, r, 0.5 / r, -0.25 / (r * f))
     if isinstance(x, np.ndarray):
         return np.sqrt(x)
-    return math.sqrt(x)
+    return x.call(math.sqrt) if type(x) is Var else math.sqrt(x)
 
 
 def exp(x):
@@ -265,7 +369,7 @@ def exp(x):
         return chain(x, e, e, e)
     if isinstance(x, np.ndarray):
         return _elementwise(math.exp, x)
-    return math.exp(x)
+    return x.call(math.exp) if type(x) is Var else math.exp(x)
 
 
 def log(x):
@@ -274,7 +378,7 @@ def log(x):
         return chain(x, log(f), 1.0 / f, -1.0 / _power(f, 2))
     if isinstance(x, np.ndarray):
         return _elementwise(math.log, x)
-    return math.log(x)
+    return x.call(math.log) if type(x) is Var else math.log(x)
 
 
 # -- small dense linear solve over generic scalars ---------------------------

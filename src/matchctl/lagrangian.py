@@ -9,7 +9,8 @@ is affine in the accelerations, which the block-inverse and the acceleration
 solver exploit; the solver takes N states as one stacked solve.  The
 covectors and the controlled acceleration matrix read the metric and tau
 fields through `fields.read_at`, one read per call at any coordinates; the
-explicit controlled field hands one read to both.
+explicit controlled field hands one read to both, and at floats replays a
+tape of that pass (`jets.record`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import SmoothField, gradient, read_at
-from .jets import Jet2, jet_vars, solve_generic, value_of
+from .jets import Jet2, Untapeable, jet_vars, record, solve_generic, value_of
 from .model import Dims, MechanicalSystem, State, block_entries, metric_of
 
 __all__ = [
@@ -456,12 +457,41 @@ class ImplicitSode:
         return solve_accel(self, state)
 
     def to_explicit(self) -> "ExplicitSode":
-        def gamma(q, qd):
-            data = () if self.shared is None else (self.shared(q),)
-            rhs = [-v for v in self.phi(q, qd, [0.0] * self.n, *data)]
-            return solve_generic(self.accel_matrix(q, *data), rhs)
+        """The explicit field.  Its float path is recorded at its first call:
+        one pass of ``shared``, ``phi`` and ``accel_matrix`` over tape
+        variables (`jets.record`) gives C and the right-hand side as one
+        straight-line function, and `solve_generic`, whose pivots depend on
+        the values, solves them.  A loop that cannot be taped stays on
+        ``gamma``."""
+        n = self.n
 
-        return ExplicitSode(self.n, gamma, dims=self.dims)
+        def system(q, qd):
+            data = () if self.shared is None else (self.shared(q),)
+            rhs = [-v for v in self.phi(q, qd, [0.0] * n, *data)]
+            return self.accel_matrix(q, *data), rhs
+
+        def gamma(q, qd):
+            return solve_generic(*system(q, qd))
+
+        def entries(u):
+            C, rhs = system(u[:n], u[n:])
+            return [v for row in C for v in row] + rhs
+
+        taped = None
+
+        def floats(q, qd):
+            nonlocal taped
+            if taped is None:
+                try:
+                    taped = record(entries, 2 * n)
+                except Untapeable:
+                    taped = False
+            if not taped:
+                return [value_of(v) for v in gamma(q, qd)]
+            out = taped(*q, *qd)
+            return solve_generic([out[i:i + n] for i in range(0, n * n, n)], out[n * n:])
+
+        return ExplicitSode(n, gamma, dims=self.dims, floats=floats)
 
 
 class ExplicitSode:
@@ -469,20 +499,23 @@ class ExplicitSode:
 
     ``gamma`` must be generic over floats/jets; ``gamma2`` is an optional
     scalar fast path for two-coordinate systems used by the integrator.
+    ``floats(q, qd)`` is Gamma at one state of Python floats (numpy scalars
+    would make every operation a numpy one) as a list of the floats of
+    ``gamma``, which it reads unless given a faster path.
     """
 
     def __init__(self, n: int, gamma: Callable, gamma2: Callable | None = None,
-                 dims: Dims | None = None):
+                 dims: Dims | None = None, floats: Callable | None = None):
         self.n = n
         self.gamma = gamma
         self.gamma2 = gamma2
         self.dims = dims
+        self.floats = floats or (lambda q, qd: [value_of(v) for v in gamma(q, qd)])
 
     def gamma_floats(self, q, qd) -> np.ndarray:
-        """Gamma at one state, from Python floats: ``gamma`` then reads float
-        coordinates (numpy scalars would make every operation a numpy one)."""
-        return np.array([value_of(v) for v in self.gamma(np.asarray(q, dtype=float).tolist(),
-                                                          np.asarray(qd, dtype=float).tolist())])
+        """Gamma at one state, by ``floats``."""
+        return np.array(self.floats(np.asarray(q, dtype=float).tolist(),
+                                    np.asarray(qd, dtype=float).tolist()))
 
     def gamma_jets(self, q, qd) -> list[Jet2]:
         """Gamma with exact first/second derivatives w.r.t. (q, qd); by

@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import value_of
 from .lagrangian import ExplicitSode
 from .model import Dims, State
 
@@ -147,10 +146,9 @@ def _rk4_pair(gamma2, state0: State, dt: float, n_steps: int, guard, events):
 
 def _rk4_array(field_: ExplicitSode, state0: State, dt: float, n_steps: int,
                guard, events):
-    """Generic path: ``gamma`` on lists of Python floats, combined coordinate
+    """Generic path: ``floats`` on lists of Python floats, combined coordinate
     by coordinate as numpy's vector arithmetic combines them, so in its floats."""
-    def accel(q, qd):
-        return [value_of(v) for v in field_.gamma(q, qd)]
+    accel = field_.floats
 
     def axpy(x, h, y):
         return [a + h * b for a, b in zip(x, y)]

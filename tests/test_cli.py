@@ -283,7 +283,23 @@ def test_sweep_reports_errored_rows(tmp_path, capsys):
     assert rows[2].endswith(",True,")
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+def test_sweep_row_that_overflows_is_an_errored_row(tmp_path, capsys):
+    # at k = 1e300 the cart-pole slope squares k on Python floats, which
+    # raises OverflowError inside the row
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 35, 1e300\n"
+    cfg = write_cfg(tmp_path, "cp.cfg", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # the overflowing shaped matrix
+        assert main(["sweep", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["sweep row k=1e+300 sigma=1.0 rho=1.0: (34, 'Numerical result out of range')"]
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[1].endswith(",True,")
+    assert rows[2].startswith("1e+300,") and rows[2].endswith(
+        ",-1,False,\"(34, 'Numerical result out of range')\"")
+
+
+CONFIGS =Path(__file__).resolve().parent.parent / "configs"
 
 
 def count_marches(monkeypatch) -> list:
@@ -369,6 +385,16 @@ def test_invalid_rho_is_config_error(tmp_path, capsys, command, rho):
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: gains.rho must be finite and nonzero, got ")
+
+
+def test_cartpole_sweep_ignores_rho(tmp_path, capsys):
+    # the cart-pole shaping reads no rho (README, `sweep` and `gains.rho`)
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sim.t_end = 0.05\nsweep.rho = 1, -1, 5\n"
+    cfg = write_cfg(tmp_path, "rho.cfg", text)
+    assert main(["sweep", "--config", cfg, "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row.pop("rho") for row in rows] == [1.0, -1.0, 5.0]
+    assert rows[0] == rows[1] == rows[2] and rows[0]["pass"] is True
 
 
 def test_sweep_negative_rho_is_reported_not_rejected(tmp_path, capsys):
