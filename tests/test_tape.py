@@ -15,13 +15,9 @@ from conftest import sm_shaping
 from matchctl import jets
 from matchctl.cli import main
 from matchctl.fields import SmoothField
-from matchctl.jets import Untapeable, Var, record
+from matchctl.jets import Untapeable, record
 from matchctl.lagrangian import ShapingParams, controlled_implicit_sode
 from matchctl.model import Dims, build_mechanical_system
-
-
-def _var():
-    return Var(jets._Tape(), "x0")
 
 
 @pytest.mark.parametrize("step", [
@@ -32,7 +28,7 @@ def _var():
         "eq", "ne", "lt", "le", "gt", "ge"])
 def test_var_refuses_value_dependent_steps(step):
     with pytest.raises(Untapeable):
-        step(_var())
+        record(lambda u: [step(u[0])], 1)
 
 
 def test_record_replays_the_floats_of_the_function():
@@ -60,9 +56,11 @@ def test_record_refuses_what_a_tape_cannot_hold(fn):
 def test_taped_code_holds_only_floats_and_libm_names():
     # finite constants are float literals; non-finite ones are bound names
     taped = record(lambda u: [u[0] * math.inf + math.nan, jets.sin(u[0]) - 1e300], 1)
-    code = taped.__code__
+    code, bound = taped.__code__, taped.__globals__
     assert {type(c) for c in code.co_consts} <= {float, type(None)}
-    assert set(code.co_names) == {"sin", "k5", "k6"}
+    consts = {name for name in code.co_names if type(bound[name]) is float}
+    assert set(code.co_names) - consts == {"sin"} and len(consts) == 2
+    assert not any(math.isfinite(bound[name]) for name in consts)
     out = taped(2.0)
     assert math.isnan(out[0]) and out[1] == math.sin(2.0) - 1e300
 
