@@ -455,10 +455,11 @@ def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float, marches: dict)
         sys_ = incline_system(p)
         shp = ctl.incline_base_shaping(p, gains)
     xs = np.linspace(rc.grid_lo, rc.grid_hi, max(9, rc.grid_n // 4))
-    gtilde = np.array([[np.broadcast_to(v, xs.shape) for v in r]
-                       for r in kinetic_matrix(sys_, shp, [xs])])
-    # a NaN anywhere reads NaN and fails the row
-    min_eig = float(np.linalg.eigvalsh(np.moveaxis(gtilde, -1, 0)).min())
+    # a NaN anywhere, overflow at a huge gain included, reads NaN and fails the row
+    with np.errstate(over="ignore", invalid="ignore"):
+        gtilde = np.array([[np.broadcast_to(v, xs.shape) for v in r]
+                           for r in kinetic_matrix(sys_, shp, [xs])])
+        min_eig = float(np.linalg.eigvalsh(np.moveaxis(gtilde, -1, 0)).min())
     row["min_eig_gtilde"] = min_eig
     sweep_rc = replace(rc, gains=gains, t_end=min(rc.t_end, 2.0), dt=max(rc.dt, 1e-3))
     try:

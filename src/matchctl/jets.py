@@ -33,11 +33,13 @@ Derivatives*, 2nd ed., ch. 6): it runs it over tape variables (`Var`), which
 record each operation that the jet rules and the function apply to them, and
 compiles the record to one straight-line Python function over local floats.
 A `Var` refuses every step whose outcome would depend on its value, with
-`Untapeable`, so a record that completes holds at every input.
+`Untapeable`, so a record that completes holds at every input.  `float_solver`
+is `solve_generic` at one state of floats, compiled once per system size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from numbers import Real
 from typing import Callable, Sequence
@@ -56,6 +58,7 @@ __all__ = [
     "exp",
     "log",
     "solve_generic",
+    "float_solver",
     "fd_value_grad_hess",
     "value_grad_hess",
     "Var",
@@ -75,11 +78,14 @@ def _refuse(self, *args, **kwargs):
     raise Untapeable("a taped float cannot be converted, tested or compared")
 
 
-def _op(fmt: str):
-    """A `Var` operator writing ``fmt`` over the operands' names."""
+def _op(fmt: str, raises: bool = False):
+    """A `Var` operator writing ``fmt`` over the operands' names; ``raises``
+    if it can raise on floats."""
     def op(self, other):
         b = self.tape.operand(other)
-        return NotImplemented if b is None else self.tape.emit(fmt.format(self.name, b))
+        if b is None:
+            return NotImplemented
+        return self.tape.emit(fmt.format(self.name, b), raises, self.name, b)
     return op
 
 
@@ -97,31 +103,35 @@ class Var:
     __add__, __radd__ = _op("{} + {}"), _op("{1} + {0}")
     __sub__, __rsub__ = _op("{} - {}"), _op("{1} - {0}")
     __mul__, __rmul__ = _op("{} * {}"), _op("{1} * {0}")
-    __truediv__, __rtruediv__ = _op("{} / {}"), _op("{1} / {0}")
-    __pow__, __rpow__ = _op("{} ** {}"), _op("{1} ** {0}")
+    __truediv__, __rtruediv__ = _op("{} / {}", True), _op("{1} / {0}", True)
+    __pow__, __rpow__ = _op("{} ** {}", True), _op("{1} ** {0}", True)
     __float__ = __int__ = __index__ = __bool__ = __array__ = _refuse
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
     __hash__ = object.__hash__
 
     def __neg__(self):
-        return self.tape.emit(f"-{self.name}")
+        return self.tape.emit(f"-{self.name}", False, self.name)
 
     def call(self, fn) -> "Var":
         """``fn`` (a function of `math`) at this Var, on the tape."""
-        return self.tape.emit(f"{fn.__name__}({self.name})")
+        return self.tape.emit(f"{fn.__name__}({self.name})", True, self.name)
 
 
 class _Tape:
-    """Lines ``t<i> = <expression>`` over names and float constants; a
-    non-finite constant is a name bound when the tape is compiled."""
+    """Lines ``t<i> = <expression>`` over names and float constants, each
+    expression once; a non-finite constant is a name bound when the tape is
+    compiled."""
 
     def __init__(self):
-        self.lines: list[str] = []
+        self.lines: list[tuple] = []    # name, expression, raises, operand names
+        self.vars: dict[str, Var] = {}
         self.bound = {f.__name__: f for f in (math.sin, math.cos, math.sqrt, math.exp, math.log)}
 
-    def emit(self, expr: str) -> Var:
-        var = Var(self, f"t{len(self.lines)}")
-        self.lines.append(f"{var.name} = {expr}")
+    def emit(self, expr: str, raises: bool, *operands: str) -> Var:
+        var = self.vars.get(expr)
+        if var is None:
+            var = self.vars[expr] = Var(self, f"t{len(self.lines)}")
+            self.lines.append((var.name, expr, raises, operands))
         return var
 
     def operand(self, x) -> str | None:
@@ -132,8 +142,8 @@ class _Tape:
         if not isinstance(x, Real):
             return None
         x = float(x)
-        if math.isfinite(x):
-            return f"({x!r})"
+        if math.isfinite(x):     # a negative literal in parentheses: (-2.0) ** t
+            return repr(x) if math.copysign(1.0, x) > 0.0 else f"({x!r})"
         name = f"k{len(self.bound)}"
         self.bound[name] = x
         return name
@@ -144,14 +154,22 @@ def record(fn: Callable[[list], Sequence], n_in: int) -> Callable:
     variables and compiled to one function of n_in floats that returns the
     tuple of its outputs, with the floats of ``fn``, operation by operation
     (a numpy scalar constant is taken as a Python float, whose ``**`` is
-    libm's).  Raises `Untapeable` where ``fn``'s steps would depend on its
-    inputs' values."""
+    libm's).  An expression met twice is computed once.  A ``+``, ``-`` or
+    ``*`` line that no output needs is dropped; a ``/``, ``**`` or libm line
+    stays, and so does every line it reads, so the function raises where
+    ``fn`` raises.  Raises `Untapeable` where ``fn``'s steps would depend on
+    its inputs' values."""
     tape = _Tape()
     args = [f"x{i}" for i in range(n_in)]
     outs = [tape.operand(v) for v in fn([Var(tape, a) for a in args])]
     if None in outs:
         raise Untapeable("a taped function returned a value that is not a float")
-    body = "".join(f"    {line}\n" for line in tape.lines)
+    live, kept = set(outs), []
+    for name, expr, raises, operands in reversed(tape.lines):
+        if raises or name in live:
+            live.update(operands)
+            kept.append(f"    {name} = {expr}\n")
+    body = "".join(reversed(kept))
     src = f"def taped({', '.join(args)}):\n{body}    return ({', '.join(outs)},)\n"
     exec(compile(src, "<tape>", "exec"), tape.bound)
     return tape.bound["taped"]
@@ -453,6 +471,41 @@ def solve_generic(A, b):
             acc = acc - M[r][c] * out[c]
         out[r] = acc / M[r][r]
     return out
+
+
+@functools.cache
+def float_solver(n: int) -> Callable:
+    """`solve_generic` at one state of floats as one function of the n * n
+    entries of A, row by row, and the n of b, returning the list of the
+    solution: the same pivots (the first row of largest ``abs``, taken by
+    ``>`` as ``max`` takes it), the same ZeroDivisionError at a zero pivot,
+    the same swaps and operations in the same order, over locals.  Its source
+    is generated from n alone and compiled at the first call for each n."""
+    a = [[f"a{r}_{c}" for c in range(n)] for r in range(n)]
+    b = [f"b{r}" for r in range(n)]
+    lines = []
+    for col in range(n):
+        lines.append(f"k = {col}; top = abs({a[col][col]})")
+        for r in range(col + 1, n):
+            lines += [f"m = abs({a[r][col]})", f"if m > top: k = {r}; top = m"]
+        lines.append("if top == 0.0: raise ZeroDivisionError('singular matrix in solve_generic')")
+        for r in range(col + 1, n):
+            pair = [a[col][col:] + [b[col]], a[r][col:] + [b[r]]]
+            lines.append(f"if k == {r}: {', '.join(pair[0] + pair[1])} = "
+                         f"{', '.join(pair[1] + pair[0])}")
+        for r in range(col + 1, n):
+            lines.append(f"f = {a[r][col]} / {a[col][col]}")
+            lines += [f"{a[r][c]} = {a[r][c]} - f * {a[col][c]}" for c in range(col + 1, n)]
+            lines.append(f"{b[r]} = {b[r]} - f * {b[col]}")
+    for r in range(n - 1, -1, -1):
+        acc = "".join(f" - {a[r][c]} * x{c}" for c in range(r + 1, n))
+        lines.append(f"x{r} = ({b[r]}{acc}) / {a[r][r]}")
+    args = ", ".join([v for row in a for v in row] + b)
+    body = "".join(f"    {line}\n" for line in lines)
+    src = f"def solve({args}):\n{body}    return [{', '.join(f'x{r}' for r in range(n))}]\n"
+    scope: dict = {}
+    exec(compile(src, f"<float_solver {n}>", "exec"), scope)
+    return scope["solve"]
 
 
 # -- finite-difference oracle -------------------------------------------------

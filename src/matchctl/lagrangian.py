@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import SmoothField, gradient, read_at
-from .jets import Jet2, Untapeable, jet_vars, record, solve_generic, value_of
+from .jets import Jet2, Untapeable, float_solver, jet_vars, record, solve_generic, value_of
 from .model import Dims, MechanicalSystem, State, block_entries, metric_of
 
 __all__ = [
@@ -459,10 +459,12 @@ class ImplicitSode:
     def to_explicit(self) -> "ExplicitSode":
         """The explicit field.  Its float path is recorded at its first call:
         one pass of ``shared``, ``phi`` and ``accel_matrix`` over tape
-        variables (`jets.record`) gives C and the right-hand side as one
-        straight-line function, and `solve_generic`, whose pivots depend on
-        the values, solves them.  A loop that cannot be taped stays on
-        ``gamma``."""
+        variables (`jets.record`, with shared expressions computed once and
+        unneeded lines that cannot raise dropped) gives the entries of C and
+        the right-hand side as one straight-line function, and
+        `jets.float_solver`, `solve_generic` compiled for n, whose pivots
+        depend on the values, solves them.  A loop that cannot be taped stays
+        on ``gamma``."""
         n = self.n
 
         def system(q, qd):
@@ -477,19 +479,18 @@ class ImplicitSode:
             C, rhs = system(u[:n], u[n:])
             return [v for row in C for v in row] + rhs
 
-        taped = None
+        taped = solve = None
 
         def floats(q, qd):
-            nonlocal taped
+            nonlocal taped, solve
             if taped is None:
                 try:
-                    taped = record(entries, 2 * n)
+                    taped, solve = record(entries, 2 * n), float_solver(n)
                 except Untapeable:
                     taped = False
             if not taped:
                 return [value_of(v) for v in gamma(q, qd)]
-            out = taped(*q, *qd)
-            return solve_generic([out[i:i + n] for i in range(0, n * n, n)], out[n * n:])
+            return solve(*taped(*q, *qd))
 
         return ExplicitSode(n, gamma, dims=self.dims, floats=floats)
 

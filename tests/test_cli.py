@@ -288,13 +288,14 @@ def test_sweep_row_that_overflows_is_an_errored_row(tmp_path, capsys):
     # raises OverflowError inside the row
     text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 35, 1e300\n"
     cfg = write_cfg(tmp_path, "cp.cfg", text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)     # the overflowing shaped matrix
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")     # the shaped matrix overflows to NaN in silence
         assert main(["sweep", "--config", cfg]) == 1
+    assert [w.category for w in caught] == []
     err = capsys.readouterr().err.splitlines()
     assert err == ["sweep row k=1e+300 sigma=1.0 rho=1.0: (34, 'Numerical result out of range')"]
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-    assert len(rows) == 3 and rows[1].endswith(",True,")
+    assert len(rows) == 3 and rows[1].endswith(",True,") and rows[2].split(",")[5] == "nan"
     assert rows[2].startswith("1e+300,") and rows[2].endswith(
         ",-1,False,\"(34, 'Numerical result out of range')\"")
 

@@ -3,6 +3,9 @@ closed loop (`ImplicitSode.to_explicit`)."""
 
 import math
 import operator
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +54,60 @@ def test_record_replays_the_floats_of_the_function():
 def test_record_refuses_what_a_tape_cannot_hold(fn):
     with pytest.raises(Untapeable):
         record(fn, 1)
+
+
+def tape_lines(taped) -> int:
+    """The lines of a compiled tape: one local per line beside the inputs."""
+    code = taped.__code__
+    return len(code.co_varnames) - code.co_argcount
+
+
+def test_an_expression_taped_twice_is_one_line():
+    def fn(u):
+        return [u[0] * u[1] + 1.0, u[0] * u[1] + 1.0, jets.sin(u[0]) * jets.sin(u[0])]
+
+    taped = record(fn, 2)
+    assert tape_lines(taped) == 4      # the product, the sum, the sine, its square
+    out = taped(0.7, -1.3)
+    assert out[0] is out[1] and np.array(out).tobytes() == np.array(fn([0.7, -1.3])).tobytes()
+
+
+def test_dead_arithmetic_lines_are_dropped():
+    def fn(u):
+        -((u[0] + u[1]) * u[0]) - 1.0      # four lines that no output reads
+        return [u[1] * 2.0, u[0] - u[1]]
+
+    taped = record(fn, 2)
+    assert tape_lines(taped) == 2
+    assert taped(0.25, -4.0) == tuple(fn([0.25, -4.0]))
+
+
+@pytest.mark.parametrize("dead, at, error", [
+    (lambda x: 1.0 / x, 0.0, ZeroDivisionError),
+    (lambda x: x ** -1.0, 0.0, ZeroDivisionError),
+    (jets.sqrt, -1.0, ValueError),
+    (lambda x: jets.sqrt(x - 2.0) * 3.0, 1.0, ValueError),
+    (lambda x: jets.log(x + x), 0.0, ValueError),
+], ids=["div", "pow", "sqrt", "sqrt-of-sum", "log-of-sum"])
+def test_dead_lines_that_can_raise_stay(dead, at, error):
+    def fn(u):
+        dead(u[0])
+        return [u[1] + 1.0]
+
+    taped = record(fn, 2)
+    for raising in (lambda: fn([at, 2.0]), lambda: taped(at, 2.0)):
+        with pytest.raises(error):
+            raising()
+    assert taped(3.0, 2.0) == (3.0,)
+
+
+def test_negative_constants_keep_their_sign():
+    def fn(u):
+        return [(-2.0) ** u[0], -2.0 ** u[0], u[0] - -0.5, -0.0 * u[0], u[0] ** -1.0]
+
+    taped = record(fn, 1)
+    for x in (2.0, 3.0, -1.0):
+        assert np.array(taped(x)).tobytes() == np.array(fn([x])).tobytes()
 
 
 def test_taped_code_holds_only_floats_and_libm_names():
@@ -178,3 +235,104 @@ def test_builtin_simulate_records_one_tape(tmp_path, capsys, monkeypatch):
                    f"sim.ic = 0.1, 0, 0, 0, 0, 0\nout.dir = {tmp_path / 'out'}\n")
     assert main(["simulate", "--config", str(cfg)]) == 0
     assert len(records) == 1 and records[0] is not Untapeable
+
+
+def test_builtin_tape_is_short(monkeypatch):
+    # shared expressions and dead arithmetic of the (1,2) pass: 195 lines recorded
+    records = counted_records(monkeypatch)
+    builtin = controlled_implicit_sode(*sm_shaping(0, Dims(1, 2))).to_explicit()
+    builtin.gamma_floats([0.3, -0.2, 0.5], [0.4, 1.0, -0.7])
+    assert len(records) == 1 and tape_lines(records[0]) <= 160
+
+
+# ---------------------------------------------------------------------------
+# the compiled float solver
+# ---------------------------------------------------------------------------
+
+def solved(fn):
+    """The bytes of fn()'s floats, each NaN as one NaN, or the type and
+    message of what it raised."""
+    try:
+        out = np.array(fn(), dtype=float)
+    except Exception as exc:        # noqa: BLE001 -- the error is the outcome
+        return type(exc), str(exc)
+    return np.where(np.isnan(out), np.nan, out).tobytes()
+
+
+def same_solution(A, b):
+    n = len(b)
+    compiled = solved(lambda: jets.float_solver(n)(*[v for row in A for v in row], *b))
+    assert compiled == solved(lambda: jets.solve_generic(A, b))
+    return compiled
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                            1e300, -1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5), data=st.data())
+def test_float_solver_is_solve_generic(n, data):
+    # a few magnitudes drawn once and signed at random make pivot ties
+    pool = data.draw(st.lists(st.one_of(st.floats(), _SPECIAL), min_size=1, max_size=3))
+    tied = st.sampled_from(pool).flatmap(lambda v: st.sampled_from([v, -v]))
+    entry = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _SPECIAL, tied)
+    flat = data.draw(st.lists(entry, min_size=n * n + n, max_size=n * n + n))
+    same_solution([flat[r * n:(r + 1) * n] for r in range(n)], flat[n * n:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_float_solver_raises_at_a_zero_pivot_of_each_column(n):
+    singular = (ZeroDivisionError, "singular matrix in solve_generic")
+    rng = np.random.default_rng(n)
+    for col in range(n):
+        # upper triangular, so elimination leaves column col as it is: -0.0
+        # and +0.0 from the diagonal down
+        A = np.triu(rng.uniform(-2.0, 2.0, (n, n)))
+        A[col:, col] = [(-0.0, 0.0)[r % 2] for r in range(n - col)]
+        assert same_solution(A.tolist(), rng.uniform(-1.0, 1.0, n).tolist()) == singular
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[-0.0]], [1.0]),
+    ([[-0.0, 1.0], [2.0, 3.0]], [1.0, -1.0]),
+    ([[-0.0, 1.0], [0.0, 3.0]], [1.0, -1.0]),
+    ([[-2.0, 1.0], [2.0, 5.0]], [1.0, -1.0]),
+    ([[2.0, 1.0], [-2.0, 5.0]], [1.0, -1.0]),
+    ([[1.0, 2.0, 3.0], [1.0, -0.0, 4.0], [-1.0, 0.0, 5.0]], [1.0, 2.0, 3.0]),
+    ([[1.0, 2.0], [2.0, 4.0]], [1.0, -1.0]),
+    ([[math.nan, 1.0], [2.0, 3.0]], [1.0, -1.0]),
+    ([[1.0, 1.0], [math.nan, 3.0]], [1.0, -1.0]),
+], ids=["neg-zero-1x1", "neg-zero-first", "both-zeros", "tie-first", "tie-second",
+        "neg-zero-second-column", "dependent-rows", "nan-first", "nan-second"])
+def test_float_solver_signed_zero_tie_and_nan_pivots(A, b):
+    same_solution(A, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_float_solver_code_holds_only_names_abs_and_its_message(n):
+    code = jets.float_solver(n).__code__
+    assert set(code.co_names) == {"abs", "ZeroDivisionError"}
+    assert {type(c) for c in code.co_consts} <= {int, float, str, type(None)}
+    assert {c for c in code.co_consts if type(c) is float} == {0.0}
+    assert {c for c in code.co_consts if type(c) is str} == {"singular matrix in solve_generic"}
+    assert code.co_argcount == n * n + n
+
+
+def test_solver_is_compiled_lazily_and_once(tmp_path, capsys):
+    import matchctl
+
+    src = os.path.dirname(os.path.dirname(matchctl.__file__))
+    probe = ("import matchctl, matchctl.cli, matchctl.jets as j; "
+             "print(j.float_solver.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+    jets.float_solver.cache_clear()
+    cfg = tmp_path / "bt.cfg"
+    cfg.write_text(f"system = builtin-test\nsim.dt = 1e-2\nsim.t_end = 0.2\n"
+                   f"sim.ic = 0.1, 0, 0, 0, 0, 0\nout.dir = {tmp_path / 'out'}\n")
+    for _ in range(2):
+        assert main(["simulate", "--config", str(cfg)]) == 0
+    info = jets.float_solver.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
