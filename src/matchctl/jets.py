@@ -490,9 +490,8 @@ def float_solver(n: int) -> Callable:
             lines += [f"m = abs({a[r][col]})", f"if m > top: k = {r}; top = m"]
         lines.append("if top == 0.0: raise ZeroDivisionError('singular matrix in solve_generic')")
         for r in range(col + 1, n):
-            pair = [a[col][col:] + [b[col]], a[r][col:] + [b[r]]]
-            lines.append(f"if k == {r}: {', '.join(pair[0] + pair[1])} = "
-                         f"{', '.join(pair[1] + pair[0])}")
+            top, row = a[col][col:] + [b[col]], a[r][col:] + [b[r]]
+            lines.append(f"if k == {r}: {', '.join(top + row)} = {', '.join(row + top)}")
         for r in range(col + 1, n):
             lines.append(f"f = {a[r][col]} / {a[col][col]}")
             lines += [f"{a[r][c]} = {a[r][c]} - f * {a[col][c]}" for c in range(col + 1, n)]
