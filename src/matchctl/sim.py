@@ -7,12 +7,18 @@ it.  Observer columns (controls, shaped energy) are evaluated at every
 recorded step, ``OBSERVE_BLOCK`` rows at a time, into columns allocated once,
 so a trajectory keeps about 8 bytes per float of each row (times, states,
 controls, energy) and the transient memory of observing it does not grow with
-its length.
+its length.  A CSV of ``CSV_FORK_ROWS`` rows or more (a trajectory of 4,096
+steps or more) is formatted on two processes, this one and one forked child,
+where the host gives two CPUs; its bytes are those of one process, and no
+option chooses.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import threading
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable
@@ -57,23 +63,52 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
     ``guard(q, qdot) -> bool`` halts integration with a "domain_exit" event
     when true; it receives the coordinates and velocities as sequences of
     floats, tuples on the two-coordinate fast path and lists otherwise.
-    Non-finite states always halt with a "nonfinite" event.  Without
+    Non-finite states always halt with a "nonfinite" event, and so does a
+    step whose stage raises ValueError or OverflowError on a non-finite stage
+    state; that step is not recorded.  Without
     observers the trajectory is the bare march: times, states and events.
     The states are a writable view of the march's float record, not a copy of
     it, so a march holds its 2n floats per row once.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
-    n = field_.n
+    width = 2 * field_.n
     n_steps = int(round(t_end / dt))
     events: list = []
-
-    if n == 2 and field_.gamma2 is not None:
-        times, states = _rk4_pair(field_.gamma2, state0, dt, n_steps, guard, events)
+    if width == 4 and field_.gamma2 is not None:
+        steps, accel = _rk4_pair, field_.gamma2
     else:
-        times, states = _rk4_array(field_, state0, dt, n_steps, guard, events)
+        steps, accel = _rk4_array, field_.floats
+    rec = array("d", state0.q.tolist() + state0.qdot.tolist())
+    try:
+        steps(accel, rec, width, dt, range(n_steps), guard, events)
+    except (ValueError, OverflowError):
+        done = len(rec) // width - 1
+        if not _stage_was_nonfinite(steps, accel, rec[-width:], width, dt, done):
+            raise
+        events.append(((done + 1) * dt, "nonfinite"))
+    times, states = _march(rec, width, dt)
     return observe(Trajectory(dims=field_.dims, times=times, states=states, events=events),
                    control, energy)
+
+
+def _stage_was_nonfinite(steps, accel, start, width: int, dt: float, step: int) -> bool:
+    """Whether step ``step`` of a march from ``start``, which raised, raises
+    again in a stage whose state is not finite (``math.sin(inf)`` is a
+    ValueError, not a NaN).  The step is run once more with each stage's state
+    looked at before ``accel`` reads it, so the march itself checks only the
+    state at the end of each step."""
+    stage_nonfinite = [False]
+
+    def looked_at(*state):
+        stage_nonfinite[0] = not np.isfinite(state).all()
+        return accel(*state)
+
+    try:
+        steps(looked_at, start, width, dt, range(step, step + 1), None, [])
+    except (ValueError, OverflowError):
+        return stage_nonfinite[0]
+    return False
 
 
 def observe(traj: Trajectory, control: Callable | None = None,
@@ -93,31 +128,32 @@ def observe(traj: Trajectory, control: Callable | None = None,
                      events=list(traj.events))
     times, Q, Qd = out.times, out.q(), out.qdot()
     rows = len(times)
-    for r in range(0, max(rows, 1), OBSERVE_BLOCK):    # one call on no rows gives n_u
-        block = slice(r, r + OBSERVE_BLOCK)
-        args = times[block], Q[block], Qd[block]
-        size = len(args[0])
-        if control is not None:
-            cols = np.asarray(control(*args), dtype=float)
-            if out.controls is None:
-                out.controls = np.empty((rows, math.prod(cols.shape[1:])))
-            out.controls[block] = cols.reshape(size, out.controls.shape[1])
-        if energy is not None:
-            if out.energies is None:
-                out.energies = np.empty(rows)
-            out.energies[block] = np.asarray(energy(*args), dtype=float).reshape(size)
+    # a row that overflows or is not finite (the last row of a nonfinite
+    # halt) reads inf or NaN, in silence: the drift check fails on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(0, max(rows, 1), OBSERVE_BLOCK):    # one call on no rows gives n_u
+            block = slice(r, r + OBSERVE_BLOCK)
+            args = times[block], Q[block], Qd[block]
+            size = len(args[0])
+            if control is not None:
+                cols = np.asarray(control(*args), dtype=float)
+                if out.controls is None:
+                    out.controls = np.empty((rows, math.prod(cols.shape[1:])))
+                out.controls[block] = cols.reshape(size, out.controls.shape[1])
+            if energy is not None:
+                if out.energies is None:
+                    out.energies = np.empty(rows)
+                out.energies[block] = np.asarray(energy(*args), dtype=float).reshape(size)
     return out
 
 
-def _rk4_pair(gamma2, state0: State, dt: float, n_steps: int, guard, events):
-    """Scalar fast path for two-coordinate systems: states are recorded as
-    floats in one array of doubles, which the states view."""
-    x, th = float(state0.q[0]), float(state0.q[1])
-    xd, thd = float(state0.qdot[0]), float(state0.qdot[1])
+def _rk4_pair(gamma2, rec: array, width: int, dt: float, steps: range, guard, events):
+    """Scalar fast path for two-coordinate systems: the steps ``steps`` from
+    the last state of ``rec``, each state appended to it as floats."""
+    x, th, xd, thd = rec[-4:]
     half = 0.5 * dt
     sixth = dt / 6.0
-    rec = array("d", (x, th, xd, thd))
-    for i in range(n_steps):
+    for i in steps:
         a1, b1 = gamma2(x, th, xd, thd)
         x2 = x + half * xd; th2 = th + half * thd
         xd2 = xd + half * a1; thd2 = thd + half * b1
@@ -141,21 +177,19 @@ def _rk4_pair(gamma2, state0: State, dt: float, n_steps: int, guard, events):
         if guard is not None and guard((x, th), (xd, thd)):
             events.append((t_now, "domain_exit"))
             break
-    return _march(rec, 4, dt)
 
 
-def _rk4_array(field_: ExplicitSode, state0: State, dt: float, n_steps: int,
-               guard, events):
-    """Generic path: ``floats`` on lists of Python floats, combined coordinate
-    by coordinate as numpy's vector arithmetic combines them, so in its floats."""
-    accel = field_.floats
+def _rk4_array(accel, rec: array, width: int, dt: float, steps: range, guard, events):
+    """Generic path: ``accel`` (an explicit field's ``floats``) on lists of
+    Python floats, combined coordinate by coordinate as numpy's vector
+    arithmetic combines them, so in its floats."""
 
     def axpy(x, h, y):
         return [a + h * b for a, b in zip(x, y)]
 
-    q, qd = state0.q.tolist(), state0.qdot.tolist()
-    rec = array("d", q + qd)
-    for i in range(n_steps):
+    n = width // 2
+    q, qd = rec[-width:-n].tolist(), rec[-n:].tolist()
+    for i in steps:
         a1 = accel(q, qd)
         q2, qd2 = axpy(q, 0.5 * dt, qd), axpy(qd, 0.5 * dt, a1)
         a2 = accel(q2, qd2)
@@ -173,7 +207,6 @@ def _rk4_array(field_: ExplicitSode, state0: State, dt: float, n_steps: int,
         if guard is not None and guard(q, qd):
             events.append((t_now, "domain_exit"))
             break
-    return _march(rec, 2 * field_.n, dt)
 
 
 def _march(rec: array, width: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +228,8 @@ def energy_drift(traj: Trajectory) -> float:
         raise ValueError("trajectory has no recorded energies")
     e0 = E[0]
     # abs: -0.0 - 0.0 is -0.0, where |E_i - e0| is 0.0
-    return float(abs(np.maximum(E.max() - e0, e0 - E.min())) / max(1.0, abs(e0)))
+    with np.errstate(invalid="ignore"):     # inf - inf is the NaN documented
+        return float(abs(np.maximum(E.max() - e0, e0 - E.min())) / max(1.0, abs(e0)))
 
 
 def _columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
@@ -230,19 +264,103 @@ def _columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
 
 
 CSV_BLOCK = 512     # rows formatted per string operation in write_rows
+# Rows from which write_rows formats on two processes: a fork, exit and reap
+# take about 2.3 ms, the formatting of about 1,200 rows.
+CSV_FORK_ROWS = 8 * CSV_BLOCK
 
 
 def write_rows(fh, names, cols) -> int:
     """Write a header of ``names`` and the rows of the float columns ``cols``
     to ``fh`` with 17 significant digits, ``CSV_BLOCK`` rows per ``%`` over
-    their floats (``"%.17g" % v`` is ``f"{v:.17g}"``); returns the row count."""
+    their floats (``"%.17g" % v`` is ``f"{v:.17g}"``); returns the row count.
+
+    From ``CSV_FORK_ROWS`` rows on, when ``fh`` is a seekable file with a
+    descriptor, this process has no other thread and may run on two CPUs, the
+    blocks are formatted on two processes: this one and one forked child take
+    turns by the block, passing a token through two pipes, and each writes its
+    blocks to the shared descriptor when it holds the token.  The bytes are
+    those of the one-process loop (the rows are ASCII, each line ended by
+    ``"\\n"``), and there is no option to choose."""
     rows = len(cols[0])
     row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+
+    def block_text(b: int) -> str:
+        block = np.column_stack([col[b * CSV_BLOCK:(b + 1) * CSV_BLOCK] for col in cols])
+        return (row_fmt * len(block)) % tuple(block.ravel().tolist())
+
     fh.write(",".join(names) + "\n")
-    for r in range(0, rows, CSV_BLOCK):
-        block = np.column_stack([col[r:r + CSV_BLOCK] for col in cols])
-        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    blocks = -(-rows // CSV_BLOCK)
+    fd = _ring_descriptor(fh, rows)
+    if fd is None:
+        for b in range(blocks):
+            fh.write(block_text(b))
+    else:
+        fh.flush()
+        _write_blocks_on_two_processes(fd, block_text, blocks)
+        fh.seek(0, os.SEEK_END)     # fh's position is behind the rows it did not write
     return rows
+
+
+def _ring_descriptor(fh, rows: int) -> int | None:
+    """The descriptor that `write_rows` shares with a forked child, or None
+    where one process writes: too few rows, no ``fork``, one CPU, a second
+    thread (whose locks a fork would copy held), or no seekable file."""
+    if (rows < CSV_FORK_ROWS or not hasattr(os, "fork")
+            or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2
+            or threading.active_count() != 1):
+        return None
+    try:
+        return fh.fileno() if fh.seekable() else None
+    except (AttributeError, OSError):   # io.UnsupportedOperation is an OSError
+        return None
+
+
+def _write_blocks_on_two_processes(fd: int, block_text, blocks: int) -> None:
+    """Write ``block_text(b)`` to ``fd`` for b in range(blocks), in order: this
+    process the even blocks, one forked child the odd ones.
+
+    Each side closes the pipe ends it does not use, so a peer that has gone
+    reads as end of file and the child cannot outlive a failed parent.  The
+    child ends in ``os._exit`` and never returns into the caller; the parent
+    reaps it in any case, and a child that failed is a RuntimeError."""
+    parent_in, child_out = os.pipe()
+    child_in, parent_out = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        gc.disable()            # no finalizer of the parent's garbage runs twice
+        code = 1
+        try:
+            os.close(parent_in)
+            os.close(parent_out)
+            _take_turns(fd, block_text, range(1, blocks, 2), blocks, child_in, child_out)
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        os.close(child_in)
+        os.close(child_out)
+        _take_turns(fd, block_text, range(0, blocks, 2), blocks, parent_in, parent_out)
+    finally:
+        os.close(parent_in)
+        os.close(parent_out)
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise RuntimeError(f"write_rows: the CSV writer child ended with exit status "
+                           f"{os.waitstatus_to_exitcode(status)}")
+
+
+def _take_turns(fd: int, block_text, mine: range, blocks: int, token_in: int,
+                token_out: int) -> None:
+    """Format each block of ``mine``, wait for the token (block 0 holds it
+    already), write the block whole and pass the token on to the next block."""
+    for b in mine:
+        data = memoryview(block_text(b).encode("ascii"))
+        if b and not os.read(token_in, 1):
+            raise RuntimeError("write_rows: the other CSV writer process has gone")
+        while data:
+            data = data[os.write(fd, data):]
+        if b + 1 < blocks:
+            os.write(token_out, b"\0")
 
 
 def write_csv(traj: Trajectory, destination) -> int:

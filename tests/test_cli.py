@@ -300,7 +300,30 @@ def test_sweep_row_that_overflows_is_an_errored_row(tmp_path, capsys):
         ",-1,False,\"(34, 'Numerical result out of range')\"")
 
 
+def test_simulate_stage_on_an_infinite_state_halts_nonfinite(tmp_path, capsys):
+    # xdot(0) = 1e200 makes a stage state infinite in the first step, where
+    # math.sin(inf) raises before the step's end is checked
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sim.ic = 0.1, 0, 1e200, 0\n"
+    cfg = write_cfg(tmp_path, "cp.cfg", text)
+    assert main(["simulate", "--config", cfg, "--json"]) == 1
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["events"] == [[1e-3, "nonfinite"]] and doc["rows"] == 1
+    assert not [line for line in err.splitlines() if line.startswith("error:")]
+
+
 CONFIGS =Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_shipped_incline_csv_is_that_of_one_process(tmp_path, capsys, monkeypatch):
+    # 10,001 rows are written on two processes where the host has two CPUs;
+    # the golden incline case is 1,001 rows, on one
+    argv = ["simulate", "--config", str(CONFIGS / "incline.cfg"), "--out"]
+    assert main(argv + [str(tmp_path / "two")]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert main(argv + [str(tmp_path / "one")]) == 0
+    csv = [(tmp_path / side / "trajectory.csv").read_bytes() for side in ("two", "one")]
+    assert csv[0] == csv[1] and csv[0].count(b"\n") == 10_002
 
 
 def count_marches(monkeypatch) -> list:

@@ -1,5 +1,7 @@
 import math
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,8 +10,8 @@ import pytest
 from matchctl import control as ctl
 from matchctl.lagrangian import ExplicitSode
 from matchctl.model import Dims, State
-from matchctl.sim import (CSV_BLOCK, OBSERVE_BLOCK, Trajectory, energy_drift, integrate,
-                          observe, write_csv)
+from matchctl.sim import (CSV_BLOCK, CSV_FORK_ROWS, OBSERVE_BLOCK, Trajectory, energy_drift,
+                          integrate, observe, write_csv)
 
 
 def harmonic() -> ExplicitSode:
@@ -299,9 +301,12 @@ def test_csv_roundtrip(tmp_path):
 CSV_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e17, 1 / 3, -2e-7]
 
 
-@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
-def test_csv_matches_per_value_format(tmp_path, rows):
-    # the block formatting writes exactly what a per-value f"{v:.17g}" join did
+TWO_CPUS = hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
+
+
+def csv_table(rows):
+    """A trajectory of ``rows`` random rows with special floats among them,
+    and the text of its CSV from a per-value f"{v:.17g}" join."""
     table = np.random.default_rng(rows).normal(size=(rows, 7))
     specials = np.arange(0, table.size, 5)
     table.flat[specials] = [CSV_SPECIALS[i % len(CSV_SPECIALS)] for i in range(specials.size)]
@@ -311,9 +316,159 @@ def test_csv_matches_per_value_format(tmp_path, rows):
     expected = "t,x1,theta1,xdot1,thetadot1,u1,E\n" \
         + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in table) \
         + "# event,0.5,domain_exit\n"
+    return traj, expected
+
+
+def patch_fork(monkeypatch, in_child=None, in_parent=None) -> list:
+    """Make ``os.fork`` run ``in_child()`` in the child and ``in_parent()`` in
+    the parent after forking; returns the list of forked pids."""
+    fork, pids = os.fork, []
+
+    def forked():
+        pid = fork()
+        if pid == 0 and in_child is not None:
+            in_child()
+        elif pid:
+            pids.append(pid)
+            if in_parent is not None:
+                in_parent()
+        return pid
+
+    monkeypatch.setattr(os, "fork", forked)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1,
+                                  CSV_FORK_ROWS - 1, CSV_FORK_ROWS, CSV_FORK_ROWS + 1, 100_001])
+def test_csv_matches_per_value_format(tmp_path, monkeypatch, rows):
+    # the block formatting writes exactly what a per-value f"{v:.17g}" join
+    # did, on one process or, from CSV_FORK_ROWS rows on, on two; the events
+    # follow the rows, and no child is left
+    traj, expected = csv_table(rows)
+    pids = patch_fork(monkeypatch)
     dest = tmp_path / "t.csv"
     assert write_csv(traj, dest) == rows
     assert dest.read_text() == expected
+    assert len(pids) == (rows >= CSV_FORK_ROWS and TWO_CPUS)
+    assert_no_child_left()
+
+
+needs_two_cpus = pytest.mark.skipif(not TWO_CPUS, reason="writes on one process")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("failure, message", [
+    ("write", "the other CSV writer process has gone"),
+    ("exit", "the CSV writer child ended with exit status 3")])
+def test_failing_csv_child_raises_in_the_parent(tmp_path, monkeypatch, failure, message):
+    # a child that cannot write leaves the parent waiting on a pipe whose
+    # other end is closed; one that writes all its blocks and then fails is
+    # known by its status
+    def in_child():
+        if failure == "write":
+            def refused(fd, data):
+                raise OSError(28, "No space left on device")
+            os.write = refused
+        else:
+            exit_ = os._exit
+            os._exit = lambda code: exit_(3)
+
+    traj, _ = csv_table(CSV_FORK_ROWS)
+    pids = patch_fork(monkeypatch, in_child=in_child)
+    with pytest.raises(RuntimeError, match=message):
+        write_csv(traj, tmp_path / "t.csv")
+    assert len(pids) == 1
+    assert_no_child_left()
+
+
+@needs_two_cpus
+def test_parent_failing_mid_ring_leaves_no_child(tmp_path, monkeypatch):
+    # the parent's second block cannot be written: the child sees its pipe
+    # closed and ends, and the parent reaps it before raising its own error
+    fd_writes = []
+    write = os.write
+
+    def in_parent():
+        def second_block_refused(fd, data):
+            if len(data) > 1:
+                fd_writes.append(fd)
+                if len(fd_writes) == 2:
+                    raise OSError(28, "No space left on device")
+            return write(fd, data)
+        monkeypatch.setattr(os, "write", second_block_refused)
+
+    traj, expected = csv_table(CSV_FORK_ROWS + 1)
+    pids = patch_fork(monkeypatch, in_parent=in_parent)
+    dest = tmp_path / "t.csv"
+    with pytest.raises(OSError, match="No space left"):
+        write_csv(traj, dest)
+    assert len(pids) == 1
+    assert_no_child_left()
+    assert expected.startswith(dest.read_text())     # blocks 0 and 1, in order
+
+
+def test_csv_with_a_second_thread_is_written_on_one_process(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked beside a second thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        traj, expected = csv_table(CSV_FORK_ROWS)
+        dest = tmp_path / "t.csv"
+        assert write_csv(traj, dest) == CSV_FORK_ROWS
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert dest.read_text() == expected
+
+
+def blowing_up(cos):
+    """xdd = 0 up to x = 2.0025 and infinite past it, plus 0 ``cos(xd)``: from
+    x(0) = 1 at unit speed and dt = 0.01, the second stage of step 101 is past
+    the jump, and the velocity of its third stage is infinite."""
+    return lambda x, xd: (math.inf if x > 2.0025 else 0.0) + 0.0 * cos(xd)
+
+
+def two_coordinate_field(accel, pair: bool) -> ExplicitSode:
+    if pair:
+        return ExplicitSode(2, None, gamma2=lambda x, th, xd, thd: (accel(x, xd), 0.0),
+                            dims=Dims(1, 1))
+    return ExplicitSode(2, None, dims=Dims(1, 1), floats=lambda q, qd: [accel(q[0], qd[0]), 0.0])
+
+
+@pytest.mark.parametrize("pair", [True, False])
+def test_stage_raising_on_a_nonfinite_state_halts_nonfinite(pair):
+    # math.cos(inf) raises where a NaN-returning cosine halts after the step:
+    # the march halts at the same step, without recording it
+    def nan_cos(v):
+        return math.cos(v) if math.isfinite(v) else math.nan
+
+    state0, dt = State(q=[1.0, 0.0], qdot=[1.0, 0.0]), 0.01
+    want = integrate(two_coordinate_field(blowing_up(nan_cos), pair), state0, dt, 2.0)
+    got = integrate(two_coordinate_field(blowing_up(math.cos), pair), state0, dt, 2.0)
+    assert len(want.times) == 102 and np.isnan(want.states[-1]).any()
+    assert got.events == want.events == [(len(got.times) * dt, "nonfinite")]
+    assert got.states.tobytes() == want.states[:-1].tobytes()
+    assert got.times.tobytes() == want.times[:-1].tobytes()
+
+
+@pytest.mark.parametrize("pair", [True, False])
+def test_stage_raising_on_a_finite_state_raises(pair):
+    field_ = two_coordinate_field(lambda x, xd: math.exp(x), pair)
+    with pytest.raises(OverflowError):
+        integrate(field_, State(q=[800.0, 0.0], qdot=[0.0, 0.0]), 0.1, 1.0)
+    field_ = two_coordinate_field(lambda x, xd: math.sqrt(x), pair)
+    with pytest.raises(ValueError, match="math domain error"):
+        integrate(field_, State(q=[1.0, 0.0], qdot=[-100.0, 0.0]), 0.1, 1.0)
 
 
 def test_integrate_validates_args():
