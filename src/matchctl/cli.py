@@ -261,9 +261,28 @@ def _shape_grid(rc: RunConfig, n_shape: int) -> np.ndarray:
     return np.repeat(xs[:, None], n_shape, axis=1)
 
 
+def _json_values(obj):
+    """``obj`` with every value of its dicts and lists that is not a string,
+    an int, a bool or None as a float, and a float that is not finite as None."""
+    if isinstance(obj, dict):
+        return {key: _json_values(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_values(value) for value in obj]
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    value = float(obj)
+    return value if math.isfinite(value) else None
+
+
 def _emit(args, doc: dict, text: str) -> None:
+    """Print ``doc`` under --json as strict JSON (RFC 8259), where a number
+    that is not finite is null, and ``text`` otherwise."""
     if args.json:
-        print(json.dumps(doc, indent=2, default=float))
+        try:
+            out = json.dumps(doc, indent=2, default=float, allow_nan=False)
+        except ValueError:      # walked only then: the walk costs a third of the dumps
+            out = json.dumps(_json_values(doc), indent=2, allow_nan=False)
+        print(out)
     else:
         print(text)
 
@@ -448,12 +467,9 @@ def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float, marches: dict)
     kmin = ctl.gain_bound(p, 0.0)
     row = {"k": k, "sigma": sigma, "rho": rho, "k_min": kmin,
            "gain_ok": bool(k > kmin)}
-    if rc.system == "cartpole":
-        sys_ = cartpole_system(p)
-        shp = ctl.cartpole_shaping(p, gains)
-    else:
-        sys_ = incline_system(p)
-        shp = ctl.incline_base_shaping(p, gains)
+    # the cart-pole shaping reads no rho
+    sys_ = (cartpole_system if rc.system == "cartpole" else incline_system)(p)
+    shp = ctl.new_tau_shaping(sys_, gains, rho if rc.system == "incline" else 1.0)
     xs = np.linspace(rc.grid_lo, rc.grid_hi, max(9, rc.grid_n // 4))
     # a NaN anywhere, overflow at a huge gain included, reads NaN and fails the row
     with np.errstate(over="ignore", invalid="ignore"):

@@ -12,9 +12,10 @@ Gauss-Legendre rule per grid cell, bisected where the cell and its halves
 disagree, with the integrand evaluated on arrays of nodes.  scipy's adaptive
 ``quad`` is left to the pointwise oracle `incline_h`, which imports it when it
 runs: no command path calls it, so no command imports scipy.
-Each closed-loop formula is written once: the accelerations and both
-potential slopes as one body over the sin, cos and sqrt of ``math``, `jets`
-or numpy.
+Each closed-loop formula is written once: each acceleration over the sin, cos
+and sqrt of ``math`` (the RK4 fast path) or `jets`, the rest over `jets`, which
+sends arrays to numpy.  The shaped kinetic matrix is `kinetic_matrix` alone, so
+every observed energy row is the float of `shaped_energy` at its state.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ import numpy as np
 from . import jets
 from .fields import Curve, SmoothField
 from .jets import cos, jet_vars
-from .lagrangian import (ExplicitSode, ShapingParams, controlled_lagrangian_generic,
-                         kinetic_energy, kinetic_matrix, scalar_sigma_matrix)
+from .lagrangian import (ExplicitSode, ShapingParams, kinetic_energy, kinetic_matrix,
+                         scalar_sigma_matrix)
 from .matching import new_tau_closed_form
-from .model import CartpoleParams, InclineParams, MechanicalSystem, State, cartpole_system, incline_system
+from .model import (CartpoleParams, Dims, InclineParams, MechanicalSystem, State,
+                    cartpole_system, incline_system)
 
 __all__ = [
     "GainSelection",
@@ -51,6 +53,7 @@ __all__ = [
     "cartpole_shaped_potential_gradient",
     "cartpole_shaped_potential",
     "cartpole_shaping",
+    "new_tau_shaping",
     "incline_A_coefficient",
     "incline_A_field",
     "incline_h",
@@ -169,14 +172,10 @@ def gain_bound_crossing(p: CartpoleParams, k: float) -> float:
 
 def shaped_multipliers(sys: MechanicalSystem, shaping: ShapingParams,
                        q: np.ndarray) -> ShapedMultipliers:
-    """Velocity Hessian of the controlled Lagrangian (by jets) plus the
-    determinant bookkeeping."""
-    q = np.asarray(q, dtype=float)
-    n = sys.dims.total
-    seeds = jet_vars([0.0] * n)
-    val = controlled_lagrangian_generic(sys, shaping, list(q), seeds)
-    gtilde = np.array(val.h)
-    x = q[: sys.dims.n_shape]
+    """Velocity Hessian of the controlled Lagrangian, its `kinetic_matrix`,
+    plus the determinant bookkeeping."""
+    x = np.asarray(q, dtype=float)[: sys.dims.n_shape]
+    gtilde = np.array(kinetic_matrix(sys, shaping, x.tolist()))
     D = float(np.linalg.det(sys.metric(x)))
     Dtilde = float(np.linalg.det(gtilde))
     pd = bool(np.linalg.eigvalsh(0.5 * (gtilde + gtilde.T)).min() > 0.0)
@@ -234,6 +233,13 @@ def make_shaped_energy(sys: MechanicalSystem, shaping: ShapingParams,
         return float(kinetic_energy(M, state.qdot))
 
     return ShapedEnergy(kinetic=kinetic, potential=potential)
+
+
+def new_tau_shaping(sys: MechanicalSystem, gains: GainSelection,
+                    rho: float = 1.0) -> ShapingParams:
+    """The closed-form new tau of gain k, sigma_ab = sigma g_ab and rho."""
+    return ShapingParams(tau=((new_tau_closed_form(sys, gains.k),),),
+                         sigma=scalar_sigma_matrix(sys, gains.sigma), rho=rho)
 
 
 # 8-point Gauss-Legendre rule on [-1, 1], nodes and weights correctly rounded
@@ -323,19 +329,6 @@ def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) 
     return vals
 
 
-def _energy_observer(parts: Callable) -> Callable:
-    """The shaped-energy observer (times, Q, Qd) -> 0.5 (g11 xd^2 + 2 g12 xd sd
-    + g22 sd^2) + V of a two-coordinate loop, where (g11, g12, g22, V) =
-    ``parts(x, s)`` on the columns of Q."""
-
-    def energy(times, Q, Qd):
-        g11, g12, g22, V = parts(Q[:, 0], Q[:, 1])
-        xd, sd = Qd[:, 0], Qd[:, 1]
-        return 0.5 * (g11 * xd ** 2 + 2 * g12 * xd * sd + g22 * sd ** 2) + V
-
-    return energy
-
-
 class PotentialCurve(Curve):
     """One-dimensional potential cached on a grid with its exact slope.  A
     call, like `value`, reads it at the first of the coordinates q."""
@@ -356,26 +349,24 @@ class PotentialCurve(Curve):
 
 def cartpole_shaping(p: CartpoleParams, gains: GainSelection) -> ShapingParams:
     """New-tau shaping for the cart-pole (special matching)."""
-    sys = cartpole_system(p)
-    tau = new_tau_closed_form(sys, gains.k)
-    return ShapingParams(tau=((tau,),), sigma=scalar_sigma_matrix(sys, gains.sigma))
+    return new_tau_shaping(cartpole_system(p), gains)
 
 
-def _closed_loop(build: Callable, dims) -> ExplicitSode:
-    """Closed loop from one acceleration body ``build(ns)``, whose sin, cos and
-    sqrt come from the namespace ``ns``: ``gamma`` is built over jets and the
-    RK4 fast path ``gamma2`` over math."""
+def _closed_loop(build: Callable) -> ExplicitSode:
+    """Two-coordinate closed loop from one acceleration body ``build(ns)``, whose
+    sin, cos and sqrt come from the namespace ``ns``: ``gamma`` is built over
+    jets and the RK4 fast path ``gamma2`` over math."""
     accel = build(jets)
 
     def gamma(q, qd):
         return list(accel(q[0], q[1], qd[0], qd[1]))
 
-    return ExplicitSode(2, gamma, gamma2=build(math), dims=dims)
+    return ExplicitSode(2, gamma, gamma2=build(math), dims=Dims(1, 1))
 
 
 def _cartpole_accel(p: CartpoleParams, k: float, ns) -> Callable:
     """(x, theta, xdot, thetadot) -> (xddot, thetaddot) of the cart-pole closed
-    loop, over the sin, cos and sqrt of ``ns`` (math, jets or numpy)."""
+    loop, over the sin, cos and sqrt of ``ns`` (math or jets)."""
     al, be, ga, d = p.alpha, p.beta, p.gamma, p.d
     sin, cos, sqrt = ns.sin, ns.cos, ns.sqrt
     # constant left-associative prefixes, folded once: the same floats
@@ -397,23 +388,22 @@ def _cartpole_accel(p: CartpoleParams, k: float, ns) -> Callable:
 
 def cartpole_closed_loop(p: CartpoleParams, gains: GainSelection) -> ExplicitSode:
     """Closed loop of the cart-pole under the position feedback with gain k."""
-    return _closed_loop(lambda ns: _cartpole_accel(p, gains.k, ns), cartpole_system(p).dims)
+    return _closed_loop(lambda ns: _cartpole_accel(p, gains.k, ns))
 
 
-def _cartpole_terms(p: CartpoleParams, k: float, ns) -> Callable:
+def _cartpole_terms(p: CartpoleParams, k: float) -> Callable:
     """x -> (D, sqrt(D), den) with D = alpha gamma - beta^2 cos^2 x and
     den = beta gamma k cos x sqrt(D) - alpha gamma + beta^2 cos^2 x, the
-    denominator of both the feedback and the shaped potential's slope, over
-    the cos and sqrt of ``ns`` (math or numpy); its constant left-associative
-    prefixes are folded once, which gives the same floats."""
+    denominator of both the feedback and the shaped potential's slope, at a
+    float or an array x; its constant left-associative prefixes are folded
+    once, which gives the same floats."""
     alga, b2 = p.alpha * p.gamma, p.beta ** 2
     bgk = p.beta * p.gamma * k
-    cos, sqrt = ns.cos, ns.sqrt
 
     def terms(x):
-        cx = cos(x)
+        cx = jets.cos(x)
         D = alga - b2 * cx ** 2
-        r = sqrt(D)
+        r = jets.sqrt(D)
         return D, r, bgk * cx * r - alga + b2 * cx ** 2
 
     return terms
@@ -422,66 +412,64 @@ def _cartpole_terms(p: CartpoleParams, k: float, ns) -> Callable:
 def cartpole_control(p: CartpoleParams, k: float, x) -> np.ndarray:
     """Closed-form position feedback for the cart-pole (vectorized in x)."""
     x = np.asarray(x, dtype=float)
-    _, r, den = _cartpole_terms(p, k, np)(x)
+    _, r, den = _cartpole_terms(p, k)(x)
     return -p.d * p.gamma ** 2 * k * np.sin(x) * r / den
 
 
-def _cartpole_slope(p: CartpoleParams, gains: GainSelection, ns) -> Callable:
-    """x -> restoring slope of the cart-pole's shaped potential, over the sin,
-    cos and sqrt of ``ns`` (math or numpy)."""
-    terms = _cartpole_terms(p, gains.k, ns)
-    lead = -p.d * (p.gamma ** 2 * gains.k ** 2 * gains.sigma + 1.0)
-    sin = ns.sin
+def _cartpole_slope(p: CartpoleParams, gains: GainSelection) -> Callable:
+    """x -> restoring slope of the cart-pole's shaped potential, at a float or
+    an array x.  A gain whose square overflows is a ValueError."""
+    terms = _cartpole_terms(p, gains.k)
+    try:
+        lead = -p.d * (p.gamma ** 2 * gains.k ** 2 * gains.sigma + 1.0)
+    except OverflowError:
+        raise ValueError(f"the cart-pole's shaped potential: k ** 2 overflows "
+                         f"at k = {gains.k!r}") from None
 
     def slope(x):
         D, _, den = terms(x)
-        return lead * sin(x) * D / den
+        return lead * jets.sin(x) * D / den
 
     return slope
 
 
 def cartpole_shaped_potential_gradient(p: CartpoleParams, gains: GainSelection, x) -> np.ndarray:
     """Restoring slope of the shaped potential (vectorized in x)."""
-    return _cartpole_slope(p, gains, np)(np.asarray(x, dtype=float))
+    return _cartpole_slope(p, gains)(np.asarray(x, dtype=float))
 
 
 def cartpole_shaped_potential(p: CartpoleParams, gains: GainSelection,
                               x_span: tuple[float, float]) -> PotentialCurve:
     """Shaped potential by cumulative integration of its slope, normalized to 0 at x=0."""
     xs = np.linspace(x_span[0], x_span[1], _CURVE_POINTS)
-    values = _cumulative_integral(_cartpole_slope(p, gains, np), xs)
-    return PotentialCurve(xs, values, _cartpole_slope(p, gains, math))
+    slope = _cartpole_slope(p, gains)
+    return PotentialCurve(xs, _cumulative_integral(slope, xs), slope)
 
 
 def cartpole_observed_loop(p: CartpoleParams, gains: GainSelection, x_max: float):
     """Closed loop with its vectorized control and shaped-energy observers
     (times, Q, Qd) -> column; the shaped potential spans |x| <= x_max, clipped
     inside the gain bound."""
+    sys = cartpole_system(p)
+    shaping = new_tau_shaping(sys, gains)
     loop = cartpole_closed_loop(p, gains)
     span = min(x_max, gain_bound_crossing(p, gains.k) - 1e-6)
     pot = cartpole_shaped_potential(p, gains, (-span, span))
-    al, be, ga, k, sigma = p.alpha, p.beta, p.gamma, gains.k, gains.sigma
 
     def control(times, Q, Qd):
-        return cartpole_control(p, k, Q[:, 0])
+        return cartpole_control(p, gains.k, Q[:, 0])
 
-    def parts(x, s):
-        cx = np.cos(x)
-        D = al * ga - be ** 2 * cx ** 2
-        g11 = ga * k ** 2 * (sigma + 1) * D + 2 * be * k * cx * np.sqrt(D) + al
-        g12 = ga * k * np.sqrt(D) + be * cx
-        return g11, g12, ga, pot.read(x)
+    def energy(times, Q, Qd):
+        x = Q[:, 0]
+        return kinetic_energy(kinetic_matrix(sys, shaping, [x]), [Qd[:, 0], Qd[:, 1]]) \
+            + pot.read(x)
 
-    return loop, control, _energy_observer(parts)
+    return loop, control, energy
 
 
 # ---------------------------------------------------------------------------
 # incline
 # ---------------------------------------------------------------------------
-
-def _incline_sigma_scalar(p: InclineParams, shaping: ShapingParams) -> float:
-    return float(shaping.sigma[0, 0] / p.gamma)
-
 
 def _incline_A(p: InclineParams, sigma: float, rho: float) -> Callable:
     """A as a function of cos(psi - x) and tau(x), over floats, jets or arrays."""
@@ -499,7 +487,7 @@ def _incline_A(p: InclineParams, sigma: float, rho: float) -> Callable:
 
 def incline_A_field(p: InclineParams, shaping: ShapingParams) -> SmoothField:
     """Characteristic slope A(x) of the extra-potential equation, as a field."""
-    A = _incline_A(p, _incline_sigma_scalar(p, shaping), shaping.rho)
+    A = _incline_A(p, float(shaping.sigma[0, 0] / p.gamma), shaping.rho)
     psi, tau = p.psi, shaping.tau[0][0].fn
     return SmoothField(1, lambda u: A(cos(psi - u[0]), tau(u)))
 
@@ -552,9 +540,7 @@ class _HCurve(Curve):
 
 def incline_base_shaping(p: InclineParams, gains: GainSelection) -> ShapingParams:
     """New-tau shaping with scalar rho, before the extra potential is added."""
-    sys = incline_system(p)
-    return ShapingParams(tau=((new_tau_closed_form(sys, gains.k),),),
-                         sigma=scalar_sigma_matrix(sys, gains.sigma), rho=gains.rho)
+    return new_tau_shaping(incline_system(p), gains, gains.rho)
 
 
 def incline_h_curve(p: InclineParams, shaping: ShapingParams, k: float,
@@ -646,8 +632,8 @@ def incline_hessian_check(p: InclineParams, shaping: ShapingParams,
 
 
 def _incline_loop(p: InclineParams, gains: GainSelection, h: _HCurve, ns):
-    """The incline closed loop over the sin, cos and sqrt of ``ns`` (math, jets
-    or numpy) and the h-curve ``h``.
+    """The incline closed loop over the sin, cos and sqrt of ``ns`` (math or
+    jets, which sends arrays to numpy) and the h-curve ``h``.
 
     Returns tau(x) -> (cos(psi - x), tau, d tau / dx, sin(psi - x)), or
     (cos(psi - x), tau) for tau(x, False), and accel(x, s, xdot, sdot) ->
@@ -686,33 +672,25 @@ def _incline_loop(p: InclineParams, gains: GainSelection, h: _HCurve, ns):
     return tau, accel
 
 
-def _incline_kinetic(p: InclineParams, gains: GainSelection, cpx, t):
-    """Shaped kinetic coefficients (g11, g12) at cos(psi - x) = cpx and tau = t;
-    g22 is rho * gamma."""
-    al, be, ga, rho = p.alpha, p.beta, p.gamma, gains.rho
-    g11b = al + be ** 2 * (rho - 1.0) * cpx ** 2 / ga + 2.0 * be * rho * cpx * t \
-        + ga * (rho + gains.sigma) * t ** 2
-    return g11b, rho * (be * cpx + ga * t)
-
-
-def _incline_slope(p: InclineParams, gains: GainSelection, h: _HCurve, ns) -> Callable:
+def _incline_slope(p: InclineParams, gains: GainSelection, h: _HCurve,
+                   sys: MechanicalSystem, shaping: ShapingParams) -> Callable:
     """x -> w1(x) d sin(x) + A(x) h(x), the shape slope of the incline's
-    conserved potential, over the sin, cos and sqrt of ``ns`` (math or numpy).
+    conserved potential, at a float or an array x.
 
     w1 is the first component of w solving [[al, e], [B, ga]] w = (g11, g12),
-    by Cramer; it and A share one evaluation of tau per point.
+    by Cramer, with g11 and g12 from the `kinetic_matrix` of ``sys`` under
+    the base ``shaping``; w1 and A share one evaluation of tau per point.
     """
     al, be, ga, d = p.alpha, p.beta, p.gamma, p.d
-    tau = _incline_loop(p, gains, h, ns)[0]
+    tau = _incline_loop(p, gains, h, jets)[0]
     A = _incline_A(p, gains.sigma, gains.rho)
-    sin = ns.sin
 
     def slope(x):
         cpx, t = tau(x, False)
         B = be * cpx
         e = B + ga * t
-        b1, b2 = _incline_kinetic(p, gains, cpx, t)
-        return (b1 * ga - e * b2) / (al * ga - B * e) * d * sin(x) + A(cpx, t) * h(x)
+        b1, b2 = kinetic_matrix(sys, shaping, [x])[0]
+        return (b1 * ga - e * b2) / (al * ga - B * e) * d * jets.sin(x) + A(cpx, t) * h(x)
 
     return slope
 
@@ -720,25 +698,28 @@ def _incline_slope(p: InclineParams, gains: GainSelection, h: _HCurve, ns) -> Ca
 def incline_closed_loop(p: InclineParams, gains: GainSelection, h: _HCurve) -> ExplicitSode:
     """Closed loop of the incline system under the new-tau control with scalar
     rho and the constructed extra potential, whose h-curve is ``h``."""
-    return _closed_loop(lambda ns: _incline_loop(p, gains, h, ns)[1], incline_system(p).dims)
+    return _closed_loop(lambda ns: _incline_loop(p, gains, h, ns)[1])
 
 
 def incline_shaped_potential(p: InclineParams, gains: GainSelection, h: _HCurve,
-                             x_span: tuple[float, float] = (-1.2, 1.2)):
+                             x_span: tuple[float, float] = (-1.2, 1.2),
+                             kinetic: tuple | None = None):
     """Conserved shaped potential of the incline closed loop.
 
     The group-coordinate dependence is analytic; the shape part is the
     cumulative integral of the reconstructed slope w1(x) d sin(x) + A(x) h(x),
     where w1 is the first contraction of the shaped kinetic matrix with the
     inverse acceleration coefficients.  ``h`` must cover x_span clipped to the
-    pole-free window.
+    pole-free window.  ``kinetic`` is the (system, base shaping) pair whose
+    kinetic matrix the slope reads, built from ``p`` and ``gains`` if None.
     """
     lo, hi = incline_safe_span(p, gains.k, x_span)
     if not h.x[0] <= lo < hi <= h.x[-1]:
         raise ValueError("the h-curve does not cover the potential span")
+    sys, shaping = kinetic or (incline_system(p), incline_base_shaping(p, gains))
+    slope = _incline_slope(p, gains, h, sys, shaping)
     xs = np.linspace(lo, hi, _CURVE_POINTS)
-    W = Curve(xs, _cumulative_integral(_incline_slope(p, gains, h, np), xs))
-    return _InclinePotential(W, h, _incline_slope(p, gains, h, math), gains.s0)
+    return _InclinePotential(Curve(xs, _cumulative_integral(slope, xs)), h, slope, gains.s0)
 
 
 class _InclinePotential:
@@ -771,12 +752,14 @@ def incline_observed_loop(p: InclineParams, gains: GainSelection,
     """Closed loop with its vectorized control and shaped-energy observers
     (times, Q, Qd) -> column, all on one h-curve; x_span is the span of the
     shaped potential."""
-    h = incline_h_curve(p, incline_base_shaping(p, gains), gains.k,
+    sys = incline_system(p)
+    shaping = new_tau_shaping(sys, gains, gains.rho)
+    h = incline_h_curve(p, shaping, gains.k,
                         (min(INCLINE_LOOP_SPAN[0], x_span[0] - 0.05),
                          max(INCLINE_LOOP_SPAN[1], x_span[1] + 0.05)))
     loop = incline_closed_loop(p, gains, h)
-    pot = incline_shaped_potential(p, gains, h, x_span)
-    tau, accel = _incline_loop(p, gains, h, np)
+    pot = incline_shaped_potential(p, gains, h, x_span, (sys, shaping))
+    tau, accel = _incline_loop(p, gains, h, jets)
     veps_ds = _incline_veps(p, gains)[1]
     ga, rho, slope = p.gamma, gains.rho, _incline_grade(p)
 
@@ -787,11 +770,12 @@ def incline_observed_loop(p: InclineParams, gains: GainSelection,
         return (1 - rho) / rho * slope - veps_ds(s, h(x)) / rho - ga * t * xdd \
             - ga * tp * xd ** 2
 
-    def parts(x, s):
-        cpx, t = tau(x, False)
-        return (*_incline_kinetic(p, gains, cpx, t), rho * ga, pot.value_arrays(x, s))
+    def energy(times, Q, Qd):
+        x, s = Q[:, 0], Q[:, 1]
+        return kinetic_energy(kinetic_matrix(sys, shaping, [x]), [Qd[:, 0], Qd[:, 1]]) \
+            + pot.value_arrays(x, s)
 
-    return loop, control, _energy_observer(parts)
+    return loop, control, energy
 
 
 def closed_loop_key(p: CartpoleParams, gains: GainSelection) -> tuple:

@@ -351,11 +351,11 @@ def controlled_lagrangian_generic(sys: MechanicalSystem, shaping: ShapingParams,
 
 def kinetic_energy(M, qd, acc=0.0):
     """acc + (1/2) qd' M qd for a nested-list M, summed term by term from acc
-    in row-major order (floats or jets)."""
-    n = len(qd)
-    for i in range(n):
-        for j in range(n):
-            acc = acc + 0.5 * qd[i] * M[i][j] * qd[j]
+    in row-major order, each term (0.5 qd_i) M_ij qd_j (floats or jets)."""
+    half = [0.5 * v for v in qd]
+    for i, row in enumerate(M):
+        for j, v in enumerate(qd):
+            acc = acc + half[i] * row[j] * v
     return acc
 
 

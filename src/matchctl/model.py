@@ -83,6 +83,18 @@ class CartpoleParams:
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        # the formulas multiply the metric's coefficients in pairs, as in its
+        # determinant alpha gamma - beta^2 cos^2 x
+        given = f"m, M and l = {self.m!r}, {self.M!r}, {self.l!r}"
+        try:
+            metric = [(name, getattr(self, name)) for name in ("alpha", "beta", "gamma")]
+        except OverflowError:
+            raise ValueError(f"{given} overflow alpha = m l ** 2") from None
+        for i, (a, u) in enumerate(metric):
+            for b, v in metric[i:]:
+                if not 0 < u * v < np.inf:
+                    raise ValueError(f"{given} give {a} * {b} = {u * v!r}, which must be "
+                                     f"nonzero and finite")
 
     @property
     def alpha(self) -> float:

@@ -13,6 +13,7 @@ command and a reviewable diff of that table.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import re
@@ -42,6 +43,10 @@ COMMANDS = ("check-matching", "check-helmholtz", "synthesize-tau", "simulate", "
 ARTEFACTS = {"synthesize-tau": "tau_samples.csv", "simulate": "trajectory.csv",
              "sweep": "sweep.csv"}
 JSON_COMMANDS = ("check-matching", "check-helmholtz")
+# the column of each output file that moves with any rounding of the shaped
+# energy E; the file is also digested without it, which pins every other
+# column when E moves on purpose
+OBSERVED_COLUMNS = {"trajectory.csv": "E", "sweep.csv": "drift"}
 
 
 def config_text(config: str) -> str:
@@ -81,8 +86,32 @@ def run_case(config: str, command: str, overrides: dict[str, str], workdir: Path
         digests["stderr"] = _sha(err.getvalue().encode())
     artefact = workdir / "out" / ARTEFACTS.get(command, "")
     if command in ARTEFACTS and artefact.exists():
-        digests[artefact.name] = _sha(artefact.read_bytes())
+        data = artefact.read_bytes()
+        digests[artefact.name] = _sha(data)
+        column = OBSERVED_COLUMNS.get(artefact.name)
+        rest = _without_column(data, column) if column else None
+        if rest is not None:
+            digests[f"{artefact.name} without {column}"] = _sha(rest)
     return code, digests
+
+
+def _without_column(data: bytes, name: str) -> bytes | None:
+    """The CSV ``data`` with its column ``name`` left out and its ``#`` comment
+    lines kept, or None when it has no such column."""
+    lines = data.decode("utf-8").splitlines(keepends=True)
+    header = next(csv.reader(lines[:1]), [])
+    if name not in header:
+        return None
+    i = header.index(name)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for line in lines:
+        if line.startswith("#"):
+            out.write(line)
+        else:
+            row = next(csv.reader([line]))
+            writer.writerow(row[:i] + row[i + 1:])
+    return out.getvalue().encode("utf-8")
 
 
 def _sha(data: bytes) -> str:

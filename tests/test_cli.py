@@ -285,7 +285,7 @@ def test_sweep_reports_errored_rows(tmp_path, capsys):
 
 def test_sweep_row_that_overflows_is_an_errored_row(tmp_path, capsys):
     # at k = 1e300 the cart-pole slope squares k on Python floats, which
-    # raises OverflowError inside the row
+    # overflows inside the row and is named there
     text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 35, 1e300\n"
     cfg = write_cfg(tmp_path, "cp.cfg", text)
     with warnings.catch_warnings(record=True) as caught:
@@ -293,11 +293,12 @@ def test_sweep_row_that_overflows_is_an_errored_row(tmp_path, capsys):
         assert main(["sweep", "--config", cfg]) == 1
     assert [w.category for w in caught] == []
     err = capsys.readouterr().err.splitlines()
-    assert err == ["sweep row k=1e+300 sigma=1.0 rho=1.0: (34, 'Numerical result out of range')"]
+    assert err == ["sweep row k=1e+300 sigma=1.0 rho=1.0: the cart-pole's shaped potential: "
+                   "k ** 2 overflows at k = 1e+300"]
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert len(rows) == 3 and rows[1].endswith(",True,") and rows[2].split(",")[5] == "nan"
     assert rows[2].startswith("1e+300,") and rows[2].endswith(
-        ",-1,False,\"(34, 'Numerical result out of range')\"")
+        ",-1,False,the cart-pole's shaped potential: k ** 2 overflows at k = 1e+300")
 
 
 def test_simulate_stage_on_an_infinite_state_halts_nonfinite(tmp_path, capsys):
@@ -310,6 +311,41 @@ def test_simulate_stage_on_an_infinite_state_halts_nonfinite(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["events"] == [[1e-3, "nonfinite"]] and doc["rows"] == 1
     assert not [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_json_of_a_nan_drift_is_strict(tmp_path, capsys, command):
+    # the nonfinite halt reads drift NaN, in simulate and in every sweep row;
+    # --json writes it as null, which a strict parser accepts, not as NaN
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sim.ic = 0.1, 0, 1e200, 0\n"
+    cfg = write_cfg(tmp_path, "cp.cfg", text)
+    main([command, "--config", cfg, "--json"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_not_json)
+    drifts = [doc["drift"]] if command == "simulate" else [row["drift"] for row in doc["rows"]]
+    assert drifts and all(drift is None for drift in drifts)
+
+
+@pytest.mark.parametrize("command", ["synthesize-tau", "simulate"])
+def test_params_whose_metric_overflows_are_a_config_error(tmp_path, capsys, command):
+    # beta ** 2 overflows at m = 1e300, in gain_bound among others
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "params.m = 1e300\n"
+    cfg = write_cfg(tmp_path, "cp.cfg", text)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: params.m, M and l = 1e+300, 0.44, 0.215 give alpha * alpha = inf, "
+        "which must be nonzero and finite\n")
+
+
+def test_simulate_gain_whose_square_overflows_is_named(tmp_path, capsys):
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "gains.k = 1e160\n"
+    cfg = write_cfg(tmp_path, "cp.cfg", text)
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == ("error: ValueError: the cart-pole's shaped potential: "
+                                       "k ** 2 overflows at k = 1e+160\n")
 
 
 CONFIGS =Path(__file__).resolve().parent.parent / "configs"
@@ -523,7 +559,7 @@ def test_tau_ode_row_fails_on_a_nan_residual(tmp_path, capsys, monkeypatch):
     assert main(["check-matching", "--config", cfg, "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     (row,) = [e for rep in doc["reports"] for e in rep["entries"] if e["name"] == "tau_ode"]
-    assert np.isnan(row["value"]) and row["pass"] is False
+    assert row["value"] is None and row["pass"] is False    # NaN is null in strict JSON
     assert not doc["pass"]
 
 
@@ -684,12 +720,14 @@ GOLDEN_DIGESTS = {
     "cartpole/simulate": {
         "overrides": {"sim.t_end": "1.0"}, "exit": 0,
         "stdout": "c8049f76786b3d9f8bdd2c0d23394a4c7c2d96aec297a6ca41b82fcb6a0a16e3",
-        "trajectory.csv": "8d04b1f888b1b378e0dd97677a6751d821a870a9c60f75d94e2e6b2f6902c541",
+        "trajectory.csv": "66ac43c3f1e77ab65ea0a86ac25d3b345ab14e2646af5dbaf5ec04b0e599f364",
+        "trajectory.csv without E": "08d2240c1fdc7a317b95a7a908c2069293f973e2d3dc9042215aa5da2eaae17e",
     },
     "cartpole/sweep": {
         "overrides": {}, "exit": 0,
         "stdout": "9450339d1cdc4c6517f7c9791ec31a5cac63c53ea3c2991cf24cc32d0ec980ee",
         "sweep.csv": "ae64eecac2f8afe4432d38fd0e87ece0f69e346f0c480638160f3d19afd4c506",
+        "sweep.csv without drift": "17f88abedbd8d073e95e315915f4892db50c17b1fee378f35f4fadd813c4c6e6",
     },
     "incline/check-matching": {
         "overrides": {}, "exit": 0,
@@ -706,13 +744,15 @@ GOLDEN_DIGESTS = {
     },
     "incline/simulate": {
         "overrides": {"sim.t_end": "1.0"}, "exit": 0,
-        "stdout": "116faf28543600766803ea561fa62b09b69cacf30a63ddb075a3bef24e96dabf",
-        "trajectory.csv": "ba3889293eb95a4ad2c9fb0dde5181e43545fee80ad361aa6b0c2e960c7b4472",
+        "stdout": "ed957e93ca540a0b34b9c15bf2f32d29313fa17c48862fba33b43e816d099476",
+        "trajectory.csv": "91fd54cadeb1fc36e521fd638d7f6ee42a3804a144395c8e77da69a90a69f481",
+        "trajectory.csv without E": "274543b7c80323018b09c4000a69377a3b07d1be14430576ca96600d701b9173",
     },
     "incline/sweep": {
         "overrides": {}, "exit": 0,
         "stdout": "f982993b5c8f593757a032facbe3b8bc949745e83d90b9beb79d7e964ebe03db",
-        "sweep.csv": "052dac3708768d11841f8ba7d0a94ae009cb78690494da9d76e953b63ac994ca",
+        "sweep.csv": "38c864e92231388fdfb8367761b2f23b73eabb988837e7353214341b3cb4dc93",
+        "sweep.csv without drift": "6ae5c0f6fc76ef38af7214e447e415bf6052d071190a9cd4991ba55cb5977607",
     },
     "cartpole-new-ode/check-matching": {
         "overrides": {}, "exit": 0,
@@ -730,12 +770,14 @@ GOLDEN_DIGESTS = {
     "cartpole-new-ode/simulate": {
         "overrides": {"sim.t_end": "1.0"}, "exit": 0,
         "stdout": "c8049f76786b3d9f8bdd2c0d23394a4c7c2d96aec297a6ca41b82fcb6a0a16e3",
-        "trajectory.csv": "8d04b1f888b1b378e0dd97677a6751d821a870a9c60f75d94e2e6b2f6902c541",
+        "trajectory.csv": "66ac43c3f1e77ab65ea0a86ac25d3b345ab14e2646af5dbaf5ec04b0e599f364",
+        "trajectory.csv without E": "08d2240c1fdc7a317b95a7a908c2069293f973e2d3dc9042215aa5da2eaae17e",
     },
     "cartpole-new-ode/sweep": {
         "overrides": {}, "exit": 0,
         "stdout": "9450339d1cdc4c6517f7c9791ec31a5cac63c53ea3c2991cf24cc32d0ec980ee",
         "sweep.csv": "ae64eecac2f8afe4432d38fd0e87ece0f69e346f0c480638160f3d19afd4c506",
+        "sweep.csv without drift": "17f88abedbd8d073e95e315915f4892db50c17b1fee378f35f4fadd813c4c6e6",
     },
     "incline-new-ode/check-matching": {
         "overrides": {}, "exit": 0,
@@ -752,13 +794,15 @@ GOLDEN_DIGESTS = {
     },
     "incline-new-ode/simulate": {
         "overrides": {"sim.t_end": "1.0"}, "exit": 0,
-        "stdout": "116faf28543600766803ea561fa62b09b69cacf30a63ddb075a3bef24e96dabf",
-        "trajectory.csv": "ba3889293eb95a4ad2c9fb0dde5181e43545fee80ad361aa6b0c2e960c7b4472",
+        "stdout": "ed957e93ca540a0b34b9c15bf2f32d29313fa17c48862fba33b43e816d099476",
+        "trajectory.csv": "91fd54cadeb1fc36e521fd638d7f6ee42a3804a144395c8e77da69a90a69f481",
+        "trajectory.csv without E": "274543b7c80323018b09c4000a69377a3b07d1be14430576ca96600d701b9173",
     },
     "incline-new-ode/sweep": {
         "overrides": {}, "exit": 0,
         "stdout": "f982993b5c8f593757a032facbe3b8bc949745e83d90b9beb79d7e964ebe03db",
-        "sweep.csv": "052dac3708768d11841f8ba7d0a94ae009cb78690494da9d76e953b63ac994ca",
+        "sweep.csv": "38c864e92231388fdfb8367761b2f23b73eabb988837e7353214341b3cb4dc93",
+        "sweep.csv without drift": "6ae5c0f6fc76ef38af7214e447e415bf6052d071190a9cd4991ba55cb5977607",
     },
     "builtin/check-matching": {
         "overrides": {}, "exit": 0,

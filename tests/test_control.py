@@ -26,8 +26,8 @@ from matchctl.control import (INCLINE_LOOP_SPAN, GainSelection, MatchingFailure,
 from matchctl.lagrangian import (ShapingParams, controlled_implicit_sode,
                                  scalar_sigma_matrix)
 from matchctl.matching import new_tau_closed_form, sm3_tau
-from matchctl.model import CartpoleParams, InclineParams, State, incline_system
-from matchctl.sim import integrate
+from matchctl.model import CartpoleParams, InclineParams, State, cartpole_system, incline_system
+from matchctl.sim import OBSERVE_BLOCK, Trajectory, integrate, observe
 
 
 @pytest.fixture(scope="module")
@@ -429,14 +429,14 @@ def _curve_integrands(reference_params, incline_params, k):
     gains = GainSelection(k=k, sigma=1.0, rho=2.0, c=6.0)
     span = gain_bound_crossing(reference_params, k) - 1e-6
     cp = lambda x: cartpole_shaped_potential_gradient(reference_params, gains, x)  # noqa: E731
-    h = incline_h_curve(incline_params, incline_base_shaping(incline_params, gains), k,
-                        INCLINE_LOOP_SPAN)
+    base = incline_base_shaping(incline_params, gains)
+    h = incline_h_curve(incline_params, base, k, INCLINE_LOOP_SPAN)
     lo, hi = incline_safe_span(incline_params, k, (-1.2, 1.2))
     h_fn = lambda x: h.A.fn([x])  # noqa: E731
+    slope = _incline_slope(incline_params, gains, h, incline_system(incline_params), base)
     return [(cp, lambda x: float(cp(x)), np.linspace(-span, span, 801)),
             (h_fn, h_fn, h.x),
-            (_incline_slope(incline_params, gains, h, np),
-             _incline_slope(incline_params, gains, h, math), np.linspace(lo, hi, 801))]
+            (slope, slope, np.linspace(lo, hi, 801))]
 
 
 @pytest.mark.parametrize("k", [4.0, 20.0, 35.0, 150.0])
@@ -522,6 +522,47 @@ def test_make_shaped_energy_splits(reference_params, cartpole, gains):
     st = State(q=[0.4, 0.1], qdot=[0.7, -0.9])
     assert se.value(st) == pytest.approx(se.kinetic(st) + se.potential(st.q))
     assert se.value(st) == pytest.approx(shaped_energy(cartpole, shp, pot, st))
+
+
+@pytest.mark.parametrize("system", ["cartpole", "incline"])
+def test_energy_observer_rows_are_shaped_energy(monkeypatch, reference_params,
+                                                incline_params, system):
+    # every row that sim.observe writes, on both sides of its block
+    # boundaries, is the float of shaped_energy at that state under the loop's
+    # base shaping and the potential the loop built
+    made = {}
+
+    def recorded(name):
+        fn = getattr(ctl, name)
+
+        def wrapper(*args, **kwargs):
+            made["pot"] = fn(*args, **kwargs)
+            return made["pot"]
+        return wrapper
+
+    if system == "cartpole":
+        p, gains = reference_params, GainSelection(k=35.0, sigma=0.5)
+        monkeypatch.setattr(ctl, "cartpole_shaped_potential",
+                            recorded("cartpole_shaped_potential"))
+        loop, _, energy = ctl.cartpole_observed_loop(p, gains, 1.2)
+        sys_, shp = cartpole_system(p), cartpole_shaping(p, gains)
+    else:
+        p, gains = incline_params, GainSelection(k=35.0, sigma=1.0, rho=2.0, c=6.0)
+        monkeypatch.setattr(ctl, "incline_shaped_potential",
+                            recorded("incline_shaped_potential"))
+        loop, _, energy = ctl.incline_observed_loop(p, gains, (-1.1, 1.1))
+        sys_, shp = incline_system(p), incline_base_shaping(p, gains)
+    rows = 2 * OBSERVE_BLOCK + 5
+    rng = np.random.default_rng(43)
+    states = np.column_stack([rng.uniform(-1.0, 1.0, rows), rng.uniform(-2.0, 2.0, rows),
+                              rng.uniform(-3.0, 3.0, (rows, 2))])
+    traj = observe(Trajectory(dims=loop.dims, times=np.arange(rows) * 1e-3, states=states),
+                   energy=energy)
+    near_edges = [r + i for r in (0, OBSERVE_BLOCK, 2 * OBSERVE_BLOCK) for i in (-2, -1, 0, 1)
+                  if 0 <= r + i < rows]
+    for r in sorted(set(near_edges) | set(rng.choice(rows, 200, replace=False).tolist())):
+        state = State(q=states[r, :2], qdot=states[r, 2:])
+        assert traj.energies[r] == shaped_energy(sys_, shp, made["pot"], state), r
 
 
 def test_equilibrium_preserved(reference_params, incline_params, gains, incline_gains):

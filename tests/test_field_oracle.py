@@ -253,7 +253,7 @@ def test_closed_loop_gamma_matches_sympy(p):
 def test_closed_loop_math_jets_numpy_agree_bitwise(p):
     loop, _, build = _closed_loop(p)
     states = _states(seed=31)
-    batched = build(np)(*states.T)
+    batched = build(ctl.jets)(*states.T)       # jets sends the arrays to numpy
     for i, st in enumerate(states):
         fast = loop.gamma2(*st)
         jet_values = [j.f for j in loop.gamma_jets(st[:2], st[2:])]
