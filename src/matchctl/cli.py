@@ -438,6 +438,9 @@ def _simulate(rc: RunConfig, marches: dict) -> simmod.Trajectory:
 
 def cmd_simulate(args) -> int:
     rc = RunConfig.load(args.config, args)
+    if not math.isfinite(rc.t_end / rc.dt):
+        raise ConfigError(f"sim.t_end / sim.dt must be a finite step count, got "
+                          f"{rc.t_end!r} / {rc.dt!r} = {rc.t_end / rc.dt!r}")
     if rc.system == "cartpole":
         _require_gain_window(rc)
     elif rc.system == "incline":

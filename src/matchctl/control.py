@@ -128,7 +128,6 @@ def position_feedback_control(sys: MechanicalSystem, tau_fields: Sequence[Smooth
     """
     if sys.dims.n_shape != 1:
         raise ValueError("position feedback requires one shape coordinate")
-    ng = sys.dims.n_group
     q = np.asarray(q, dtype=float)
     x = q[:1]
     g11 = sys.gss(x)[0, 0]

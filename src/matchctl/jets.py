@@ -64,6 +64,7 @@ __all__ = [
     "Var",
     "Untapeable",
     "record",
+    "compiled",
 ]
 
 
@@ -171,8 +172,16 @@ def record(fn: Callable[[list], Sequence], n_in: int) -> Callable:
             kept.append(f"    {name} = {expr}\n")
     body = "".join(reversed(kept))
     src = f"def taped({', '.join(args)}):\n{body}    return ({', '.join(outs)},)\n"
-    exec(compile(src, "<tape>", "exec"), tape.bound)
-    return tape.bound["taped"]
+    return compiled(src, "taped", "<tape>", tape.bound)
+
+
+def compiled(src: str, name: str, filename: str, scope: dict | None = None) -> Callable:
+    """The function ``name`` that the generated source ``src`` defines, run
+    with ``scope`` as its globals and popped from it: a function left in its
+    own globals is a reference cycle, freed only by the cycle collector."""
+    scope = {} if scope is None else scope
+    exec(compile(src, filename, "exec"), scope)
+    return scope.pop(name)
 
 
 _CONST = (Real, np.ndarray, Var)    # constant operands: a float, one per point, or taped
@@ -502,9 +511,7 @@ def float_solver(n: int) -> Callable:
     args = ", ".join([v for row in a for v in row] + b)
     body = "".join(f"    {line}\n" for line in lines)
     src = f"def solve({args}):\n{body}    return [{', '.join(f'x{r}' for r in range(n))}]\n"
-    scope: dict = {}
-    exec(compile(src, f"<float_solver {n}>", "exec"), scope)
-    return scope["solve"]
+    return compiled(src, "solve", f"<float_solver {n}>")
 
 
 # -- finite-difference oracle -------------------------------------------------

@@ -1,9 +1,11 @@
 """Fixed-step trajectory integration, energy-drift measurement and CSV output.
 
 Classical fourth-order Runge-Kutta at fixed step: reproducibility of golden
-trajectories matters more than adaptive speed at this scale.  A march records
-its states as floats in one ``array('d')`` and hands them back as a view of
-it.  Observer columns (controls, shaped energy) are evaluated at every
+trajectories matters more than adaptive speed at this scale.  One march serves
+every coordinate count n: straight-line code over 2n float locals, generated
+from n and compiled once per n, which hands the guard tuples of floats.  It
+records its states as floats in one ``array('d')`` and hands them back as a
+view of it.  Observer columns (controls, shaped energy) are evaluated at every
 recorded step, ``OBSERVE_BLOCK`` rows at a time, into columns allocated once,
 so a trajectory keeps about 8 bytes per float of each row (times, states,
 controls, energy) and the transient memory of observing it does not grow with
@@ -15,6 +17,7 @@ option chooses.
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 import os
@@ -25,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .jets import compiled
 from .lagrangian import ExplicitSode
 from .model import Dims, State
 
@@ -60,9 +64,10 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
     """March the field with fixed-step RK4 from state0 for t_end seconds, then
     `observe` the march.
 
-    ``guard(q, qdot) -> bool`` halts integration with a "domain_exit" event
-    when true; it receives the coordinates and velocities as sequences of
-    floats, tuples on the two-coordinate fast path and lists otherwise.
+    The march is `_rk4_march` for the field's n, on ``gamma2`` where the field
+    has one and on ``floats`` otherwise.  ``guard(q, qd) -> bool`` halts
+    integration with a "domain_exit" event when true; it receives the
+    coordinates and velocities as tuples of floats.
     Non-finite states always halt with a "nonfinite" event, and so does a
     step whose stage raises ValueError or OverflowError on a non-finite stage
     state; that step is not recorded.  Without
@@ -72,28 +77,70 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
-    width = 2 * field_.n
-    n_steps = int(round(t_end / dt))
+    steps = t_end / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"the step count t_end / dt = {steps!r} is not finite")
+    n, floats = field_.n, field_.floats
+    accel = field_.gamma2 or (lambda *state: floats(list(state[:n]), list(state[n:])))
+    march = _rk4_march(n)
     events: list = []
-    if width == 4 and field_.gamma2 is not None:
-        steps, accel = _rk4_pair, field_.gamma2
-    else:
-        steps, accel = _rk4_array, field_.floats
     rec = array("d", state0.q.tolist() + state0.qdot.tolist())
     try:
-        steps(accel, rec, width, dt, range(n_steps), guard, events)
+        march(accel, rec, dt, range(int(round(steps))), guard, events)
     except (ValueError, OverflowError):
-        done = len(rec) // width - 1
-        if not _stage_was_nonfinite(steps, accel, rec[-width:], width, dt, done):
+        done = len(rec) // (2 * n) - 1
+        if not _stage_was_nonfinite(march, accel, rec[-2 * n:], dt, done):
             raise
         events.append(((done + 1) * dt, "nonfinite"))
-    times, states = _march(rec, width, dt)
+    states = np.frombuffer(rec, dtype=float).reshape(-1, 2 * n)   # a view that keeps rec
+    times = np.arange(len(states), dtype=float)
+    times *= dt
     return observe(Trajectory(dims=field_.dims, times=times, states=states, events=events),
                    control, energy)
 
 
-def _stage_was_nonfinite(steps, accel, start, width: int, dt: float, step: int) -> bool:
-    """Whether step ``step`` of a march from ``start``, which raised, raises
+@functools.cache
+def _rk4_march(n: int) -> Callable:
+    """``march(accel, rec, dt, steps, guard, events)``: the RK4 steps ``steps``
+    from the last state of ``rec``, each state appended to it as floats, where
+    ``accel`` takes the 2n floats of a stage's state (coordinates, then
+    velocities) and returns its n accelerations.  A step whose state is not
+    finite halts with a "nonfinite" event, and one that ``guard`` (given the
+    coordinates and velocities as tuples) refuses with a "domain_exit" event;
+    both are recorded.  Its source is generated from n alone, straight-line
+    over 2n float locals, and compiled at the first call for each n."""
+    q, qd = [f"q{i}" for i in range(n)], [f"qd{i}" for i in range(n)]
+    # the coordinates, velocities and accelerations of stages 1 to 4
+    qs = [q] + [[f"{x}_{k}" for x in q] for k in (2, 3, 4)]
+    vs = [qd] + [[f"{x}_{k}" for x in qd] for k in (2, 3, 4)]
+    acc = [[f"a{i}_{k}" for i in range(n)] for k in (1, 2, 3, 4)]
+    lines = []
+    for k in range(4):
+        lines.append(f"{', '.join(acc[k])}, = accel({', '.join(qs[k] + vs[k])})")
+        if k < 3:
+            h = "dt" if k == 2 else "half"
+            lines += [f"{y} = {x} + {h} * {v}" for x, y, v in zip(q, qs[k + 1], vs[k])]
+            lines += [f"{y} = {x} + {h} * {a}" for x, y, a in zip(qd, vs[k + 1], acc[k])]
+    for x, (d1, d2, d3, d4) in zip(q + qd, [*zip(*vs), *zip(*acc)]):
+        lines.append(f"{x} += sixth * ({d1} + 2 * {d2} + 2 * {d3} + {d4})")
+    finite = " and ".join(f"isfinite({x})" for x in q + qd)
+    lines += [f"rec.extend(({', '.join(q + qd)},))",
+              "t_now = (i + 1) * dt",
+              f"if not ({finite}):",
+              "    events.append((t_now, 'nonfinite'))",
+              "    break",
+              f"if guard is not None and guard(({', '.join(q)},), ({', '.join(qd)},)):",
+              "    events.append((t_now, 'domain_exit'))",
+              "    break"]
+    body = "".join(f"        {line}\n" for line in lines)
+    src = (f"def march(accel, rec, dt, steps, guard, events):\n"
+           f"    {', '.join(q + qd)} = rec[-{2 * n}:]\n"
+           f"    half = 0.5 * dt\n    sixth = dt / 6.0\n    for i in steps:\n{body}")
+    return compiled(src, "march", f"<rk4 march {n}>", {"isfinite": math.isfinite})
+
+
+def _stage_was_nonfinite(march, accel, start: array, dt: float, step: int) -> bool:
+    """Whether step ``step`` of ``march`` from ``start``, which raised, raises
     again in a stage whose state is not finite (``math.sin(inf)`` is a
     ValueError, not a NaN).  The step is run once more with each stage's state
     looked at before ``accel`` reads it, so the march itself checks only the
@@ -105,7 +152,7 @@ def _stage_was_nonfinite(steps, accel, start, width: int, dt: float, step: int) 
         return accel(*state)
 
     try:
-        steps(looked_at, start, width, dt, range(step, step + 1), None, [])
+        march(looked_at, start, dt, range(step, step + 1), None, [])
     except (ValueError, OverflowError):
         return stage_nonfinite[0]
     return False
@@ -145,77 +192,6 @@ def observe(traj: Trajectory, control: Callable | None = None,
                     out.energies = np.empty(rows)
                 out.energies[block] = np.asarray(energy(*args), dtype=float).reshape(size)
     return out
-
-
-def _rk4_pair(gamma2, rec: array, width: int, dt: float, steps: range, guard, events):
-    """Scalar fast path for two-coordinate systems: the steps ``steps`` from
-    the last state of ``rec``, each state appended to it as floats."""
-    x, th, xd, thd = rec[-4:]
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for i in steps:
-        a1, b1 = gamma2(x, th, xd, thd)
-        x2 = x + half * xd; th2 = th + half * thd
-        xd2 = xd + half * a1; thd2 = thd + half * b1
-        a2, b2 = gamma2(x2, th2, xd2, thd2)
-        x3 = x + half * xd2; th3 = th + half * thd2
-        xd3 = xd + half * a2; thd3 = thd + half * b2
-        a3, b3 = gamma2(x3, th3, xd3, thd3)
-        x4 = x + dt * xd3; th4 = th + dt * thd3
-        xd4 = xd + dt * a3; thd4 = thd + dt * b3
-        a4, b4 = gamma2(x4, th4, xd4, thd4)
-        x += sixth * (xd + 2 * xd2 + 2 * xd3 + xd4)
-        th += sixth * (thd + 2 * thd2 + 2 * thd3 + thd4)
-        xd += sixth * (a1 + 2 * a2 + 2 * a3 + a4)
-        thd += sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-        rec.extend((x, th, xd, thd))
-        t_now = (i + 1) * dt
-        if not (math.isfinite(x) and math.isfinite(th)
-                and math.isfinite(xd) and math.isfinite(thd)):
-            events.append((t_now, "nonfinite"))
-            break
-        if guard is not None and guard((x, th), (xd, thd)):
-            events.append((t_now, "domain_exit"))
-            break
-
-
-def _rk4_array(accel, rec: array, width: int, dt: float, steps: range, guard, events):
-    """Generic path: ``accel`` (an explicit field's ``floats``) on lists of
-    Python floats, combined coordinate by coordinate as numpy's vector
-    arithmetic combines them, so in its floats."""
-
-    def axpy(x, h, y):
-        return [a + h * b for a, b in zip(x, y)]
-
-    n = width // 2
-    q, qd = rec[-width:-n].tolist(), rec[-n:].tolist()
-    for i in steps:
-        a1 = accel(q, qd)
-        q2, qd2 = axpy(q, 0.5 * dt, qd), axpy(qd, 0.5 * dt, a1)
-        a2 = accel(q2, qd2)
-        q3, qd3 = axpy(q, 0.5 * dt, qd2), axpy(qd, 0.5 * dt, a2)
-        a3 = accel(q3, qd3)
-        q4, qd4 = axpy(q, dt, qd3), axpy(qd, dt, a3)
-        a4 = accel(q4, qd4)
-        q = axpy(q, dt / 6.0, [a + 2 * b + 2 * c + d for a, b, c, d in zip(qd, qd2, qd3, qd4)])
-        qd = axpy(qd, dt / 6.0, [a + 2 * b + 2 * c + d for a, b, c, d in zip(a1, a2, a3, a4)])
-        rec.extend(q + qd)
-        t_now = (i + 1) * dt
-        if not all(map(math.isfinite, q + qd)):
-            events.append((t_now, "nonfinite"))
-            break
-        if guard is not None and guard(q, qd):
-            events.append((t_now, "domain_exit"))
-            break
-
-
-def _march(rec: array, width: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Times and states of a march's record: the states are a view of ``rec``,
-    which it keeps alive, and the times are i * dt, built in place."""
-    states = np.frombuffer(rec, dtype=float).reshape(-1, width)
-    times = np.arange(len(states), dtype=float)
-    times *= dt
-    return times, states
 
 
 def energy_drift(traj: Trajectory) -> float:

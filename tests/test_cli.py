@@ -348,6 +348,15 @@ def test_simulate_gain_whose_square_overflows_is_named(tmp_path, capsys):
                                        "k ** 2 overflows at k = 1e+160\n")
 
 
+def test_simulate_step_count_that_overflows_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # 1e300 / 1e-300 is inf: named before the loop and its curves are built
+    monkeypatch.setattr(ctl, "cartpole_observed_loop", None)
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sim.t_end = 1e300\nsim.dt = 1e-300\n"
+    assert main(["simulate", "--config", write_cfg(tmp_path, "cp.cfg", text)]) == 2
+    assert capsys.readouterr().err == ("config error: sim.t_end / sim.dt must be a finite step "
+                                       "count, got 1e+300 / 1e-300 = inf\n")
+
+
 CONFIGS =Path(__file__).resolve().parent.parent / "configs"
 
 

@@ -133,6 +133,105 @@ def test_fast_pair_path_matches_array_path_on_guard_exit():
     assert np.array_equal(a.states, b.states)
 
 
+def reference_rk4(accel, state0: State, dt: float, t_end: float, guard=None):
+    """Fixed-step RK4 by its list formula: ``accel(q, qd)`` on lists of floats,
+    combined coordinate by coordinate, with the halts of `integrate`.  Returns
+    the states, one row per step, and the events."""
+    def axpy(x, h, y):
+        return [a + h * b for a, b in zip(x, y)]
+
+    q, qd = state0.q.tolist(), state0.qdot.tolist()
+    rows, events = [q + qd], []
+    for i in range(int(round(t_end / dt))):
+        a1 = accel(q, qd)
+        q2, qd2 = axpy(q, 0.5 * dt, qd), axpy(qd, 0.5 * dt, a1)
+        a2 = accel(q2, qd2)
+        q3, qd3 = axpy(q, 0.5 * dt, qd2), axpy(qd, 0.5 * dt, a2)
+        a3 = accel(q3, qd3)
+        q4, qd4 = axpy(q, dt, qd3), axpy(qd, dt, a3)
+        a4 = accel(q4, qd4)
+        q = axpy(q, dt / 6.0, [a + 2 * b + 2 * c + d for a, b, c, d in zip(qd, qd2, qd3, qd4)])
+        qd = axpy(qd, dt / 6.0, [a + 2 * b + 2 * c + d for a, b, c, d in zip(a1, a2, a3, a4)])
+        rows.append(q + qd)
+        t_now = (i + 1) * dt
+        if not all(map(math.isfinite, q + qd)):
+            events.append((t_now, "nonfinite"))
+            break
+        if guard is not None and guard(q, qd):
+            events.append((t_now, "domain_exit"))
+            break
+    return np.array(rows), events
+
+
+def list_accel(field_: ExplicitSode):
+    """The acceleration source `integrate` marches ``field_`` on, on lists."""
+    if field_.gamma2 is not None:
+        return lambda q, qd: list(field_.gamma2(*q, *qd))
+    return field_.floats
+
+
+def infinite_past(field_: ExplicitSode, jump: float) -> ExplicitSode:
+    """``field_`` on the same source, with every acceleration infinite where
+    the first coordinate is past ``jump``."""
+    n, infinite = field_.n, [math.inf] * field_.n
+    if field_.gamma2 is not None:
+        gamma2 = field_.gamma2
+        return ExplicitSode(n, None, dims=field_.dims,
+                            gamma2=lambda *s: infinite if s[0] > jump else gamma2(*s))
+    floats = field_.floats
+    return ExplicitSode(n, None, dims=field_.dims,
+                        floats=lambda q, qd: infinite if q[0] > jump else floats(q, qd))
+
+
+@pytest.fixture(scope="module")
+def march_loops(reference_params):
+    from conftest import sm_shaping
+    from matchctl.lagrangian import controlled_implicit_sode
+
+    cartpole = ctl.cartpole_closed_loop(reference_params, ctl.GainSelection(k=35.0))
+    return {"harmonic": harmonic(),
+            "cartpole_gamma2": cartpole,
+            "cartpole_floats": ExplicitSode(2, cartpole.gamma, dims=cartpole.dims),
+            "builtin_1x2_taped": controlled_implicit_sode(*sm_shaping(1, Dims(1, 2))).to_explicit(),
+            "builtin_2x2_gamma": controlled_implicit_sode(*sm_shaping(1, Dims(2, 2))).to_explicit()}
+
+
+MARCH_LOOPS = ["harmonic", "cartpole_gamma2", "cartpole_floats", "builtin_1x2_taped",
+               "builtin_2x2_gamma"]
+
+
+def rising(n: int) -> State:
+    return State(q=[0.1] + [0.0] * (n - 1), qdot=[1.0] + [0.0] * (n - 1))
+
+
+@pytest.mark.parametrize("halt", ["domain_exit", "nonfinite"])
+@pytest.mark.parametrize("system", MARCH_LOOPS)
+def test_one_march_is_the_reference_rk4_for_every_n(march_loops, system, halt):
+    # the first coordinate passes 0.25 at step 15 to 17 of 30
+    field_, guard = march_loops[system], None
+    if halt == "domain_exit":
+        guard = lambda q, qd: q[0] > 0.25       # noqa: E731
+    else:
+        field_ = infinite_past(field_, 0.25)
+    state0, dt, t_end = rising(field_.n), 1e-2, 0.3
+    traj = integrate(field_, state0, dt, t_end, guard=guard)
+    states, events = reference_rk4(list_accel(field_), state0, dt, t_end, guard)
+    assert traj.events == events and [kind for _, kind in events] == [halt]
+    assert 15 <= len(states) - 1 <= 17
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.times.tobytes() == (np.arange(len(states)) * dt).tobytes()
+
+
+@pytest.mark.parametrize("system", MARCH_LOOPS)
+def test_guard_gets_tuples_of_floats(march_loops, system):
+    field_, seen = march_loops[system], []
+    integrate(field_, rising(field_.n), 1e-2, 0.05, guard=lambda q, qd: seen.append((q, qd)))
+    assert len(seen) == 5
+    for q, qd in seen:
+        assert type(q) is type(qd) is tuple and len(q) == len(qd) == field_.n
+        assert {type(v) for v in q + qd} == {float}
+
+
 def test_observer_columns():
     def energy(times, Q, Qd):
         return 0.5 * (Qd[:, 0] ** 2 + Q[:, 0] ** 2)
@@ -476,3 +575,5 @@ def test_integrate_validates_args():
         integrate(harmonic(), State(q=[1.0], qdot=[0.0]), dt=-1.0, t_end=1.0)
     with pytest.raises(ValueError):
         integrate(harmonic(), State(q=[1.0], qdot=[0.0]), dt=0.1, t_end=0.0)
+    with pytest.raises(ValueError, match=r"t_end / dt = inf is not finite"):
+        integrate(harmonic(), State(q=[1.0], qdot=[0.0]), dt=1e-300, t_end=1e300)

@@ -1,11 +1,13 @@
 """The float tape of `jets.record` and the taped float path of the generic
 closed loop (`ImplicitSode.to_explicit`)."""
 
+import gc
 import math
 import operator
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -235,6 +237,28 @@ def test_builtin_simulate_records_one_tape(tmp_path, capsys, monkeypatch):
                    f"sim.ic = 0.1, 0, 0, 0, 0, 0\nout.dir = {tmp_path / 'out'}\n")
     assert main(["simulate", "--config", str(cfg)]) == 0
     assert len(records) == 1 and records[0] is not Untapeable
+
+
+def test_dropped_taped_loop_is_freed_without_the_cycle_collector(monkeypatch):
+    # the compiled tape is not in its own globals, so the loop is all that
+    # keeps it: a dropped loop's tape goes as soon as the loop does
+    tapes = []
+
+    def recorded(*args):
+        taped = record(*args)
+        tapes.append(weakref.ref(taped))
+        return taped
+
+    monkeypatch.setattr(lg, "record", recorded)
+    gc.disable()
+    try:
+        loop = controlled_implicit_sode(*sm_shaping(0, Dims(1, 2))).to_explicit()
+        loop.gamma_floats([0.3, -0.2, 0.5], [0.4, 1.0, -0.7])
+        assert len(tapes) == 1 and tapes[0]() is not None
+        del loop
+        assert tapes[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_builtin_tape_is_short(monkeypatch):
