@@ -13,9 +13,9 @@ disagree, with the integrand evaluated on arrays of nodes.  scipy's adaptive
 ``quad`` is left to the pointwise oracle `incline_h`, which imports it when it
 runs: no command path calls it, so no command imports scipy.
 Each closed-loop formula is written once: each acceleration over the sin, cos
-and sqrt of ``math`` (the RK4 fast path) or `jets`, the rest over `jets`, which
-sends arrays to numpy.  The shaped kinetic matrix is `kinetic_matrix` alone, so
-every observed energy row is the float of `shaped_energy` at its state.
+and sqrt of ``math`` (``floats``) or `jets` (``gamma``), the rest over `jets`,
+which sends arrays to numpy.  The shaped kinetic matrix is `kinetic_matrix`
+alone, so every observed energy row is `shaped_energy`'s float at its state.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class GainSelection:
     def __post_init__(self):
         if not math.isfinite(self.k):
             raise ValueError(f"k must be finite, got {self.k!r}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if not (math.isfinite(self.rho) and self.rho != 0.0):
             raise ValueError(f"rho must be finite and nonzero, got {self.rho!r}")
         for name in ("c", "s0"):
@@ -353,14 +353,9 @@ def cartpole_shaping(p: CartpoleParams, gains: GainSelection) -> ShapingParams:
 
 def _closed_loop(build: Callable) -> ExplicitSode:
     """Two-coordinate closed loop from one acceleration body ``build(ns)``, whose
-    sin, cos and sqrt come from the namespace ``ns``: ``gamma`` is built over
-    jets and the RK4 fast path ``gamma2`` over math."""
-    accel = build(jets)
-
-    def gamma(q, qd):
-        return list(accel(q[0], q[1], qd[0], qd[1]))
-
-    return ExplicitSode(2, gamma, gamma2=build(math), dims=Dims(1, 1))
+    sin, cos and sqrt come from the namespace ``ns``: ``gamma`` is the body
+    over jets and ``floats`` the body over math."""
+    return ExplicitSode(2, build(jets), build(math), Dims(1, 1))
 
 
 def _cartpole_accel(p: CartpoleParams, k: float, ns) -> Callable:

@@ -100,7 +100,7 @@ def _gamma_tensors(field: ExplicitSode, state: State, backend: str):
     """(gamma, dG/dq, dG/dqd, hessians) at each state, hessians shaped
     (N, n, 2n, 2n)."""
     n = field.n
-    gamma, grads, hess = _read(lambda u: field.gamma(u[:n], u[n:]),
+    gamma, grads, hess = _read(lambda u: field.gamma(*u),
                                np.concatenate([state.q, state.qdot], axis=-1), backend)
     return gamma, grads[..., :n], grads[..., n:], hess
 

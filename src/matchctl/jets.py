@@ -163,6 +163,7 @@ def record(fn: Callable[[list], Sequence], n_in: int) -> Callable:
     tape = _Tape()
     args = [f"x{i}" for i in range(n_in)]
     outs = [tape.operand(v) for v in fn([Var(tape, a) for a in args])]
+    tape.vars.clear()       # the Vars hold the tape: break the cycle
     if None in outs:
         raise Untapeable("a taped function returned a value that is not a float")
     live, kept = set(outs), []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -472,8 +472,8 @@ class ImplicitSode:
             rhs = [-v for v in self.phi(q, qd, [0.0] * n, *data)]
             return self.accel_matrix(q, *data), rhs
 
-        def gamma(q, qd):
-            return solve_generic(*system(q, qd))
+        def gamma(*u):
+            return solve_generic(*system(u[:n], u[n:]))
 
         def entries(u):
             C, rhs = system(u[:n], u[n:])
@@ -481,7 +481,7 @@ class ImplicitSode:
 
         taped = solve = None
 
-        def floats(q, qd):
+        def floats(*u):
             nonlocal taped, solve
             if taped is None:
                 try:
@@ -489,41 +489,43 @@ class ImplicitSode:
                 except Untapeable:
                     taped = False
             if not taped:
-                return [value_of(v) for v in gamma(q, qd)]
-            return solve(*taped(*q, *qd))
+                return [value_of(v) for v in gamma(*u)]
+            return solve(*taped(*u))
 
-        return ExplicitSode(n, gamma, dims=self.dims, floats=floats)
+        return ExplicitSode(n, gamma, floats, self.dims)
 
 
 class ExplicitSode:
     """Second-order system qdd = Gamma(q, qd).
 
-    ``gamma`` must be generic over floats/jets; ``gamma2`` is an optional
-    scalar fast path for two-coordinate systems used by the integrator.
-    ``floats(q, qd)`` is Gamma at one state of Python floats (numpy scalars
-    would make every operation a numpy one) as a list of the floats of
-    ``gamma``, which it reads unless given a faster path.
+    ``gamma(*state)``, generic over floats and jets, and ``floats(*state)``, on
+    Python floats (numpy scalars would make every operation a numpy one), take
+    the 2n coordinates and velocities of a state and return its n accelerations;
+    ``floats`` reads the floats of ``gamma`` unless given a faster path.
     """
 
-    def __init__(self, n: int, gamma: Callable, gamma2: Callable | None = None,
-                 dims: Dims | None = None, floats: Callable | None = None):
+    def __init__(self, n: int, gamma: Callable, floats: Callable | None = None,
+                 dims: Dims | None = None):
         self.n = n
         self.gamma = gamma
-        self.gamma2 = gamma2
+        self.floats = floats or (lambda *u: [value_of(v) for v in gamma(*u)])
         self.dims = dims
-        self.floats = floats or (lambda q, qd: [value_of(v) for v in gamma(q, qd)])
+
+    @property
+    def gamma2(self) -> Callable:
+        """``floats``, kept only for perfbench's ``control.gamma2_us`` probe;
+        ROADMAP item 7 deletes it."""
+        return self.floats
 
     def gamma_floats(self, q, qd) -> np.ndarray:
         """Gamma at one state, by ``floats``."""
-        return np.array(self.floats(np.asarray(q, dtype=float).tolist(),
-                                    np.asarray(qd, dtype=float).tolist()))
+        return np.array(self.floats(*np.concatenate([q, qd], dtype=float).tolist()))
 
-    def gamma_jets(self, q, qd) -> list[Jet2]:
+    def gamma_jets(self, q, qd) -> Sequence[Jet2]:
         """Gamma with exact first/second derivatives w.r.t. (q, qd); by
         `ImplicitSode.to_explicit` of the covectors here, the q-q Hessian
         block is NaN, as Phi's."""
-        seeds = jet_vars(list(q) + list(qd))
-        return self.gamma(seeds[: self.n], seeds[self.n:])
+        return self.gamma(*jet_vars(list(q) + list(qd)))
 
 
 def _controlled_block(sys: MechanicalSystem, shaping: ShapingParams, q, reads=None):

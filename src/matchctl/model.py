@@ -95,6 +95,10 @@ class CartpoleParams:
                 if not 0 < u * v < np.inf:
                     raise ValueError(f"{given} give {a} * {b} = {u * v!r}, which must be "
                                      f"nonzero and finite")
+        det = self.alpha * self.gamma - self.beta ** 2     # D's least, at x = 0
+        if not det > 0:
+            raise ValueError(f"{given} give alpha * gamma - beta ** 2 = {det!r}, which must "
+                             f"be positive")
 
     @property
     def alpha(self) -> float:

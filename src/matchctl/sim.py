@@ -64,10 +64,9 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
     """March the field with fixed-step RK4 from state0 for t_end seconds, then
     `observe` the march.
 
-    The march is `_rk4_march` for the field's n, on ``gamma2`` where the field
-    has one and on ``floats`` otherwise.  ``guard(q, qd) -> bool`` halts
-    integration with a "domain_exit" event when true; it receives the
-    coordinates and velocities as tuples of floats.
+    The march is `_rk4_march` for the field's n, on the field's ``floats``.
+    ``guard(q, qd) -> bool`` halts integration with a "domain_exit" event when
+    true; it receives the coordinates and velocities as tuples of floats.
     Non-finite states always halt with a "nonfinite" event, and so does a
     step whose stage raises ValueError or OverflowError on a non-finite stage
     state; that step is not recorded.  Without
@@ -80,8 +79,7 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
     steps = t_end / dt
     if not math.isfinite(steps):
         raise ValueError(f"the step count t_end / dt = {steps!r} is not finite")
-    n, floats = field_.n, field_.floats
-    accel = field_.gamma2 or (lambda *state: floats(list(state[:n]), list(state[n:])))
+    n, accel = field_.n, field_.floats
     march = _rk4_march(n)
     events: list = []
     rec = array("d", state0.q.tolist() + state0.qdot.tolist())

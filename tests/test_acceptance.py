@@ -324,7 +324,7 @@ def test_criterion_9_numerics_hygiene():
                 exactness_residuals(un, st, acc, backend="fd"))
 
     # fourth-order convergence on the harmonic oscillator
-    ho = ExplicitSode(1, lambda q, qd: [-1.0 * q[0]])
+    ho = ExplicitSode(1, lambda x, xd: [-1.0 * x])
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         traj = integrate(ho, State(q=[1.0], qdot=[0.0]), dt=dt, t_end=2.0)

@@ -340,6 +340,30 @@ def test_params_whose_metric_overflows_are_a_config_error(tmp_path, capsys, comm
         "which must be nonzero and finite\n")
 
 
+@pytest.mark.parametrize("fast", [CARTPOLE_FAST, INCLINE_FAST], ids=["cartpole", "incline"])
+@pytest.mark.parametrize("command", ["simulate", "check-matching", "check-helmholtz",
+                                     "synthesize-tau", "sweep"])
+def test_infinite_sigma_is_a_config_error(tmp_path, capsys, fast, command):
+    text = fast.format(out=tmp_path / "out") + "gains.sigma = inf\n"
+    assert main([command, "--config", write_cfg(tmp_path, "s.cfg", text)]) == 2
+    assert capsys.readouterr().err == ("config error: gains.sigma must be positive and finite, "
+                                       "got inf\n")
+
+
+@pytest.mark.parametrize("M", ["1e-300", "1e-17"])
+@pytest.mark.parametrize("fast", [CARTPOLE_FAST, INCLINE_FAST], ids=["cartpole", "incline"])
+@pytest.mark.parametrize("command", ["simulate", "synthesize-tau"])
+def test_params_whose_metric_determinant_vanishes_are_a_config_error(tmp_path, capsys, fast,
+                                                                     command, M):
+    # m + M rounds to m, so alpha gamma - beta^2 cos^2 x reads 0.0 at x = 0,
+    # where gain_bound divides by it
+    text = fast.format(out=tmp_path / "out") + f"params.M = {M}\n"
+    assert main([command, "--config", write_cfg(tmp_path, "m.cfg", text)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: params.m, M and l = 0.14, {float(M)!r}, 0.215 give alpha * gamma - "
+        f"beta ** 2 = 0.0, which must be positive\n")
+
+
 def test_simulate_gain_whose_square_overflows_is_named(tmp_path, capsys):
     text = CARTPOLE_FAST.format(out=tmp_path / "out") + "gains.k = 1e160\n"
     cfg = write_cfg(tmp_path, "cp.cfg", text)
@@ -428,13 +452,14 @@ def test_sweep_rows_are_those_of_rows_run_alone(tmp_path, capsys, monkeypatch, f
     ("sweep.sigma = 1.0, 0\n", "sweep.sigma"),
     ("sweep.sigma = -1\n", "sweep.sigma"),
     ("sweep.sigma = nan\n", "sweep.sigma"),
+    ("sweep.sigma = 1.0, inf\n", "sweep.sigma"),
     ("sweep.k = 35, inf\n", "sweep.k"),
     ("sweep.k = nan\n", "sweep.k"),
     ("sim.ic = 0.1, 0.0, 0.0\n", "sim.ic"),
     ("sweep.rho = 0.0, 2.0\n", "sweep.rho"),
     ("sweep.rho = nan\n", "sweep.rho"),
     ("sweep.rho = 2.0, -inf\n", "sweep.rho"),
-], ids=["sigma-zero", "sigma-negative", "sigma-nan", "k-inf", "k-nan", "ic-length",
+], ids=["sigma-zero", "sigma-negative", "sigma-nan", "sigma-inf", "k-inf", "k-nan", "ic-length",
         "rho-zero", "rho-nan", "rho-inf"])
 def test_sweep_bad_values_are_config_errors(tmp_path, capsys, extra, key):
     text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 35\n" + extra

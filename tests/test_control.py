@@ -647,7 +647,7 @@ def test_cartpole_loop_reads_k_alone(reference_params):
             gains = GainSelection(k=35.0, sigma=sigma, rho=rho)
             loop = cartpole_closed_loop(p, gains)
             keys.add(ctl.closed_loop_key(p, gains))
-            accels.add(np.array([loop.gamma2(*s) for s in states]).tobytes())
+            accels.add(np.array([loop.floats(*s) for s in states]).tobytes())
             traj = integrate(loop, state0, 1e-3, 2.0)
             assert len(traj.times) == 2001 and not traj.events
             trajs.add(traj.states.tobytes())

@@ -255,7 +255,7 @@ def test_closed_loop_math_jets_numpy_agree_bitwise(p):
     states = _states(seed=31)
     batched = build(ctl.jets)(*states.T)       # jets sends the arrays to numpy
     for i, st in enumerate(states):
-        fast = loop.gamma2(*st)
+        fast = loop.floats(*st)
         jet_values = [j.f for j in loop.gamma_jets(st[:2], st[2:])]
         for a in range(2):
             assert fast[a] == jet_values[a] == batched[a][i]

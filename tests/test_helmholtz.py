@@ -35,7 +35,7 @@ def test_tensors_free_particle():
 
 
 def test_tensors_harmonic_oscillator():
-    field = ExplicitSode(1, lambda q, qd: [-1.0 * q[0]])
+    field = ExplicitSode(1, lambda x, xd: [-1.0 * x])
     t = sode_tensors(field, State(q=[0.7], qdot=[0.3]))
     assert t.jacobi[0, 0] == pytest.approx(2.0, abs=1e-12)
     assert t.nabla[0, 0] == 0.0
@@ -57,9 +57,9 @@ def test_tensors_cartpole_douglas_entry(reference_params):
 
 def test_explicit_gradient_system_identity_multiplier():
     # qdd = -grad V(q) with the identity multiplier solves every condition
-    def gamma(q, qd):
+    def gamma(x, y, xd, yd):
         from matchctl.jets import cos, sin
-        return [-1.0 * sin(q[0]) * cos(q[1]), -1.0 * cos(q[0]) * sin(q[1])]
+        return [-1.0 * sin(x) * cos(y), -1.0 * cos(x) * sin(y)]
 
     field = ExplicitSode(2, gamma)
 
@@ -416,7 +416,7 @@ def test_engines_read_no_third_derivative(case):
     explicit = field.to_explicit()
     U = np.concatenate([batch.q, batch.qdot, solve_accel(field, batch)], axis=-1).T
     _, _, hP = value_grad_hess(lambda u: field.phi(u[:n], u[n:2 * n], u[2 * n:]), U)
-    _, _, hG = value_grad_hess(lambda u: explicit.gamma(u[:n], u[n:]), U[:2 * n])
+    _, _, hG = value_grad_hess(lambda u: explicit.gamma(*u), U[:2 * n])
     for hess in (hP, hG):
         assert np.isfinite(hess[:, n:]).all() and np.isfinite(hess[:, :, n:]).all()
         assert np.isnan(hess[:, :n, :n]).all()

@@ -229,7 +229,7 @@ def test_derivative_access_matches_fd(cartpole, reference_params):
     expl = field.to_explicit()
 
     def gamma(u):
-        return expl.gamma(u[:2], u[2:])
+        return expl.gamma(*u)
 
     _, g_jet2, _ = value_grad_hess(gamma, u0)
     _, g_fd2, _ = value_grad_hess(gamma, u0, backend="fd")

@@ -15,11 +15,11 @@ from matchctl.sim import (CSV_BLOCK, CSV_FORK_ROWS, OBSERVE_BLOCK, Trajectory, e
 
 
 def harmonic() -> ExplicitSode:
-    return ExplicitSode(1, lambda q, qd: [-1.0 * q[0]])
+    return ExplicitSode(1, lambda x, xd: [-1.0 * x])
 
 
 def free() -> ExplicitSode:
-    return ExplicitSode(2, lambda q, qd: [0.0, 0.0], dims=Dims(1, 1))
+    return ExplicitSode(2, lambda x, y, xd, yd: [0.0, 0.0], dims=Dims(1, 1))
 
 
 def test_free_particle_exact():
@@ -92,21 +92,22 @@ def test_guard_event_halts():
 
 
 def test_nonfinite_event_halts():
-    blow = ExplicitSode(1, lambda q, qd: [q[0] * 1e8])
+    blow = ExplicitSode(1, lambda x, xd: [x * 1e8])
     with np.errstate(over="ignore", invalid="ignore"):
         traj = integrate(blow, State(q=[1.0], qdot=[0.0]), dt=0.1, t_end=10.0)
     assert traj.events and traj.events[0][1] == "nonfinite"
 
 
 def test_fast_pair_path_matches_array_path():
-    def gamma(q, qd):
+    # a float body given as ``floats`` marches as the floats of ``gamma``
+    def gamma(x, th, xd, thd):
         from matchctl.jets import sin
-        return [-1.0 * sin(q[0]), -0.5 * q[1]]
+        return [-1.0 * sin(x), -0.5 * th]
 
-    def gamma2(x, th, xd, thd):
+    def floats(x, th, xd, thd):
         return -math.sin(x), -0.5 * th
 
-    with_fast = ExplicitSode(2, gamma, gamma2=gamma2, dims=Dims(1, 1))
+    with_fast = ExplicitSode(2, gamma, floats, Dims(1, 1))
     without = ExplicitSode(2, gamma, dims=Dims(1, 1))
     st = State(q=[0.4, 0.8], qdot=[0.1, -0.3])
     a = integrate(with_fast, st, dt=1e-2, t_end=1.0)
@@ -165,22 +166,15 @@ def reference_rk4(accel, state0: State, dt: float, t_end: float, guard=None):
 
 def list_accel(field_: ExplicitSode):
     """The acceleration source `integrate` marches ``field_`` on, on lists."""
-    if field_.gamma2 is not None:
-        return lambda q, qd: list(field_.gamma2(*q, *qd))
-    return field_.floats
+    return lambda q, qd: list(field_.floats(*q, *qd))
 
 
 def infinite_past(field_: ExplicitSode, jump: float) -> ExplicitSode:
     """``field_`` on the same source, with every acceleration infinite where
     the first coordinate is past ``jump``."""
-    n, infinite = field_.n, [math.inf] * field_.n
-    if field_.gamma2 is not None:
-        gamma2 = field_.gamma2
-        return ExplicitSode(n, None, dims=field_.dims,
-                            gamma2=lambda *s: infinite if s[0] > jump else gamma2(*s))
-    floats = field_.floats
-    return ExplicitSode(n, None, dims=field_.dims,
-                        floats=lambda q, qd: infinite if q[0] > jump else floats(q, qd))
+    infinite, floats = [math.inf] * field_.n, field_.floats
+    return ExplicitSode(field_.n, None, lambda *s: infinite if s[0] > jump else floats(*s),
+                        field_.dims)
 
 
 @pytest.fixture(scope="module")
@@ -190,13 +184,13 @@ def march_loops(reference_params):
 
     cartpole = ctl.cartpole_closed_loop(reference_params, ctl.GainSelection(k=35.0))
     return {"harmonic": harmonic(),
-            "cartpole_gamma2": cartpole,
-            "cartpole_floats": ExplicitSode(2, cartpole.gamma, dims=cartpole.dims),
+            "cartpole_math": cartpole,      # floats: the body over math
+            "cartpole_floats": ExplicitSode(2, cartpole.gamma, dims=cartpole.dims),  # from gamma
             "builtin_1x2_taped": controlled_implicit_sode(*sm_shaping(1, Dims(1, 2))).to_explicit(),
             "builtin_2x2_gamma": controlled_implicit_sode(*sm_shaping(1, Dims(2, 2))).to_explicit()}
 
 
-MARCH_LOOPS = ["harmonic", "cartpole_gamma2", "cartpole_floats", "builtin_1x2_taped",
+MARCH_LOOPS = ["harmonic", "cartpole_math", "cartpole_floats", "builtin_1x2_taped",
                "builtin_2x2_gamma"]
 
 
@@ -537,35 +531,37 @@ def blowing_up(cos):
     return lambda x, xd: (math.inf if x > 2.0025 else 0.0) + 0.0 * cos(xd)
 
 
-def two_coordinate_field(accel, pair: bool) -> ExplicitSode:
-    if pair:
-        return ExplicitSode(2, None, gamma2=lambda x, th, xd, thd: (accel(x, xd), 0.0),
-                            dims=Dims(1, 1))
-    return ExplicitSode(2, None, dims=Dims(1, 1), floats=lambda q, qd: [accel(q[0], qd[0]), 0.0])
+def two_coordinate_field(accel, given_floats: bool) -> ExplicitSode:
+    """xdd = ``accel(x, xd)``, thdd = 0, as the given ``floats`` or as the
+    floats that the default reads from ``gamma``."""
+    def body(x, th, xd, thd):
+        return accel(x, xd), 0.0
+
+    return ExplicitSode(2, None, body, Dims(1, 1)) if given_floats else ExplicitSode(2, body)
 
 
-@pytest.mark.parametrize("pair", [True, False])
-def test_stage_raising_on_a_nonfinite_state_halts_nonfinite(pair):
+@pytest.mark.parametrize("given_floats", [True, False])
+def test_stage_raising_on_a_nonfinite_state_halts_nonfinite(given_floats):
     # math.cos(inf) raises where a NaN-returning cosine halts after the step:
     # the march halts at the same step, without recording it
     def nan_cos(v):
         return math.cos(v) if math.isfinite(v) else math.nan
 
     state0, dt = State(q=[1.0, 0.0], qdot=[1.0, 0.0]), 0.01
-    want = integrate(two_coordinate_field(blowing_up(nan_cos), pair), state0, dt, 2.0)
-    got = integrate(two_coordinate_field(blowing_up(math.cos), pair), state0, dt, 2.0)
+    want = integrate(two_coordinate_field(blowing_up(nan_cos), given_floats), state0, dt, 2.0)
+    got = integrate(two_coordinate_field(blowing_up(math.cos), given_floats), state0, dt, 2.0)
     assert len(want.times) == 102 and np.isnan(want.states[-1]).any()
     assert got.events == want.events == [(len(got.times) * dt, "nonfinite")]
     assert got.states.tobytes() == want.states[:-1].tobytes()
     assert got.times.tobytes() == want.times[:-1].tobytes()
 
 
-@pytest.mark.parametrize("pair", [True, False])
-def test_stage_raising_on_a_finite_state_raises(pair):
-    field_ = two_coordinate_field(lambda x, xd: math.exp(x), pair)
+@pytest.mark.parametrize("given_floats", [True, False])
+def test_stage_raising_on_a_finite_state_raises(given_floats):
+    field_ = two_coordinate_field(lambda x, xd: math.exp(x), given_floats)
     with pytest.raises(OverflowError):
         integrate(field_, State(q=[800.0, 0.0], qdot=[0.0, 0.0]), 0.1, 1.0)
-    field_ = two_coordinate_field(lambda x, xd: math.sqrt(x), pair)
+    field_ = two_coordinate_field(lambda x, xd: math.sqrt(x), given_floats)
     with pytest.raises(ValueError, match="math domain error"):
         integrate(field_, State(q=[1.0, 0.0], qdot=[-100.0, 0.0]), 0.1, 1.0)
 

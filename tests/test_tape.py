@@ -162,11 +162,11 @@ def test_taped_gamma_floats_are_the_generic_floats(seed, n_group, data):
     n = 1 + n_group
     coords = st.lists(_FINITE, min_size=n, max_size=n)
     q, qd = data.draw(coords), data.draw(coords)
-    assert outcome(lambda: loop.gamma_floats(q, qd)) == outcome(lambda: loop.gamma(q, qd))
+    assert outcome(lambda: loop.gamma_floats(q, qd)) == outcome(lambda: loop.gamma(*q, *qd))
     # states with inf, NaN or huge coordinates: the same bits or the same error
     coords = st.lists(st.one_of(_FINITE, _EXTREME), min_size=n, max_size=n)
     q, qd = data.draw(coords), data.draw(coords)
-    assert outcome(lambda: loop.gamma_floats(q, qd)) == outcome(lambda: loop.gamma(q, qd))
+    assert outcome(lambda: loop.gamma_floats(q, qd)) == outcome(lambda: loop.gamma(*q, *qd))
 
 
 def counted_records(monkeypatch) -> list:
@@ -208,7 +208,7 @@ def test_untapeable_loops_stay_generic_and_record_once(monkeypatch, build):
     rng = np.random.default_rng(3)
     for _ in range(5):
         q, qd = rng.uniform(-1.0, 1.0, (2, loop.n)).tolist()
-        assert loop.gamma_floats(q, qd).tobytes() == np.array(loop.gamma(q, qd)).tobytes()
+        assert loop.gamma_floats(q, qd).tobytes() == np.array(loop.gamma(*q, *qd)).tobytes()
     assert records == [Untapeable]
 
 
@@ -259,6 +259,26 @@ def test_dropped_taped_loop_is_freed_without_the_cycle_collector(monkeypatch):
         assert tapes[0]() is None
     finally:
         gc.enable()
+
+
+def test_record_frees_its_tape_without_the_cycle_collector(monkeypatch):
+    # a Var holds its tape and the tape its Vars: the record breaks that
+    # cycle, so the tape goes when record returns
+    tapes = []
+
+    class Watched(jets._Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(jets, "_Tape", Watched)
+    gc.disable()
+    try:
+        taped = record(lambda u: [u[0] * u[1] + jets.sin(u[0])], 2)
+        assert len(tapes) == 1 and tapes[0]() is None
+    finally:
+        gc.enable()
+    assert taped(0.5, 2.0) == (0.5 * 2.0 + math.sin(0.5),)
 
 
 def test_builtin_tape_is_short(monkeypatch):
