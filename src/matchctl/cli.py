@@ -183,6 +183,9 @@ class RunConfig:
         if not (-math.inf < lo <= hi < math.inf and (lo < hi or v["tau.mode"] != "new-ode")):
             raise ConfigError(f"grid.lo and grid.hi must be finite with grid.lo <= grid.hi "
                               f"(< for new-ode), got grid.lo = {lo!r}, grid.hi = {hi!r}")
+        if not math.isfinite(max(lo * lo, hi * hi)):    # x ** 2 is read on the grid
+            raise ConfigError(f"grid.lo and grid.hi must have finite squares, got "
+                              f"grid.lo = {lo!r}, grid.hi = {hi!r}")
         return RunConfig(
             system=system, params=params, tau_mode=v["tau.mode"], gains=gains,
             dt=v["sim.dt"], t_end=v["sim.t_end"], ic=v["sim.ic"], guard=v["sim.guard"],
@@ -397,12 +400,15 @@ def _incline_potential_span(rc: RunConfig) -> tuple[float, float]:
     return rc.grid_lo - 0.1, rc.grid_hi + 0.1
 
 
-def _closed_loop_and_observers(rc: RunConfig):
+def _closed_loop_and_observers(rc: RunConfig, kinetic: tuple | None = None):
+    """The configured loop and its observers (None for builtin-test);
+    ``kinetic`` is the loop's (system, shaping) pair if the caller built it."""
     if rc.system == "cartpole":
         return ctl.cartpole_observed_loop(rc.params, rc.gains,
-                                          1.02 * max(rc.guard, max(abs(rc.ic[0]), 0.5)))
+                                          1.02 * max(rc.guard, max(abs(rc.ic[0]), 0.5)), kinetic)
     if rc.system == "incline":
-        return ctl.incline_observed_loop(rc.params, rc.gains, _incline_potential_span(rc))
+        return ctl.incline_observed_loop(rc.params, rc.gains, _incline_potential_span(rc),
+                                         kinetic)
     # builtin-test: generic machinery, no tailored observers
     sys_, shp = _build_system_and_shaping(rc)
     loop = controlled_implicit_sode(sys_, shp).to_explicit()
@@ -415,25 +421,27 @@ def _initial_state(rc: RunConfig, n: int) -> State:
     return State(q=np.array(rc.ic[:n]), qdot=np.array(rc.ic[n:]))
 
 
-def _simulate(rc: RunConfig, marches: dict) -> simmod.Trajectory:
+def _simulate(rc: RunConfig, marches: dict, kinetic: tuple | None = None,
+              csv: Path | None = None) -> simmod.Trajectory:
     """The configured closed loop with its observers, integrated from sim.ic
-    for sim.t_end and halted where |x| reaches sim.guard (when positive).
-
-    ``marches`` holds the bare trajectory of the last loop integrated, under
-    its `ctl.closed_loop_key`, for configs that differ from ``rc`` in their
-    gains alone: a loop found there is only observed, and one integrated here
-    replaces it (``{}`` integrates afresh).  A sweep runs the rows of one loop
-    one after another, so one march is all it needs to keep."""
+    for sim.t_end and halted where |x| reaches sim.guard (when positive);
+    ``kinetic`` as in `_closed_loop_and_observers`, ``csv`` as in
+    `simmod.integrate`.  ``marches`` holds the last trajectory integrated,
+    under its `ctl.closed_loop_key`: a loop found there (a sweep row that
+    differs from the last in gains the loop does not read) is only observed,
+    and one integrated here replaces it (``{}`` integrates afresh)."""
     key = ctl.closed_loop_key(rc.params, rc.gains)
     march = marches.get(key)
     marches.clear()             # before the curves of this loop are built
-    loop, control, energy = _closed_loop_and_observers(rc)
+    loop, control, energy = _closed_loop_and_observers(rc, kinetic)
     if march is None:
-        state0 = _initial_state(rc, loop.n)
         guard = (lambda q, qd: abs(q[0]) >= rc.guard) if rc.guard > 0 else None
-        march = simmod.integrate(loop, state0, rc.dt, rc.t_end, guard=guard)
-    marches[key] = march
-    return simmod.observe(march, control, energy)
+        traj = simmod.integrate(loop, _initial_state(rc, loop.n), rc.dt, rc.t_end,
+                                control=control, energy=energy, guard=guard, csv=csv)
+    else:
+        traj = simmod.observe(march, control, energy)
+    marches[key] = traj
+    return traj
 
 
 def cmd_simulate(args) -> int:
@@ -446,11 +454,11 @@ def cmd_simulate(args) -> int:
     elif rc.system == "incline":
         # the h-curve's span covers the potential's, so the latter decides
         _require_gain_window(rc, _incline_potential_span(rc))
-    traj = _simulate(rc, {})
     out_dir = Path(rc.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dest = out_dir / "trajectory.csv"
-    rows = simmod.write_csv(traj, dest)
+    traj = _simulate(rc, {}, csv=dest)      # writes the CSV while the loop is marched
+    rows = len(traj.times)
     drift = simmod.energy_drift(traj) if traj.energies is not None else None
     ok = not traj.events and (drift is None or drift <= rc.tol_drift)
     doc = {"command": "simulate", "pass": ok, "rows": rows, "drift": drift,
@@ -470,7 +478,8 @@ def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float, marches: dict)
     kmin = ctl.gain_bound(p, 0.0)
     row = {"k": k, "sigma": sigma, "rho": rho, "k_min": kmin,
            "gain_ok": bool(k > kmin)}
-    # the cart-pole shaping reads no rho
+    # one system and shaping for this check and the row's observed loop; the
+    # cart-pole shaping reads no rho
     sys_ = (cartpole_system if rc.system == "cartpole" else incline_system)(p)
     shp = ctl.new_tau_shaping(sys_, gains, rho if rc.system == "incline" else 1.0)
     xs = np.linspace(rc.grid_lo, rc.grid_hi, max(9, rc.grid_n // 4))
@@ -482,7 +491,7 @@ def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float, marches: dict)
     row["min_eig_gtilde"] = min_eig
     sweep_rc = replace(rc, gains=gains, t_end=min(rc.t_end, 2.0), dt=max(rc.dt, 1e-3))
     try:
-        traj = _simulate(sweep_rc, marches)
+        traj = _simulate(sweep_rc, marches, (sys_, shp))
         row["drift"] = simmod.energy_drift(traj) if traj.energies is not None else float("nan")
         row["events"] = len(traj.events)
     except (ValueError, ArithmeticError, RuntimeError) as exc:

@@ -440,12 +440,16 @@ def cartpole_shaped_potential(p: CartpoleParams, gains: GainSelection,
     return PotentialCurve(xs, _cumulative_integral(slope, xs), slope)
 
 
-def cartpole_observed_loop(p: CartpoleParams, gains: GainSelection, x_max: float):
+def cartpole_observed_loop(p: CartpoleParams, gains: GainSelection, x_max: float,
+                           kinetic: tuple | None = None):
     """Closed loop with its vectorized control and shaped-energy observers
     (times, Q, Qd) -> column; the shaped potential spans |x| <= x_max, clipped
-    inside the gain bound."""
-    sys = cartpole_system(p)
-    shaping = new_tau_shaping(sys, gains)
+    inside the gain bound.  ``kinetic``: the (system, `new_tau_shaping`) pair,
+    if the caller built it."""
+    if kinetic is None:
+        sys = cartpole_system(p)
+        kinetic = sys, new_tau_shaping(sys, gains)
+    sys, shaping = kinetic
     loop = cartpole_closed_loop(p, gains)
     span = min(x_max, gain_bound_crossing(p, gains.k) - 1e-6)
     pot = cartpole_shaped_potential(p, gains, (-span, span))
@@ -742,12 +746,14 @@ class _InclinePotential:
 
 
 def incline_observed_loop(p: InclineParams, gains: GainSelection,
-                          x_span: tuple[float, float]):
+                          x_span: tuple[float, float], kinetic: tuple | None = None):
     """Closed loop with its vectorized control and shaped-energy observers
     (times, Q, Qd) -> column, all on one h-curve; x_span is the span of the
-    shaped potential."""
-    sys = incline_system(p)
-    shaping = new_tau_shaping(sys, gains, gains.rho)
+    shaped potential.  ``kinetic``: as in `cartpole_observed_loop`."""
+    if kinetic is None:
+        sys = incline_system(p)
+        kinetic = sys, new_tau_shaping(sys, gains, gains.rho)
+    sys, shaping = kinetic
     h = incline_h_curve(p, shaping, gains.k,
                         (min(INCLINE_LOOP_SPAN[0], x_span[0] - 0.05),
                          max(INCLINE_LOOP_SPAN[1], x_span[1] + 0.05)))

@@ -162,8 +162,10 @@ def record(fn: Callable[[list], Sequence], n_in: int) -> Callable:
     its inputs' values."""
     tape = _Tape()
     args = [f"x{i}" for i in range(n_in)]
-    outs = [tape.operand(v) for v in fn([Var(tape, a) for a in args])]
-    tape.vars.clear()       # the Vars hold the tape: break the cycle
+    try:
+        outs = [tape.operand(v) for v in fn([Var(tape, a) for a in args])]
+    finally:
+        tape.vars.clear()   # the Vars hold the tape: break the cycle, Untapeable or not
     if None in outs:
         raise Untapeable("a taped function returned a value that is not a float")
     live, kept = set(outs), []

@@ -1,18 +1,13 @@
 """Fixed-step trajectory integration, energy-drift measurement and CSV output.
 
 Classical fourth-order Runge-Kutta at fixed step: reproducibility of golden
-trajectories matters more than adaptive speed at this scale.  One march serves
-every coordinate count n: straight-line code over 2n float locals, generated
-from n and compiled once per n, which hands the guard tuples of floats.  It
-records its states as floats in one ``array('d')`` and hands them back as a
-view of it.  Observer columns (controls, shaped energy) are evaluated at every
-recorded step, ``OBSERVE_BLOCK`` rows at a time, into columns allocated once,
-so a trajectory keeps about 8 bytes per float of each row (times, states,
-controls, energy) and the transient memory of observing it does not grow with
-its length.  A CSV of ``CSV_FORK_ROWS`` rows or more (a trajectory of 4,096
-steps or more) is formatted on two processes, this one and one forked child,
-where the host gives two CPUs; its bytes are those of one process, and no
-option chooses.
+trajectories matters more than adaptive speed at this scale.  One march,
+generated from the coordinate count n, records the states as floats in one
+``array('d')``, of which the trajectory's states are a view.  `integrate`
+observes each block of ``OBSERVE_BLOCK`` rows as soon as it is marched, and
+given a CSV path writes it too: from ``CSV_FORK_ROWS`` planned rows on, where
+the host gives two CPUs, a forked child formats the blocks while this process
+marches on.  The bytes are those of one process; no option chooses.
 """
 
 from __future__ import annotations
@@ -60,41 +55,67 @@ class Trajectory:
 def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
               control: Callable | None = None,
               energy: Callable | None = None,
-              guard: Callable | None = None) -> Trajectory:
-    """March the field with fixed-step RK4 from state0 for t_end seconds, then
-    `observe` the march.
+              guard: Callable | None = None,
+              csv=None) -> Trajectory:
+    """March the field with fixed-step RK4 from state0 for t_end seconds by
+    `_rk4_march` on its ``floats``, in blocks of ``OBSERVE_BLOCK`` rows (each
+    from the last state of the one before, so the floats are those of one
+    march), observing each block as `observe` does as soon as it is marched
+    and, given a path ``csv``, writing it there by `_CsvFile`.
 
-    The march is `_rk4_march` for the field's n, on the field's ``floats``.
-    ``guard(q, qd) -> bool`` halts integration with a "domain_exit" event when
-    true; it receives the coordinates and velocities as tuples of floats.
-    Non-finite states always halt with a "nonfinite" event, and so does a
-    step whose stage raises ValueError or OverflowError on a non-finite stage
-    state; that step is not recorded.  Without
-    observers the trajectory is the bare march: times, states and events.
-    The states are a writable view of the march's float record, not a copy of
-    it, so a march holds its 2n floats per row once.
-    """
+    ``guard(q, qd) -> bool``, given the coordinates and velocities as tuples
+    of floats, halts integration with a "domain_exit" event when true.
+    Non-finite states halt with a "nonfinite" event, and so does a step whose
+    stage raises ValueError or OverflowError on a non-finite stage state;
+    that step is not recorded.  Without observers the trajectory is the bare
+    march.  Its states are a writable view of the march's float record."""
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     steps = t_end / dt
     if not math.isfinite(steps):
         raise ValueError(f"the step count t_end / dt = {steps!r} is not finite")
-    n, accel = field_.n, field_.floats
+    n, accel, width, rows = field_.n, field_.floats, 2 * field_.n, int(round(steps)) + 1
     march = _rk4_march(n)
-    events: list = []
     rec = array("d", state0.q.tolist() + state0.qdot.tolist())
+    out = Trajectory(dims=field_.dims, times=np.empty(0), states=np.empty((0, width)))
+    sink = _CsvFile(csv, rows) if csv is not None else None
     try:
-        march(accel, rec, dt, range(int(round(steps))), guard, events)
-    except (ValueError, OverflowError):
-        done = len(rec) // (2 * n) - 1
-        if not _stage_was_nonfinite(march, accel, rec[-2 * n:], dt, done):
-            raise
-        events.append(((done + 1) * dt, "nonfinite"))
-    states = np.frombuffer(rec, dtype=float).reshape(-1, 2 * n)   # a view that keeps rec
-    times = np.arange(len(states), dtype=float)
+        for start in range(0, rows, OBSERVE_BLOCK):
+            # step i marches row i + 1
+            span = range(max(start - 1, 0), min(start + OBSERVE_BLOCK, rows) - 1)
+            try:
+                march(accel, rec, dt, span, guard, out.events)
+            except (ValueError, OverflowError):
+                done = len(rec) // width - 1
+                if not _stage_was_nonfinite(march, accel, rec[-width:], dt, done):
+                    raise
+                out.events.append(((done + 1) * dt, "nonfinite"))
+            if control is not None or energy is not None or sink is not None:
+                block = slice(start, len(rec) // width)
+                times = np.arange(start, block.stop, dtype=float)
+                times *= dt
+                # a copy: a view of rec would stop it from growing
+                states = np.frombuffer(rec[start * width:], dtype=float).reshape(-1, width)
+                _observe_rows(out, block, rows, times, states, control, energy)
+                if sink is not None:
+                    cols = [col[block] for col in (out.controls, out.energies) if col is not None]
+                    sink.write([times, states] + cols, None if start else _columns(out)[0])
+            if out.events:
+                break
+    except BaseException:
+        if sink is not None:
+            sink.close()
+        raise
+    if sink is not None:
+        sink.close(out.events)
+    states = np.frombuffer(rec, dtype=float).reshape(-1, width)   # a view that keeps rec
+    rows = len(states)
+    times = np.arange(rows, dtype=float)
     times *= dt
-    return observe(Trajectory(dims=field_.dims, times=times, states=states, events=events),
-                   control, energy)
+    return Trajectory(dims=field_.dims, times=times, states=states,
+                      controls=None if out.controls is None else out.controls[:rows],
+                      energies=None if out.energies is None else out.energies[:rows],
+                      events=out.events)
 
 
 @functools.cache
@@ -171,25 +192,31 @@ def observe(traj: Trajectory, control: Callable | None = None,
     whole-array call.  Controls are (N, n_u), energies (N,), both float."""
     out = Trajectory(dims=traj.dims, times=traj.times, states=traj.states,
                      events=list(traj.events))
-    times, Q, Qd = out.times, out.q(), out.qdot()
-    rows = len(times)
-    # a row that overflows or is not finite (the last row of a nonfinite
-    # halt) reads inf or NaN, in silence: the drift check fails on it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(0, max(rows, 1), OBSERVE_BLOCK):    # one call on no rows gives n_u
-            block = slice(r, r + OBSERVE_BLOCK)
-            args = times[block], Q[block], Qd[block]
-            size = len(args[0])
-            if control is not None:
-                cols = np.asarray(control(*args), dtype=float)
-                if out.controls is None:
-                    out.controls = np.empty((rows, math.prod(cols.shape[1:])))
-                out.controls[block] = cols.reshape(size, out.controls.shape[1])
-            if energy is not None:
-                if out.energies is None:
-                    out.energies = np.empty(rows)
-                out.energies[block] = np.asarray(energy(*args), dtype=float).reshape(size)
+    rows = len(out.times)
+    for r in range(0, max(rows, 1), OBSERVE_BLOCK):    # one call on no rows gives n_u
+        block = slice(r, r + OBSERVE_BLOCK)
+        _observe_rows(out, block, rows, out.times[block], out.states[block], control, energy)
     return out
+
+
+def _observe_rows(out: Trajectory, block: slice, rows: int, times: np.ndarray,
+                  states: np.ndarray, control: Callable | None,
+                  energy: Callable | None) -> None:
+    """Write rows ``block`` of the observer columns of ``out`` from the rows'
+    times and states; the first call allocates each column for ``rows`` rows.
+    A row that overflows or is not finite (the last row of a nonfinite halt)
+    reads inf or NaN, in silence: the drift check fails on it."""
+    args, size = (times, states[:, :out.n], states[:, out.n:]), len(times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if control is not None:
+            cols = np.asarray(control(*args), dtype=float)
+            if out.controls is None:
+                out.controls = np.empty((rows, math.prod(cols.shape[1:])))
+            out.controls[block] = cols.reshape(size, out.controls.shape[1])
+        if energy is not None:
+            if out.energies is None:
+                out.energies = np.empty(rows)
+            out.energies[block] = np.asarray(energy(*args), dtype=float).reshape(size)
 
 
 def energy_drift(traj: Trajectory) -> float:
@@ -207,134 +234,42 @@ def energy_drift(traj: Trajectory) -> float:
 
 
 def _columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
-    n = traj.n
-    if traj.dims is not None:
-        ns, ng = traj.dims.n_shape, traj.dims.n_group
-    else:
-        ns, ng = n, 0
-    names = ["t"]
-    cols = [traj.times]
-    Q, Qd = traj.q(), traj.qdot()
-    for i in range(ns):
-        names.append(f"x{i + 1}")
-        cols.append(Q[:, i])
-    for a in range(ng):
-        names.append(f"theta{a + 1}")
-        cols.append(Q[:, ns + a])
-    for i in range(ns):
-        names.append(f"xdot{i + 1}")
-        cols.append(Qd[:, i])
-    for a in range(ng):
-        names.append(f"thetadot{a + 1}")
-        cols.append(Qd[:, ns + a])
+    """The CSV header and columns: t, the states in their order, u1.. and E."""
+    ns, ng = (traj.dims.n_shape, traj.dims.n_group) if traj.dims else (traj.n, 0)
+    coords = [("x", i + 1) for i in range(ns)] + [("theta", a + 1) for a in range(ng)]
+    names = ["t"] + [f"{c}{i}" for c, i in coords] + [f"{c}dot{i}" for c, i in coords]
+    cols = [traj.times, *traj.states.T]
     if traj.controls is not None:
-        for j in range(traj.controls.shape[1]):
-            names.append(f"u{j + 1}")
-            cols.append(traj.controls[:, j])
+        names += [f"u{j + 1}" for j in range(traj.controls.shape[1])]
+        cols += list(traj.controls.T)
     if traj.energies is not None:
         names.append("E")
         cols.append(traj.energies)
     return names, cols
 
 
-CSV_BLOCK = 512     # rows formatted per string operation in write_rows
-# Rows from which write_rows formats on two processes: a fork, exit and reap
-# take about 2.3 ms, the formatting of about 1,200 rows.
+CSV_BLOCK = 512     # rows formatted per string operation
+# Planned rows from which `integrate` formats its CSV on a forked child: a
+# fork, exit and reap take about 2.3 ms, the formatting of about 1,200 rows.
 CSV_FORK_ROWS = 8 * CSV_BLOCK
+
+
+def _block_text(block: np.ndarray) -> str:
+    """The CSV lines of the float rows ``block`` (rows, columns) with 17
+    significant digits, by one ``%`` over its floats (``"%.17g" % v`` is
+    ``f"{v:.17g}"``)."""
+    row_fmt = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (row_fmt * len(block)) % tuple(block.ravel().tolist())
 
 
 def write_rows(fh, names, cols) -> int:
     """Write a header of ``names`` and the rows of the float columns ``cols``
-    to ``fh`` with 17 significant digits, ``CSV_BLOCK`` rows per ``%`` over
-    their floats (``"%.17g" % v`` is ``f"{v:.17g}"``); returns the row count.
-
-    From ``CSV_FORK_ROWS`` rows on, when ``fh`` is a seekable file with a
-    descriptor, this process has no other thread and may run on two CPUs, the
-    blocks are formatted on two processes: this one and one forked child take
-    turns by the block, passing a token through two pipes, and each writes its
-    blocks to the shared descriptor when it holds the token.  The bytes are
-    those of the one-process loop (the rows are ASCII, each line ended by
-    ``"\\n"``), and there is no option to choose."""
+    to ``fh``, ``CSV_BLOCK`` rows per `_block_text`; returns the row count."""
     rows = len(cols[0])
-    row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
-
-    def block_text(b: int) -> str:
-        block = np.column_stack([col[b * CSV_BLOCK:(b + 1) * CSV_BLOCK] for col in cols])
-        return (row_fmt * len(block)) % tuple(block.ravel().tolist())
-
     fh.write(",".join(names) + "\n")
-    blocks = -(-rows // CSV_BLOCK)
-    fd = _ring_descriptor(fh, rows)
-    if fd is None:
-        for b in range(blocks):
-            fh.write(block_text(b))
-    else:
-        fh.flush()
-        _write_blocks_on_two_processes(fd, block_text, blocks)
-        fh.seek(0, os.SEEK_END)     # fh's position is behind the rows it did not write
+    for r in range(0, rows, CSV_BLOCK):
+        fh.write(_block_text(np.column_stack([col[r:r + CSV_BLOCK] for col in cols])))
     return rows
-
-
-def _ring_descriptor(fh, rows: int) -> int | None:
-    """The descriptor that `write_rows` shares with a forked child, or None
-    where one process writes: too few rows, no ``fork``, one CPU, a second
-    thread (whose locks a fork would copy held), or no seekable file."""
-    if (rows < CSV_FORK_ROWS or not hasattr(os, "fork")
-            or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2
-            or threading.active_count() != 1):
-        return None
-    try:
-        return fh.fileno() if fh.seekable() else None
-    except (AttributeError, OSError):   # io.UnsupportedOperation is an OSError
-        return None
-
-
-def _write_blocks_on_two_processes(fd: int, block_text, blocks: int) -> None:
-    """Write ``block_text(b)`` to ``fd`` for b in range(blocks), in order: this
-    process the even blocks, one forked child the odd ones.
-
-    Each side closes the pipe ends it does not use, so a peer that has gone
-    reads as end of file and the child cannot outlive a failed parent.  The
-    child ends in ``os._exit`` and never returns into the caller; the parent
-    reaps it in any case, and a child that failed is a RuntimeError."""
-    parent_in, child_out = os.pipe()
-    child_in, parent_out = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        gc.disable()            # no finalizer of the parent's garbage runs twice
-        code = 1
-        try:
-            os.close(parent_in)
-            os.close(parent_out)
-            _take_turns(fd, block_text, range(1, blocks, 2), blocks, child_in, child_out)
-            code = 0
-        finally:
-            os._exit(code)
-    try:
-        os.close(child_in)
-        os.close(child_out)
-        _take_turns(fd, block_text, range(0, blocks, 2), blocks, parent_in, parent_out)
-    finally:
-        os.close(parent_in)
-        os.close(parent_out)
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        raise RuntimeError(f"write_rows: the CSV writer child ended with exit status "
-                           f"{os.waitstatus_to_exitcode(status)}")
-
-
-def _take_turns(fd: int, block_text, mine: range, blocks: int, token_in: int,
-                token_out: int) -> None:
-    """Format each block of ``mine``, wait for the token (block 0 holds it
-    already), write the block whole and pass the token on to the next block."""
-    for b in mine:
-        data = memoryview(block_text(b).encode("ascii"))
-        if b and not os.read(token_in, 1):
-            raise RuntimeError("write_rows: the other CSV writer process has gone")
-        while data:
-            data = data[os.write(fd, data):]
-        if b + 1 < blocks:
-            os.write(token_out, b"\0")
 
 
 def write_csv(traj: Trajectory, destination) -> int:
@@ -342,6 +277,101 @@ def write_csv(traj: Trajectory, destination) -> int:
     are appended as trailing comment lines `# event,<t>,<kind>`."""
     with open(destination, "w", encoding="utf-8") as fh:
         rows = write_rows(fh, *_columns(traj))
-        for (t, kind) in traj.events:
-            fh.write(f"# event,{t:.17g},{kind}\n")
+        fh.write(_event_lines(traj.events))
     return rows
+
+
+def _event_lines(events: list) -> str:
+    return "".join(f"# event,{t:.17g},{kind}\n" for t, kind in events)
+
+
+class _CsvFile:
+    """`write_csv`'s bytes, written block by block while `integrate` marches,
+    under a temporary name that `close` renames over ``path`` or removes.
+
+    From ``CSV_FORK_ROWS`` planned rows on, where ``fork`` exists, two CPUs
+    are allowed and no other thread runs (a fork would copy its locks held),
+    a child forked here formats the tables that `write` pipes to it (their
+    shape as two int64, then their floats), in order; else `write` formats
+    them here.  A child that fails is a RuntimeError naming it, never the
+    BrokenPipeError of a write to its pipe."""
+
+    def __init__(self, path, rows: int):
+        self.path, self.part, self.pid = path, f"{path}.{os.getpid()}.part", None
+        self.fd = os.open(self.part, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        if (rows >= CSV_FORK_ROWS and hasattr(os, "fork") and threading.active_count() == 1
+                and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2):
+            piped, self.pipe = os.pipe()
+            try:    # room for a few blocks, so that the march seldom waits on the child
+                import fcntl
+                fcntl.fcntl(self.pipe, fcntl.F_SETPIPE_SZ, 1 << 20)
+            except (ImportError, AttributeError, OSError):
+                pass
+            self.pid = os.fork()
+            if self.pid == 0:
+                gc.disable()    # no finalizer of the parent's garbage runs twice
+                code = 1
+                try:
+                    os.close(self.pipe)     # the pipe ends when the parent closes its end
+                    with os.fdopen(piped, "rb") as fh:  # a read is short only at the end
+                        while head := fh.read(16):
+                            shape = np.frombuffer(head, dtype=np.int64).tolist()
+                            table = np.frombuffer(fh.read(8 * math.prod(shape)))
+                            _write_all(self.fd, _block_text(table.reshape(shape)).encode("ascii"))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(piped)
+
+    def write(self, cols: list[np.ndarray], header: list[str] | None = None) -> None:
+        """Append the rows of the float columns ``cols`` (a 2-D one holds
+        several), ``CSV_BLOCK`` rows per table, after the line ``header`` if
+        given."""
+        if header is not None:
+            _write_all(self.fd, (",".join(header) + "\n").encode("ascii"))
+        for r in range(0, len(cols[0]), CSV_BLOCK):
+            table = np.column_stack([col[r:r + CSV_BLOCK] for col in cols])
+            if self.pid is None:
+                _write_all(self.fd, _block_text(table).encode("ascii"))
+                continue
+            try:
+                _write_all(self.pipe, np.array(table.shape, dtype=np.int64).tobytes())
+                _write_all(self.pipe, memoryview(table).cast("B"))
+            except BrokenPipeError:
+                self._reap(check=True)
+                raise RuntimeError("trajectory CSV: the writer child stopped reading") from None
+
+    def close(self, events: list | None = None) -> None:
+        """Wait for the child, append the lines of ``events`` and rename the
+        file over ``path``; without ``events``, kill the child and remove it."""
+        renamed = False
+        try:
+            if self.pid is not None:
+                if events is None:
+                    os.kill(self.pid, 9)        # SIGKILL: its rows are not wanted
+                self._reap(check=events is not None)
+            if events is not None:
+                _write_all(self.fd, _event_lines(events).encode("ascii"))
+                os.replace(self.part, self.path)
+                renamed = True
+        finally:
+            os.close(self.fd)
+            if not renamed:
+                os.unlink(self.part)
+
+    def _reap(self, check: bool) -> None:
+        """Close the pipe, which ends the child's input, and wait for the
+        child; with ``check``, one that failed is a RuntimeError."""
+        pid, self.pid = self.pid, None
+        os.close(self.pipe)
+        status = os.waitpid(pid, 0)[1]
+        if check and status:
+            raise RuntimeError(f"trajectory CSV: the writer child (pid {pid}) ended with "
+                               f"exit status {os.waitstatus_to_exitcode(status)}")
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of ``data``: a signal can cut a write short."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]

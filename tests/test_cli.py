@@ -364,6 +364,20 @@ def test_params_whose_metric_determinant_vanishes_are_a_config_error(tmp_path, c
         f"beta ** 2 = 0.0, which must be positive\n")
 
 
+@pytest.mark.parametrize("fast, command", [(CARTPOLE_FAST, "check-matching"),
+                                           (INCLINE_FAST, "check-matching"),
+                                           (INCLINE_FAST, "check-helmholtz")],
+                         ids=["cartpole-matching", "incline-matching", "incline-helmholtz"])
+def test_grid_bound_whose_square_overflows_is_a_config_error(tmp_path, capsys, fast, command):
+    # grid points near 1e300 overflowed in x ** 2 (the incline's extra
+    # potential) or in a squared difference step (the system validation)
+    text = fast.format(out=tmp_path / "out") + "grid.hi = 1e300\n"
+    assert main([command, "--config", write_cfg(tmp_path, "g.cfg", text)]) == 2
+    lo = -1.0 if fast is INCLINE_FAST else -1.3
+    assert capsys.readouterr().err == ("config error: grid.lo and grid.hi must have finite "
+                                       f"squares, got grid.lo = {lo!r}, grid.hi = 1e+300\n")
+
+
 def test_simulate_gain_whose_square_overflows_is_named(tmp_path, capsys):
     text = CARTPOLE_FAST.format(out=tmp_path / "out") + "gains.k = 1e160\n"
     cfg = write_cfg(tmp_path, "cp.cfg", text)
@@ -395,6 +409,63 @@ def test_shipped_incline_csv_is_that_of_one_process(tmp_path, capsys, monkeypatc
     assert csv[0] == csv[1] and csv[0].count(b"\n") == 10_002
 
 
+TWO_CPUS = hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
+# 9,001 rows: three observer blocks, so a CSV formatted while the loop is marched
+LONG_RUN = "sim.t_end = 9.0\n"
+
+
+def counted_forks(monkeypatch, in_child=None) -> list:
+    """Patch ``os.fork`` to run ``in_child()`` in the child; returns the list of
+    forked pids."""
+    fork, pids = os.fork, []
+
+    def forked():
+        pid = fork()
+        if pid == 0 and in_child is not None:
+            in_child()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", forked)
+    return pids
+
+
+@pytest.mark.parametrize("fast", [CARTPOLE_FAST, INCLINE_FAST], ids=["cartpole", "incline"])
+def test_pipelined_simulate_csv_is_that_of_one_process(tmp_path, capsys, monkeypatch, fast):
+    # the CSV formatted by a forked child while the loop is marched, and the
+    # one formatted here block by block where os.fork is missing; neither
+    # formats the finished trajectory
+    cfg = write_cfg(tmp_path, "s.cfg", fast.format(out=tmp_path / "out") + LONG_RUN)
+    monkeypatch.delattr(cli.simmod, "write_csv")
+    forks = counted_forks(monkeypatch)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "two")]) == 0
+    assert len(forks) == TWO_CPUS
+    monkeypatch.delattr(os, "fork")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+    csv = [(tmp_path / side / "trajectory.csv").read_bytes() for side in ("two", "one")]
+    assert csv[0] == csv[1] and csv[0].count(b"\n") == 9_002
+    assert [p.name for p in (tmp_path / "two").iterdir()] == ["trajectory.csv"]
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="formats on one process")
+def test_csv_child_gone_mid_simulate_is_a_named_error(tmp_path, capfd, monkeypatch):
+    # the child ends before it reads a block: exit 1 with its RuntimeError,
+    # not the BrokenPipeError of the parent's write to it, which would be
+    # taken for a closed stdout (exit 141, stdout sent to /dev/null)
+    cfg = write_cfg(tmp_path, "cp.cfg", CARTPOLE_FAST.format(out=tmp_path / "out") + LONG_RUN)
+    forks = counted_forks(monkeypatch, in_child=lambda: os._exit(5))
+    assert main(["simulate", "--config", cfg, "--json"]) == 1
+    print("stdout is open")
+    out, err = capfd.readouterr()
+    assert out == "stdout is open\n"
+    assert re.fullmatch(r"error: RuntimeError: trajectory CSV: the writer child \(pid \d+\) "
+                        r"ended with exit status 5\n", err)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def count_marches(monkeypatch) -> list:
     """Patch the integrator that the sweep's rows call; returns the list that
     each call appends to."""
@@ -407,6 +478,25 @@ def count_marches(monkeypatch) -> list:
 
     monkeypatch.setattr(cli.simmod, "integrate", counted)
     return calls
+
+
+@pytest.mark.parametrize("system", ["cartpole", "incline"])
+def test_sweep_builds_one_system_per_row(tmp_path, capsys, monkeypatch, system):
+    # a row's gain check and its observed loop read one system and shaping
+    name = f"{system}_system"
+    builds = []
+    build = getattr(cli, name)
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    for owner in (cli, ctl):
+        monkeypatch.setattr(owner, name, counted)
+    argv = ["sweep", "--config", str(CONFIGS / f"{system}.cfg"), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(builds) == len(rows) == {"cartpole": 6, "incline": 1}[system]
 
 
 def test_shipped_cartpole_sweep_integrates_each_gain_once(tmp_path, capsys, monkeypatch):

@@ -440,28 +440,86 @@ def assert_no_child_left():
                                   CSV_FORK_ROWS - 1, CSV_FORK_ROWS, CSV_FORK_ROWS + 1, 100_001])
 def test_csv_matches_per_value_format(tmp_path, monkeypatch, rows):
     # the block formatting writes exactly what a per-value f"{v:.17g}" join
-    # did, on one process or, from CSV_FORK_ROWS rows on, on two; the events
-    # follow the rows, and no child is left
+    # did, on this process alone, and the events follow the rows
     traj, expected = csv_table(rows)
     pids = patch_fork(monkeypatch)
     dest = tmp_path / "t.csv"
     assert write_csv(traj, dest) == rows
     assert dest.read_text() == expected
-    assert len(pids) == (rows >= CSV_FORK_ROWS and TWO_CPUS)
+    assert pids == []
+
+
+def harmonic_observers():
+    return (lambda times, Q, Qd: np.column_stack([Qd[:, 0], times]),
+            lambda times, Q, Qd: 0.5 * (Qd[:, 0] ** 2 + Q[:, 0] ** 2))
+
+
+def integrate_to_csv(dest, steps, guard=None, field_=None):
+    """A harmonic march of ``steps`` steps with two control columns and an
+    energy, written to ``dest`` as it is marched."""
+    control, energy = harmonic_observers()
+    return integrate(field_ or harmonic(), State(q=[1.0], qdot=[0.0]), 1e-3, steps * 1e-3,
+                     control=control, energy=energy, guard=guard, csv=dest)
+
+
+def assert_only(tmp_path, *names):
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+
+@pytest.mark.parametrize("steps", [1, CSV_BLOCK, CSV_FORK_ROWS - 2, CSV_FORK_ROWS - 1,
+                                   OBSERVE_BLOCK, 2 * OBSERVE_BLOCK + 3])
+def test_integrate_writes_the_csv_of_its_trajectory(tmp_path, monkeypatch, steps):
+    # the CSV written while the march runs, by a forked child from
+    # CSV_FORK_ROWS planned rows on, is write_csv's of the trajectory
+    # integrate returns, whose floats are those of the march without a CSV
+    pids = patch_fork(monkeypatch)
+    traj = integrate_to_csv(tmp_path / "t.csv", steps)
+    assert len(pids) == (steps + 1 >= CSV_FORK_ROWS and TWO_CPUS)
     assert_no_child_left()
+    write_csv(traj, tmp_path / "one.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert_only(tmp_path, "t.csv", "one.csv")
+    control, energy = harmonic_observers()
+    alone = integrate(harmonic(), State(q=[1.0], qdot=[0.0]), 1e-3, steps * 1e-3,
+                      control=control, energy=energy)
+    assert len(traj.times) == steps + 1
+    for name in ("times", "states", "controls", "energies"):
+        assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes()
+
+
+@pytest.mark.parametrize("halt", ["domain_exit", "nonfinite"])
+def test_halt_event_lines_follow_the_rows(tmp_path, monkeypatch, halt):
+    # a march planned over several blocks halts in its second: the rows end
+    # there, the event line follows them, and the observer columns hold the
+    # rows marched
+    # xdot = -sin t passes 0.9 at t = 4.26, in the march's second block
+    pids = patch_fork(monkeypatch)
+    guard, field_ = None, None
+    if halt == "domain_exit":
+        guard = lambda q, qd: qd[0] > 0.9      # noqa: E731
+    else:
+        field_ = ExplicitSode(1, None, lambda x, xd: [math.inf if xd > 0.9 else -1.0 * x])
+    traj = integrate_to_csv(tmp_path / "t.csv", 4 * OBSERVE_BLOCK, guard, field_)
+    assert len(pids) == TWO_CPUS
+    assert_no_child_left()
+    assert [kind for _, kind in traj.events] == [halt]
+    assert OBSERVE_BLOCK < len(traj.times) < 2 * OBSERVE_BLOCK
+    assert len(traj.controls) == len(traj.energies) == len(traj.times)
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert len(lines) == 1 + len(traj.times) + 1
+    assert lines[-1] == f"# event,{traj.events[0][0]:.17g},{halt}"
+    assert lines[-2].startswith(f"{traj.times[-1]:.17g},")
 
 
 needs_two_cpus = pytest.mark.skipif(not TWO_CPUS, reason="writes on one process")
 
 
 @needs_two_cpus
-@pytest.mark.parametrize("failure, message", [
-    ("write", "the other CSV writer process has gone"),
-    ("exit", "the CSV writer child ended with exit status 3")])
-def test_failing_csv_child_raises_in_the_parent(tmp_path, monkeypatch, failure, message):
-    # a child that cannot write leaves the parent waiting on a pipe whose
-    # other end is closed; one that writes all its blocks and then fails is
-    # known by its status
+@pytest.mark.parametrize("failure", ["write", "exit"], ids=["write", "exit"])
+def test_failing_csv_child_raises_in_the_parent(tmp_path, monkeypatch, failure):
+    # a child that cannot write its rows, or that writes them all and then
+    # fails, is a RuntimeError naming it; the parent reaps it, and the CSV
+    # is not left behind
     def in_child():
         if failure == "write":
             def refused(fd, data):
@@ -471,57 +529,76 @@ def test_failing_csv_child_raises_in_the_parent(tmp_path, monkeypatch, failure, 
             exit_ = os._exit
             os._exit = lambda code: exit_(3)
 
-    traj, _ = csv_table(CSV_FORK_ROWS)
     pids = patch_fork(monkeypatch, in_child=in_child)
-    with pytest.raises(RuntimeError, match=message):
-        write_csv(traj, tmp_path / "t.csv")
+    with pytest.raises(RuntimeError, match=r"the writer child \(pid \d+\) ended with exit "
+                                           f"status {1 if failure == 'write' else 3}$"):
+        integrate_to_csv(tmp_path / "t.csv", 2 * OBSERVE_BLOCK)
     assert len(pids) == 1
     assert_no_child_left()
+    assert_only(tmp_path)
 
 
 @needs_two_cpus
-def test_parent_failing_mid_ring_leaves_no_child(tmp_path, monkeypatch):
-    # the parent's second block cannot be written: the child sees its pipe
-    # closed and ends, and the parent reaps it before raising its own error
-    fd_writes = []
-    write = os.write
-
-    def in_parent():
-        def second_block_refused(fd, data):
-            if len(data) > 1:
-                fd_writes.append(fd)
-                if len(fd_writes) == 2:
-                    raise OSError(28, "No space left on device")
-            return write(fd, data)
-        monkeypatch.setattr(os, "write", second_block_refused)
-
-    traj, expected = csv_table(CSV_FORK_ROWS + 1)
-    pids = patch_fork(monkeypatch, in_parent=in_parent)
-    dest = tmp_path / "t.csv"
-    with pytest.raises(OSError, match="No space left"):
-        write_csv(traj, dest)
+def test_child_gone_mid_march_is_named_not_a_broken_pipe(tmp_path, monkeypatch):
+    # the child ends before it reads a block: the parent's write to its pipe
+    # fails, and that is the child's RuntimeError, not a BrokenPipeError
+    pids = patch_fork(monkeypatch, in_child=lambda: os._exit(5))
+    with pytest.raises(RuntimeError, match=r"the writer child \(pid \d+\) ended with exit "
+                                           r"status 5$"):
+        integrate_to_csv(tmp_path / "t.csv", 8 * OBSERVE_BLOCK)
     assert len(pids) == 1
     assert_no_child_left()
-    assert expected.startswith(dest.read_text())     # blocks 0 and 1, in order
+    assert_only(tmp_path)
+
+
+@pytest.mark.parametrize("where", ["march", "observer"])
+def test_parent_failing_mid_march_leaves_no_child(tmp_path, monkeypatch, where):
+    # the march or an observer raises in the second block: the child is
+    # stopped and reaped before the error propagates, and the CSV that was
+    # there before is neither truncated nor replaced
+    pids = patch_fork(monkeypatch)
+    dest = tmp_path / "t.csv"
+    dest.write_text("before\n")
+    calls = [0]
+
+    def guard(q, qd):
+        calls[0] += 1
+        if where == "march" and calls[0] == OBSERVE_BLOCK + 10:
+            raise KeyError("march")
+        return False
+
+    def energy(times, Q, Qd):
+        if where == "observer" and times[0] > 0.0:
+            raise KeyError("observer")
+        return Q[:, 0]
+
+    with pytest.raises(KeyError, match=where):
+        integrate(harmonic(), State(q=[1.0], qdot=[0.0]), 1e-3, 4 * OBSERVE_BLOCK * 1e-3,
+                  energy=energy, guard=guard, csv=dest)
+    assert len(pids) == TWO_CPUS
+    assert_no_child_left()
+    assert dest.read_text() == "before\n"
+    assert_only(tmp_path, "t.csv")
 
 
 def test_csv_with_a_second_thread_is_written_on_one_process(tmp_path, monkeypatch):
     def no_fork():
         raise AssertionError("forked beside a second thread")
 
+    steps = 2 * OBSERVE_BLOCK
+    integrate_to_csv(tmp_path / "forked.csv", steps)
     monkeypatch.setattr(os, "fork", no_fork)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        traj, expected = csv_table(CSV_FORK_ROWS)
-        dest = tmp_path / "t.csv"
-        assert write_csv(traj, dest) == CSV_FORK_ROWS
+        traj = integrate_to_csv(tmp_path / "t.csv", steps)
+        assert len(traj.times) == steps + 1
     finally:
         release.set()
         other.join(timeout=60)
     assert not other.is_alive()
-    assert dest.read_text() == expected
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
 
 
 def blowing_up(cos):

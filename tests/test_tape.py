@@ -281,6 +281,26 @@ def test_record_frees_its_tape_without_the_cycle_collector(monkeypatch):
     assert taped(0.5, 2.0) == (0.5 * 2.0 + math.sin(0.5),)
 
 
+def test_untapeable_record_frees_its_tape_without_the_cycle_collector(monkeypatch):
+    # a record that raises Untapeable half-way has taped some lines: the
+    # cycle is broken on that path too
+    tapes = []
+
+    class Watched(jets._Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(jets, "_Tape", Watched)
+    gc.disable()
+    try:
+        with pytest.raises(jets.Untapeable):
+            record(lambda u: [u[0] if u[0] * u[1] > 0.0 else u[1]], 2)
+        assert len(tapes) == 1 and tapes[0]() is None
+    finally:
+        gc.enable()
+
+
 def test_builtin_tape_is_short(monkeypatch):
     # shared expressions and dead arithmetic of the (1,2) pass: 195 lines recorded
     records = counted_records(monkeypatch)
