@@ -544,8 +544,14 @@ def incline_base_shaping(p: InclineParams, gains: GainSelection) -> ShapingParam
 def incline_h_curve(p: InclineParams, shaping: ShapingParams, k: float,
                     x_span: tuple[float, float]) -> _HCurve:
     """h, the integral of the shaping's A(x), on x_span clipped to the pole-free
-    window of gain k."""
-    return _HCurve(incline_A_field(p, shaping), incline_safe_span(p, k, x_span))
+    window of gain k; an integral that fails where k ** 2 overflows says so."""
+    span = incline_safe_span(p, k, x_span)
+    try:
+        return _HCurve(incline_A_field(p, shaping), span)
+    except ValueError:
+        if math.isfinite(k * k):
+            raise
+        raise ValueError(f"the incline's h-curve: k ** 2 overflows at k = {k!r}") from None
 
 
 def quad(*args, **kwargs):

@@ -423,13 +423,13 @@ def _read_arrays(x: np.ndarray, c: np.ndarray, v, nus: Sequence[int]) -> list[np
     """The ``nu``-th derivatives, for each nu in ``nus``, of the spline (x, c)
     at an array of points, from one interval search: the floats of
     `spline_reader`, and so of ``CubicSpline.__call__``, at every point.  A
-    NaN reads NaN; +-inf read what scipy's C loop gives, silently."""
+    NaN reads NaN; +-inf and far points read what scipy's C loop gives, silently."""
     v = np.asarray(v, dtype=float)
     i = np.searchsorted(x[1:-1], v, side="right")     # clamped to [0, N-2]
     s = v - x[i]
     c3, c2, c1, c0 = c[:, i]
     out = []
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for nu in nus:
             if nu == 0:
                 z = s * s

@@ -482,7 +482,7 @@ def integrate_new_tau(sys: MechanicalSystem, tau0, x_range: tuple[float, float],
                 t4 = t + h * k3
                 k4 = t4 * R[i + 2] / D[i + 2]
                 rec.extend((t, t2, t3, t4))
-                t = t + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                t = t + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 col.append(t)
             cols.append(col)
             recs.append(rec)

@@ -4,11 +4,10 @@ Classical fourth-order Runge-Kutta at fixed step: reproducibility of golden
 trajectories matters more than adaptive speed at this scale.  One march,
 generated from the coordinate count n, records the states as floats in one
 ``array('d')``, of which the trajectory's states are a view.  `integrate`
-observes each block of ``OBSERVE_BLOCK`` rows as soon as it is marched, and
-given a CSV path writes it too: from ``CSV_FORK_ROWS`` planned rows on, where
-the host gives two CPUs, a forked child formats the blocks while this process
-marches on.  The bytes are those of one process; no option chooses.
-"""
+observes each block of ``OBSERVE_BLOCK`` rows as soon as it is marched and,
+given a CSV path, writes it too: where the host allows (see `_CsvFile`), a
+child forked at the first block formats the blocks while this process marches
+on.  The bytes are those of one process; no option chooses."""
 
 from __future__ import annotations
 
@@ -53,10 +52,8 @@ class Trajectory:
 
 
 def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
-              control: Callable | None = None,
-              energy: Callable | None = None,
-              guard: Callable | None = None,
-              csv=None) -> Trajectory:
+              control: Callable | None = None, energy: Callable | None = None,
+              guard: Callable | None = None, csv=None) -> Trajectory:
     """March the field with fixed-step RK4 from state0 for t_end seconds by
     `_rk4_march` on its ``floats``, in blocks of ``OBSERVE_BLOCK`` rows (each
     from the last state of the one before, so the floats are those of one
@@ -65,116 +62,87 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
 
     ``guard(q, qd) -> bool``, given the coordinates and velocities as tuples
     of floats, halts integration with a "domain_exit" event when true.
-    Non-finite states halt with a "nonfinite" event, and so does a step whose
-    stage raises ValueError or OverflowError on a non-finite stage state;
-    that step is not recorded.  Without observers the trajectory is the bare
-    march.  Its states are a writable view of the march's float record."""
+    Non-finite states halt with a "nonfinite" event, and so does a stage that
+    raises ValueError or OverflowError on a non-finite state, whose step is
+    not recorded.  Without observers the trajectory is the bare march.  Its
+    states are a writable view of the march's float record."""
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     steps = t_end / dt
     if not math.isfinite(steps):
         raise ValueError(f"the step count t_end / dt = {steps!r} is not finite")
     n, accel, width, rows = field_.n, field_.floats, 2 * field_.n, int(round(steps)) + 1
-    march = _rk4_march(n)
-    rec = array("d", state0.q.tolist() + state0.qdot.tolist())
+    march, rec = _rk4_march(n), array("d", state0.q.tolist() + state0.qdot.tolist())
     out = Trajectory(dims=field_.dims, times=np.empty(0), states=np.empty((0, width)))
-    sink = _CsvFile(csv, rows) if csv is not None else None
+    sink, done = _CsvFile(csv, rows) if csv is not None else None, None
     try:
-        for start in range(0, rows, OBSERVE_BLOCK):
-            # step i marches row i + 1
-            span = range(max(start - 1, 0), min(start + OBSERVE_BLOCK, rows) - 1)
-            try:
-                march(accel, rec, dt, span, guard, out.events)
-            except (ValueError, OverflowError):
-                done = len(rec) // width - 1
-                if not _stage_was_nonfinite(march, accel, rec[-width:], dt, done):
-                    raise
-                out.events.append(((done + 1) * dt, "nonfinite"))
-            if control is not None or energy is not None or sink is not None:
-                block = slice(start, len(rec) // width)
-                times = np.arange(start, block.stop, dtype=float)
-                times *= dt
-                # a copy: a view of rec would stop it from growing
-                states = np.frombuffer(rec[start * width:], dtype=float).reshape(-1, width)
-                _observe_rows(out, block, rows, times, states, control, energy)
-                if sink is not None:
-                    cols = [col[block] for col in (out.controls, out.energies) if col is not None]
-                    sink.write([times, states] + cols, None if start else _columns(out)[0])
+        for start in range(0, rows, OBSERVE_BLOCK):    # step i marches row i + 1
+            march(accel, rec, dt, range(max(start - 1, 0), min(start + OBSERVE_BLOCK, rows) - 1),
+                  guard, out.events)
+            block = slice(start, len(rec) // width)
+            times = np.arange(start, block.stop, dtype=float) * dt
+            # a copy: a view of rec would stop it from growing
+            states = np.frombuffer(rec[start * width:], dtype=float).reshape(-1, width)
+            _observe_rows(out, block, rows, times, states, control, energy)
+            if sink is not None:
+                cols = [col[block] for col in (out.controls, out.energies) if col is not None]
+                sink.write([times, states] + cols, None if start else _columns(out)[0])
             if out.events:
                 break
-    except BaseException:
+        done = out.events
+    finally:    # without events, the CSV is removed
         if sink is not None:
-            sink.close()
-        raise
-    if sink is not None:
-        sink.close(out.events)
-    states = np.frombuffer(rec, dtype=float).reshape(-1, width)   # a view that keeps rec
-    rows = len(states)
-    times = np.arange(rows, dtype=float)
-    times *= dt
-    return Trajectory(dims=field_.dims, times=times, states=states,
-                      controls=None if out.controls is None else out.controls[:rows],
-                      energies=None if out.energies is None else out.energies[:rows],
-                      events=out.events)
+            sink.close(done)
+    out.states = np.frombuffer(rec, dtype=float).reshape(-1, width)   # a view that keeps rec
+    out.times = np.arange(len(out.states), dtype=float)
+    out.times *= dt
+    out.controls, out.energies = (None if c is None else c[:len(out.times)]  # the rows marched
+                                  for c in (out.controls, out.energies))
+    return out
 
 
 @functools.cache
 def _rk4_march(n: int) -> Callable:
     """``march(accel, rec, dt, steps, guard, events)``: the RK4 steps ``steps``
-    from the last state of ``rec``, each state appended to it as floats, where
-    ``accel`` takes the 2n floats of a stage's state (coordinates, then
-    velocities) and returns its n accelerations.  A step whose state is not
-    finite halts with a "nonfinite" event, and one that ``guard`` (given the
-    coordinates and velocities as tuples) refuses with a "domain_exit" event;
-    both are recorded.  Its source is generated from n alone, straight-line
-    over 2n float locals, and compiled at the first call for each n."""
+    from the last state of ``rec``, each appended to it as floats; ``accel``
+    takes the 2n floats of a stage's state (coordinates, then velocities) and
+    returns its n accelerations.  A step whose state is not finite halts with
+    a "nonfinite" event, one that ``guard`` (given q and qd as tuples) refuses
+    with a "domain_exit" event, both recorded; a stage whose ``accel`` raises
+    ValueError or OverflowError (``math.sin(inf)`` does) halts unrecorded with
+    "nonfinite" where its state is not finite, else the error propagates."""
     q, qd = [f"q{i}" for i in range(n)], [f"qd{i}" for i in range(n)]
     # the coordinates, velocities and accelerations of stages 1 to 4
     qs = [q] + [[f"{x}_{k}" for x in q] for k in (2, 3, 4)]
     vs = [qd] + [[f"{x}_{k}" for x in qd] for k in (2, 3, 4)]
     acc = [[f"a{i}_{k}" for i in range(n)] for k in (1, 2, 3, 4)]
+
+    # stage k's state is not finite: x * 0.0 is +-0.0 where x is finite, else NaN
+    nonfinite = [" + ".join(f"{x} * 0.0" for x in qs[k] + vs[k]) + " != 0.0" for k in range(4)]
+
+    def halt(test, kind):
+        return [f"if {test}:", f"    events.append(((i + 1) * dt, '{kind}'))", "    break"]
+
     lines = []
     for k in range(4):
-        lines.append(f"{', '.join(acc[k])}, = accel({', '.join(qs[k] + vs[k])})")
+        lines += ["try:", f"    {', '.join(acc[k])}, = accel({', '.join(qs[k] + vs[k])})",
+                  "except (ValueError, OverflowError):",
+                  *(f"    {line}" for line in halt(nonfinite[k], "nonfinite")),
+                  "    raise"]
         if k < 3:
             h = "dt" if k == 2 else "half"
             lines += [f"{y} = {x} + {h} * {v}" for x, y, v in zip(q, qs[k + 1], vs[k])]
             lines += [f"{y} = {x} + {h} * {a}" for x, y, a in zip(qd, vs[k + 1], acc[k])]
     for x, (d1, d2, d3, d4) in zip(q + qd, [*zip(*vs), *zip(*acc)]):
-        lines.append(f"{x} += sixth * ({d1} + 2 * {d2} + 2 * {d3} + {d4})")
-    finite = " and ".join(f"isfinite({x})" for x in q + qd)
-    lines += [f"rec.extend(({', '.join(q + qd)},))",
-              "t_now = (i + 1) * dt",
-              f"if not ({finite}):",
-              "    events.append((t_now, 'nonfinite'))",
-              "    break",
-              f"if guard is not None and guard(({', '.join(q)},), ({', '.join(qd)},)):",
-              "    events.append((t_now, 'domain_exit'))",
-              "    break"]
+        lines.append(f"{x} += sixth * ({d1} + 2.0 * {d2} + 2.0 * {d3} + {d4})")
+    lines += [f"rec.extend(({', '.join(q + qd)},))", *halt(nonfinite[0], "nonfinite"),
+              *halt(f"guard is not None and guard(({', '.join(q)},), ({', '.join(qd)},))",
+                    "domain_exit")]
     body = "".join(f"        {line}\n" for line in lines)
     src = (f"def march(accel, rec, dt, steps, guard, events):\n"
            f"    {', '.join(q + qd)} = rec[-{2 * n}:]\n"
            f"    half = 0.5 * dt\n    sixth = dt / 6.0\n    for i in steps:\n{body}")
-    return compiled(src, "march", f"<rk4 march {n}>", {"isfinite": math.isfinite})
-
-
-def _stage_was_nonfinite(march, accel, start: array, dt: float, step: int) -> bool:
-    """Whether step ``step`` of ``march`` from ``start``, which raised, raises
-    again in a stage whose state is not finite (``math.sin(inf)`` is a
-    ValueError, not a NaN).  The step is run once more with each stage's state
-    looked at before ``accel`` reads it, so the march itself checks only the
-    state at the end of each step."""
-    stage_nonfinite = [False]
-
-    def looked_at(*state):
-        stage_nonfinite[0] = not np.isfinite(state).all()
-        return accel(*state)
-
-    try:
-        march(looked_at, start, dt, range(step, step + 1), None, [])
-    except (ValueError, OverflowError):
-        return stage_nonfinite[0]
-    return False
+    return compiled(src, "march", f"<rk4 march {n}>")
 
 
 def observe(traj: Trajectory, control: Callable | None = None,
@@ -200,8 +168,7 @@ def observe(traj: Trajectory, control: Callable | None = None,
 
 
 def _observe_rows(out: Trajectory, block: slice, rows: int, times: np.ndarray,
-                  states: np.ndarray, control: Callable | None,
-                  energy: Callable | None) -> None:
+                  states: np.ndarray, control: Callable | None, energy: Callable | None) -> None:
     """Write rows ``block`` of the observer columns of ``out`` from the rows'
     times and states; the first call allocates each column for ``rows`` rows.
     A row that overflows or is not finite (the last row of a nonfinite halt)
@@ -255,9 +222,8 @@ CSV_FORK_ROWS = 8 * CSV_BLOCK
 
 
 def _block_text(block: np.ndarray) -> str:
-    """The CSV lines of the float rows ``block`` (rows, columns) with 17
-    significant digits, by one ``%`` over its floats (``"%.17g" % v`` is
-    ``f"{v:.17g}"``)."""
+    """The CSV lines of the float rows ``block`` with 17 significant digits,
+    by one ``%`` over its floats (``"%.17g" % v`` is ``f"{v:.17g}"``)."""
     row_fmt = ",".join(["%.17g"] * block.shape[1]) + "\n"
     return (row_fmt * len(block)) % tuple(block.ravel().tolist())
 
@@ -289,57 +255,60 @@ class _CsvFile:
     """`write_csv`'s bytes, written block by block while `integrate` marches,
     under a temporary name that `close` renames over ``path`` or removes.
 
-    From ``CSV_FORK_ROWS`` planned rows on, where ``fork`` exists, two CPUs
-    are allowed and no other thread runs (a fork would copy its locks held),
-    a child forked here formats the tables that `write` pipes to it (their
-    shape as two int64, then their floats), in order; else `write` formats
-    them here.  A child that fails is a RuntimeError naming it, never the
-    BrokenPipeError of a write to its pipe."""
+    From ``CSV_FORK_ROWS`` planned rows on, where a pipe can be made to hold
+    one observer block (Linux), two CPUs are allowed and no other thread runs
+    (a fork would copy its locks held), the first `write` forks a child after
+    the header: it formats that block, then the float rows that each later
+    `write` pipes to it; else `write` formats them here.  A child that fails
+    is a RuntimeError naming it, never the BrokenPipeError of a write to its
+    pipe."""
 
     def __init__(self, path, rows: int):
-        self.path, self.part, self.pid = path, f"{path}.{os.getpid()}.part", None
+        self.path, self.part, self.rows, self.pid = path, f"{path}.{os.getpid()}.part", rows, None
         self.fd = os.open(self.part, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        if (rows >= CSV_FORK_ROWS and hasattr(os, "fork") and threading.active_count() == 1
-                and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2):
-            piped, self.pipe = os.pipe()
-            try:    # room for a few blocks, so that the march seldom waits on the child
-                import fcntl
-                fcntl.fcntl(self.pipe, fcntl.F_SETPIPE_SZ, 1 << 20)
-            except (ImportError, AttributeError, OSError):
-                pass
-            self.pid = os.fork()
-            if self.pid == 0:
-                gc.disable()    # no finalizer of the parent's garbage runs twice
-                code = 1
-                try:
-                    os.close(self.pipe)     # the pipe ends when the parent closes its end
-                    with os.fdopen(piped, "rb") as fh:  # a read is short only at the end
-                        while head := fh.read(16):
-                            shape = np.frombuffer(head, dtype=np.int64).tolist()
-                            table = np.frombuffer(fh.read(8 * math.prod(shape)))
-                            _write_all(self.fd, _block_text(table.reshape(shape)).encode("ascii"))
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(piped)
 
     def write(self, cols: list[np.ndarray], header: list[str] | None = None) -> None:
-        """Append the rows of the float columns ``cols`` (a 2-D one holds
-        several), ``CSV_BLOCK`` rows per table, after the line ``header`` if
-        given."""
-        if header is not None:
-            _write_all(self.fd, (",".join(header) + "\n").encode("ascii"))
-        for r in range(0, len(cols[0]), CSV_BLOCK):
-            table = np.column_stack([col[r:r + CSV_BLOCK] for col in cols])
-            if self.pid is None:
-                _write_all(self.fd, _block_text(table).encode("ascii"))
-                continue
+        """Append the rows of the float columns ``cols``, after the first call's ``header``."""
+        table = np.column_stack(cols)
+        if header is not None and self._forked(header, table):
+            return
+        if self.pid is None:
+            return _write_table(self.fd, table)
+        try:
+            _write_all(self.pipe, memoryview(table).cast("B"))
+        except BrokenPipeError:
+            self._reap(check=True)
+            raise RuntimeError("trajectory CSV: the writer child stopped reading") from None
+
+    def _forked(self, header: list[str], table: np.ndarray) -> bool:
+        """Write ``header``; whether a child was forked to format ``table`` and the rows piped."""
+        _write_all(self.fd, (",".join(header) + "\n").encode("ascii"))
+        width, (piped, self.pipe) = table.shape[1], os.pipe()
+        try:    # room for a few blocks, so that the march seldom waits on the child
+            import fcntl
+            held = fcntl.fcntl(self.pipe, fcntl.F_SETPIPE_SZ, 1 << 20)     # Linux only
+        except (ImportError, AttributeError, OSError):
+            held = 0
+        if not (held >= 8 * width * OBSERVE_BLOCK and self.rows >= CSV_FORK_ROWS
+                and hasattr(os, "fork") and threading.active_count() == 1
+                and len(os.sched_getaffinity(0)) >= 2):
+            os.close(piped)
+            os.close(self.pipe)
+            return False
+        self.pid = os.fork()
+        if self.pid == 0:
+            gc.disable()    # no finalizer of the parent's garbage runs twice
             try:
-                _write_all(self.pipe, np.array(table.shape, dtype=np.int64).tobytes())
-                _write_all(self.pipe, memoryview(table).cast("B"))
-            except BrokenPipeError:
-                self._reap(check=True)
-                raise RuntimeError("trajectory CSV: the writer child stopped reading") from None
+                os.close(self.pipe)     # the pipe ends when the parent closes its end
+                _write_table(self.fd, table)
+                with os.fdopen(piped, "rb") as fh:  # a read is short only at the end
+                    while chunk := fh.read(8 * width * CSV_BLOCK):
+                        _write_table(self.fd, np.frombuffer(chunk).reshape(-1, width))
+                os._exit(0)
+            finally:    # reached only on an error, as os._exit does not return
+                os._exit(1)
+        os.close(piped)
+        return True
 
     def close(self, events: list | None = None) -> None:
         """Wait for the child, append the lines of ``events`` and rename the
@@ -368,6 +337,12 @@ class _CsvFile:
         if check and status:
             raise RuntimeError(f"trajectory CSV: the writer child (pid {pid}) ended with "
                                f"exit status {os.waitstatus_to_exitcode(status)}")
+
+
+def _write_table(fd: int, table: np.ndarray) -> None:
+    """Write the float rows ``table``, ``CSV_BLOCK`` rows per `_block_text`."""
+    for r in range(0, len(table), CSV_BLOCK):
+        _write_all(fd, _block_text(table[r:r + CSV_BLOCK]).encode("ascii"))
 
 
 def _write_all(fd: int, data: bytes) -> None:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,24 @@ from matchctl.lagrangian import ShapingParams, scalar_sigma_matrix
 from matchctl.model import (CartpoleParams, Dims, InclineParams, MechanicalSystem,
                             build_mechanical_system, cartpole_system,
                             synthetic_sm_system)
+
+
+def _pipe_grows_to_1mb() -> bool:
+    """Whether a pipe's size can be set to 1 MB here, as the CSV writer asks."""
+    piped, pipe = os.pipe()
+    try:
+        import fcntl
+        return fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, 1 << 20) >= 1 << 20
+    except (ImportError, AttributeError, OSError):
+        return False
+    finally:
+        os.close(piped)
+        os.close(pipe)
+
+
+# whether `sim.integrate` forks its CSV writer here (from CSV_FORK_ROWS planned rows on)
+FORKS = (hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
+         and _pipe_grows_to_1mb())
 
 
 @pytest.fixture(scope="session")

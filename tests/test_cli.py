@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 import golden_record as golden
+from conftest import FORKS
 import matchctl.cli as cli
 import matchctl.control as ctl
 from matchctl.cli import ConfigError, RunConfig, main, parse_config
@@ -301,6 +302,24 @@ def test_sweep_row_that_overflows_is_an_errored_row(tmp_path, capsys):
         ",-1,False,the cart-pole's shaped potential: k ** 2 overflows at k = 1e+300")
 
 
+def test_incline_sweep_row_that_overflows_is_an_errored_row(tmp_path, capsys):
+    # at k = 1e300 tau * tau overflows in the incline's A(x), whose h-curve
+    # names the gain's overflowing square inside the row
+    text = INCLINE_FAST.format(out=tmp_path / "out") + "sweep.k = 35, 1e300\n"
+    cfg = write_cfg(tmp_path, "in.cfg", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", cfg]) == 1
+    assert [w.category for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["sweep row k=1e+300 sigma=1.0 rho=2.0: the incline's h-curve: "
+                   "k ** 2 overflows at k = 1e+300"]
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[1].endswith(",True,") and rows[2].split(",")[5] == "nan"
+    assert rows[2].startswith("1e+300,") and rows[2].endswith(
+        ",-1,False,the incline's h-curve: k ** 2 overflows at k = 1e+300")
+
+
 def test_simulate_stage_on_an_infinite_state_halts_nonfinite(tmp_path, capsys):
     # xdot(0) = 1e200 makes a stage state infinite in the first step, where
     # math.sin(inf) raises before the step's end is checked
@@ -386,6 +405,37 @@ def test_simulate_gain_whose_square_overflows_is_named(tmp_path, capsys):
                                        "k ** 2 overflows at k = 1e+160\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "check-matching", "check-helmholtz",
+                                     "synthesize-tau"])
+def test_incline_gain_whose_square_overflows_is_named(tmp_path, capsys, command):
+    # tau * tau overflowed in A(x), and the h-curve's integral named only the
+    # -inf it met there
+    text = INCLINE_FAST.format(out=tmp_path / "out") + "gains.k = 1e300\n"
+    assert main([command, "--config", write_cfg(tmp_path, "in.cfg", text)]) == 1
+    assert capsys.readouterr().err == ("error: ValueError: the incline's h-curve: "
+                                       "k ** 2 overflows at k = 1e+300\n")
+
+
+def test_incline_gain_whose_square_overflows_where_a_is_finite_runs(tmp_path, capsys):
+    # k ** 2 overflows at 1e155, but tau * tau does not: the loop runs
+    text = INCLINE_FAST.format(out=tmp_path / "out") + "gains.k = 1e155\n"
+    assert main(["simulate", "--config", write_cfg(tmp_path, "in.cfg", text)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("fast, codes", [(CARTPOLE_FAST, (0, 1)), (INCLINE_FAST, (1, 1))],
+                         ids=["cartpole", "incline"])
+def test_check_commands_on_a_far_grid_warn_nothing(tmp_path, capsys, fast, codes):
+    # grid.hi = 1e150 squares finitely, so it is no config error; the
+    # incline's h-curve is then read far outside its knots, where it overflows
+    # to a NaN that fails its entry without a numpy RuntimeWarning (an error
+    # under this suite's warning filter)
+    cfg = write_cfg(tmp_path, "far.cfg", fast.format(out=tmp_path / "out") + "grid.hi = 1e150\n")
+    assert (main(["check-helmholtz", "--config", cfg]),
+            main(["check-matching", "--config", cfg])) == codes
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_step_count_that_overflows_is_a_config_error(tmp_path, capsys, monkeypatch):
     # 1e300 / 1e-300 is inf: named before the loop and its curves are built
     monkeypatch.setattr(ctl, "cartpole_observed_loop", None)
@@ -409,7 +459,6 @@ def test_shipped_incline_csv_is_that_of_one_process(tmp_path, capsys, monkeypatc
     assert csv[0] == csv[1] and csv[0].count(b"\n") == 10_002
 
 
-TWO_CPUS = hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
 # 9,001 rows: three observer blocks, so a CSV formatted while the loop is marched
 LONG_RUN = "sim.t_end = 9.0\n"
 
@@ -439,7 +488,7 @@ def test_pipelined_simulate_csv_is_that_of_one_process(tmp_path, capsys, monkeyp
     monkeypatch.delattr(cli.simmod, "write_csv")
     forks = counted_forks(monkeypatch)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "two")]) == 0
-    assert len(forks) == TWO_CPUS
+    assert len(forks) == FORKS
     monkeypatch.delattr(os, "fork")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
     csv = [(tmp_path / side / "trajectory.csv").read_bytes() for side in ("two", "one")]
@@ -447,7 +496,7 @@ def test_pipelined_simulate_csv_is_that_of_one_process(tmp_path, capsys, monkeyp
     assert [p.name for p in (tmp_path / "two").iterdir()] == ["trajectory.csv"]
 
 
-@pytest.mark.skipif(not TWO_CPUS, reason="formats on one process")
+@pytest.mark.skipif(not FORKS, reason="formats on one process")
 def test_csv_child_gone_mid_simulate_is_a_named_error(tmp_path, capfd, monkeypatch):
     # the child ends before it reads a block: exit 1 with its RuntimeError,
     # not the BrokenPipeError of the parent's write to it, which would be

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import FORKS
 from matchctl import control as ctl
 from matchctl.lagrangian import ExplicitSode
 from matchctl.model import Dims, State
@@ -394,9 +395,6 @@ def test_csv_roundtrip(tmp_path):
 CSV_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e17, 1 / 3, -2e-7]
 
 
-TWO_CPUS = hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
-
-
 def csv_table(rows):
     """A trajectory of ``rows`` random rows with special floats among them,
     and the text of its CSV from a per-value f"{v:.17g}" join."""
@@ -474,7 +472,7 @@ def test_integrate_writes_the_csv_of_its_trajectory(tmp_path, monkeypatch, steps
     # integrate returns, whose floats are those of the march without a CSV
     pids = patch_fork(monkeypatch)
     traj = integrate_to_csv(tmp_path / "t.csv", steps)
-    assert len(pids) == (steps + 1 >= CSV_FORK_ROWS and TWO_CPUS)
+    assert len(pids) == (steps + 1 >= CSV_FORK_ROWS and FORKS)
     assert_no_child_left()
     write_csv(traj, tmp_path / "one.csv")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
@@ -500,7 +498,7 @@ def test_halt_event_lines_follow_the_rows(tmp_path, monkeypatch, halt):
     else:
         field_ = ExplicitSode(1, None, lambda x, xd: [math.inf if xd > 0.9 else -1.0 * x])
     traj = integrate_to_csv(tmp_path / "t.csv", 4 * OBSERVE_BLOCK, guard, field_)
-    assert len(pids) == TWO_CPUS
+    assert len(pids) == FORKS
     assert_no_child_left()
     assert [kind for _, kind in traj.events] == [halt]
     assert OBSERVE_BLOCK < len(traj.times) < 2 * OBSERVE_BLOCK
@@ -511,10 +509,10 @@ def test_halt_event_lines_follow_the_rows(tmp_path, monkeypatch, halt):
     assert lines[-2].startswith(f"{traj.times[-1]:.17g},")
 
 
-needs_two_cpus = pytest.mark.skipif(not TWO_CPUS, reason="writes on one process")
+needs_fork = pytest.mark.skipif(not FORKS, reason="writes on one process")
 
 
-@needs_two_cpus
+@needs_fork
 @pytest.mark.parametrize("failure", ["write", "exit"], ids=["write", "exit"])
 def test_failing_csv_child_raises_in_the_parent(tmp_path, monkeypatch, failure):
     # a child that cannot write its rows, or that writes them all and then
@@ -538,7 +536,7 @@ def test_failing_csv_child_raises_in_the_parent(tmp_path, monkeypatch, failure):
     assert_only(tmp_path)
 
 
-@needs_two_cpus
+@needs_fork
 def test_child_gone_mid_march_is_named_not_a_broken_pipe(tmp_path, monkeypatch):
     # the child ends before it reads a block: the parent's write to its pipe
     # fails, and that is the child's RuntimeError, not a BrokenPipeError
@@ -575,10 +573,48 @@ def test_parent_failing_mid_march_leaves_no_child(tmp_path, monkeypatch, where):
     with pytest.raises(KeyError, match=where):
         integrate(harmonic(), State(q=[1.0], qdot=[0.0]), 1e-3, 4 * OBSERVE_BLOCK * 1e-3,
                   energy=energy, guard=guard, csv=dest)
-    assert len(pids) == TWO_CPUS
+    assert len(pids) == FORKS
     assert_no_child_left()
     assert dest.read_text() == "before\n"
     assert_only(tmp_path, "t.csv")
+
+
+def test_march_failing_in_its_first_block_forks_no_child(tmp_path, monkeypatch):
+    # the child is forked at the first block's write, once that block is
+    # marched and observed: a march that raises before forks nothing
+    pids = patch_fork(monkeypatch)
+    calls = [0]
+
+    def guard(q, qd):
+        calls[0] += 1
+        if calls[0] == 10:
+            raise KeyError("march")
+        return False
+
+    with pytest.raises(KeyError, match="march"):
+        integrate_to_csv(tmp_path / "t.csv", 4 * OBSERVE_BLOCK, guard)
+    assert pids == []
+    assert_only(tmp_path)
+
+
+def test_csv_where_the_pipe_cannot_grow_is_written_on_one_process(tmp_path, monkeypatch):
+    # a pipe left at its default size (64 KB on Linux) holds no observer
+    # block, so the march would wait on the child: the rows are formatted here
+    fcntl = pytest.importorskip("fcntl")
+    set_pipe_size, fcntl_ = getattr(fcntl, "F_SETPIPE_SZ", None), fcntl.fcntl
+
+    def refused(fd, cmd, *args):
+        if cmd == set_pipe_size:
+            raise PermissionError(1, "Operation not permitted")
+        return fcntl_(fd, cmd, *args)
+
+    monkeypatch.setattr(fcntl, "fcntl", refused)
+    pids = patch_fork(monkeypatch)
+    traj = integrate_to_csv(tmp_path / "t.csv", 9000)
+    assert pids == [] and len(traj.times) == 9001
+    write_csv(traj, tmp_path / "one.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert_only(tmp_path, "t.csv", "one.csv")
 
 
 def test_csv_with_a_second_thread_is_written_on_one_process(tmp_path, monkeypatch):
@@ -641,6 +677,47 @@ def test_stage_raising_on_a_finite_state_raises(given_floats):
     field_ = two_coordinate_field(lambda x, xd: math.sqrt(x), given_floats)
     with pytest.raises(ValueError, match="math domain error"):
         integrate(field_, State(q=[1.0, 0.0], qdot=[-100.0, 0.0]), 0.1, 1.0)
+
+
+def failing_at(field_: ExplicitSode, step: int, stage: int, finite: bool) -> ExplicitSode:
+    """``field_`` whose accelerations raise ValueError at stage ``stage`` of
+    step ``step`` (from 0): on its finite state if ``finite``, else on the
+    infinite one that follows infinite accelerations at the stage before, as
+    ``math.sin(inf)`` raises.  The stage is known by its state, so a march
+    that runs the step again meets it again."""
+    calls, marked, floats = [0], [], field_.floats
+
+    def accel(*state):
+        calls[0] += 1
+        if calls[0] == 4 * step + stage - (not finite):
+            marked.append(state)
+        if (finite and state in marked) or not all(map(math.isfinite, state)):
+            raise ValueError(f"stage {stage} raised")
+        return [math.inf] * field_.n if state in marked else floats(*state)
+
+    return ExplicitSode(field_.n, field_.gamma, accel, field_.dims)
+
+
+@pytest.mark.parametrize("stage", [2, 3, 4])
+@pytest.mark.parametrize("system", MARCH_LOOPS)
+def test_stage_raising_on_a_nonfinite_state_halts_at_its_step(march_loops, system, stage):
+    # the stage's state is infinite: one nonfinite event at the step's time,
+    # and the rows are those marched before the step
+    field_, dt, step = march_loops[system], 1e-2, 7
+    state0 = rising(field_.n)
+    plain = integrate(field_, state0, dt, 0.3)
+    traj = integrate(failing_at(field_, step, stage, finite=False), state0, dt, 0.3)
+    assert plain.events == [] and traj.events == [((step + 1) * dt, "nonfinite")]
+    assert traj.states.tobytes() == plain.states[:step + 1].tobytes()
+    assert traj.times.tobytes() == plain.times[:step + 1].tobytes()
+
+
+@pytest.mark.parametrize("stage", [2, 3, 4])
+@pytest.mark.parametrize("system", MARCH_LOOPS)
+def test_stage_raising_on_a_finite_state_propagates(march_loops, system, stage):
+    field_ = march_loops[system]
+    with pytest.raises(ValueError, match=f"stage {stage} raised"):
+        integrate(failing_at(field_, 7, stage, finite=True), rising(field_.n), 1e-2, 0.3)
 
 
 def test_integrate_validates_args():
