@@ -3,9 +3,8 @@ matching-condition checks, feedback-shaping synthesis, and closed-loop
 verification for underactuated mechanical systems."""
 
 from . import control, fields, helmholtz, jets, matching, model, report, sim
-from .control import (GainSelection, ShapedEnergy, cartpole_closed_loop, gain_bound,
-                      incline_closed_loop, position_feedback_control, shaped_energy,
-                      shaped_multipliers)
+from .control import (GainSelection, cartpole_closed_loop, gain_bound, incline_closed_loop,
+                      position_feedback_control, shaped_energy, shaped_multipliers)
 from .helmholtz import (exactness_residuals, explicit_helmholtz_residuals,
                         implicit_helmholtz_residuals, sode_tensors)
 from .lagrangian import (BlockInverse, ExplicitSode, ImplicitSode, ShapingParams,

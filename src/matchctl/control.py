@@ -38,7 +38,6 @@ from .model import (CartpoleParams, Dims, InclineParams, MechanicalSystem, State
 __all__ = [
     "GainSelection",
     "ShapedMultipliers",
-    "ShapedEnergy",
     "MatchingFailure",
     "position_feedback_control",
     "gain_bound",
@@ -46,7 +45,6 @@ __all__ = [
     "shaped_multipliers",
     "reconstruct_shaped_potential_gradient",
     "shaped_energy",
-    "make_shaped_energy",
     "cartpole_closed_loop",
     "cartpole_observed_loop",
     "cartpole_control",
@@ -104,15 +102,6 @@ class ShapedMultipliers:
     D: float
     Dtilde: float
     positive_definite: bool
-
-
-@dataclass
-class ShapedEnergy:
-    kinetic: Callable[[State], float]
-    potential: Callable[[np.ndarray], float]
-
-    def value(self, state: State) -> float:
-        return self.kinetic(state) + self.potential(state.q)
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +211,8 @@ def reconstruct_shaped_potential_gradient(sys: MechanicalSystem, shaping: Shapin
 def shaped_energy(sys: MechanicalSystem, shaping: ShapingParams,
                   potential: Callable, state: State) -> float:
     """E = (1/2) qdot' gtilde qdot + potential(q)."""
-    return make_shaped_energy(sys, shaping, potential).value(state)
-
-
-def make_shaped_energy(sys: MechanicalSystem, shaping: ShapingParams,
-                       potential: Callable) -> ShapedEnergy:
-    def kinetic(state: State) -> float:
-        M = kinetic_matrix(sys, shaping, list(state.q[:sys.dims.n_shape]))
-        return float(kinetic_energy(M, state.qdot))
-
-    return ShapedEnergy(kinetic=kinetic, potential=potential)
+    M = kinetic_matrix(sys, shaping, list(state.q[:sys.dims.n_shape]))
+    return float(kinetic_energy(M, state.qdot)) + potential(state.q)
 
 
 def new_tau_shaping(sys: MechanicalSystem, gains: GainSelection,
@@ -723,7 +704,12 @@ def incline_shaped_potential(p: InclineParams, gains: GainSelection, h: _HCurve,
     sys, shaping = kinetic or (incline_system(p), incline_base_shaping(p, gains))
     slope = _incline_slope(p, gains, h, sys, shaping)
     xs = np.linspace(lo, hi, _CURVE_POINTS)
-    return _InclinePotential(Curve(xs, _cumulative_integral(slope, xs)), h, slope, gains.s0)
+    try:
+        W = _cumulative_integral(slope, xs)
+    except ValueError as exc:   # as at a huge sigma or a huge or tiny rho
+        raise ValueError(f"the incline's shaped potential at k = {gains.k!r}, sigma = "
+                         f"{gains.sigma!r}, rho = {gains.rho!r}: {exc}") from None
+    return _InclinePotential(Curve(xs, W), h, slope, gains.s0)
 
 
 class _InclinePotential:

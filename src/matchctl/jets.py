@@ -72,7 +72,7 @@ __all__ = [
 
 class Untapeable(TypeError):
     """A tape `Var` met a step whose outcome depends on its value (a float or
-    numpy conversion, a truth test or a comparison)."""
+    numpy conversion, a truth test, an absolute value or a comparison)."""
 
 
 def _refuse(self, *args, **kwargs):
@@ -106,7 +106,7 @@ class Var:
     __mul__, __rmul__ = _op("{} * {}"), _op("{1} * {0}")
     __truediv__, __rtruediv__ = _op("{} / {}", True), _op("{1} / {0}", True)
     __pow__, __rpow__ = _op("{} ** {}", True), _op("{1} ** {0}", True)
-    __float__ = __int__ = __index__ = __bool__ = __array__ = _refuse
+    __float__ = __int__ = __index__ = __bool__ = __array__ = __abs__ = _refuse
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
     __hash__ = object.__hash__
 

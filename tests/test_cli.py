@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -254,6 +255,17 @@ def test_sweep(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_sweep_starts_no_thread(tmp_path, capsys, monkeypatch):
+    # rows run on the calling thread, in order
+    def refuse(self):
+        raise RuntimeError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "sweep.k = 5, 35\nsweep.sigma = 0.5, 1\n"
+    assert main(["sweep", "--config", write_cfg(tmp_path, "cp.cfg", text)]) == 0
+    assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 5
+
+
 def test_sweep_incline_gain_near_pole_of_A(tmp_path, capsys):
     # At this gain an unclipped h-curve span puts a quadrature node exactly on
     # the pole of A(x); the observers must build the curve on the pole-free
@@ -414,6 +426,37 @@ def test_incline_gain_whose_square_overflows_is_named(tmp_path, capsys, command)
     assert main([command, "--config", write_cfg(tmp_path, "in.cfg", text)]) == 1
     assert capsys.readouterr().err == ("error: ValueError: the incline's h-curve: "
                                        "k ** 2 overflows at k = 1e+300\n")
+
+
+@pytest.mark.parametrize("name, value, failure", [
+    ("sigma", 1e300, "the integrand is -inf at x = -1.0999453985526844, in the cell "
+                     "[-1.1, -1.09725]"),
+    ("rho", 1e300, "no convergence in the cell [-1.1, -1.09725] after 8 bisection levels"),
+    ("rho", 1e-300, "the integrand is -inf at x = -1.0999453985526844, in the cell "
+                    "[-1.1, -1.09725]"),
+], ids=["sigma-huge", "rho-huge", "rho-tiny"])
+def test_incline_gain_whose_potential_fails_is_named(tmp_path, capsys, name, value, failure):
+    # the shaped potential's integral named only the cell where it failed
+    text = INCLINE_FAST.format(out=tmp_path / "out") + f"gains.{name} = {value!r}\n"
+    assert main(["simulate", "--config", write_cfg(tmp_path, "in.cfg", text)]) == 1
+    gains = {"k": 35.0, "sigma": 1.0, "rho": 2.0, name: value}
+    assert capsys.readouterr().err == (
+        "error: ValueError: the incline's shaped potential at "
+        + ", ".join(f"{key} = {val!r}" for key, val in gains.items())
+        + f": cumulative integral: {failure}\n")
+
+
+@pytest.mark.parametrize("fast, k, value", [(CARTPOLE_FAST, "1e160", None),
+                                            (INCLINE_FAST, "1e156", 2.4948003869184e+291)],
+                         ids=["cartpole", "incline"])
+def test_tau_ode_at_a_huge_gain_fails_without_warning(tmp_path, capsys, fast, k, value):
+    # the cart-pole's tau-ODE residual overflows to a NaN, which fails its
+    # entry without a numpy RuntimeWarning (an error under this suite's filter)
+    text = fast.format(out=tmp_path / "out") + f"gains.k = {k}\n"
+    assert main(["check-matching", "--config", write_cfg(tmp_path, "k.cfg", text), "--json"]) == 1
+    out, err = capsys.readouterr()
+    (entry,) = json.loads(out)["reports"][-1]["entries"]
+    assert (entry["name"], entry["value"], entry["pass"], err) == ("tau_ode", value, False, "")
 
 
 def test_incline_gain_whose_square_overflows_where_a_is_finite_runs(tmp_path, capsys):

@@ -19,8 +19,7 @@ from matchctl.control import (INCLINE_LOOP_SPAN, GainSelection, MatchingFailure,
                               incline_closed_loop, incline_h, incline_h_curve,
                               incline_hessian_check, incline_safe_span,
                               incline_shaped_potential, incline_shaping,
-                              incline_veps_field, make_shaped_energy,
-                              position_feedback_control,
+                              incline_veps_field, position_feedback_control,
                               reconstruct_shaped_potential_gradient, shaped_energy,
                               shaped_multipliers)
 from matchctl.lagrangian import (ShapingParams, controlled_implicit_sode,
@@ -513,15 +512,6 @@ def test_shaped_energy_minimum_at_equilibrium(reference_params, cartpole, gains)
     for x in (-0.5, 0.3, 0.9):
         assert shaped_energy(cartpole, shp, pot,
                              State(q=[x, 0.0], qdot=[0.0, 0.0])) > e0
-
-
-def test_make_shaped_energy_splits(reference_params, cartpole, gains):
-    shp = cartpole_shaping(reference_params, gains)
-    pot = cartpole_shaped_potential(reference_params, gains, (-1.2, 1.2))
-    se = make_shaped_energy(cartpole, shp, pot)
-    st = State(q=[0.4, 0.1], qdot=[0.7, -0.9])
-    assert se.value(st) == pytest.approx(se.kinetic(st) + se.potential(st.q))
-    assert se.value(st) == pytest.approx(shaped_energy(cartpole, shp, pot, st))
 
 
 @pytest.mark.parametrize("system", ["cartpole", "incline"])

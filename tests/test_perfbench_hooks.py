@@ -1,13 +1,15 @@
 """The per-layer benchmark (``perfbench/run.py --trace 1``) patches matchctl at
 names it looks up by string: the layer functions it wraps in spans, the
-sweep's one-worker executor, and the curve builders and quadrature it
+executor class it subclasses, and the curve builders and quadrature it
 counts.  These tests fail when a refactor renames one of them, before the
-benchmark does.  The last one loads every config the benchmark writes, so a
-stricter config loader fails here first too.
+benchmark does.  The last ones load every config the benchmark writes, so a
+stricter config loader fails here first too, and run one pass of the verify
+and design operations through the benchmark's output checks.
 """
 
 import argparse
 import importlib
+import json
 import math
 from pathlib import Path
 
@@ -47,8 +49,8 @@ def test_spans_install_and_restore(perfbench, tmp_path, capsys):
     finally:
         assert tracer.restore() == []
     names = {sp.name for sp in tracer.spans}
-    assert {"cli.config_load", "cli.sweep_combo", "cli.pool_wait",
-            "control.closed_loop", "sim.integrate"} <= names
+    assert {"cli.config_load", "cli.sweep_combo", "control.closed_loop",
+            "sim.integrate"} <= names
 
 
 def test_call_counter_and_count_metrics(perfbench, tmp_path, capsys):
@@ -88,3 +90,17 @@ def test_workload_configs_load(perfbench, tmp_path, workload):
         workloads.write_configs(texts, tmp_path / str(seed))
         for name in texts:
             RunConfig.load(tmp_path / str(seed) / name, ns)
+
+
+@pytest.mark.parametrize("workload", ["verify", "design"])
+def test_workload_operations_pass_their_checks(perfbench, tmp_path, capsys, workload):
+    # one pass at one seed, each operation checked as a benchmark run checks
+    # it; trajectory is left out, as its one CSV check alone takes about 2 s
+    workloads = importlib.import_module("workloads")
+    texts, ops = workloads.generate(workload, 1)
+    workloads.write_configs(texts, tmp_path)
+    seen: dict = {}
+    for op in ops:
+        code = main(op.argv(tmp_path))
+        doc = json.loads(capsys.readouterr().out)
+        assert workloads.check(op, code, doc, seen).problems == [], op.label

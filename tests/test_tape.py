@@ -16,21 +16,22 @@ from hypothesis import strategies as st
 
 import matchctl.fields as fl
 import matchctl.lagrangian as lg
-from conftest import sm_shaping
+from conftest import random_system, sm_shaping
 from matchctl import jets
 from matchctl.cli import main
 from matchctl.fields import SmoothField
 from matchctl.jets import Untapeable, record
-from matchctl.lagrangian import ShapingParams, controlled_implicit_sode
+from matchctl.lagrangian import ShapingParams, controlled_implicit_sode, scalar_sigma_matrix
+from matchctl.matching import sm3_tau
 from matchctl.model import Dims, build_mechanical_system
 
 
 @pytest.mark.parametrize("step", [
     float, int, bool, operator.index, np.asarray, math.isfinite,
     lambda v: v == 0.0, lambda v: v != 0.0, lambda v: v < 1.0, lambda v: 1.0 <= v,
-    lambda v: v > 0.0, lambda v: v >= 0.0,
+    lambda v: v > 0.0, lambda v: v >= 0.0, abs,
 ], ids=["float", "int", "bool", "index", "asarray", "isfinite",
-        "eq", "ne", "lt", "le", "gt", "ge"])
+        "eq", "ne", "lt", "le", "gt", "ge", "abs"])
 def test_var_refuses_value_dependent_steps(step):
     with pytest.raises(Untapeable):
         record(lambda u: [step(u[0])], 1)
@@ -197,11 +198,18 @@ def _reciprocal_coupling_loop():
     return controlled_implicit_sode(sys_, shp).to_explicit()
 
 
+def _pivoted_inverse_loop():
+    # a g_gg that is not constant: the SM3 tau's inverse of it pivots on values
+    sys_ = random_system(3, Dims(1, 2), const_group=False)
+    shp = ShapingParams(tau=sm3_tau(sys_, 0.7), sigma=scalar_sigma_matrix(sys_, 1.3))
+    return controlled_implicit_sode(sys_, shp).to_explicit()
+
+
 @pytest.mark.parametrize("build", [
     lambda: controlled_implicit_sode(*sm_shaping(1, Dims(2, 1))).to_explicit(),
     lambda: controlled_implicit_sode(*sm_shaping(1, Dims(2, 2))).to_explicit(),
-    _reciprocal_coupling_loop,
-], ids=["builtin_2x1", "builtin_2x2", "reciprocal"])
+    _reciprocal_coupling_loop, _pivoted_inverse_loop,
+], ids=["builtin_2x1", "builtin_2x2", "reciprocal", "pivoted_inverse"])
 def test_untapeable_loops_stay_generic_and_record_once(monkeypatch, build):
     records = counted_records(monkeypatch)
     loop = build()
