@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Commands: check-matching, check-helmholtz, synthesize-tau, simulate, sweep,
-which share one set of flags.
+which share one set of flags.  Each takes the loaded config and returns its exit
+code, its --json document and its text; `main` alone prints one of the two.
 Configuration is a flat key = value file with # comments and dotted section
 prefixes (grammar documented in the README).  Exit codes: 0 pass/success,
 1 residual or simulation failure, 2 usage/configuration error, 141 (128 +
@@ -278,21 +279,29 @@ def _json_values(obj):
     return value if math.isfinite(value) else None
 
 
-def _emit(args, doc: dict, text: str) -> None:
-    """Print ``doc`` under --json as strict JSON (RFC 8259), where a number
-    that is not finite is null, and ``text`` otherwise."""
-    if args.json:
-        try:
-            out = json.dumps(doc, indent=2, default=float, allow_nan=False)
-        except ValueError:      # walked only then: the walk costs a third of the dumps
-            out = json.dumps(_json_values(doc), indent=2, allow_nan=False)
-        print(out)
-    else:
-        print(text)
+def _json(doc: dict) -> str:
+    """``doc`` as strict JSON (RFC 8259), where a number that is not finite is null."""
+    try:
+        return json.dumps(doc, indent=2, default=float, allow_nan=False)
+    except ValueError:      # walked only then: the walk costs a third of the dumps
+        return json.dumps(_json_values(doc), indent=2, allow_nan=False)
 
 
-def cmd_check_matching(args) -> int:
-    rc = RunConfig.load(args.config, args)
+def _out_path(rc: RunConfig, name: str) -> Path:
+    """``name`` in the output directory, which is made if it is missing."""
+    out_dir = Path(rc.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
+
+
+def _reports_result(command: str, ok: bool, reports) -> tuple[int, dict, str]:
+    """Exit code, document and text of a command that prints its reports."""
+    doc = {"command": command, "pass": ok, "reports": [r.to_dict() for r in reports]}
+    return 0 if ok else 1, doc, ("\n\n".join(map(str, reports))
+                                 + f"\n\noverall: {'PASS' if ok else 'FAIL'}")
+
+
+def cmd_check_matching(rc: RunConfig) -> tuple[int, dict, str]:
     sys_, shp = _build_system_and_shaping(rc)
     grid = _shape_grid(rc, sys_.dims.n_shape)
     reports = [
@@ -323,12 +332,7 @@ def cmd_check_matching(args) -> int:
         ok = all(simp.entry(nm).passed or simp.entry(nm).skipped
                  for nm in ("SM1", "SM2", "SM4"))
         ok = ok and reports[-1].overall_pass
-    ok = ok and reports[3].overall_pass
-    doc = {"command": "check-matching", "pass": ok,
-           "reports": [r.to_dict() for r in reports]}
-    _emit(args, doc, "\n\n".join(str(r) for r in reports)
-          + f"\n\noverall: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return _reports_result("check-matching", ok and reports[3].overall_pass, reports)
 
 
 def _random_states(rc: RunConfig, n_coords: int, n_shape: int) -> State:
@@ -344,8 +348,7 @@ def _random_states(rc: RunConfig, n_coords: int, n_shape: int) -> State:
     return State(q=np.array(q), qdot=np.array(qd))
 
 
-def cmd_check_helmholtz(args) -> int:
-    rc = RunConfig.load(args.config, args)
+def cmd_check_helmholtz(rc: RunConfig) -> tuple[int, dict, str]:
     sys_, shp = _build_system_and_shaping(rc)
     field = controlled_implicit_sode(sys_, shp)
     states = _random_states(rc, sys_.dims.total, sys_.dims.n_shape)
@@ -355,24 +358,16 @@ def cmd_check_helmholtz(args) -> int:
                                                 sys_.dims, tol=rc.tol_residual),
                 hh.explicit_helmholtz_residuals(explicit, multiplier, states, tol=rc.tol_residual)]
     reps = [ResidualReport(f"{r.title} ({rc.n_states} states)", r.entries) for r in reps]
-    ok = all(r.overall_pass for r in reps)
-    doc = {"command": "check-helmholtz", "pass": ok,
-           "reports": [r.to_dict() for r in reps]}
-    _emit(args, doc, "\n\n".join(str(r) for r in reps)
-          + f"\n\noverall: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return _reports_result("check-helmholtz", all(r.overall_pass for r in reps), reps)
 
 
-def cmd_synthesize_tau(args) -> int:
-    rc = RunConfig.load(args.config, args)
+def cmd_synthesize_tau(rc: RunConfig) -> tuple[int, dict, str]:
     sys_, shp = _build_system_and_shaping(rc)
     grid = _shape_grid(rc, sys_.dims.n_shape)
     ((tau, dtau),) = fl.eval_blocks([shp.tau], grid)
     rows = np.concatenate([grid[:, :1], tau.reshape(len(grid), -1),
                            dtau.reshape(len(grid), -1)], axis=1)
-    out_dir = Path(rc.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dest = out_dir / "tau_samples.csv"
+    dest = _out_path(rc, "tau_samples.csv")
     ng, ns = shp.n_group, shp.n_shape
     header = ["x"] + [f"tau{a + 1}_{al + 1}" for a in range(ng) for al in range(ns)] \
         + [f"dtau{a + 1}_{al + 1}_{k + 1}" for a in range(ng) for al in range(ns)
@@ -391,9 +386,8 @@ def cmd_synthesize_tau(args) -> int:
             ok = bool(rc.gains.k > kmin)
     doc = {"command": "synthesize-tau", "pass": ok, "gains": gains_doc,
            "samples": str(dest)}
-    _emit(args, doc, f"wrote {dest}\n" + "\n".join(f"{k} = {v}" for k, v in gains_doc.items())
-          + f"\noverall: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    text = f"wrote {dest}\n" + "".join(f"{k} = {v}\n" for k, v in gains_doc.items())
+    return 0 if ok else 1, doc, text + f"overall: {'PASS' if ok else 'FAIL'}"
 
 
 def _incline_potential_span(rc: RunConfig) -> tuple[float, float]:
@@ -445,8 +439,7 @@ def _simulate(rc: RunConfig, marches: dict, kinetic: tuple | None = None,
     return traj
 
 
-def cmd_simulate(args) -> int:
-    rc = RunConfig.load(args.config, args)
+def cmd_simulate(rc: RunConfig) -> tuple[int, dict, str]:
     if not math.isfinite(rc.t_end / rc.dt):
         raise ConfigError(f"sim.t_end / sim.dt must be a finite step count, got "
                           f"{rc.t_end!r} / {rc.dt!r} = {rc.t_end / rc.dt!r}")
@@ -455,21 +448,17 @@ def cmd_simulate(args) -> int:
     elif rc.system == "incline":
         # the h-curve's span covers the potential's, so the latter decides
         _require_gain_window(rc, _incline_potential_span(rc))
-    out_dir = Path(rc.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dest = out_dir / "trajectory.csv"
+    dest = _out_path(rc, "trajectory.csv")
     traj = _simulate(rc, {}, csv=dest)      # writes the CSV while the loop is marched
     rows = len(traj.times)
     drift = simmod.energy_drift(traj) if traj.energies is not None else None
     ok = not traj.events and (drift is None or drift <= rc.tol_drift)
     doc = {"command": "simulate", "pass": ok, "rows": rows, "drift": drift,
            "events": [[t, kind] for t, kind in traj.events], "csv": str(dest)}
-    _emit(args, doc,
-          f"wrote {rows} rows to {dest}\n"
-          f"energy drift: {drift if drift is not None else 'n/a'}\n"
-          f"events: {traj.events or 'none'}\n"
-          f"overall: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return 0 if ok else 1, doc, (f"wrote {rows} rows to {dest}\n"
+                                 f"energy drift: {drift if drift is not None else 'n/a'}\n"
+                                 f"events: {traj.events or 'none'}\n"
+                                 f"overall: {'PASS' if ok else 'FAIL'}")
 
 
 def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float, marches: dict) -> dict:
@@ -504,8 +493,7 @@ def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float, marches: dict)
     return row
 
 
-def cmd_sweep(args) -> int:
-    rc = RunConfig.load(args.config, args)
+def cmd_sweep(rc: RunConfig) -> tuple[int, dict, str]:
     if rc.system not in ("cartpole", "incline"):
         raise ConfigError("sweep supports the cartpole and incline systems")
     # bad values fail the whole sweep before any row runs; a k below the gain
@@ -523,22 +511,19 @@ def cmd_sweep(args) -> int:
     # alone keeps.
     marches: dict = {}
     rows = [_sweep_one(rc, *c, marches) for c in combos]
-    out_dir = Path(rc.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dest = out_dir / "sweep.csv"
+    dest = _out_path(rc, "sweep.csv")
     cols = ["k", "sigma", "rho", "k_min", "gain_ok", "min_eig_gtilde", "drift",
             "events", "pass", "error"]
     with open(dest, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(cols)
         out.writerows([row.get(c, "") for c in cols] for row in rows)
-    doc = {"command": "sweep", "rows": rows, "csv": str(dest)}
-    _emit(args, doc, f"wrote {len(rows)} rows to {dest}")
     errored = [row for row in rows if "error" in row]
     for row in errored:
         print(f"sweep row k={row['k']} sigma={row['sigma']} rho={row['rho']}: "
               f"{row['error']}", file=_sys.stderr)
-    return 1 if errored else 0
+    return (1 if errored else 0, {"command": "sweep", "rows": rows, "csv": str(dest)},
+            f"wrote {len(rows)} rows to {dest}")
 
 
 _COMMANDS = {"check-matching": cmd_check_matching, "check-helmholtz": cmd_check_helmholtz,
@@ -567,7 +552,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        code = _COMMANDS[args.command](args)
+        code, doc, text = _COMMANDS[args.command](RunConfig.load(args.config, args))
+        print(_json(doc) if args.json else text)
         _sys.stdout.flush()     # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:     # the reader left (`| head`); devnull quiets the exit flush

@@ -12,10 +12,12 @@ Gauss-Legendre rule per grid cell, bisected where the cell and its halves
 disagree, with the integrand evaluated on arrays of nodes.  scipy's adaptive
 ``quad`` is left to the pointwise oracle `incline_h`, which imports it when it
 runs: no command path calls it, so no command imports scipy.
-Each closed-loop formula is written once: each acceleration over the sin, cos
-and sqrt of ``math`` (``floats``) or `jets` (``gamma``), the rest over `jets`,
-which sends arrays to numpy.  The shaped kinetic matrix is `kinetic_matrix`
-alone, so every observed energy row is `shaped_energy`'s float at its state.
+Each acceleration is one body over the sin, cos and sqrt of ``math`` (``floats``)
+or `jets` (``gamma``), the rest is over `jets`, which sends arrays to numpy.  Only
+the cart-pole's D, sqrt(D) and denominator are written twice, in `_cartpole_accel`
+and `_cartpole_terms`, in orders that round differently (so merging them would move
+``u1`` and ``E``).  The shaped kinetic matrix is `kinetic_matrix` alone, so every
+observed energy row is `shaped_energy`'s float at its state.
 """
 
 from __future__ import annotations
@@ -238,18 +240,22 @@ _MAX_PIECES = 64        # pieces of one cell still unconverged at one level
 def _gauss(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
            where: Callable[[int], str]) -> np.ndarray:
     """The 8-point rule on every piece [a_j, b_j], calling f once on the nodes
-    of all the pieces.  A non-finite integrand value is a ValueError naming
-    the cell of its piece, ``where(j)``."""
+    of all the pieces.  A non-finite integrand value, or a rule whose sum
+    overflows, is a ValueError naming the cell of its piece, ``where(j)``."""
     c, r = 0.5 * (a + b), 0.5 * (b - a)
     x = c[:, None] + r[:, None] * _GL_T
     with np.errstate(all="ignore"):
         fx = np.broadcast_to(np.asarray(f(x.ravel()), dtype=float), x.size).reshape(x.shape)
+        sums = r * (fx * _GL_W).sum(axis=1)
     finite = np.isfinite(fx)
     if not finite.all():
         j, i = np.argwhere(~finite)[0]
         raise ValueError(f"cumulative integral: the integrand is {float(fx[j, i])!r} at "
                          f"x = {float(x[j, i])!r}, in {where(j)}")
-    return r * (fx * _GL_W).sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise ValueError(f"cumulative integral: the rule's sum overflows in "
+                         f"{where(int(np.argmin(np.isfinite(sums))))}")
+    return sums
 
 
 def _cell_integrals(f: Callable[[np.ndarray], np.ndarray], a0: np.ndarray,
@@ -418,7 +424,11 @@ def cartpole_shaped_potential(p: CartpoleParams, gains: GainSelection,
     """Shaped potential by cumulative integration of its slope, normalized to 0 at x=0."""
     xs = np.linspace(x_span[0], x_span[1], _CURVE_POINTS)
     slope = _cartpole_slope(p, gains)
-    return PotentialCurve(xs, _cumulative_integral(slope, xs), slope)
+    try:
+        return PotentialCurve(xs, _cumulative_integral(slope, xs), slope)
+    except ValueError as exc:   # as at a huge sigma, whose spline overflows
+        raise ValueError(f"the cart-pole's shaped potential at k = {gains.k!r}, "
+                         f"sigma = {gains.sigma!r}: {exc}") from None
 
 
 def cartpole_observed_loop(p: CartpoleParams, gains: GainSelection, x_max: float,
@@ -585,20 +595,19 @@ def incline_Veps(p: InclineParams, shaping: ShapingParams, gains: GainSelection,
     return veps(x, s, hx), grad, hx
 
 
-def incline_veps_field(p: InclineParams, shaping: ShapingParams, gains: GainSelection,
-                       x_span: tuple[float, float] = INCLINE_LOOP_SPAN) -> SmoothField:
+def incline_veps_field(p: InclineParams, shaping: ShapingParams,
+                       gains: GainSelection) -> SmoothField:
     """The extra potential as a SmoothField over (x, s); h cached on a grid,
     its jet derivatives exact through A and its derivative."""
-    h = incline_h_curve(p, shaping, gains.k, x_span)
+    h = incline_h_curve(p, shaping, gains.k, INCLINE_LOOP_SPAN)
     veps = _incline_veps(p, gains)[0]
     return SmoothField(2, lambda u: veps(u[0], u[1], h(u[0])))
 
 
-def incline_shaping(p: InclineParams, gains: GainSelection,
-                    x_span: tuple[float, float] = INCLINE_LOOP_SPAN) -> ShapingParams:
+def incline_shaping(p: InclineParams, gains: GainSelection) -> ShapingParams:
     """New-tau shaping with scalar rho and the constructed extra potential."""
     base = incline_base_shaping(p, gains)
-    veps = incline_veps_field(p, base, gains, x_span)
+    veps = incline_veps_field(p, base, gains)
     return ShapingParams(tau=base.tau, sigma=base.sigma, rho=gains.rho,
                          epsilon_potential=veps)
 

@@ -336,6 +336,7 @@ def _gtsv(dl: list, d: list, du: list, b: list) -> list:
     return b
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients (4, N-1), highest power first, of the not-a-knot cubic
     spline through (x, y): bit for bit ``CubicSpline(x, y).c``.
@@ -344,7 +345,7 @@ def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     float64 scalars, ``** 2`` included): its tridiagonal not-a-knot system
     through `_gtsv`, the clamped-slope system for two knots, and its 3x3
     parabola system for three.  The coefficients are scipy's Hermite
-    formula."""
+    formula; one that overflows, there or in the slopes, is a ValueError."""
     n = len(x)
     dx = np.diff(x)
     if not (n >= 2 and np.isfinite(x).all() and np.isfinite(y).all() and (dx > 0).all()):
@@ -370,7 +371,10 @@ def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                   b.tolist())
     s = np.asarray(s)
     t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    if not np.isfinite(c).all():
+        raise ValueError("the spline's coefficients overflow")
+    return c
 
 
 def spline_reader(spline) -> Callable[[float, int], float]:

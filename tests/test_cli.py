@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -105,6 +106,51 @@ def test_no_module_reads_the_environment():
                for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                if re.search(r"\benviron\b|\bgetenv\b", line)]
     assert readers == []
+
+
+def _writes_stdout(call: ast.Call) -> bool:
+    """Whether ``call`` is a print without a file, or a print or a write to a stdout."""
+    if isinstance(call.func, ast.Name) and call.func.id == "print":
+        file = next((kw.value for kw in call.keywords if kw.arg == "file"), None)
+        return file is None or "stdout" in ast.unparse(file)
+    return (isinstance(call.func, ast.Attribute) and call.func.attr == "write"
+            and "stdout" in ast.unparse(call.func.value))
+
+
+def test_only_main_prints_to_stdout():
+    # each command returns its document and its text; cli.main alone prints one
+    src = Path(cli.__file__).resolve().parent
+    writers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and _writes_stdout(child):
+                writers.append(scope)
+            visit(child, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert writers == ["cli.main"]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("fast", [CARTPOLE_FAST, INCLINE_FAST], ids=["cartpole", "incline"])
+def test_command_returns_what_main_prints(tmp_path, capsys, fast, command):
+    # a command given the loaded config prints nothing; main prints its
+    # document under --json, its text otherwise, and returns its code
+    cfg = write_cfg(tmp_path, "c.cfg", fast.format(out=tmp_path / "out"))
+    for flags in ([], ["--json"]):
+        argv = [command, "--config", cfg, *flags]
+        code = main(argv)
+        printed = capsys.readouterr().out
+        rc = RunConfig.load(cfg, cli._parser().parse_args(argv))
+        got_code, doc, text = cli._COMMANDS[command](rc)
+        assert capsys.readouterr().out == ""
+        assert got_code == code
+        assert printed == (cli._json(doc) if flags else text) + "\n"
 
 
 def test_last_duplicate_key_wins_and_unread_keys_are_accepted(tmp_path):
@@ -464,6 +510,33 @@ def test_incline_gain_whose_square_overflows_where_a_is_finite_runs(tmp_path, ca
     text = INCLINE_FAST.format(out=tmp_path / "out") + "gains.k = 1e155\n"
     assert main(["simulate", "--config", write_cfg(tmp_path, "in.cfg", text)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_incline_gain_whose_potential_sum_overflows_is_named(tmp_path, capsys):
+    # at k = 1e155 and rho = 1 the shaped potential's slope is finite but its
+    # 8-point sums overflow; numpy warned many times before the named failure
+    text = INCLINE_FAST.format(out=tmp_path / "out") + "gains.k = 1e155\ngains.rho = 1.0\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", write_cfg(tmp_path, "in.cfg", text)]) == 1
+    assert [w.category for w in caught] == []
+    assert capsys.readouterr().err == (
+        "error: ValueError: the incline's shaped potential at k = 1e+155, sigma = 1.0, "
+        "rho = 1.0: cumulative integral: the rule's sum overflows in the cell "
+        "[-1.1, -1.09725]\n")
+
+
+def test_cartpole_potential_whose_spline_overflows_is_named(tmp_path, capsys):
+    # at sigma = 1e300 the shaped potential's values are finite, but its
+    # spline's coefficients overflow, where the march never reads them
+    text = CARTPOLE_FAST.format(out=tmp_path / "out") + "gains.sigma = 1e300\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", write_cfg(tmp_path, "cp.cfg", text)]) == 1
+    assert [w.category for w in caught] == []
+    assert capsys.readouterr().err == (
+        "error: ValueError: the cart-pole's shaped potential at k = 35.0, sigma = 1e+300: "
+        "the spline's coefficients overflow\n")
 
 
 @pytest.mark.parametrize("fast, codes", [(CARTPOLE_FAST, (0, 1)), (INCLINE_FAST, (1, 1))],

@@ -493,6 +493,13 @@ def test_non_finite_integrand_is_named_without_warning():
         _cumulative_integral(np.log, np.linspace(-0.5, 1.0, 7))
 
 
+def test_rule_whose_sum_overflows_is_named_without_warning():
+    # every integrand value is finite, but the 8-point sum of each cell is not
+    with pytest.raises(ValueError, match=r"^cumulative integral: the rule's sum overflows in "
+                                         r"the cell \[-1\.0, -0\.5\]$"):
+        _cumulative_integral(lambda x: np.full_like(x, 1e308), np.linspace(-1.0, 1.0, 5))
+
+
 def test_cumulative_integral_sums_outward_from_zero():
     xs = np.linspace(-1.0, 2.0, 13)
     vals = _cumulative_integral(lambda x: 3.0 * x * x, xs)

@@ -195,6 +195,15 @@ def test_spline_reader_is_scipy_bit_for_bit():
                 assert ours.tobytes() == ref.tobytes(), (uniform, nu)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+def test_spline_whose_coefficients_overflow_is_named_without_warning(n):
+    # finite values whose differences or Hermite terms overflow, at every knot
+    # count's slope system
+    values = [(-1.0) ** i * 1.5e308 for i in range(n)]
+    with pytest.raises(ValueError, match="^the spline's coefficients overflow$"):
+        fl.Curve(np.arange(float(n)), values)
+
+
 def _knots(rng, n, uniform):
     if uniform:
         return np.linspace(rng.uniform(-3.0, 0.0), rng.uniform(0.1, 3.0), n)
