@@ -234,7 +234,7 @@ _GL_W = np.array([0.10122853629037626, 0.22238103445337448, 0.31370664587788727,
 _EPSABS, _EPSREL = 1e-12, 1e-8
 _CURVE_POINTS = 801     # grid points of every cached curve
 _MAX_LEVELS = 50        # bisection levels of one cell
-_MAX_PIECES = 64        # pieces of one cell still unconverged at one level
+_MAX_PIECES = 64        # pieces of the whole integral still open at one level
 
 
 def _gauss(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
@@ -266,9 +266,9 @@ def _cell_integrals(f: Callable[[np.ndarray], np.ndarray], a0: np.ndarray,
     those of its two halves agree to max(1e-12, 1e-8 |halves|); a cell that
     fails is bisected, and each refinement level is one more pass of f over
     the nodes of the pieces still open.  A cell that has not converged after
-    50 levels, has a piece too narrow to bisect, or has more than 64 open
-    pieces at one level (an integrand too rough to resolve, as at a pole) is
-    a ValueError naming it.
+    50 levels or has a piece too narrow to bisect is a ValueError naming it;
+    more than 64 open pieces over all the cells at one level (an integrand
+    too rough to resolve, as at a pole) is one naming the first open cell.
     """
     a, b, cell = a0, b0, np.arange(len(a0))
 
@@ -291,7 +291,7 @@ def _cell_integrals(f: Callable[[np.ndarray], np.ndarray], a0: np.ndarray,
         bad = ~ok
         a, m, b, cell = a[bad], m[bad], b[bad], cell[bad]
         stuck = ~(((a < m) & (m < b)) | ((b < m) & (m < a)))
-        stuck |= (np.bincount(cell) > _MAX_PIECES)[cell]
+        stuck |= len(cell) > _MAX_PIECES
         if level == _MAX_LEVELS or stuck.any():
             raise ValueError(f"cumulative integral: no convergence in "
                              f"{where(int(np.argmax(stuck)))} after {level} bisection levels")

@@ -13,14 +13,15 @@ it), merged over the states as `ResidualReport.merge_max` merges one-state
 reports, and compared with the tolerance; raw magnitudes are kept in the
 report.
 
-Every engine reads the values, gradients and Hessians of one list-valued
-function (Gamma, the multiplier g, Phi or F) at all its states in one pass
-through `jets.value_grad_hess`: second-order jets by default (array jets over
-N states), the central-difference oracle with ``backend="fd"`` as the
-independent cross-check path.  The contractions keep, at every state, the
-floats of the one-state algebra: ``np.dot`` of an array with a vector becomes
-``np.vecdot`` over the same axis, a matrix-vector product a matmul with a
-column, and the stacks are C-contiguous with the point axis first.
+Every engine reads the values, gradients and Hessians of each list-valued
+function it checks (Gamma, the multiplier g, Phi or F) at all its states in
+one pass through `jets.value_grad_hess`, and reads no function twice: the
+exactness engine reads Phi alone.  Passes run on second-order jets by default
+(array jets over N states), the central-difference oracle with
+``backend="fd"`` as the independent cross-check path.  The contractions keep,
+at every state, the floats of the one-state algebra: ``np.dot`` of an array
+with a vector becomes ``np.vecdot`` over the same axis, and the stacks are
+C-contiguous with the point axis first.
 """
 
 from __future__ import annotations
@@ -86,30 +87,18 @@ def _vdot(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     return _dot(a.swapaxes(-1, -2), v)
 
 
-def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``M[p] @ v[p]`` at each point p."""
-    return (M @ v[..., None])[..., 0]
-
-
 def _flip(a: np.ndarray) -> np.ndarray:
     """The transpose of the last two axes at each point."""
     return a.swapaxes(-1, -2)
-
-
-def _gamma_tensors(field: ExplicitSode, state: State, backend: str):
-    """(gamma, dG/dq, dG/dqd, hessians) at each state, hessians shaped
-    (N, n, 2n, 2n)."""
-    n = field.n
-    gamma, grads, hess = _read(lambda u: field.gamma(*u),
-                               np.concatenate([state.q, state.qdot], axis=-1), backend)
-    return gamma, grads[..., :n], grads[..., n:], hess
 
 
 def _sode_arrays(field: ExplicitSode, state: State, backend: str):
     """Gamma, nabla and the curvature endomorphism at each state, the point
     axis first."""
     n = field.n
-    gamma, dGq, dGqd, hess = _gamma_tensors(field, state, backend)
+    gamma, grads, hess = _read(lambda u: field.gamma(*u),
+                               np.concatenate([state.q, state.qdot], axis=-1), backend)
+    dGq, dGqd = grads[..., :n], grads[..., n:]
     # derivative of dGamma^k/dqd^j along the field
     along = _vdot(_points(state.qdot), hess[:, :, :n, n:]) + _vdot(gamma, hess[:, :, n:, n:])
     jacobi = along - 2.0 * dGq - 0.5 * (dGqd @ dGqd)
@@ -168,8 +157,11 @@ def exactness_residuals(field: ImplicitSode, state: State, accel: np.ndarray,
     """Classical exactness conditions on Phi(q, qd, qdd), with ``accel`` the
     accelerations of each state.
 
-    The total time derivative is expanded along the jet (q, qd, qdd supplied,
-    jerk obtained by differentiating the acceleration solve along the flow).
+    The total time derivative is expanded along the jet (q, qd, qdd) alone.
+    This rests on `ImplicitSode`'s contract, Phi = C(q) qdd + Phi(q, qd, 0):
+    Phi's (qd, qdd) and (qdd, qdd) Hessian blocks are zero, so the third
+    time derivative of q, which they would multiply, never enters, and Phi
+    is read in one pass.
     """
     n = field.n
     qdd = np.asarray(accel, dtype=float)
@@ -178,12 +170,10 @@ def exactness_residuals(field: ImplicitSode, state: State, accel: np.ndarray,
     qd, qdd = _points(state.qdot), _points(qdd)
 
     Pq, Pqd, C = grads[..., :n], grads[..., n:2 * n], grads[..., 2 * n:]
-    _, dGq, dGqd, _ = _gamma_tensors(field.to_explicit(), state, backend)
-    jerk = _matvec(dGq, qd) + _matvec(dGqd, qdd)
 
     # d/dt along the jet of dPhi_i/dqd_j (columns :n) and dPhi_i/dqdd_j (n:)
     rows = hess[:, :, n:]
-    ddt = _dot(rows[..., :n], qd) + _dot(rows[..., n:2 * n], qdd) + _dot(rows[..., 2 * n:], jerk)
+    ddt = _dot(rows[..., :n], qd) + _dot(rows[..., n:2 * n], qdd)
     b = 0.5 * (ddt[..., :n] - _flip(ddt[..., :n]))
     dd = ddt[..., n:] + _flip(ddt[..., n:])
 

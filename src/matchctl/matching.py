@@ -414,13 +414,6 @@ def _checked_slopes(S0: np.ndarray, r0: np.ndarray, g1: np.ndarray, tau: np.ndar
     return out
 
 
-def _tau_slope(sys: MechanicalSystem, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """tau' at one shape point."""
-    g11, dg11, g1, gig1, gidg1 = _ode_pieces(sys, x)
-    tau = np.asarray(tau, dtype=float)[None, :]
-    return _checked_slopes(2.0 * g11 - 2.0 * gig1, dg11 - 2.0 * gidg1, g1, tau, x)[0]
-
-
 def integrate_new_tau(sys: MechanicalSystem, tau0, x_range: tuple[float, float],
                       step: float = 1e-3, x0: float | None = None) -> SampledTau:
     """March the solved-for tau ODE across x_range with classical RK4.

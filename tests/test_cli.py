@@ -108,6 +108,129 @@ def test_no_module_reads_the_environment():
     assert readers == []
 
 
+# The functions, classes and methods of src that nothing in src reads, each
+# with the test that reads it and why it stays: the paper-facing API
+PAPER_FACING = {
+    "control.cartpole_shaping": (
+        "test_acceptance.py::test_criterion_2_helmholtz_verification",
+        "the cart-pole's new-tau shaping that the acceptance criteria verify"),
+    "control.cartpole_shaped_potential_gradient": (
+        "test_control.py::test_reconstruction_matches_display",
+        "the displayed restoring slope that the reconstruction must match"),
+    "control.incline_Veps": (
+        "test_acceptance.py::test_criterion_7_incline_suite",
+        "the incline's extra potential by adaptive quadrature, the oracle of its cached curve"),
+    "control.incline_hessian_check": (
+        "test_acceptance.py::test_criterion_7_incline_suite",
+        "the potential's Hessian at the equilibrium and the threshold on c"),
+    "control.incline_shaping": (
+        "test_acceptance.py::test_criterion_7_incline_suite",
+        "the incline's shaping with rho and the constructed extra potential"),
+    "control.reconstruct_shaped_potential_gradient": (
+        "test_control.py::test_reconstruction_equilibrium",
+        "the potential gradient that completes the shaped kinetic energy into the closed loop"),
+    "fields.coordinate": (
+        "test_fields.py::test_constant_coordinate_linear",
+        "the coordinate field of the field algebra"),
+    "fields.sin_of": (
+        "test_acceptance.py::test_criterion_4_matching_implication_suite",
+        "the field algebra's sine, which builds arbitrary metric fields"),
+    "fields.sqrt_of": (
+        "test_fields.py::test_algebra_derivatives_match_fd",
+        "the field algebra's square root, in the sample field of the derivative checks"),
+    "lagrangian.ExplicitSode.gamma_jets": (
+        "test_field_oracle.py::test_closed_loop_gamma_matches_sympy",
+        "the explicit field's exact jets, checked against sympy"),
+    "lagrangian.fw_identity_residuals": (
+        "test_lagrangian.py::test_fw_identities_random",
+        "the two Legendre/block-inverse contraction identities of special matching"),
+    "matching.default_grid": (
+        "test_matching.py::test_sm_structure_implies_full_matching",
+        "the shape grid on which the matching implications are checked"),
+    "report.ResidualReport.max_value": (
+        "test_acceptance.py::test_criterion_2_helmholtz_verification",
+        "the worst residual of a report, the acceptance suite's reading"),
+    "report.ResidualReport.merge_max": (
+        "test_report.py::test_merge_max_takes_the_worst_residual_and_the_smallest_floored_value",
+        "the merge of one-point reports that a batch report must equal"),
+}
+# read by perfbench alone, each with the perfbench file that reads it
+HELD_FOR_PERFBENCH = {
+    "lagrangian.ExplicitSode.gamma2": (
+        "probes.py",
+        "the control.gamma2_us probe calls it; ROADMAP item 7 deletes both"),
+}
+
+
+def _reads(tree: ast.AST) -> set:
+    """The names that a tree reads: loaded names and attributes, and imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return out
+
+
+def _definitions(node: ast.AST, scope: str):
+    """(qualified name, name) of every function, class and method under node,
+    which are all statements in statement bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{scope}.{child.name}", child.name
+            yield from _definitions(child, f"{scope}.{child.name}")
+        elif isinstance(child, (ast.stmt, ast.excepthandler, ast.match_case)):
+            yield from _definitions(child, scope)
+
+
+def _function_reads(path: Path) -> dict:
+    """What each module-level function of a file reads."""
+    return {f.name: _reads(f) for f in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(f, ast.FunctionDef)}
+
+
+def _test_reads(funcs: dict, test: str) -> set:
+    """What a test function reads, itself or through the functions of its
+    module, given as `_function_reads` gives them."""
+    assert test.startswith("test_") and test in funcs, test
+    seen, todo, out = set(), [test], set()
+    while todo:
+        name = todo.pop()
+        if name in funcs and name not in seen:
+            seen.add(name)
+            out |= funcs[name]
+            todo.extend(funcs[name])
+    return out
+
+
+def test_every_src_definition_is_read():
+    # a definition that nothing in src reads is dead code, unless it is named
+    # API that a test reads; its own def and the __all__ strings are not reads,
+    # and a dunder is read by the language
+    src = Path(cli.__file__).resolve().parent
+    root = src.parent.parent
+    defs, reads = [], set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs.extend(_definitions(tree, path.stem))
+        reads |= _reads(tree)
+    unread = sorted(qual for qual, name in defs
+                    if name not in reads and not (name.startswith("__") and name.endswith("__")))
+    assert unread == sorted(PAPER_FACING.keys() | HELD_FOR_PERFBENCH.keys())
+    modules = {}
+    for qual, (test, _) in PAPER_FACING.items():
+        path, name = test.split("::")
+        if path not in modules:
+            modules[path] = _function_reads(root / "tests" / path)
+        assert qual.rsplit(".", 1)[-1] in _test_reads(modules[path], name), (qual, test)
+    for qual, (path, _) in HELD_FOR_PERFBENCH.items():
+        tree = ast.parse((root / "perfbench" / path).read_text(encoding="utf-8"))
+        assert qual.rsplit(".", 1)[-1] in _reads(tree), (qual, path)
+
+
 def _writes_stdout(call: ast.Call) -> bool:
     """Whether ``call`` is a print without a file, or a print or a write to a stdout."""
     if isinstance(call.func, ast.Name) and call.func.id == "print":
@@ -477,7 +600,7 @@ def test_incline_gain_whose_square_overflows_is_named(tmp_path, capsys, command)
 @pytest.mark.parametrize("name, value, failure", [
     ("sigma", 1e300, "the integrand is -inf at x = -1.0999453985526844, in the cell "
                      "[-1.1, -1.09725]"),
-    ("rho", 1e300, "no convergence in the cell [-1.1, -1.09725] after 8 bisection levels"),
+    ("rho", 1e300, "no convergence in the cell [-1.1, -1.09725] after 1 bisection levels"),
     ("rho", 1e-300, "the integrand is -inf at x = -1.0999453985526844, in the cell "
                     "[-1.1, -1.09725]"),
 ], ids=["sigma-huge", "rho-huge", "rho-tiny"])

@@ -404,22 +404,26 @@ def test_batch_report_equals_merge_of_state_reports(case):
                 [(e.name, e.skipped, e.passed) for e in merged.entries]
 
 
-@pytest.mark.parametrize("case", ["cartpole", "incline", "builtin12"])
+@pytest.mark.parametrize("case", list(HELMHOLTZ_REPORT_DIGESTS) + list(HELMHOLTZ_REPORT_VERDICTS))
 def test_engines_read_no_third_derivative(case):
     # `fields.gradient` leaves the field's third derivatives NaN: they enter
     # only the q-q Hessian blocks of Phi and Gamma, and the engines read the
-    # qd and qdd rows of Phi over (q, qd, qdd) and the qd rows of Gamma
+    # qd and qdd rows of Phi over (q, qd, qdd) and the qd rows of Gamma.
+    # Phi is affine in qdd with C = C(q), so its (qd, qdd) and (qdd, qdd)
+    # blocks are exactly zero, which lets the exactness engine drop the
+    # third time derivative of q that they would multiply
     sys_, shp, states = helmholtz_case(case)
     n = sys_.dims.total
     batch = State(q=np.array([st.q for st in states]), qdot=np.array([st.qdot for st in states]))
-    field = controlled_implicit_sode(sys_, shp)
-    explicit = field.to_explicit()
-    U = np.concatenate([batch.q, batch.qdot, solve_accel(field, batch)], axis=-1).T
-    _, _, hP = value_grad_hess(lambda u: field.phi(u[:n], u[n:2 * n], u[2 * n:]), U)
-    _, _, hG = value_grad_hess(lambda u: explicit.gamma(*u), U[:2 * n])
-    for hess in (hP, hG):
-        assert np.isfinite(hess[:, n:]).all() and np.isfinite(hess[:, :, n:]).all()
-        assert np.isnan(hess[:, :n, :n]).all()
+    for field in (controlled_implicit_sode(sys_, shp), uncontrolled_sode(sys_)):
+        explicit = field.to_explicit()
+        U = np.concatenate([batch.q, batch.qdot, solve_accel(field, batch)], axis=-1).T
+        _, _, hP = value_grad_hess(lambda u: field.phi(u[:n], u[n:2 * n], u[2 * n:]), U)
+        _, _, hG = value_grad_hess(lambda u: explicit.gamma(*u), U[:2 * n])
+        assert (hP[:, n:, 2 * n:] == 0.0).all() and (hP[:, 2 * n:, n:] == 0.0).all()
+        for hess in (hP, hG):
+            assert np.isfinite(hess[:, n:]).all() and np.isfinite(hess[:, :, n:]).all()
+            assert np.isnan(hess[:, :n, :n]).all()
 
 
 def test_singular_accel_matrix_names_its_state():

@@ -17,7 +17,7 @@ from matchctl.matching import (TauIntegrationError, default_grid,
                                matching_residuals, matrix_inverse_fields,
                                new_tau_closed_form, new_tau_ode_residual,
                                simplified_matching_residuals, sm3_tau, check_on_grid,
-                               _ode_pieces)
+                               _checked_slopes, _ode_pieces)
 from matchctl.report import ResidualReport
 from matchctl.model import (CartpoleParams, Dims, InclineParams, build_mechanical_system,
                             cartpole_system, incline_system, synthetic_sm_system)
@@ -297,6 +297,13 @@ def test_integrate_coupled_two_group():
     assert samp.max_ode_residual < 1e-6
 
 
+def tau_slope(sys_, x, tau):
+    """tau' at one shape point, from the march's node data and slope guard."""
+    g11, dg11, g1, gig1, gidg1 = _ode_pieces(sys_, x)
+    tau = np.asarray(tau, dtype=float)[None, :]
+    return _checked_slopes(2.0 * g11 - 2.0 * gig1, dg11 - 2.0 * gidg1, g1, tau, x)[0]
+
+
 def test_slope_solve_reports_singularity():
     # with two group coordinates the solved-for matrix is a rank-one update
     # and degenerates when the scalar coefficient crosses zero
@@ -306,15 +313,13 @@ def test_slope_solve_reports_singularity():
     g_sg = [[fl.constant(0.9, 1), fl.constant(0.0, 1)]]
     g_ss = [[fl.constant(1.0, 1)]]
     sys_ = build_mechanical_system(dims, g_ss, g_sg, g_gg, fl.constant(0.0, 3))
-    from matchctl.matching import _tau_slope
     # S = 2 - 1.62 - 1.8 tau^1 vanishes at tau^1 = 0.38/1.8
     with pytest.raises(TauIntegrationError):
-        _tau_slope(sys_, np.array([0.0]), np.array([0.38 / 1.8, 0.3]))
+        tau_slope(sys_, np.array([0.0]), np.array([0.38 / 1.8, 0.3]))
 
 
 @pytest.mark.parametrize("ng", [1, 2, 3])
 def test_closed_form_slope_matches_dense_solve(ng):
-    from matchctl.matching import _tau_slope
     sys_ = random_system(40 + ng, Dims(1, ng), const_group=False)
     rng = np.random.default_rng(ng)
     for _ in range(20):
@@ -327,7 +332,7 @@ def test_closed_form_slope_matches_dense_solve(ng):
         S = 2.0 * g11 - 2.0 * g1 @ ginv @ g1 - 2.0 * g1 @ tau
         M = 2.0 * np.outer(tau, g1) + S * np.eye(ng)
         expect = np.linalg.solve(M, tau * (dg11 - 2.0 * g1 @ ginv @ dg1))
-        got = _tau_slope(sys_, x, tau)
+        got = tau_slope(sys_, x, tau)
         assert np.abs(got - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max())
 
 
