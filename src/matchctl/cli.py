@@ -321,7 +321,7 @@ def cmd_check_matching(rc: RunConfig) -> tuple[int, dict, str]:
         worst = float(np.abs(res).max())
         ode_rep = ResidualReport("tau ODE residual (grid max)")
         tol = 1e-10 if rc.tau_mode == "new-closed-form" else mt.TAU_RESIDUAL_TOL
-        ode_rep.add(ResidualEntry.from_value("tau_ode", worst, tol))
+        ode_rep.add(ResidualEntry.max_over("tau_ode", np.array([worst]), tol))
         reports.append(ode_rep)
 
     # the applicable set decides the exit code

@@ -28,12 +28,6 @@ class ResidualEntry:
     residual: bool = True        # False for reported quantities (determinants, eigenvalues)
 
     @classmethod
-    def from_value(cls, name: str, value: float, tol: float, raw: float | None = None,
-                   note: str = "") -> "ResidualEntry":
-        return cls(name=name, value=float(value), tol=float(tol),
-                   passed=bool(value <= tol), raw=raw, note=note)
-
-    @classmethod
     def normalized(cls, name: str, residuals: np.ndarray, scales, tol: float,
                    skipped: np.ndarray | None = None, note: str = "") -> "ResidualEntry":
         """Largest |residual| over max(1, largest |scale|) at each point, merged

@@ -562,6 +562,30 @@ def test_energy_observer_rows_are_shaped_energy(monkeypatch, reference_params,
         assert traj.energies[r] == shaped_energy(sys_, shp, made["pot"], state), r
 
 
+@pytest.mark.parametrize("system", ["cartpole", "incline"])
+def test_shaped_energy_of_a_batch_is_its_rows(reference_params, incline_params, system):
+    # shaped_energy at N states (N, n) is the (N,) array of its one-state
+    # floats, bit for bit, on a batch that crosses an OBSERVE_BLOCK edge
+    if system == "cartpole":
+        p, gains = reference_params, GainSelection(k=35.0, sigma=0.5)
+        sys_, shp = cartpole_system(p), cartpole_shaping(p, gains)
+        pot = cartpole_shaped_potential(p, gains, (-1.2, 1.2))
+    else:
+        p, gains = incline_params, GainSelection(k=35.0, sigma=1.0, rho=2.0, c=6.0)
+        sys_, shp = incline_system(p), incline_base_shaping(p, gains)
+        h = incline_h_curve(p, shp, gains.k, INCLINE_LOOP_SPAN)
+        pot = incline_shaped_potential(p, gains, h, (-1.1, 1.1), (sys_, shp))
+    rows = OBSERVE_BLOCK + 9
+    rng = np.random.default_rng(44)
+    q = np.column_stack([rng.uniform(-1.0, 1.0, rows), rng.uniform(-2.0, 2.0, rows)])
+    qd = rng.uniform(-3.0, 3.0, (rows, 2))
+    batch = shaped_energy(sys_, shp, pot, State(q=q, qdot=qd))
+    assert batch.shape == (rows,)
+    one = np.array([shaped_energy(sys_, shp, pot, State(q=q[r], qdot=qd[r]))
+                    for r in range(rows)])
+    assert np.flatnonzero(batch != one).tolist() == []
+
+
 def test_equilibrium_preserved(reference_params, incline_params, gains, incline_gains):
     loop = cartpole_closed_loop(reference_params, gains)
     acc = loop.gamma_floats(np.array([0.0, 1.7]), np.array([0.0, 0.0]))

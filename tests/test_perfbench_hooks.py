@@ -104,3 +104,31 @@ def test_workload_operations_pass_their_checks(perfbench, tmp_path, capsys, work
         code = main(op.argv(tmp_path))
         doc = json.loads(capsys.readouterr().out)
         assert workloads.check(op, code, doc, seen).problems == [], op.label
+
+
+def test_call_counts_repeat(perfbench, tmp_path, capsys):
+    # after one warm pass, which marches and generates tapes once, two
+    # counted passes of verify seed 1's operations and a sweep make the same
+    # calls into every module: a per-layer count reads the code, not how
+    # many runs came before it
+    tracing, _ = perfbench
+    workloads = importlib.import_module("workloads")
+    texts, ops = workloads.generate("verify", 1)
+    workloads.write_configs(texts, tmp_path)
+    cfg = tmp_path / "counted-sweep.cfg"
+    cfg.write_text(SWEEP_CFG.format(out=tmp_path / "out-sweep"))
+    argvs = [op.argv(tmp_path) for op in ops] + [["sweep", "--config", str(cfg)]]
+
+    def one_pass():
+        codes = [main(argv) for argv in argvs]
+        capsys.readouterr()
+        return codes
+
+    assert one_pass() == [0] * len(argvs)
+    counts = []
+    for _ in range(2):
+        counter = tracing.CallCounter(matchctl)
+        with counter.counting():
+            one_pass()
+        counts.append(counter.by_module())
+    assert counts[0] == counts[1] and counts[0]["helmholtz"] > 0

@@ -7,7 +7,7 @@ from matchctl.report import ResidualEntry, ResidualReport
 
 def det_report(residual: float, det: float) -> ResidualReport:
     rep = ResidualReport("explicit multiplier conditions")
-    rep.add(ResidualEntry.from_value("symmetry", residual, 1e-8))
+    rep.add(ResidualEntry.max_over("symmetry", np.array([residual]), 1e-8))
     rep.add(ResidualEntry(name="regularity", value=det, tol=1e-12, passed=det > 1e-12,
                           residual=False, note="pass iff |det g| above floor"))
     return rep
