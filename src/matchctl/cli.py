@@ -31,8 +31,8 @@ from . import matching as mt
 from . import sim as simmod
 from .lagrangian import (ShapingParams, controlled_implicit_sode, kinetic_matrix,
                          scalar_sigma_matrix)
-from .model import (CartpoleParams, Dims, InclineParams, State, cartpole_system,
-                    incline_system, synthetic_sm_system, validate_system)
+from .model import (CartpoleParams, Dims, InclineParams, State, synthetic_sm_system,
+                    validate_system)
 from .report import ResidualEntry, ResidualReport
 
 __all__ = ["main", "RunConfig", "ConfigError", "parse_config"]
@@ -226,36 +226,23 @@ def _require_gain_window(rc: RunConfig, span: tuple[float, float] | None = None)
 
 
 def _build_system_and_shaping(rc: RunConfig):
-    """System, shaping and sigma scalar for the configured tau mode."""
-    if rc.system == "cartpole":
-        sys_ = cartpole_system(rc.params)
-    elif rc.system == "incline":
-        sys_ = incline_system(rc.params)
-    else:
+    """System and shaping: a worked system's `ctl.new_tau_pair` with the tau
+    of the configured mode, plus the incline's extra potential where rho != 1."""
+    if rc.system == "builtin-test":
         sys_, sigma = synthetic_sm_system(rc.builtin_seed,
                                           Dims(rc.builtin_shape, rc.builtin_group))
-        tau = mt.sm3_tau(sys_, sigma)
-        shp = ShapingParams(tau=tau, sigma=scalar_sigma_matrix(sys_, sigma))
-        return sys_, shp
-
+        return sys_, ShapingParams(tau=mt.sm3_tau(sys_, sigma),
+                                   sigma=scalar_sigma_matrix(sys_, sigma))
+    sys_, shp = ctl.new_tau_pair(rc.params, rc.gains)
     if rc.tau_mode == "sm3":
-        tau = mt.sm3_tau(sys_, rc.gains.sigma)
-    elif rc.tau_mode == "new-closed-form":
-        tau = ((mt.new_tau_closed_form(sys_, rc.gains.k),),)
-    else:  # new-ode
-        closed = mt.new_tau_closed_form(sys_, rc.gains.k)
-        t0 = closed.value(np.array([rc.grid_lo]))
+        shp = replace(shp, tau=mt.sm3_tau(sys_, rc.gains.sigma))
+    elif rc.tau_mode == "new-ode":     # from the closed form's value at grid.lo
+        t0 = shp.tau[0][0].value(np.array([rc.grid_lo]))
         sampled = mt.integrate_new_tau(sys_, [t0], (rc.grid_lo, rc.grid_hi))
-        tau = tuple(sampled.as_fields())
-    sigma_mat = scalar_sigma_matrix(sys_, rc.gains.sigma)
-    if rc.system == "incline" and rc.gains.rho != 1.0:
+        shp = replace(shp, tau=tuple(sampled.as_fields()))
+    if shp.rho != 1.0:      # only the incline's shaping reads rho
         _require_gain_window(rc, ctl.INCLINE_LOOP_SPAN)
-        base = ShapingParams(tau=tau, sigma=sigma_mat, rho=rc.gains.rho)
-        veps = ctl.incline_veps_field(rc.params, base, rc.gains)
-        shp = ShapingParams(tau=tau, sigma=sigma_mat, rho=rc.gains.rho,
-                            epsilon_potential=veps)
-    else:
-        shp = ShapingParams(tau=tau, sigma=sigma_mat)
+        shp = replace(shp, epsilon_potential=ctl.incline_veps_field(rc.params, shp, rc.gains))
     return sys_, shp
 
 
@@ -468,10 +455,8 @@ def _sweep_one(rc: RunConfig, k: float, sigma: float, rho: float, marches: dict)
     kmin = ctl.gain_bound(p, 0.0)
     row = {"k": k, "sigma": sigma, "rho": rho, "k_min": kmin,
            "gain_ok": bool(k > kmin)}
-    # one system and shaping for this check and the row's observed loop; the
-    # cart-pole shaping reads no rho
-    sys_ = (cartpole_system if rc.system == "cartpole" else incline_system)(p)
-    shp = ctl.new_tau_shaping(sys_, gains, rho if rc.system == "incline" else 1.0)
+    # one system and shaping for this check and the row's observed loop
+    sys_, shp = ctl.new_tau_pair(p, gains)
     xs = np.linspace(rc.grid_lo, rc.grid_hi, max(9, rc.grid_n // 4))
     # a NaN anywhere, overflow at a huge gain included, reads NaN and fails the row
     with np.errstate(over="ignore", invalid="ignore"):

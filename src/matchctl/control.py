@@ -15,9 +15,10 @@ runs: no command path calls it, so no command imports scipy.
 Each acceleration is one body over the sin, cos and sqrt of ``math`` (``floats``)
 or `jets` (``gamma``), the rest is over `jets`, which sends arrays to numpy.  Only
 the cart-pole's D is written three times: with sqrt(D) and the denominator in
-`_cartpole_accel` and `_cartpole_terms`, which round differently (merging them
-would move ``u1`` and ``E``), and in `gain_bound`, on math floats 2.5 times as fast
-as through `_cartpole_terms`.  Every energy observer is `shaped_energy` at N states.
+`_cartpole_accel` and `_cartpole_terms`, which round differently, neither nearer
+the exact value at every gain (merging them would move ``u1`` and ``E``), and in
+`gain_bound`, on math floats 2.5 times as fast as through `_cartpole_terms`.
+Every energy observer is `shaped_energy` at N states.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ __all__ = [
     "cartpole_shaped_potential_gradient",
     "cartpole_shaped_potential",
     "cartpole_shaping",
-    "new_tau_shaping",
+    "new_tau_pair",
     "incline_A_coefficient",
     "incline_A_field",
     "incline_h",
@@ -219,11 +220,16 @@ def shaped_energy(sys: MechanicalSystem, shaping: ShapingParams,
     return E if state.q.ndim == 2 else float(E)
 
 
-def new_tau_shaping(sys: MechanicalSystem, gains: GainSelection,
-                    rho: float = 1.0) -> ShapingParams:
-    """The closed-form new tau of gain k, sigma_ab = sigma g_ab and rho."""
-    return ShapingParams(tau=((new_tau_closed_form(sys, gains.k),),),
-                         sigma=scalar_sigma_matrix(sys, gains.sigma), rho=rho)
+def new_tau_pair(p: CartpoleParams,
+                 gains: GainSelection) -> tuple[MechanicalSystem, ShapingParams]:
+    """The worked system of ``p``, the incline for an `InclineParams`, and its
+    shaping by the closed-form new tau of gain k and sigma_ab = sigma g_ab; the
+    incline's reads rho, the cart-pole's none."""
+    incline = isinstance(p, InclineParams)
+    sys = (incline_system if incline else cartpole_system)(p)
+    return sys, ShapingParams(tau=((new_tau_closed_form(sys, gains.k),),),
+                              sigma=scalar_sigma_matrix(sys, gains.sigma),
+                              rho=gains.rho if incline else 1.0)
 
 
 # 8-point Gauss-Legendre rule on [-1, 1], nodes and weights correctly rounded
@@ -339,7 +345,7 @@ class PotentialCurve(Curve):
 
 def cartpole_shaping(p: CartpoleParams, gains: GainSelection) -> ShapingParams:
     """New-tau shaping for the cart-pole (special matching)."""
-    return new_tau_shaping(cartpole_system(p), gains)
+    return new_tau_pair(p, gains)[1]
 
 
 def _closed_loop(build: Callable) -> ExplicitSode:
@@ -439,12 +445,9 @@ def cartpole_observed_loop(p: CartpoleParams, gains: GainSelection, x_max: float
                            kinetic: tuple | None = None):
     """Closed loop with its vectorized control and shaped-energy observers
     (times, Q, Qd) -> column; the shaped potential spans |x| <= x_max, clipped
-    inside the gain bound.  ``kinetic``: the (system, `new_tau_shaping`) pair,
-    if the caller built it."""
-    if kinetic is None:
-        sys = cartpole_system(p)
-        kinetic = sys, new_tau_shaping(sys, gains)
-    sys, shaping = kinetic
+    inside the gain bound.  ``kinetic``: the `new_tau_pair`, if the caller
+    built it."""
+    sys, shaping = kinetic or new_tau_pair(p, gains)
     loop = cartpole_closed_loop(p, gains)
     span = min(x_max, gain_bound_crossing(p, gains.k) - 1e-6)
     pot = cartpole_shaped_potential(p, gains, (-span, span))
@@ -528,7 +531,7 @@ class _HCurve(Curve):
 
 def incline_base_shaping(p: InclineParams, gains: GainSelection) -> ShapingParams:
     """New-tau shaping with scalar rho, before the extra potential is added."""
-    return new_tau_shaping(incline_system(p), gains, gains.rho)
+    return new_tau_pair(p, gains)[1]
 
 
 def incline_h_curve(p: InclineParams, shaping: ShapingParams, k: float,
@@ -703,13 +706,13 @@ def incline_shaped_potential(p: InclineParams, gains: GainSelection, h: _HCurve,
     cumulative integral of the reconstructed slope w1(x) d sin(x) + A(x) h(x),
     where w1 is the first contraction of the shaped kinetic matrix with the
     inverse acceleration coefficients.  ``h`` must cover x_span clipped to the
-    pole-free window.  ``kinetic`` is the (system, base shaping) pair whose
-    kinetic matrix the slope reads, built from ``p`` and ``gains`` if None.
+    pole-free window.  ``kinetic`` is the `new_tau_pair` whose kinetic matrix
+    the slope reads, built from ``p`` and ``gains`` if None.
     """
     lo, hi = incline_safe_span(p, gains.k, x_span)
     if not h.x[0] <= lo < hi <= h.x[-1]:
         raise ValueError("the h-curve does not cover the potential span")
-    sys, shaping = kinetic or (incline_system(p), incline_base_shaping(p, gains))
+    sys, shaping = kinetic or new_tau_pair(p, gains)
     slope = _incline_slope(p, gains, h, sys, shaping)
     xs = np.linspace(lo, hi, _CURVE_POINTS)
     try:
@@ -752,10 +755,7 @@ def incline_observed_loop(p: InclineParams, gains: GainSelection,
     """Closed loop with its vectorized control and shaped-energy observers
     (times, Q, Qd) -> column, all on one h-curve; x_span is the span of the
     shaped potential.  ``kinetic``: as in `cartpole_observed_loop`."""
-    if kinetic is None:
-        sys = incline_system(p)
-        kinetic = sys, new_tau_shaping(sys, gains, gains.rho)
-    sys, shaping = kinetic
+    sys, shaping = kinetic or new_tau_pair(p, gains)
     h = incline_h_curve(p, shaping, gains.k,
                         (min(INCLINE_LOOP_SPAN[0], x_span[0] - 0.05),
                          max(INCLINE_LOOP_SPAN[1], x_span[1] + 0.05)))

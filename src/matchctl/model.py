@@ -226,14 +226,11 @@ def build_mechanical_system(dims: Dims, g_ss, g_sg, g_gg, V: SmoothField,
 
 
 def cartpole_system(p: CartpoleParams) -> MechanicalSystem:
-    """Inverted pendulum on a cart: g_ss=[alpha], g_sg=[beta cos x], g_gg=[gamma]."""
-    be, d = float(p.beta), float(p.d)
-    g_ss = [[fl.constant(p.alpha, 1)]]
-    g_sg = [[SmoothField(1, lambda u: be * cos(u[0]))]]
-    g_gg = [[fl.constant(p.gamma, 1)]]
-    # V(x, s) = -d cos x, independent of the cart position
-    V = SmoothField(2, lambda u: -d * cos(u[0]))
-    return build_mechanical_system(Dims(1, 1), g_ss, g_sg, g_gg, V)
+    """Inverted pendulum on a cart: the incline at psi = 0, g_ss=[alpha],
+    g_sg=[beta cos x], g_gg=[gamma], V = -d cos x, with the floats of those
+    fields (x - 0.0 is x, and - 0.0 * s moves no finite value or derivative).
+    The psi of an `InclineParams` is ignored."""
+    return incline_system(InclineParams(m=p.m, M=p.M, l=p.l, grav=p.grav))
 
 
 def incline_system(p: InclineParams) -> MechanicalSystem:

@@ -805,14 +805,13 @@ def test_sweep_builds_one_system_per_row(tmp_path, capsys, monkeypatch, system):
     # a row's gain check and its observed loop read one system and shaping
     name = f"{system}_system"
     builds = []
-    build = getattr(cli, name)
+    build = getattr(ctl, name)
 
     def counted(*args):
         builds.append(args)
         return build(*args)
 
-    for owner in (cli, ctl):
-        monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(ctl, name, counted)    # cli builds no system itself
     argv = ["sweep", "--config", str(CONFIGS / f"{system}.cfg"), "--out", str(tmp_path)]
     assert main(argv) == 0
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]

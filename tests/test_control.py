@@ -1,7 +1,9 @@
 import gc
 import math
+import re
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -693,3 +695,55 @@ def test_incline_loop_key_holds_every_gain_its_loop_reads(incline_params, inclin
         key, states = run(replace(base, **change))
         assert key != key0 and states != states0, change
     assert run(replace(base, c=base.c + 1.0)) == (key0, states0)
+
+
+def _replay_errors(floats, replay, states) -> list[float]:
+    """The largest |float - replay| / max(1, |replay|) of each acceleration over
+    ``states``, in units of 2 ** -52, where ``replay`` is the same body over
+    mpmath in place of math, run at 40 digits on the same float states and
+    constants."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = [0.0, 0.0]
+    with mpmath.workdps(40):
+        for state in states:
+            for i, (f, r) in enumerate(zip(floats(*state), replay(*map(mpmath.mpf, state)))):
+                worst[i] = max(worst[i], float(abs(f - r) / max(1, abs(r))) / 2.0 ** -52)
+    return worst
+
+
+def _grid_states(seed: int, span: tuple[float, float]) -> list[tuple]:
+    """1,000 seeded states: x on a shipped grid span, the group coordinate in
+    [-2, 2] and both velocities in [-5, 5], helmholtz.v_max."""
+    rng = np.random.default_rng(seed)
+    return list(map(tuple, rng.uniform([span[0], -2.0, -5.0, -5.0], [span[1], 2.0, 5.0, 5.0],
+                                       size=(1000, 4)).tolist()))
+
+
+def test_cartpole_loop_floats_are_its_40_digit_replay_within_4_ulps(reference_params):
+    # on the shipped grid |x| <= 1.3 the two accelerations read 2.6 and 2.4
+    # ulps at worst; the error grows towards the pole of the feedback
+    p, k = reference_params, 35.0
+    errors = _replay_errors(cartpole_closed_loop(p, GainSelection(k=k)).floats,
+                            ctl._cartpole_accel(p, k, pytest.importorskip("mpmath")),
+                            _grid_states(1, (-1.3, 1.3)))
+    assert max(errors) <= 4.0, errors
+
+
+def test_incline_loop_floats_are_its_40_digit_replay_within_4_ulps(incline_params,
+                                                                   incline_gains):
+    # on the shipped grid |x| <= 1 the two accelerations read 3.0 and 2.9
+    # ulps at worst, with h read at the replay's digits too
+    p, gains = incline_params, incline_gains
+    h = incline_h_curve(p, incline_base_shaping(p, gains), gains.k, INCLINE_LOOP_SPAN)
+    errors = _replay_errors(incline_closed_loop(p, gains, h).floats,
+                            ctl._incline_loop(p, gains, h, pytest.importorskip("mpmath"))[1],
+                            _grid_states(2, (-1.0, 1.0)))
+    assert max(errors) <= 4.0, errors
+
+
+def test_no_src_module_imports_mpmath():
+    # the replay's namespace is the tests' own; the program runs on math and numpy
+    src = Path(ctl.__file__).resolve().parent
+    assert [path.name for path in sorted(src.glob("*.py"))
+            if re.search(r"^\s*(import|from)\s+mpmath", path.read_text(encoding="utf-8"),
+                         re.MULTILINE)] == []

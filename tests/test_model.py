@@ -3,6 +3,8 @@ import pytest
 
 import matchctl.fields as fl
 from conftest import free_particle
+from matchctl.fields import SmoothField
+from matchctl.jets import Jet2, cos, jet_vars
 from matchctl.model import (CartpoleParams, DimensionError, Dims, InclineParams, State,
                             build_mechanical_system, cartpole_system, incline_system,
                             synthetic_sm_system, validate_system)
@@ -60,6 +62,44 @@ def test_incline_zero_angle_reduces_to_cartpole(reference_params, cartpole):
         assert np.allclose(flat.metric(np.array([x])), cartpole.metric(np.array([x])))
         q = np.array([x, 0.3])
         assert flat.V_value(q) == pytest.approx(cartpole.V_value(q))
+
+
+def _bits(v) -> bytes | tuple:
+    """The bytes of a float, an array or a jet's value, gradient and Hessian,
+    so that equal bits are equal floats with their signs of zero."""
+    if isinstance(v, Jet2):
+        return _bits(v.f), _bits(v.g), _bits(v.h)
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("p", [CartpoleParams(), InclineParams(m=0.3, M=1.7, l=0.4, psi=0.3)],
+                         ids=["cartpole", "incline-psi-ignored"])
+def test_cartpole_system_is_its_written_out_fields_bit_for_bit(p):
+    # the cart-pole is built as the incline at psi = 0; these are its own
+    # fields, alpha, beta cos x, gamma and V = -d cos x, written out
+    be, d = float(p.beta), float(p.d)
+    own = [fl.constant(p.alpha, 1), SmoothField(1, lambda u: be * cos(u[0])),
+           fl.constant(p.gamma, 1), SmoothField(2, lambda u: -d * cos(u[0]))]
+    sys_ = cartpole_system(p)
+    built = [sys_.g_ss[0][0], sys_.g_sg[0][0], sys_.g_gg[0][0], sys_.V]
+    assert not sys_.breaks_group_symmetry
+    assert [(f.arity, f.const, f.support) for f in built] == \
+        [(f.arity, f.const, f.support) for f in own]
+    rng = np.random.default_rng(38)
+    x = rng.uniform(-7.0, 7.0, 1000)
+    s = rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000)
+    x[:4], s[:8] = [0.0, -0.0, np.pi / 2, -np.pi], [0.0, -0.0, 1e308, -1e308, 5e-324,
+                                                     -5e-324, 1.0, -1.0]
+    for mine, theirs in zip(built, own):
+        cut = slice(None, mine.arity)
+        for u in zip(x.tolist(), s.tolist()):                    # one float point
+            assert _bits(mine.fn(list(u[cut]))) == _bits(theirs.fn(list(u[cut]))), u
+        seeds = jet_vars([x, s])                                 # N points, then jets
+        assert _bits(mine.fn([x, s][cut])) == _bits(theirs.fn([x, s][cut]))
+        assert _bits(mine.eval_jet(seeds[cut])) == _bits(theirs.eval_jet(seeds[cut]))
+        for u in zip(x.tolist(), s.tolist()):                    # jets at one point
+            seeds = jet_vars(u)
+            assert _bits(mine.eval_jet(seeds[cut])) == _bits(theirs.eval_jet(seeds[cut])), u
 
 
 def test_incline_potential_slope(incline_params):
