@@ -4,8 +4,10 @@ Classical fourth-order Runge-Kutta at fixed step: reproducibility of golden
 trajectories matters more than adaptive speed at this scale.  One march,
 generated from the coordinate count n, records the states as floats in one
 ``array('d')``, of which the trajectory's states are a view.  `integrate`
-observes each block of ``OBSERVE_BLOCK`` rows as soon as it is marched and,
-given a CSV path, writes it too: where the host allows (see `_CsvFile`), a
+observes each block of ``OBSERVE_BLOCK`` rows as soon as it is marched.
+Given a CSV path, it writes each block there and then drops it, marching the
+next from a fresh record, so that the trajectory keeps its times and
+energies alone (16 bytes a row): where the host allows (see `_CsvFile`), a
 child forked at the first block formats the blocks while this process marches
 on.  The bytes are those of one process; no option chooses."""
 
@@ -57,15 +59,19 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
     """March the field with fixed-step RK4 from state0 for t_end seconds by
     `_rk4_march` on its ``floats``, in blocks of ``OBSERVE_BLOCK`` rows (each
     from the last state of the one before, so the floats are those of one
-    march), observing each block as `observe` does as soon as it is marched
-    and, given a path ``csv``, writing it there by `_CsvFile`.
+    march), observing each block as `observe` does as soon as it is marched.
 
     ``guard(q, qd) -> bool``, given the coordinates and velocities as tuples
     of floats, halts integration with a "domain_exit" event when true.
     Non-finite states halt with a "nonfinite" event, and so does a stage that
     raises ValueError or OverflowError on a non-finite state, whose step is
     not recorded.  Without observers the trajectory is the bare march.  Its
-    states are a writable view of the march's float record."""
+    states are a writable view of the march's float record.
+
+    Given a path ``csv``, each block is written there by `_CsvFile` and then
+    dropped, and the next is marched into a fresh record: the rows are in the
+    file alone.  The trajectory keeps the times, energies and events of the
+    march without a CSV; its states are empty (0, 2n) and its controls None."""
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     steps = t_end / dt
@@ -74,29 +80,34 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
     n, accel, width, rows = field_.n, field_.floats, 2 * field_.n, int(round(steps)) + 1
     march, rec = _rk4_march(n), array("d", state0.q.tolist() + state0.qdot.tolist())
     out = Trajectory(dims=field_.dims, times=np.empty(0), states=np.empty((0, width)))
-    sink, done = _CsvFile(csv, rows) if csv is not None else None, None
+    sink, done, first = _CsvFile(csv, rows) if csv is not None else None, None, 0
     try:
         for start in range(0, rows, OBSERVE_BLOCK):    # step i marches row i + 1
+            if sink is not None and start:      # rec[0] is row `first`
+                rec, first = rec[-width:], start - 1
             march(accel, rec, dt, range(max(start - 1, 0), min(start + OBSERVE_BLOCK, rows) - 1),
                   guard, out.events)
-            block = slice(start, len(rec) // width)
-            times = np.arange(start, block.stop, dtype=float) * dt
+            stop = first + len(rec) // width
             # a copy: a view of rec would stop it from growing
-            states = np.frombuffer(rec[start * width:], dtype=float).reshape(-1, width)
-            _observe_rows(out, block, rows, times, states, control, energy)
+            states = np.frombuffer(rec[(start - first) * width:], dtype=float).reshape(-1, width)
+            blk = _observed(out.dims, np.arange(start, stop, dtype=float) * dt, states,
+                            control, energy)
             if sink is not None:
-                cols = [col[block] for col in (out.controls, out.energies) if col is not None]
-                sink.write([times, states] + cols, None if start else _columns(out)[0])
+                names, cols = _columns(blk)
+                sink.write(cols, None if start else names)
+                blk.controls = None         # in the file alone
+            _keep(out, slice(start, stop), rows, blk)
             if out.events:
                 break
         done = out.events
     finally:    # without events, the CSV is removed
         if sink is not None:
             sink.close(done)
-    out.states = np.frombuffer(rec, dtype=float).reshape(-1, width)   # a view that keeps rec
-    out.times = np.arange(len(out.states), dtype=float)
+    if sink is None:
+        out.states = np.frombuffer(rec, dtype=float).reshape(-1, width)   # a view that keeps rec
+    out.times = np.arange(stop, dtype=float)
     out.times *= dt
-    out.controls, out.energies = (None if c is None else c[:len(out.times)]  # the rows marched
+    out.controls, out.energies = (None if c is None else c[:stop]  # the rows marched
                                   for c in (out.controls, out.energies))
     return out
 
@@ -163,27 +174,36 @@ def observe(traj: Trajectory, control: Callable | None = None,
     rows = len(out.times)
     for r in range(0, max(rows, 1), OBSERVE_BLOCK):    # one call on no rows gives n_u
         block = slice(r, r + OBSERVE_BLOCK)
-        _observe_rows(out, block, rows, out.times[block], out.states[block], control, energy)
+        _keep(out, block, rows,
+              _observed(out.dims, out.times[block], out.states[block], control, energy))
     return out
 
 
-def _observe_rows(out: Trajectory, block: slice, rows: int, times: np.ndarray,
-                  states: np.ndarray, control: Callable | None, energy: Callable | None) -> None:
-    """Write rows ``block`` of the observer columns of ``out`` from the rows'
-    times and states; the first call allocates each column for ``rows`` rows.
-    A row that overflows or is not finite (the last row of a nonfinite halt)
-    reads inf or NaN, in silence: the drift check fails on it."""
-    args, size = (times, states[:, :out.n], states[:, out.n:]), len(times)
+def _observed(dims: Dims | None, times: np.ndarray, states: np.ndarray,
+              control: Callable | None, energy: Callable | None) -> Trajectory:
+    """The rows ``times`` and ``states`` with the columns of ``control`` and
+    ``energy`` on them.  A row that overflows or is not finite (the last row
+    of a nonfinite halt) reads inf or NaN, in silence: the drift check fails
+    on it."""
+    out = Trajectory(dims=dims, times=times, states=states)
+    args = (times, out.q(), out.qdot())
     with np.errstate(over="ignore", invalid="ignore"):
         if control is not None:
             cols = np.asarray(control(*args), dtype=float)
-            if out.controls is None:
-                out.controls = np.empty((rows, math.prod(cols.shape[1:])))
-            out.controls[block] = cols.reshape(size, out.controls.shape[1])
+            out.controls = cols.reshape(len(times), math.prod(cols.shape[1:]))
         if energy is not None:
-            if out.energies is None:
-                out.energies = np.empty(rows)
-            out.energies[block] = np.asarray(energy(*args), dtype=float).reshape(size)
+            out.energies = np.asarray(energy(*args), dtype=float).reshape(len(times))
+    return out
+
+
+def _keep(out: Trajectory, block: slice, rows: int, blk: Trajectory) -> None:
+    """Write the observer columns of ``blk`` into rows ``block`` of those of
+    ``out``; the first call allocates each column for ``rows`` rows."""
+    for name in ("controls", "energies"):
+        if (col := getattr(blk, name)) is not None:
+            if getattr(out, name) is None:
+                setattr(out, name, np.empty((rows, *col.shape[1:])))
+            getattr(out, name)[block] = col
 
 
 def energy_drift(traj: Trajectory) -> float:
@@ -283,15 +303,16 @@ class _CsvFile:
     def _forked(self, header: list[str], table: np.ndarray) -> bool:
         """Write ``header``; whether a child was forked to format ``table`` and the rows piped."""
         _write_all(self.fd, (",".join(header) + "\n").encode("ascii"))
+        if not (self.rows >= CSV_FORK_ROWS and hasattr(os, "fork")
+                and threading.active_count() == 1 and len(os.sched_getaffinity(0)) >= 2):
+            return False
         width, (piped, self.pipe) = table.shape[1], os.pipe()
         try:    # room for a few blocks, so that the march seldom waits on the child
             import fcntl
             held = fcntl.fcntl(self.pipe, fcntl.F_SETPIPE_SZ, 1 << 20)     # Linux only
         except (ImportError, AttributeError, OSError):
             held = 0
-        if not (held >= 8 * width * OBSERVE_BLOCK and self.rows >= CSV_FORK_ROWS
-                and hasattr(os, "fork") and threading.active_count() == 1
-                and len(os.sched_getaffinity(0)) >= 2):
+        if held < 8 * width * OBSERVE_BLOCK:
             os.close(piped)
             os.close(self.pipe)
             return False

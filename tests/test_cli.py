@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -765,6 +766,28 @@ def test_pipelined_simulate_csv_is_that_of_one_process(tmp_path, capsys, monkeyp
     csv = [(tmp_path / side / "trajectory.csv").read_bytes() for side in ("two", "one")]
     assert csv[0] == csv[1] and csv[0].count(b"\n") == 9_002
     assert [p.name for p in (tmp_path / "two").iterdir()] == ["trajectory.csv"]
+
+
+@pytest.mark.parametrize("fast", [CARTPOLE_FAST, INCLINE_FAST], ids=["cartpole", "incline"])
+def test_simulate_keeps_its_times_and_energies_alone(tmp_path, capsys, monkeypatch, fast):
+    # the rows of a simulate run are in its CSV alone: while it runs it holds
+    # 16 bytes a row of them (t and E), and once it returns, none
+    cfg = write_cfg(tmp_path, "s.cfg", fast.format(out=tmp_path / "out") + LONG_RUN)
+    integrate, seen = cli.simmod.integrate, []
+
+    def watched(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        arrays = [traj.times, traj.states, traj.energies]
+        held = sum((a if a.base is None else a.base).nbytes for a in arrays)
+        seen.append((held, len(traj.times), traj.controls,
+                     [weakref.ref(x) for x in [traj, *arrays]]))
+        return traj
+
+    monkeypatch.setattr(cli.simmod, "integrate", watched)
+    assert main(["simulate", "--config", cfg]) == 0
+    [(held, rows, controls, refs)] = seen
+    assert rows == 9_001 and held == 16 * rows and controls is None
+    assert [ref() for ref in refs] == [None] * 4
 
 
 @pytest.mark.skipif(not FORKS, reason="formats on one process")

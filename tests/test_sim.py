@@ -454,7 +454,8 @@ def harmonic_observers():
 
 def integrate_to_csv(dest, steps, guard=None, field_=None):
     """A harmonic march of ``steps`` steps with two control columns and an
-    energy, written to ``dest`` as it is marched."""
+    energy, written to ``dest`` as it is marched (none where ``dest`` is
+    None)."""
     control, energy = harmonic_observers()
     return integrate(field_ or harmonic(), State(q=[1.0], qdot=[0.0]), 1e-3, steps * 1e-3,
                      control=control, energy=energy, guard=guard, csv=dest)
@@ -464,25 +465,62 @@ def assert_only(tmp_path, *names):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
+def assert_csv_of_the_march_alone(tmp_path, traj, steps, guard=None, field_=None):
+    """``t.csv`` is write_csv's of the same march without a CSV, whose times,
+    energies and events ``traj`` keeps, and none of its states or controls."""
+    alone = integrate_to_csv(None, steps, guard, field_)
+    write_csv(alone, tmp_path / "one.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert_only(tmp_path, "t.csv", "one.csv")
+    for name in ("times", "energies"):
+        assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes()
+    assert traj.events == alone.events
+    assert traj.states.shape == (0, 2) and traj.controls is None
+
+
 @pytest.mark.parametrize("steps", [1, CSV_BLOCK, CSV_FORK_ROWS - 2, CSV_FORK_ROWS - 1,
                                    OBSERVE_BLOCK, 2 * OBSERVE_BLOCK + 3])
 def test_integrate_writes_the_csv_of_its_trajectory(tmp_path, monkeypatch, steps):
     # the CSV written while the march runs, by a forked child from
-    # CSV_FORK_ROWS planned rows on, is write_csv's of the trajectory
-    # integrate returns, whose floats are those of the march without a CSV
+    # CSV_FORK_ROWS planned rows on, is write_csv's of the march without a
+    # CSV, whose times, energies and events the trajectory keeps
     pids = patch_fork(monkeypatch)
     traj = integrate_to_csv(tmp_path / "t.csv", steps)
     assert len(pids) == (steps + 1 >= CSV_FORK_ROWS and FORKS)
     assert_no_child_left()
-    write_csv(traj, tmp_path / "one.csv")
-    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-    assert_only(tmp_path, "t.csv", "one.csv")
-    control, energy = harmonic_observers()
-    alone = integrate(harmonic(), State(q=[1.0], qdot=[0.0]), 1e-3, steps * 1e-3,
-                      control=control, energy=energy)
     assert len(traj.times) == steps + 1
-    for name in ("times", "states", "controls", "energies"):
-        assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes()
+    assert_csv_of_the_march_alone(tmp_path, traj, steps)
+
+
+def test_short_csv_run_makes_no_pipe(tmp_path, monkeypatch):
+    # under CSV_FORK_ROWS planned rows no child is forked, so no pipe is made
+    # and sized for one
+    pipes = []
+    pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(1) or pipe())
+    traj = integrate_to_csv(tmp_path / "t.csv", 1)
+    assert pipes == [] and len(traj.times) == 2
+    assert_csv_of_the_march_alone(tmp_path, traj, 1)
+
+
+@pytest.mark.parametrize("blocks", [3, 12])
+def test_csv_march_memory_does_not_grow_with_its_length(tmp_path, blocks):
+    # a march written to a CSV keeps its times and energies, 16 bytes a row,
+    # and drops each block once it is written, so it peaks a few blocks above
+    # them however long it runs (a march that kept its states and controls
+    # would be 32 bytes a row above them here).  A field whose accelerations
+    # are a constant makes the march allocate next to nothing per step, so
+    # tracing it all takes well under a second.
+    free_fall = ExplicitSode(1, None, lambda x, xd: (0.0,))
+    tracemalloc.start()
+    try:
+        traj = integrate_to_csv(tmp_path / "t.csv", blocks * OBSERVE_BLOCK, field_=free_fall)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = 8 * 6         # t, x, xdot, u1, u2, E
+    assert peak - traj.times.nbytes - traj.energies.nbytes < 4 * OBSERVE_BLOCK * row
+    assert len(traj.times) == blocks * OBSERVE_BLOCK + 1 and traj.controls is None
 
 
 @pytest.mark.parametrize("halt", ["domain_exit", "nonfinite"])
@@ -502,7 +540,7 @@ def test_halt_event_lines_follow_the_rows(tmp_path, monkeypatch, halt):
     assert_no_child_left()
     assert [kind for _, kind in traj.events] == [halt]
     assert OBSERVE_BLOCK < len(traj.times) < 2 * OBSERVE_BLOCK
-    assert len(traj.controls) == len(traj.energies) == len(traj.times)
+    assert len(traj.energies) == len(traj.times) and traj.controls is None
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert len(lines) == 1 + len(traj.times) + 1
     assert lines[-1] == f"# event,{traj.events[0][0]:.17g},{halt}"
@@ -612,9 +650,7 @@ def test_csv_where_the_pipe_cannot_grow_is_written_on_one_process(tmp_path, monk
     pids = patch_fork(monkeypatch)
     traj = integrate_to_csv(tmp_path / "t.csv", 9000)
     assert pids == [] and len(traj.times) == 9001
-    write_csv(traj, tmp_path / "one.csv")
-    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-    assert_only(tmp_path, "t.csv", "one.csv")
+    assert_csv_of_the_march_alone(tmp_path, traj, 9000)
 
 
 def test_csv_with_a_second_thread_is_written_on_one_process(tmp_path, monkeypatch):

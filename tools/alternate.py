@@ -11,21 +11,27 @@ alternates by pair.  The CSVs both sides write are compared byte for byte.
     python tools/alternate.py --parent PARENT/src --change src \\
         --config configs/cartpole.cfg --pairs 20 --out alternation.json
 
-The JSON holds every pair (ratio, both times, which ran first) and, for all
-pairs and for the pairs with a ratio of at least 1.5, each side's median and
-quartiles and the number of pairs the change won.
+With ``--rss`` each side instead runs the command once per pair in a fresh
+worker process, which reports its own peak resident set (``ru_maxrss``, in
+MB): the memory of one run from a cold start, imports included.  A worker
+imports only what it runs on (the driver's modules are imported where they
+are used); even so it read about 1.6 MB above a bare ``python -c`` run of
+``cli.main`` on a 400k-row cart-pole ``simulate`` (45.3 against 43.6 MB,
+Linux, Python 3.11.7), so compare a worker's figures with each other only.
+
+The JSON holds every pair (ratio, both times or peaks, which ran first) and,
+for all pairs and for the pairs with a ratio of at least 1.5, each side's
+median and quartiles and the number of pairs the change won (the lower
+value).  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
-import statistics
-import subprocess
+import resource
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -71,22 +77,26 @@ def worker(src: str) -> None:
             t0 = time.perf_counter()
             code = cli.main(argv)
             elapsed = time.perf_counter() - t0
-        print(json.dumps([code, elapsed]), flush=True)
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024    # KB on Linux
+        print(json.dumps([code, elapsed, peak_mb]), flush=True)
 
 
 class Side:
     def __init__(self, name: str, src: str, out: Path):
+        import subprocess
+
         self.name, self.out = name, out
         self.proc = subprocess.Popen([sys.executable, __file__, "--worker", src],
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
-    def run(self, argv: list[str]) -> float:
+    def run(self, argv: list[str]) -> tuple[float, float]:
+        """(seconds, the worker's peak resident set in MB so far) of one run."""
         self.proc.stdin.write(json.dumps(argv + ["--out", str(self.out)]) + "\n")
         self.proc.stdin.flush()
-        code, elapsed = json.loads(self.proc.stdout.readline())
+        code, elapsed, peak_mb = json.loads(self.proc.stdout.readline())
         if code != 0:
             raise SystemExit(f"{self.name}: exit {code}")
-        return elapsed
+        return elapsed, peak_mb
 
     def close(self) -> None:
         self.proc.stdin.close()
@@ -94,13 +104,15 @@ class Side:
 
 
 def summary(values: list[float]) -> dict:
+    import statistics
+
     q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def compare(pairs: list[dict]) -> dict:
-    parent = [p["parent_s"] for p in pairs]
-    change = [p["change_s"] for p in pairs]
+def compare(pairs: list[dict], unit: str = "s") -> dict:
+    parent = [p[f"parent_{unit}"] for p in pairs]
+    change = [p[f"change_{unit}"] for p in pairs]
     return {"pairs": len(pairs), "parent": summary(parent), "change": summary(change),
             "change_wins": sum(c < p for p, c in zip(parent, change))}
 
@@ -114,34 +126,55 @@ def main() -> int:
     ap.add_argument("--command", default="simulate")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out")
+    ap.add_argument("--rss", action="store_true",
+                    help="compare the peak resident set of one run per fresh process")
     args = ap.parse_args()
     if args.worker:
         worker(args.worker)
         return 0
+    import hashlib      # its OpenSSL would add about 3.5 MB to a worker's ru_maxrss
+    import tempfile
     argv = [args.command, "--config", str(Path(args.config).resolve())]
+    srcs = {"parent": str(Path(args.parent).resolve()), "change": str(Path(args.change).resolve())}
+    unit = "mb" if args.rss else "s"
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {name: Side(name, str(Path(src).resolve()), Path(tmp) / name)
-                 for name, src in (("parent", args.parent), ("change", args.change))}
+        outs = {name: Path(tmp) / name for name in srcs}
+        sides = {} if args.rss else {name: Side(name, src, outs[name])
+                                     for name, src in srcs.items()}
+
+        def measure(name: str) -> float:
+            """Seconds of one run on the warm worker, or with --rss the peak MB
+            of one run on a fresh one."""
+            if not args.rss:
+                return sides[name].run(argv)[0]
+            side = Side(name, srcs[name], outs[name])
+            try:
+                return side.run(argv)[1]
+            finally:
+                side.close()
+
         try:
             for side in sides.values():     # warm: imports, the generated march
                 side.run(argv)
-            digests = {name: hashlib.sha256((side.out / "trajectory.csv").read_bytes()).hexdigest()
-                       for name, side in sides.items()}
             pairs = []
             for i in range(args.pairs):
                 ratio = cpu_ratio()
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                times = {name: sides[name].run(argv) for name in order}
+                got = {name: measure(name) for name in order}
                 pairs.append({"pair": i + 1, "cpu_ratio": ratio, "first": order[0],
-                              "parent_s": times["parent"], "change_s": times["change"]})
-                print(f"pair {i + 1:2d} ratio {ratio:4.2f} parent {times['parent']:.3f} "
-                      f"change {times['change']:.3f}", file=sys.stderr, flush=True)
+                              f"parent_{unit}": got["parent"], f"change_{unit}": got["change"]})
+                print(f"pair {i + 1:2d} ratio {ratio:4.2f} parent {got['parent']:.3f} "
+                      f"change {got['change']:.3f} {unit}", file=sys.stderr, flush=True)
+            digests = {name: hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+                       for name, out in outs.items()}
         finally:
             for side in sides.values():
                 side.close()
     busy = [p for p in pairs if p["cpu_ratio"] >= 1.5]
-    doc = {"argv": argv, "same_csv": digests["parent"] == digests["change"],
-           "all": compare(pairs), "busy": compare(busy) if busy else None, "pairs": pairs}
+    doc = {"argv": argv, "unit": "MB" if args.rss else "s",
+           "same_csv": digests["parent"] == digests["change"],
+           "all": compare(pairs, unit), "busy": compare(busy, unit) if busy else None,
+           "pairs": pairs}
     text = json.dumps(doc, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
