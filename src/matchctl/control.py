@@ -12,10 +12,17 @@ Gauss-Legendre rule per grid cell, bisected where the cell and its halves
 disagree, with the integrand evaluated on arrays of nodes.  scipy's adaptive
 ``quad`` is left to the pointwise oracle `incline_h`, which imports it when it
 runs: no command path calls it, so no command imports scipy.
-Each acceleration is one body over the sin, cos and sqrt of ``math`` (``floats``)
-or `jets` (``gamma``), the rest is over `jets`, which sends arrays to numpy.  Only
-the cart-pole's D is written three times: with sqrt(D) and the denominator in
-`_cartpole_accel` and `_cartpole_terms`, which round differently, neither nearer
+Each acceleration is one source text over the names of one stage
+(`_CARTPOLE_ACCEL`, and `_INCLINE_ACCEL`, which begins with the lines of the
+incline's tau text `_INCLINE_TAU`), compiled once and run over the sin, cos and
+sqrt of ``math`` (``floats``) or `jets` (``gamma``) with each loop's constants.
+The closed loop carries its text as ``ExplicitSode.body``, so that `sim`'s RK4
+march inlines it into each stage instead of calling ``floats``; the taped
+generic loops carry none, since a tape inlined four times would cost more to
+compile than a short march saves.  The rest is
+over `jets`, which sends arrays to numpy.  Only the cart-pole's D is written
+three times: with sqrt(D) and the denominator in `_CARTPOLE_ACCEL` and
+`_cartpole_terms`, which round differently, neither nearer
 the exact value at every gain (merging them would move ``u1`` and ``E``), and in
 `gain_bound`, on math floats 2.5 times as fast as through `_cartpole_terms`.
 Every energy observer is `shaped_energy` at N states.
@@ -23,8 +30,10 @@ Every energy observer is `shaped_energy` at N states.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import CodeType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -348,38 +357,55 @@ def cartpole_shaping(p: CartpoleParams, gains: GainSelection) -> ShapingParams:
     return new_tau_pair(p, gains)[1]
 
 
-def _closed_loop(build: Callable) -> ExplicitSode:
-    """Two-coordinate closed loop from one acceleration body ``build(ns)``, whose
-    sin, cos and sqrt come from the namespace ``ns``: ``gamma`` is the body
-    over jets and ``floats`` the body over math."""
-    return ExplicitSode(2, build(jets), build(math), Dims(1, 1))
+@functools.cache
+def _code(text: str) -> CodeType:
+    """The closed-loop source ``text`` compiled, once per text."""
+    return compile(text, "<closed loop>", "exec")
+
+
+def _compiled(text: str, name: str, scope: dict) -> Callable:
+    """The function ``name`` that the source ``text`` defines, over the names
+    of ``scope``; the text is compiled once, at its first build."""
+    return jets.bound(_code(text), name, scope)
+
+
+def _closed_loop(build: Callable, body: str) -> ExplicitSode:
+    """Two-coordinate closed loop from one acceleration text ``body``, whose
+    sin, cos and sqrt come from the namespace ``ns`` of ``build(ns)``:
+    ``gamma`` is the body over jets, ``floats`` the body over math, and the
+    RK4 march inlines the body over the globals of ``floats``."""
+    return ExplicitSode(2, build(jets), build(math), Dims(1, 1), body)
+
+
+# The cart-pole closed loop's accelerations over the names of one stage.
+_CARTPOLE_ACCEL = """\
+def accel(x, th, xd, thd):
+    cx, sx = cos(x), sin(x)
+    b2c2 = b2 * cx * cx
+    D = alga - b2c2
+    r = sqrt(D)
+    den = bgk * cx * r - D
+    F = sx * (dga * (b2c2 - alga) / (-den) - b2 * xd * xd * cx) / D
+    G = sx * (G0 / (r * den) + bd * cx / D + albe * xd * xd / D)
+    return F, G
+"""
 
 
 def _cartpole_accel(p: CartpoleParams, k: float, ns) -> Callable:
     """(x, theta, xdot, thetadot) -> (xddot, thetaddot) of the cart-pole closed
-    loop, over the sin, cos and sqrt of ``ns`` (math or jets)."""
+    loop, `_CARTPOLE_ACCEL` over the sin, cos and sqrt of ``ns`` (math, jets
+    or mpmath)."""
     al, be, ga, d = p.alpha, p.beta, p.gamma, p.d
-    sin, cos, sqrt = ns.sin, ns.cos, ns.sqrt
     # constant left-associative prefixes, folded once: the same floats
-    b2, alga, bgk, dga = be * be, al * ga, be * ga * k, d * ga
-    G0, bd, albe = -al * d * ga * ga * k, be * d, al * be
-
-    def accel(x, th, xd, thd):
-        cx, sx = cos(x), sin(x)
-        b2c2 = b2 * cx * cx
-        D = alga - b2c2
-        r = sqrt(D)
-        den = bgk * cx * r - D
-        F = sx * (dga * (b2c2 - alga) / (-den) - b2 * xd * xd * cx) / D
-        G = sx * (G0 / (r * den) + bd * cx / D + albe * xd * xd / D)
-        return F, G
-
-    return accel
+    return _compiled(_CARTPOLE_ACCEL, "accel", {
+        "sin": ns.sin, "cos": ns.cos, "sqrt": ns.sqrt, "b2": be * be, "alga": al * ga,
+        "bgk": be * ga * k, "dga": d * ga, "G0": -al * d * ga * ga * k, "bd": be * d,
+        "albe": al * be})
 
 
 def cartpole_closed_loop(p: CartpoleParams, gains: GainSelection) -> ExplicitSode:
     """Closed loop of the cart-pole under the position feedback with gain k."""
-    return _closed_loop(lambda ns: _cartpole_accel(p, gains.k, ns))
+    return _closed_loop(lambda ns: _cartpole_accel(p, gains.k, ns), _CARTPOLE_ACCEL)
 
 
 def _cartpole_terms(p: CartpoleParams, k: float) -> Callable:
@@ -627,45 +653,53 @@ def incline_hessian_check(p: InclineParams, shaping: ShapingParams,
     return H, pd, c_min
 
 
+# The incline's tau = k sqrt(D) at x, with cpx = cos(psi - x), then its slope
+# tp = d tau / dx = -k beta^2 cos(psi - x) sin(psi - x) / sqrt(D), with
+# spx = sin(psi - x): the floats of the form in sin(x - psi), since sin is odd
+# bit for bit.  These lines begin both the tau text and the loop's body.
+_INCLINE_TAU_VALUE = """\
+    u = psi - x
+    cpx = cos(u)
+    rD = sqrt(alga - b2 * cpx * cpx)
+    t = k * rD
+"""
+_INCLINE_TAU_SLOPE = """\
+    spx = sin(u)
+    tp = mkb2 * cpx * spx / rD
+"""
+_INCLINE_TAU = (f"def tau(x, d1=True):\n{_INCLINE_TAU_VALUE}    if not d1:\n"
+                f"        return cpx, t\n{_INCLINE_TAU_SLOPE}    return cpx, t, tp, spx\n")
+# The incline closed loop's accelerations over the names of one stage.
+_INCLINE_ACCEL = f"""\
+def accel(x, s, xd, sd):
+{_INCLINE_TAU_VALUE}{_INCLINE_TAU_SLOPE}\
+    B = be * cpx
+    r1 = md * sin(x)
+    r2 = -(be * spx + ga * tp) * xd * xd - (s - h(x) - s0) / rho
+    det = alga - B * B - B * ga * t
+    return (ga * r1 - B * r2) / det, (-(B + ga * t) * r1 + al * r2) / det
+"""
+
+
 def _incline_loop(p: InclineParams, gains: GainSelection, h: _HCurve, ns):
-    """The incline closed loop over the sin, cos and sqrt of ``ns`` (math or
-    jets, which sends arrays to numpy) and the h-curve ``h``.
+    """The incline closed loop over the sin, cos and sqrt of ``ns`` (math,
+    jets, which sends arrays to numpy, or mpmath) and the h-curve ``h``.
 
     Returns tau(x) -> (cos(psi - x), tau, d tau / dx, sin(psi - x)), or
-    (cos(psi - x), tau) for tau(x, False), and accel(x, s, xdot, sdot) ->
-    (xddot, sddot).  d tau / dx = -k beta^2 cos(psi - x) sin(psi - x) / sqrt(D)
-    gives the floats of the form in sin(x - psi), since sin is odd bit for bit.
-    The loop reads the gains k, rho and s0 and the h-curve, built from sigma
-    and rho too, which `closed_loop_key` lists.  The math build reads h by
+    (cos(psi - x), tau) for tau(x, False), from `_INCLINE_TAU`, and
+    accel(x, s, xdot, sdot) -> (xddot, sddot) from `_INCLINE_ACCEL`.  The
+    loop reads the gains k, rho and s0 and the h-curve, built from sigma and
+    rho too, which `closed_loop_key` lists.  The math build reads h by
     ``h.at``, skipping ``Curve.__call__``'s type tests: one bisection of the
     curve's interior breakpoints and one row of its coefficients, from the
     lists of `fields.spline_reader`.
     """
-    al, be, ga, psi = p.alpha, p.beta, p.gamma, p.psi
-    k, rho, s0 = gains.k, gains.rho, gains.s0
-    sin, cos, sqrt = ns.sin, ns.cos, ns.sqrt
-    hx = h.at if ns is math else h
+    al, be, ga, k = p.alpha, p.beta, p.gamma, gains.k
     # constant left-associative prefixes and signs, folded once: the same floats
-    alga, b2, mkb2, md = al * ga, be * be, -(k * be * be), -p.d
-
-    def tau(x, d1=True):
-        u = psi - x
-        cpx = cos(u)
-        rD = sqrt(alga - b2 * cpx * cpx)
-        if not d1:
-            return cpx, k * rD
-        spx = sin(u)
-        return cpx, k * rD, mkb2 * cpx * spx / rD, spx
-
-    def accel(x, s, xd, sd):
-        cpx, t, tp, spx = tau(x)
-        B = be * cpx
-        r1 = md * sin(x)
-        r2 = -(be * spx + ga * tp) * xd * xd - (s - hx(x) - s0) / rho
-        det = alga - B * B - B * ga * t
-        return (ga * r1 - B * r2) / det, (-(B + ga * t) * r1 + al * r2) / det
-
-    return tau, accel
+    scope = {"sin": ns.sin, "cos": ns.cos, "sqrt": ns.sqrt, "h": h.at if ns is math else h,
+             "al": al, "be": be, "ga": ga, "psi": p.psi, "k": k, "rho": gains.rho,
+             "s0": gains.s0, "alga": al * ga, "b2": be * be, "mkb2": -(k * be * be), "md": -p.d}
+    return _compiled(_INCLINE_TAU, "tau", scope), _compiled(_INCLINE_ACCEL, "accel", scope)
 
 
 def _incline_slope(p: InclineParams, gains: GainSelection, h: _HCurve,
@@ -694,7 +728,7 @@ def _incline_slope(p: InclineParams, gains: GainSelection, h: _HCurve,
 def incline_closed_loop(p: InclineParams, gains: GainSelection, h: _HCurve) -> ExplicitSode:
     """Closed loop of the incline system under the new-tau control with scalar
     rho and the constructed extra potential, whose h-curve is ``h``."""
-    return _closed_loop(lambda ns: _incline_loop(p, gains, h, ns)[1])
+    return _closed_loop(lambda ns: _incline_loop(p, gains, h, ns)[1], _INCLINE_ACCEL)
 
 
 def incline_shaped_potential(p: InclineParams, gains: GainSelection, h: _HCurve,

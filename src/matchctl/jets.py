@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from numbers import Real
+from types import CodeType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -179,11 +180,17 @@ def record(fn: Callable[[list], Sequence], n_in: int) -> Callable:
 
 
 def compiled(src: str, name: str, filename: str, scope: dict | None = None) -> Callable:
-    """The function ``name`` that the generated source ``src`` defines, run
+    """The function ``name`` that the generated source ``src`` defines, `bound`
+    to ``scope``."""
+    return bound(compile(src, filename, "exec"), name, scope)
+
+
+def bound(code: CodeType, name: str, scope: dict | None = None) -> Callable:
+    """The function ``name`` that the compiled module ``code`` defines, run
     with ``scope`` as its globals and popped from it: a function left in its
     own globals is a reference cycle, freed only by the cycle collector."""
     scope = {} if scope is None else scope
-    exec(compile(src, filename, "exec"), scope)
+    exec(code, scope)
     return scope.pop(name)
 
 

@@ -502,14 +502,23 @@ class ExplicitSode:
     Python floats (numpy scalars would make every operation a numpy one), take
     the 2n coordinates and velocities of a state and return its n accelerations;
     ``floats`` reads the floats of ``gamma`` unless given a faster path.
+
+    ``body``, where given, is the source text that ``floats`` was compiled
+    from over its globals: one function of the 2n state names whose statements
+    assign names and whose last returns the accelerations.  `sim.integrate`
+    inlines it into each stage of its RK4 march (`sim._rk4_march`), bound to
+    those globals; a field without it marches by calls to ``floats``, as a
+    taped loop does: its tape, inlined into four stages, would cost more to
+    compile than a short march saves.
     """
 
     def __init__(self, n: int, gamma: Callable, floats: Callable | None = None,
-                 dims: Dims | None = None):
+                 dims: Dims | None = None, body: str | None = None):
         self.n = n
         self.gamma = gamma
         self.floats = floats or (lambda *u: [value_of(v) for v in gamma(*u)])
         self.dims = dims
+        self.body = body
 
     @property
     def gamma2(self) -> Callable:

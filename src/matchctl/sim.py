@@ -3,7 +3,11 @@
 Classical fourth-order Runge-Kutta at fixed step: reproducibility of golden
 trajectories matters more than adaptive speed at this scale.  One march,
 generated from the coordinate count n, records the states as floats in one
-``array('d')``, of which the trajectory's states are a view.  `integrate`
+``array('d')``, of which the trajectory's states are a view.  The march of a
+hand-written closed loop inlines its acceleration text (``ExplicitSode.body``)
+into each stage; every other field's march calls its ``floats``, as a taped
+loop's must: its tape, inlined four times, would cost more to compile than a
+short march saves.  `integrate`
 observes each block of ``OBSERVE_BLOCK`` rows as soon as it is marched.
 Given a CSV path, it writes each block there and then drops it, marching the
 next from a fresh record, so that the trajectory keeps its times and
@@ -13,6 +17,7 @@ on.  The bytes are those of one process; no option chooses."""
 
 from __future__ import annotations
 
+import ast
 import functools
 import gc
 import math
@@ -20,11 +25,12 @@ import os
 import threading
 from array import array
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Callable
 
 import numpy as np
 
-from .jets import compiled
+from .jets import bound
 from .lagrangian import ExplicitSode
 from .model import Dims, State
 
@@ -57,9 +63,13 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
               control: Callable | None = None, energy: Callable | None = None,
               guard: Callable | None = None, csv=None) -> Trajectory:
     """March the field with fixed-step RK4 from state0 for t_end seconds by
-    `_rk4_march` on its ``floats``, in blocks of ``OBSERVE_BLOCK`` rows (each
-    from the last state of the one before, so the floats are those of one
-    march), observing each block as `observe` does as soon as it is marched.
+    `_rk4_march`, in blocks of ``OBSERVE_BLOCK`` rows (each from the last
+    state of the one before, so the floats are those of one march), observing
+    each block as `observe` does as soon as it is marched.  A field with a
+    ``body`` (the hand-written closed loops of `control`) marches with that
+    text inlined into each stage, over the names its ``floats`` reads; any
+    other (the taped generic loops, a user's field) calls ``floats`` at each
+    stage.  Both give the same floats.
 
     ``guard(q, qd) -> bool``, given the coordinates and velocities as tuples
     of floats, halts integration with a "domain_exit" event when true.
@@ -78,7 +88,9 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
     if not math.isfinite(steps):
         raise ValueError(f"the step count t_end / dt = {steps!r} is not finite")
     n, accel, width, rows = field_.n, field_.floats, 2 * field_.n, int(round(steps)) + 1
-    march, rec = _rk4_march(n), array("d", state0.q.tolist() + state0.qdot.tolist())
+    march = bound(_rk4_march(n, field_.body), "march",
+                  None if field_.body is None else dict(accel.__globals__))
+    rec = array("d", state0.q.tolist() + state0.qdot.tolist())
     out = Trajectory(dims=field_.dims, times=np.empty(0), states=np.empty((0, width)))
     sink, done, first = _CsvFile(csv, rows) if csv is not None else None, None, 0
     try:
@@ -113,20 +125,31 @@ def integrate(field_: ExplicitSode, state0: State, dt: float, t_end: float,
 
 
 @functools.cache
-def _rk4_march(n: int) -> Callable:
-    """``march(accel, rec, dt, steps, guard, events)``: the RK4 steps ``steps``
-    from the last state of ``rec``, each appended to it as floats; ``accel``
-    takes the 2n floats of a stage's state (coordinates, then velocities) and
-    returns its n accelerations.  A step whose state is not finite halts with
-    a "nonfinite" event, one that ``guard`` (given q and qd as tuples) refuses
-    with a "domain_exit" event, both recorded; a stage whose ``accel`` raises
-    ValueError or OverflowError (``math.sin(inf)`` does) halts unrecorded with
-    "nonfinite" where its state is not finite, else the error propagates."""
+def _rk4_march(n: int, body: str | None = None) -> CodeType:
+    """The compiled module that defines ``march(accel, rec, dt, steps, guard,
+    events)``: the RK4 steps ``steps`` from the last state of ``rec``, each
+    appended to it as floats.  A step whose state is not finite halts with a
+    "nonfinite" event, one that ``guard`` (given q and qd as tuples) refuses
+    with a "domain_exit" event, both recorded; a stage that raises ValueError
+    or OverflowError (``math.sin(inf)`` does) halts unrecorded with
+    "nonfinite" where its state is not finite, else the error propagates.
+
+    Without ``body`` each stage calls ``accel`` on the 2n floats of its state
+    (coordinates, then velocities), which returns its n accelerations.  Given
+    an `ExplicitSode.body`, each stage is that text, inlined by `_inlined`,
+    and ``accel`` goes unread; the names the text reads are keyword-only
+    defaults of ``march``, so running this code over the globals of the
+    ``floats`` compiled from the text binds it to one loop's constants.  A
+    taped loop has no text: its tape, inlined four times, would cost more to
+    compile than a short march saves.  Cached per (n, body), so no march of
+    an equal text compiles again."""
     q, qd = [f"q{i}" for i in range(n)], [f"qd{i}" for i in range(n)]
     # the coordinates, velocities and accelerations of stages 1 to 4
     qs = [q] + [[f"{x}_{k}" for x in q] for k in (2, 3, 4)]
     vs = [qd] + [[f"{x}_{k}" for x in qd] for k in (2, 3, 4)]
     acc = [[f"a{i}_{k}" for i in range(n)] for k in (1, 2, 3, 4)]
+    own = {*sum(qs + vs + acc, []), "accel", "rec", "dt", "steps", "guard", "events", "half",
+           "sixth", "i"}
 
     # stage k's state is not finite: x * 0.0 is +-0.0 where x is finite, else NaN
     nonfinite = [" + ".join(f"{x} * 0.0" for x in qs[k] + vs[k]) + " != 0.0" for k in range(4)]
@@ -134,9 +157,13 @@ def _rk4_march(n: int) -> Callable:
     def halt(test, kind):
         return [f"if {test}:", f"    events.append(((i + 1) * dt, '{kind}'))", "    break"]
 
-    lines = []
+    lines, reads = [], []
     for k in range(4):
-        lines += ["try:", f"    {', '.join(acc[k])}, = accel({', '.join(qs[k] + vs[k])})",
+        if body is None:
+            stage = [f"{', '.join(acc[k])}, = accel({', '.join(qs[k] + vs[k])})"]
+        else:
+            stage, reads = _inlined(body, qs[k] + vs[k], acc[k], f"_s{k + 1}", own)
+        lines += ["try:", *(f"    {line}" for line in stage),
                   "except (ValueError, OverflowError):",
                   *(f"    {line}" for line in halt(nonfinite[k], "nonfinite")),
                   "    raise"]
@@ -149,11 +176,39 @@ def _rk4_march(n: int) -> Callable:
     lines += [f"rec.extend(({', '.join(q + qd)},))", *halt(nonfinite[0], "nonfinite"),
               *halt(f"guard is not None and guard(({', '.join(q)},), ({', '.join(qd)},))",
                     "domain_exit")]
-    body = "".join(f"        {line}\n" for line in lines)
-    src = (f"def march(accel, rec, dt, steps, guard, events):\n"
+    body_lines = "".join(f"        {line}\n" for line in lines)
+    # the names the body reads from its scope, bound as keyword-only defaults:
+    # locals of the march, read faster than its globals
+    defaults = "".join(f", {v}={v}" for v in reads)
+    src = (f"def march(accel, rec, dt, steps, guard, events{', *' * bool(reads)}{defaults}):\n"
            f"    {', '.join(q + qd)} = rec[-{2 * n}:]\n"
-           f"    half = 0.5 * dt\n    sixth = dt / 6.0\n    for i in steps:\n{body}")
-    return compiled(src, "march", f"<rk4 march {n}>")
+           f"    half = 0.5 * dt\n    sixth = dt / 6.0\n    for i in steps:\n{body_lines}")
+    return compile(src, f"<rk4 march {n}{'' if body is None else ' fused'}>", "exec")
+
+
+def _inlined(body: str, args: list[str], out: list[str], suffix: str,
+             own: set) -> tuple[list[str], list[str]]:
+    """The statements of ``body``, one function whose last statement returns
+    its accelerations, as straight-line code, and the names it reads from its
+    scope: each parameter reads as its name in ``args``, each name the body
+    assigns takes ``suffix``, and the returned values are assigned to
+    ``out``.  A body that assigns a parameter, or whose names meet the
+    march's ``own``, is a ValueError."""
+    fn = ast.parse(body).body[0]
+    *stmts, ret = fn.body
+    params = [a.arg for a in fn.args.args]
+    assigned = {node.id for s in stmts for node in ast.walk(s)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    names = {v: v + suffix for v in assigned} | dict(zip(params, args))
+    free = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)} - names.keys()
+    if (len(params) != len(args) or not isinstance(ret, ast.Return) or assigned & set(params)
+            or free & (own | {names[v] for v in assigned})):
+        raise ValueError(f"the body of {fn.name} cannot be inlined into an RK4 stage")
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and node.id in names:
+            node.id = names[node.id]
+    return ([*map(ast.unparse, stmts), f"{', '.join(out)}, = {ast.unparse(ret.value)}"],
+            sorted(free))
 
 
 def observe(traj: Trajectory, control: Callable | None = None,

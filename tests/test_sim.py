@@ -9,8 +9,9 @@ import pytest
 
 from conftest import FORKS
 from matchctl import control as ctl
+from matchctl import jets
 from matchctl.lagrangian import ExplicitSode
-from matchctl.model import Dims, State
+from matchctl.model import CartpoleParams, Dims, InclineParams, State
 from matchctl.sim import (CSV_BLOCK, CSV_FORK_ROWS, OBSERVE_BLOCK, Trajectory, energy_drift,
                           integrate, observe, write_csv)
 
@@ -754,6 +755,162 @@ def test_stage_raising_on_a_finite_state_propagates(march_loops, system, stage):
     field_ = march_loops[system]
     with pytest.raises(ValueError, match=f"stage {stage} raised"):
         integrate(failing_at(field_, 7, stage, finite=True), rising(field_.n), 1e-2, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# the fused march of a field with a body text
+# ---------------------------------------------------------------------------
+
+def text_field(text: str, **names) -> ExplicitSode:
+    """The two-coordinate field whose ``floats`` is the ``accel`` that ``text``
+    defines over ``names``, carrying the text: `integrate` inlines it."""
+    return ExplicitSode(2, None, jets.compiled(text, "accel", "<test body>", names), Dims(1, 1),
+                        text)
+
+
+def calling(field_: ExplicitSode) -> ExplicitSode:
+    """``field_`` without its text: `integrate` calls its ``floats`` at each stage."""
+    return ExplicitSode(field_.n, field_.gamma, field_.floats, field_.dims)
+
+
+def worked_loop(p, k: float, rho: float = 1.0) -> ExplicitSode:
+    if isinstance(p, InclineParams):
+        gains = ctl.GainSelection(k=k, rho=rho)
+        h = ctl.incline_h_curve(p, ctl.incline_base_shaping(p, gains), k, ctl.INCLINE_LOOP_SPAN)
+        return ctl.incline_closed_loop(p, gains, h)
+    return ctl.cartpole_closed_loop(p, ctl.GainSelection(k=k))
+
+
+WORKED_LOOPS = [pytest.param(CartpoleParams(), k, 1.0, id=f"cartpole-k{k:g}")
+                for k in (5.0, 35.0, 150.0)]
+WORKED_LOOPS += [pytest.param(InclineParams(psi=psi), 35.0, rho,
+                              id=f"incline-psi{psi:+g}-rho{rho:g}")
+                 for psi in (0.3, -0.3) for rho in (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("p, k, rho", WORKED_LOOPS)
+def test_fused_march_of_a_worked_loop_is_its_call_march(p, k, rho):
+    # the body inlined into each stage gives the floats and events of calls
+    # to the floats compiled from it: 5,000 steps, a guard halt, and a stage
+    # that raises on its infinite state (math.cos(inf)), whose step is not kept
+    loop = worked_loop(p, k, rho)
+    assert loop.body is not None
+    state0, dt = State(q=[0.3, 0.1], qdot=[0.0, 0.5]), 1e-3
+
+    def run(field_, state, guard=None):
+        traj = integrate(field_, state, dt, 5.0, guard=guard)
+        return traj.states.tobytes(), traj.times.tobytes(), traj.events
+
+    fused = run(loop, state0)
+    assert fused == run(calling(loop), state0) and len(fused[1]) == 8 * 5001 and not fused[2]
+
+    def halting():
+        seen = []
+        return seen, lambda q, qd: seen.append((q, qd)) or len(seen) == 2500
+
+    (seen_f, guard_f), (seen_c, guard_c) = halting(), halting()
+    fused = run(loop, state0, guard_f)
+    assert fused == run(calling(loop), state0, guard_c) and seen_f == seen_c
+    assert fused[2] == [(2500 * dt, "domain_exit")] and len(fused[1]) == 8 * 2501
+
+    fast = State(q=[0.3, 0.1], qdot=[math.inf, 0.0])    # stage 2 reads cos(inf)
+    fused = run(loop, fast)
+    assert fused == run(calling(loop), fast)
+    assert fused[2] == [(dt, "nonfinite")] and len(fused[1]) == 8
+
+
+_BLOWING_UP = """\
+def accel(x, th, xd, thd):
+    return (inf if x > 2.0025 else 0.0) + 0.0 * cos(xd), 0.0
+"""
+
+
+def test_fused_stage_raising_on_a_nonfinite_state_halts_nonfinite():
+    # the text of `blowing_up`: math.cos(inf) raises in the inlined stage, and
+    # the march halts at the step where a NaN-returning cosine records NaN
+    def nan_cos(v):
+        return math.cos(v) if math.isfinite(v) else math.nan
+
+    state0, dt = State(q=[1.0, 0.0], qdot=[1.0, 0.0]), 0.01
+    want = integrate(text_field(_BLOWING_UP, inf=math.inf, cos=nan_cos), state0, dt, 2.0)
+    field_ = text_field(_BLOWING_UP, inf=math.inf, cos=math.cos)
+    got = integrate(field_, state0, dt, 2.0)
+    assert len(want.times) == 102 and np.isnan(want.states[-1]).any()
+    assert got.events == want.events == [(len(got.times) * dt, "nonfinite")]
+    assert got.states.tobytes() == want.states[:-1].tobytes()
+    called = integrate(calling(field_), state0, dt, 2.0)
+    assert called.events == got.events and called.states.tobytes() == got.states.tobytes()
+
+
+@pytest.mark.parametrize("name, error, x, xd", [("exp", OverflowError, 800.0, 0.0),
+                                                ("sqrt", ValueError, 1.0, -100.0)])
+def test_fused_stage_raising_on_a_finite_state_propagates(name, error, x, xd):
+    text = f"def accel(x, th, xd, thd):\n    return {name}(x), 0.0\n"
+    field_ = text_field(text, **{name: getattr(math, name)})
+    for f in (field_, calling(field_)):
+        with pytest.raises(error):
+            integrate(f, State(q=[x, 0.0], qdot=[xd, 0.0]), 0.1, 1.0)
+
+
+def test_body_that_cannot_be_inlined_is_refused():
+    # a body may not assign its parameters, nor read a name the march defines
+    for text in ("def accel(x, th, xd, thd):\n    x = 2.0 * x\n    return x, 0.0\n",
+                 "def accel(x, th, xd, thd):\n    return half * x, 0.0\n"):
+        with pytest.raises(ValueError, match="cannot be inlined"):
+            integrate(text_field(text, half=0.5), State(q=[1.0, 0.0], qdot=[0.0, 0.0]), 0.1, 1.0)
+
+
+def test_fused_march_compiles_once_per_text(monkeypatch):
+    # three cart-pole loops and two incline loops compile one march per text
+    # and each text once; no loop pays a compile of its own
+    from matchctl import sim
+
+    compiled = []
+
+    def counted(src, filename, mode):
+        compiled.append(filename)
+        return compile(src, filename, mode)
+
+    sim._rk4_march.cache_clear()
+    ctl._code.cache_clear()
+    monkeypatch.setattr(sim, "compile", counted, raising=False)
+    monkeypatch.setattr(ctl, "compile", counted, raising=False)
+    loops = [worked_loop(CartpoleParams(), k) for k in (5.0, 35.0, 150.0)]
+    loops += [worked_loop(InclineParams(psi=psi), 35.0) for psi in (0.3, -0.3)]
+    for loop in loops:
+        integrate(loop, State(q=[0.3, 0.1], qdot=[0.0, 0.5]), 1e-3, 0.1)
+    assert sorted(compiled) == ["<closed loop>"] * 3 + ["<rk4 march 2 fused>"] * 2
+
+
+def test_taped_loop_marches_by_calls_to_its_floats(monkeypatch):
+    # the builtin (1,2) loop has a tape and no text: each stage calls floats
+    from conftest import sm_shaping
+    from matchctl.lagrangian import controlled_implicit_sode
+
+    loop = controlled_implicit_sode(*sm_shaping(1, Dims(1, 2))).to_explicit()
+    calls, floats = [], loop.floats
+    loop.floats = lambda *state: calls.append(state) or floats(*state)
+    assert loop.body is None
+    traj = integrate(loop, rising(3), 1e-2, 0.3)
+    assert len(traj.times) == 31 and len(calls) == 4 * 30
+
+
+def test_incline_loop_is_freed_after_a_fused_march_without_the_cycle_collector():
+    # the march is popped from its scope, so no cycle keeps the loop's h-curve
+    import gc
+    import weakref
+
+    p, gains = InclineParams(psi=0.3), ctl.GainSelection(k=35.0, rho=2.0)
+    h = ctl.incline_h_curve(p, ctl.incline_base_shaping(p, gains), 35.0, ctl.INCLINE_LOOP_SPAN)
+    gc.disable()
+    try:
+        loop, ref = ctl.incline_closed_loop(p, gains, h), weakref.ref(h)
+        traj = integrate(loop, State(q=[0.3, 0.1], qdot=[0.0, 0.5]), 1e-3, 0.5)
+        assert len(traj.times) == 501 and not traj.events
+        del h, loop
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_integrate_validates_args():
